@@ -170,9 +170,7 @@ class CSRGraph:
         self._parent = [-1] * n
         self._seen = [0] * n
         self._done = [0] * n
-        self._ban = [0] * n
         self._gen = 0
-        self._ban_gen = 0
         # Second buffer set for the backward half of bidirectional search.
         self._dist_b = [inf] * n
         self._parent_b = [-1] * n
@@ -413,33 +411,46 @@ class CSRGraph:
         adj: list[list[tuple[int, float]]],
         h: list[float] | None = None,
         banned_vertices: Iterable[int] = (),
-        banned_edges: frozenset[tuple[int, int]] | set[tuple[int, int]] = frozenset(),
+        banned_next: Iterable[int] = (),
     ) -> tuple[list[int], float] | None:
         """Point-to-point search with optional heuristic and bans.
 
         Returns ``(vertex_index_path, cost)`` or ``None`` when the
         target is unreachable.  With an admissible consistent ``h`` this
         is A*; with ``h=None`` it is Dijkstra with early exit.
+
+        ``banned_vertices`` are never entered: they are stamped as
+        already settled, so the relaxation loop needs no separate ban
+        test.  ``banned_next`` bans the edges ``source -> v`` and is
+        consulted only while the source is expanded, which happens
+        before the main loop — Yen, the only caller that bans edges,
+        bans none that leave another vertex.
         """
         with self._lock:
-            self._ban_gen += 1
-            bgen = self._ban_gen
-            ban = self._ban
-            for v in banned_vertices:
-                ban[v] = bgen
-            if ban[source] == bgen:
-                return None
             self._gen += 1
             gen = self._gen
             dist, seen, done, parent = (self._dist, self._seen, self._done,
                                         self._parent)
+            for v in banned_vertices:
+                done[v] = gen
+            if done[source] == gen or done[target] == gen:
+                return None
             dist[source] = 0.0
             seen[source] = gen
             parent[source] = -1
-            heap = [(0.0 if h is None else h[source], source)]
+            done[source] = gen
+            heap: list[tuple[float, int]] = []
             push, pop = heappush, heappop
-            check_edges = bool(banned_edges)
-            pops = settled = 0
+            pops = settled = 1  # the source, expanded here
+            if source != target:
+                for v, w in adj[source]:
+                    if done[v] == gen or v in banned_next:
+                        continue
+                    if seen[v] != gen or w < dist[v]:
+                        dist[v] = w
+                        seen[v] = gen
+                        parent[v] = source
+                        push(heap, (w if h is None else w + h[v], v))
             while heap:
                 _, u = pop(heap)
                 pops += 1
@@ -451,9 +462,7 @@ class CSRGraph:
                     break
                 d = dist[u]
                 for v, w in adj[u]:
-                    if done[v] == gen or ban[v] == bgen:
-                        continue
-                    if check_edges and (u, v) in banned_edges:
+                    if done[v] == gen:
                         continue
                     nd = d + w
                     if seen[v] != gen or nd < dist[v]:
@@ -1021,11 +1030,12 @@ class CSRGraph:
         """Yield ``(vertex_ids, cost)`` for loopless paths in
         non-decreasing cost order (Yen, 1971).
 
-        Structurally mirrors the reference generator in ``ksp.py``; the
-        spur searches run over the CSR arrays and, on networks of at
-        least :data:`ALT_MIN_VERTICES` vertices, are ALT-guided A*
-        toward the (fixed) target — the bans only remove edges, so the
-        landmark bounds stay admissible.
+        The sequence is the one plain Yen yields over this kernel's
+        searches, order among equal costs included, and agrees with the
+        reference generator in ``ksp.py`` wherever costs are distinct
+        (the two lanes may resolve a tie differently).  The enumeration
+        itself does not mirror the reference: :meth:`yen_indices` does
+        each search once.
 
         ``p2p`` optionally substitutes the *initial* (unbanned) search
         with an exact point-to-point callable over CSR indices — e.g.
@@ -1033,6 +1043,50 @@ class CSRGraph:
         ``None``.  Spur searches always run here: they ban vertices and
         edges, which precomputed hierarchies cannot honour.
         """
+        ids = self.ids
+        for verts, total in self.yen_indices(source_id, target_id, cost,
+                                             max_paths, use_alt, p2p):
+            yield tuple(ids[i] for i in verts), total
+
+    def yen_indices(
+        self,
+        source_id: int,
+        target_id: int,
+        cost: CostFunction | None = None,
+        max_paths: int | None = None,
+        use_alt: bool | None = None,
+        p2p=None,
+    ) -> Iterator[tuple[list[int], float]]:
+        """:meth:`yen_ids` for consumers that stay on the kernel: same
+        arguments, but each path is a list of CSR indices (not to be
+        mutated).
+
+        This is Yen's enumeration with the repeated work taken out; the
+        yielded sequence is the plain algorithm's, ties included.
+
+        * Every candidate carries its *deviation index* — the spur index
+          it was found at — and an accepted path is spurred only from
+          that index on (Lawler, 1972).  An earlier prefix is shared
+          with the path it deviated from and already bans this path's
+          next vertex, so its root and ban set are what they were when
+          that prefix was last searched: the search would return a path
+          already in ``seen_paths`` and never reach the tie-breaking
+          counter.
+        * The ban set of a root — the next vertices of all accepted
+          paths that start with it — is the key set of that root's node
+          in a prefix trie of nested dicts, which each accepted path
+          extends from its deviation index, instead of being rebuilt by
+          scanning the accepted paths.
+        * Every banned edge leaves the spur vertex, so the bans go to
+          :meth:`_p2p` as ``banned_next`` and cost the spur search
+          nothing past its first expansion.
+
+        Spur searches are ALT-guided A* toward the (fixed) target on
+        networks of at least :data:`ALT_MIN_VERTICES` vertices — the
+        bans only remove edges, so the landmark bounds stay admissible.
+        """
+        if max_paths is not None and max_paths < 1:
+            raise ValueError(f"max_paths must be positive, got {max_paths}")
         if source_id == target_id:
             raise NoPathError(source_id, target_id)
         s = self.index_of(source_id)
@@ -1046,61 +1100,53 @@ class CSRGraph:
         first = p2p(s, t) if p2p is not None else self._p2p(s, t, adj, h)
         if first is None:
             raise NoPathError(source_id, target_id)
-        ids = self.ids
         edge_index = self._edge_index
 
-        def prefix_costs(verts: list[int]) -> list[float]:
-            acc = [0.0]
-            total = 0.0
-            for u, v in zip(verts, verts[1:]):
-                total += weights[edge_index(u, v)]
-                acc.append(total)
-            return acc
+        verts, total = first
+        yield verts, total
 
-        first_verts, first_cost = first
-        yield tuple(ids[i] for i in first_verts), first_cost
-
-        accepted: list[tuple[list[int], list[float]]] = [
-            (first_verts, prefix_costs(first_verts))
-        ]
-        seen_paths: set[tuple[int, ...]] = {tuple(first_verts)}
+        deviation = 0
+        seen_paths: set[tuple[int, ...]] = {tuple(verts)}
         counter = count()
-        candidates: list[tuple[float, int, list[int]]] = []
+        candidates: list[tuple[float, int, list[int], int]] = []
+        # Prefix trie over the accepted paths: a node maps each vertex
+        # that follows its prefix in some accepted path to the child
+        # node, so its keys are the prefix's ban set.  The root is [s].
+        trie: dict[int, dict] = {}
         produced = 1
 
         while max_paths is None or produced < max_paths:
-            prev_verts, prev_prefix = accepted[-1]
-            for spur_index in range(len(prev_verts) - 1):
-                spur_vertex = prev_verts[spur_index]
-                root = prev_verts[: spur_index + 1]
-
-                banned_edges: set[tuple[int, int]] = set()
-                for verts, _ in accepted:
-                    if verts[: spur_index + 1] == root:
-                        banned_edges.add((verts[spur_index],
-                                          verts[spur_index + 1]))
+            node = trie
+            root_cost = 0.0
+            for i in range(deviation):
+                root_cost += weights[edge_index(verts[i], verts[i + 1])]
+                node = node[verts[i + 1]]
+            spurs = 0
+            try:
+                for i in range(deviation, len(verts) - 1):
+                    following = verts[i + 1]
+                    after = node.setdefault(following, {})
+                    spurs += 1
+                    result = self._p2p(verts[i], t, adj, h, verts[:i], node)
+                    if result is not None:
+                        spur_verts, spur_cost = result
+                        found = verts[:i] + spur_verts
+                        key = tuple(found)
+                        if key not in seen_paths:
+                            seen_paths.add(key)
+                            heappush(candidates, (root_cost + spur_cost,
+                                                  next(counter), found, i))
+                    root_cost += weights[edge_index(verts[i], following)]
+                    node = after
+            finally:
                 with self._lock:
-                    self._profile["yen_spur_searches"] += 1
-                result = self._p2p(spur_vertex, t, adj, h,
-                                   banned_vertices=root[:-1],
-                                   banned_edges=banned_edges)
-                if result is None:
-                    continue
-                spur_verts, spur_cost = result
-                total_verts = root[:-1] + spur_verts
-                key = tuple(total_verts)
-                if key in seen_paths:
-                    continue
-                seen_paths.add(key)
-                heappush(candidates, (prev_prefix[spur_index] + spur_cost,
-                                      next(counter), total_verts))
+                    self._profile["yen_spur_searches"] += spurs
 
             if not candidates:
                 return
-            best_cost, _, best_verts = heappop(candidates)
-            accepted.append((best_verts, prefix_costs(best_verts)))
+            total, _, verts, deviation = heappop(candidates)
             produced += 1
-            yield tuple(ids[i] for i in best_verts), best_cost
+            yield verts, total
 
     # ------------------------------------------------------------------
     # Profiling
@@ -1244,9 +1290,7 @@ class CSRGraph:
         kernel._parent = [-1] * n
         kernel._seen = [0] * n
         kernel._done = [0] * n
-        kernel._ban = [0] * n
         kernel._gen = 0
-        kernel._ban_gen = 0
         kernel._dist_b = [inf] * n
         kernel._parent_b = [-1] * n
         kernel._seen_b = [0] * n

@@ -141,15 +141,15 @@ def _kernel_diversified(
     threshold examines hundreds of Yen paths to keep a handful), and
     building a :class:`Path` per examined candidate — vertex/edge
     validation, length accumulation — costs more than the similarity
-    check itself.  Here candidates stay ``(vertex ids, edge positions)``
-    while being filtered, similarity runs over CSR edge-position sets
-    with the kernel's weight arrays, and only *accepted* paths are
-    materialised, in cost order, at the end.  Results match the
-    Path-based filter exactly up to float summation order.
+    check itself.  Here candidates stay lists of CSR indices, as the
+    enumeration hands them over, while being filtered; similarity runs
+    over CSR edge-position sets with the kernel's weight arrays, and
+    only *accepted* paths are materialised, in cost order, at the end.
+    Results match the Path-based filter exactly up to float summation
+    order.
     """
     kernel = csr.csr_for(network)
     p2p = kernel.ch_p2p(cost) if resolved == "ch" else None
-    index = kernel._index
     edge_index = kernel._edge_index
     if mode == "length":
         weights = kernel.edge_weights(length_cost)
@@ -158,19 +158,17 @@ def _kernel_diversified(
     else:  # "count" (unweighted edges) and "vertex" need no weights
         weights = None
 
-    kept_ids: list[tuple[int, ...]] = []
+    kept: list[list[int]] = []
     kept_sigs: list[frozenset[int]] = []
     examined = 0
     exhausted = True
-    for vertex_ids, _ in kernel.yen_ids(source, target, cost,
-                                        max_paths=examine_limit, p2p=p2p):
+    for verts, _ in kernel.yen_indices(source, target, cost,
+                                       max_paths=examine_limit, p2p=p2p):
         examined += 1
         if mode == "vertex":
-            sig = frozenset(vertex_ids)
+            sig = frozenset(verts)
         else:
-            idxs = [index[v] for v in vertex_ids]
-            sig = frozenset(edge_index(u, v)
-                            for u, v in zip(idxs, idxs[1:]))
+            sig = frozenset(map(edge_index, verts, verts[1:]))
         accept = True
         for other in kept_sigs:
             shared = sig & other
@@ -192,10 +190,12 @@ def _kernel_diversified(
                 break
         if accept:
             kept_sigs.append(sig)
-            kept_ids.append(tuple(vertex_ids))
-            if len(kept_ids) == k:
+            kept.append(verts)
+            if len(kept) == k:
                 exhausted = False
                 break
-    paths = tuple(Path(network, vertices) for vertices in kept_ids)
+    ids = kernel.ids
+    paths = tuple(Path(network, tuple(ids[i] for i in verts))
+                  for verts in kept)
     return DiversifiedResult(paths=paths, examined=examined,
                              exhausted=exhausted)

@@ -43,6 +43,8 @@ def yen_path_generator(
     Raises :class:`NoPathError` immediately when no path exists at all;
     otherwise yields until the path space or ``max_paths`` is exhausted.
     """
+    if max_paths is not None and max_paths < 1:
+        raise ValueError(f"max_paths must be positive, got {max_paths}")
     resolved = csr.resolve_backend(backend)
     if resolved != "dict":
         kernel = csr.csr_for(network)

@@ -1,0 +1,267 @@
+"""The kernel's Yen enumeration against the plain algorithm.
+
+``CSRGraph.yen_indices`` skips the spur searches that cannot produce a
+new candidate (every prefix before a path's deviation index) and keeps
+its ban sets in a trie.  Both are exact: ``_plain_yen`` below is the
+textbook enumeration — every spur index of every accepted path, ban
+sets rebuilt by scanning the accepted paths — over the *same* ``_p2p``
+searches, and the kernel must yield its sequence element-wise: same
+paths, same order among equal costs, ``==`` on the float costs.
+"""
+
+from heapq import heappop, heappush
+from itertools import count
+
+import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import NoPathError
+from repro.graph import (
+    RoadCategory,
+    RoadNetwork,
+    csr_for,
+    diversified_top_k,
+    length_cost,
+    travel_time_cost,
+    yen_k_shortest_paths,
+    yen_path_generator,
+)
+
+
+def _plain_yen(kernel, source_id, target_id, cost=None, max_paths=None,
+               use_alt=None):
+    """Plain Yen over the kernel's own searches.
+
+    Returns ``(paths, searches, owed)``: ``paths`` as ``(vertex ids,
+    cost, deviation index)`` in yield order, the spur searches this
+    driver ran, and the number the lean enumeration owes for the same
+    processed paths, ``sum(len(p) - 1 - deviation(p))``.
+    """
+    s, t = kernel.index_of(source_id), kernel.index_of(target_id)
+    adj = kernel._forward(cost)
+    weights = kernel.edge_weights(cost)
+    h = kernel._heuristic_for(cost, t, use_alt)
+    first = kernel._p2p(s, t, adj, h)
+    if first is None:
+        raise NoPathError(source_id, target_id)
+    accepted = [first[0]]
+    out = [(first[0], first[1], 0)]
+    seen = {tuple(first[0])}
+    counter = count()
+    candidates = []
+    searches = owed = 0
+    while max_paths is None or len(out) < max_paths:
+        prev, _, deviation = out[-1]
+        owed += len(prev) - 1 - deviation
+        root_cost = 0.0
+        for i in range(len(prev) - 1):
+            root = prev[: i + 1]
+            banned_next = {p[i + 1] for p in accepted if p[: i + 1] == root}
+            searches += 1
+            result = kernel._p2p(prev[i], t, adj, h, root[:-1], banned_next)
+            if result is not None:
+                found = root[:-1] + result[0]
+                if tuple(found) not in seen:
+                    seen.add(tuple(found))
+                    heappush(candidates, (root_cost + result[1],
+                                          next(counter), found, i))
+            root_cost += weights[kernel._edge_index(prev[i], prev[i + 1])]
+        if not candidates:
+            break
+        total, _, verts, deviation = heappop(candidates)
+        accepted.append(verts)
+        out.append((verts, total, deviation))
+    ids = kernel.ids
+    return ([(tuple(ids[i] for i in verts), total, deviation)
+             for verts, total, deviation in out], searches, owed)
+
+
+def _spur_searches(kernel):
+    return kernel.profile_counters()["yen_spur_searches"]
+
+
+def _assert_exact(network, source, target, cost=None, max_paths=None,
+                  use_alt=None):
+    """Kernel == plain, element-wise; returns (lean, plain) search counts."""
+    kernel = csr_for(network)
+    plain, searches, owed = _plain_yen(kernel, source, target, cost,
+                                       max_paths, use_alt)
+    before = _spur_searches(kernel)
+    lean = list(kernel.yen_ids(source, target, cost, max_paths=max_paths,
+                               use_alt=use_alt))
+    ran = _spur_searches(kernel) - before
+    assert lean == [(verts, total) for verts, total, _ in plain]
+    assert ran == owed <= searches
+    return ran, searches
+
+
+def _pairs(network, how_many, seed):
+    rng = np.random.default_rng(seed)
+    ids = network.vertex_ids()
+    return [tuple(int(v) for v in rng.choice(ids, 2, replace=False))
+            for _ in range(how_many)]
+
+
+def unit_cost(edge):
+    return 1.0
+
+
+def detour_cost(edge):
+    """A custom closure: residential streets cost half again as much."""
+    factor = 1.5 if edge.category is RoadCategory.RESIDENTIAL else 1.0
+    return edge.length * factor
+
+
+class TestSequenceIdentity:
+    @pytest.mark.parametrize("use_alt", [False, True])
+    def test_unit_weight_grid_ties_included(self, small_grid, use_alt):
+        """Unit weights make most of the enumeration one big tie: order
+        among equal costs is all the tie-breaking counter's doing."""
+        lean = plain = 0
+        for source, target in _pairs(small_grid, 6, seed=1):
+            ran, searches = _assert_exact(small_grid, source, target,
+                                          unit_cost, max_paths=40,
+                                          use_alt=use_alt)
+            lean += ran
+            plain += searches
+        assert lean < plain
+
+    @pytest.mark.parametrize("cost", [length_cost, travel_time_cost,
+                                      detour_cost])
+    def test_region_network(self, region_network, cost):
+        lean = plain = 0
+        for source, target in _pairs(region_network, 5, seed=2):
+            ran, searches = _assert_exact(region_network, source, target,
+                                          cost, max_paths=40)
+            lean += ran
+            plain += searches
+        assert lean < plain
+
+    def test_tiny_network_to_exhaustion(self, tiny_network):
+        for source in tiny_network.vertex_ids():
+            for target in tiny_network.vertex_ids():
+                if source != target:
+                    _assert_exact(tiny_network, source, target)
+
+    def test_counter_flushed_when_consumer_stops_early(self, region_network):
+        kernel = csr_for(region_network)
+        source, target = _pairs(region_network, 1, seed=3)[0]
+        plain, _, owed = _plain_yen(kernel, source, target, max_paths=7)
+        before = _spur_searches(kernel)
+        generator = kernel.yen_ids(source, target)
+        for _ in range(7):
+            next(generator)
+        generator.close()
+        assert _spur_searches(kernel) - before == owed
+        assert owed == sum(len(verts) - 1 - deviation
+                           for verts, _, deviation in plain[:-1])
+
+
+@st.composite
+def digraph_queries(draw):
+    """A small digraph with one-way streets and zero-weight edges, plus
+    a query that may well be unreachable."""
+    n = draw(st.integers(2, 6))
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = draw(st.lists(st.sampled_from(arcs), unique=True,
+                           max_size=len(arcs)))
+    weights = {arc: float(draw(st.integers(0, 2))) for arc in chosen}
+    network = RoadNetwork(name="hypothesis")
+    for v in range(n):
+        network.add_vertex(v, float(v), float(v * v))
+    for u, v in chosen:
+        network.add_edge(u, v, length=1.0)
+    source = draw(st.integers(0, n - 1))
+    target = draw(st.integers(0, n - 1).filter(lambda v: v != source))
+    return network, weights, source, target
+
+
+@given(digraph_queries())
+@settings(max_examples=150, deadline=None)
+def test_random_digraphs_to_exhaustion(case):
+    network, weights, source, target = case
+
+    def cost(edge):
+        return weights[edge.source, edge.target]
+
+    kernel = csr_for(network)
+    try:
+        plain, _, _ = _plain_yen(kernel, source, target, cost)
+    except NoPathError:
+        with pytest.raises(NoPathError):
+            next(kernel.yen_ids(source, target, cost))
+        return
+    _assert_exact(network, source, target, cost)
+    # Run to exhaustion, Yen lists every simple path exactly once.
+    simple = {tuple(p) for p in nx.all_simple_paths(network.to_networkx(),
+                                                    source, target)}
+    assert {verts for verts, _, _ in plain} == simple
+    assert len(plain) == len(simple)
+
+
+def test_p2p_banned_next_covers_parallel_edges():
+    """``RoadNetwork`` cannot hold parallel edges, the search can: a
+    banned next vertex bans every edge to it, and without the ban the
+    cheaper of two parallel edges wins."""
+    network = RoadNetwork()
+    for v in range(3):
+        network.add_vertex(v, float(v), 0.0)
+    network.add_edge(0, 1, length=1.0)
+    kernel = csr_for(network)
+    adj = [[(1, 5.0), (1, 2.0), (2, 9.0)], [(2, 1.0)], []]
+    assert kernel._p2p(0, 2, adj) == ([0, 1, 2], 3.0)
+    assert kernel._p2p(0, 2, adj, banned_next={1}) == ([0, 2], 9.0)
+    assert kernel._p2p(0, 2, adj, banned_next={1, 2}) is None
+    assert kernel._p2p(0, 2, adj, banned_vertices=[1]) == ([0, 2], 9.0)
+    assert kernel._p2p(0, 2, adj, banned_vertices=[2]) is None
+
+
+class TestMaxPathsValidation:
+    @pytest.mark.parametrize("backend", ["csr", "dict"])
+    @pytest.mark.parametrize("max_paths", [0, -3])
+    def test_generator_rejects_non_positive_bound(self, tiny_network,
+                                                  backend, max_paths):
+        generator = yen_path_generator(tiny_network, 0, 2,
+                                       max_paths=max_paths, backend=backend)
+        with pytest.raises(ValueError, match="max_paths"):
+            next(generator)
+
+    def test_kernel_rejects_non_positive_bound(self, tiny_network):
+        kernel = csr_for(tiny_network)
+        with pytest.raises(ValueError, match="max_paths"):
+            next(kernel.yen_ids(0, 2, max_paths=0))
+        assert len(list(kernel.yen_ids(0, 2, max_paths=1))) == 1
+
+
+class TestLaneParityOnRegion:
+    """TkDI and D-TkDI, kernel lane against the dict oracle of
+    ``ksp.py``, path by path."""
+
+    @pytest.mark.parametrize("cost", [length_cost, travel_time_cost,
+                                      detour_cost])
+    def test_tkdi(self, region_network, cost):
+        for source, target in _pairs(region_network, 3, seed=4):
+            got = yen_k_shortest_paths(region_network, source, target, 8,
+                                       cost=cost, backend="csr")
+            expected = yen_k_shortest_paths(region_network, source, target,
+                                            8, cost=cost, backend="dict")
+            assert [p.vertices for p in got] == [p.vertices for p in expected]
+            assert [p.cost(cost) for p in got] == pytest.approx(
+                [p.cost(cost) for p in expected], rel=1e-12)
+
+    @pytest.mark.parametrize("cost", [length_cost, travel_time_cost,
+                                      detour_cost])
+    def test_d_tkdi(self, region_network, cost):
+        for source, target in _pairs(region_network, 3, seed=5):
+            got = diversified_top_k(region_network, source, target, 4,
+                                    threshold=0.7, cost=cost,
+                                    examine_limit=80, backend="csr")
+            expected = diversified_top_k(region_network, source, target, 4,
+                                         threshold=0.7, cost=cost,
+                                         examine_limit=80, backend="dict")
+            assert got.paths == expected.paths
+            assert got.examined == expected.examined
+            assert got.exhausted == expected.exhausted
