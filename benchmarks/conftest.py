@@ -10,18 +10,11 @@ Scale can be raised with ``REPRO_BENCH_PRESET=paper`` to regenerate the
 EXPERIMENTS.md headline numbers.
 """
 
-import json
 import os
 
 import pytest
 
-from repro.core import scoring_bench
 from repro.experiments import ExperimentConfig, ExperimentPipeline
-from repro.graph.routing_bench import (
-    run_routing_benchmark,
-    smoke_config,
-    write_report,
-)
 
 
 def _preset() -> ExperimentConfig:
@@ -41,163 +34,6 @@ def bench_config() -> ExperimentConfig:
 @pytest.fixture(scope="session")
 def pipeline(bench_config) -> ExperimentPipeline:
     return ExperimentPipeline(bench_config)
-
-
-def pytest_collect_file(file_path, parent):
-    """Wire the routing/scoring/serving/sharding/observability/
-    robustness benchmarks' smoke assertions into tier-1.
-
-    Benchmark modules are named ``bench_*.py`` and therefore invisible
-    to the default ``test_*.py`` collection — the heavyweight table /
-    figure benches must stay opt-in.  The routing, scoring, serving,
-    sharding, observability, robustness, parallel, CH, and analytics
-    benches' smoke modes run in a few seconds combined and guard the
-    CSR kernel, the fused-scoring backend, the concurrent serving
-    engine, the shard plane, the telemetry plane, the resilience plane,
-    the process-pool execution plane, the contraction-hierarchy routing
-    lane, and the batch-analytics plane
-    (not-slower + parity + valid ``BENCH_*.json``), so they alone are
-    collected explicitly.
-    """
-    if file_path.name in ("bench_routing.py", "bench_scoring.py",
-                          "bench_serving.py", "bench_sharding.py",
-                          "bench_observability.py", "bench_robustness.py",
-                          "bench_parallel.py", "bench_ch.py",
-                          "bench_analytics.py"):
-        return pytest.Module.from_parent(parent, path=file_path)
-
-
-@pytest.fixture(scope="session")
-def routing_smoke_report(tmp_path_factory):
-    """The routing benchmark at smoke scale, round-tripped through its
-    JSON report so the schema tests exercise what ``bench-routing``
-    actually writes.  This wrapper is what wires ``bench_routing.py``
-    into the tier-1 test run at a tiny, stable-cost preset."""
-    report = run_routing_benchmark(smoke_config())
-    out = tmp_path_factory.mktemp("routing") / "BENCH_routing.json"
-    write_report(report, out)
-    return json.loads(out.read_text(encoding="utf-8"))
-
-
-@pytest.fixture(scope="session")
-def ch_smoke_report(tmp_path_factory):
-    """The contraction-hierarchy benchmark at smoke scale, round-tripped
-    through its JSON report so the schema tests exercise what
-    ``bench-ch`` actually writes.  This wrapper is what wires
-    ``bench_ch.py`` into the tier-1 test run at a tiny, stable-cost
-    preset."""
-    from repro.graph import ch_bench
-
-    report = ch_bench.run_ch_benchmark(ch_bench.smoke_config())
-    out = tmp_path_factory.mktemp("ch") / "BENCH_ch.json"
-    ch_bench.write_report(report, out)
-    return json.loads(out.read_text(encoding="utf-8"))
-
-
-@pytest.fixture(scope="session")
-def scoring_smoke_report(tmp_path_factory):
-    """The scoring benchmark at smoke scale, round-tripped through its
-    JSON report so the schema tests exercise what ``bench-scoring``
-    actually writes.  This wrapper is what wires ``bench_scoring.py``
-    into the tier-1 test run at a tiny, stable-cost preset."""
-    report = scoring_bench.run_scoring_benchmark(scoring_bench.smoke_config())
-    out = tmp_path_factory.mktemp("scoring") / "BENCH_scoring.json"
-    scoring_bench.write_report(report, out)
-    return json.loads(out.read_text(encoding="utf-8"))
-
-
-@pytest.fixture(scope="session")
-def serving_smoke_report(tmp_path_factory):
-    """The serving benchmark at smoke scale, round-tripped through its
-    JSON report so the schema tests exercise what ``bench-serve
-    --report`` actually writes.  This wrapper is what wires
-    ``bench_serving.py`` into the tier-1 test run at a tiny,
-    stable-cost preset."""
-    from repro.serving import serving_bench
-
-    report = serving_bench.run_serving_benchmark(serving_bench.smoke_config())
-    out = tmp_path_factory.mktemp("serving") / "BENCH_serving.json"
-    serving_bench.write_report(report, out)
-    return json.loads(out.read_text(encoding="utf-8"))
-
-
-@pytest.fixture(scope="session")
-def sharding_smoke_report(tmp_path_factory):
-    """The sharding benchmark at smoke scale, round-tripped through its
-    JSON report so the schema tests exercise what ``bench-sharding``
-    actually writes.  This wrapper is what wires ``bench_sharding.py``
-    into the tier-1 test run at a tiny, stable-cost preset."""
-    from repro.serving import sharding_bench
-
-    report = sharding_bench.run_sharding_benchmark(
-        sharding_bench.smoke_config())
-    out = tmp_path_factory.mktemp("sharding") / "BENCH_sharding.json"
-    sharding_bench.write_report(report, out)
-    return json.loads(out.read_text(encoding="utf-8"))
-
-
-@pytest.fixture(scope="session")
-def observability_smoke_report(tmp_path_factory):
-    """The observability benchmark at smoke scale, round-tripped through
-    its JSON report so the schema tests exercise what
-    ``bench-observability`` actually writes.  This wrapper is what wires
-    ``bench_observability.py`` into the tier-1 test run at a tiny,
-    stable-cost preset."""
-    from repro.obs import observability_bench
-
-    report = observability_bench.run_observability_benchmark(
-        observability_bench.smoke_config())
-    out = tmp_path_factory.mktemp("obs") / "BENCH_observability.json"
-    observability_bench.write_report(report, out)
-    return json.loads(out.read_text(encoding="utf-8"))
-
-
-@pytest.fixture(scope="session")
-def robustness_smoke_report(tmp_path_factory):
-    """The robustness benchmark at smoke scale, round-tripped through
-    its JSON report so the schema tests exercise what
-    ``bench-robustness`` actually writes.  This wrapper is what wires
-    ``bench_robustness.py`` into the tier-1 test run at a tiny,
-    stable-cost preset."""
-    from repro.serving import robustness_bench
-
-    report = robustness_bench.run_robustness_benchmark(
-        robustness_bench.smoke_config())
-    out = tmp_path_factory.mktemp("robustness") / "BENCH_robustness.json"
-    robustness_bench.write_report(report, out)
-    return json.loads(out.read_text(encoding="utf-8"))
-
-
-@pytest.fixture(scope="session")
-def parallel_smoke_report(tmp_path_factory):
-    """The execution-plane benchmark at smoke scale, round-tripped
-    through its JSON report so the schema tests exercise what
-    ``bench-parallel`` actually writes.  This wrapper is what wires
-    ``bench_parallel.py`` into the tier-1 test run at a tiny,
-    stable-cost preset."""
-    from repro.exec import parallel_bench
-
-    report = parallel_bench.run_parallel_benchmark(
-        parallel_bench.smoke_config())
-    out = tmp_path_factory.mktemp("parallel") / "BENCH_parallel.json"
-    parallel_bench.write_report(report, out)
-    return json.loads(out.read_text(encoding="utf-8"))
-
-
-@pytest.fixture(scope="session")
-def analytics_smoke_report(tmp_path_factory):
-    """The batch-analytics benchmark at smoke scale, round-tripped
-    through its JSON report so the schema tests exercise what
-    ``bench-analytics`` actually writes.  This wrapper is what wires
-    ``bench_analytics.py`` into the tier-1 test run at a tiny,
-    stable-cost preset."""
-    from repro.analytics import analytics_bench
-
-    report = analytics_bench.run_analytics_benchmark(
-        analytics_bench.smoke_config())
-    out = tmp_path_factory.mktemp("analytics") / "BENCH_analytics.json"
-    analytics_bench.write_report(report, out)
-    return json.loads(out.read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -19,8 +19,6 @@ Entry points:
   tree per distinct source.
 - :class:`BatchAnalytics` — the facade bundling a network with an
   optional pool, partition, and metrics registry.
-- :class:`BackgroundAnalytics` — the loadgen hook that runs tiles
-  concurrently with online traffic (``background_analytics=``).
 """
 
 from repro.analytics.batch import (
@@ -37,11 +35,10 @@ from repro.analytics.products import (
     cost_from_name,
     cost_name,
 )
-from repro.analytics.tiling import BackgroundAnalytics, tile_sources
+from repro.analytics.tiling import tile_sources
 
 __all__ = [
     "BatchAnalytics",
-    "BackgroundAnalytics",
     "ODMatrix",
     "RouteFrequencies",
     "ServiceArea",

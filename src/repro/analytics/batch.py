@@ -20,18 +20,13 @@ import numpy as np
 from repro.analytics.products import (
     ODMatrix,
     RouteFrequencies,
-    cost_name,
     group_pairs,
     od_sweep_block,
     require_cost_name,
     route_frequency_counts,
     service_area_blocks,
 )
-from repro.analytics.tiling import (
-    DEFAULT_TILE_SIZE,
-    BackgroundAnalytics,
-    tile_sources,
-)
+from repro.analytics.tiling import DEFAULT_TILE_SIZE, tile_sources
 from repro.errors import AnalyticsError
 from repro.graph.csr import csr_for, resolve_backend
 
@@ -404,14 +399,3 @@ class BatchAnalytics:
                                  cost=cost, tile_size=self.tile_size,
                                  plane=self.plane, partition=self.partition,
                                  metrics=self.metrics)
-
-    def background(self, sources, *, product: str = "od",
-                   budgets=None, cost=None,
-                   max_rounds: int | None = None) -> BackgroundAnalytics:
-        """The ``background_analytics=`` hook for this plane's context."""
-        return BackgroundAnalytics(
-            self.network, list(sources), product=product,
-            budgets=list(budgets) if budgets is not None else None,
-            cost_name=cost_name(cost) if cost is not None else None,
-            plane=self.plane, partition=self.partition,
-            tile_size=self.tile_size, max_rounds=max_rounds)

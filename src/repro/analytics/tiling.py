@@ -16,9 +16,6 @@ touched pages instead of striding the whole graph.
 
 from __future__ import annotations
 
-import threading
-from time import perf_counter
-
 from repro.errors import AnalyticsError
 from repro.analytics.products import (
     cost_from_name,
@@ -31,7 +28,6 @@ from repro.graph.csr import csr_for
 __all__ = [
     "tile_sources",
     "run_tile_payload",
-    "BackgroundAnalytics",
     "DEFAULT_TILE_SIZE",
 ]
 
@@ -108,86 +104,3 @@ def run_tile_payload(network, payload: dict) -> dict:
         }
     raise AnalyticsError(f"unknown analytics tile product {product!r}")
 
-
-class BackgroundAnalytics:
-    """Batch pressure for the loadgen: loop analytics tiles until told
-    to stop, then report what ran.
-
-    Instances are the ``background_analytics=`` hook of
-    :func:`repro.serving.loadgen.run_engine_workload` /
-    ``replay_open_loop``: a callable ``(stop_event) -> summary dict``
-    run on a side thread while online traffic flows, so benches can
-    measure online p95 under batch pressure.  Tiles go through
-    ``plane.submit_analytics`` when a plane is given (contending for
-    the same worker pool as serving), else run inline (contending for
-    the GIL and memory bandwidth — the honest single-process
-    comparison).
-    """
-
-    def __init__(self, network, sources: list[int], *, product: str = "od",
-                 budgets: list[float] | None = None,
-                 cost_name: str | None = None, plane=None, partition=None,
-                 tile_size: int | None = None,
-                 max_rounds: int | None = None) -> None:
-        if product not in ("od", "service_area"):
-            raise AnalyticsError(
-                f"background product must be 'od' or 'service_area', "
-                f"got {product!r}")
-        if not sources:
-            raise AnalyticsError("background analytics needs sources")
-        if product == "service_area" and not budgets:
-            raise AnalyticsError("background service_area needs budgets")
-        self.network = network
-        self.product = product
-        self.plane = plane
-        self.tiles = tile_sources(
-            list(sources), tile_size or DEFAULT_TILE_SIZE, partition)
-        self.max_rounds = max_rounds
-        cost_from_name(cost_name)  # validate early, not on the thread
-        if product == "od":
-            self._payloads = [
-                {"product": "od", "sweep": tile, "cols": list(sources),
-                 "reverse": False, "cost": cost_name}
-                for tile in self.tiles
-            ]
-        else:
-            self._payloads = [
-                {"product": "service_area", "sources": tile,
-                 "budgets": [float(b) for b in budgets], "reverse": False,
-                 "cost": cost_name}
-                for tile in self.tiles
-            ]
-
-    def __call__(self, stop: threading.Event) -> dict:
-        began = perf_counter()
-        rounds = tiles_run = 0
-        errors = 0
-        while not stop.is_set():
-            if self.max_rounds is not None and rounds >= self.max_rounds:
-                break
-            for payload in self._payloads:
-                if stop.is_set():
-                    break
-                try:
-                    if self.plane is not None:
-                        self.plane.submit_analytics(payload).wait()
-                    else:
-                        run_tile_payload(self.network, payload)
-                except AnalyticsError:
-                    raise
-                except Exception:  # noqa: BLE001 - pool teardown races
-                    # A tile failing because the pool is closing mid-
-                    # replay is expected shutdown noise, not a result.
-                    errors += 1
-                    if stop.is_set():
-                        break
-                tiles_run += 1
-            rounds += 1
-        return {
-            "product": self.product,
-            "rounds": rounds,
-            "tiles": tiles_run,
-            "tile_errors": errors,
-            "elapsed_s": perf_counter() - began,
-            "pooled": self.plane is not None,
-        }

@@ -22,20 +22,12 @@ without writing Python::
     python -m repro.cli bench-serve --network /tmp/net.json \
         --model /tmp/model.npz --concurrency 16 --deadline-ms 50 \
         --max-queue 64 --shed-policy degrade --fault-spec 'score@1:error'
-    python -m repro.cli bench-routing --out BENCH_routing.json
-    python -m repro.cli bench-ch --out BENCH_ch.json --shards 4
-    python -m repro.cli bench-scoring --out BENCH_scoring.json
-    python -m repro.cli bench-sharding --out BENCH_sharding.json
-    python -m repro.cli bench-observability --out BENCH_observability.json
-    python -m repro.cli bench-robustness --out BENCH_robustness.json
-    python -m repro.cli bench-parallel --out BENCH_parallel.json
     python -m repro.cli od-matrix --network /tmp/net.json \
         --origins 3,9,12 --destinations 47,58 --cost travel_time
     python -m repro.cli service-area --network /tmp/net.json \
         --sources 3,9 --budgets 500,1500 --reverse
     python -m repro.cli route-frequencies --network /tmp/net.json \
         --pairs 3:47,9:58,12:47 --top 10
-    python -m repro.cli bench-analytics --out BENCH_analytics.json
     python -m repro.cli metrics-dump --timeline /tmp/run.jsonl --format summary
 """
 
@@ -55,15 +47,6 @@ from repro.errors import DataError, ReproError, ServingError
 from repro.graph.builders import grid_network, north_jutland_like, ring_radial_network
 from repro.graph.io import load_network_json, save_network_json
 from repro.graph.osm import save_osm_xml
-from repro.core import scoring_bench
-from repro.graph import ch_bench
-from repro.graph.routing_bench import (
-    apply_overrides,
-    full_config,
-    run_routing_benchmark,
-    smoke_config,
-    write_report,
-)
 from repro.ranking.evaluation import evaluate_scorer
 from repro.ranking.training_data import Strategy, TrainingDataConfig, generate_queries
 from repro.graph.partition import PARTITION_METHODS, partition_network
@@ -83,7 +66,6 @@ from repro.serving import (
     run_workload,
 )
 from repro.serving.resilience import SHED_POLICIES
-from repro.obs import observability_bench
 from repro.obs.export import (
     SnapshotExporter,
     load_timeline,
@@ -91,14 +73,12 @@ from repro.obs.export import (
     summarise_timeline,
 )
 from repro.analytics import (
-    analytics_bench,
     cost_from_name,
     od_cost_matrix,
     route_frequencies,
     service_area,
 )
-from repro.exec import ExecutionPlane, parallel_bench
-from repro.serving import robustness_bench, sharding_bench
+from repro.exec import ExecutionPlane
 from repro.trajectories.dataset import TrajectoryDataset
 from repro.trajectories.drivers import sample_population
 from repro.trajectories.generator import FleetConfig, TrajectoryGenerator
@@ -272,114 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_flags(bench)
     _add_resilience_flags(bench)
 
-    routing = commands.add_parser(
-        "bench-routing",
-        help="compare the dict and CSR routing backends, report JSON")
-    routing.add_argument("--smoke", action="store_true",
-                         help="tiny sub-second preset")
-    routing.add_argument("--sizes", default=None,
-                         help="comma-separated grid sizes, e.g. 12,24,40")
-    routing.add_argument("--k", type=int, default=None,
-                         help="paths per Yen query")
-    routing.add_argument("--seed", type=int, default=None)
-    routing.add_argument("--out", default=None,
-                         help="also write the report to this path")
-
-    ch = commands.add_parser(
-        "bench-ch",
-        help="benchmark the contraction-hierarchy routing lane vs ALT, "
-             "report JSON")
-    ch.add_argument("--smoke", action="store_true",
-                    help="tiny sub-second preset")
-    ch.add_argument("--sizes", default=None,
-                    help="comma-separated grid sizes, e.g. 12,24,40")
-    ch.add_argument("--k", type=int, default=None,
-                    help="paths per Yen query")
-    ch.add_argument("--seed", type=int, default=None)
-    ch.add_argument("--backend", default=None, choices=("csr", "dict"),
-                    help="baseline lane to compare against "
-                         "(default csr = ALT A*)")
-    ch.add_argument("--shards", type=int, default=None,
-                    help="also benchmark per-shard hierarchy builds and "
-                         "corridor certificates at this shard count")
-    ch.add_argument("--out", default=None,
-                    help="also write the report to this path")
-
-    scoring = commands.add_parser(
-        "bench-scoring",
-        help="compare the module and fused scoring backends, report JSON")
-    scoring.add_argument("--smoke", action="store_true",
-                         help="tiny sub-second preset")
-    scoring.add_argument("--k", type=int, default=None,
-                         help="candidate paths per query")
-    scoring.add_argument("--queries", type=int, default=None,
-                         help="number of candidate-set queries")
-    scoring.add_argument("--seed", type=int, default=None)
-    scoring.add_argument("--out", default=None,
-                         help="also write the report to this path")
-
-    sharding = commands.add_parser(
-        "bench-sharding",
-        help="compare the sharded and unsharded serving planes, report JSON")
-    sharding.add_argument("--smoke", action="store_true",
-                          help="tiny sub-second preset")
-    sharding.add_argument("--requests", type=int, default=None)
-    sharding.add_argument("--shards", type=int, default=None,
-                          help="number of region shards")
-    sharding.add_argument("--cross-fraction", type=float, default=None,
-                          help="fraction of requests spanning two shards")
-    sharding.add_argument("--concurrency", type=int, default=None)
-    sharding.add_argument("--k", type=int, default=None)
-    sharding.add_argument("--seed", type=int, default=None)
-    sharding.add_argument("--out", default=None,
-                          help="also write the report to this path")
-
-    observability = commands.add_parser(
-        "bench-observability",
-        help="measure the telemetry plane's overhead vs dormant, "
-             "report JSON")
-    observability.add_argument("--smoke", action="store_true",
-                               help="tiny sub-second preset")
-    observability.add_argument("--requests", type=int, default=None)
-    observability.add_argument("--hotspots", type=int, default=None)
-    observability.add_argument("--concurrency", type=int, default=None)
-    observability.add_argument("--k", type=int, default=None)
-    observability.add_argument("--seed", type=int, default=None)
-    observability.add_argument("--out", default=None,
-                               help="also write the report to this path")
-
-    robustness = commands.add_parser(
-        "bench-robustness",
-        help="measure availability and latency under injected faults "
-             "(killed lane, slow scorer, overload), report JSON")
-    robustness.add_argument("--smoke", action="store_true",
-                            help="tiny sub-second preset")
-    robustness.add_argument("--requests", type=int, default=None)
-    robustness.add_argument("--shards", type=int, default=None,
-                            help="number of region shards (one lane is "
-                                 "killed in the chaos scenario)")
-    robustness.add_argument("--concurrency", type=int, default=None)
-    robustness.add_argument("--k", type=int, default=None)
-    robustness.add_argument("--seed", type=int, default=None)
-    robustness.add_argument("--out", default=None,
-                            help="also write the report to this path")
-
-    parallel = commands.add_parser(
-        "bench-parallel",
-        help="measure the process-pool execution plane against inline "
-             "serving (throughput scaling, dispatch overhead, ranking "
-             "parity), report JSON")
-    parallel.add_argument("--smoke", action="store_true",
-                          help="tiny preset (seconds, not minutes)")
-    parallel.add_argument("--requests", type=int, default=None)
-    parallel.add_argument("--workers", default=None,
-                          help="comma-separated worker counts to sweep, "
-                               "e.g. 1,2,4")
-    parallel.add_argument("--k", type=int, default=None)
-    parallel.add_argument("--seed", type=int, default=None)
-    parallel.add_argument("--out", default=None,
-                          help="also write the report to this path")
-
     od = commands.add_parser(
         "od-matrix",
         help="batched origin-destination least-cost matrix")
@@ -424,28 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     freq.add_argument("--top", type=int, default=10,
                       help="print the N most-loaded edges (0 = all)")
     _add_analytics_flags(freq)
-
-    analytics = commands.add_parser(
-        "bench-analytics",
-        help="measure the batch-analytics plane against per-query loops "
-             "(OD matrix, service areas, route frequencies; element-wise "
-             "parity), report JSON")
-    analytics.add_argument("--smoke", action="store_true",
-                           help="tiny preset (seconds, not minutes)")
-    analytics.add_argument("--size", type=int, default=None,
-                           help="grid side length (vertices = size^2)")
-    analytics.add_argument("--origins", type=int, default=None,
-                           help="OD matrix origin count")
-    analytics.add_argument("--destinations", type=int, default=None,
-                           help="OD matrix destination count")
-    analytics.add_argument("--pairs", type=int, default=None,
-                           help="route-frequency workload pair count")
-    analytics.add_argument("--workers", default=None,
-                           help="comma-separated pool worker counts to "
-                                "sweep, e.g. 1,2,4")
-    analytics.add_argument("--seed", type=int, default=None)
-    analytics.add_argument("--out", default=None,
-                           help="also write the report to this path")
 
     dump = commands.add_parser(
         "metrics-dump",
@@ -882,93 +732,6 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_routing(args: argparse.Namespace) -> int:
-    config = apply_overrides(smoke_config() if args.smoke else full_config(),
-                             sizes=args.sizes, k=args.k, seed=args.seed)
-    report = run_routing_benchmark(config)
-    if args.out:
-        write_report(report, args.out)
-    print(json.dumps(report, indent=2))
-    return 0
-
-
-def _cmd_bench_ch(args: argparse.Namespace) -> int:
-    config = ch_bench.apply_overrides(
-        ch_bench.smoke_config() if args.smoke else ch_bench.full_config(),
-        sizes=args.sizes, k=args.k, seed=args.seed,
-        baseline=args.backend, shards=args.shards)
-    report = ch_bench.run_ch_benchmark(config)
-    if args.out:
-        ch_bench.write_report(report, args.out)
-    print(json.dumps(report, indent=2))
-    return 0
-
-
-def _cmd_bench_scoring(args: argparse.Namespace) -> int:
-    config = scoring_bench.apply_overrides(
-        scoring_bench.smoke_config() if args.smoke
-        else scoring_bench.full_config(),
-        k=args.k, queries=args.queries, seed=args.seed)
-    report = scoring_bench.run_scoring_benchmark(config)
-    if args.out:
-        scoring_bench.write_report(report, args.out)
-    print(json.dumps(report, indent=2))
-    return 0
-
-
-def _cmd_bench_sharding(args: argparse.Namespace) -> int:
-    config = sharding_bench.apply_overrides(
-        sharding_bench.smoke_config() if args.smoke
-        else sharding_bench.full_config(),
-        requests=args.requests, shards=args.shards,
-        cross_fraction=args.cross_fraction, concurrency=args.concurrency,
-        k=args.k, seed=args.seed)
-    report = sharding_bench.run_sharding_benchmark(config)
-    if args.out:
-        sharding_bench.write_report(report, args.out)
-    print(json.dumps(report, indent=2))
-    return 0
-
-
-def _cmd_bench_observability(args: argparse.Namespace) -> int:
-    config = observability_bench.apply_overrides(
-        observability_bench.smoke_config() if args.smoke
-        else observability_bench.full_config(),
-        requests=args.requests, hotspots=args.hotspots,
-        concurrency=args.concurrency, k=args.k, seed=args.seed)
-    report = observability_bench.run_observability_benchmark(config)
-    if args.out:
-        observability_bench.write_report(report, args.out)
-    print(json.dumps(report, indent=2))
-    return 0
-
-
-def _cmd_bench_robustness(args: argparse.Namespace) -> int:
-    config = robustness_bench.apply_overrides(
-        robustness_bench.smoke_config() if args.smoke
-        else robustness_bench.full_config(),
-        requests=args.requests, shards=args.shards,
-        concurrency=args.concurrency, k=args.k, seed=args.seed)
-    report = robustness_bench.run_robustness_benchmark(config)
-    if args.out:
-        robustness_bench.write_report(report, args.out)
-    print(json.dumps(report, indent=2))
-    return 0
-
-
-def _cmd_bench_parallel(args: argparse.Namespace) -> int:
-    config = parallel_bench.apply_overrides(
-        parallel_bench.smoke_config() if args.smoke
-        else parallel_bench.full_config(),
-        requests=args.requests, workers=args.workers,
-        k=args.k, seed=args.seed)
-    report = parallel_bench.run_parallel_benchmark(config)
-    if args.out:
-        parallel_bench.write_report(report, args.out)
-    print(json.dumps(report, indent=2))
-    return 0
-
-
 def _parse_id_list(text: str, flag: str) -> list[int]:
     try:
         ids = [int(part) for part in text.split(",") if part.strip()]
@@ -1125,20 +888,6 @@ def _cmd_route_frequencies(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_analytics(args: argparse.Namespace) -> int:
-    config = analytics_bench.apply_overrides(
-        analytics_bench.smoke_config() if args.smoke
-        else analytics_bench.full_config(),
-        size=args.size, origins=args.origins,
-        destinations=args.destinations, pairs=args.pairs,
-        workers=args.workers, seed=args.seed)
-    report = analytics_bench.run_analytics_benchmark(config)
-    if args.out:
-        analytics_bench.write_report(report, args.out)
-    print(json.dumps(report, indent=2))
-    return 0
-
-
 def _cmd_metrics_dump(args: argparse.Namespace) -> int:
     snapshots = load_timeline(args.timeline)
     if not snapshots:
@@ -1163,17 +912,9 @@ _COMMANDS = {
     "rank": _cmd_rank,
     "serve": _cmd_serve,
     "bench-serve": _cmd_bench_serve,
-    "bench-routing": _cmd_bench_routing,
-    "bench-ch": _cmd_bench_ch,
-    "bench-scoring": _cmd_bench_scoring,
-    "bench-sharding": _cmd_bench_sharding,
-    "bench-observability": _cmd_bench_observability,
-    "bench-robustness": _cmd_bench_robustness,
-    "bench-parallel": _cmd_bench_parallel,
     "od-matrix": _cmd_od_matrix,
     "service-area": _cmd_service_area,
     "route-frequencies": _cmd_route_frequencies,
-    "bench-analytics": _cmd_bench_analytics,
     "metrics-dump": _cmd_metrics_dump,
 }
 

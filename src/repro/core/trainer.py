@@ -261,6 +261,7 @@ class Trainer:
                                        config.queries_per_batch)
                 ]
             epoch_losses: list[float] = []
+            epoch_sizes: list[int] = []
             epoch_norms: list[float] = []
             for index in batch_indices:
                 batch = [material[int(i)] for i in index]
@@ -270,7 +271,12 @@ class Trainer:
                 epoch_norms.append(clip_grad_norm(parameters, config.clip_norm))
                 optimizer.step()
                 epoch_losses.append(loss.item())
-            history.train_loss.append(float(np.mean(epoch_losses)))
+                epoch_sizes.append(len(batch))
+            # Weighted by queries per batch: a short tail batch counts
+            # for the queries it holds, not as much as a full one (this
+            # number also picks the best epoch and drives early stopping).
+            history.train_loss.append(
+                float(np.average(epoch_losses, weights=epoch_sizes)))
             history.gradient_norm.append(float(np.mean(epoch_norms)))
 
             if validation_material is not None:

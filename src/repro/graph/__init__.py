@@ -2,7 +2,7 @@
 
 Routing backends
 ----------------
-Two interchangeable routing implementations serve the hot paths
+Interchangeable routing implementations serve the hot paths
 (``shortest_path``, Yen / diversified candidate enumeration, serving):
 
 * **dict** — the reference implementation in ``shortest_path.py`` /
@@ -12,8 +12,10 @@ Two interchangeable routing implementations serve the hot paths
 * **csr** *(default)* — :class:`CSRGraph` in ``csr.py``: the network
   flattened into CSR arrays with preallocated, generation-stamped
   search buffers, plus ALT (landmark) lower bounds for A* and Yen spur
-  searches.  Roughly an order of magnitude faster on city-scale graphs
-  (see ``benchmarks/bench_routing.py``).
+  searches.  The ``serve_cold`` and ``batch_routes`` workloads of
+  ``bench/run.py`` measure it.
+* **ch** — the same kernel answering unbanned point-to-point queries
+  through a contraction hierarchy (``ch.py``); see ``docs/routing.md``.
 
 The kernel is built lazily on first routing call via
 :func:`csr_for` and cached per network.  Staleness is handled through

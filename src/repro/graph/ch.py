@@ -87,14 +87,14 @@ class ContractionHierarchy:
         self.build_ms = build_ms
         n = num_vertices
         # Query scratch, generation-stamped like CSRGraph's buffers.
-        self._dist_f = [inf] * n
-        self._dist_b = [inf] * n
-        self._parent_f = [-1] * n
-        self._parent_b = [-1] * n
-        self._seen_f = [0] * n
-        self._seen_b = [0] * n
-        self._done_f = [0] * n
-        self._done_b = [0] * n
+        self._fwd_dist = [inf] * n
+        self._bwd_dist = [inf] * n
+        self._fwd_parent = [-1] * n
+        self._bwd_parent = [-1] * n
+        self._fwd_seen = [0] * n
+        self._bwd_seen = [0] * n
+        self._fwd_done = [0] * n
+        self._bwd_done = [0] * n
         self._gen = 0
         self.profile = {"queries": 0, "heap_pops": 0, "settled": 0,
                         "unpacked_arcs": 0}
@@ -248,10 +248,10 @@ class ContractionHierarchy:
         """
         self._gen += 1
         gen = self._gen
-        dist_f, dist_b = self._dist_f, self._dist_b
-        parent_f, parent_b = self._parent_f, self._parent_b
-        seen_f, seen_b = self._seen_f, self._seen_b
-        done_f, done_b = self._done_f, self._done_b
+        dist_f, dist_b = self._fwd_dist, self._bwd_dist
+        parent_f, parent_b = self._fwd_parent, self._bwd_parent
+        seen_f, seen_b = self._fwd_seen, self._bwd_seen
+        done_f, done_b = self._fwd_done, self._bwd_done
         fwd, bwd = self._fwd, self._bwd
         push, pop = heappush, heappop
         pops = settled = 0

@@ -11,17 +11,16 @@ thousands of point-to-point searches per candidate-generation query.
 arrays (``indptr``/``indices`` plus per-cost weight arrays for length
 and travel time) and runs the same algorithms over plain scalar arrays:
 
-* array Dijkstra (single-source and early-exit point-to-point),
-* bidirectional Dijkstra,
-* A* with euclidean or ALT (landmark) heuristics, and
+* array Dijkstra (single-source, multi-source and early-exit
+  point-to-point),
+* A* with ALT (landmark) heuristics, and
 * Yen's k-shortest-paths with ALT-accelerated spur searches.
 
 Distance / parent / visited buffers are preallocated once and reused
 across calls via generation stamps, so repeated queries allocate almost
-nothing.  Landmark lower bounds follow ``graph/landmarks.py``: the same
-farthest-point selection and triangle-inequality bounds, with the
-per-landmark tables stored as dense arrays and the per-query heuristic
-vectorised over all vertices.
+nothing.  Landmark lower bounds use farthest-point landmark selection
+and triangle-inequality bounds, with the per-landmark tables stored as
+dense arrays and the per-query heuristic vectorised over all vertices.
 
 **Backend seam.**  Hot consumers (``yen_path_generator``, the
 diversified generator, ``generate_candidates``, serving) dispatch
@@ -171,18 +170,13 @@ class CSRGraph:
         self._seen = [0] * n
         self._done = [0] * n
         self._gen = 0
-        # Second buffer set for the backward half of bidirectional search.
-        self._dist_b = [inf] * n
-        self._parent_b = [-1] * n
-        self._seen_b = [0] * n
-        self._done_b = [0] * n
         self._lock = threading.Lock()
         # Cumulative search-effort counters, read by profile_counters().
         # Updated in bulk at the end of each search (which already holds
         # self._lock), so the hot loops only touch local ints.
         self._profile: dict[str, int] = {
             "sssp_runs": 0, "p2p_runs": 0, "astar_runs": 0,
-            "bidirectional_runs": 0, "yen_runs": 0, "yen_spur_searches": 0,
+            "yen_runs": 0, "yen_spur_searches": 0,
             "heap_pops": 0, "settled": 0, "alt_pruned": 0,
         }
 
@@ -488,90 +482,6 @@ class CSRGraph:
             path.reverse()
             return path, dist[target]
 
-    def _bidirectional(
-        self,
-        source: int,
-        target: int,
-        fadj: list[list[tuple[int, float]]],
-        radj: list[list[tuple[int, float]]],
-    ) -> tuple[list[int], float] | None:
-        """Meet-in-the-middle Dijkstra over the CSR arrays."""
-        with self._lock:
-            self._gen += 1
-            gen = self._gen
-            dist_f, seen_f, done_f, parent_f = (self._dist, self._seen,
-                                                self._done, self._parent)
-            dist_b, seen_b, done_b, parent_b = (self._dist_b, self._seen_b,
-                                                self._done_b, self._parent_b)
-            dist_f[source] = 0.0
-            seen_f[source] = gen
-            parent_f[source] = -1
-            dist_b[target] = 0.0
-            seen_b[target] = gen
-            parent_b[target] = -1
-            heap_f = [(0.0, source)]
-            heap_b = [(0.0, target)]
-            best = inf
-            meeting = -1
-            push, pop = heappush, heappop
-            pops = settled = 0
-
-            while heap_f and heap_b:
-                if heap_f[0][0] + heap_b[0][0] >= best:
-                    break
-                if heap_f[0][0] <= heap_b[0][0]:
-                    d, u = pop(heap_f)
-                    pops += 1
-                    if done_f[u] == gen:
-                        continue
-                    done_f[u] = gen
-                    settled += 1
-                    for v, w in fadj[u]:
-                        nd = d + w
-                        if seen_f[v] != gen or nd < dist_f[v]:
-                            dist_f[v] = nd
-                            seen_f[v] = gen
-                            parent_f[v] = u
-                            push(heap_f, (nd, v))
-                        if seen_b[v] == gen and nd + dist_b[v] < best:
-                            best = nd + dist_b[v]
-                            meeting = v
-                else:
-                    d, u = pop(heap_b)
-                    pops += 1
-                    if done_b[u] == gen:
-                        continue
-                    done_b[u] = gen
-                    settled += 1
-                    for v, w in radj[u]:
-                        nd = d + w
-                        if seen_b[v] != gen or nd < dist_b[v]:
-                            dist_b[v] = nd
-                            seen_b[v] = gen
-                            parent_b[v] = u
-                            push(heap_b, (nd, v))
-                        if seen_f[v] == gen and nd + dist_f[v] < best:
-                            best = nd + dist_f[v]
-                            meeting = v
-
-            profile = self._profile
-            profile["bidirectional_runs"] += 1
-            profile["heap_pops"] += pops
-            profile["settled"] += settled
-            if meeting < 0:
-                return None
-            path = [meeting]
-            node = meeting
-            while node != source:
-                node = parent_f[node]
-                path.append(node)
-            path.reverse()
-            node = meeting
-            while node != target:
-                node = parent_b[node]
-                path.append(node)
-            return path, best
-
     # ------------------------------------------------------------------
     # ALT landmarks
     # ------------------------------------------------------------------
@@ -584,8 +494,8 @@ class CSRGraph:
         """Build (or reuse) landmark tables for ``cost``; returns the
         landmark vertex ids.
 
-        Selection mirrors :class:`repro.graph.landmarks.LandmarkIndex`:
-        a random first landmark, then farthest-point additions, spreading
+        Selection is a random first landmark, then farthest-point
+        additions (Goldberg & Harrelson's ALT), spreading
         landmarks to the periphery where the triangle-inequality bounds
         are tightest.  Tables hold distances both *from* and *to* every
         landmark (the reverse search runs on the transposed CSR arrays).
@@ -655,17 +565,6 @@ class CSRGraph:
             h_cache.popitem(last=False)
         return h_list
 
-    def alt_bounds(self, target_id: int,
-                   cost: CostFunction | None = None) -> np.ndarray:
-        """Lower bounds on d(v, target) for every vertex, by CSR index.
-
-        Builds the landmark tables on first use.  Exposed for the
-        admissibility tests and for diagnostics.
-        """
-        target = self.index_of(target_id)
-        self.ensure_alt(cost)
-        return np.asarray(self._alt_heuristic(self._weight_key(cost), target))
-
     def _heuristic_for(
         self,
         cost: CostFunction | None,
@@ -686,18 +585,6 @@ class CSRGraph:
                 return None
             self.ensure_alt(cost)
         return self._alt_heuristic(key, target)
-
-    def _euclidean_heuristic(self, target: int,
-                             key: object) -> list[float] | None:
-        """Straight-line lower bounds; valid for the geometric costs only."""
-        if key == "length":
-            h = np.hypot(self.x - self.x[target], self.y - self.y[target])
-        elif key == "travel_time":
-            h = np.hypot(self.x - self.x[target],
-                         self.y - self.y[target]) / self._max_speed_mps
-        else:
-            return None
-        return h.tolist()
 
     # ------------------------------------------------------------------
     # Contraction hierarchies
@@ -917,14 +804,6 @@ class CSRGraph:
             out_parent[unreached] = -1
             return out_dist, out_parent
 
-    def single_source_dict(self, source_id: int,
-                           cost: CostFunction | None = None) -> dict[int, float]:
-        """Reachable-vertex distances as an id-keyed dict (reference-API
-        compatible with :func:`repro.graph.shortest_path.dijkstra`)."""
-        arr = self.single_source(source_id, cost)
-        ids = self.ids
-        return {ids[i]: float(d) for i, d in enumerate(arr) if d != np.inf}
-
     def shortest_path_ids(
         self,
         source_id: int,
@@ -956,64 +835,6 @@ class CSRGraph:
         if source_id == target_id:
             return 0.0
         return self.shortest_path_ids(source_id, target_id, cost)[1]
-
-    def bidirectional_ids(
-        self,
-        source_id: int,
-        target_id: int,
-        cost: CostFunction | None = None,
-    ) -> tuple[list[int], float]:
-        """Bidirectional Dijkstra; same contract as :meth:`shortest_path_ids`."""
-        if source_id == target_id:
-            raise NoPathError(source_id, target_id)
-        source = self.index_of(source_id)
-        target = self.index_of(target_id)
-        result = self._bidirectional(source, target, self._forward(cost),
-                                     self._reverse(cost))
-        if result is None:
-            raise NoPathError(source_id, target_id)
-        path, total = result
-        ids = self.ids
-        return [ids[i] for i in path], total
-
-    def astar_ids(
-        self,
-        source_id: int,
-        target_id: int,
-        cost: CostFunction | None = None,
-        heuristic: str | None = None,
-    ) -> tuple[list[int], float]:
-        """A* search.  ``heuristic`` is ``"alt"``, ``"euclidean"``, or
-        ``None`` for auto (ALT tables if built, else euclidean for the
-        geometric costs, else plain Dijkstra)."""
-        if source_id == target_id:
-            raise NoPathError(source_id, target_id)
-        source = self.index_of(source_id)
-        target = self.index_of(target_id)
-        key = self._weight_key(cost)
-        if heuristic == "alt":
-            self.ensure_alt(cost)
-            h = self._alt_heuristic(key, target)
-        elif heuristic == "euclidean":
-            h = self._euclidean_heuristic(target, key)
-            if h is None:
-                raise ConfigError(
-                    "euclidean heuristic is only admissible for the length "
-                    "and travel-time costs"
-                )
-        elif heuristic is None:
-            if key in self._alt_tables:
-                h = self._alt_heuristic(key, target)
-            else:
-                h = self._euclidean_heuristic(target, key)
-        else:
-            raise ConfigError(f"unknown heuristic {heuristic!r}")
-        result = self._p2p(source, target, self._forward(cost), h)
-        if result is None:
-            raise NoPathError(source_id, target_id)
-        path, total = result
-        ids = self.ids
-        return [ids[i] for i in path], total
 
     # ------------------------------------------------------------------
     # Yen's k shortest paths
@@ -1291,14 +1112,10 @@ class CSRGraph:
         kernel._seen = [0] * n
         kernel._done = [0] * n
         kernel._gen = 0
-        kernel._dist_b = [inf] * n
-        kernel._parent_b = [-1] * n
-        kernel._seen_b = [0] * n
-        kernel._done_b = [0] * n
         kernel._lock = threading.Lock()
         kernel._profile = {
             "sssp_runs": 0, "p2p_runs": 0, "astar_runs": 0,
-            "bidirectional_runs": 0, "yen_runs": 0, "yen_spur_searches": 0,
+            "yen_runs": 0, "yen_spur_searches": 0,
             "heap_pops": 0, "settled": 0, "alt_pruned": 0,
         }
         return kernel

@@ -196,7 +196,8 @@ def prometheus_snapshot_lines(flat: dict[str, object]) -> list[str]:
 
 
 def load_timeline(path: str | FilePath) -> list[dict[str, object]]:
-    """Parse a :class:`SnapshotExporter` JSONL file (skipping torn lines)."""
+    """Parse a :class:`SnapshotExporter` JSONL file, keeping only records
+    whose ``metrics`` is an object (torn or foreign lines are skipped)."""
     snapshots: list[dict[str, object]] = []
     with FilePath(path).open("r", encoding="utf-8") as handle:
         for line in handle:
@@ -207,7 +208,8 @@ def load_timeline(path: str | FilePath) -> list[dict[str, object]]:
                 record = json.loads(line)
             except json.JSONDecodeError:
                 continue  # a torn final line from a killed process
-            if isinstance(record, dict) and "metrics" in record:
+            if isinstance(record, dict) \
+                    and isinstance(record.get("metrics"), dict):
                 snapshots.append(record)
     return snapshots
 

@@ -49,8 +49,7 @@ deployment needs around it:
   boundary-stitched cross-shard corridors, scoring flushes coalesce
   per *(shard, snapshot)* group, and with the default exact mode
   same-shard rankings are element-wise identical to an unsharded
-  service's (``benchmarks/bench_sharding.py`` pins this;
-  ``BENCH_sharding.json`` holds the committed numbers).
+  service's (``tests/serving/test_sharding.py`` pins this).
 * **Telemetry** (:mod:`repro.obs`) — every tracker above registers
   into the service's central
   :class:`~repro.obs.metrics.MetricsRegistry` under canonical dotted
@@ -58,9 +57,9 @@ deployment needs around it:
   (spans on :class:`~repro.serving.pipeline.QueryState`, per-stage
   latency histograms, top-K slow-request exemplars; dormant by
   default), and a :class:`~repro.obs.export.SnapshotExporter` can
-  stream JSONL metric timelines during a run.  Full tracing stays
-  under 5% throughput overhead with exact response parity
-  (``BENCH_observability.json``; see ``docs/observability.md``).
+  stream JSONL metric timelines during a run.  Tracing is read-only:
+  traced responses equal untraced ones element-wise (see
+  ``docs/observability.md``).
 * **Resilience plane** (:mod:`repro.serving.resilience` /
   :mod:`repro.serving.faults`) — per-request deadline budgets checked
   at every pipeline stage, bounded admission queues with an explicit
@@ -69,8 +68,8 @@ deployment needs around it:
   global fallback, deterministic jittered retry for transient scoring
   failures, and a seedable fault-injection layer (latency spikes,
   errors, hangs at named points) for reproducible chaos testing — all
-  dormant by default with exact response parity
-  (``BENCH_robustness.json``; see ``docs/robustness.md``).
+  dormant by default with exact response parity (see
+  ``docs/robustness.md``).
 
 Usage::
 
@@ -98,8 +97,7 @@ Usage::
 
 The load-testing helpers in :mod:`repro.serving.loadgen` (Zipf-skewed
 OD-hotspot mixes, closed-loop engine clients, Poisson open-loop
-arrival schedules) back both ``python -m repro.cli bench-serve`` and
-``benchmarks/bench_serving.py``.
+arrival schedules) back ``python -m repro.cli bench-serve``.
 
 Scoring backends
 ----------------
@@ -126,8 +124,8 @@ Select globally with the environment variable
 :func:`repro.nn.fused.set_scoring_backend` /
 :func:`~repro.nn.fused.use_scoring_backend`, or per call via
 ``score_paths(..., backend=...)``.  Scores agree across backends to
-float32 roundoff (``benchmarks/bench_scoring.py`` pins parity and the
-speedup; ``BENCH_scoring.json`` holds the committed numbers).
+float32 roundoff (``tests/nn/test_fused.py`` pins parity; the
+``serve_rescore`` workload of ``bench/run.py`` measures the fused lane).
 """
 
 from repro.serving.batching import BatchingScorer, ScoreTicket

@@ -38,8 +38,8 @@ nothing waits forever).  Rules can be scoped to one shard, rate-limited
 
 The whole layer is **dormant by default**: a service without an armed
 injector (``service.faults is None``) pays only an attribute check per
-stage, and ``benchmarks/bench_robustness.py`` pins exact response
-parity plus near-zero overhead for that state.
+stage, and ``tests/serving/test_resilience.py`` pins exact response
+parity for that state.
 
 Specs are written ``point[@shard]:kind[:key=value,...]`` joined by
 semicolons, e.g.::

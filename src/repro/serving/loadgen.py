@@ -12,9 +12,10 @@ Passing a :class:`~repro.graph.partition.GraphPartition` turns the
 generators *multi-region*: hotspot pools are drawn per shard (pool sizes
 proportional to shard size), regions get Zipf-distributed popularity of
 their own (``region_zipf_exponent`` — region 0 hottest), and a tunable
-``cross_shard_fraction`` of requests spans two different shards.  The
-sharding benchmarks and tests share this one generator, so "the same
-multi-region workload" means the same request stream everywhere.
+``cross_shard_fraction`` of requests spans two different shards.
+``bench-serve --shards`` and the sharding tests share this one
+generator, so "the same multi-region workload" means the same request
+stream everywhere.
 
 Two drive modes exist for the concurrent engine:
 
@@ -342,7 +343,7 @@ def _armed_faults(service: RankingService, fault_spec, fault_seed: int):
     """Arm a fault spec for the duration of one replay, then disarm.
 
     The ``fault_spec=`` hook every drive mode shares: chaos scenarios
-    (``bench-serve --fault-spec``, ``bench_robustness``) replay a
+    (``bench-serve --fault-spec``, the resilience tests) replay a
     workload against a deliberately broken service, and the ``finally``
     guarantees hanging threads are released and the stack returns to
     dormancy even when the replay itself fails.
@@ -365,50 +366,6 @@ def _resilience_summary(service: RankingService,
               if value}
     if counts:
         summary["resilience"] = counts
-
-
-@contextmanager
-def _background_pressure(background_analytics):
-    """Run a batch-analytics hook on a side thread for one replay.
-
-    The mixed online+batch scenario: ``background_analytics`` is a
-    callable ``(stop_event) -> summary dict`` — typically a
-    :class:`repro.analytics.BackgroundAnalytics` — started when the
-    replay starts and told to stop when it ends, so online latency is
-    measured *while* OD / service-area tiles are running.  Yields a
-    mutable box; after the block exits (hook stopped and joined) the
-    box holds ``"summary"`` or ``"error"``.
-    """
-    if background_analytics is None:
-        yield None
-        return
-    stop = threading.Event()
-    box: dict[str, object] = {}
-
-    def runner() -> None:
-        try:
-            box["summary"] = background_analytics(stop)
-        except BaseException as exc:  # noqa: BLE001 - report, not raise
-            box["error"] = f"{type(exc).__name__}: {exc}"
-
-    thread = threading.Thread(target=runner, name="loadgen-analytics",
-                              daemon=True)
-    thread.start()
-    try:
-        yield box
-    finally:
-        stop.set()
-        thread.join(30.0)
-        if thread.is_alive():
-            box.setdefault("error", "background analytics hook did not "
-                                    "stop within 30s")
-
-
-def _attach_background(summary: dict[str, object], box) -> None:
-    if box is None:
-        return
-    summary["background_analytics"] = box.get(
-        "summary", {"error": box.get("error", "hook returned nothing")})
 
 
 def _timeline_exporter(metrics, metrics_out,
@@ -466,8 +423,7 @@ def run_engine_workload(engine, requests: Sequence[RankRequest],
                         concurrency: int = 32, metrics_out=None,
                         metrics_interval_s: float = 0.25, fault_spec=None,
                         fault_seed: int = 0,
-                        wait_timeout_s: float | None = None,
-                        background_analytics=None
+                        wait_timeout_s: float | None = None
                         ) -> dict[str, object]:
     """Closed-loop drive: ``concurrency`` clients hammer the engine.
 
@@ -479,10 +435,7 @@ def run_engine_workload(engine, requests: Sequence[RankRequest],
     deterministic fault injection for the replay; ``wait_timeout_s``
     bounds each client's wait (a request still unanswered then is
     counted under ``"hung"`` instead of blocking the client forever —
-    chaos replays should always set it).  ``background_analytics``
-    runs batch tiles concurrently with the clients (see
-    :func:`_background_pressure`); its report lands in the summary
-    under ``"background_analytics"``.
+    chaos replays should always set it).
     """
     if concurrency < 1:
         raise ValueError(f"concurrency must be >= 1, got {concurrency}")
@@ -526,8 +479,7 @@ def run_engine_workload(engine, requests: Sequence[RankRequest],
     started = time.perf_counter()
     with _armed_faults(engine.service, fault_spec, fault_seed), \
             _timeline_exporter(engine.service.metrics, metrics_out,
-                               metrics_interval_s), \
-            _background_pressure(background_analytics) as bg_box:
+                               metrics_interval_s):
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -540,7 +492,6 @@ def run_engine_workload(engine, requests: Sequence[RankRequest],
     summary["refused"] = refused[0]
     _resilience_summary(engine.service, summary)
     summary["occupancy"] = engine.occupancy.as_dict()
-    _attach_background(summary, bg_box)
     return summary
 
 
@@ -548,8 +499,7 @@ def replay_open_loop(engine, timed: Sequence[TimedRequest],
                      time_scale: float = 1.0, metrics_out=None,
                      metrics_interval_s: float = 0.25, fault_spec=None,
                      fault_seed: int = 0,
-                     wait_timeout_s: float | None = None,
-                     background_analytics=None
+                     wait_timeout_s: float | None = None
                      ) -> dict[str, object]:
     """Open-loop drive: submit each request at its arrival timestamp.
 
@@ -560,10 +510,6 @@ def replay_open_loop(engine, timed: Sequence[TimedRequest],
     ``fault_spec`` arms deterministic fault injection for the replay;
     ``wait_timeout_s`` bounds each ticket's collection wait (still-
     unanswered requests count under ``"hung"``).
-    ``background_analytics`` runs batch tiles concurrently with the
-    timeline (see :func:`_background_pressure`), so the summary's p95
-    is online latency *under batch pressure*; the hook's report lands
-    under ``"background_analytics"``.
     """
     if time_scale <= 0.0:
         raise ValueError(f"time_scale must be > 0, got {time_scale}")
@@ -577,8 +523,7 @@ def replay_open_loop(engine, timed: Sequence[TimedRequest],
     started = time.perf_counter()
     with _armed_faults(engine.service, fault_spec, fault_seed), \
             _timeline_exporter(engine.service.metrics, metrics_out,
-                               metrics_interval_s), \
-            _background_pressure(background_analytics) as bg_box:
+                               metrics_interval_s):
         for item in ordered:
             due = started + item.arrival_s / time_scale
             delay = due - time.perf_counter()
@@ -608,5 +553,4 @@ def replay_open_loop(engine, timed: Sequence[TimedRequest],
     summary["refused"] = refused
     _resilience_summary(engine.service, summary)
     summary["occupancy"] = engine.occupancy.as_dict()
-    _attach_background(summary, bg_box)
     return summary

@@ -76,7 +76,7 @@ class ResilienceConfig:
     never trip without real failures; ``retry_attempts`` only runs
     after a failure already happened.  The defaults therefore change
     nothing about a healthy service's responses — the exact-parity
-    guarantee ``benchmarks/bench_robustness.py`` pins.
+    guarantee ``tests/serving/test_resilience.py`` pins.
     """
 
     #: Default per-request deadline budget in milliseconds (``None``

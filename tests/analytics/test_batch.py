@@ -203,10 +203,3 @@ class TestBatchAnalyticsFacade:
         assert costs[0] == pytest.approx(
             _reference_cell(analytics_grid, 0, 48), abs=1e-9)
         assert metrics.export()["analytics.od.requests"] == 2
-
-    def test_background_hook_construction(self, analytics_grid):
-        plane = BatchAnalytics(analytics_grid)
-        hook = plane.background([0, 9], product="service_area",
-                                budgets=[100.0], max_rounds=1)
-        assert hook.product == "service_area"
-        assert hook.max_rounds == 1

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.analytics import (
-    BackgroundAnalytics,
     od_cost_matrix,
     route_frequencies,
     service_area,
@@ -76,13 +75,3 @@ class TestPooledConstraints:
         assert exported["analytics.tiles.total"] == 2
         assert exported["analytics.tiles.pooled"] == 2
         assert exported["analytics.tile_ms.count"] == 2
-
-    def test_background_hook_through_the_pool(self, analytics_grid, plane):
-        import threading
-
-        hook = BackgroundAnalytics(analytics_grid, [0, 9], plane=plane,
-                                   max_rounds=1)
-        summary = hook(threading.Event())
-        assert summary["pooled"] is True
-        assert summary["tiles"] == len(hook.tiles)
-        assert summary["tile_errors"] == 0

@@ -1,13 +1,11 @@
-"""Tiling, the tile wire format, and the BackgroundAnalytics hook."""
-
-import threading
+"""Tiling and the tile wire format."""
 
 import numpy as np
 import pytest
 
 from repro.analytics import tile_sources
 from repro.analytics.products import od_sweep_block, service_area_blocks
-from repro.analytics.tiling import BackgroundAnalytics, run_tile_payload
+from repro.analytics.tiling import run_tile_payload
 from repro.errors import AnalyticsError
 from repro.graph import csr_for
 
@@ -71,42 +69,3 @@ class TestRunTilePayload:
             run_tile_payload(analytics_grid, {
                 "product": "od", "sweep": [0], "cols": [4],
                 "cost": "bananas"})
-
-
-class TestBackgroundAnalytics:
-    def test_runs_bounded_rounds_inline(self, analytics_grid):
-        hook = BackgroundAnalytics(analytics_grid, [0, 9, 17],
-                                   tile_size=2, max_rounds=2)
-        summary = hook(threading.Event())
-        assert summary["product"] == "od"
-        assert summary["rounds"] == 2
-        assert summary["tiles"] == 2 * len(hook.tiles)
-        assert summary["tile_errors"] == 0
-        assert summary["pooled"] is False
-        assert summary["elapsed_s"] >= 0.0
-
-    def test_stop_event_pre_set_runs_nothing(self, analytics_grid):
-        hook = BackgroundAnalytics(analytics_grid, [0, 9])
-        stop = threading.Event()
-        stop.set()
-        summary = hook(stop)
-        assert summary["rounds"] == 0
-        assert summary["tiles"] == 0
-
-    def test_service_area_product(self, analytics_grid):
-        hook = BackgroundAnalytics(analytics_grid, [0, 9],
-                                   product="service_area",
-                                   budgets=[150.0], max_rounds=1)
-        summary = hook(threading.Event())
-        assert summary["product"] == "service_area"
-        assert summary["tiles"] == len(hook.tiles)
-
-    def test_validation(self, analytics_grid):
-        with pytest.raises(AnalyticsError):
-            BackgroundAnalytics(analytics_grid, [0], product="route_freq")
-        with pytest.raises(AnalyticsError):
-            BackgroundAnalytics(analytics_grid, [])
-        with pytest.raises(AnalyticsError):
-            BackgroundAnalytics(analytics_grid, [0], product="service_area")
-        with pytest.raises(AnalyticsError):
-            BackgroundAnalytics(analytics_grid, [0], cost_name="bananas")

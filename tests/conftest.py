@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.graph import RoadCategory, RoadNetwork, grid_network, north_jutland_like
+from repro.graph import (
+    Path,
+    RoadCategory,
+    RoadNetwork,
+    grid_network,
+    north_jutland_like,
+)
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +48,29 @@ def small_grid() -> RoadNetwork:
 def region_network() -> RoadNetwork:
     """A small multi-town region (deterministic seed)."""
     return north_jutland_like(num_towns=4, seed=11)
+
+
+def _random_walk_paths(network, lengths, rng):
+    """Valid paths of the requested vertex counts: random walks that
+    avoid immediate backtracking where the degree allows."""
+    ids = network.vertex_ids()
+    paths = []
+    for length in lengths:
+        vertices = [int(rng.choice(ids))]
+        previous = None
+        while len(vertices) < length:
+            neighbours = [edge.target
+                          for edge in network.out_edges(vertices[-1])]
+            assert neighbours, f"random walk stuck at sink {vertices[-1]}"
+            forward = [v for v in neighbours if v != previous] or neighbours
+            previous = vertices[-1]
+            vertices.append(int(rng.choice(forward)))
+        paths.append(Path(network, vertices))
+    return paths
+
+
+@pytest.fixture(scope="session")
+def random_walk_paths():
+    """Factory ``(network, lengths, rng) -> [Path]``: mixed-length
+    candidate sets for scoring tests."""
+    return _random_walk_paths

@@ -79,6 +79,27 @@ class TestTrainer:
         history = trainer.fit(queries)
         assert history.train_loss[-1] < history.train_loss[0]
 
+    def test_epoch_loss_weighs_batches_by_queries(self, small_setup):
+        """Three queries in batches of two: the 1-query tail batch gets a
+        third of the epoch loss, not half of it."""
+        network, _, queries = small_setup
+        trainer = Trainer(self.make_model(network),
+                          TrainerConfig(epochs=1, queries_per_batch=2), rng=0)
+        seen = []
+        batch_loss = trainer._query_batch_loss
+
+        def spy(batch):
+            loss = batch_loss(batch)
+            seen.append((len(batch), loss.item()))
+            return loss
+
+        trainer._query_batch_loss = spy
+        history = trainer.fit(queries[:3])
+        (n1, l1), (n2, l2) = seen
+        assert (n1, n2) == (2, 1)
+        assert history.train_loss[0] == pytest.approx((2 * l1 + l2) / 3,
+                                                      rel=1e-12)
+
     def test_early_stopping(self, small_setup):
         network, _, queries = small_setup
         model = self.make_model(network)

@@ -150,6 +150,42 @@ class TestChParity:
 
 
 # ----------------------------------------------------------------------
+# Search effort and Yen through the hierarchy
+# ----------------------------------------------------------------------
+class TestChEffort:
+    def test_ch_settles_fewer_vertices_than_cold_dijkstra(self):
+        """The claim the hierarchy exists for, as exact settle counts:
+        its upward searches finalise fewer vertices than the kernel's
+        early-exit Dijkstra (no landmark tables) on the same queries."""
+        network = grid_network(16, 16, seed=41)
+        kernel = csr_for(network)
+        pairs = _random_pairs(network, 20, seed=43)
+        before = kernel.profile_counters()["settled"]
+        cold = [kernel.shortest_path_ids(s, t) for s, t in pairs]
+        cold_settled = kernel.profile_counters()["settled"] - before
+        assert kernel.profile_counters()["astar_runs"] == 0
+
+        hierarchy = kernel.ensure_ch()
+        assert hierarchy.num_shortcuts > 0 and hierarchy.build_ms > 0.0
+        before = hierarchy.profile["settled"]
+        via_ch = [kernel.ch_shortest_path_ids(s, t) for s, t in pairs]
+        ch_settled = hierarchy.profile["settled"] - before
+        assert [path for path, _ in via_ch] == [path for path, _ in cold]
+        assert 0 < ch_settled < cold_settled
+
+    def test_yen_via_ch_p2p_equals_plain_yen(self, random_grid):
+        """Substituting the hierarchy for Yen's initial search changes
+        nothing: same paths, same order, same float costs."""
+        kernel = csr_for(random_grid)
+        p2p = kernel.ch_p2p()
+        for source, target in _random_pairs(random_grid, 4, seed=47):
+            plain = list(kernel.yen_ids(source, target, max_paths=6))
+            via_ch = list(kernel.yen_ids(source, target, max_paths=6,
+                                         p2p=p2p))
+            assert via_ch == plain
+
+
+# ----------------------------------------------------------------------
 # Lifecycle: staleness and custom-weight eviction
 # ----------------------------------------------------------------------
 class TestChLifecycle:

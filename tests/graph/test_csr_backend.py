@@ -1,7 +1,7 @@
 """Backend parity: the CSR kernel must agree with the dict reference.
 
-Property-style tests over random grid networks: for Dijkstra,
-bidirectional Dijkstra, A*, and Yen top-k, both backends must return
+Property-style tests over random grid networks: for Dijkstra, ALT A*,
+and Yen top-k, both backends must return
 identical costs — and identical paths wherever the optimum is unique.
 Equal-cost ties may legitimately resolve differently between backends,
 so path identity is only asserted after re-costing both answers.
@@ -16,7 +16,6 @@ from repro.errors import NoPathError, VertexNotFoundError
 from repro.graph import (
     RoadNetwork,
     astar,
-    bidirectional_dijkstra,
     csr_for,
     dijkstra,
     grid_network,
@@ -28,6 +27,20 @@ from repro.graph import (
 )
 from repro.graph.csr import CSRGraph, resolve_backend, set_routing_backend
 from repro.graph.diversified import diversified_top_k
+
+
+def _distances(kernel, source, cost=None):
+    """Reachable-vertex distances from ``source`` keyed by vertex id."""
+    row = kernel.single_source(source, cost)
+    return {kernel.ids[i]: float(d) for i, d in enumerate(row)
+            if d != np.inf}
+
+
+def _alt_bounds(kernel, target, cost=None):
+    """The ALT lower bounds on d(v, target), by CSR index."""
+    kernel.ensure_alt(cost)
+    return np.asarray(kernel._alt_heuristic(kernel._weight_key(cost),
+                                            kernel.index_of(target)))
 
 
 def _random_pairs(network, count, seed):
@@ -48,7 +61,7 @@ class TestSingleSourceParity:
         kernel = csr_for(random_grid)
         for source in random_grid.vertex_ids()[:5]:
             expected, _ = dijkstra(random_grid, source)
-            got = kernel.single_source_dict(source)
+            got = _distances(kernel, source)
             assert set(got) == set(expected)
             for vertex, distance in expected.items():
                 assert got[vertex] == pytest.approx(distance, rel=1e-12)
@@ -81,7 +94,7 @@ class TestSingleSourceParity:
         kernel = csr_for(random_grid)
         source = random_grid.vertex_ids()[1]
         expected, _ = dijkstra(random_grid, source, cost=travel_time_cost)
-        got = kernel.single_source_dict(source, travel_time_cost)
+        got = _distances(kernel, source, travel_time_cost)
         for vertex, distance in expected.items():
             assert got[vertex] == pytest.approx(distance, rel=1e-12)
 
@@ -92,7 +105,7 @@ class TestSingleSourceParity:
         kernel = csr_for(random_grid)
         source = random_grid.vertex_ids()[0]
         expected, _ = dijkstra(random_grid, source, cost=hilly)
-        got = kernel.single_source_dict(source, hilly)
+        got = _distances(kernel, source, hilly)
         for vertex, distance in expected.items():
             assert got[vertex] == pytest.approx(distance, rel=1e-12)
 
@@ -110,22 +123,16 @@ class TestPointToPointParity:
             if result.vertices != reference.vertices:
                 assert result.length == pytest.approx(reference.length)
 
-    def test_bidirectional_costs_match(self, random_grid):
-        kernel = csr_for(random_grid)
-        for source, target in _random_pairs(random_grid, 15, seed=2):
-            reference = bidirectional_dijkstra(random_grid, source, target)
-            _, cost = kernel.bidirectional_ids(source, target)
-            assert cost == pytest.approx(reference.length, rel=1e-12)
-
     def test_astar_costs_match(self, random_grid):
+        """With landmark tables built, point-to-point queries run ALT A*
+        and must still cost what the dict reference's A* costs."""
         kernel = csr_for(random_grid)
+        kernel.ensure_alt()
         for source, target in _random_pairs(random_grid, 15, seed=3):
             reference = astar(random_grid, source, target)
-            for heuristic in ("euclidean", "alt"):
-                vertices, cost = kernel.astar_ids(source, target,
-                                                  heuristic=heuristic)
-                assert cost == pytest.approx(reference.length, rel=1e-12)
-                assert vertices[0] == source and vertices[-1] == target
+            vertices, cost = kernel.shortest_path_ids(source, target)
+            assert cost == pytest.approx(reference.length, rel=1e-12)
+            assert vertices[0] == source and vertices[-1] == target
 
     def test_shortest_path_cost_matches(self, random_grid):
         for source, target in _random_pairs(random_grid, 10, seed=4):
@@ -184,7 +191,7 @@ class TestAltAdmissibility:
         rng = np.random.default_rng(13)
         ids = random_grid.vertex_ids()
         for target in (int(v) for v in rng.choice(ids, 3, replace=False)):
-            bounds = kernel.alt_bounds(target)
+            bounds = _alt_bounds(kernel, target)
             true_to_target = {
                 vertex: dist for vertex, dist
                 in _reverse_distances(random_grid, target).items()
@@ -195,7 +202,7 @@ class TestAltAdmissibility:
     def test_travel_time_bounds_admissible(self, random_grid):
         kernel = csr_for(random_grid)
         target = random_grid.vertex_ids()[-1]
-        bounds = kernel.alt_bounds(target, travel_time_cost)
+        bounds = _alt_bounds(kernel, target, travel_time_cost)
         truth = _reverse_distances(random_grid, target, travel_time_cost)
         for vertex, true_cost in truth.items():
             assert bounds[kernel.index_of(vertex)] <= true_cost + 1e-9

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import PathRank, build_pathrank, encode_paths
-from repro.core.scoring_bench import random_walk_paths
 from repro.errors import ConfigError, ShapeError
 from repro.nn import Module
 from repro.nn.fused import (
@@ -18,7 +17,7 @@ from repro.nn.fused import (
 
 
 @pytest.fixture(scope="module")
-def mixed_paths(small_grid):
+def mixed_paths(small_grid, random_walk_paths):
     """A realistic mixed-length candidate mix (8 to 40 vertices)."""
     rng = np.random.default_rng(0)
     lengths = [int(n) for n in rng.integers(8, 41, size=12)] + [2, 3]

@@ -87,11 +87,10 @@ class TestChunkingAndDedup:
 
 
 class TestBucketedFlush:
-    def test_mixed_length_flush_matches_sequential(self, model, small_grid):
+    def test_mixed_length_flush_matches_sequential(self, model, small_grid,
+                                                   random_walk_paths):
         """Length-sorted chunking + per-bucket padding must not change a
         single score relative to one-query-at-a-time scoring."""
-        from repro.core.scoring_bench import random_walk_paths
-
         rng = np.random.default_rng(7)
         lists = [random_walk_paths(small_grid,
                                    [int(n) for n in rng.integers(2, 30, 5)],

@@ -178,71 +178,3 @@ class TestMultiRegionWorkload:
             WorkloadConfig(cross_shard_fraction=1.5)
         with pytest.raises(ValueError):
             WorkloadConfig(region_zipf_exponent=0.0)
-
-
-class TestBackgroundAnalyticsHook:
-    """Mixed online + batch: the ``background_analytics=`` hook runs on
-    a side thread for the whole replay and its summary rides the
-    workload summary."""
-
-    def test_closed_loop_attaches_summary(self, service, tiny_network):
-        from repro.analytics import BackgroundAnalytics
-
-        hook = BackgroundAnalytics(tiny_network, [0, 4], tile_size=1)
-        workload = generate_workload(
-            tiny_network, WorkloadConfig(num_requests=20, num_hotspots=5),
-            rng=2)
-        with ServingEngine(service, concurrency=4,
-                           flush_deadline_ms=2.0) as engine:
-            summary = run_engine_workload(engine, workload, concurrency=4,
-                                          background_analytics=hook)
-        assert summary["requests"] == 20
-        background = summary["background_analytics"]
-        assert background["product"] == "od"
-        assert background["rounds"] >= 1
-        assert background["tiles"] >= 1
-        assert background["tile_errors"] == 0
-        assert background["pooled"] is False
-
-    def test_open_loop_attaches_summary(self, service, tiny_network):
-        from repro.analytics import BackgroundAnalytics
-
-        hook = BackgroundAnalytics(tiny_network, [0, 4],
-                                   product="service_area",
-                                   budgets=[150.0], tile_size=1)
-        timed = generate_timed_workload(
-            tiny_network,
-            WorkloadConfig(num_requests=15, num_hotspots=5,
-                           arrival_rate_qps=2000.0),
-            rng=2)
-        with ServingEngine(service, concurrency=4,
-                           flush_deadline_ms=2.0) as engine:
-            summary = replay_open_loop(engine, timed,
-                                       background_analytics=hook)
-        assert summary["requests"] == 15
-        assert summary["background_analytics"]["product"] == "service_area"
-
-    def test_no_hook_no_key(self, service, tiny_network):
-        workload = generate_workload(
-            tiny_network, WorkloadConfig(num_requests=5, num_hotspots=3),
-            rng=3)
-        with ServingEngine(service, concurrency=2,
-                           flush_deadline_ms=2.0) as engine:
-            summary = run_engine_workload(engine, workload, concurrency=2)
-        assert "background_analytics" not in summary
-
-    def test_hook_crash_is_reported_not_raised(self, service, tiny_network):
-        def exploding_hook(stop):
-            raise RuntimeError("batch job fell over")
-
-        workload = generate_workload(
-            tiny_network, WorkloadConfig(num_requests=5, num_hotspots=3),
-            rng=3)
-        with ServingEngine(service, concurrency=2,
-                           flush_deadline_ms=2.0) as engine:
-            summary = run_engine_workload(
-                engine, workload, concurrency=2,
-                background_analytics=exploding_hook)
-        assert summary["requests"] == 5
-        background = summary["background_analytics"]
-        assert "RuntimeError" in background["error"]

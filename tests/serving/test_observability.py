@@ -83,6 +83,34 @@ class TestServiceTracing:
             service.rank(RankRequest(source=s, target=t, request_id=index))
         assert service.tracer.finished == 5
 
+    def test_tracing_is_read_only(self, tmp_path, tiny_network, make_ranker,
+                                  candidates_config):
+        """Full tracing changes no response: element-wise equality with
+        an untraced service over the same requests, cold and warm."""
+        requests = [RankRequest(source=s, target=t, request_id=i)
+                    for i, (s, t) in enumerate(ALL_PAIRS)]
+        arms = []
+        for sample in (0.0, 1.0):
+            registry = ModelRegistry(tmp_path / f"trace-{sample}",
+                                     tiny_network)
+            registry.publish(make_ranker(tiny_network, seed=1),
+                             activate=True)
+            service = RankingService(
+                tiny_network, registry,
+                ServingConfig(candidates=candidates_config,
+                              trace_sample=sample))
+            arms.append([service.rank_batch(requests)
+                         for _ in range(2)])
+            assert service.tracer.finished == (2 * len(requests)
+                                               if sample else 0)
+        for untraced, traced in zip(*arms):
+            for mine, theirs in zip(traced, untraced):
+                assert mine.served_by == theirs.served_by
+                assert mine.model_version == theirs.model_version
+                assert mine.candidate_cache_hit == theirs.candidate_cache_hit
+                assert [(r.path.vertices, r.score) for r in mine.results] \
+                    == [(r.path.vertices, r.score) for r in theirs.results]
+
     def test_config_rejects_bad_trace_knobs(self, candidates_config):
         with pytest.raises(Exception):
             ServingConfig(candidates=candidates_config, trace_sample=2.0)

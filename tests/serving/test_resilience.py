@@ -4,7 +4,7 @@ Unit tests drive :class:`CircuitBreaker` and :func:`retry_backoff`
 directly (with a fake clock, so lifecycle transitions are exact);
 integration tests push requests through a real :class:`RankingService`
 and :class:`ServingEngine` with faults armed and assert the structured
-degradation the robustness bench pins at scale.
+degradation ``docs/robustness.md`` promises.
 """
 
 import threading

@@ -16,6 +16,7 @@ from repro.serving import (
     ModelRegistry,
     RankingService,
     RankRequest,
+    ResilienceConfig,
     ServingConfig,
     ServingEngine,
     ShardedRegistry,
@@ -255,6 +256,30 @@ class TestShardedService:
         bottom = sharded_service.rank(RankRequest(source=3, target=5))
         assert top.served_by == "model"
         assert bottom.served_by == "fallback"
+
+    def test_killed_lane_trips_only_its_own_breaker(
+            self, tiny_network, sharded_registry, candidates_config):
+        """Every group scoring call on shard 1 fails: its breaker opens
+        and its later requests degrade to the fallback, while shard 0's
+        breaker never trips and its requests stay model-served."""
+        service = RankingService(tiny_network, sharded_registry, ServingConfig(
+            candidates=candidates_config,
+            resilience=ResilienceConfig(
+                retry_attempts=0, breaker_window=4, breaker_min_samples=2,
+                breaker_cooldown_ms=60_000.0)))
+        service.arm_faults("score@1:error")
+        requests = [RankRequest(source=s, target=t) for s, t in ALL_PAIRS]
+        first = [service.rank(request) for request in requests]
+        second = [service.rank(request) for request in requests]
+        assert all(r.ok for r in first + second)
+        assert {r.served_by for r in first + second if r.shard == 0} \
+            == {"model"}
+        assert {(r.served_by, r.error_code) for r in second if r.shard == 1} \
+            == {("fallback", "breaker_open")}
+        assert (service.breakers[0].state, service.breakers[0].trips) \
+            == ("closed", 0)
+        assert (service.breakers[1].state, service.breakers[1].trips) \
+            == ("open", 1)
 
     def test_unknown_vertex_is_request_error(self, sharded_service):
         response = sharded_service.rank(RankRequest(source=0, target=999))

@@ -1,9 +1,12 @@
 """Tests for the command-line interface (in-process, via main())."""
 
+import argparse
 import json
+import re
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -39,6 +42,26 @@ class TestParser:
     def test_build_network_requires_out(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["build-network"])
+
+    def test_parser_commands_and_docstring_agree(self):
+        """Every subcommand is parsed, dispatched and documented: the
+        parser, ``_COMMANDS`` and the module docstring name one set."""
+        parser = build_parser()
+        [subparsers] = [action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction)]
+        parsed = set(subparsers.choices)
+        documented = set(re.findall(r"python -m repro\.cli ([a-z-]+)",
+                                    cli.__doc__))
+        assert parsed == set(cli._COMMANDS) == documented
+
+    def test_no_subcommand_takes_smoke(self):
+        parser = build_parser()
+        [subparsers] = [action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction)]
+        for name, subparser in subparsers.choices.items():
+            flags = {flag for action in subparser._actions
+                     for flag in action.option_strings}
+            assert "--smoke" not in flags, name
 
 
 class TestBuildNetwork:
@@ -306,19 +329,6 @@ class TestBenchServe:
         assert "concurrency" in capsys.readouterr().err
 
 
-class TestBenchScoring:
-    def test_bench_scoring_smoke_reports_json(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_scoring.json"
-        code = main(["bench-scoring", "--smoke", "--out", str(out)])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["preset"] == "smoke"
-        assert payload["headline"]["batch_speedup"] > 0
-        assert payload["parity"]["coalesced_max_abs_diff"] <= 1e-5
-        written = json.loads(out.read_text(encoding="utf-8"))
-        assert written["schema_version"] == payload["schema_version"]
-
-
 class TestAnalyticsCommands:
     @pytest.fixture(scope="class")
     def grid_file(self, tmp_path_factory):
@@ -387,8 +397,26 @@ class TestAnalyticsCommands:
         assert main(["service-area", "--network", str(grid_file),
                      "--sources", "0", "--budgets", "cheap"]) == 2
 
-    def test_bench_analytics_parser_wired(self):
-        args = build_parser().parse_args(
-            ["bench-analytics", "--smoke", "--workers", "1,2"])
-        assert args.command == "bench-analytics"
-        assert args.smoke is True
+
+class TestMetricsDump:
+    def test_summary_of_a_timeline(self, tmp_path, capsys):
+        timeline = tmp_path / "run.jsonl"
+        timeline.write_text(
+            '{"t": 0.0, "metrics": {"requests": 1}}\n'
+            '{"t": 1.0, "metrics": {"requests": 4}}\n', encoding="utf-8")
+        assert main(["metrics-dump", "--timeline", str(timeline)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["snapshots"] == 2
+        assert payload["series"]["requests"]["delta"] == 3
+
+    @pytest.mark.parametrize("line", ['{"metrics": 5}',
+                                      '{"metrics": [1, 2]}', "[1, 2]"],
+                             ids=["int-metrics", "list-metrics", "not-object"])
+    def test_malformed_records_exit_2(self, tmp_path, capsys, line):
+        timeline = tmp_path / "bad.jsonl"
+        timeline.write_text(line + "\n", encoding="utf-8")
+        assert main(["metrics-dump", "--timeline", str(timeline)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "holds no metrics snapshots" in err
+        assert "Traceback" not in err
