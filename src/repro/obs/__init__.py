@@ -1,19 +1,16 @@
 """Unified telemetry plane: metrics, per-request tracing, and export.
 
-The serving stack grew four independent stat holders (latency
-reservoirs, outcome counters, split/shard accounting, flush occupancy)
-but no way to answer the operator questions a production deployment
-asks: *where* inside a request the time went, *which* requests were
-slow and why, and *how* the system trends over a run.  This package is
-the answer — a dependency-free telemetry substrate the serving layer
-registers into:
+This package answers the operator questions a production deployment
+asks — *how much* traffic was served and how, *where* inside a request
+the time went, *which* requests were slow and why, and *how* the
+system trends over a run — as a dependency-free telemetry substrate
+the serving layer records into:
 
 * :mod:`repro.obs.metrics` — named :class:`Counter` / :class:`Gauge` /
   log2-bucketed :class:`Histogram` primitives behind one
-  :class:`MetricsRegistry`, plus pull-mode callbacks so existing
-  trackers publish under canonical dotted names
-  (``serving.latency``, ``shard.shard-00.requests``,
-  ``cache.candidate.hits``, …) without being rewritten;
+  :class:`MetricsRegistry`, plus pull-mode callbacks for state kept
+  elsewhere, all under canonical dotted names (``serving.latency``,
+  ``shard.shard-00.requests``, ``cache.candidate.hits``, …);
 * :mod:`repro.obs.trace` — a lightweight per-request :class:`Trace` /
   :class:`Span` recorder with stride sampling (~zero cost at the
   default sampling rate) and a bounded slow-request exemplar buffer

@@ -2,7 +2,7 @@
 
 Three write-mode primitives — :class:`Counter`, :class:`Gauge`, and a
 fixed-bucket log2 :class:`Histogram` — plus pull-mode *callbacks* for
-trackers that already keep their own state.  Everything hangs off one
+state kept elsewhere under its own locks.  Everything hangs off one
 :class:`MetricsRegistry` under canonical dotted names, and
 :meth:`MetricsRegistry.export` flattens the lot into a single
 JSON-serialisable ``{name: number}`` mapping: the unit every consumer
@@ -240,8 +240,8 @@ class MetricsRegistry:
 
     Write-mode metrics are created on first use (``counter(name)`` is a
     get-or-create; asking for an existing name as a different type is
-    an error).  Pull-mode callbacks let trackers that already hold their
-    own locked state (cache stats, split/shard accounting) publish a
+    an error).  Pull-mode callbacks let state kept elsewhere (cache
+    stats, breakers, label-keyed split/shard books) publish a
     nested dict that :meth:`export` flattens under the callback's
     prefix — re-registering a prefix replaces the previous callback, so
     a rebuilt engine simply takes over its section.
@@ -253,7 +253,6 @@ class MetricsRegistry:
         self._lock = threading.Lock()
 
     def _get_or_create(self, name: str, kind):
-        _check_name(name)
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
@@ -261,6 +260,9 @@ class MetricsRegistry:
                     raise ValueError(
                         f"metric name {name!r} already registered as a "
                         f"callback")
+                # The constructor validates the name, so only creation
+                # pays the regex: an invalid name is never stored, and a
+                # lookup of a stored one needs no check.
                 metric = self._metrics[name] = kind(name)
             elif not isinstance(metric, kind):
                 raise ValueError(

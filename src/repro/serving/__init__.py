@@ -19,8 +19,9 @@ deployment needs around it:
   The masked recurrence makes batched scores identical to sequential
   per-query scores.
 * :class:`RankingService` — the synchronous facade: request/response
-  dataclasses, per-request latency and cache instrumentation, and
-  graceful degradation to the shortest path when no model is available.
+  dataclasses, per-request latency and outcome counts recorded into its
+  metrics registry, and graceful degradation to the shortest path when
+  no model is available.
   Internally a **staged pipeline** (admission → candidate generation →
   scoring → assembly) over :class:`~repro.serving.pipeline.QueryState`
   records.
@@ -36,8 +37,8 @@ deployment needs around it:
   ``RankRequest.model_version`` pins one explicitly); the registry
   keeps every split target resident (balanced ``pin``/``release``
   accounting frees a superseded version's model and compiled kernel at
-  the last release), :class:`SplitMetrics` keeps the variants'
-  latency/outcome accounting separated, and the score cache carves a
+  the last release), each variant gets its own latency histogram and
+  outcome counters (``stats()["splits"]``), and the score cache carves a
   per-split quota for each variant so a low-traffic arm's entries are
   never evicted by the majority split's churn.
 * **Shard plane** (:mod:`repro.serving.sharding`) — a
@@ -50,13 +51,15 @@ deployment needs around it:
   per *(shard, snapshot)* group, and with the default exact mode
   same-shard rankings are element-wise identical to an unsharded
   service's (``tests/serving/test_sharding.py`` pins this).
-* **Telemetry** (:mod:`repro.obs`) — every tracker above registers
-  into the service's central
-  :class:`~repro.obs.metrics.MetricsRegistry` under canonical dotted
-  names, ``ServingConfig.trace_sample`` arms per-request stage tracing
-  (spans on :class:`~repro.serving.pipeline.QueryState`, per-stage
-  latency histograms, top-K slow-request exemplars; dormant by
-  default), and a :class:`~repro.obs.export.SnapshotExporter` can
+* **Telemetry** (:mod:`repro.obs`) — the service records its request,
+  latency and resilience counts straight into the instruments of its
+  central :class:`~repro.obs.metrics.MetricsRegistry`; caches, scorers,
+  breakers and the per-split / per-shard books publish through
+  callbacks under canonical dotted names, and ``stats()`` reads the
+  same objects.  ``ServingConfig.trace_sample`` arms per-request stage
+  tracing (spans on :class:`~repro.serving.pipeline.QueryState`,
+  per-stage latency histograms, top-K slow-request exemplars; dormant
+  by default), and a :class:`~repro.obs.export.SnapshotExporter` can
   stream JSONL metric timelines during a run.  Tracing is read-only:
   traced responses equal untraced ones element-wise (see
   ``docs/observability.md``).
@@ -137,14 +140,6 @@ from repro.serving.faults import (
     format_fault_spec,
     parse_fault_spec,
 )
-from repro.serving.instrumentation import (
-    LatencyTracker,
-    OccupancyTracker,
-    ServiceCounters,
-    ShardMetrics,
-    SplitMetrics,
-    percentile,
-)
 from repro.serving.loadgen import (
     TimedRequest,
     WorkloadConfig,
@@ -161,7 +156,6 @@ from repro.serving.registry import ActiveModel, ModelRegistry
 from repro.serving.resilience import (
     CircuitBreaker,
     ResilienceConfig,
-    ResilienceCounters,
     retry_backoff,
 )
 from repro.serving.sharding import (
@@ -187,29 +181,22 @@ __all__ = [
     "EngineTicket",
     "FaultInjector",
     "FaultRule",
-    "LatencyTracker",
     "LRUCache",
     "ModelRegistry",
-    "OccupancyTracker",
     "QueryState",
-    "percentile",
     "RankedPath",
     "RankingService",
     "RankRequest",
     "RankResponse",
     "ResilienceConfig",
-    "ResilienceCounters",
     "ScoreCache",
     "ScoreTicket",
-    "ServiceCounters",
     "ServingConfig",
     "ServingEngine",
     "ShardedRegistry",
     "ShardLane",
-    "ShardMetrics",
     "ShardRoute",
     "ShardRouter",
-    "SplitMetrics",
     "TimedRequest",
     "WorkloadConfig",
     "assign_split",

@@ -17,7 +17,7 @@ small-batch path.  :class:`ServingEngine` closes that gap: callers
   :class:`AdaptiveFlushPolicy` that re-derives it every flush cycle
   from the live arrival rate and per-path scoring cost.  On a
   sharded service each flush scores every shard's group through that
-  shard's own scorer/caches, and the occupancy gauge keeps a per-shard
+  shard's own scorer/caches, and the occupancy view keeps a per-shard
   breakdown alongside the whole-flush numbers.
 
 Because both front doors drive the *same* stage methods and the masked
@@ -47,9 +47,10 @@ from collections import deque
 from collections.abc import Sequence
 
 from repro.errors import DeadlineExceeded, ServingError
-from repro.serving.instrumentation import OccupancyTracker, shard_label
+from repro.obs.metrics import Histogram
 from repro.serving.pipeline import QueryState
 from repro.serving.service import RankingService, RankRequest, RankResponse
+from repro.serving.sharding import shard_label
 
 __all__ = ["AdaptiveFlushPolicy", "EngineTicket", "ServingEngine"]
 
@@ -59,6 +60,12 @@ __all__ = ["AdaptiveFlushPolicy", "EngineTicket", "ServingEngine"]
 #: structured deadline response, and the waiter should collect *that*
 #: rather than racing it.
 RESULT_GRACE_S = 0.5
+
+
+def _flush_histograms() -> tuple[Histogram, Histogram]:
+    """Requests and paths per scoring flush."""
+    return (Histogram("engine.occupancy.requests"),
+            Histogram("engine.occupancy.paths"))
 
 
 class AdaptiveFlushPolicy:
@@ -295,12 +302,14 @@ class ServingEngine:
             )
         self._warmup = list(warmup) if warmup else []
         self.warmed_up = 0
-        self.occupancy = OccupancyTracker()
-        # The engine is part of the service's telemetry plane: its flush
-        # occupancy exports under engine.occupancy.* (a rebuilt engine
-        # over the same service simply takes the section over).
-        service.metrics.register_callback("engine.occupancy",
-                                          self.occupancy.as_dict)
+        # Flush occupancy: requests and paths per scoring flush, whole
+        # and per shard group (sharded services).  A histogram's exact
+        # count and sum give flushes and totals.  The histograms belong
+        # to this engine: a rebuilt engine over the same service starts
+        # at zero and takes the engine.occupancy.* section over.
+        self._flush_sizes = _flush_histograms()
+        self._group_sizes: dict[str, tuple[Histogram, Histogram]] = {}
+        service.metrics.register_callback("engine.occupancy", self.occupancy)
 
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)   # inbox activity
@@ -460,11 +469,11 @@ class ServingEngine:
             # Degrade-to-shortest-path: no model work is queued, the
             # fallback runs in the caller's thread at assembly.
             state.degraded = "admission queue full; degraded to fallback"
-            service.res_counters.bump("shed_degraded")
+            service.res_counters["shed_degraded"].inc()
         else:
             state.error = ("admission queue full; request shed "
                            "(retry after backoff)")
-            service.res_counters.bump("shed_rejected")
+            service.res_counters["shed_rejected"].inc()
         ticket.state = state
         ticket._resolve()
 
@@ -644,18 +653,23 @@ class ServingEngine:
                 requests=len(states),
                 paths=sum(len(state.paths) for state in states),
                 wall_s=time.perf_counter() - score_began)
-        groups: dict[str, tuple[int, int]] | None = None
+        requests, paths = self._flush_sizes
+        requests.observe(len(states))
+        paths.observe(sum(len(state.paths) for state in states))
         if self.service.sharded is not None:
-            groups = {}
+            groups: dict[str, list[int]] = {}
             for state in states:
-                label = shard_label(state.shard)
-                requests, paths = groups.get(label, (0, 0))
-                groups[label] = (requests + 1, paths + len(state.paths))
-        self.occupancy.record(
-            requests=len(states),
-            paths=sum(len(state.paths) for state in states),
-            groups=groups,
-        )
+                sizes = groups.setdefault(shard_label(state.shard), [0, 0])
+                sizes[0] += 1
+                sizes[1] += len(state.paths)
+            for label, (group_requests, group_paths) in groups.items():
+                histograms = self._group_sizes.get(label)
+                if histograms is None:
+                    with self._lock:
+                        histograms = self._group_sizes.setdefault(
+                            label, _flush_histograms())
+                histograms[0].observe(group_requests)
+                histograms[1].observe(group_paths)
         # Assembly is deferred to each ticket's waiter (see
         # EngineTicket.wait): releasing the batch here keeps the flush
         # critical path at "score + wake", so the next flush can start
@@ -666,6 +680,35 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def occupancy(self) -> dict[str, object]:
+        """Mean requests / paths per scoring flush, whole and per group.
+
+        Above 1 request per flush is the direct evidence that
+        cross-request coalescing engaged: independent queries shared a
+        fused forward pass instead of each paying the small-batch path.
+        """
+        requests, paths = (histogram.summary()
+                           for histogram in self._flush_sizes)
+        view: dict[str, object] = {
+            "flushes": requests["count"],
+            "requests_coalesced": int(requests["sum"]),
+            "mean_requests_per_flush": requests["mean"],
+            "mean_paths_per_flush": paths["mean"],
+        }
+        with self._lock:
+            groups = sorted(self._group_sizes.items())
+        if groups:
+            view["groups"] = {}
+            for label, histograms in groups:
+                requests, paths = (histogram.summary()
+                                   for histogram in histograms)
+                view["groups"][label] = {
+                    "flushes": requests["count"],
+                    "mean_requests_per_flush": requests["mean"],
+                    "mean_paths_per_flush": paths["mean"],
+                }
+        return view
+
     def stats(self) -> dict[str, object]:
         """The underlying service's stats plus the engine's own gauges."""
         stats = self.service.stats()
@@ -680,7 +723,7 @@ class ServingEngine:
             "warmed_up": self.warmed_up,
             "queue_depth": queue_depth,
             "outstanding": outstanding,
-            "occupancy": self.occupancy.as_dict(),
+            "occupancy": self.occupancy(),
         }
         if self.adaptive is not None:
             stats["engine"]["adaptive_flush"] = self.adaptive.as_dict()

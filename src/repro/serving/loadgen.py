@@ -46,7 +46,6 @@ from repro.graph.network import RoadNetwork
 from repro.graph.shortest_path import shortest_path_cost
 from repro.obs.export import SnapshotExporter
 from repro.rng import RngLike, make_rng
-from repro.serving.instrumentation import percentile
 from repro.serving.service import RankingService, RankRequest
 
 __all__ = ["WorkloadConfig", "TimedRequest", "zipf_weights",
@@ -319,6 +318,15 @@ def generate_timed_workload(network: RoadNetwork,
             for request, at in zip(requests, arrivals)]
 
 
+def _percentile(values: list[float], q: float) -> float:
+    """Nearest-rank percentile (q in [0, 100]); 0.0 on an empty list."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = max(1, int(round(q / 100.0 * len(ordered) + 0.5)))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
 def _summarise(latencies: list[float], outcomes: dict[str, int],
                candidate_hits: int, requests: int,
                elapsed: float) -> dict[str, object]:
@@ -328,8 +336,8 @@ def _summarise(latencies: list[float], outcomes: dict[str, int],
         "throughput_qps": requests / elapsed if elapsed > 0 else 0.0,
         "latency_ms": {
             "mean": float(np.mean(latencies)) if latencies else 0.0,
-            "p50": percentile(latencies, 50.0),
-            "p95": percentile(latencies, 95.0),
+            "p50": _percentile(latencies, 50.0),
+            "p95": _percentile(latencies, 95.0),
         },
         "served_by": outcomes,
         "candidate_cache_hit_rate": (
@@ -361,9 +369,9 @@ def _armed_faults(service: RankingService, fault_spec, fault_seed: int):
 def _resilience_summary(service: RankingService,
                         summary: dict[str, object]) -> None:
     """Attach shed/deadline/breaker counts when any mechanism fired."""
-    counts = {key: value
-              for key, value in service.res_counters.as_dict().items()
-              if value}
+    values = ((name, counter.value)
+              for name, counter in service.res_counters.items())
+    counts = {name: value for name, value in values if value}
     if counts:
         summary["resilience"] = counts
 
@@ -491,7 +499,7 @@ def run_engine_workload(engine, requests: Sequence[RankRequest],
     summary["hung"] = hung[0]
     summary["refused"] = refused[0]
     _resilience_summary(engine.service, summary)
-    summary["occupancy"] = engine.occupancy.as_dict()
+    summary["occupancy"] = engine.occupancy()
     return summary
 
 
@@ -552,5 +560,5 @@ def replay_open_loop(engine, timed: Sequence[TimedRequest],
     summary["hung"] = hung
     summary["refused"] = refused
     _resilience_summary(engine.service, summary)
-    summary["occupancy"] = engine.occupancy.as_dict()
+    summary["occupancy"] = engine.occupancy()
     return summary

@@ -39,10 +39,9 @@ This module holds the policy objects that turn those failure modes into
   RNG-state-seeded) so replays and both front doors retry on the same
   schedule.
 
-:class:`ResilienceCounters` aggregates the shed / deadline / breaker /
-retry accounting every response path bumps; the service publishes it
-(plus per-lane breaker state) under the canonical ``resilience.*``
-metric prefix.  See ``docs/robustness.md``.
+The service counts how often each mechanism fired in ``resilience.*``
+counters of its metrics registry and publishes per-lane breaker state
+next to them.  See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
@@ -50,11 +49,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
 
 __all__ = ["SHED_POLICIES", "BREAKER_STATES", "ResilienceConfig",
-           "ResilienceCounters", "CircuitBreaker", "retry_backoff"]
+           "CircuitBreaker", "retry_backoff"]
 
 #: What happens to a request the bounded admission queue cannot hold:
 #: ``"reject"`` answers it immediately with a structured error (plus a
@@ -312,39 +311,3 @@ class CircuitBreaker:
                 "recoveries": self.recoveries,
             }
 
-
-@dataclass
-class ResilienceCounters:
-    """How often each resilience mechanism fired (service-wide).
-
-    ``shed_rejected`` / ``shed_degraded`` split by the policy that shed
-    the request; ``breaker_degraded`` counts requests routed to the
-    fallback by an open breaker; ``retries`` counts backoff sleeps and
-    ``retry_successes`` how many of them rescued the operation;
-    ``invalid_requests`` counts admissions refused by input validation.
-    """
-
-    shed_rejected: int = 0
-    shed_degraded: int = 0
-    deadline_exceeded: int = 0
-    breaker_degraded: int = 0
-    retries: int = 0
-    retry_successes: int = 0
-    invalid_requests: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def bump(self, field_name: str, amount: int = 1) -> None:
-        with self._lock:
-            setattr(self, field_name, getattr(self, field_name) + amount)
-
-    def as_dict(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "shed_rejected": self.shed_rejected,
-                "shed_degraded": self.shed_degraded,
-                "deadline_exceeded": self.deadline_exceeded,
-                "breaker_degraded": self.breaker_degraded,
-                "retries": self.retries,
-                "retry_successes": self.retry_successes,
-                "invalid_requests": self.invalid_requests,
-            }

@@ -64,19 +64,12 @@ from repro.graph.network import RoadNetwork
 from repro.graph.path import Path
 from repro.graph.shortest_path import shortest_path
 from repro.nn.fused import compiled_if_cached, resolve_scoring_backend
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.ranking.training_data import TrainingDataConfig
 from repro.serving.batching import BatchingScorer
 from repro.serving.cache import CacheStats, CandidateCache, ScoreCache
 from repro.serving.faults import FaultInjector, parse_fault_spec
-from repro.serving.instrumentation import (
-    LatencyTracker,
-    ServiceCounters,
-    ShardMetrics,
-    SplitMetrics,
-    shard_label,
-)
 from repro.serving.pipeline import (
     QueryState,
     TrafficSplit,
@@ -88,7 +81,6 @@ from repro.serving.registry import ActiveModel, ModelRegistry
 from repro.serving.resilience import (
     CircuitBreaker,
     ResilienceConfig,
-    ResilienceCounters,
     retry_backoff,
 )
 from repro.serving.sharding import (
@@ -96,6 +88,7 @@ from repro.serving.sharding import (
     ShardedRegistry,
     ShardLane,
     ShardRouter,
+    shard_label,
 )
 
 __all__ = ["EXECUTION_MODES", "ServingConfig", "RankRequest", "RankedPath",
@@ -110,6 +103,31 @@ _UNRESOLVED = object()  # admit() sentinel: "look the snapshot up yourself"
 #: generation and the padded forward passes to a pool of worker
 #: processes over shared-memory hot-state (:mod:`repro.exec`).
 EXECUTION_MODES = ("inline", "threads", "processes")
+
+#: Request outcome counters, service-wide as ``serving.<name>`` and per
+#: traffic-split arm under ``split.<version>.counters.<name>``.
+_SERVING_COUNTERS = ("requests", "model_served", "fallback_served", "failed",
+                     "hot_swaps")
+
+#: Which outcome counter a response's ``served_by`` lands in.
+_OUTCOME_COUNTERS = {"model": "model_served", "fallback": "fallback_served",
+                     "error": "failed"}
+
+#: How often each resilience mechanism fired, as ``resilience.<name>``:
+#: requests shed per policy, expired by their deadline, or routed to the
+#: fallback by an open breaker; backoff sleeps taken and how many of
+#: them rescued their scoring group; admissions refused by validation.
+_RESILIENCE_COUNTERS = ("shed_rejected", "shed_degraded", "deadline_exceeded",
+                        "breaker_degraded", "retries", "retry_successes",
+                        "invalid_requests")
+
+#: Per-shard request columns; ``degraded.<error_code>`` columns join
+#: them on first sight of a code.
+_SHARD_COUNTERS = ("requests", "cross_shard", "model", "fallback", "error")
+
+
+def _values(counters: dict[str, Counter]) -> dict[str, int]:
+    return {name: counter.value for name, counter in counters.items()}
 
 
 @dataclass(frozen=True)
@@ -151,7 +169,6 @@ class ServingConfig:
     score_cache_size: int = 8192
     max_batch_size: int = 64
     fallback_to_shortest: bool = True
-    latency_window: int = 4096
     traffic_split: TrafficSplit | None = None
     score_cache_quotas: object = "auto"
     concurrency: int = 4
@@ -403,15 +420,27 @@ class RankingService:
                                          score_cache=self.score_cache)
             self._lanes = {0: ShardLane(0, registry, self.candidate_cache,
                                         self.score_cache, self.scorer)}
-        self.latency = LatencyTracker(self.config.latency_window)
-        self.counters = ServiceCounters()
-        self.split_metrics = SplitMetrics(self.config.latency_window)
-        self.shard_metrics = ShardMetrics()
+        # The telemetry plane: every count the service keeps is an
+        # instrument recorded once; the per-split / per-shard books are
+        # keyed by data and export through callbacks.  export() reads
+        # metrics in creation order, so serving.latency is created
+        # before the request counter it must never run ahead of (see
+        # _record).
+        metrics = self.metrics = MetricsRegistry()
+        self.latency = metrics.histogram("serving.latency")
+        self.counters = {name: metrics.counter(f"serving.{name}")
+                         for name in _SERVING_COUNTERS}
+        self.res_counters = {name: metrics.counter(f"resilience.{name}")
+                             for name in _RESILIENCE_COUNTERS}
+        self._split_books: dict[str, tuple[Histogram, dict[str, Counter]]] = {}
+        self._shard_books: dict[int, dict[str, Counter]] = {}
+        self._books_lock = threading.Lock()
+        self.tracer = Tracer(sample=self.config.trace_sample,
+                             max_exemplars=self.config.trace_exemplars,
+                             metrics=metrics)
         # Resilience plane: per-lane circuit breakers over scoring-group
-        # outcomes, shared shed/deadline/retry accounting, and the
-        # (dormant-by-default) fault-injection seam.
+        # outcomes and the (dormant-by-default) fault-injection seam.
         self.resilience = self.config.resilience
-        self.res_counters = ResilienceCounters()
         self.breakers: dict[int, CircuitBreaker] = (
             {shard_id: CircuitBreaker(self.resilience)
              for shard_id in self._lanes}
@@ -423,15 +452,6 @@ class RankingService:
         if self.config.fault_spec is not None:
             self.arm_faults(self.config.fault_spec,
                             seed=self.config.fault_seed)
-        # The unified telemetry plane: every tracker above registers
-        # into this registry under its canonical dotted name, and the
-        # tracer feeds per-stage histograms + slow-request exemplars
-        # into the same namespace.
-        self.metrics = MetricsRegistry()
-        self.tracer = Tracer(sample=self.config.trace_sample,
-                             max_exemplars=self.config.trace_exemplars,
-                             metrics=self.metrics)
-        self._latency_hist = self.metrics.histogram("serving.latency")
         # Execution plane: dormant unless asked for.  "threads" needs no
         # machinery (score_states fans groups out with ad-hoc threads);
         # "processes" stands up shared-memory hot-state plus a warm
@@ -449,23 +469,19 @@ class RankingService:
         self._register_metrics()
 
     def _register_metrics(self) -> None:
-        """Publish every tracker under its canonical metric name.
+        """Publish the state kept outside the registry's instruments.
 
-        Existing trackers keep their own locked state; the registry
-        pulls them through callbacks at export time, so recording stays
-        exactly as cheap as before this plane existed.
+        Caches, scorers, breakers and kernels keep their own locked
+        state, and the per-split / per-shard books are keyed by data;
+        the registry pulls each through a callback at export time.
+        Every callback that is also a ``stats()`` section is the same
+        view function on both sides.
         """
         metrics = self.metrics
-        # Flattens to serving.requests / serving.model_served / ... next
-        # to the serving.latency histogram observed at assembly.
-        metrics.register_callback("serving", self.counters.as_dict)
-        metrics.register_callback("split", self.split_metrics.as_dict)
-        metrics.register_callback("shard", self.shard_metrics.as_dict)
-        metrics.register_callback(
-            "cache.candidate",
-            lambda: CacheStats.merged(
-                [lane.candidate_cache.stats for lane in self.lanes()]
-            ).as_dict())
+        metrics.register_callback("split", self._split_view)
+        metrics.register_callback("shard", self._shard_view)
+        metrics.register_callback("cache.candidate",
+                                  self._candidate_cache_view)
         metrics.register_callback("cache.score", self._score_cache_view)
         metrics.register_callback("scoring", self._scoring_view)
         metrics.register_callback("kernel.routing", self._routing_kernel_view)
@@ -480,6 +496,52 @@ class RankingService:
         if self.sharded is not None:
             for lane in self.lanes():
                 lane.register_into(metrics)
+
+    def _book(self, books: dict, label, make):
+        """``books[label]``, made under the books lock on first sight."""
+        entry = books.get(label)
+        if entry is None:
+            with self._books_lock:
+                entry = books.get(label)
+                if entry is None:
+                    entry = books[label] = make()
+        return entry
+
+    def _split_view(self) -> dict[str, dict[str, object]]:
+        """Per-split latency and outcome counts, keyed by version.
+
+        Only requests a traffic split or a version pin routed land
+        here, so the section is a pure view of the experiment traffic.
+        """
+        with self._books_lock:
+            books = sorted(self._split_books.items())
+        # The histogram is read before the counters (see _record).
+        return {split: {"latency": latency.summary(),
+                        "counters": _values(counters)}
+                for split, (latency, counters) in books}
+
+    def _shard_view(self) -> dict[str, dict[str, float]]:
+        """Per-shard request, cross-shard and outcome columns.
+
+        ``degraded.<error_code>`` columns count responses the
+        resilience plane shaped; each also lands in its outcome column,
+        so ``requests`` is the sum of ``model``/``fallback``/``error``.
+        """
+        with self._books_lock:
+            books = sorted((shard, dict(counts))
+                           for shard, counts in self._shard_books.items())
+        view: dict[str, dict[str, float]] = {}
+        for shard, counts in books:
+            row: dict[str, float] = _values(counts)
+            row["cross_shard_fraction"] = (
+                row["cross_shard"] / row["requests"] if row["requests"]
+                else 0.0)
+            view[shard_label(shard)] = row
+        return view
+
+    def _candidate_cache_view(self) -> dict[str, object]:
+        return CacheStats.merged(
+            [lane.candidate_cache.stats for lane in self.lanes()]).as_dict()
 
     def _score_cache_view(self) -> dict[str, object]:
         stats = [lane.score_cache.stats for lane in self.lanes()
@@ -496,14 +558,13 @@ class RankingService:
         return totals
 
     def _resilience_view(self) -> dict[str, object]:
-        """``resilience.*``: shed/deadline/breaker/retry accounting.
+        """``resilience.*`` beyond the counters.
 
-        Flattens to ``resilience.shed_rejected``,
-        ``resilience.deadline_exceeded``, …, plus per-lane breaker
-        state under ``resilience.breaker.shard-NN.*`` and fault-layer
-        counters under ``resilience.faults.*`` while armed.
+        Per-lane breaker state under ``resilience.breaker.shard-NN.*``
+        and the fault layer's summary under ``resilience.faults.*``
+        while armed.
         """
-        view: dict[str, object] = dict(self.res_counters.as_dict())
+        view: dict[str, object] = {}
         if self.breakers:
             view["breaker"] = {
                 shard_label(shard_id): breaker.as_dict()
@@ -701,7 +762,7 @@ class RankingService:
             return True
         state.error = problem
         state.error_code = "invalid_request"
-        self.res_counters.bump("invalid_requests")
+        self.res_counters["invalid_requests"].inc()
         return False
 
     def _expire(self, state: QueryState) -> None:
@@ -710,7 +771,7 @@ class RankingService:
                        f"before a response was ready")
         state.error_code = "deadline_exceeded"
         state.active = None
-        self.res_counters.bump("deadline_exceeded")
+        self.res_counters["deadline_exceeded"].inc()
 
     def _candidate_config(self, request: RankRequest) -> TrainingDataConfig:
         base = self.config.candidates
@@ -846,7 +907,7 @@ class RankingService:
                 state.degraded = (f"circuit breaker open on "
                                   f"{shard_label(shard_id)}")
                 state.error_code = "breaker_open"
-            self.res_counters.bump("breaker_degraded", len(members))
+            self.res_counters["breaker_degraded"].inc(len(members))
             return
         active = members[0].active
         traced = [state for state in members if state.trace is not None]
@@ -911,7 +972,7 @@ class RankingService:
                                    default=None)
                     if tightest is None or delay_s * 1000.0 < tightest:
                         attempt += 1
-                        self.res_counters.bump("retries")
+                        self.res_counters["retries"].inc()
                         if delay_s > 0.0:
                             time.sleep(delay_s)
                         continue
@@ -921,7 +982,7 @@ class RankingService:
                 return None
             else:
                 if attempt:
-                    self.res_counters.bump("retry_successes")
+                    self.res_counters["retry_successes"].inc()
                 if breaker is not None:
                     breaker.record_success(
                         (time.perf_counter() - began) * 1000.0)
@@ -970,25 +1031,13 @@ class RankingService:
             except ReproError as exc:
                 state.error = str(exc)
         if state.error is not None:
-            response = self._error_response(state, state.error, elapsed_ms,
-                                            record)
+            response = self._error_response(state, state.error, elapsed_ms)
         elif state.active is None:
-            response = self._fallback_response(state, elapsed_ms, record)
+            response = self._fallback_response(state, elapsed_ms)
         else:
-            response = self._model_response(state, elapsed_ms, record)
+            response = self._model_response(state, elapsed_ms)
         if record:
-            self.latency.record(response.latency_ms)
-            self._latency_hist.observe(response.latency_ms)
-            self.counters.bump("requests")
-            self.split_metrics.record(state.split, response.served_by,
-                                      response.latency_ms)
-            if self.router is not None and state.route is not None:
-                # No route means no owning shard (e.g. an unknown
-                # vertex): recording it would misattribute the error to
-                # shard 0's accounting.
-                self.shard_metrics.record(state.shard, state.cross_shard,
-                                          response.served_by,
-                                          resilience=state.error_code)
+            self._record(state, response)
         if trace is not None:
             trace.add("assemble", assemble_began, time.perf_counter())
             if record:
@@ -1002,6 +1051,42 @@ class RankingService:
                     shard=state.shard, split=state.split)
         state.response = response
         return response
+
+    def _record(self, state: QueryState, response: RankResponse) -> None:
+        """Count one answered request, service-wide, per split, per shard.
+
+        Each request counter is bumped before its latency histogram
+        observes, and every reader takes the histogram first, so a
+        latency count never runs ahead of its request count.
+        """
+        outcome = _OUTCOME_COUNTERS[response.served_by]
+        latency_ms = response.latency_ms
+        self.counters["requests"].inc()
+        self.counters[outcome].inc()
+        self.latency.observe(latency_ms)
+        if state.split is not None:
+            latency, counters = self._book(
+                self._split_books, state.split,
+                lambda: (Histogram("split.latency"),
+                         {name: Counter(f"split.{name}")
+                          for name in _SERVING_COUNTERS}))
+            counters["requests"].inc()
+            counters[outcome].inc()
+            latency.observe(latency_ms)
+        if self.router is not None and state.route is not None:
+            # No route means no owning shard (e.g. an unknown vertex):
+            # recording it would misattribute the error to shard 0.
+            counts = self._book(
+                self._shard_books, state.shard,
+                lambda: {name: Counter(f"shard.{name}")
+                         for name in _SHARD_COUNTERS})
+            counts["requests"].inc()
+            if state.cross_shard:
+                counts["cross_shard"].inc()
+            counts[response.served_by].inc()
+            if state.error_code is not None:
+                self._book(counts, f"degraded.{state.error_code}",
+                           lambda: Counter("shard.degraded")).inc()
 
     # ------------------------------------------------------------------
     # Serving facade
@@ -1052,37 +1137,33 @@ class RankingService:
             self.assemble(state, record=False)
         return len(states)
 
-    def _model_response(self, state: QueryState, elapsed_ms: float,
-                        record: bool) -> RankResponse:
+    def _model_response(self, state: QueryState,
+                        elapsed_ms: float) -> RankResponse:
         ranked = rank_paths(state.paths, state.scores)
         results = tuple(
             RankedPath(path=path, score=score, position=position)
             for position, (path, score) in enumerate(ranked, start=1)
         )
-        if record:
-            self.counters.bump("model_served")
         return RankResponse(request=state.request, results=results,
                             served_by="model",
                             model_version=state.active.version,
                             candidate_cache_hit=state.cache_hit,
                             latency_ms=elapsed_ms, shard=state.shard)
 
-    def _fallback_response(self, state: QueryState, elapsed_ms: float,
-                           record: bool = True) -> RankResponse:
+    def _fallback_response(self, state: QueryState,
+                           elapsed_ms: float) -> RankResponse:
         request, cause = state.request, state.degraded
         if not self.config.fallback_to_shortest:
             reason = cause or "no active model"
             return self._error_response(
-                state, f"{reason} (fallback disabled)", elapsed_ms, record)
+                state, f"{reason} (fallback disabled)", elapsed_ms)
         try:
             # Always the full network: the fallback is the floor of
             # service quality, and shard-local reachability must never
             # lower it.
             path = shortest_path(self.network, request.source, request.target)
         except ReproError as exc:
-            return self._error_response(state, str(exc), elapsed_ms, record)
-        if record:
-            self.counters.bump("fallback_served")
+            return self._error_response(state, str(exc), elapsed_ms)
         results = (RankedPath(path=path, score=0.0, position=1),)
         return RankResponse(request=request, results=results,
                             served_by="fallback", model_version=None,
@@ -1091,10 +1172,7 @@ class RankingService:
                             shard=state.shard, error_code=state.error_code)
 
     def _error_response(self, state: QueryState, error: str,
-                        elapsed_ms: float,
-                        record: bool = True) -> RankResponse:
-        if record:
-            self.counters.bump("failed")
+                        elapsed_ms: float) -> RankResponse:
         retry_after = None
         if state.error_code in ("deadline_exceeded", "shed"):
             retry_after = self.resilience.retry_after_ms
@@ -1136,7 +1214,7 @@ class RankingService:
             actives = self.sharded.activate(version, shards=shards)
         else:
             actives = self.registry.activate(version)
-        self.counters.bump("hot_swaps")
+        self.counters["hot_swaps"].inc()
         return actives
 
     def lane(self, shard_id: int) -> ShardLane:
@@ -1160,22 +1238,35 @@ class RankingService:
         per-shard breakdown.
         """
         lanes = self.lanes()
-        score_stats = [lane.score_cache.stats for lane in lanes
-                       if lane.score_cache is not None]
         scoring = self._scoring_view()
         scoring["max_batch_size"] = self.config.max_batch_size
         scoring["backend"] = resolve_scoring_backend()
+        resilience = self.resilience
+        # Exact count and mean; quantiles interpolated within one log2
+        # bucket.  Read before the counters (see _record).
+        latency = self.latency.summary()
         result: dict[str, object] = {
             "active_version": self._active_version_view(),
-            "counters": self.counters.as_dict(),
-            "latency": self.latency.as_dict(),
-            "splits": self.split_metrics.as_dict(),
-            "candidate_cache": CacheStats.merged(
-                [lane.candidate_cache.stats for lane in lanes]).as_dict(),
-            "score_cache": (CacheStats.merged(score_stats).as_dict()
-                            if score_stats else {"disabled": True}),
+            "counters": _values(self.counters),
+            "latency": {"count": latency["count"],
+                        "mean_ms": latency["mean"],
+                        "p50_ms": latency["p50"],
+                        "p95_ms": latency["p95"]},
+            "splits": self._split_view(),
+            "candidate_cache": self._candidate_cache_view(),
+            "score_cache": self._score_cache_view(),
             "scoring": scoring,
-            "resilience": self._resilience_stats(),
+            "resilience": {
+                "config": {
+                    "deadline_ms": resilience.deadline_ms,
+                    "max_queue": resilience.max_queue,
+                    "shed_policy": resilience.shed_policy,
+                    "breaker_enabled": resilience.breaker_enabled,
+                    "retry_attempts": resilience.retry_attempts,
+                },
+                "counters": _values(self.res_counters),
+                **self._resilience_view(),
+            },
         }
         if self.config.execution != "inline":
             # Only when the plane is non-dormant: existing consumers pin
@@ -1209,7 +1300,7 @@ class RankingService:
                 sharding["routing"]["certify_corridors"] = \
                     self.router.certify_corridors
             per_shard = sharding["per_shard"]
-            for label, counts in self.shard_metrics.as_dict().items():
+            for label, counts in self._shard_view().items():
                 per_shard.setdefault(label, {})["requests"] = counts
             for lane in lanes:
                 label = shard_label(lane.shard_id)
@@ -1222,26 +1313,6 @@ class RankingService:
                     lane.score_cache.stats.as_dict()
                     if lane.score_cache is not None else {"disabled": True})
             result["sharding"] = sharding
-        return result
-
-    def _resilience_stats(self) -> dict[str, object]:
-        result: dict[str, object] = {
-            "config": {
-                "deadline_ms": self.resilience.deadline_ms,
-                "max_queue": self.resilience.max_queue,
-                "shed_policy": self.resilience.shed_policy,
-                "breaker_enabled": self.resilience.breaker_enabled,
-                "retry_attempts": self.resilience.retry_attempts,
-            },
-            "counters": self.res_counters.as_dict(),
-        }
-        if self.breakers:
-            result["breakers"] = {
-                shard_label(shard_id): breaker.as_dict()
-                for shard_id, breaker in sorted(self.breakers.items())
-            }
-        if self.faults is not None:
-            result["faults"] = self.faults.stats()
         return result
 
     def _active_version_view(self):

@@ -51,11 +51,20 @@ from repro.graph.network import RoadNetwork
 from repro.graph.partition import GraphPartition
 from repro.serving.batching import BatchingScorer
 from repro.serving.cache import CandidateCache, ScoreCache, carve_budget
-from repro.serving.instrumentation import shard_label
 from repro.serving.registry import ActiveModel, ModelRegistry
 
 __all__ = ["ShardRoute", "ShardRouter", "ShardedRegistry", "ShardLane",
-           "CROSS_SHARD_POLICIES", "split_budget"]
+           "CROSS_SHARD_POLICIES", "shard_label", "split_budget"]
+
+
+def shard_label(shard_id: int) -> str:
+    """Canonical stats label for one shard.
+
+    Every per-shard stats section (registry caches, request counts,
+    lane scorers, engine occupancy groups) joins on this exact string,
+    so nothing formats it by hand.
+    """
+    return f"shard-{shard_id:02d}"
 
 #: How a cross-shard query picks its candidate-generation graph:
 #: ``"corridor"`` stitches the two endpoint shards' subnetworks together

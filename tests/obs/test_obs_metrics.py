@@ -151,6 +151,13 @@ class TestMetricsRegistry:
         assert registry.counter("requests") is registry.counter("requests")
         assert registry.histogram("latency") is registry.histogram("latency")
 
+    def test_malformed_name_is_never_stored(self):
+        registry = MetricsRegistry()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="invalid metric name"):
+                registry.counter("a b")
+        assert registry.names() == []
+
     def test_type_conflict_raises(self):
         registry = MetricsRegistry()
         registry.counter("requests")

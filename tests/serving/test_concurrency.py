@@ -98,8 +98,8 @@ class TestServingCachesUnderParallelRank:
 
         results = _hammer(16, work)
         assert len(results) == 16
-        assert service.counters.requests == len(PAIRS) + 16
-        assert service.counters.failed == 0
+        assert service.counters["requests"].value == len(PAIRS) + 16
+        assert service.counters["failed"].value == 0
 
     def test_candidate_cache_thread_safety(self, tiny_network,
                                            candidates_config):

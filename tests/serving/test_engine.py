@@ -81,7 +81,7 @@ class TestFrontDoor:
                 thread.start()
             for thread in threads:
                 thread.join()
-            occupancy = engine.occupancy.as_dict()
+            occupancy = engine.occupancy()
         assert len(responses) == 8
         assert all(r.served_by == "model" for r in responses.values())
         # Eight concurrent requests must not have cost eight flushes.
@@ -236,7 +236,7 @@ class TestWarmup:
         with ServingEngine(service, concurrency=2, warmup=mix) as engine:
             assert engine.warmed_up == 2
             # Warm-up must not count as served traffic...
-            assert service.counters.requests == 0
+            assert service.counters["requests"].value == 0
             # ...but the replayed queries now hit the candidate cache.
             response = engine.rank(RankRequest(source=0, target=5))
         assert response.candidate_cache_hit

@@ -2,6 +2,8 @@
 names, kernel counters, and JSON-clean payloads end to end."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +17,11 @@ from repro.serving import (
     ServingEngine,
     ShardedRegistry,
 )
-from repro.serving.instrumentation import ShardMetrics
 
 ALL_PAIRS = [(s, t) for s in range(6) for t in range(6) if s != t]
+
+OBSERVABILITY_DOC = Path(__file__).resolve().parents[2] / "docs" \
+    / "observability.md"
 
 #: Stages the synchronous facade stamps on every traced request.
 SYNC_STAGES = {"admit", "split_assign", "candidates", "flush_wait",
@@ -228,26 +232,6 @@ class TestShardedTelemetry:
         assert route_spans and route_spans[0]["cross"] is True
 
 
-class TestShardMetricsOther:
-    def test_unknown_outcome_counts_under_other(self):
-        metrics = ShardMetrics()
-        metrics.record(0, cross_shard=False, served_by="model")
-        metrics.record(0, cross_shard=True, served_by="shadow")
-        entry = metrics.as_dict()["shard-00"]
-        assert entry["requests"] == 2
-        assert entry["model"] == 1
-        assert entry["other"] == 1
-        assert entry["model"] + entry["fallback"] + entry["error"] \
-            + entry["other"] == entry["requests"]
-
-    def test_known_outcomes_do_not_touch_other(self):
-        metrics = ShardMetrics()
-        for outcome in ("model", "fallback", "error"):
-            metrics.record(1, cross_shard=False, served_by=outcome)
-        entry = metrics.as_dict()["shard-01"]
-        assert entry["other"] == 0
-
-
 class TestPayloadsAreJsonClean:
     """Satellite lint: every stats()/export() surface the serving and
     obs layers expose must survive ``json.dumps`` untouched."""
@@ -260,10 +244,6 @@ class TestPayloadsAreJsonClean:
         self._assert_json_clean(traced_service.stats())
         self._assert_json_clean(traced_service.metrics.export())
         self._assert_json_clean(traced_service.tracer.as_dict())
-        self._assert_json_clean(traced_service.counters.as_dict())
-        self._assert_json_clean(traced_service.latency.as_dict())
-        self._assert_json_clean(traced_service.split_metrics.as_dict())
-        self._assert_json_clean(traced_service.shard_metrics.as_dict())
         for line in prometheus_lines(traced_service.metrics):
             assert isinstance(line, str)
 
@@ -279,7 +259,6 @@ class TestPayloadsAreJsonClean:
                            flush_deadline_ms=2.0) as engine:
             engine.rank_batch(requests)
             self._assert_json_clean(engine.stats())
-            self._assert_json_clean(engine.occupancy.as_dict())
 
     def test_sharded_service_surfaces(self, tmp_path, tiny_network,
                                       make_ranker, candidates_config):
@@ -297,3 +276,79 @@ class TestPayloadsAreJsonClean:
         service.rank(RankRequest(source=0, target=5))
         self._assert_json_clean(service.stats())
         self._assert_json_clean(service.metrics.export())
+
+
+class TestTypedExposition:
+    def test_service_counts_are_typed_instruments(self, service):
+        service.rank(RankRequest(source=0, target=5))
+        service.rank(RankRequest(source=99, target=5))  # invalid
+        lines = prometheus_lines(service.metrics)
+        assert "# TYPE serving_requests counter" in lines
+        assert "serving_requests 2" in lines
+        assert "# TYPE serving_latency histogram" in lines
+        assert "# TYPE resilience_invalid_requests counter" in lines
+        assert "resilience_invalid_requests 1" in lines
+
+
+def _documented_families() -> list[str]:
+    """Names and patterns of the doc's "Canonical families" table."""
+    section = OBSERVABILITY_DOC.read_text().split("Canonical families", 1)[1]
+    rows: list[str] = []
+    for line in section.splitlines():
+        if line.startswith("|"):
+            rows.append(line)
+        elif rows:
+            break
+    return [family for row in rows[2:]  # header and rule
+            for family in re.findall(r"`([^`]+)`", row.split("|")[1])]
+
+
+def _family_regex(family: str) -> re.Pattern:
+    """``<name>`` is one label, ``shard-NN`` a shard, ``.*`` any tail."""
+    regex = re.escape(family).replace(r"shard\-NN", r"shard-\d\d")
+    regex = re.sub(r"<\w+>", ".+", regex).replace(r"\*", ".+")
+    return re.compile(regex)
+
+
+class TestMetricCatalogue:
+    """docs/observability.md's family table is a contract with the
+    registry: a service with every serving plane armed exports at
+    least one key of each family, and nothing outside them."""
+
+    #: Planes this service does not arm: the worker pool and the
+    #: batch-analytics products.
+    UNARMED = ("exec.", "analytics.")
+
+    def test_table_matches_a_fully_armed_export(self, tmp_path, tiny_network,
+                                                make_ranker,
+                                                candidates_config):
+        assignment = {vid: (0 if vid in {0, 1, 2} else 1)
+                      for vid in tiny_network.vertex_ids()}
+        registry = ShardedRegistry(
+            tmp_path / "shards", tiny_network,
+            GraphPartition(tiny_network, assignment),
+            candidate_cache_size=64, score_cache_size=256)
+        registry.publish(make_ranker(tiny_network, seed=1),
+                         version="v0001", activate=True)
+        registry.publish(make_ranker(tiny_network, seed=2), version="v0002")
+        service = RankingService(tiny_network, registry, ServingConfig(
+            candidates=candidates_config, trace_sample=1.0,
+            traffic_split={"v0001": 0.5, "v0002": 0.5}))
+        assert service.breakers  # on by default
+        requests = [RankRequest(source=s, target=t, request_id=i)
+                    for i, (s, t) in enumerate(ALL_PAIRS)]
+        with ServingEngine(service, concurrency=2,
+                           flush_deadline_ms=1.0) as engine:
+            engine.rank_batch(requests + [RankRequest(source=99, target=5)])
+            exported = service.metrics.export()
+        families = {family: _family_regex(family)
+                    for family in _documented_families()}
+        assert "serving.requests" in families
+        undocumented = [key for key in exported
+                        if not any(regex.fullmatch(key)
+                                   for regex in families.values())]
+        assert not undocumented
+        silent = [family for family, regex in families.items()
+                  if not family.startswith(self.UNARMED)
+                  and not any(regex.fullmatch(key) for key in exported)]
+        assert not silent

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.model import PathRank
 from repro.errors import ServingError, TrainingError
+from repro.obs.export import prometheus_lines
 from repro.serving import (
     RankingService,
     RankRequest,
@@ -87,6 +88,30 @@ class TestABServing:
         assert all(s["latency"]["count"] == s["counters"]["requests"]
                    for s in splits.values())
 
+    def test_dotted_version_name_is_data(self, tiny_network, registry,
+                                         make_ranker, candidates_config):
+        """A version name that is not one metric segment still gets its
+        own split books: versions key data, they are not metric names."""
+        registry.publish(make_ranker(tiny_network, seed=1), version="v0001",
+                         activate=True)
+        registry.publish(make_ranker(tiny_network, seed=2), version="m.v2")
+        service = RankingService(
+            tiny_network, registry,
+            ServingConfig(candidates=candidates_config,
+                          traffic_split={"v0001": 0.5, "m.v2": 0.5}))
+        responses = [service.rank(RankRequest(source=0, target=5,
+                                              request_id=i))
+                     for i in range(20)]
+        dotted = [r for r in responses if r.model_version == "m.v2"]
+        assert dotted
+        assert all(r.served_by == "model" for r in dotted)
+        counters = service.stats()["splits"]["m.v2"]["counters"]
+        assert counters["requests"] == len(dotted)
+        assert counters["model_served"] == len(dotted)
+        exported = service.metrics.export()
+        assert exported["split.m.v2.counters.requests"] == len(dotted)
+        assert prometheus_lines(service.metrics)
+
     def test_split_survives_hot_swap_of_active(self, ab_service, tiny_network,
                                                registry, make_ranker):
         """Activating a new version must not break the split's pinned
@@ -166,14 +191,14 @@ class TestStages:
         response = service.assemble(state)
         assert response.served_by == "model"
         assert state.response is response
-        assert service.counters.requests == 1
+        assert service.counters["requests"].value == 1
 
     def test_assemble_without_recording(self, service):
         state = service.admit(RankRequest(source=0, target=5))
         service.prepare(state)
         service.score_states([state])
         service.assemble(state, record=False)
-        assert service.counters.requests == 0
+        assert service.counters["requests"].value == 0
         assert service.latency.count == 0
 
     def test_score_states_groups_by_snapshot(self, ab_service):
@@ -195,7 +220,7 @@ class TestWarmup:
                RankRequest(source=3, target=2),
                RankRequest(source=0, target=5)]
         assert service.warm_up(mix) == 2
-        assert service.counters.requests == 0
+        assert service.counters["requests"].value == 0
         assert service.latency.count == 0
         response = service.rank(RankRequest(source=0, target=5))
         assert response.candidate_cache_hit

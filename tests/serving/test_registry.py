@@ -132,7 +132,7 @@ class TestHotSwapAtomicity:
         for thread in threads:
             thread.join(timeout=60)
         assert not failures, failures[0]
-        assert service.counters.failed == 0
+        assert service.counters["failed"].value == 0
         assert registry.snapshot().generation == 41  # fixture activation + 40
 
 

@@ -213,7 +213,7 @@ def test_malformed_requests_get_structured_errors(service, request_):
     assert response.served_by == "error"
     assert response.error_code == "invalid_request"
     assert response.results == ()
-    assert service.res_counters.invalid_requests >= 1
+    assert service.res_counters["invalid_requests"].value >= 1
 
 
 def test_valid_request_is_untouched_by_validation(service):
@@ -250,7 +250,7 @@ def test_deadline_expires_at_each_stage(tiny_network, registry, make_ranker,
     assert response.served_by == "error"
     assert response.error_code == "deadline_exceeded"
     assert response.retry_after_ms is not None
-    assert service.res_counters.deadline_exceeded == 1
+    assert service.res_counters["deadline_exceeded"].value == 1
 
 
 def test_per_request_deadline_overrides_config(tiny_network, registry,
@@ -268,7 +268,7 @@ def test_no_deadline_means_no_expiry(tiny_network, registry, make_ranker):
                                 "prepare:delay=30", deadline_ms=None)
     response = service.rank(RankRequest(source=0, target=5))
     assert response.ok
-    assert service.res_counters.deadline_exceeded == 0
+    assert service.res_counters["deadline_exceeded"].value == 0
 
 
 # ----------------------------------------------------------------------
@@ -283,9 +283,9 @@ def test_single_shot_score_fault_is_retried_away(tiny_network, registry,
     service.arm_faults("score:error:count=1")
     response = service.rank(RankRequest(source=0, target=5))
     assert response.served_by == "model"
-    counters = service.res_counters
-    assert counters.retries == 1
-    assert counters.retry_successes == 1
+    counters = service.stats()["resilience"]["counters"]
+    assert counters["retries"] == 1
+    assert counters["retry_successes"] == 1
     # The breaker saw the eventual success, not the transient failure.
     assert service.breakers[0].state == "closed"
 
@@ -313,9 +313,9 @@ def test_persistent_score_fault_falls_back_and_feeds_breaker(
     degraded = service.rank(RankRequest(source=0, target=5))
     assert degraded.served_by == "fallback"
     assert degraded.error_code == "breaker_open"
-    assert service.res_counters.breaker_degraded >= 1
+    assert service.res_counters["breaker_degraded"].value >= 1
     stats = service.stats()["resilience"]
-    assert stats["breakers"]["shard-00"]["state"] == "open"
+    assert stats["breaker"]["shard-00"]["state"] == "open"
 
 
 def test_breaker_recovers_through_half_open_probes(tiny_network, registry,
@@ -372,7 +372,7 @@ def test_overflowing_queue_sheds_with_reject(tiny_network, registry,
     assert shed, "a 16-deep flood against max_queue=1 never shed"
     assert all(r.served_by == "error" for r in shed)
     assert all(r.retry_after_ms == 25.0 for r in shed)
-    assert service.res_counters.shed_rejected == len(shed)
+    assert service.res_counters["shed_rejected"].value == len(shed)
     answered = [r for r in responses if r.error_code != "shed"]
     assert all(r.ok for r in answered)
 
@@ -391,7 +391,7 @@ def test_overflowing_queue_degrades_to_fallback(tiny_network, registry,
     # Degrade answers with the shortest-path fallback, not an error.
     assert all(r.served_by == "fallback" for r in degraded)
     assert all(r.results for r in degraded)
-    assert service.res_counters.shed_degraded == len(degraded)
+    assert service.res_counters["shed_degraded"].value == len(degraded)
 
 
 def test_unbounded_queue_never_sheds(tiny_network, registry, make_ranker):
@@ -403,8 +403,8 @@ def test_unbounded_queue_never_sheds(tiny_network, registry, make_ranker):
             [RankRequest(source=0, target=5, request_id=i)
              for i in range(32)])
     assert all(r.ok for r in responses)
-    assert service.res_counters.shed_rejected == 0
-    assert service.res_counters.shed_degraded == 0
+    assert service.res_counters["shed_rejected"].value == 0
+    assert service.res_counters["shed_degraded"].value == 0
 
 
 def test_ticket_result_raises_structured_deadline(tiny_network, registry,
@@ -490,7 +490,7 @@ def test_dormant_resilience_keeps_exact_parity(tiny_network, registry,
                 == [p.path.vertices for p in theirs.results]
             assert [p.score for p in mine.results] \
                 == pytest.approx([p.score for p in theirs.results])
-    counters = armed.res_counters.as_dict()
+    counters = armed.stats()["resilience"]["counters"]
     assert all(v == 0 for v in counters.values())
     with ServingEngine(armed, concurrency=4,
                        flush_deadline_ms=2.0) as engine:

@@ -73,7 +73,7 @@ class TestFallback:
         assert response.model_version is None
         expected = shortest_path(tiny_network, 0, 5)
         assert response.top.path.vertices == expected.vertices
-        assert empty_service.counters.fallback_served == 1
+        assert empty_service.counters["fallback_served"].value == 1
 
     def test_no_model_skips_candidate_generation(self, empty_service):
         empty_service.rank(RankRequest(source=0, target=5))
@@ -98,7 +98,7 @@ class TestFallback:
         assert response.served_by == "error"
         assert not response.ok
         assert response.results == ()
-        assert service.counters.failed == 1
+        assert service.counters["failed"].value == 1
 
     def test_unreachable_target_is_an_error_response(self, tmp_path,
                                                     candidates_config):
@@ -124,7 +124,7 @@ class TestLifecycle:
                                          make_ranker):
         registry.publish(make_ranker(tiny_network, seed=9), version="v0002")
         service.activate("v0002")
-        assert service.counters.hot_swaps == 1
+        assert service.counters["hot_swaps"].value == 1
         response = service.rank(RankRequest(source=0, target=5))
         assert response.model_version == "v0002"
 

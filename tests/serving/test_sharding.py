@@ -345,7 +345,7 @@ class TestShardedService:
         assert warmed == 2
         assert sharded_service.lane(0).candidate_cache.stats.misses == 1
         assert sharded_service.lane(1).candidate_cache.stats.misses == 1
-        assert sharded_service.counters.requests == 0  # off the books
+        assert sharded_service.counters["requests"].value == 0  # off the books
 
     def test_stats_expose_shard_plane(self, sharded_service):
         sharded_service.rank(RankRequest(source=0, target=5))
@@ -481,9 +481,11 @@ class TestLaneQuotaTracking:
 class TestAccountingEdges:
     def test_routing_failure_not_charged_to_shard_zero(self, sharded_service):
         sharded_service.rank(RankRequest(source=0, target=999))
-        assert sharded_service.shard_metrics.requests_for(0) == 0
+        assert "shard.shard-00.requests" not in \
+            sharded_service.metrics.export()
         sharded_service.rank(RankRequest(source=0, target=2))
-        assert sharded_service.shard_metrics.requests_for(0) == 1
+        assert sharded_service.metrics.export()[
+            "shard.shard-00.requests"] == 1
 
     def test_budget_below_shard_count_rejected(self, tmp_path, tiny_network,
                                                tiny_partition):

@@ -1,24 +1,28 @@
 """Telemetry reads under fire: stats()/export() hammered from reader
 threads while the engine serves a workload.
 
-The satellite fix this guards: every tracker snapshot
-(``LatencyTracker``, ``ServiceCounters``, ``OccupancyTracker``,
-``ShardMetrics``) now happens under its lock, so a reader can never
-observe a torn view (e.g. a count that includes a sample the total
-doesn't), and the registry's export is safe to call at any moment.
+Every count lives in one ``repro.obs`` instrument that ``stats()`` and
+``export()`` both read, each instrument snapshots under its own lock,
+and the registry's export is safe to call at any moment.  The service
+bumps ``serving.requests`` before ``serving.latency`` observes and both
+readers take the histogram first, so the latency count can never run
+ahead of the request count.
 """
 
 import json
+import sys
 import threading
 
 import pytest
 
+from repro.graph import GraphPartition
 from repro.obs.export import prometheus_lines
 from repro.serving import (
     RankingService,
     RankRequest,
     ServingConfig,
     ServingEngine,
+    ShardedRegistry,
 )
 
 ALL_PAIRS = [(s, t) for s in range(6) for t in range(6) if s != t]
@@ -55,12 +59,15 @@ class TestStatsUnderConcurrency:
                     json.dumps(exported)
                     prometheus_lines(engine.service.metrics)
                     seen.append(exported["serving.requests"])
-                    # Torn tracker reads would show a latency count
-                    # ahead of the request counter or a negative mean.
+                    # Holds by construction: requests is bumped before
+                    # latency observes, and stats()/export() read the
+                    # histogram before the counter.
                     assert stats["latency"]["count"] \
                         <= stats["counters"]["requests"]
-                    assert engine.service.latency.mean_ms >= 0.0
-                    assert engine.occupancy.flushes >= 0
+                    assert exported["serving.latency.count"] \
+                        <= exported["serving.requests"]
+                    assert stats["latency"]["mean_ms"] >= 0.0
+                    assert engine.occupancy()["flushes"] >= 0
             except BaseException as exc:  # noqa: BLE001 - recorded for assert
                 errors.append(exc)
             finally:
@@ -99,3 +106,59 @@ class TestStatsUnderConcurrency:
         assert exported["serving.requests"] == len(requests)
         assert exported["serving.latency.count"] == len(requests)
         assert stats["latency"]["count"] == len(requests)
+
+    def test_split_and_shard_books_lose_no_update(
+            self, tmp_path, tiny_network, make_ranker, candidates_config):
+        """Six threads race to create and bump the lazily made per-split
+        and per-shard books under a tiny switch interval: every request
+        must land in exactly one split and one shard row."""
+        assignment = {vid: (0 if vid in {0, 1, 2} else 1)
+                      for vid in tiny_network.vertex_ids()}
+        registry = ShardedRegistry(
+            tmp_path / "shards", tiny_network,
+            GraphPartition(tiny_network, assignment),
+            candidate_cache_size=64, score_cache_size=256)
+        registry.publish(make_ranker(tiny_network, seed=1),
+                         version="v0001", activate=True)
+        registry.publish(make_ranker(tiny_network, seed=2), version="v0002")
+        service = RankingService(tiny_network, registry, ServingConfig(
+            candidates=candidates_config,
+            traffic_split={"v0001": 0.5, "v0002": 0.5}))
+        # Load the split target before the race: numpy parses .npy
+        # headers with ast.literal_eval, which CPython 3.11 can fail
+        # ("AST constructor recursion depth mismatch") when threads
+        # switch every microsecond.
+        for shard_id in registry.shard_ids():
+            registry.registry(shard_id).resolve("v0002")
+        clients, rounds = 6, 2
+        start = threading.Barrier(clients)
+
+        def client(offset: int) -> None:
+            start.wait(timeout=30.0)
+            for i, (s, t) in enumerate(ALL_PAIRS * rounds):
+                service.rank(RankRequest(source=s, target=t,
+                                         request_id=offset * 1000 + i))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(c,))
+                       for c in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        total = clients * rounds * len(ALL_PAIRS)
+        stats = service.stats()
+        assert stats["counters"]["requests"] == total
+        assert stats["latency"]["count"] == total
+        splits = stats["splits"].values()
+        assert sum(s["counters"]["requests"] for s in splits) == total
+        assert all(s["latency"]["count"] == s["counters"]["requests"]
+                   for s in splits)
+        rows = stats["sharding"]["per_shard"]
+        assert sum(row["requests"]["requests"]
+                   for row in rows.values()) == total
