@@ -96,14 +96,15 @@ class TrainingHistory:
 
 
 def flatten_queries(
-    queries: Sequence[RankingQuery], with_aux: bool = False
+    queries: Sequence[RankingQuery], with_aux: bool = False, *, rank_margin: float
 ):
     """Per-query training material.
 
     Returns a list of ``(paths, targets, pair_indices)`` triples, one per
     query: ``targets`` is ``(n,)`` scores or ``(n, 3)`` with auxiliary
     columns (similarity, length ratio, time ratio); ``pair_indices`` is a
-    ``(p, 2)`` int array of (better, worse) candidate positions.
+    ``(p, 2)`` int array of (better, worse) candidate positions whose true
+    scores differ by more than ``rank_margin`` (see :func:`_pairs_within`).
     """
     if not queries:
         raise TrainingError("no queries to train on")
@@ -123,21 +124,14 @@ def flatten_queries(
             targets = aux
         else:
             targets = scores
-        material.append((paths, targets, scores))
+        material.append((paths, targets, _pairs_within(scores, rank_margin)))
     return material
 
 
 def _pairs_within(scores: np.ndarray, margin: float) -> np.ndarray:
-    """(better, worse) index pairs with a true-score gap above margin."""
-    better, worse = [], []
-    n = scores.size
-    for i in range(n):
-        for j in range(n):
-            if scores[i] > scores[j] + margin:
-                better.append(i)
-                worse.append(j)
-    if not better:
-        return np.zeros((0, 2), dtype=np.int64)
+    """(better, worse) index pairs with a true-score gap above margin,
+    in row-major order (by ``better``, then ``worse``)."""
+    better, worse = np.nonzero(scores[:, None] > scores[None, :] + margin)
     return np.column_stack([better, worse]).astype(np.int64)
 
 
@@ -177,18 +171,11 @@ class Trainer:
             loss = self._loss(predictions, Tensor(targets))
 
         if config.rank_weight > 0:
-            better_idx: list[int] = []
-            worse_idx: list[int] = []
-            offset = 0
-            for qpaths, _, scores in batch:
-                pairs = _pairs_within(scores, config.rank_margin)
-                if pairs.size:
-                    better_idx.extend((pairs[:, 0] + offset).tolist())
-                    worse_idx.extend((pairs[:, 1] + offset).tolist())
-                offset += len(qpaths)
-            if better_idx:
-                gap = predictions[np.asarray(better_idx)] \
-                    - predictions[np.asarray(worse_idx)]
+            offsets = np.cumsum([0] + [len(qpaths) for qpaths, _, _ in batch[:-1]])
+            pairs = np.concatenate([qpairs + offset
+                                    for (_, _, qpairs), offset in zip(batch, offsets)])
+            if pairs.size:
+                gap = predictions[pairs[:, 0]] - predictions[pairs[:, 1]]
                 # Logistic pairwise loss: -log sigmoid(scale * gap).
                 margin_logit = (gap * config.rank_scale).sigmoid()
                 pair_loss = (0.0 - margin_logit.clip(1e-9, 1.0).log()).mean()
@@ -225,11 +212,13 @@ class Trainer:
         the best epoch are restored before returning.
         """
         config = self.config
-        material = flatten_queries(train_queries, with_aux=self.is_multitask)
+        material = flatten_queries(train_queries, with_aux=self.is_multitask,
+                                   rank_margin=config.rank_margin)
         validation_material = None
         if validation_queries:
             validation_material = flatten_queries(validation_queries,
-                                                  with_aux=self.is_multitask)
+                                                  with_aux=self.is_multitask,
+                                                  rank_margin=config.rank_margin)
 
         parameters = self.model.parameters(trainable_only=True)
         if not parameters:

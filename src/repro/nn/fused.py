@@ -2,8 +2,8 @@
 
 The autograd :class:`~repro.nn.tensor.Tensor` layer is the *reference*
 forward implementation: every operation builds (or at least dispatches
-through) the computation-graph machinery, the GRU advances one timestep
-at a time through ~30 small Tensor ops, and each op allocates fresh
+through) the computation-graph machinery, the embedding, projections,
+pooling and head are separate Tensor ops, and each op allocates fresh
 arrays.  That is exactly what training needs and far more than inference
 needs — under ``no_grad`` the bookkeeping is pure overhead, and online
 serving pays it per request.
@@ -55,6 +55,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ConfigError, ShapeError
+from repro.nn.tensor import stable_sigmoid
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.nn.module import Module
@@ -74,22 +75,6 @@ __all__ = [
 #: float64 headroom the gradient checks require, and halving the memory
 #: traffic is most of the point of a fused kernel.
 DEFAULT_COMPILE_DTYPE = np.float32
-
-
-def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Numerically-stable sigmoid written into ``out`` (may alias ``x``).
-
-    Uses the identity ``sigmoid(x) = (tanh(x / 2) + 1) / 2``: ``tanh``
-    saturates instead of overflowing, so this is as stable as the
-    piecewise ``e^{-|x|}`` formulation of ``Tensor.sigmoid`` while
-    costing four ufunc calls instead of eight — the recurrence runs this
-    twice per gate block per timestep, so call count matters.
-    """
-    np.multiply(x, 0.5, out=out)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
 
 
 class _Workspace:
@@ -233,7 +218,7 @@ class CompiledPathRank:
             step_input = gates_input[t]
             # r = sigmoid(i_r + h_r), z = sigmoid(i_z + h_z) in one shot.
             np.add(step_input[:, :two_h], gates_hidden[:, :two_h], out=gate_rz)
-            _sigmoid_into(gate_rz, gate_rz)
+            stable_sigmoid(gate_rz, gate_rz)
             # n = tanh(i_n + r * (h W_hn + b_hn))
             np.add(gates_hidden[:, two_h:], b_hn, out=hidden_n)
             np.multiply(gate_rz[:, :hidden], hidden_n, out=candidate)
@@ -310,7 +295,7 @@ class CompiledPathRank:
         logits += self.fc2_bias
         flat = logits.reshape(batch)
         scores = workspace.get("scores", (batch,), dtype)
-        _sigmoid_into(flat, scores)
+        stable_sigmoid(flat, scores)
         result = scores.astype(np.float64)
         elapsed = time.perf_counter() - began
         with self._profile_lock:

@@ -6,6 +6,14 @@ architecture figure).  Sequences in a batch have different lengths, so
 all recurrences here are *masked*: padded steps propagate the previous
 hidden state unchanged, which makes the final hidden state of every
 sequence the state at its own last real vertex.
+
+:class:`GRU` runs a whole direction as one autograd node
+(:func:`repro.nn.functional.gru_sequence`, hand-derived BPTT), so a
+forward pass records the same handful of nodes at any sequence length;
+the backward direction of :class:`BiGRU` is the same node with
+``reverse=True``.  :meth:`GRUCell.step` keeps the gate maths as
+primitive ops: the reference the fused node is tested against.
+:class:`LSTM` stays a per-step composite of primitive ops.
 """
 
 from __future__ import annotations
@@ -73,10 +81,10 @@ class GRUCell(Module):
         """Advance one step from *precomputed* input-side gates.
 
         ``gates_input`` is ``x @ W_ih + b_ih`` of shape
-        ``(batch, 3 * hidden)``.  :class:`GRU` hoists that projection out
-        of the time loop (one matmul for the whole sequence) and calls
-        this directly; :meth:`forward` keeps the classic per-step
-        contract.
+        ``(batch, 3 * hidden)``.  Built from primitive ops, this is the
+        reference that :func:`repro.nn.functional.gru_sequence` (what
+        :class:`GRU` runs) must match step for step; :meth:`forward`
+        keeps the classic per-step contract.
         """
         gates_hidden = h @ self.weight_hh + self.bias_hh
         i_r, i_z, i_n = F.chunk(gates_input, 3, axis=-1)
@@ -109,7 +117,11 @@ class GRU(Module):
         inputs: Tensor,
         mask: np.ndarray | None = None,
         h0: Tensor | None = None,
+        reverse: bool = False,
     ) -> tuple[Tensor, Tensor]:
+        """``reverse`` runs the recurrence from the last step to the
+        first; ``outputs`` stays aligned with ``inputs`` either way, and
+        ``final`` is the state after the last step processed."""
         if inputs.ndim != 3 or inputs.shape[2] != self.input_size:
             raise ShapeError(
                 f"GRU expected (steps, batch, {self.input_size}), got {inputs.shape}"
@@ -123,33 +135,25 @@ class GRU(Module):
             raise ShapeError(
                 f"GRU expected h0 ({batch}, {self.hidden_size}), got {h0.shape}"
             )
-        hidden = h0 if h0 is not None else self.cell.initial_state(batch)
         # Hoist the input projection out of the recurrence: one
-        # (steps * batch, input) matmul for the whole sequence instead of
-        # ``steps`` small ones; only h @ W_hh stays inside the loop.
+        # (steps * batch, input) matmul for the whole sequence; only
+        # h @ W_hh stays inside the loop of the fused recurrence node.
         cell = self.cell
         flat = inputs.reshape(steps * batch, self.input_size)
         gates_input = (flat @ cell.weight_ih + cell.bias_ih).reshape(
             steps, batch, 3 * self.hidden_size)
-        outputs: list[Tensor] = []
-        for t in range(steps):
-            updated = cell.step(gates_input[t], hidden)
-            if mask is None:
-                hidden = updated
-            else:
-                step_mask = Tensor(mask[t][:, None])
-                hidden = step_mask * updated + (1.0 - step_mask) * hidden
-            outputs.append(hidden)
-        return F.stack(outputs, axis=0), hidden
+        outputs = F.gru_sequence(gates_input, cell.weight_hh, cell.bias_hh,
+                                 mask=mask, h0=h0, reverse=reverse)
+        return outputs, outputs[0 if reverse else steps - 1]
 
 
 class BiGRU(Module):
     """Bidirectional GRU; summaries are the concatenated final states.
 
-    The backward direction consumes the *reversed* sequence together with
-    the reversed mask; padded steps (mask 0) simply carry the zero state
-    until the sequence's real suffix begins, so no re-alignment of padded
-    batches is needed for the final state.
+    The backward direction runs the same recurrence from the last step
+    to the first (``reverse=True``); padded steps (mask 0) simply carry
+    the zero state until the sequence's real suffix begins, so neither
+    the sequence nor the outputs need re-aligning.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: RngLike = None) -> None:
@@ -170,16 +174,12 @@ class BiGRU(Module):
     ) -> tuple[Tensor, Tensor]:
         """Return ``(outputs, summary)``.
 
-        ``outputs`` is ``(steps, batch, 2*hidden)`` with the backward
-        stream re-reversed so both streams align per time step;
-        ``summary`` is ``(batch, 2*hidden)``.
+        ``outputs`` is ``(steps, batch, 2*hidden)``, both streams aligned
+        per time step; ``summary`` is ``(batch, 2*hidden)``.
         """
         forward_out, forward_final = self.forward_gru(inputs, mask=mask)
-        reversed_inputs = inputs[::-1]
-        reversed_mask = mask[::-1] if mask is not None else None
-        backward_out, backward_final = self.backward_gru(reversed_inputs, mask=reversed_mask)
-        aligned_backward = backward_out[::-1]
-        outputs = F.concat([forward_out, aligned_backward], axis=2)
+        backward_out, backward_final = self.backward_gru(inputs, mask=mask, reverse=True)
+        outputs = F.concat([forward_out, backward_out], axis=2)
         summary = F.concat([forward_final, backward_final], axis=1)
         return outputs, summary
 

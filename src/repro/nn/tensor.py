@@ -17,6 +17,16 @@ Design notes
   the usual deep-learning-framework contract.
 * ``float64`` is the default dtype: the test-suite validates every
   operator against central finite differences, which needs the headroom.
+* Backward closures capture their inputs, never their own output, and
+  route adjoints through the free function :func:`_send`; so a graph is
+  acyclic and reference counting frees it as soon as the last output is
+  dropped, without waiting for the cyclic collector.
+* An op may be a whole computation, not one arithmetic step: a fused op
+  (e.g. :func:`repro.nn.functional.gru_sequence`) is one node whose
+  backward is hand-derived.  Such an op has a composite reference built
+  from the primitive ops, kept in the tests, that it must match.
+* :func:`stable_sigmoid` is the one sigmoid of the package: ``Tensor``,
+  the fused GRU recurrence and the inference kernel all call it.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ import numpy as np
 
 from repro.errors import GradientError, ShapeError
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor", "stable_sigmoid"]
 
 _GRAD_ENABLED = True
 
@@ -73,6 +83,53 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically-stable sigmoid, written into ``out`` (may alias ``x``).
+
+    Uses the identity ``sigmoid(x) = (tanh(x / 2) + 1) / 2``: ``tanh``
+    saturates instead of overflowing, and the four ufunc calls beat the
+    piecewise ``e^{-|x|}`` formulation's eight — recurrences run this
+    once per gate block per timestep, so call count matters.
+    """
+    if out is None:
+        out = np.empty_like(x)
+    np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def _send(parent: "Tensor", grad: np.ndarray) -> None:
+    """Route ``grad`` to ``parent`` during a backward pass.
+
+    Leaves accumulate into ``.grad``; interior nodes stage the adjoint in
+    the traversal's dictionary so each op's backward runs exactly once
+    with the full adjoint.  A free function, so that no backward closure
+    needs a reference to its own output: every graph node stays acyclic
+    and is freed by reference counting the moment the graph is dropped.
+    """
+    if not parent.requires_grad:
+        return
+    if parent._backward is None:
+        parent._accumulate(grad)
+        return
+    assert _ACTIVE_ADJOINTS is not None, "_send outside an active backward pass"
+    existing = _ACTIVE_ADJOINTS.get(id(parent))
+    _ACTIVE_ADJOINTS[id(parent)] = grad if existing is None else existing + grad
+
+
+def _is_basic_index(index: object) -> bool:
+    """True for ints, slices, ``None`` and ``...`` (alone or in a tuple):
+    indices that address every selected element at most once."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        item is None or item is Ellipsis or isinstance(item, slice)
+        or (isinstance(item, (int, np.integer)) and not isinstance(item, bool))
+        for item in items
+    )
+
+
 def _coerce_array(data: object, dtype: np.dtype | None) -> np.ndarray:
     array = np.asarray(data, dtype=dtype if dtype is not None else None)
     if array.dtype.kind in "iub":  # integers/bools promote to float for autodiff
@@ -94,7 +151,8 @@ class Tensor:
         :meth:`backward` runs on a descendant.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name",
+                 "__weakref__")
 
     def __init__(
         self,
@@ -248,22 +306,6 @@ class Tensor:
         order.reverse()
         return order
 
-    def _send(self, parent: "Tensor", grad: np.ndarray) -> None:
-        """Route ``grad`` to ``parent`` during a backward pass.
-
-        Leaves accumulate into ``.grad``; interior nodes stage the adjoint
-        in the traversal's dictionary so each op's backward runs exactly
-        once with the full adjoint.
-        """
-        if not parent.requires_grad:
-            return
-        if parent._backward is None:
-            parent._accumulate(grad)
-            return
-        assert _ACTIVE_ADJOINTS is not None, "_send outside an active backward pass"
-        existing = _ACTIVE_ADJOINTS.get(id(parent))
-        _ACTIVE_ADJOINTS[id(parent)] = grad if existing is None else existing + grad
-
     # ------------------------------------------------------------------
     # Arithmetic ops (broadcast-aware)
     # ------------------------------------------------------------------
@@ -280,12 +322,11 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if a.requires_grad:
-                out._send(a, unbroadcast(grad_a(g, a.data, b.data), a.shape))
+                _send(a, unbroadcast(grad_a(g, a.data, b.data), a.shape))
             if b.requires_grad:
-                out._send(b, unbroadcast(grad_b(g, a.data, b.data), b.shape))
+                _send(b, unbroadcast(grad_b(g, a.data, b.data), b.shape))
 
-        out = Tensor._make(data, (a, b), backward)
-        return out
+        return Tensor._make(data, (a, b), backward)
 
     def __add__(self, other: "Tensor | float") -> "Tensor":
         return self._binary(other, np.add, lambda g, a, b: g, lambda g, a, b: g)
@@ -318,10 +359,9 @@ class Tensor:
         a = self
 
         def backward(g: np.ndarray) -> None:
-            out._send(a, -g)
+            _send(a, -g)
 
-        out = Tensor._make(-a.data, (a,), backward)
-        return out
+        return Tensor._make(-a.data, (a,), backward)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
@@ -330,10 +370,9 @@ class Tensor:
         data = a.data**exponent
 
         def backward(g: np.ndarray) -> None:
-            out._send(a, g * exponent * a.data ** (exponent - 1))
+            _send(a, g * exponent * a.data ** (exponent - 1))
 
-        out = Tensor._make(data, (a,), backward)
-        return out
+        return Tensor._make(data, (a,), backward)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         a, b = self, as_tensor(other)
@@ -344,25 +383,24 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             if a.ndim == 1 and b.ndim == 1:  # inner product
                 if a.requires_grad:
-                    out._send(a, g * b.data)
+                    _send(a, g * b.data)
                 if b.requires_grad:
-                    out._send(b, g * a.data)
+                    _send(b, g * a.data)
                 return
             if a.requires_grad:
                 if b.ndim == 1:
                     ga = np.outer(g, b.data) if a.ndim == 2 else g[..., None] * b.data
                 else:
                     ga = g @ np.swapaxes(b.data, -1, -2)
-                out._send(a, unbroadcast(ga, a.shape))
+                _send(a, unbroadcast(ga, a.shape))
             if b.requires_grad:
                 if a.ndim == 1:
                     gb = np.outer(a.data, g)
                 else:
                     gb = np.swapaxes(a.data, -1, -2) @ g
-                out._send(b, unbroadcast(gb, b.shape))
+                _send(b, unbroadcast(gb, b.shape))
 
-        out = Tensor._make(data, (a, b), backward)
-        return out
+        return Tensor._make(data, (a, b), backward)
 
     # ------------------------------------------------------------------
     # Elementwise non-linearities
@@ -377,10 +415,9 @@ class Tensor:
         data = forward(a.data)
 
         def backward(g: np.ndarray) -> None:
-            out._send(a, grad_fn(g, a.data, data))
+            _send(a, grad_fn(g, a.data, data))
 
-        out = Tensor._make(data, (a,), backward)
-        return out
+        return Tensor._make(data, (a,), backward)
 
     def exp(self) -> "Tensor":
         return self._unary(np.exp, lambda g, x, y: g * y)
@@ -395,16 +432,7 @@ class Tensor:
         return self._unary(np.tanh, lambda g, x, y: g * (1.0 - y * y))
 
     def sigmoid(self) -> "Tensor":
-        def forward(x: np.ndarray) -> np.ndarray:
-            # Numerically stable piecewise sigmoid.
-            positive = x >= 0
-            result = np.empty_like(x)
-            result[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-            ex = np.exp(x[~positive])
-            result[~positive] = ex / (1.0 + ex)
-            return result
-
-        return self._unary(forward, lambda g, x, y: g * y * (1.0 - y))
+        return self._unary(stable_sigmoid, lambda g, x, y: g * y * (1.0 - y))
 
     def relu(self) -> "Tensor":
         return self._unary(
@@ -435,10 +463,9 @@ class Tensor:
                 axes = (axis,) if isinstance(axis, int) else axis
                 for ax in sorted(ax % a.ndim for ax in axes):
                     grad = np.expand_dims(grad, ax)
-            out._send(a, np.broadcast_to(grad, a.shape).copy())
+            _send(a, np.broadcast_to(grad, a.shape).copy())
 
-        out = Tensor._make(data, (a,), backward)
-        return out
+        return Tensor._make(data, (a,), backward)
 
     def mean(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -460,10 +487,9 @@ class Tensor:
             mask = (a.data == expanded).astype(a.data.dtype)
             # Split the adjoint between ties, matching the subgradient convention.
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            out._send(a, np.broadcast_to(grad_out, a.shape) * mask / counts)
+            _send(a, np.broadcast_to(grad_out, a.shape) * mask / counts)
 
-        out = Tensor._make(data, (a,), backward)
-        return out
+        return Tensor._make(data, (a,), backward)
 
     def min(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         return -((-self).max(axis=axis, keepdims=keepdims))
@@ -478,10 +504,9 @@ class Tensor:
         data = a.data.reshape(shape)
 
         def backward(g: np.ndarray) -> None:
-            out._send(a, g.reshape(a.shape))
+            _send(a, g.reshape(a.shape))
 
-        out = Tensor._make(data, (a,), backward)
-        return out
+        return Tensor._make(data, (a,), backward)
 
     def transpose(self, *axes: int) -> "Tensor":
         a = self
@@ -490,10 +515,9 @@ class Tensor:
         inverse = np.argsort(order)
 
         def backward(g: np.ndarray) -> None:
-            out._send(a, g.transpose(inverse))
+            _send(a, g.transpose(inverse))
 
-        out = Tensor._make(data, (a,), backward)
-        return out
+        return Tensor._make(data, (a,), backward)
 
     @property
     def T(self) -> "Tensor":  # noqa: N802 - numpy-compatible alias
@@ -505,11 +529,13 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             grad = np.zeros_like(a.data)
-            np.add.at(grad, index, g)
-            out._send(a, grad)
+            if _is_basic_index(index):
+                grad[index] = g
+            else:  # integer arrays may repeat an index: scatter-add
+                np.add.at(grad, index, g)
+            _send(a, grad)
 
-        out = Tensor._make(np.ascontiguousarray(data), (a,), backward)
-        return out
+        return Tensor._make(np.ascontiguousarray(data), (a,), backward)
 
     def take_rows(self, indices: np.ndarray) -> "Tensor":
         """Gather rows by integer index — the embedding-lookup primitive.

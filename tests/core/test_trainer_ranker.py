@@ -39,21 +39,36 @@ def small_setup():
 class TestFlattenAndPairs:
     def test_flatten_counts(self, small_setup):
         _, _, queries = small_setup
-        material = flatten_queries(queries)
+        material = flatten_queries(queries, rank_margin=0.05)
         assert len(material) == len(queries)
-        paths, targets, scores = material[0]
-        assert len(paths) == targets.shape[0] == scores.shape[0]
+        paths, targets, pairs = material[0]
+        assert len(paths) == targets.shape[0]
+        assert pairs.ndim == 2 and pairs.shape[1] == 2 and pairs.dtype == np.int64
+
+    def test_flatten_returns_pair_indices(self, small_setup):
+        _, _, queries = small_setup
+        for margin in (0.0, 0.05, 0.2):
+            for query, (_, targets, pairs) in zip(
+                    queries, flatten_queries(queries, rank_margin=margin)):
+                np.testing.assert_array_equal(targets, query.scores())
+                np.testing.assert_array_equal(
+                    pairs, _pairs_within(np.array(query.scores()), margin))
+
+    def test_flatten_requires_rank_margin(self, small_setup):
+        _, _, queries = small_setup
+        with pytest.raises(TypeError):
+            flatten_queries(queries)
 
     def test_flatten_with_aux_columns(self, small_setup):
         _, _, queries = small_setup
-        material = flatten_queries(queries, with_aux=True)
+        material = flatten_queries(queries, with_aux=True, rank_margin=0.05)
         _, targets, _ = material[0]
         assert targets.ndim == 2 and targets.shape[1] == 3
         assert np.all(targets[:, 1:] <= 1.0 + 1e-9)
 
     def test_flatten_empty_rejected(self):
         with pytest.raises(TrainingError):
-            flatten_queries([])
+            flatten_queries([], rank_margin=0.05)
 
     def test_pairs_within_margin(self):
         pairs = _pairs_within(np.array([0.9, 0.5, 0.52]), margin=0.05)
@@ -63,6 +78,13 @@ class TestFlattenAndPairs:
 
     def test_pairs_empty_when_constant(self):
         assert _pairs_within(np.array([0.5, 0.5]), margin=0.05).shape == (0, 2)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pairs_follow_the_double_loop_order(self, seed):
+        scores = np.round(np.random.default_rng(seed).random(7), 2)
+        expected = [(i, j) for i in range(7) for j in range(7)
+                    if scores[i] > scores[j] + 0.05]
+        assert [tuple(p) for p in _pairs_within(scores, 0.05).tolist()] == expected
 
 
 class TestTrainer:

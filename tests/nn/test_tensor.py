@@ -1,11 +1,14 @@
 """Unit tests for the autodiff tensor core."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.errors import GradientError, ShapeError
-from repro.nn import Tensor, as_tensor, is_grad_enabled, no_grad
-from repro.nn.tensor import unbroadcast
+from repro.nn import GRU, Tensor, as_tensor, fused, is_grad_enabled, no_grad
+from repro.nn.tensor import stable_sigmoid, unbroadcast
 
 
 def leaf(data, requires_grad=True):
@@ -238,6 +241,14 @@ class TestUnaryOps:
         }[name]
         np.testing.assert_allclose(t.data, reference(x), rtol=1e-12)
 
+    def test_one_sigmoid_for_tensor_and_fused_kernel(self):
+        x = np.linspace(-30.0, 30.0, 61)
+        assert fused.stable_sigmoid is stable_sigmoid
+        np.testing.assert_array_equal(leaf(x).sigmoid().data, stable_sigmoid(x))
+        out = x.copy()
+        assert stable_sigmoid(out, out) is out
+        np.testing.assert_array_equal(out, stable_sigmoid(x))
+
     def test_sigmoid_extreme_values_stable(self):
         t = leaf([-1000.0, 1000.0]).sigmoid()
         np.testing.assert_allclose(t.data, [0.0, 1.0], atol=1e-12)
@@ -347,6 +358,24 @@ class TestShapeOps:
         x[np.array([0, 0, 2])].sum().backward()
         np.testing.assert_allclose(x.grad, [[2, 2], [0, 0], [1, 1]])
 
+    def test_getitem_nested_integer_arrays_accumulate(self):
+        x = leaf(np.zeros((3, 2)))
+        x[np.array([[1, 1], [1, 0]]), np.array([0, 1])].sum().backward()
+        np.testing.assert_allclose(x.grad, [[0, 1], [2, 1], [0, 0]])
+
+    @pytest.mark.parametrize("index", [
+        1, -1, np.int64(2), slice(1, 3), slice(None, None, -2), (1, slice(0, 2)),
+        (slice(None), 2), (Ellipsis, 1), (None, 0), (slice(1, None), None, -1),
+    ], ids=repr)
+    def test_getitem_basic_index_gradient_is_the_scatter_add(self, index):
+        data = np.arange(24.0).reshape(4, 3, 2)
+        x = leaf(data)
+        seed = np.random.default_rng(0).normal(size=data[index].shape)
+        x[index].backward(seed)
+        expected = np.zeros_like(data)
+        np.add.at(expected, index, seed)
+        np.testing.assert_array_equal(x.grad, expected)
+
     def test_take_rows_requires_integers(self):
         with pytest.raises(TypeError):
             leaf(np.zeros((3, 2))).take_rows(np.array([0.5]))
@@ -354,6 +383,31 @@ class TestShapeOps:
     def test_take_rows_matches_getitem(self):
         x = leaf(np.arange(6.0).reshape(3, 2))
         np.testing.assert_allclose(x.take_rows(np.array([2, 0])).data, [[4, 5], [0, 1]])
+
+
+class TestGraphLifetime:
+    """A backward closure never references its own output, so a graph
+    holds no reference cycle and dies with its last reference."""
+
+    def test_loss_is_freed_without_the_cycle_collector(self):
+        rng = np.random.default_rng(0)
+        gru = GRU(3, 4, rng=0)
+        x = leaf(rng.normal(size=(5, 2, 3)))
+        mask = np.ones((5, 2))
+        mask[3:, 1] = 0.0
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            outputs, final = gru(x, mask=mask)
+            loss = ((outputs * outputs).mean() + final.sigmoid().sum()
+                    + x[1:, 0].sum() + x[np.array([0, 0])].sum())
+            loss.backward()
+            refs = [weakref.ref(t) for t in (loss, outputs, final)]
+            del loss, outputs, final
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestNoGrad:
