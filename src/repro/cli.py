@@ -16,12 +16,6 @@ without writing Python::
         --queries-file /tmp/queries.json --json \
         --concurrency 8 --flush-deadline-ms 2 --split v0001=3,v0002=1 \
         --shards 4 --partition-method voronoi
-    python -m repro.cli bench-serve --network /tmp/net.json \
-        --model /tmp/model.npz --requests 200 --hotspots 20 \
-        --concurrency 32 --qps 500
-    python -m repro.cli bench-serve --network /tmp/net.json \
-        --model /tmp/model.npz --concurrency 16 --deadline-ms 50 \
-        --max-queue 64 --shed-policy degrade --fault-spec 'score@1:error'
     python -m repro.cli od-matrix --network /tmp/net.json \
         --origins 3,9,12 --destinations 47,58 --cost travel_time
     python -m repro.cli service-area --network /tmp/net.json \
@@ -58,12 +52,7 @@ from repro.serving import (
     ServingConfig,
     ServingEngine,
     ShardedRegistry,
-    WorkloadConfig,
-    generate_timed_workload,
-    generate_workload,
-    replay_open_loop,
-    run_engine_workload,
-    run_workload,
+    parse_fault_spec,
 )
 from repro.serving.resilience import SHED_POLICIES
 from repro.obs.export import (
@@ -96,19 +85,6 @@ def _flush_deadline(text: str):
         raise argparse.ArgumentTypeError(
             f"expected a number of milliseconds or 'auto', got {text!r}"
         ) from None
-
-
-def _add_execution_flags(subparser: argparse.ArgumentParser) -> None:
-    """Execution-plane flags shared by ``serve`` and ``bench-serve``."""
-    subparser.add_argument("--execution",
-                           choices=("inline", "threads", "processes"),
-                           default="inline",
-                           help="execution plane: inline (default), "
-                                "threads (parallel scoring groups), or "
-                                "processes (worker pool over shared-memory "
-                                "CSR + weights)")
-    subparser.add_argument("--workers", type=int, default=2,
-                           help="worker processes for --execution processes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,52 +181,45 @@ def build_parser() -> argparse.ArgumentParser:
                        help="partitioner behind --shards")
     serve.add_argument("--json", action="store_true",
                        help="print responses and stats as JSON")
-    _add_execution_flags(serve)
-    _add_trace_flags(serve)
-    _add_resilience_flags(serve)
-
-    bench = commands.add_parser(
-        "bench-serve", help="replay a Zipf-skewed hotspot workload, report JSON")
-    bench.add_argument("--network", required=True)
-    bench.add_argument("--model", required=True)
-    bench.add_argument("--requests", type=int, default=200)
-    bench.add_argument("--hotspots", type=int, default=20)
-    bench.add_argument("--zipf", type=float, default=1.1)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--strategy", choices=[s.value for s in Strategy],
-                       default="D-TkDI")
-    bench.add_argument("--k", type=int, default=5)
-    bench.add_argument("--batch-size", type=int, default=8)
-    bench.add_argument("--cache-size", type=int, default=1024)
-    bench.add_argument("--concurrency", type=int, default=0,
-                       help="drive the concurrent engine closed-loop with "
-                            "this many clients (0 = batched synchronous "
-                            "replay)")
-    bench.add_argument("--flush-deadline-ms", type=_flush_deadline,
-                       default=2.0,
-                       help="engine scoring-batch flush deadline in ms, or "
-                            "'auto' to derive it from live traffic")
-    bench.add_argument("--split", default=None,
-                       help="A/B traffic split, e.g. 'v0001=3,v0002=1'")
-    bench.add_argument("--qps", type=float, default=None,
-                       help="open-loop mode: drive the engine with Poisson "
-                            "arrivals at this rate (requires --concurrency)")
-    bench.add_argument("--shards", type=int, default=0,
-                       help="serve on the shard plane with this many region "
-                            "shards (0 = unsharded)")
-    bench.add_argument("--partition-method",
-                       choices=sorted(PARTITION_METHODS), default="voronoi",
-                       help="partitioner behind --shards")
-    bench.add_argument("--cross-fraction", type=float, default=0.25,
-                       help="with --shards: fraction of requests spanning "
-                            "two shards (multi-region workload)")
-    bench.add_argument("--wait-timeout-s", type=float, default=None,
-                       help="bound each client's response wait; unanswered "
-                            "requests count as hung instead of blocking "
-                            "(always set this with --fault-spec)")
-    _add_execution_flags(bench)
-    _add_trace_flags(bench)
-    _add_resilience_flags(bench)
+    serve.add_argument("--execution",
+                       choices=("inline", "threads", "processes"),
+                       default="inline",
+                       help="execution plane: inline (default), threads "
+                            "(parallel scoring groups), or processes "
+                            "(worker pool over shared-memory CSR + weights)")
+    serve.add_argument("--workers", type=int, default=2,
+                       help="worker processes for --execution processes")
+    serve.add_argument("--trace", action="store_true",
+                       help="trace every request (shorthand for "
+                            "--trace-sample 1.0) and report per-stage "
+                            "latency breakdowns plus slow-request exemplars")
+    serve.add_argument("--trace-sample", type=float, default=0.0,
+                       help="fraction of requests to trace, in [0, 1] "
+                            "(default 0: tracing off)")
+    serve.add_argument("--metrics-out", default=None,
+                       help="append periodic metrics snapshots to this "
+                            "JSONL timeline (readable via metrics-dump)")
+    serve.add_argument("--metrics-interval-s", type=float, default=0.25,
+                       help="snapshot cadence for --metrics-out")
+    serve.add_argument("--deadline-ms", type=float, default=None,
+                       help="per-request deadline budget; expired requests "
+                            "get a structured deadline_exceeded error "
+                            "(default: no deadline)")
+    serve.add_argument("--max-queue", type=int, default=0,
+                       help="bound the engine admission queue; requests "
+                            "beyond it are shed per --shed-policy "
+                            "(0 = unbounded)")
+    serve.add_argument("--shed-policy", choices=SHED_POLICIES,
+                       default="reject",
+                       help="what happens to requests the full queue cannot "
+                            "admit: reject with a retry-after hint, or "
+                            "degrade to the shortest path")
+    serve.add_argument("--fault-spec", default=None,
+                       help="arm deterministic fault injection for the "
+                            "replay, e.g. 'score@1:error;prepare:delay=20' "
+                            "(see docs/robustness.md)")
+    serve.add_argument("--fault-seed", type=int, default=0,
+                       help="determinism seed for --fault-spec firing draws")
 
     od = commands.add_parser(
         "od-matrix",
@@ -312,31 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_resilience_flags(subparser: argparse.ArgumentParser) -> None:
-    """Resilience-plane flags shared by ``serve`` and ``bench-serve``."""
-    subparser.add_argument("--deadline-ms", type=float, default=None,
-                           help="per-request deadline budget; expired "
-                                "requests get a structured "
-                                "deadline_exceeded error (default: no "
-                                "deadline)")
-    subparser.add_argument("--max-queue", type=int, default=0,
-                           help="bound the engine admission queue; requests "
-                                "beyond it are shed per --shed-policy "
-                                "(0 = unbounded)")
-    subparser.add_argument("--shed-policy", choices=SHED_POLICIES,
-                           default="reject",
-                           help="what happens to requests the full queue "
-                                "cannot admit: reject with a retry-after "
-                                "hint, or degrade to the shortest path")
-    subparser.add_argument("--fault-spec", default=None,
-                           help="arm deterministic fault injection for the "
-                                "replay, e.g. 'score@1:error;"
-                                "prepare:delay=20' (see docs/robustness.md)")
-    subparser.add_argument("--fault-seed", type=int, default=0,
-                           help="determinism seed for --fault-spec firing "
-                                "draws")
-
-
 def _add_analytics_flags(subparser: argparse.ArgumentParser) -> None:
     """Batch-context flags shared by the analytics subcommands."""
     subparser.add_argument("--cost", choices=("length", "travel_time"),
@@ -357,23 +301,6 @@ def _add_analytics_flags(subparser: argparse.ArgumentParser) -> None:
                            help="partitioner determinism seed")
     subparser.add_argument("--json", action="store_true",
                            help="print the full product as JSON")
-
-
-def _add_trace_flags(subparser: argparse.ArgumentParser) -> None:
-    """Telemetry flags shared by ``serve`` and ``bench-serve``."""
-    subparser.add_argument("--trace", action="store_true",
-                           help="trace every request (shorthand for "
-                                "--trace-sample 1.0) and report per-stage "
-                                "latency breakdowns plus slow-request "
-                                "exemplars")
-    subparser.add_argument("--trace-sample", type=float, default=0.0,
-                           help="fraction of requests to trace, in [0, 1] "
-                                "(default 0: tracing off)")
-    subparser.add_argument("--metrics-out", default=None,
-                           help="append periodic metrics snapshots to this "
-                                "JSONL timeline (readable via metrics-dump)")
-    subparser.add_argument("--metrics-interval-s", type=float, default=0.25,
-                           help="snapshot cadence for --metrics-out")
 
 
 # ----------------------------------------------------------------------
@@ -496,14 +423,14 @@ def _parse_split(text: str | None) -> dict[str, float] | None:
 
 
 def _build_service(args: argparse.Namespace):
-    """Shared serve / bench-serve bootstrap: network + registry + service."""
+    """``serve`` bootstrap: network + registry + activated service."""
     network = load_network_json(args.network)
     model_path = FilePath(args.model)
     if not model_path.exists():
         # Check before ModelRegistry mkdirs a typo'd parent directory.
         raise ServingError(f"no such model checkpoint: {model_path}")
     registry = ModelRegistry(model_path.parent, network)
-    split = _parse_split(getattr(args, "split", None))
+    split = _parse_split(args.split)
     if split is not None:
         for version in split:
             if not registry.has_version(version):
@@ -512,35 +439,30 @@ def _build_service(args: argparse.Namespace):
                     f"--split names unpublished version {version!r} "
                     f"(published: {known})")
     resilience = ResilienceConfig(
-        deadline_ms=getattr(args, "deadline_ms", None),
-        max_queue=getattr(args, "max_queue", 0),
-        shed_policy=getattr(args, "shed_policy", "reject"),
+        deadline_ms=args.deadline_ms,
+        max_queue=args.max_queue,
+        shed_policy=args.shed_policy,
     )
     config = ServingConfig(
         candidates=TrainingDataConfig(
             strategy=Strategy.from_name(args.strategy), k=args.k),
         candidate_cache_size=args.cache_size,
         max_batch_size=max(args.batch_size * args.k, 1),
-        fallback_to_shortest=not getattr(args, "no_fallback", False),
+        fallback_to_shortest=not args.no_fallback,
         traffic_split=split,
-        concurrency=max(getattr(args, "concurrency", 0), 1),
-        flush_deadline_ms=getattr(args, "flush_deadline_ms", 2.0),
-        trace_sample=(1.0 if getattr(args, "trace", False)
-                      else getattr(args, "trace_sample", 0.0)),
+        trace_sample=1.0 if args.trace else args.trace_sample,
         resilience=resilience,
-        execution=getattr(args, "execution", "inline"),
-        workers=getattr(args, "workers", 2),
+        execution=args.execution,
+        workers=args.workers,
     )
-    shards = getattr(args, "shards", 0)
-    if shards and shards > 1:
+    shards = args.shards
+    if shards > 1:
         # Shard plane behind one checkpoint: partition the network and
         # back every shard with the shared registry, so the single
         # published model serves all regions while caches and scoring
         # batches stay shard-local.
         partition = partition_network(
-            network, shards,
-            method=getattr(args, "partition_method", "voronoi"),
-            rng=getattr(args, "seed", 0) or 0)
+            network, shards, method=args.partition_method, rng=0)
         if partition.num_shards != shards:
             # The grid partitioner realises occupied cells, not the
             # exact request; say so rather than silently serving a
@@ -557,7 +479,11 @@ def _build_service(args: argparse.Namespace):
         service = RankingService(network, sharded, config)
     else:
         service = RankingService(network, registry, config)
-    service.activate(model_path.stem)
+    try:
+        service.activate(model_path.stem)
+    except BaseException:
+        service.close()
+        raise
     return service
 
 
@@ -586,7 +512,7 @@ def _load_queries(path: str) -> list[RankRequest]:
 def _timeline(service, args: argparse.Namespace):
     """A running :class:`SnapshotExporter` for ``--metrics-out``, or a
     no-op context when the flag is absent."""
-    if getattr(args, "metrics_out", None) is None:
+    if args.metrics_out is None:
         return nullcontext(None)
     return SnapshotExporter(service.metrics, args.metrics_out,
                             interval_s=args.metrics_interval_s)
@@ -609,11 +535,15 @@ def _print_trace_breakdown(trace: dict) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    service = _build_service(args)
+    # Validate every input before the service exists: under --execution
+    # processes it owns worker processes and shared-memory segments.
     requests = _load_queries(args.queries_file)
-    if args.fault_spec is not None:
-        service.arm_faults(args.fault_spec, seed=args.fault_seed)
+    faults = (None if args.fault_spec is None
+              else parse_fault_spec(args.fault_spec))
+    service = _build_service(args)
     try:
+        if faults is not None:
+            service.arm_faults(faults, seed=args.fault_seed)
         if args.concurrency > 0:
             # Concurrent front door: the engine re-batches by its own
             # deadline/size policy; responses stay in request order.
@@ -632,7 +562,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                             requests[start:start + args.batch_size]))
             stats = service.stats()
     finally:
-        if args.fault_spec is not None:
+        if faults is not None:
             service.disarm_faults()
         service.close()
     if args.json:
@@ -672,64 +602,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if "trace" in stats:
         _print_trace_breakdown(stats["trace"])
     return 0 if all(r.ok for r in responses) else 1
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    if args.qps is not None and args.concurrency <= 0:
-        raise ServingError("--qps (open-loop mode) requires --concurrency")
-    service = _build_service(args)
-    workload_config = WorkloadConfig(
-        num_requests=args.requests, num_hotspots=args.hotspots,
-        zipf_exponent=args.zipf, arrival_rate_qps=args.qps,
-        cross_shard_fraction=args.cross_fraction)
-    # A sharded service gets the multi-region mix (per-shard hotspot
-    # pools, cross-shard corridor traffic); unsharded keeps the classic
-    # single-pool stream.
-    partition = service.sharded.partition if service.sharded else None
-    try:
-        if args.concurrency > 0:
-            with ServingEngine(
-                    service, concurrency=args.concurrency,
-                    flush_deadline_ms=args.flush_deadline_ms) as engine:
-                if args.qps is not None:
-                    timed = generate_timed_workload(service.network,
-                                                    workload_config,
-                                                    rng=args.seed,
-                                                    partition=partition)
-                    summary = replay_open_loop(
-                        engine, timed, metrics_out=args.metrics_out,
-                        metrics_interval_s=args.metrics_interval_s,
-                        fault_spec=args.fault_spec,
-                        fault_seed=args.fault_seed,
-                        wait_timeout_s=args.wait_timeout_s)
-                else:
-                    workload = generate_workload(service.network,
-                                                 workload_config,
-                                                 rng=args.seed,
-                                                 partition=partition)
-                    summary = run_engine_workload(
-                        engine, workload, concurrency=args.concurrency,
-                        metrics_out=args.metrics_out,
-                        metrics_interval_s=args.metrics_interval_s,
-                        fault_spec=args.fault_spec,
-                        fault_seed=args.fault_seed,
-                        wait_timeout_s=args.wait_timeout_s)
-                summary["stats"] = engine.stats()
-        else:
-            workload = generate_workload(service.network, workload_config,
-                                         rng=args.seed, partition=partition)
-            summary = run_workload(service, workload,
-                                   batch_size=args.batch_size,
-                                   metrics_out=args.metrics_out,
-                                   metrics_interval_s=args.metrics_interval_s,
-                                   fault_spec=args.fault_spec,
-                                   fault_seed=args.fault_seed)
-            if service.tracer.enabled:
-                summary["trace"] = service.tracer.as_dict()
-    finally:
-        service.close()
-    print(json.dumps(summary, indent=2))
-    return 0
 
 
 def _parse_id_list(text: str, flag: str) -> list[int]:
@@ -911,7 +783,6 @@ _COMMANDS = {
     "evaluate": _cmd_evaluate,
     "rank": _cmd_rank,
     "serve": _cmd_serve,
-    "bench-serve": _cmd_bench_serve,
     "od-matrix": _cmd_od_matrix,
     "service-area": _cmd_service_area,
     "route-frequencies": _cmd_route_frequencies,

@@ -49,7 +49,7 @@ DEFAULT_TIMEOUT_S = 30.0
 class _PoolModel:
     """Model-shaped scoring proxy dispatching chunks to the pool.
 
-    Quacks like ``PathRank`` for :class:`BatchingScorer.flush`:
+    Quacks like ``PathRank`` for :meth:`BatchingScorer.score_many`:
     ``score_paths(chunk)`` and the fan-out hook
     ``score_paths_many(chunks)``.  Scores come back as float64 arrays
     bitwise-equal to the parent's fused kernel output (same buffers,

@@ -49,7 +49,7 @@ class SnapshotExporter:
     process down.  Usable as a context manager::
 
         with SnapshotExporter(service.metrics, "run.jsonl", 0.5):
-            run_workload(...)
+            engine.rank_batch(requests)
     """
 
     def __init__(self, source, path: str | FilePath,

@@ -98,9 +98,8 @@ Usage::
                        warmup=recorded_hotspot_mix) as engine:
         responses = engine.rank_batch(live_requests)
 
-The load-testing helpers in :mod:`repro.serving.loadgen` (Zipf-skewed
-OD-hotspot mixes, closed-loop engine clients, Poisson open-loop
-arrival schedules) back ``python -m repro.cli bench-serve``.
+Load is generated and measured outside the package, by the benchmark
+in ``bench/`` (``python3 bench/run.py``).
 
 Scoring backends
 ----------------
@@ -131,7 +130,7 @@ float32 roundoff (``tests/nn/test_fused.py`` pins parity; the
 ``serve_rescore`` workload of ``bench/run.py`` measures the fused lane).
 """
 
-from repro.serving.batching import BatchingScorer, ScoreTicket
+from repro.serving.batching import BatchingScorer
 from repro.serving.cache import CacheStats, CandidateCache, LRUCache, ScoreCache
 from repro.serving.engine import EngineTicket, ServingEngine
 from repro.serving.faults import (
@@ -139,17 +138,6 @@ from repro.serving.faults import (
     FaultRule,
     format_fault_spec,
     parse_fault_spec,
-)
-from repro.serving.loadgen import (
-    TimedRequest,
-    WorkloadConfig,
-    generate_timed_workload,
-    generate_workload,
-    poisson_arrivals,
-    replay_open_loop,
-    run_engine_workload,
-    run_workload,
-    zipf_weights,
 )
 from repro.serving.pipeline import QueryState, assign_split, normalise_split
 from repro.serving.registry import ActiveModel, ModelRegistry
@@ -190,25 +178,15 @@ __all__ = [
     "RankResponse",
     "ResilienceConfig",
     "ScoreCache",
-    "ScoreTicket",
     "ServingConfig",
     "ServingEngine",
     "ShardedRegistry",
     "ShardLane",
     "ShardRoute",
     "ShardRouter",
-    "TimedRequest",
-    "WorkloadConfig",
     "assign_split",
     "format_fault_spec",
-    "generate_timed_workload",
-    "generate_workload",
     "normalise_split",
     "parse_fault_spec",
-    "poisson_arrivals",
-    "replay_open_loop",
     "retry_backoff",
-    "run_engine_workload",
-    "run_workload",
-    "zipf_weights",
 ]

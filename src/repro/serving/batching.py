@@ -1,24 +1,25 @@
-"""Coalesced scoring: one padded forward pass for many queued requests.
+"""Coalesced scoring: one padded forward pass for many requests' candidates.
 
 Per-query scoring wastes the batch dimension — a typical query carries
-only ``k`` ≈ 5 candidate paths, so the GRU runs at batch 5.  The
-:class:`BatchingScorer` queues the candidate lists of many concurrent
-requests, concatenates them into padded batches of up to
-``max_batch_size`` paths (``core.batching.encode_paths``), runs one
-forward pass per batch, and scatters the scores back to each request's
-ticket.  Because the recurrence is masked, padded steps propagate the
-hidden state unchanged and every path's score is *identical* to what
-sequential per-query scoring would produce.
+only ``k`` ≈ 5 candidate paths, so the GRU runs at batch 5.
+:meth:`BatchingScorer.score_many` takes the candidate lists of many
+requests (the engine's flush, or one ``rank_batch`` call), concatenates
+them into padded batches of up to ``max_batch_size`` paths
+(``core.batching.encode_paths``), runs one forward pass per batch, and
+scatters the scores back to each list.  Because the recurrence is
+masked, padded steps propagate the hidden state unchanged and every
+path's score is *identical* to what sequential per-query scoring would
+produce.
 
-Duplicate paths inside one flush are scored once, and a
+Duplicate paths inside one call are scored once, and a
 :class:`~repro.serving.cache.ScoreCache` (keyed by model version) lets
-repeat paths skip the forward pass across flushes.
+repeat paths skip the forward pass across calls.
 
 Two batch-shape optimisations keep padded work proportional to real
-work: flushed paths are *length-sorted* before chunking (each chunk pads
-to its own maximum), and ``score_paths`` itself dispatches through the
-fused scoring backend with per-bucket padding (see
-:mod:`repro.nn.fused` and ``repro.core.batching.encode_path_buckets``).
+work: paths are *length-sorted* before chunking (each chunk pads to its
+own maximum), and ``score_paths`` itself dispatches through the fused
+scoring backend with per-bucket padding (see :mod:`repro.nn.fused` and
+``repro.core.batching.encode_path_buckets``).
 """
 
 from __future__ import annotations
@@ -33,35 +34,11 @@ from repro.errors import ServingError
 from repro.graph.path import Path
 from repro.serving.cache import ScoreCache
 
-__all__ = ["ScoreTicket", "BatchingScorer"]
-
-
-class ScoreTicket:
-    """Handle returned by :meth:`BatchingScorer.submit`.
-
-    ``scores`` becomes available after the next :meth:`flush`; reading
-    it earlier raises :class:`ServingError`.
-    """
-
-    __slots__ = ("paths", "_scores")
-
-    def __init__(self, paths: Sequence[Path]) -> None:
-        self.paths = list(paths)
-        self._scores: np.ndarray | None = None
-
-    @property
-    def ready(self) -> bool:
-        return self._scores is not None
-
-    @property
-    def scores(self) -> np.ndarray:
-        if self._scores is None:
-            raise ServingError("ticket not scored yet; call flush() first")
-        return self._scores
+__all__ = ["BatchingScorer"]
 
 
 class BatchingScorer:
-    """Queues candidate lists and scores them in coalesced batches."""
+    """Scores groups of candidate lists in coalesced batches."""
 
     def __init__(self, max_batch_size: int = 64,
                  score_cache: ScoreCache | None = None) -> None:
@@ -71,7 +48,6 @@ class BatchingScorer:
             )
         self.max_batch_size = max_batch_size
         self.score_cache = score_cache
-        self._pending: list[ScoreTicket] = []
         self._lock = threading.RLock()
         # Forward-pass accounting, for instrumentation and benchmarks.
         self.batches_run = 0
@@ -96,105 +72,80 @@ class BatchingScorer:
                 "cache_hits": self.cache_hits,
             }
 
-    def pending_requests(self) -> int:
-        return len(self._pending)
-
-    def pending_paths(self) -> int:
-        return sum(len(ticket.paths) for ticket in self._pending)
-
-    def submit(self, paths: Sequence[Path]) -> ScoreTicket:
-        ticket = ScoreTicket(paths)
-        with self._lock:
-            self._pending.append(ticket)
-        return ticket
-
-    def flush(self, model: PathRank, model_version: str | None = None) -> int:
-        """Score every queued ticket; returns the number of forward batches.
+    def score_many(self, model: PathRank,
+                   candidate_lists: Sequence[Sequence[Path]],
+                   model_version: str | None = None) -> list[np.ndarray]:
+        """Score a group of candidate lists in one coalesced flush.
 
         Scores are identical to per-query sequential scoring: the masked
         recurrence makes each path's result independent of its batch
         neighbours and of padding length.  Batches are drawn from a
         length-sorted order (plus per-bucket padding inside
         ``score_paths``), so mixed-length flushes pad to local maxima
-        rather than the longest queued path.
-
-        Concurrent callers should prefer :meth:`score_many`: a bare
-        ``submit`` + ``flush`` pair lets another thread's flush claim the
-        ticket and score it under *that thread's* model snapshot.
+        rather than the longest path.  The whole flush runs under the
+        scorer lock, so the group is scored by *this* model even when
+        other threads score against a different (hot-swapped) snapshot
+        concurrently.
         """
+        if not candidate_lists:
+            return []
         with self._lock:
-            tickets, self._pending = self._pending, []
-        if not tickets:
-            return 0
-        if self.faults is not None:
-            self.faults.fire("scorer.flush")
+            if self.faults is not None:
+                self.faults.fire("scorer.flush")
 
-        # The score cache is keyed by model version; with no version to
-        # key on, two different models would silently share entries, so
-        # the cache only participates when a version is supplied.
-        use_cache = self.score_cache is not None and model_version is not None
+            # The score cache is keyed by model version; with no version
+            # to key on, two different models would silently share
+            # entries, so the cache only participates when a version is
+            # supplied.
+            use_cache = self.score_cache is not None \
+                and model_version is not None
 
-        # Deduplicate by vertex sequence, then consult the score cache
-        # for the whole flush at once (one lock round-trip).
-        unique: dict[tuple[int, ...], Path] = {}
-        for ticket in tickets:
-            for path in ticket.paths:
-                unique.setdefault(path.vertices, path)
-        resolved: dict[tuple[int, ...], float] = {}
-        if use_cache:
-            resolved = self.score_cache.lookup_many(model_version,
-                                                    list(unique.values()))
-            self.cache_hits += len(resolved)
-            for key in resolved:
-                del unique[key]
-
-        batches_before = self.batches_run
-        # Length-sort before chunking so each fixed-size batch pads to
-        # its *local* maximum instead of the flush-wide one: one
-        # 120-vertex outlier then costs only its own batch.  Scores are
-        # scattered back through `resolved`, so ordering is free.
-        to_score = sorted(unique.values(), key=lambda path: path.num_vertices)
-        chunks = [to_score[start:start + self.max_batch_size]
-                  for start in range(0, len(to_score), self.max_batch_size)]
-        # Models that can score several chunks concurrently (the
-        # execution plane's pool proxy) expose ``score_paths_many``;
-        # everything upstream of the forward pass — dedup, the score
-        # cache, counters — is identical on both dispatch paths.
-        score_chunks = getattr(model, "score_paths_many", None)
-        if score_chunks is not None and chunks:
-            all_scores = score_chunks(chunks)
-        else:
-            all_scores = (model.score_paths(chunk) for chunk in chunks)
-        for chunk, scores in zip(chunks, all_scores):
-            self.batches_run += 1
-            self.paths_scored += len(chunk)
-            scored = list(zip(chunk, scores.tolist()))
-            for path, score in scored:
-                resolved[path.vertices] = score
+            # Deduplicate by vertex sequence, then consult the score
+            # cache for the whole flush at once (one lock round-trip).
+            unique: dict[tuple[int, ...], Path] = {}
+            for paths in candidate_lists:
+                for path in paths:
+                    unique.setdefault(path.vertices, path)
+            resolved: dict[tuple[int, ...], float] = {}
             if use_cache:
-                self.score_cache.store_many(model_version, scored)
+                resolved = self.score_cache.lookup_many(
+                    model_version, list(unique.values()))
+                self.cache_hits += len(resolved)
+                for key in resolved:
+                    del unique[key]
 
-        for ticket in tickets:
-            ticket._scores = np.array(
-                [resolved[path.vertices] for path in ticket.paths], dtype=float
-            )
-        return self.batches_run - batches_before
+            # Length-sort before chunking so each fixed-size batch pads
+            # to its *local* maximum instead of the flush-wide one: one
+            # 120-vertex outlier then costs only its own batch.  Scores
+            # are scattered back through `resolved`, so ordering is free.
+            to_score = sorted(unique.values(),
+                              key=lambda path: path.num_vertices)
+            chunks = [to_score[start:start + self.max_batch_size]
+                      for start in range(0, len(to_score),
+                                         self.max_batch_size)]
+            # Models that can score several chunks concurrently (the
+            # execution plane's pool proxy) expose ``score_paths_many``;
+            # everything upstream of the forward pass — dedup, the score
+            # cache, counters — is identical on both dispatch paths.
+            score_chunks = getattr(model, "score_paths_many", None)
+            if score_chunks is not None and chunks:
+                all_scores = score_chunks(chunks)
+            else:
+                all_scores = (model.score_paths(chunk) for chunk in chunks)
+            for chunk, scores in zip(chunks, all_scores):
+                self.batches_run += 1
+                self.paths_scored += len(chunk)
+                scored = list(zip(chunk, scores.tolist()))
+                for path, score in scored:
+                    resolved[path.vertices] = score
+                if use_cache:
+                    self.score_cache.store_many(model_version, scored)
 
-    def score_many(self, model: PathRank,
-                   candidate_lists: Sequence[Sequence[Path]],
-                   model_version: str | None = None) -> list[np.ndarray]:
-        """Atomically coalesce and score a group of candidate lists.
-
-        Holding the lock across submit + flush guarantees the whole
-        group is scored by *this* model, even when other threads are
-        scoring against a different (hot-swapped) snapshot concurrently.
-        """
-        with self._lock:
-            tickets = [self.submit(paths) for paths in candidate_lists]
-            self.flush(model, model_version)
-        return [ticket.scores for ticket in tickets]
+        return [np.array([resolved[path.vertices] for path in paths],
+                         dtype=float)
+                for paths in candidate_lists]
 
     def score_paths(self, model: PathRank, paths: Sequence[Path],
                     model_version: str | None = None) -> np.ndarray:
-        """Submit-and-flush convenience for a single candidate list."""
+        """:meth:`score_many` for a single candidate list."""
         return self.score_many(model, [paths], model_version)[0]

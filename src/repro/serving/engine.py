@@ -266,19 +266,19 @@ class ServingEngine:
     """Concurrent front door over a :class:`RankingService` pipeline."""
 
     def __init__(self, service: RankingService, *,
-                 concurrency: int | None = None,
-                 flush_deadline_ms: float | None = None,
+                 concurrency: int = 4,
+                 flush_deadline_ms: float | str = 2.0,
                  max_batch_size: int | None = None,
                  warmup: Sequence[RankRequest] | None = None,
                  start: bool = True) -> None:
-        config = service.config
         self.service = service
-        self.concurrency = concurrency if concurrency is not None \
-            else config.concurrency
-        self.flush_deadline_ms = flush_deadline_ms \
-            if flush_deadline_ms is not None else config.flush_deadline_ms
+        self.concurrency = concurrency
+        #: Flush deadline in milliseconds, or ``"auto"`` to derive it
+        #: continuously from the observed arrival rate and per-path
+        #: scoring cost (see :class:`AdaptiveFlushPolicy`).
+        self.flush_deadline_ms = flush_deadline_ms
         self.max_batch_size = max_batch_size if max_batch_size is not None \
-            else config.max_batch_size
+            else service.config.max_batch_size
         if self.concurrency < 1:
             raise ServingError(
                 f"concurrency must be >= 1, got {self.concurrency}")

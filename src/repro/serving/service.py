@@ -69,7 +69,7 @@ from repro.obs.trace import Tracer
 from repro.ranking.training_data import TrainingDataConfig
 from repro.serving.batching import BatchingScorer
 from repro.serving.cache import CacheStats, CandidateCache, ScoreCache
-from repro.serving.faults import FaultInjector, parse_fault_spec
+from repro.serving.faults import FaultInjector
 from repro.serving.pipeline import (
     QueryState,
     TrafficSplit,
@@ -84,7 +84,6 @@ from repro.serving.resilience import (
     retry_backoff,
 )
 from repro.serving.sharding import (
-    CROSS_SHARD_POLICIES,
     ShardedRegistry,
     ShardLane,
     ShardRouter,
@@ -149,19 +148,16 @@ class ServingConfig:
     ``traffic_split`` (so a 5% variant keeps 5% of the cache to itself
     instead of being churned out by the majority split), ``None``
     disables segmentation, and an explicit ``{version: weight}`` map
-    pins custom quotas.  ``concurrency`` and ``flush_deadline_ms`` are
-    defaults for :class:`~repro.serving.engine.ServingEngine` front
-    doors built on top of this service.  ``cross_shard_policy`` /
-    ``local_candidates`` configure the
-    :class:`~repro.serving.sharding.ShardRouter` of a sharded service
-    (inert otherwise): cross-shard queries route through the
-    boundary-stitched corridor subgraph (``"corridor"``) or the full
-    network (``"fallback"``), and ``local_candidates=True`` opts
+    pins custom quotas.  ``local_candidates`` and ``certify_corridors``
+    configure the :class:`~repro.serving.sharding.ShardRouter` of a
+    sharded service (inert otherwise): ``local_candidates=True`` opts
     same-shard candidate generation onto the shard subnetwork (faster,
     boundary-approximate; the default keeps it on the full network so
-    same-shard rankings exactly match an unsharded service's).  An
-    explicitly injected ``router=`` carries its *own* policy and
-    overrides both fields.
+    same-shard rankings exactly match an unsharded service's).
+    Cross-shard queries route through the boundary-stitched corridor
+    subgraph; an explicitly injected ``router=`` carries its *own*
+    policy (``cross_policy="fallback"`` routes them over the full
+    network) and overrides both fields.
     """
 
     candidates: TrainingDataConfig = field(default_factory=TrainingDataConfig)
@@ -171,13 +167,6 @@ class ServingConfig:
     fallback_to_shortest: bool = True
     traffic_split: TrafficSplit | None = None
     score_cache_quotas: object = "auto"
-    concurrency: int = 4
-    #: Engine flush deadline in milliseconds, or ``"auto"`` to let the
-    #: engine derive it continuously from the observed arrival rate and
-    #: per-path scoring cost (see
-    #: :class:`~repro.serving.engine.AdaptiveFlushPolicy`).
-    flush_deadline_ms: float | str = 2.0
-    cross_shard_policy: str = "corridor"
     local_candidates: bool = False
     #: Run each cross-shard corridor route through its
     #: :class:`~repro.graph.partition.CorridorCertificate` first:
@@ -198,14 +187,6 @@ class ServingConfig:
     #: every mechanism dormant or free (see
     #: :class:`~repro.serving.resilience.ResilienceConfig`).
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-    #: Chaos testing: a fault-spec string (see
-    #: :func:`~repro.serving.faults.parse_fault_spec`) or a tuple of
-    #: :class:`~repro.serving.faults.FaultRule` records armed at
-    #: construction.  ``None`` (the default) keeps the fault layer
-    #: dormant — a single attribute check per stage.
-    fault_spec: object = None
-    #: Determinism seed for the fault layer's firing draws.
-    fault_seed: int = 0
     #: Execution plane (see :data:`EXECUTION_MODES`).  The default
     #: ``"inline"`` keeps the plane fully dormant: no worker processes,
     #: no shared-memory segments, and stage behaviour bit-identical to
@@ -224,20 +205,6 @@ class ServingConfig:
             raise ValueError(
                 f"score_cache_size must be >= 0, got {self.score_cache_size}"
             )
-        if self.concurrency < 1:
-            raise ValueError(
-                f"concurrency must be >= 1, got {self.concurrency}"
-            )
-        if isinstance(self.flush_deadline_ms, str):
-            if self.flush_deadline_ms != "auto":
-                raise ValueError(
-                    f"flush_deadline_ms must be a number or 'auto', "
-                    f"got {self.flush_deadline_ms!r}"
-                )
-        elif self.flush_deadline_ms < 0.0:
-            raise ValueError(
-                f"flush_deadline_ms must be >= 0, got {self.flush_deadline_ms}"
-            )
         if self.execution not in EXECUTION_MODES:
             raise ValueError(
                 f"execution must be one of {EXECUTION_MODES}, "
@@ -253,11 +220,6 @@ class ServingConfig:
             raise ValueError(
                 f"trace_exemplars must be >= 0, got {self.trace_exemplars}"
             )
-        if self.cross_shard_policy not in CROSS_SHARD_POLICIES:
-            raise ValueError(
-                f"cross_shard_policy must be one of {CROSS_SHARD_POLICIES}, "
-                f"got {self.cross_shard_policy!r}"
-            )
         if self.traffic_split is not None:
             # Normalised once here; dataclass frozen-ness is bypassed the
             # sanctioned way since __post_init__ is part of construction.
@@ -267,11 +229,6 @@ class ServingConfig:
                 and self.score_cache_quotas != "auto":
             object.__setattr__(self, "score_cache_quotas",
                                normalise_split(self.score_cache_quotas))
-        if isinstance(self.fault_spec, str):
-            # Parse eagerly so a malformed --fault-spec fails at
-            # construction, not on the first request.
-            object.__setattr__(self, "fault_spec",
-                               parse_fault_spec(self.fault_spec))
 
     def resolved_score_quotas(self) -> TrafficSplit | None:
         """The per-split score-cache quotas this config asks for."""
@@ -367,7 +324,6 @@ class RankingService:
             self.router: ShardRouter | None = router if router is not None \
                 else ShardRouter(
                     network, registry.partition,
-                    cross_policy=self.config.cross_shard_policy,
                     local_candidates=self.config.local_candidates,
                     certify_corridors=self.config.certify_corridors)
             quotas = self.config.resolved_score_quotas()
@@ -446,21 +402,15 @@ class RankingService:
              for shard_id in self._lanes}
             if self.resilience.breaker_enabled else {})
         self.faults: FaultInjector | None = None
-        # arm_faults below reaches for the execution plane, which is
-        # only stood up further down — dormant until then.
-        self.plane = None
-        if self.config.fault_spec is not None:
-            self.arm_faults(self.config.fault_spec,
-                            seed=self.config.fault_seed)
         # Execution plane: dormant unless asked for.  "threads" needs no
         # machinery (score_states fans groups out with ad-hoc threads);
         # "processes" stands up shared-memory hot-state plus a warm
         # worker pool, and subscribes to registry lifecycle events so a
         # deactivated version's weight segments are unlinked promptly.
+        self.plane = None
         if self.config.execution == "processes":
             from repro.exec.plane import ExecutionPlane
             self.plane = ExecutionPlane(network, workers=self.config.workers,
-                                        faults=self.faults,
                                         metrics=self.metrics)
             if self.sharded is not None:
                 self.sharded.subscribe(self._on_registry_event)

@@ -1,14 +1,19 @@
-"""Shared fixtures: small deterministic networks used across the suite."""
+"""Shared fixtures: small deterministic networks, candidate paths and
+request mixes used across the suite."""
 
+import numpy as np
 import pytest
 
+from repro.errors import NoPathError
 from repro.graph import (
     Path,
     RoadCategory,
     RoadNetwork,
     grid_network,
     north_jutland_like,
+    shortest_path_cost,
 )
+from repro.serving import RankRequest
 
 
 @pytest.fixture(scope="session")
@@ -74,3 +79,31 @@ def random_walk_paths():
     """Factory ``(network, lengths, rng) -> [Path]``: mixed-length
     candidate sets for scoring tests."""
     return _random_walk_paths
+
+
+def _od_requests(network, num_requests, num_pairs, seed):
+    """``num_requests`` requests drawn uniformly, with repeats, from
+    ``num_pairs`` distinct reachable OD pairs; ids count from 0."""
+    rng = np.random.default_rng(seed)
+    ids = network.vertex_ids()
+    pairs = []
+    while len(pairs) < num_pairs:
+        source, target = (int(v) for v in rng.choice(ids, 2, replace=False))
+        if (source, target) in pairs:
+            continue
+        try:
+            shortest_path_cost(network, source, target)
+        except NoPathError:
+            continue
+        pairs.append((source, target))
+    picks = rng.integers(num_pairs, size=num_requests)
+    return [RankRequest(source=pairs[pick][0], target=pairs[pick][1],
+                        request_id=index)
+            for index, pick in enumerate(picks)]
+
+
+@pytest.fixture(scope="session")
+def od_requests():
+    """Factory ``(network, num_requests, num_pairs, seed) ->
+    [RankRequest]``: a seeded hotspot mix for serving tests."""
+    return _od_requests

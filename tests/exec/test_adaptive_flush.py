@@ -13,7 +13,6 @@ from repro.serving import (
     ServingEngine,
 )
 from repro.serving.engine import AdaptiveFlushPolicy
-from repro.serving.loadgen import WorkloadConfig, generate_workload
 
 CANDIDATES = TrainingDataConfig(strategy=Strategy.TKDI, k=3)
 
@@ -91,16 +90,6 @@ def test_broken_cost_probe_is_ignored():
 
 
 # ----------------------------------------------------------------------
-# Configuration plumbing
-# ----------------------------------------------------------------------
-def test_serving_config_accepts_auto_and_rejects_other_strings():
-    config = ServingConfig(candidates=CANDIDATES, flush_deadline_ms="auto")
-    assert config.flush_deadline_ms == "auto"
-    with pytest.raises(ValueError, match="auto"):
-        ServingConfig(candidates=CANDIDATES, flush_deadline_ms="fast")
-
-
-# ----------------------------------------------------------------------
 # Engine integration
 # ----------------------------------------------------------------------
 @pytest.fixture
@@ -116,10 +105,10 @@ def test_engine_rejects_non_auto_strings(service):
         ServingEngine(service, flush_deadline_ms="nope")
 
 
-def test_engine_auto_mode_measures_and_reports(service, exec_network):
-    workload = generate_workload(
-        exec_network, WorkloadConfig(num_requests=16, num_hotspots=4),
-        rng=5)
+def test_engine_auto_mode_measures_and_reports(service, exec_network,
+                                               od_requests):
+    workload = od_requests(exec_network, num_requests=16, num_pairs=4,
+                           seed=5)
     with ServingEngine(service, concurrency=4,
                        flush_deadline_ms="auto") as engine:
         responses = engine.rank_batch(workload)

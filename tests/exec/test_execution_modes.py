@@ -7,7 +7,6 @@ import pytest
 from repro.exec.shm import list_repro_segments
 from repro.ranking import Strategy, TrainingDataConfig
 from repro.serving import ModelRegistry, RankingService, ServingConfig
-from repro.serving.loadgen import WorkloadConfig, generate_workload
 
 CANDIDATES = TrainingDataConfig(strategy=Strategy.TKDI, k=3)
 
@@ -20,11 +19,8 @@ def _service(network, ranker, root, **execution) -> RankingService:
 
 
 @pytest.fixture(scope="module")
-def workload(exec_network):
-    return generate_workload(
-        exec_network,
-        WorkloadConfig(num_requests=12, num_hotspots=4),
-        rng=3)
+def workload(exec_network, od_requests):
+    return od_requests(exec_network, num_requests=12, num_pairs=4, seed=3)
 
 
 @pytest.fixture(scope="module")
@@ -116,15 +112,13 @@ def test_exec_metrics_registered(proc_service):
 # Chaos: the exec.worker injection point
 # ----------------------------------------------------------------------
 def test_exec_worker_fault_kills_for_real_and_service_degrades(
-        proc_service, exec_network):
+        proc_service, exec_network, od_requests):
     """An ``exec.worker`` error firing SIGKILLs a live worker.  Every
     request must still be answered (inline fallback / degradation), and
     the pool must respawn back to full strength."""
     # A workload the shared service has never seen: warm caches would
     # skip the pool entirely and the injection point would never fire.
-    fresh = generate_workload(
-        exec_network, WorkloadConfig(num_requests=6, num_hotspots=3),
-        rng=99)
+    fresh = od_requests(exec_network, num_requests=6, num_pairs=3, seed=99)
     before = proc_service.plane.pool.stats()["respawns"]
     proc_service.arm_faults("exec.worker:error", seed=1)
     try:

@@ -41,27 +41,17 @@ class TestEquivalence:
             np.testing.assert_allclose(got, want, atol=1e-9, rtol=0.0)
 
 
-class TestTickets:
-    def test_ticket_unavailable_before_flush(self, candidate_lists):
+class TestScoreMany:
+    def test_flush_scores_every_list(self, model, candidate_lists):
         scorer = BatchingScorer()
-        ticket = scorer.submit(candidate_lists[0])
-        assert not ticket.ready
-        with pytest.raises(ServingError, match="flush"):
-            _ = ticket.scores
-
-    def test_flush_scores_all_pending(self, model, candidate_lists):
-        scorer = BatchingScorer()
-        tickets = [scorer.submit(paths) for paths in candidate_lists]
-        assert scorer.pending_requests() == len(candidate_lists)
-        scorer.flush(model)
-        assert scorer.pending_requests() == 0
-        for ticket, paths in zip(tickets, candidate_lists):
-            assert ticket.ready
-            assert ticket.scores.shape == (len(paths),)
+        scores = scorer.score_many(model, candidate_lists)
+        assert len(scores) == len(candidate_lists)
+        for got, paths in zip(scores, candidate_lists):
+            assert got.shape == (len(paths),)
 
     def test_empty_flush_is_a_noop(self, model):
         scorer = BatchingScorer()
-        assert scorer.flush(model) == 0
+        assert scorer.score_many(model, []) == []
         assert scorer.batches_run == 0
 
     def test_rejects_bad_batch_size(self):
@@ -104,9 +94,8 @@ class TestBucketedFlush:
 
     def test_flush_returns_python_floats(self, model, candidate_lists):
         scorer = BatchingScorer()
-        ticket = scorer.submit(candidate_lists[0])
-        scorer.flush(model)
-        assert ticket.scores.dtype == np.float64
+        scores = scorer.score_paths(model, candidate_lists[0])
+        assert scores.dtype == np.float64
 
 
 class TestScoreCacheIntegration:

@@ -227,20 +227,18 @@ def test_arm_and_disarm_through_the_service(tiny_network, registry,
     assert service.rank(RankRequest(source=0, target=5)).ok
 
 
-def test_config_fault_spec_parses_eagerly():
+def test_arm_faults_rejects_a_malformed_spec(service):
     with pytest.raises(ConfigError):
-        ServingConfig(candidates=CANDIDATES, fault_spec="nowhere:error")
-    config = ServingConfig(candidates=CANDIDATES, fault_spec="score:error")
-    assert isinstance(config.fault_spec, tuple)
-    assert config.fault_spec[0].point == "score"
+        service.arm_faults("nowhere:error")
+    assert service.faults is None
+    assert service.arm_faults("score:error").rules[0].point == "score"
 
 
-def test_config_fault_spec_arms_at_construction(tiny_network, registry,
-                                                make_ranker):
+def test_arm_faults_seed_and_count(tiny_network, registry, make_ranker):
     registry.publish(make_ranker(tiny_network, seed=1), activate=True)
-    service = RankingService(tiny_network, registry, ServingConfig(
-        candidates=CANDIDATES, fault_spec="admit:error:count=1",
-        fault_seed=11))
+    service = RankingService(tiny_network, registry,
+                             ServingConfig(candidates=CANDIDATES))
+    service.arm_faults("admit:error:count=1", seed=11)
     assert service.faults is not None
     assert service.faults.seed == 11
     assert service.rank(RankRequest(source=0, target=5)).served_by == "error"

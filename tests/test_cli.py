@@ -281,52 +281,61 @@ class TestServeConcurrent:
         assert capsys.readouterr().err.startswith("error:")
 
 
-class TestBenchServe:
-    def test_bench_serve_reports_json(self, artifacts, capsys):
-        network, _, model = artifacts
-        code = main(["bench-serve", "--network", str(network),
-                     "--model", str(model), "--requests", "40",
-                     "--hotspots", "5", "--k", "3", "--seed", "1"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["requests"] == 40
-        assert payload["served_by"]["error"] == 0
-        assert payload["throughput_qps"] > 0
-        assert set(payload["latency_ms"]) == {"mean", "p50", "p95"}
-        # A Zipf mix over 5 hotspots repeats constantly: the cache must show it.
-        assert payload["candidate_cache_hit_rate"] > 0.5
+class TestServeCleanup:
+    """``serve`` closes every service it builds, whichever way it exits."""
 
-    def test_bench_serve_concurrent_closed_loop(self, artifacts, capsys):
-        network, _, model = artifacts
-        code = main(["bench-serve", "--network", str(network),
-                     "--model", str(model), "--requests", "30",
-                     "--hotspots", "5", "--k", "3", "--seed", "1",
-                     "--concurrency", "8"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["requests"] == 30
-        assert payload["served_by"]["error"] == 0
-        assert payload["concurrency"] == 8
-        assert payload["occupancy"]["requests_coalesced"] == 30
+    @pytest.fixture
+    def lifecycle(self, monkeypatch):
+        from repro.serving import RankingService
 
-    def test_bench_serve_open_loop(self, artifacts, capsys):
-        network, _, model = artifacts
-        code = main(["bench-serve", "--network", str(network),
-                     "--model", str(model), "--requests", "20",
-                     "--hotspots", "5", "--k", "3", "--seed", "1",
-                     "--concurrency", "4", "--qps", "2000"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["requests"] == 20
-        assert payload["offered_qps"] > 0
-        assert payload["served_by"]["error"] == 0
+        counts = {"built": 0, "closed": 0}
+        real_init, real_close = RankingService.__init__, RankingService.close
 
-    def test_bench_serve_qps_requires_concurrency(self, artifacts, capsys):
+        def init(self, *args, **kwargs):
+            counts["built"] += 1
+            real_init(self, *args, **kwargs)
+
+        def close(self):
+            counts["closed"] += 1
+            real_close(self)
+
+        monkeypatch.setattr(RankingService, "__init__", init)
+        monkeypatch.setattr(RankingService, "close", close)
+        return counts
+
+    def test_malformed_queries_file_builds_nothing(self, artifacts, tmp_path,
+                                                   lifecycle, capsys):
         network, _, model = artifacts
-        code = main(["bench-serve", "--network", str(network),
-                     "--model", str(model), "--qps", "100"])
+        bad = tmp_path / "bad.json"
+        bad.write_text('[{"source": 0}]')
+        code = main(["serve", "--network", str(network), "--model", str(model),
+                     "--queries-file", str(bad)])
         assert code == 2
-        assert "concurrency" in capsys.readouterr().err
+        assert "error:" in capsys.readouterr().err
+        assert lifecycle == {"built": 0, "closed": 0}
+
+    def test_malformed_fault_spec_builds_nothing(self, artifacts, queries_file,
+                                                 lifecycle, capsys):
+        network, _, model = artifacts
+        code = main(["serve", "--network", str(network), "--model", str(model),
+                     "--queries-file", str(queries_file),
+                     "--fault-spec", "nowhere:error"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert lifecycle == {"built": 0, "closed": 0}
+
+    def test_failed_activation_closes_the_service(self, artifacts,
+                                                  queries_file, tmp_path,
+                                                  lifecycle, capsys):
+        network, _, _ = artifacts
+        corrupt = tmp_path / "corrupt.npz"
+        corrupt.write_bytes(b"not a checkpoint")
+        code = main(["serve", "--network", str(network),
+                     "--model", str(corrupt),
+                     "--queries-file", str(queries_file)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert lifecycle == {"built": 1, "closed": 1}
 
 
 class TestAnalyticsCommands:
