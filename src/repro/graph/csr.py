@@ -38,7 +38,7 @@ from __future__ import annotations
 import os
 import threading
 import weakref
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
@@ -92,6 +92,15 @@ ALT_MIN_VERTICES = 128
 #: Custom cost functions get their per-edge weight arrays memoised in a
 #: bounded FIFO so e.g. per-driver cost closures do not grow unbounded.
 _CUSTOM_WEIGHT_CAP = 16
+
+#: Relative slack on Yen's spur-search cap: ALT bounds are differences of
+#: landmark distances and can overshoot the true cost by a few ulps.
+_CAP_SLACK = 1.0 + 1e-9
+
+#: Search-effort counters of :meth:`CSRGraph.profile_counters`.
+_PROFILE_KEYS = ("sssp_runs", "p2p_runs", "astar_runs", "yen_runs",
+                 "yen_spur_searches", "yen_spur_capped", "heap_pops",
+                 "settled", "alt_pruned")
 
 #: Elements (float64) per multi-source distance slab: the default
 #: ``chunk_size`` of :meth:`CSRGraph.multi_source` is derived from this
@@ -174,11 +183,7 @@ class CSRGraph:
         # Cumulative search-effort counters, read by profile_counters().
         # Updated in bulk at the end of each search (which already holds
         # self._lock), so the hot loops only touch local ints.
-        self._profile: dict[str, int] = {
-            "sssp_runs": 0, "p2p_runs": 0, "astar_runs": 0,
-            "yen_runs": 0, "yen_spur_searches": 0,
-            "heap_pops": 0, "settled": 0, "alt_pruned": 0,
-        }
+        self._profile: dict[str, int] = dict.fromkeys(_PROFILE_KEYS, 0)
 
     # ------------------------------------------------------------------
     # Weights and adjacency
@@ -202,10 +207,10 @@ class CSRGraph:
                     "owner process); precompute the weights there"
                 )
             weights = [float(cost(edge)) for edge in self._edges]
-            if weights and min(weights) < 0:
+            if not all(w >= 0 for w in weights):  # rejects NaN as well
                 raise ValueError(
-                    f"negative edge cost under {cost!r}; routing requires "
-                    "non-negative costs"
+                    f"negative or NaN edge cost under {cost!r}; routing "
+                    "requires non-negative costs"
                 )
             self._remember_custom(key)
             self._weight_lists[key] = weights
@@ -406,12 +411,17 @@ class CSRGraph:
         h: list[float] | None = None,
         banned_vertices: Iterable[int] = (),
         banned_next: Iterable[int] = (),
+        bound: float = inf,
     ) -> tuple[list[int], float] | None:
         """Point-to-point search with optional heuristic and bans.
 
         Returns ``(vertex_index_path, cost)`` or ``None`` when the
         target is unreachable.  With an admissible consistent ``h`` this
         is A*; with ``h=None`` it is Dijkstra with early exit.
+
+        ``bound`` caps the search: the first live entry popped with a
+        key (``g + h``, or ``g`` without a heuristic) above it ends the
+        search with ``None``.  Only Yen's spur searches pass one.
 
         ``banned_vertices`` are never entered: they are stamped as
         already settled, so the relaxation loop needs no separate ban
@@ -445,11 +455,15 @@ class CSRGraph:
                         seen[v] = gen
                         parent[v] = source
                         push(heap, (w if h is None else w + h[v], v))
+            capped = False
             while heap:
-                _, u = pop(heap)
+                key, u = pop(heap)
                 pops += 1
                 if done[u] == gen:
                     continue
+                if key > bound:
+                    capped = True
+                    break
                 done[u] = gen
                 settled += 1
                 if u == target:
@@ -468,7 +482,9 @@ class CSRGraph:
             profile["astar_runs" if h is not None else "p2p_runs"] += 1
             profile["heap_pops"] += pops
             profile["settled"] += settled
-            if h is not None:
+            if capped:
+                profile["yen_spur_capped"] += 1
+            elif h is not None:
                 # Entries still queued when the target settled: frontier
                 # the goal-directed heuristic never had to expand.
                 profile["alt_pruned"] += len(heap)
@@ -901,6 +917,18 @@ class CSRGraph:
         * Every banned edge leaves the spur vertex, so the bans go to
           :meth:`_p2p` as ``banned_next`` and cost the spur search
           nothing past its first expansion.
+        * Under ``max_paths``, with ``room = max_paths - produced`` paths
+          still to yield, each spur search is capped at the cost ``c`` of
+          the ``room``-th cheapest held candidate (plus :data:`_CAP_SLACK`).
+          A candidate costing more than ``c`` is never among the next
+          ``room`` pops; one costing exactly ``c`` loses the tie on its
+          later counter.  ``c`` never goes up — a push can only lower the
+          ``room``-th smallest cost, a pop removes the minimum as ``room``
+          drops by one — so a path pruned once is pruned on every later
+          discovery, and the survivors keep their relative counter order.
+          No spur search is skipped, only ended early:
+          ``root_cost + h(spur)`` is at most the accepted path's cost,
+          itself at most ``c``.
 
         Spur searches are ALT-guided A* toward the (fixed) target on
         networks of at least :data:`ALT_MIN_VERTICES` vertices — the
@@ -935,6 +963,7 @@ class CSRGraph:
         # node, so its keys are the prefix's ban set.  The root is [s].
         trie: dict[int, dict] = {}
         produced = 1
+        costs: list[float] = []  # held candidates' costs, sorted (max_paths)
 
         while max_paths is None or produced < max_paths:
             node = trie
@@ -942,21 +971,28 @@ class CSRGraph:
             for i in range(deviation):
                 root_cost += weights[edge_index(verts[i], verts[i + 1])]
                 node = node[verts[i + 1]]
+            room = max_paths - produced if max_paths is not None else 0
             spurs = 0
             try:
                 for i in range(deviation, len(verts) - 1):
                     following = verts[i + 1]
                     after = node.setdefault(following, {})
                     spurs += 1
-                    result = self._p2p(verts[i], t, adj, h, verts[:i], node)
+                    bound = (costs[room - 1] * _CAP_SLACK - root_cost
+                             if room and len(costs) >= room else inf)
+                    result = self._p2p(verts[i], t, adj, h, verts[:i], node,
+                                       bound)
                     if result is not None:
                         spur_verts, spur_cost = result
                         found = verts[:i] + spur_verts
                         key = tuple(found)
                         if key not in seen_paths:
                             seen_paths.add(key)
-                            heappush(candidates, (root_cost + spur_cost,
-                                                  next(counter), found, i))
+                            found_cost = root_cost + spur_cost
+                            heappush(candidates, (found_cost, next(counter),
+                                                  found, i))
+                            if room:
+                                insort(costs, found_cost)
                     root_cost += weights[edge_index(verts[i], following)]
                     node = after
             finally:
@@ -966,6 +1002,8 @@ class CSRGraph:
             if not candidates:
                 return
             total, _, verts, deviation = heappop(candidates)
+            if room:
+                del costs[0]
             produced += 1
             yield verts, total
 
@@ -978,8 +1016,10 @@ class CSRGraph:
         Per-search-kind run counts plus the three effort numbers that
         predict routing cost: ``heap_pops`` (priority-queue work),
         ``settled`` (vertices finalised), and ``alt_pruned`` (frontier
-        entries an ALT/A* early exit never had to expand).  Serving
-        publishes these under ``kernel.routing.*``.
+        entries an ALT/A* early exit never had to expand), plus
+        ``yen_spur_capped`` (spur searches Yen's cost cap ended before
+        the target settled).  Serving publishes these under
+        ``kernel.routing.*``.
         """
         with self._lock:
             return dict(self._profile)
@@ -1113,11 +1153,7 @@ class CSRGraph:
         kernel._done = [0] * n
         kernel._gen = 0
         kernel._lock = threading.Lock()
-        kernel._profile = {
-            "sssp_runs": 0, "p2p_runs": 0, "astar_runs": 0,
-            "yen_runs": 0, "yen_spur_searches": 0,
-            "heap_pops": 0, "settled": 0, "alt_pruned": 0,
-        }
+        kernel._profile = dict.fromkeys(_PROFILE_KEYS, 0)
         return kernel
 
     def __repr__(self) -> str:

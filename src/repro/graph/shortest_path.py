@@ -86,10 +86,10 @@ def dijkstra(
             if neighbor in settled or neighbor in banned_v or edge.key in banned_e:
                 continue
             weight = cost(edge)
-            if weight < 0:
+            if not weight >= 0:  # rejects NaN as well
                 raise ValueError(
-                    f"negative edge cost {weight} on {edge.key}; Dijkstra requires "
-                    "non-negative costs"
+                    f"negative or NaN edge cost {weight} on {edge.key}; "
+                    "Dijkstra requires non-negative costs"
                 )
             candidate = d + weight
             if candidate < dist.get(neighbor, math.inf):

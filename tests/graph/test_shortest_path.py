@@ -1,5 +1,7 @@
 """Tests for Dijkstra / bidirectional / A*, with networkx as the oracle."""
 
+import math
+
 import networkx as nx
 import pytest
 
@@ -14,7 +16,9 @@ from repro.graph import (
     shortest_path_cost,
     travel_time_cost,
     travel_time_heuristic,
+    yen_k_shortest_paths,
 )
+from repro.graph.builders import grid_network
 
 
 class TestDijkstra:
@@ -68,6 +72,21 @@ class TestDijkstra:
     def test_negative_cost_rejected(self, tiny_network):
         with pytest.raises(ValueError):
             dijkstra(tiny_network, 0, cost=lambda e: -1.0)
+
+    @pytest.mark.parametrize("backend", ["csr", "dict"])
+    def test_nan_cost_rejected_on_both_lanes(self, backend):
+        """A NaN edge cost is refused on both lanes: neither routed on
+        (a NaN-cost path) nor mistaken for an unreachable target."""
+        grid = grid_network(6, 6, seed=5)
+
+        def nan_cost(edge):
+            return math.nan if edge.source == 0 else edge.length
+
+        with pytest.raises(ValueError, match="NaN"):
+            shortest_path(grid, 0, 35, nan_cost, backend=backend)
+        with pytest.raises(ValueError, match="NaN"):
+            yen_k_shortest_paths(grid, 0, 35, 3, cost=nan_cost,
+                                 backend=backend)
 
     def test_no_path_raises(self):
         net = RoadNetwork()

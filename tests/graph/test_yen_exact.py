@@ -1,16 +1,19 @@
 """The kernel's Yen enumeration against the plain algorithm.
 
 ``CSRGraph.yen_indices`` skips the spur searches that cannot produce a
-new candidate (every prefix before a path's deviation index) and keeps
-its ban sets in a trie.  Both are exact: ``_plain_yen`` below is the
-textbook enumeration — every spur index of every accepted path, ban
-sets rebuilt by scanning the accepted paths — over the *same* ``_p2p``
-searches, and the kernel must yield its sequence element-wise: same
+new candidate (every prefix before a path's deviation index), keeps
+its ban sets in a trie, and under ``max_paths`` caps each spur search
+at the cost of the last candidate it can still yield.  All three are
+exact: ``_plain_yen`` below is the textbook enumeration — every spur
+index of every accepted path, ban sets rebuilt by scanning the accepted
+paths — over the *same* uncapped ``_p2p`` searches, and the kernel must
+yield its sequence element-wise: same
 paths, same order among equal costs, ``==`` on the float costs.
 """
 
 from heapq import heappop, heappush
-from itertools import count
+from itertools import count, islice
+from math import inf
 
 import networkx as nx
 import numpy as np
@@ -81,6 +84,14 @@ def _plain_yen(kernel, source_id, target_id, cost=None, max_paths=None,
 
 def _spur_searches(kernel):
     return kernel.profile_counters()["yen_spur_searches"]
+
+
+def _heap_pops(kernel):
+    return kernel.profile_counters()["heap_pops"]
+
+
+def _capped(kernel):
+    return kernel.profile_counters()["yen_spur_capped"]
 
 
 def _assert_exact(network, source, target, cost=None, max_paths=None,
@@ -161,12 +172,13 @@ class TestSequenceIdentity:
 
 
 @st.composite
-def digraph_queries(draw):
+def digraph_queries(draw, min_vertices=2, min_arc_share=0.0):
     """A small digraph with one-way streets and zero-weight edges, plus
     a query that may well be unreachable."""
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(min_vertices, 6))
     arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
     chosen = draw(st.lists(st.sampled_from(arcs), unique=True,
+                           min_size=int(len(arcs) * min_arc_share),
                            max_size=len(arcs)))
     weights = {arc: float(draw(st.integers(0, 2))) for arc in chosen}
     network = RoadNetwork(name="hypothesis")
@@ -177,6 +189,25 @@ def digraph_queries(draw):
     source = draw(st.integers(0, n - 1))
     target = draw(st.integers(0, n - 1).filter(lambda v: v != source))
     return network, weights, source, target
+
+
+@given(digraph_queries(min_vertices=4, min_arc_share=0.5),
+       st.integers(1, 8))
+@settings(max_examples=150, deadline=None)
+def test_random_digraphs_capped(case, max_paths):
+    """Under ``max_paths`` the spur searches are capped; integer weights
+    make the cap land exactly on tied and zero-cost candidates.  Dense
+    draws hold enough paths for the cap to fire on many examples."""
+    network, weights, source, target = case
+
+    def cost(edge):
+        return weights[edge.source, edge.target]
+
+    try:
+        _plain_yen(csr_for(network), source, target, cost, max_paths=1)
+    except NoPathError:
+        return
+    _assert_exact(network, source, target, cost, max_paths=max_paths)
 
 
 @given(digraph_queries())
@@ -217,6 +248,61 @@ def test_p2p_banned_next_covers_parallel_edges():
     assert kernel._p2p(0, 2, adj, banned_next={1, 2}) is None
     assert kernel._p2p(0, 2, adj, banned_vertices=[1]) == ([0, 2], 9.0)
     assert kernel._p2p(0, 2, adj, banned_vertices=[2]) is None
+
+
+@pytest.mark.parametrize("h", [None, [4.0, 2.0, 4.0, 0.0]])
+def test_p2p_bound(h):
+    """The cap compares the popped key (``g``, or ``g + h``) with
+    ``bound``: a path costing exactly the bound survives, one unit less
+    ends the search, and an infinite bound is no bound at all."""
+    network = RoadNetwork()
+    for v in range(4):
+        network.add_vertex(v, float(v), 0.0)
+    network.add_edge(0, 1, length=1.0)
+    kernel = csr_for(network)
+    adj = [[(1, 2.0), (2, 1.0)], [(3, 2.0)], [(3, 4.0)], []]
+    assert kernel._p2p(0, 3, adj, h, bound=4.0) == ([0, 1, 3], 4.0)
+    capped = _capped(kernel)
+    assert kernel._p2p(0, 3, adj, h, bound=3.0) is None
+    assert _capped(kernel) == capped + 1
+
+    def run(**bound):
+        before = kernel.profile_counters()
+        result = kernel._p2p(0, 3, adj, h, **bound)
+        after = kernel.profile_counters()
+        return result, {key: after[key] - before[key] for key in after}
+
+    assert run(bound=inf) == run()
+
+
+class TestBoundedSpurSearches:
+    """Under ``max_paths`` every spur search is capped at the cost of the
+    last candidate that can still be yielded: same paths, less work."""
+
+    @pytest.mark.parametrize("cost", [length_cost, travel_time_cost,
+                                      detour_cost])
+    def test_region_prefix_of_unbounded(self, region_network, cost):
+        kernel = csr_for(region_network)
+        bounded_pops = unbounded_pops = 0
+        for source, target in _pairs(region_network, 3, seed=6):
+            before = _heap_pops(kernel)
+            bounded = list(kernel.yen_ids(source, target, cost, max_paths=40))
+            bounded_pops += _heap_pops(kernel) - before
+            before = _heap_pops(kernel)
+            unbounded = list(islice(kernel.yen_ids(source, target, cost), 40))
+            unbounded_pops += _heap_pops(kernel) - before
+            assert bounded == unbounded
+        assert bounded_pops < unbounded_pops
+
+    def test_capped_counter(self, region_network):
+        kernel = csr_for(region_network)
+        source, target = _pairs(region_network, 1, seed=7)[0]
+        before = _capped(kernel)
+        list(kernel.yen_ids(source, target, max_paths=40))
+        assert _capped(kernel) > before
+        before = _capped(kernel)
+        list(islice(kernel.yen_ids(source, target, max_paths=None), 40))
+        assert _capped(kernel) == before
 
 
 class TestMaxPathsValidation:
