@@ -11,8 +11,8 @@ allocating fresh ``max(steps)``-sized arrays per call (see
 :func:`encode_paths`).  For mixed-length batches,
 :func:`length_buckets` / :func:`encode_path_buckets` group paths of
 similar length so each group pads to its *own* maximum instead of the
-global one — the fused scoring kernel and the serving batcher both lean
-on this.
+global one.  The fused kernel scores unpadded sequences; only the
+benchmark's scoring replay (``bench/serve.py``) still feeds it buckets.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.graph.path import Path
-from repro.core.batching import encode_path_buckets, encode_paths
+from repro.core.batching import encode_paths
 from repro.nn import BiGRU, Dropout, Embedding, GRU, Linear, Module, Tensor, no_grad
 from repro.nn.fused import compiled_for, resolve_scoring_backend
 from repro.ranking.training_data import RankingQuery
@@ -165,19 +165,15 @@ class PathRank(Module):
         """Scores for arbitrary paths (inference mode, no graph).
 
         Dispatches through the scoring-backend seam: by default the
-        fused numpy kernel (:mod:`repro.nn.fused`) scores each
-        length-bucketed sub-batch graph-free; ``backend="module"`` (or
+        fused numpy kernel (:mod:`repro.nn.fused`) scores the whole
+        batch graph-free in one call; ``backend="module"`` (or
         ``REPRO_SCORING_BACKEND=module``) forces the reference autograd
         forward.  Both return identical scores up to float32 roundoff.
         """
         if not paths:
             return np.zeros(0)
         if resolve_scoring_backend(backend) == "fused":
-            kernel = compiled_for(self)
-            scores = np.empty(len(paths), dtype=np.float64)
-            for index, vertex_ids, mask in encode_path_buckets(paths):
-                scores[index] = kernel.forward(vertex_ids, mask)
-            return scores
+            return compiled_for(self).score([path.vertices for path in paths])
         was_training = self.training
         self.eval()
         try:

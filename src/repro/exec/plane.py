@@ -53,7 +53,7 @@ class _PoolModel:
     ``score_paths(chunk)`` and the fan-out hook
     ``score_paths_many(chunks)``.  Scores come back as float64 arrays
     bitwise-equal to the parent's fused kernel output (same buffers,
-    same per-bucket padding, same arithmetic).
+    same ``CompiledPathRank.score`` call, same arithmetic).
     """
 
     __slots__ = ("_plane", "_segment_name", "_key", "_deadline_at")

@@ -40,8 +40,6 @@ import multiprocessing as mp
 import threading
 from time import perf_counter
 
-import numpy as np
-
 from repro.errors import ExecError, FaultInjected, NoPathError
 from repro.exec.shm import attach_segment
 
@@ -54,22 +52,11 @@ _MONITOR_INTERVAL_S = 0.02
 _WORKER_KERNEL_CAP = 8
 
 
-class _WirePath:
-    """Minimal path stand-in for the encoders: vertices + length only."""
-
-    __slots__ = ("vertices", "num_vertices")
-
-    def __init__(self, vertices) -> None:
-        self.vertices = tuple(vertices)
-        self.num_vertices = len(self.vertices)
-
-
 def _worker_main(index: int, network, csr_name: str | None,
                  csr_key: str | None, inqueue, outqueue) -> None:
     """Worker process entry point (module-level: spawn pickles by name)."""
     try:
         from repro.analytics.tiling import run_tile_payload
-        from repro.core.batching import encode_path_buckets
         from repro.core.ranker import generate_candidates
         from repro.graph.csr import CSRGraph, install_csr
         from repro.nn.fused import CompiledPathRank
@@ -111,16 +98,7 @@ def _worker_main(index: int, network, csr_name: str | None,
             elif kind == "score":
                 segment_name, key, chunks = payload
                 kernel = scoring_kernel(segment_name, key)
-                result = []
-                for chunk in chunks:
-                    paths = [_WirePath(vertices) for vertices in chunk]
-                    # Mirror PathRank.score_paths' fused branch exactly:
-                    # per-bucket padded forwards into a float64 vector.
-                    scores = np.empty(len(paths), dtype=np.float64)
-                    for bucket, vertex_ids, mask in \
-                            encode_path_buckets(paths):
-                        scores[bucket] = kernel.forward(vertex_ids, mask)
-                    result.append(scores.tolist())
+                result = [kernel.score(chunk).tolist() for chunk in chunks]
             elif kind == "analytics":
                 # One batch-analytics tile against the shared-memory
                 # kernel installed at warmup; returns plain arrays/lists

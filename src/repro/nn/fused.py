@@ -10,20 +10,28 @@ serving pays it per request.
 
 :class:`CompiledPathRank` is the inference counterpart: the model's
 weights snapshotted into flat contiguous arrays (float32 by default) and
-a graph-free forward pass over preallocated per-thread buffers:
+a graph-free :meth:`~CompiledPathRank.score` over vertex sequences.
+Candidate paths are near-duplicates, so it scores each shared prefix once:
 
-* **embedding gather** — one ``np.take`` into a reused buffer;
-* **hoisted input projection** — ``x @ W_ih + b_ih`` for *all* timesteps
-  as a single batched matmul before the recurrence; only the unavoidable
-  ``h @ W_hh`` remains inside the per-step loop;
-* **(Bi)GRU recurrence** — in-place gate math (stable sigmoid / tanh
-  with ``out=``), masked state propagation via boolean ``np.copyto``;
-* **pooling + FC head** — masked mean / final-state / additive-attention
-  reduction and the two-layer head, all on the same workspace.
+* **two tries, no padding** — the forward direction runs over the
+  batch's prefix trie, the backward direction over its suffix trie (the
+  prefix trie of the reversed sequences); one lexicographic sort of
+  both sets of rows plus a few array ops builds both, and every node is
+  one real recurrence row;
+* **hoisted input projection** — each direction projects the batch's
+  distinct vertices once and one gather lays the gates out per node;
+* **one loop over depth** — a depth's forward and backward nodes share
+  one buffer: one parent-state ``take``, one ``h @ W_hh`` GEMM per
+  direction and one pass of in-place gate arithmetic;
+* **pooling + FC head** — a path's final state per direction is the
+  last trie node it reaches, mean pooling reads running sums kept per
+  node, attention gathers the per-step states.
 
-The arithmetic mirrors the module forward expression for expression, so
-scores agree with the reference to float32 roundoff (and to ~1e-12 when
-compiled with ``dtype=np.float64`` — the parity tests pin both).
+Scores agree with the module forward to float32 roundoff (~1e-12 when
+compiled with ``dtype=np.float64`` — the parity tests pin both).  The
+padded ``(steps, batch)`` :meth:`~CompiledPathRank.forward` is a thin
+adapter: each column's masked-in steps go through ``score``, which is
+what the masked recurrence computes for any 0/1 mask.
 
 **Staleness.**  A compiled kernel is a snapshot: it is keyed by the
 source model's :attr:`~repro.nn.module.Module.weight_version` counter,
@@ -49,7 +57,9 @@ import os
 import threading
 import time
 import weakref
+from collections.abc import Sequence
 from contextlib import contextmanager
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -102,6 +112,33 @@ class _Workspace:
         return base[:need].reshape(shape)
 
 
+def _trie(rows: np.ndarray, lengths: np.ndarray):
+    """The prefix trie of ``rows`` (``(count, width)``, padded with -1).
+
+    After one lexicographic sort, a row opens a node at every depth past
+    its common prefix with the row before it.  Returns each node's
+    vertex and parent (-1 at depth 0) in depth-major order, ``opens``
+    (``(width, count)``: which sorted row opened a node at which depth)
+    and ``node[i, d]``: the node row ``i`` (input order) reaches at
+    depth ``d``.  Padding with -1, not 0, keeps a row that is a proper
+    prefix of another apart from it at the next depth.
+    """
+    count, width = rows.shape
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    shared = np.zeros(count, dtype=np.intp)
+    shared[1:] = np.logical_and.accumulate(rows[1:] == rows[:-1],
+                                           axis=1).sum(axis=1)
+    depth = np.arange(width)[:, None]
+    opens = (depth >= shared) & (depth < lengths[order])
+    ids = np.where(opens, np.cumsum(opens).reshape(width, count) - 1, -1)
+    node = np.maximum.accumulate(ids, axis=1)
+    parent = np.vstack([np.full((1, count), -1), node[:-1]])[opens]
+    unsort = np.empty_like(order)
+    unsort[order] = np.arange(count)
+    return rows.T[opens], parent, opens, node.T[unsort]
+
+
 class CompiledPathRank:
     """Weight snapshot + fused forward for one PathRank-shaped model.
 
@@ -149,8 +186,31 @@ class CompiledPathRank:
                 f"cannot compile {type(model).__name__}: model does not "
                 f"expose the PathRank forward surface ({exc})"
             ) from exc
+        self._bind()
+
+    def _bind(self) -> None:
+        """Derived state shared by both constructors."""
         self.num_vertices, self.embedding_dim = self.embedding.shape
-        self.summary_size = (2 if self.bidirectional else 1) * self.hidden_size
+        self.summary_size = len(self.gru) * self.hidden_size
+        # Per direction, gate-major (r, z, n first axis) so every gate
+        # block of a step is contiguous: W_ih and W_hh as (3, ·, H), the
+        # input bias with the recurrent r/z bias folded in, and b_hn,
+        # which must stay inside r * (h W_hn + b_hn).  The r/z blocks
+        # are halved — exact in binary floating point — so that
+        # sigmoid(x) = (tanh(x / 2) + 1) / 2 starts at the tanh.
+        hidden = self.hidden_size
+        half = np.array([0.5, 0.5, 1.0], dtype=self.dtype)[:, None, None]
+
+        def gates(array: np.ndarray) -> np.ndarray:
+            return np.ascontiguousarray(
+                array.reshape(-1, 3, hidden).transpose(1, 0, 2) * half)
+
+        self._cells = []
+        for w_ih, w_hh, b_ih, b_hh in self.gru:
+            bias = b_ih.copy()
+            bias[:2 * hidden] += b_hh[:2 * hidden]
+            self._cells.append((gates(w_ih), gates(bias), gates(w_hh),
+                                b_hh[2 * hidden:]))
         self._tls = threading.local()
         # Cumulative forward-pass profile (surfaced by the serving layer
         # under ``kernel.scoring.*``): call/volume counters, wall time,
@@ -172,152 +232,207 @@ class CompiledPathRank:
             workspace = self._tls.workspace = _Workspace()
         return workspace
 
-    def _run_direction(
-        self,
-        direction: int,
-        x: np.ndarray,
-        mask_float: np.ndarray,
-        mask_bool: np.ndarray,
-        outputs: np.ndarray | None,
-        workspace: _Workspace,
-    ) -> np.ndarray:
-        """One GRU direction; returns the final hidden state buffer."""
-        w_ih, w_hh, b_ih, b_hh = self.gru[direction]
-        steps, batch = mask_float.shape
-        hidden = self.hidden_size
-        two_h = 2 * hidden
-        dtype = self.dtype
-
-        # The hoisted input projection: every timestep's x @ W_ih in one
-        # matmul.  The recurrent biases of the r/z gates do not interact
-        # with the reset gate, so they fold into the hoist too; only the
-        # candidate gate's b_hn must stay inside r * (h W_hn + b_hn).
-        # The buffer is shared between directions (they run sequentially)
-        # and between calls.
-        gates_input = workspace.get("gates_input", (steps * batch, 3 * hidden),
-                                    dtype)
-        np.matmul(x, w_ih, out=gates_input)
-        gates_input += b_ih
-        gates_input[:, :two_h] += b_hh[:two_h]
-        gates_input = gates_input.reshape(steps, batch, 3 * hidden)
-        b_hn = b_hh[two_h:]
-
-        gates_hidden = workspace.get("gates_hidden", (batch, 3 * hidden), dtype)
-        gate_rz = workspace.get("gate_rz", (batch, two_h), dtype)
-        hidden_n = workspace.get("hidden_n", (batch, hidden), dtype)
-        candidate = workspace.get("candidate", (batch, hidden), dtype)
-        blend = workspace.get("blend", (batch, hidden), dtype)
-        state = workspace.get(f"state{direction}", (batch, hidden), dtype)
-        state.fill(0.0)
-
-        column = slice(direction * hidden, (direction + 1) * hidden)
-        time_order = range(steps) if direction == 0 else range(steps - 1, -1, -1)
-        mask_cols = mask_bool[:, :, None]
-        for t in time_order:
-            np.matmul(state, w_hh, out=gates_hidden)
-            step_input = gates_input[t]
-            # r = sigmoid(i_r + h_r), z = sigmoid(i_z + h_z) in one shot.
-            np.add(step_input[:, :two_h], gates_hidden[:, :two_h], out=gate_rz)
-            stable_sigmoid(gate_rz, gate_rz)
-            # n = tanh(i_n + r * (h W_hn + b_hn))
-            np.add(gates_hidden[:, two_h:], b_hn, out=hidden_n)
-            np.multiply(gate_rz[:, :hidden], hidden_n, out=candidate)
-            candidate += step_input[:, two_h:]
-            np.tanh(candidate, out=candidate)
-            # h' = (1 - z) * n + z * h = n + z * (h - n), applied only
-            # where the mask is on.
-            np.subtract(state, candidate, out=blend)
-            blend *= gate_rz[:, hidden:two_h]
-            blend += candidate
-            np.copyto(state, blend, where=mask_cols[t])
-            if outputs is not None:
-                np.copyto(outputs[t, :, column], state)
-        return state
+    def score(self, sequences: Sequence[Sequence[int]]) -> np.ndarray:
+        """Scores of vertex-id sequences, shape ``(len(sequences),)``,
+        ``float64``.  Inference only — dropout is treated as identity,
+        exactly like the module forward in eval mode."""
+        lengths = np.fromiter(map(len, sequences), dtype=np.intp,
+                              count=len(sequences))
+        flat = np.fromiter(chain.from_iterable(sequences), dtype=np.intp,
+                           count=int(lengths.sum()))
+        return self._score(flat, lengths)
 
     def forward(self, vertex_ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Scores for one padded batch, shape ``(batch,)``, ``float64``.
-
-        ``vertex_ids`` and ``mask`` follow the ``(steps, batch)`` layout
-        of :func:`repro.core.batching.encode_paths`.  Inference only —
-        dropout is treated as identity, exactly like the module forward
-        in eval mode.
-        """
+        """Scores for one padded batch in the ``(steps, batch)`` layout
+        of :func:`repro.core.batching.encode_paths`: each column keeps
+        its ``mask > 0.5`` steps and goes through :meth:`score` — the
+        same result as the masked recurrence for any 0/1 mask."""
         ids = np.asarray(vertex_ids)
         if ids.ndim != 2:
             raise ShapeError(
                 f"vertex_ids must be (steps, batch), got shape {ids.shape}")
-        raw_mask = np.asarray(mask)
-        if raw_mask.shape != ids.shape:
+        keep = np.asarray(mask)
+        if keep.shape != ids.shape:
             raise ShapeError(
-                f"mask shape {raw_mask.shape} does not match ids {ids.shape}")
-        steps, batch = ids.shape
-        dtype = self.dtype
+                f"mask shape {keep.shape} does not match ids {ids.shape}")
+        keep = (keep > 0.5).T
+        return self._score(ids.T[keep], keep.sum(axis=1))
+
+    __call__ = forward
+
+    def _score(self, flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Scores of the sequences ``flat`` holds back to back."""
+        if not lengths.size:
+            return np.zeros(0)
+        if lengths.min() < 1:
+            raise ShapeError("every sequence needs at least one vertex")
+        low, high = flat.min(), flat.max()
+        if low < 0 or high >= self.num_vertices:
+            raise IndexError(
+                f"embedding indices out of range [0, {self.num_vertices}): "
+                f"[{low}, {high}]")
         began = time.perf_counter()
+        dtype, hidden = self.dtype, self.hidden_size
         workspace = self._workspace()
+        count, width, total = lengths.size, int(lengths.max()), flat.size
+        directions = len(self._cells)
+        starts = np.cumsum(lengths) - lengths
+        # The tries run on ranks among the flush's distinct vertices
+        # (which keep their order), the backward direction's shifted
+        # past the forward's: one trie over both sets of rows then
+        # holds both tries, each depth's forward nodes first, and a
+        # node's rank indexes its direction's input projection.
+        vertices, ranks = np.unique(flat, return_inverse=True)
+        distinct = vertices.size
+        real = np.arange(width) < lengths[:, None]
+        rows = np.full((directions * count, width), -1, dtype=np.intp)
+        rows[:count][real] = ranks
+        if self.bidirectional:
+            # The backward direction is the forward recurrence over the
+            # reversed sequences: their prefix trie is the suffix trie.
+            path = np.repeat(np.arange(count), lengths)
+            mirror = 2 * starts[path] + lengths[path] - 1 - np.arange(total)
+            rows[count:][real] = ranks[mirror] + distinct
+        vertex, parents, opens, node = _trie(rows, np.tile(lengths, directions))
+        nodes = vertex.size
+        bounds = np.zeros(width + 1, dtype=np.intp)
+        np.cumsum(opens.sum(axis=1), out=bounds[1:])
+        middles = bounds[:-1] + opens[:, :count].sum(axis=1)
 
-        # Embedding gather, flattened so both direction matmuls reuse it.
-        x = workspace.get("x", (steps * batch, self.embedding_dim), dtype)
-        np.take(self.embedding, ids.reshape(-1), axis=0, out=x)
-
-        mask_float = workspace.get("mask_float", (steps, batch), dtype)
-        np.copyto(mask_float, raw_mask, casting="unsafe")
-        mask_bool = workspace.get("mask_bool", (steps, batch), np.dtype(bool))
-        np.greater(mask_float, 0.5, out=mask_bool)
-
-        outputs = None
-        if self.pooling != "final":
-            outputs = workspace.get("outputs",
-                                    (steps, batch, self.summary_size), dtype)
-        summary = workspace.get("summary", (batch, self.summary_size), dtype)
-        for direction in range(len(self.gru)):
-            final = self._run_direction(direction, x, mask_float, mask_bool,
-                                        outputs, workspace)
-            if self.pooling == "final":
-                width = self.hidden_size
-                np.copyto(summary[:, direction * width:(direction + 1) * width],
-                          final)
-
+        # Each direction projects the distinct vertices once; one gather
+        # lays the input gates out node by node.
+        embedded = np.take(self.embedding, vertices, axis=0)
+        projected = workspace.get("projected",
+                                  (3, directions * distinct, hidden), dtype)
+        for k, (w_ih, b_ih, _, _) in enumerate(self._cells):
+            block = projected[:, k * distinct:(k + 1) * distinct]
+            np.matmul(embedded, w_ih, out=block)
+            block += b_ih
+        gates_input = workspace.get("gates_input", (3, nodes, hidden), dtype)
+        np.take(projected, vertex, axis=1, out=gates_input, mode="clip")
+        # Row ``nodes`` (parent -1) is the zero initial state.  Mean
+        # pooling keeps, per node, the sum of the states on the way
+        # from the root: a path's sum is then its last node's.
+        states = workspace.get("states", (nodes + 1, hidden), dtype)
+        states[nodes] = 0.0
+        running = None
         if self.pooling == "mean":
-            counts = np.maximum(mask_float.sum(axis=0), 1.0)
-            np.einsum("tbs,tb->bs", outputs, mask_float, out=summary)
-            summary /= counts[:, None]
-        elif self.pooling == "attention":
-            self._attention_pool(outputs, mask_float, summary, workspace)
+            running = workspace.get("running", (nodes + 1, hidden), dtype)
+            running[nodes] = 0.0
+        self._recur(gates_input, parents, bounds, middles, states, running,
+                    workspace)
+
+        reads = [node[k * count:(k + 1) * count][real]
+                 for k in range(directions)]
+        # Pool per path, both directions side by side.  A trie's last
+        # node on a path holds that direction's final state (and, for
+        # mean pooling, its running sum).
+        if self.pooling == "attention":
+            if self.bidirectional:
+                reads[1] = reads[1][mirror]
+            outputs = np.take(states, np.stack(reads, axis=1),
+                              axis=0).reshape(total, self.summary_size)
+            summary = self._attention_pool(outputs, starts, lengths)
+        else:
+            ends = np.stack([read[starts + lengths - 1] for read in reads],
+                            axis=1)
+            summary = np.take(states if running is None else running, ends,
+                              axis=0).reshape(count, self.summary_size)
+            if running is not None:
+                summary /= lengths[:, None].astype(dtype)
 
         # FC head: tanh hidden layer, scalar logit, stable sigmoid.
-        fc_hidden = workspace.get("fc_hidden",
-                                  (batch, self.fc1_weight.shape[1]), dtype)
-        np.matmul(summary, self.fc1_weight, out=fc_hidden)
+        fc_hidden = summary @ self.fc1_weight
         fc_hidden += self.fc1_bias
         np.tanh(fc_hidden, out=fc_hidden)
-        logits = workspace.get("logits", (batch, 1), dtype)
-        np.matmul(fc_hidden, self.fc2_weight, out=logits)
+        logits = (fc_hidden @ self.fc2_weight).reshape(count)
         logits += self.fc2_bias
-        flat = logits.reshape(batch)
-        scores = workspace.get("scores", (batch,), dtype)
-        stable_sigmoid(flat, scores)
-        result = scores.astype(np.float64)
+        result = stable_sigmoid(logits, logits).astype(np.float64)
         elapsed = time.perf_counter() - began
         with self._profile_lock:
             profile = self._profile
             profile["forwards"] += 1
-            profile["paths_scored"] += batch
-            profile["steps_total"] += steps * batch
+            profile["paths_scored"] += count
+            profile["steps_total"] += nodes / directions
             profile["wall_s"] += elapsed
-            bucket = 1 << max(0, batch - 1).bit_length()
+            bucket = 1 << max(0, count - 1).bit_length()
             self._profile_batches[bucket] = \
                 self._profile_batches.get(bucket, 0) + 1
         return result
 
-    __call__ = forward
+    def _recur(self, gates_input: np.ndarray, parents: np.ndarray,
+               bounds: np.ndarray, middles: np.ndarray, states: np.ndarray,
+               running: np.ndarray | None, workspace: _Workspace) -> None:
+        """The GRU over both tries, one depth at a time.
+
+        Depth ``d``'s nodes are rows ``bounds[d]:bounds[d + 1]`` of
+        ``states``, the backward ones from ``middles[d]``; each reads
+        its parent's state, so one ``take``, one GEMM per direction and
+        one pass of gate arithmetic advance both directions a step.
+        """
+        dtype, hidden = self.dtype, self.hidden_size
+        # Per-step scratch, carved to each step's exact (contiguous) shape.
+        widest = int(np.diff(bounds).max()) * hidden
+        prior = workspace.get("prior", (widest,), dtype)
+        gates_hidden = workspace.get("gates_hidden", (3 * widest,), dtype)
+        gate_rz = workspace.get("gate_rz", (2 * widest,), dtype)
+        candidate = workspace.get("candidate", (widest,), dtype)
+        cells = [(w_hh, b_hn) for _, _, w_hh, b_hn in self._cells]
+        for first, middle, last in zip(bounds[:-1].tolist(), middles.tolist(),
+                                       bounds[1:].tolist()):
+            size = last - first
+            used = size * hidden
+            step = parents[first:last]
+            h = prior[:used].reshape(size, hidden)
+            np.take(states, step, axis=0, out=h, mode="wrap")
+            gh = gates_hidden[:3 * used].reshape(3, size, hidden)
+            edges = (0, middle - first, size)
+            for (w_hh, b_hn), lo, hi in zip(cells, edges, edges[1:]):
+                np.matmul(h[lo:hi], w_hh, out=gh[:, lo:hi])
+                gh[2, lo:hi] += b_hn
+            step_input = gates_input[:, first:last]
+            # r, z = sigmoid(i_rz + h_rz) on the halved pre-activations.
+            rz = gate_rz[:2 * used].reshape(2, size, hidden)
+            np.add(step_input[:2], gh[:2], out=rz)
+            np.tanh(rz, out=rz)
+            rz += 1.0
+            rz *= 0.5
+            # n = tanh(i_n + r * (h W_hn + b_hn))
+            n = candidate[:used].reshape(size, hidden)
+            np.multiply(rz[0], gh[2], out=n)
+            n += step_input[2]
+            np.tanh(n, out=n)
+            # h' = (1 - z) * n + z * h = n + z * (h - n)
+            new = states[first:last]
+            np.subtract(h, n, out=new)
+            new *= rz[1]
+            new += n
+            if running is not None:
+                np.take(running, step, axis=0, out=h, mode="wrap")
+                np.add(h, new, out=running[first:last])
+
+    def _attention_pool(self, outputs: np.ndarray, starts: np.ndarray,
+                        lengths: np.ndarray) -> np.ndarray:
+        """Additive attention per path, mirroring ``PathRank._attention_pool``."""
+        projected = outputs @ self.attn_proj_weight
+        projected += self.attn_proj_bias
+        np.tanh(projected, out=projected)
+        logits = (projected @ self.attn_score_weight).reshape(len(outputs))
+        # A shifted softmax over each path's own steps.
+        logits -= np.repeat(np.maximum.reduceat(logits, starts), lengths)
+        np.exp(logits, out=logits)
+        logits /= np.repeat(np.add.reduceat(logits, starts), lengths)
+        return np.add.reduceat(outputs * logits[:, None], starts, axis=0)
 
     def profile_counters(self) -> dict[str, object]:
         """Cumulative forward-pass profile since this kernel was compiled.
 
-        ``batch_le_<N>`` keys form a log2 batch-size distribution (the
-        count of forwards whose batch fit under each power-of-two
-        ceiling) — the direct evidence of whether batching/coalescing
-        delivers the batch sizes the fused kernel is built for.
+        ``steps_total`` counts the recurrence rows actually computed
+        (trie nodes, averaged over the directions).  ``batch_le_<N>``
+        keys form a log2 batch-size distribution (the count of forwards
+        whose batch fit under each power-of-two ceiling) — the direct
+        evidence of whether batching/coalescing delivers the batch sizes
+        the fused kernel is built for.
         """
         with self._profile_lock:
             profile = dict(self._profile)
@@ -335,8 +450,8 @@ class CompiledPathRank:
     def shared_payload(self) -> tuple[dict[str, np.ndarray], dict[str, object]]:
         """The snapshot's flat weight buffers as ``(arrays, meta)``.
 
-        Everything :meth:`forward` reads is already a contiguous array
-        on this object, so the export is a plain dict of those buffers;
+        The snapshot's weights are already contiguous arrays on this
+        object, so the export is a plain dict of those buffers;
         :meth:`from_shared` rebuilds a kernel whose weights are
         zero-copy views into a shared segment.
         """
@@ -370,8 +485,8 @@ class CompiledPathRank:
         """Rebuild a scoring kernel over a shared segment's buffers.
 
         The weight views stay zero-copy (the forward pass only reads
-        them); per-thread workspaces and profile counters are fresh and
-        private to the attaching process.
+        them; only the small gate-major GRU copies are private, as are
+        per-thread workspaces and profile counters).
         """
         kernel = cls.__new__(cls)
         kernel.dtype = np.dtype(meta["dtype"])
@@ -393,43 +508,8 @@ class CompiledPathRank:
             kernel.attn_proj_weight = arrays["attn_proj_weight"]
             kernel.attn_proj_bias = arrays["attn_proj_bias"]
             kernel.attn_score_weight = arrays["attn_score_weight"]
-        kernel.num_vertices, kernel.embedding_dim = kernel.embedding.shape
-        kernel.summary_size = (2 if kernel.bidirectional else 1) \
-            * kernel.hidden_size
-        kernel._tls = threading.local()
-        kernel._profile_lock = threading.Lock()
-        kernel._profile = {
-            "forwards": 0, "paths_scored": 0, "steps_total": 0,
-            "wall_s": 0.0,
-        }
-        kernel._profile_batches = {}
+        kernel._bind()
         return kernel
-
-    def _attention_pool(self, outputs: np.ndarray, mask_float: np.ndarray,
-                        summary: np.ndarray, workspace: _Workspace) -> None:
-        """Masked additive attention, mirroring ``PathRank._attention_pool``."""
-        steps, batch = mask_float.shape
-        dtype = self.dtype
-        flat = outputs.reshape(steps * batch, self.summary_size)
-        projected = workspace.get("attn_projected",
-                                  (steps * batch, self.attn_proj_weight.shape[1]),
-                                  dtype)
-        np.matmul(flat, self.attn_proj_weight, out=projected)
-        projected += self.attn_proj_bias
-        np.tanh(projected, out=projected)
-        logits = workspace.get("attn_logits", (steps * batch, 1), dtype)
-        np.matmul(projected, self.attn_score_weight, out=logits)
-        logits = logits.reshape(steps, batch)
-        # Push padded steps to -inf, then a masked, shifted softmax over time.
-        penalty = workspace.get("attn_penalty", (steps, batch), dtype)
-        np.subtract(1.0, mask_float, out=penalty)
-        penalty *= -1e9
-        logits += penalty
-        logits -= logits.max(axis=0, keepdims=True)
-        np.exp(logits, out=logits)
-        logits *= mask_float
-        logits /= logits.sum(axis=0, keepdims=True)
-        np.einsum("tb,tbs->bs", logits, outputs, out=summary)
 
     def __repr__(self) -> str:
         return (f"CompiledPathRank(vertices={self.num_vertices}, "

@@ -113,11 +113,13 @@ evaluation harness — resolves one of two implementations per call:
   :mod:`repro.nn.fused`: weights snapshotted into a
   :class:`~repro.nn.fused.CompiledPathRank` (flat float32 arrays, input
   projections hoisted out of the GRU recurrence, preallocated per-thread
-  buffers), with batches padded per length bucket instead of to the
-  global maximum.  ``ModelRegistry.activate`` pre-compiles the kernel so
-  a hot-swap never pays compile latency on the first request, and the
-  snapshot is keyed by the model's ``weight_version`` counter, so stale
-  weights can never serve.
+  buffers), running the forward direction over a batch's prefix trie
+  and the backward direction over its suffix trie — both in one loop
+  over depth, no padding — so each shared prefix or suffix runs once.
+  ``ModelRegistry.activate`` pre-compiles the kernel so a hot-swap
+  never pays compile latency on the first request, and the snapshot is
+  keyed by the model's ``weight_version`` counter, so stale weights can
+  never serve.
 * ``module`` — the reference autograd forward, kept as the
   always-correct fallback and parity oracle.
 

@@ -1,25 +1,22 @@
-"""Coalesced scoring: one padded forward pass for many requests' candidates.
+"""Coalesced scoring: one forward pass for many requests' candidates.
 
 Per-query scoring wastes the batch dimension — a typical query carries
 only ``k`` ≈ 5 candidate paths, so the GRU runs at batch 5.
 :meth:`BatchingScorer.score_many` takes the candidate lists of many
 requests (the engine's flush, or one ``rank_batch`` call), concatenates
-them into padded batches of up to ``max_batch_size`` paths
-(``core.batching.encode_paths``), runs one forward pass per batch, and
-scatters the scores back to each list.  Because the recurrence is
-masked, padded steps propagate the hidden state unchanged and every
-path's score is *identical* to what sequential per-query scoring would
-produce.
+them into chunks of up to ``max_batch_size`` paths, runs one forward
+pass per chunk (``PathRank.score_paths``), and scatters the scores back
+to each list.  A path's score does not depend on its chunk neighbours,
+so it is what sequential per-query scoring would produce.
 
 Duplicate paths inside one call are scored once, and a
 :class:`~repro.serving.cache.ScoreCache` (keyed by model version) lets
 repeat paths skip the forward pass across calls.
 
-Two batch-shape optimisations keep padded work proportional to real
-work: paths are *length-sorted* before chunking (each chunk pads to its
-own maximum), and ``score_paths`` itself dispatches through the fused
-scoring backend with per-bucket padding (see :mod:`repro.nn.fused` and
-``repro.core.batching.encode_path_buckets``).
+Paths are sorted lexicographically before chunking, so paths that
+share a prefix land in one chunk: the fused kernel
+(:mod:`repro.nn.fused`) runs every shared prefix (and suffix) of a
+chunk once.
 """
 
 from __future__ import annotations
@@ -77,13 +74,11 @@ class BatchingScorer:
                    model_version: str | None = None) -> list[np.ndarray]:
         """Score a group of candidate lists in one coalesced flush.
 
-        Scores are identical to per-query sequential scoring: the masked
-        recurrence makes each path's result independent of its batch
-        neighbours and of padding length.  Batches are drawn from a
-        length-sorted order (plus per-bucket padding inside
-        ``score_paths``), so mixed-length flushes pad to local maxima
-        rather than the longest path.  The whole flush runs under the
-        scorer lock, so the group is scored by *this* model even when
+        Scores match per-query sequential scoring: each path's result is
+        independent of its batch neighbours.  Chunks are drawn from a
+        lexicographic order, so paths sharing a prefix are scored
+        together and the prefix runs once.  The whole flush runs under
+        the scorer lock, so the group is scored by *this* model even when
         other threads score against a different (hot-swapped) snapshot
         concurrently.
         """
@@ -114,12 +109,11 @@ class BatchingScorer:
                 for key in resolved:
                     del unique[key]
 
-            # Length-sort before chunking so each fixed-size batch pads
-            # to its *local* maximum instead of the flush-wide one: one
-            # 120-vertex outlier then costs only its own batch.  Scores
-            # are scattered back through `resolved`, so ordering is free.
-            to_score = sorted(unique.values(),
-                              key=lambda path: path.num_vertices)
+            # Sort lexicographically before chunking so paths that share
+            # a prefix land in one chunk, where the kernel's prefix trie
+            # runs that prefix once.  Scores are scattered back through
+            # `resolved`, so ordering is free.
+            to_score = sorted(unique.values(), key=lambda path: path.vertices)
             chunks = [to_score[start:start + self.max_batch_size]
                       for start in range(0, len(to_score),
                                          self.max_batch_size)]

@@ -45,7 +45,7 @@ to before the plane existed), ``"threads"`` (independent scoring
 groups fan out across threads), or ``"processes"`` (an
 :class:`~repro.exec.plane.ExecutionPlane` of worker processes attached
 zero-copy to shared-memory CSR and weight segments executes candidate
-generation and the padded forward passes, sidestepping the GIL).  Every
+generation and the fused forward passes, sidestepping the GIL).  Every
 offload degrades to its inline path on pool failure, so the plane never
 lowers availability.  See ``docs/parallelism.md``.
 """
@@ -99,7 +99,7 @@ _UNRESOLVED = object()  # admit() sentinel: "look the snapshot up yourself"
 #: calling thread (the historical behaviour, and the default);
 #: ``"threads"`` fans independent *(shard, snapshot)* groups across
 #: ad-hoc threads; ``"processes"`` additionally offloads candidate
-#: generation and the padded forward passes to a pool of worker
+#: generation and the fused forward passes to a pool of worker
 #: processes over shared-memory hot-state (:mod:`repro.exec`).
 EXECUTION_MODES = ("inline", "threads", "processes")
 

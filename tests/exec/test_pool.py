@@ -89,7 +89,7 @@ def test_unknown_job_kind_fails_cleanly(plane):
                     reason="process scoring requires the fused backend")
 def test_score_parity_is_bitwise(plane, exec_network, exec_ranker,
                                  exec_candidates):
-    """The worker mirrors ``PathRank.score_paths``' fused branch over
+    """The worker makes ``PathRank.score_paths``' one fused call over
     shared weight buffers: same arithmetic, bitwise-equal scores."""
     source, target = _od_pairs(exec_network)[0]
     paths = generate_candidates(exec_network, source, target,
@@ -107,6 +107,32 @@ def test_score_parity_is_bitwise(plane, exec_network, exec_ranker,
     assert plane.on_deactivate("v-parity") == 1
     assert not any(key.startswith("weights:v-parity:")
                    for key in plane.arena.keys())
+
+
+@pytest.mark.skipif(resolve_scoring_backend() != "fused",
+                    reason="process scoring requires the fused backend")
+def test_scores_match_inline_on_a_flush_sharing_prefixes_and_suffixes(
+        plane, exec_network, exec_ranker, exec_candidates):
+    """A flush of several requests' candidates, whose paths share
+    prefixes (one source) and suffixes (one target), scores the same on
+    the pool as inline."""
+    ids = sorted(exec_network.vertex_ids())
+    pairs = [(ids[0], ids[-1]), (ids[0], ids[-2]), (ids[1], ids[-1])]
+    lists = [generate_candidates(exec_network, source, target,
+                                 exec_candidates)
+             for source, target in pairs]
+    flush = [path for paths in lists for path in paths]
+    starts = {path.vertices[:2] for path in flush}
+    ends = {path.vertices[-2:] for path in flush}
+    assert len(starts) < len(flush) and len(ends) < len(flush)
+    active = SimpleNamespace(model=exec_ranker.model, version="v-shared")
+    proxy = plane.scoring_proxy(active)
+    chunks = [flush[:4], flush[4:]]
+    remote = proxy.score_paths_many(chunks)
+    for chunk, scores in zip(chunks, remote):
+        np.testing.assert_allclose(
+            scores, exec_ranker.model.score_paths(chunk), atol=1e-6, rtol=0)
+    assert plane.on_deactivate("v-shared") == 1
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 
 from repro.errors import ServingError
 from repro.graph.ksp import yen_k_shortest_paths
+from repro.graph.path import Path
+from repro.nn.fused import compiled_for
 from repro.serving import BatchingScorer, ScoreCache
 
 
@@ -79,8 +81,8 @@ class TestChunkingAndDedup:
 class TestBucketedFlush:
     def test_mixed_length_flush_matches_sequential(self, model, small_grid,
                                                    random_walk_paths):
-        """Length-sorted chunking + per-bucket padding must not change a
-        single score relative to one-query-at-a-time scoring."""
+        """Sorted chunking must not change a single score relative to
+        one-query-at-a-time scoring."""
         rng = np.random.default_rng(7)
         lists = [random_walk_paths(small_grid,
                                    [int(n) for n in rng.integers(2, 30, 5)],
@@ -89,6 +91,45 @@ class TestBucketedFlush:
         sequential = [model.score_paths(paths) for paths in lists]
         scorer = BatchingScorer(max_batch_size=6)
         batched = scorer.score_many(model, lists)
+        for got, want in zip(batched, sequential):
+            np.testing.assert_allclose(got, want, atol=1e-7, rtol=0.0)
+
+    def test_chunks_keep_shared_prefixes_together(self, model, small_grid,
+                                                  random_walk_paths):
+        """Two families of four paths, each behind its own 10-vertex
+        prefix, lengths interleaved across families: with chunks of four
+        each family lands in one chunk, so the kernel computes exactly
+        the two families' own trie rows."""
+        rng = np.random.default_rng(5)
+        ids = small_grid.vertex_ids()
+        families = []
+        for start, lengths in ((ids[0], (2, 4, 6, 8)),
+                               (ids[-1], (3, 5, 7, 9))):
+            prefix = [start]
+            while len(prefix) < 10:
+                prefix.append(small_grid.out_edges(prefix[-1])[0].target)
+            family = []
+            for length in lengths:
+                tail = random_walk_paths(small_grid, [length], rng)[0]
+                while not small_grid.has_edge(prefix[-1], tail.vertices[0]):
+                    tail = random_walk_paths(small_grid, [length], rng)[0]
+                family.append(Path(small_grid, prefix + list(tail.vertices)))
+            families.append(family)
+        lists = [[a, b] for a, b in zip(*families)]
+        sequential = [model.score_paths(paths) for paths in lists]
+        kernel = compiled_for(model)
+        before = kernel.profile_counters()["steps_total"]
+        batched = BatchingScorer(max_batch_size=4).score_many(model, lists)
+        rows = kernel.profile_counters()["steps_total"] - before
+
+        def trie_rows(paths):
+            """(prefix-trie + suffix-trie nodes) / 2, counted the slow way."""
+            pieces = {(side, path.vertices[::side][:end])
+                      for path in paths for side in (1, -1)
+                      for end in range(1, path.num_vertices + 1)}
+            return len(pieces) / 2
+
+        assert rows == sum(trie_rows(family) for family in families)
         for got, want in zip(batched, sequential):
             np.testing.assert_allclose(got, want, atol=1e-7, rtol=0.0)
 
