@@ -137,14 +137,17 @@ class PoolTicket:
     its remaining budget, never hang it.
     """
 
-    __slots__ = ("kind", "job_id", "worker_index", "submitted_at",
-                 "compute_s", "_event", "_result", "_error", "_pool")
+    __slots__ = ("kind", "job_id", "worker_index", "inqueue",
+                 "submitted_at", "compute_s", "_event", "_result", "_error",
+                 "_pool")
 
     def __init__(self, kind: str, job_id: int, worker_index: int,
-                 pool: "WorkerPool") -> None:
+                 inqueue, pool: "WorkerPool") -> None:
         self.kind = kind
         self.job_id = job_id
         self.worker_index = worker_index
+        #: The worker incarnation's job queue the job was written to.
+        self.inqueue = inqueue
         self.submitted_at = perf_counter()
         self.compute_s = 0.0
         self._event = threading.Event()
@@ -355,11 +358,11 @@ class WorkerPool:
                         key=lambda i: self._outstanding[i])
             self._job_seq += 1
             job_id = self._job_seq
-            ticket = PoolTicket(kind, job_id, index, self)
+            inqueue = self._slots[index].inqueue
+            ticket = PoolTicket(kind, job_id, index, inqueue, self)
             self._inflight[job_id] = ticket
             self._outstanding[index] += 1
             self.dispatched += 1
-            inqueue = self._slots[index].inqueue
             if self._occupancy_hist is not None:
                 busy = sum(1 for n in self._outstanding if n > 0)
                 self._occupancy_hist.observe(busy / self.workers)
@@ -494,15 +497,10 @@ class WorkerPool:
                     return
                 exitcode = process.exitcode
                 index = slot.index
+                dead_queue = slot.inqueue
                 with self._lock:
-                    doomed = [job_id for job_id, ticket
-                              in self._inflight.items()
-                              if ticket.worker_index == index]
                     self.respawns += 1
-                for job_id in doomed:
-                    self._fail_ticket(job_id, ExecError(
-                        f"worker {index} died (exit code {exitcode}) "
-                        "with the job in flight; respawning"))
+                self._fail_orphans(dead_queue, index, exitcode)
                 with self._lock:
                     self._outstanding[index] = 0
                     if not slot.ready.is_set():
@@ -515,6 +513,19 @@ class WorkerPool:
                         continue
                     slot.generation += 1
                 self._spawn(slot)
+                # A submit that ran between the scan above and the queue
+                # swap in _spawn wrote to the dead queue nobody reads.
+                self._fail_orphans(dead_queue, index, exitcode)
+
+    def _fail_orphans(self, dead_queue, index: int, exitcode) -> None:
+        """Fail every in-flight job written to a dead worker's queue."""
+        with self._lock:
+            doomed = [job_id for job_id, ticket in self._inflight.items()
+                      if ticket.inqueue is dead_queue]
+        for job_id in doomed:
+            self._fail_ticket(job_id, ExecError(
+                f"worker {index} died (exit code {exitcode}) "
+                "with the job in flight; respawning"))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -174,6 +174,11 @@ class LRUCache:
             value = self._entries.get(key, _MISSING)
             return default if value is _MISSING else value
 
+    def covers(self, keys: Sequence[Hashable]) -> bool:
+        """Whether every key is present; like :meth:`peek`, read-only."""
+        with self._lock:
+            return all(key in self._entries for key in keys)
+
     def put(self, key: Hashable, value: object) -> None:
         with self._lock:
             if key in self._entries:
@@ -366,6 +371,12 @@ class ScoreCache:
         keys = [self.key_for(version, path) for path in paths]
         found = self._segment(version).get_many(keys)
         return {key[1]: value for key, value in found.items()}
+
+    def covers(self, version: str | None, paths: Sequence[Path]) -> bool:
+        """Whether every path has a score cached under ``version``; counts
+        no hit or miss and leaves LRU order alone (one lock round-trip)."""
+        return self._segment(version).covers(
+            [self.key_for(version, path) for path in paths])
 
     def store(self, version: str | None, path: Path, score: float) -> None:
         self._segment(version).put(self.key_for(version, path), float(score))

@@ -8,7 +8,7 @@ small-batch path.  :class:`ServingEngine` closes that gap: callers
 :class:`EngineTicket`, while inside the engine
 
 * **worker threads** run the admission and candidate-generation stages
-  of the shared pipeline (cache-aware, so hotspot traffic is cheap), and
+  of the shared pipeline (cache-aware, so hotspot traffic is cheap),
 * a **deadline flusher** coalesces prepared requests into one scoring
   flush per *(shard, model snapshot)* group — triggered the moment
   ``max_batch_size`` paths accumulate, or ``flush_deadline_ms`` after
@@ -18,7 +18,13 @@ small-batch path.  :class:`ServingEngine` closes that gap: callers
   from the live arrival rate and per-path scoring cost.  On a
   sharded service each flush scores every shard's group through that
   shard's own scorer/caches, and the occupancy view keeps a per-shard
-  breakdown alongside the whole-flush numbers.
+  breakdown alongside the whole-flush numbers, and
+* a third rule: **a request that needs no forward pass never waits**.
+  When the score cache already holds every one of its paths, the
+  worker that prepared it answers it through the same scoring stage a
+  flush runs, without parking it.  Such an answer is not a flush: it
+  fires no ``engine.flush`` fault, feeds no ``engine.occupancy.*``
+  histogram and teaches the adaptive policy nothing.
 
 Because both front doors drive the *same* stage methods and the masked
 recurrence makes batched scores identical to sequential ones, an
@@ -85,9 +91,12 @@ class AdaptiveFlushPolicy:
     trigger fires first), and ``batch_cost_ms`` is the estimated cost
     of scoring a full batch (waiting longer than the work the wait
     amortises just adds latency).  Arrival times come from a sliding
-    window of :meth:`note_submit` stamps; the per-path scoring cost is
-    an EWMA over measured flushes (:meth:`note_flush`), bootstrapped
-    from the fused kernel's cumulative profile
+    window of :meth:`note_arrivals` stamps, one per request that parks
+    for a flush (a shed request or a cache answer never joins the
+    batch whose fill time ``t_fill_ms`` models); the per-path scoring
+    cost is an EWMA over measured flushes (:meth:`note_flush`), which a
+    cache answer never feeds, bootstrapped from the fused kernel's
+    cumulative profile
     (``kernel.scoring.wall_s / paths_scored``) via ``cost_probe`` until
     the first flush lands.  With no signal at all the deadline rests at
     ``DEFAULT_MS`` — the historical fixed default.
@@ -109,9 +118,11 @@ class AdaptiveFlushPolicy:
         self._cost_per_path_ms: float | None = None
         self._flushes = 0
 
-    def note_submit(self) -> None:
+    def note_arrivals(self, count: int) -> None:
+        """Stamp ``count`` requests parking for a flush now."""
+        now = time.perf_counter()
         with self._lock:
-            self._arrivals.append(time.perf_counter())
+            self._arrivals.extend([now] * count)
 
     def note_flush(self, requests: int, paths: int, wall_s: float) -> None:
         if requests < 1:
@@ -437,10 +448,6 @@ class ServingEngine:
             # Before any bookkeeping: an injected ingress error must not
             # leave a half-submitted ticket behind.
             service.faults.fire("engine.submit")
-        if self.adaptive is not None:
-            # Shed requests count too: they are demand, and demand is
-            # what the arrival-rate estimate models.
-            self.adaptive.note_submit()
         ticket = EngineTicket(request, service)
         shed = False
         with self._lock:
@@ -517,17 +524,29 @@ class ServingEngine:
                 if self._inbox:
                     self._work.notify()  # more work: wake a sibling
             prepared: list[EngineTicket] = []
+            cached: list[EngineTicket] = []
             for ticket in claimed:
                 state = self._prepare_ticket(ticket)
-                if state.scorable:
-                    prepared.append(ticket)
-                else:
+                if not state.scorable:
                     # Nothing to score (error, no model, or an empty
                     # candidate set): answer immediately.
                     service.assemble(state)
                     self._resolve_ticket(ticket)
+                elif service.scores_cached(state):
+                    cached.append(ticket)
+                else:
+                    prepared.append(ticket)
+            if cached:
+                # No forward pass to share, so the flush's stage answers
+                # these now; an entry evicted since the probe is just a
+                # miss that score_states scores here.
+                self._score_states([t.state for t in cached], flush=False)
+                for ticket in cached:
+                    self._resolve_ticket(ticket)
             if not prepared:
                 continue
+            if self.adaptive is not None:
+                self.adaptive.note_arrivals(len(prepared))
             batch: list[EngineTicket] = []
             with self._lock:
                 self._pending.extend(prepared)
@@ -630,11 +649,12 @@ class ServingEngine:
             return self.adaptive.current_deadline_ms()
         return self.flush_deadline_ms
 
-    def _score_batch(self, batch: list[EngineTicket]) -> None:
-        states = [ticket.state for ticket in batch]
-        score_began = time.perf_counter()
+    def _score_states(self, states: list[QueryState], *,
+                      flush: bool) -> None:
+        """``score_states`` behind the engine's backstop (never raises);
+        only a ``flush`` fires ``engine.flush``, a cache answer does not."""
         try:
-            if self.service.faults is not None:
+            if flush and self.service.faults is not None:
                 self.service.faults.fire("engine.flush")
             self.service.score_states(states)
         except Exception as exc:  # noqa: BLE001 - deliberate backstop
@@ -648,6 +668,11 @@ class ServingEngine:
                 if state.scores is None and state.error is None:
                     state.active = None
                     state.degraded = str(exc)
+
+    def _score_batch(self, batch: list[EngineTicket]) -> None:
+        states = [ticket.state for ticket in batch]
+        score_began = time.perf_counter()
+        self._score_states(states, flush=True)
         if self.adaptive is not None:
             self.adaptive.note_flush(
                 requests=len(states),

@@ -19,8 +19,10 @@ point                fires
                      (so retries re-draw and breakers see the failure)
 ``assemble``         per request, during response assembly
 ``engine.submit``    per request, at the engine front door
-``engine.flush``     per flush batch, in the engine's scoring step
-``scorer.flush``     per batch, inside :class:`BatchingScorer.flush`
+``engine.flush``     per flush batch, in the engine's scoring step;
+                     never for a request the engine answers from the
+                     score cache, which skips the flush
+``scorer.flush``     per call, inside :meth:`BatchingScorer.score_many`
 ``route``            per request, in :class:`ShardRouter.route`
 ``exec.worker``      per pool dispatch, in :class:`WorkerPool.submit` —
                      an ``error`` firing is translated into a real

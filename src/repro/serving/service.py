@@ -843,6 +843,13 @@ class RankingService:
             for (shard_id, _), members in groups.items():
                 self._score_states_group(shard_id, members)
 
+    def scores_cached(self, state: QueryState) -> bool:
+        """Whether the lane's score cache holds every candidate of a
+        scorable ``state`` under its snapshot's version (read-only)."""
+        cache = self._lanes[state.shard].score_cache
+        return cache is not None \
+            and cache.covers(state.active.version, state.paths)
+
     def _score_states_group(self, shard_id: int,
                             members: list[QueryState]) -> None:
         """Score one *(shard, snapshot)* group end to end (thread-safe)."""

@@ -126,6 +126,9 @@ def test_exec_worker_fault_kills_for_real_and_service_degrades(
     finally:
         proc_service.disarm_faults()
     assert all(response.ok for response in responses)
+    # A job that raced the respawn fails with the dead worker; none
+    # waits out the plane's fallback deadline.
+    assert proc_service.plane.pool.stats()["timeouts"] == 0
     deadline = time.monotonic() + 30.0
     while True:
         stats = proc_service.plane.pool.stats()

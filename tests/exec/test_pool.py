@@ -156,6 +156,51 @@ def test_worker_death_fails_inflight_and_respawns(exec_network):
         plane.close()
 
 
+def test_submits_racing_a_respawn_all_resolve_promptly(exec_network):
+    """Jobs dispatched while the monitor replaces a dead worker either
+    fail with the dead incarnation or run on the new one: none may be
+    left in the dead worker's queue to wait out a fallback deadline."""
+    plane = ExecutionPlane(exec_network, workers=1)
+    try:
+        pool = plane.pool
+        pool.wait_ready()
+        tickets = []
+        respawn = pool._spawn
+
+        def spawn_after_a_racing_submit(slot):
+            # Lands after the monitor failed the dead worker's jobs and
+            # before the queue swap: the narrowest window of the race.
+            tickets.append(pool.submit("ping", None))
+            respawn(slot)
+
+        pool._spawn = spawn_after_a_racing_submit
+        pool.kill_worker(0)
+        # A paced burst around the monitor's scan and the respawn,
+        # bounded so the dead worker's pipe never fills.
+        respawned_at = None
+        while len(tickets) < 300:
+            tickets.append(pool.submit("ping", None))
+            if pool.stats()["respawns"] >= 1:
+                respawned_at = respawned_at or time.monotonic()
+                if time.monotonic() - respawned_at > 0.05:
+                    break
+            time.sleep(0.001)
+        deadline = time.monotonic() + 5.0
+        while not all(ticket.done for ticket in tickets) \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        stranded = [ticket.job_id for ticket in tickets if not ticket.done]
+        assert stranded == [], f"{len(stranded)} jobs never resolved"
+        for ticket in tickets:
+            try:
+                assert ticket.wait(0) == "pong"
+            except ExecError as exc:
+                assert "died" in str(exc)
+        assert pool.stats()["timeouts"] == 0
+    finally:
+        plane.close()
+
+
 def test_waiter_deadline_kills_hung_worker_and_recovers(exec_network):
     plane = ExecutionPlane(exec_network, workers=1)
     try:

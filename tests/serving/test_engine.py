@@ -1,5 +1,6 @@
 """ServingEngine: coalescing, parity, deadlines, warm-up, A/B routing."""
 
+import sys
 import threading
 import time
 
@@ -14,6 +15,7 @@ from repro.serving import (
     ServingConfig,
     ServingEngine,
 )
+from repro.serving.cache import ScoreCache
 
 ALL_PAIRS = [(s, t) for s in range(6) for t in range(6) if s != t]
 
@@ -279,3 +281,118 @@ class TestFailureIsolation:
         assert "poisoned batch" in responses[0].error
         assert responses[1].served_by == "model"
         assert responses[2].served_by == "model"
+
+
+class TestCacheAnswers:
+    """A request whose scores are all cached is answered by the worker
+    that prepared it, through the same scoring stage, without a flush."""
+
+    def test_cached_request_skips_the_flush_deadline(self, service):
+        service.rank(RankRequest(source=0, target=5))  # warm both caches
+        with ServingEngine(service, concurrency=2, flush_deadline_ms=5000.0,
+                           max_batch_size=10_000) as engine:
+            started = time.perf_counter()
+            cached = engine.rank(RankRequest(source=0, target=5),
+                                 timeout=5.0)
+            assert time.perf_counter() - started < 1.0
+            uncached = engine.submit(RankRequest(source=3, target=2))
+            time.sleep(0.3)
+            assert not uncached.done  # parked for its flush
+            assert engine.occupancy()["flushes"] == 0
+        # close() flushed the parked request.
+        assert uncached.wait(timeout=1.0).served_by == "model"
+        assert cached.served_by == "model"
+
+    @pytest.mark.parametrize("score_cache_size", [8192, 4])
+    def test_warm_cache_responses_equal_sync(self, tiny_network, registry,
+                                             make_ranker, candidates_config,
+                                             score_cache_size):
+        """Element-wise parity with the sync facade, also with a score
+        cache smaller than the working set, which evicts mid-run."""
+        registry.publish(make_ranker(tiny_network, seed=1), activate=True)
+        config = ServingConfig(candidates=candidates_config,
+                               score_cache_size=score_cache_size)
+        service = RankingService(tiny_network, registry, config)
+        sync = RankingService(tiny_network, registry, config)
+        # Each pair twice in a row: one at a time, the second finds its
+        # paths cached even in the small cache.
+        requests = [RankRequest(source=s, target=t, request_id=i)
+                    for i, (s, t) in enumerate(
+                        pair for pair in ALL_PAIRS for _ in range(2))]
+        expected = [sync.rank(request) for request in requests]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave probes and evictions
+        try:
+            with ServingEngine(service, concurrency=4,
+                               flush_deadline_ms=5.0) as engine:
+                concurrent = engine.rank_batch(requests, timeout=10.0)
+                one_by_one = [engine.rank(request, timeout=5.0)
+                              for request in requests]
+        finally:
+            sys.setswitchinterval(interval)
+        for mine, theirs in zip(concurrent + one_by_one, expected * 2):
+            assert mine.served_by == theirs.served_by == "model"
+            assert mine.model_version == theirs.model_version
+            assert [r.path.vertices for r in mine.results] == \
+                [r.path.vertices for r in theirs.results]
+            assert [r.score for r in mine.results] == \
+                pytest.approx([r.score for r in theirs.results], abs=1e-6)
+        cache = service.stats()["score_cache"]
+        assert cache["hits"] > 0
+        if score_cache_size < 8192:
+            assert cache["evictions"] > 0
+
+    def test_entries_evicted_after_the_probe_are_scored(self, service,
+                                                        monkeypatch):
+        """A probe that reports coverage the cache no longer has only
+        costs a miss: the worker scores the paths and answers right."""
+        sync = RankingService(service.network, service.registry,
+                              service.config)
+        requests = [RankRequest(source=s, target=t) for s, t in ALL_PAIRS]
+        expected = [sync.rank(request) for request in requests]
+        monkeypatch.setattr(ScoreCache, "covers",
+                            lambda self, version, paths: True)
+        with ServingEngine(service, concurrency=2, flush_deadline_ms=5000.0,
+                           max_batch_size=10_000) as engine:
+            actual = engine.rank_batch(requests, timeout=5.0)
+            assert engine.occupancy()["flushes"] == 0
+        for mine, theirs in zip(actual, expected):
+            assert mine.served_by == theirs.served_by == "model"
+            assert [r.score for r in mine.results] == \
+                pytest.approx([r.score for r in theirs.results], abs=1e-6)
+
+    def test_activation_rescores_paths_cached_under_the_old_version(
+            self, tiny_network, registry, make_ranker, service):
+        request = RankRequest(source=0, target=5)
+        old = service.rank(request)  # v0001's scores now cached
+        new_version = registry.publish(make_ranker(tiny_network, seed=2),
+                                       activate=True)
+        with ServingEngine(service, concurrency=2,
+                           flush_deadline_ms=5.0) as engine:
+            response = engine.rank(request, timeout=5.0)
+            assert engine.occupancy()["flushes"] == 1
+        reference = RankingService(tiny_network, registry,
+                                   service.config).rank(request)
+        assert response.model_version == new_version != old.model_version
+        assert [r.score for r in response.results] == \
+            pytest.approx([r.score for r in reference.results], abs=1e-6)
+        assert [r.score for r in response.results] != \
+            pytest.approx([r.score for r in old.results], abs=1e-6)
+
+    def test_adaptive_flush_counts_only_parked_requests(self, service):
+        cached_pairs = ALL_PAIRS[:-1]
+        service.rank_batch([RankRequest(source=s, target=t)
+                            for s, t in cached_pairs])
+        with ServingEngine(service, concurrency=4,
+                           flush_deadline_ms="auto") as engine:
+            engine.rank_batch(
+                [RankRequest(source=s, target=t, request_id=i)
+                 for i, (s, t) in enumerate((cached_pairs * 3)[:64])],
+                timeout=5.0)
+            adaptive = engine.stats()["engine"]["adaptive_flush"]
+            assert adaptive["arrival_rate_hz"] == 0.0
+            assert adaptive["flushes_measured"] == 0
+            source, target = ALL_PAIRS[-1]
+            engine.rank(RankRequest(source=source, target=target),
+                        timeout=5.0)
+            assert len(engine.adaptive._arrivals) == 1

@@ -12,6 +12,7 @@ from repro.serving import (
     RankingService,
     RankRequest,
     ServingConfig,
+    ServingEngine,
     format_fault_spec,
     parse_fault_spec,
 )
@@ -243,3 +244,23 @@ def test_arm_faults_seed_and_count(tiny_network, registry, make_ranker):
     assert service.faults.seed == 11
     assert service.rank(RankRequest(source=0, target=5)).served_by == "error"
     assert service.rank(RankRequest(source=0, target=5)).ok
+
+
+def test_hung_flush_spares_cache_answers(service):
+    """``engine.flush`` fires per flush only: a request whose scores
+    are all cached is model-served while a flush hangs."""
+    service.rank(RankRequest(source=0, target=5))  # warm both caches
+    service.arm_faults("engine.flush:hang")
+    engine = ServingEngine(service, concurrency=2, flush_deadline_ms=1.0)
+    try:
+        uncached = engine.submit(RankRequest(source=3, target=2))
+        cached = engine.rank(RankRequest(source=0, target=5), timeout=5.0)
+        assert cached.served_by == "model"
+        time.sleep(0.1)
+        assert not uncached.done
+        assert service.faults.hanging == 1
+        service.disarm_faults()
+        assert uncached.wait(timeout=5.0).served_by == "model"
+    finally:
+        service.disarm_faults()
+        engine.close()

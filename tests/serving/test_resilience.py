@@ -339,6 +339,45 @@ def test_breaker_recovers_through_half_open_probes(tiny_network, registry,
     assert breaker.recoveries == 1
 
 
+@pytest.mark.parametrize("front_door", ["sync", "engine"])
+def test_score_faults_degrade_cache_answers_like_flushes(
+        tiny_network, registry, make_ranker, front_door):
+    """The engine answers a fully cached request outside a flush, but
+    through the same scoring stage: the ``score`` fault, retries, the
+    individual rescue and the breaker treat it as the sync facade does."""
+    registry.publish(make_ranker(tiny_network, seed=1), activate=True)
+    service = RankingService(tiny_network, registry, ServingConfig(
+        candidates=CANDIDATES,
+        resilience=ResilienceConfig(
+            retry_attempts=1, retry_base_ms=1.0,
+            breaker_window=4, breaker_min_samples=2,
+            breaker_cooldown_ms=60_000.0)))
+    request = RankRequest(source=0, target=5)
+    paths = len(service.rank(request).results)  # warm both caches
+    service.arm_faults("score:error")
+    with ServingEngine(service, concurrency=2,
+                       flush_deadline_ms=1.0) as engine:
+        def rank(request):
+            if front_door == "engine":
+                return engine.rank(request, timeout=5.0)
+            return service.rank(request)
+
+        # The warm-up's success and this failure trip the breaker.
+        rescued = rank(request)
+        degraded = rank(request)
+        flushes = engine.occupancy()["flushes"]
+    assert rescued.served_by == "model"
+    assert degraded.served_by == "fallback"
+    assert degraded.error_code == "breaker_open"
+    assert service.breakers[0].trips == 1
+    assert service.res_counters["retries"].value == 1
+    assert service.res_counters["breaker_degraded"].value == 1
+    assert service.stats()["resilience"]["faults"]["fired"] == 2
+    # Hits are counted once, by the individual rescue's lookup.
+    assert service.stats()["score_cache"]["hits"] == paths
+    assert flushes == 0  # the engine answered both outside a flush
+
+
 # ----------------------------------------------------------------------
 # Engine: shedding, result(timeout), close()
 # ----------------------------------------------------------------------
