@@ -14,7 +14,8 @@ and travel time) and runs the same algorithms over plain scalar arrays:
 * array Dijkstra (single-source, multi-source and early-exit
   point-to-point),
 * A* with ALT (landmark) heuristics, and
-* Yen's k-shortest-paths with ALT-accelerated spur searches.
+* Yen's k-shortest-paths with spur searches guided by the exact
+  distance to the target.
 
 Distance / parent / visited buffers are preallocated once and reused
 across calls via generation stamps, so repeated queries allocate almost
@@ -38,12 +39,12 @@ from __future__ import annotations
 import os
 import threading
 import weakref
-from bisect import bisect_left, insort
+from bisect import insort
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from heapq import heappop, heappush
-from itertools import count
+from itertools import accumulate, count
 from math import inf
 
 import numpy as np
@@ -85,28 +86,36 @@ __all__ = [
 #: Landmarks built per (network, cost) pair for the ALT heuristic.
 ALT_NUM_LANDMARKS = 8
 
-#: Below this vertex count Yen skips building landmarks: the plain
-#: array Dijkstra already answers tiny-graph queries in microseconds.
+#: Below this vertex count Yen's searches run unguided: the plain array
+#: Dijkstra already answers tiny-graph queries in microseconds.
 ALT_MIN_VERTICES = 128
 
 #: Custom cost functions get their per-edge weight arrays memoised in a
 #: bounded FIFO so e.g. per-driver cost closures do not grow unbounded.
 _CUSTOM_WEIGHT_CAP = 16
 
-#: Relative slack on Yen's spur-search cap: ALT bounds are differences of
-#: landmark distances and can overshoot the true cost by a few ulps.
+#: Relative slack on Yen's spur-search cap: search keys ``g + h`` and the
+#: cap ``c - root_cost`` add the same weights in another order than the
+#: candidate costs they bound, so they can be off by a few ulps.
 _CAP_SLACK = 1.0 + 1e-9
 
 #: Search-effort counters of :meth:`CSRGraph.profile_counters`.
 _PROFILE_KEYS = ("sssp_runs", "p2p_runs", "astar_runs", "yen_runs",
-                 "yen_spur_searches", "yen_spur_capped", "heap_pops",
-                 "settled", "alt_pruned")
+                 "yen_spur_searches", "yen_spur_capped", "yen_spur_skipped",
+                 "heap_pops", "settled", "alt_pruned")
 
 #: Elements (float64) per multi-source distance slab: the default
 #: ``chunk_size`` of :meth:`CSRGraph.multi_source` is derived from this
 #: so a batched sweep never allocates more than ~32 MB per scipy call,
 #: no matter how many sources the caller passes.
 MULTI_SOURCE_SLAB_ELEMENTS = 4_000_000
+
+
+def _edge_keys(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
+    """``u * n + v`` for every CSR edge ``u -> v``, ascending in CSR
+    order (out-edges are sorted by target)."""
+    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    return sources * n + indices
 
 
 class CSRGraph:
@@ -157,6 +166,7 @@ class CSRGraph:
         self.indices = np.asarray(indices, dtype=np.int64)
         self._indptr_list = indptr
         self._indices_list = indices
+        self._edge_keys = _edge_keys(self.indptr, self.indices, n)
         self._edges = edges
         self._max_speed_mps = max((e.speed for e in edges), default=1.0) / 3.6
 
@@ -176,10 +186,15 @@ class CSRGraph:
         # equals the current generation, so no O(n) reset per query.
         self._dist = [inf] * n
         self._parent = [-1] * n
+        self._parent_w = [0.0] * n  # weight of the edge parent -> vertex
         self._seen = [0] * n
         self._done = [0] * n
         self._gen = 0
         self._lock = threading.Lock()
+        # Guards the LRU memos (custom weight keys, ALT heuristic arrays):
+        # a lookup and its move_to_end must not straddle another thread's
+        # eviction.  Never held across a search or a table build.
+        self._memo_lock = threading.Lock()
         # Cumulative search-effort counters, read by profile_counters().
         # Updated in bulk at the end of each search (which already holds
         # self._lock), so the hot loops only touch local ints.
@@ -212,25 +227,27 @@ class CSRGraph:
                     f"negative or NaN edge cost under {cost!r}; routing "
                     "requires non-negative costs"
                 )
-            self._remember_custom(key)
-            self._weight_lists[key] = weights
+            self._remember_custom(key, weights)
         return weights
 
-    def _remember_custom(self, key: object) -> None:
-        self._custom_order[key] = None
-        self._custom_order.move_to_end(key)
-        while len(self._custom_order) > _CUSTOM_WEIGHT_CAP:
-            stale, _ = self._custom_order.popitem(last=False)
-            self._weight_lists.pop(stale, None)
-            self._forward_adj.pop(stale, None)
-            self._reverse_adj.pop(stale, None)
-            self._alt_tables.pop(stale, None)
-            # A hierarchy is derived from the evicted weight array; a
-            # later re-registration of the same cost object must rebuild
-            # it rather than route on weights that were dropped.
-            self._ch_tables.pop(stale, None)
-            self._matrices.pop((stale, False), None)
-            self._matrices.pop((stale, True), None)
+    def _remember_custom(self, key: object, weights: list[float]) -> None:
+        with self._memo_lock:
+            self._weight_lists[key] = weights
+            self._custom_order[key] = None
+            self._custom_order.move_to_end(key)
+            while len(self._custom_order) > _CUSTOM_WEIGHT_CAP:
+                stale, _ = self._custom_order.popitem(last=False)
+                self._weight_lists.pop(stale, None)
+                self._forward_adj.pop(stale, None)
+                self._reverse_adj.pop(stale, None)
+                self._alt_tables.pop(stale, None)
+                # A hierarchy is derived from the evicted weight array; a
+                # later re-registration of the same cost object must
+                # rebuild it rather than route on weights that were
+                # dropped.
+                self._ch_tables.pop(stale, None)
+                self._matrices.pop((stale, False), None)
+                self._matrices.pop((stale, True), None)
 
     def _forward(self, cost: CostFunction | None) -> list[list[tuple[int, float]]]:
         key = self._weight_key(cost)
@@ -266,16 +283,13 @@ class CSRGraph:
         except KeyError:
             raise VertexNotFoundError(vertex_id) from None
 
-    def _edge_index(self, u: int, v: int) -> int:
-        """CSR position of edge ``(u, v)`` (both CSR indices).
-
-        Out-edges are sorted by target at build time, so a binary search
-        over the vertex's slice recovers the position without keeping an
-        m-entry lookup dict alive per kernel.
-        """
-        j = bisect_left(self._indices_list, v, self._indptr_list[u],
-                        self._indptr_list[u + 1])
-        return j
+    def _edge_positions(self, verts: list[int]) -> list[int]:
+        """CSR positions of a path's edges (``verts`` are CSR indices),
+        in one vectorised lookup: edges sorted by source then target are
+        sorted by ``u * n + v``, so no m-entry lookup dict is kept."""
+        path = np.array(verts)
+        return self._edge_keys.searchsorted(
+            path[:-1] * self.num_vertices + path[1:]).tolist()
 
     def _matrix(self, cost: CostFunction | None, reverse: bool):
         """The scipy CSR matrix for a cost (transposed when ``reverse``)."""
@@ -413,11 +427,29 @@ class CSRGraph:
         banned_next: Iterable[int] = (),
         bound: float = inf,
     ) -> tuple[list[int], float] | None:
+        """:meth:`_search` without the edge weights: ``(path, cost)``."""
+        result = self._search(source, target, adj, h, banned_vertices,
+                              banned_next, bound)
+        return None if result is None else result[:2]
+
+    def _search(
+        self,
+        source: int,
+        target: int,
+        adj: list[list[tuple[int, float]]],
+        h: list[float] | None = None,
+        banned_vertices: Iterable[int] = (),
+        banned_next: Iterable[int] = (),
+        bound: float = inf,
+    ) -> tuple[list[int], float, list[float]] | None:
         """Point-to-point search with optional heuristic and bans.
 
-        Returns ``(vertex_index_path, cost)`` or ``None`` when the
-        target is unreachable.  With an admissible consistent ``h`` this
-        is A*; with ``h=None`` it is Dijkstra with early exit.
+        Returns ``(vertex_index_path, cost, edge_weights)`` or ``None``
+        when the target is unreachable; ``edge_weights`` are the weights
+        of the path's edges in path order, so a caller can sum any part
+        of the path without looking edges up.  With an admissible
+        consistent ``h`` this is A*; with ``h=None`` it is Dijkstra with
+        early exit.
 
         ``bound`` caps the search: the first live entry popped with a
         key (``g + h``, or ``g`` without a heuristic) above it ends the
@@ -433,8 +465,9 @@ class CSRGraph:
         with self._lock:
             self._gen += 1
             gen = self._gen
-            dist, seen, done, parent = (self._dist, self._seen, self._done,
-                                        self._parent)
+            dist, seen, done, parent, parent_w = (
+                self._dist, self._seen, self._done, self._parent,
+                self._parent_w)
             for v in banned_vertices:
                 done[v] = gen
             if done[source] == gen or done[target] == gen:
@@ -454,6 +487,7 @@ class CSRGraph:
                         dist[v] = w
                         seen[v] = gen
                         parent[v] = source
+                        parent_w[v] = w
                         push(heap, (w if h is None else w + h[v], v))
             capped = False
             while heap:
@@ -477,6 +511,7 @@ class CSRGraph:
                         dist[v] = nd
                         seen[v] = gen
                         parent[v] = u
+                        parent_w[v] = w
                         push(heap, (nd if h is None else nd + h[v], v))
             profile = self._profile
             profile["astar_runs" if h is not None else "p2p_runs"] += 1
@@ -491,12 +526,15 @@ class CSRGraph:
             if done[target] != gen:
                 return None
             path = [target]
+            hops: list[float] = []
             node = target
             while node != source:
+                hops.append(parent_w[node])
                 node = parent[node]
                 path.append(node)
             path.reverse()
-            return path, dist[target]
+            hops.reverse()
+            return path, dist[target], hops
 
     # ------------------------------------------------------------------
     # ALT landmarks
@@ -563,10 +601,11 @@ class CSRGraph:
         if cached is None:
             return None
         to_l, from_l, _, h_cache = cached
-        h_list = h_cache.get(target)
-        if h_list is not None:
-            h_cache.move_to_end(target)
-            return h_list
+        with self._memo_lock:
+            h_list = h_cache.get(target)
+            if h_list is not None:
+                h_cache.move_to_end(target)
+                return h_list
         with np.errstate(invalid="ignore"):
             a = to_l - to_l[target]
             b = from_l[target] - from_l
@@ -576,31 +615,33 @@ class CSRGraph:
         b[~np.isfinite(b)] = 0.0
         h = np.maximum(np.maximum(a, b).max(axis=1), 0.0)
         h_list = h.tolist()
-        h_cache[target] = h_list
-        while len(h_cache) > self._H_CACHE_CAP:
-            h_cache.popitem(last=False)
+        with self._memo_lock:
+            h_cache[target] = h_list
+            while len(h_cache) > self._H_CACHE_CAP:
+                h_cache.popitem(last=False)
         return h_list
 
-    def _heuristic_for(
-        self,
-        cost: CostFunction | None,
-        target: int,
-        use_alt: bool | None,
-    ) -> list[float] | None:
-        """Resolve the spur-search heuristic for Yen / point-to-point.
+    def _potential(self, cost: CostFunction | None, target: int,
+                   use_alt: bool | None) -> list[float] | None:
+        """Yen's A* potential towards ``target`` (CSR index), or
+        ``None`` for unguided Dijkstra.
 
-        ``use_alt=None`` (auto) builds landmarks once the network is big
-        enough to repay the preprocessing; ``True`` forces a build;
-        ``False`` disables the heuristic entirely.
+        The potential is exact: ``h[v] = d(v, target)`` from one reverse
+        single-source search (``inf`` where ``v`` cannot reach the
+        target).  Bans only remove edges, so it stays admissible and
+        consistent for every spur search of the query.
+
+        It guides exactly the searches ALT used to guide: ``use_alt=True``
+        always, ``False`` never, and ``None`` on networks of at least
+        :data:`ALT_MIN_VERTICES` vertices or wherever landmark tables for
+        ``cost`` were built (:meth:`ensure_alt`).  Other small networks
+        keep unguided Dijkstra and its tie order.
         """
-        if use_alt is False:
+        if use_alt is False or (
+                use_alt is None and self.num_vertices < ALT_MIN_VERTICES
+                and self._weight_key(cost) not in self._alt_tables):
             return None
-        key = self._weight_key(cost)
-        if key not in self._alt_tables:
-            if use_alt is None and self.num_vertices < ALT_MIN_VERTICES:
-                return None
-            self.ensure_alt(cost)
-        return self._alt_heuristic(key, target)
+        return self._single_source_idx(target, cost, reverse=True).tolist()
 
     # ------------------------------------------------------------------
     # Contraction hierarchies
@@ -656,10 +697,9 @@ class CSRGraph:
             raise NoPathError(source_id, target_id)
         path, _ = result
         weights = self.edge_weights(cost)
-        edge_index = self._edge_index
         total = 0.0
-        for u, v in zip(path, path[1:]):
-            total += weights[edge_index(u, v)]
+        for j in self._edge_positions(path):
+            total += weights[j]
         ids = self.ids
         return [ids[i] for i in path], total
 
@@ -678,11 +718,11 @@ class CSRGraph:
         callable is a drop-in replacement for the unbanned
         :meth:`_p2p` — :meth:`yen_ids` uses it for the initial search
         (spur searches carry bans, which a hierarchy cannot honour, and
-        stay on ALT A*).
+        stay on the kernel's A* under the exact potential).
         """
         hierarchy = self.ensure_ch(cost)
         weights = self.edge_weights(cost)
-        edge_index = self._edge_index
+        edge_positions = self._edge_positions
         lock = self._lock
 
         def p2p(source: int, target: int
@@ -693,8 +733,8 @@ class CSRGraph:
                 return None
             path, _ = result
             total = 0.0
-            for u, v in zip(path, path[1:]):
-                total += weights[edge_index(u, v)]
+            for j in edge_positions(path):
+                total += weights[j]
             return path, total
 
         return p2p
@@ -829,7 +869,7 @@ class CSRGraph:
         """Least-cost path as vertex ids, plus its cost.
 
         Uses ALT-guided A* when landmark tables already exist for this
-        cost (e.g. after a Yen query), plain early-exit Dijkstra
+        cost (built by :meth:`ensure_alt`), plain early-exit Dijkstra
         otherwise.  Raises :class:`NoPathError` when unreachable.
         """
         if source_id == target_id:
@@ -872,7 +912,9 @@ class CSRGraph:
         reference generator in ``ksp.py`` wherever costs are distinct
         (the two lanes may resolve a tie differently).  The enumeration
         itself does not mirror the reference: :meth:`yen_indices` does
-        each search once.
+        each search once, guided by the exact distance to the target,
+        and decides the spur searches the cap rules out without running
+        them.  ``use_alt`` selects that guidance (see :meth:`_potential`).
 
         ``p2p`` optionally substitutes the *initial* (unbanned) search
         with an exact point-to-point callable over CSR indices — e.g.
@@ -915,8 +957,12 @@ class CSRGraph:
           extends from its deviation index, instead of being rebuilt by
           scanning the accepted paths.
         * Every banned edge leaves the spur vertex, so the bans go to
-          :meth:`_p2p` as ``banned_next`` and cost the spur search
+          :meth:`_search` as ``banned_next`` and cost the spur search
           nothing past its first expansion.
+        * Every candidate carries its edge weights, which
+          :meth:`_search` returns with each spur path; the root costs of
+          an accepted path are the running sums of its weights, the same
+          additions in the same order as summing looked-up edges.
         * Under ``max_paths``, with ``room = max_paths - produced`` paths
           still to yield, each spur search is capped at the cost ``c`` of
           the ``room``-th cheapest held candidate (plus :data:`_CAP_SLACK`).
@@ -926,13 +972,19 @@ class CSRGraph:
           ``room``-th smallest cost, a pop removes the minimum as ``room``
           drops by one — so a path pruned once is pruned on every later
           discovery, and the survivors keep their relative counter order.
-          No spur search is skipped, only ended early:
-          ``root_cost + h(spur)`` is at most the accepted path's cost,
-          itself at most ``c``.
+        * Before a spur search runs, the smallest ``w + h[v]`` over the
+          spur vertex's allowed out-edges (not banned, not into the
+          root) is the key of the search's first pop.  When it exceeds
+          the cap, or no edge is allowed or leads towards the target,
+          the search would return ``None``: it is decided without one
+          (``yen_spur_skipped``; also ``yen_spur_capped`` when the cap
+          decided it).
 
-        Spur searches are ALT-guided A* toward the (fixed) target on
-        networks of at least :data:`ALT_MIN_VERTICES` vertices — the
-        bans only remove edges, so the landmark bounds stay admissible.
+        Searches are A* under the exact potential of :meth:`_potential`
+        — one reverse search from the target per query — wherever they
+        used to be ALT-guided; ``use_alt=False`` and small networks
+        without landmark tables run unguided Dijkstra.  No landmark
+        tables are built.
         """
         if max_paths is not None and max_paths < 1:
             raise ValueError(f"max_paths must be positive, got {max_paths}")
@@ -941,71 +993,114 @@ class CSRGraph:
         s = self.index_of(source_id)
         t = self.index_of(target_id)
         adj = self._forward(cost)
-        weights = self.edge_weights(cost)
-        h = self._heuristic_for(cost, t, use_alt)
+        h = self._potential(cost, t, use_alt)
 
         with self._lock:
             self._profile["yen_runs"] += 1
-        first = p2p(s, t) if p2p is not None else self._p2p(s, t, adj, h)
+        if p2p is None:
+            first = self._search(s, t, adj, h)
+        else:
+            first = p2p(s, t)
+            if first is not None:
+                weights = self.edge_weights(cost)
+                first = (*first, [weights[j] for j in
+                                  self._edge_positions(first[0])])
         if first is None:
             raise NoPathError(source_id, target_id)
-        edge_index = self._edge_index
 
-        verts, total = first
+        verts, total, hops = first
         yield verts, total
 
         deviation = 0
         seen_paths: set[tuple[int, ...]] = {tuple(verts)}
         counter = count()
-        candidates: list[tuple[float, int, list[int], int]] = []
+        candidates: list[tuple[float, int, list[int], int, list[float]]] = []
         # Prefix trie over the accepted paths: a node maps each vertex
         # that follows its prefix in some accepted path to the child
         # node, so its keys are the prefix's ban set.  The root is [s].
         trie: dict[int, dict] = {}
         produced = 1
         costs: list[float] = []  # held candidates' costs, sorted (max_paths)
+        # The pre-check's potential: ``h``, or zero for unguided searches.
+        reach = h if h is not None else [0.0] * self.num_vertices
+        ruled_out = self._spur_ruled_out
 
         while max_paths is None or produced < max_paths:
             node = trie
-            root_cost = 0.0
             for i in range(deviation):
-                root_cost += weights[edge_index(verts[i], verts[i + 1])]
                 node = node[verts[i + 1]]
+            root_costs = list(accumulate(hops, initial=0.0))
+            position = {v: i for i, v in enumerate(verts)}
             room = max_paths - produced if max_paths is not None else 0
-            spurs = 0
+            spurs = skipped = capped = 0
             try:
                 for i in range(deviation, len(verts) - 1):
+                    spur = verts[i]
                     following = verts[i + 1]
                     after = node.setdefault(following, {})
                     spurs += 1
+                    root_cost = root_costs[i]
                     bound = (costs[room - 1] * _CAP_SLACK - root_cost
                              if room and len(costs) >= room else inf)
-                    result = self._p2p(verts[i], t, adj, h, verts[:i], node,
-                                       bound)
+                    if ruled_out(adj, reach, spur, node, position, i, bound):
+                        skipped += 1
+                        if bound < inf:
+                            capped += 1
+                        result = None
+                    else:
+                        result = self._search(spur, t, adj, h, verts[:i],
+                                              node, bound)
                     if result is not None:
-                        spur_verts, spur_cost = result
+                        spur_verts, spur_cost, spur_hops = result
                         found = verts[:i] + spur_verts
                         key = tuple(found)
                         if key not in seen_paths:
                             seen_paths.add(key)
                             found_cost = root_cost + spur_cost
                             heappush(candidates, (found_cost, next(counter),
-                                                  found, i))
+                                                  found, i,
+                                                  hops[:i] + spur_hops))
                             if room:
                                 insort(costs, found_cost)
-                    root_cost += weights[edge_index(verts[i], following)]
                     node = after
             finally:
                 with self._lock:
-                    self._profile["yen_spur_searches"] += spurs
+                    profile = self._profile
+                    profile["yen_spur_searches"] += spurs
+                    profile["yen_spur_skipped"] += skipped
+                    profile["yen_spur_capped"] += capped
 
             if not candidates:
                 return
-            total, _, verts, deviation = heappop(candidates)
+            total, _, verts, deviation, hops = heappop(candidates)
             if room:
                 del costs[0]
             produced += 1
             yield verts, total
+
+    @staticmethod
+    def _spur_ruled_out(adj: list[list[tuple[int, float]]],
+                        potential: list[float], spur: int,
+                        banned_next: Iterable[int], position: dict[int, int],
+                        i: int, bound: float) -> bool:
+        """Whether Yen's spur search from ``spur`` — the vertex at index
+        ``i`` of a path whose vertex positions are ``position`` — would
+        return ``None``, decided without running it.
+
+        The smallest ``w + potential[v]`` over the spur's allowed
+        out-edges (``v`` not in ``banned_next``, not on the root) is the
+        key of the search's first pop: above ``bound`` the cap ends the
+        search there.  With no allowed edge, or none towards the target
+        (``inf``), there is nothing to find.  Under a finite bound the
+        two cases coincide, since ``inf > bound``.
+        """
+        first_key = inf
+        for v, w in adj[spur]:
+            w += potential[v]
+            if (w < first_key and v not in banned_next
+                    and position.get(v, inf) > i):
+                first_key = w
+        return first_key > bound or first_key == inf
 
     # ------------------------------------------------------------------
     # Profiling
@@ -1017,9 +1112,12 @@ class CSRGraph:
         predict routing cost: ``heap_pops`` (priority-queue work),
         ``settled`` (vertices finalised), and ``alt_pruned`` (frontier
         entries an ALT/A* early exit never had to expand), plus
-        ``yen_spur_capped`` (spur searches Yen's cost cap ended before
-        the target settled).  Serving publishes these under
-        ``kernel.routing.*``.
+        ``yen_spur_capped`` (spur searches Yen's cost cap ruled out:
+        ended before the target settled, or decided up front because
+        no first hop fits under the cap) and ``yen_spur_skipped`` (spur
+        searches decided up front, without a search: by the cap, or
+        because no first hop is allowed or leads to the target).
+        Serving publishes these under ``kernel.routing.*``.
         """
         with self._lock:
             return dict(self._profile)
@@ -1121,6 +1219,7 @@ class CSRGraph:
         kernel.indices = arrays["indices"]
         kernel._indptr_list = arrays["indptr"].tolist()
         kernel._indices_list = arrays["indices"].tolist()
+        kernel._edge_keys = _edge_keys(kernel.indptr, kernel.indices, n)
         kernel._edges = None
         kernel._max_speed_mps = float(meta["max_speed_mps"])
         kernel._weight_lists = {key: arrays[f"w:{key}"].tolist()
@@ -1149,10 +1248,12 @@ class CSRGraph:
             )
         kernel._dist = [inf] * n
         kernel._parent = [-1] * n
+        kernel._parent_w = [0.0] * n
         kernel._seen = [0] * n
         kernel._done = [0] * n
         kernel._gen = 0
         kernel._lock = threading.Lock()
+        kernel._memo_lock = threading.Lock()
         kernel._profile = dict.fromkeys(_PROFILE_KEYS, 0)
         return kernel
 

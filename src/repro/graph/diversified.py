@@ -150,7 +150,7 @@ def _kernel_diversified(
     """
     kernel = csr.csr_for(network)
     p2p = kernel.ch_p2p(cost) if resolved == "ch" else None
-    edge_index = kernel._edge_index
+    edge_positions = kernel._edge_positions
     if mode == "length":
         weights = kernel.edge_weights(length_cost)
     elif mode == "travel_time":
@@ -168,7 +168,7 @@ def _kernel_diversified(
         if mode == "vertex":
             sig = frozenset(verts)
         else:
-            sig = frozenset(map(edge_index, verts, verts[1:]))
+            sig = frozenset(edge_positions(verts))
         accept = True
         for other in kept_sigs:
             shared = sig & other

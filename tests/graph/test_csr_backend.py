@@ -9,6 +9,12 @@ Plus: ALT admissibility (the landmark heuristic never overestimates the
 true cost) and the staleness machinery (fingerprint-keyed rebuilds).
 """
 
+import re
+import sys
+import threading
+from collections import OrderedDict
+from pathlib import Path as FilePath
+
 import numpy as np
 import pytest
 
@@ -25,7 +31,13 @@ from repro.graph import (
     use_routing_backend,
     yen_k_shortest_paths,
 )
-from repro.graph.csr import CSRGraph, resolve_backend, set_routing_backend
+from repro.graph import csr as csr_module
+from repro.graph.csr import (
+    _PROFILE_KEYS,
+    CSRGraph,
+    resolve_backend,
+    set_routing_backend,
+)
 from repro.graph.diversified import diversified_top_k
 
 
@@ -385,3 +397,145 @@ class TestSsspParents:
         idx = kernel.index_of(source)
         assert dist[idx] == 0.0
         assert parent[idx] == -1
+
+
+class _RivalInWindow(OrderedDict):
+    """An LRU memo that, right after the caller's next lookup (``get``)
+    or insertion (``__setitem__``), lets a rival thread run before the
+    caller reaches its ``move_to_end``.  The rival gets half a second:
+    enough to finish on any host unless a lock keeps it waiting, in
+    which case it finishes once the caller is done."""
+
+    def __init__(self, items, rival, hook):
+        self.rival = None
+        self.hook = hook
+        self.threads = []
+        super().__init__(items)
+        self.rival = rival
+
+    def _let_rival_run(self):
+        rival, self.rival = self.rival, None
+        if rival is not None:
+            thread = threading.Thread(target=rival)
+            thread.start()
+            thread.join(timeout=0.5)
+            self.threads.append(thread)
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        if self.hook == "get" and value is not None:
+            self._let_rival_run()
+        return value
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        if self.hook == "set":
+            self._let_rival_run()
+
+    def join(self):
+        for thread in self.threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+
+
+class TestMemoRaces:
+    """The kernel's LRU memos are read from engine worker threads
+    without the search lock; a rival thread evicting the key between a
+    lookup and its ``move_to_end`` must not raise ``KeyError``."""
+
+    def test_alt_heuristic_hit_survives_a_rival_eviction(self):
+        kernel = CSRGraph(grid_network(20, 20, seed=3))
+        kernel.ensure_alt()
+        kernel._H_CACHE_CAP = 1
+        expected = {t: list(kernel._alt_heuristic("length", t))
+                    for t in (320, 5)}
+        kernel._alt_tables["length"][3].clear()
+        kernel._alt_heuristic("length", 320)
+        rival_got = []
+        to_l, from_l, landmarks, memo = kernel._alt_tables["length"]
+        memo = _RivalInWindow(
+            memo, lambda: rival_got.append(kernel._alt_heuristic("length", 5)),
+            "get")
+        kernel._alt_tables["length"] = (to_l, from_l, landmarks, memo)
+        assert kernel._alt_heuristic("length", 320) == expected[320]
+        memo.join()
+        assert rival_got == [expected[5]]
+        assert list(memo) == [5]
+
+    def test_custom_weights_survive_a_rival_eviction(self, monkeypatch):
+        monkeypatch.setattr(csr_module, "_CUSTOM_WEIGHT_CAP", 1)
+        network = grid_network(20, 20, seed=3)
+        kernel = CSRGraph(network)
+
+        def doubled(edge):
+            return 2.0 * edge.length
+
+        def tripled(edge):
+            return 3.0 * edge.length
+
+        rival_got = []
+        memo = _RivalInWindow(
+            (), lambda: rival_got.append(kernel.edge_weights(tripled)), "set")
+        kernel._custom_order = memo
+        weights = kernel.edge_weights(doubled)
+        memo.join()
+        assert weights == [2.0 * w for w in kernel.edge_weights()]
+        assert rival_got == [[3.0 * w for w in kernel.edge_weights()]]
+        # The LRU and the weight lists it owns still agree: the evicted
+        # key took its weights with it.
+        assert list(memo) == [tripled]
+        assert set(kernel._weight_lists) == {"length", "travel_time",
+                                             tripled}
+
+
+    def test_threaded_memo_hammer(self, monkeypatch):
+        """More threads than cores and a shortened switch interval over
+        both memos, each held to two entries so every call evicts."""
+        monkeypatch.setattr(csr_module, "_CUSTOM_WEIGHT_CAP", 2)
+        kernel = CSRGraph(grid_network(20, 20, seed=3))
+        kernel.ensure_alt()
+        kernel._H_CACHE_CAP = 2
+        costs = [lambda edge, f=float(f): f * edge.length for f in range(4)]
+        errors = []
+
+        def hammer(worker):
+            try:
+                for call in range(150):
+                    kernel._alt_heuristic("length", (worker + call) % 7)
+                    kernel.edge_weights(costs[(worker + call) % 4])
+            except Exception as error:  # reported by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(worker,))
+                       for worker in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(kernel._custom_order) <= 2
+        assert set(kernel._weight_lists) - {"length", "travel_time"} == \
+            set(kernel._custom_order)
+
+
+class TestProfileContract:
+    def test_routing_counter_keys_match_the_observability_catalogue(
+            self, random_grid):
+        """The ``kernel.routing.*`` row of docs/observability.md names
+        exactly the keys ``profile_counters()`` returns."""
+        catalogue = FilePath(__file__).resolve().parents[2] / "docs" \
+            / "observability.md"
+        row = next(line for line in catalogue.read_text().splitlines()
+                   if line.startswith("| `kernel.routing.*`"))
+        documented = set(re.findall(r"`([^`]+)`", row.split("|")[3]))
+        kernel = csr_for(random_grid)
+        source, target = _random_pairs(random_grid, 1, seed=5)[0]
+        list(kernel.yen_ids(source, target, max_paths=4))
+        assert documented == set(_PROFILE_KEYS)
+        assert set(kernel.profile_counters()) == documented

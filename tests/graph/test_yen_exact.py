@@ -3,12 +3,13 @@
 ``CSRGraph.yen_indices`` skips the spur searches that cannot produce a
 new candidate (every prefix before a path's deviation index), keeps
 its ban sets in a trie, and under ``max_paths`` caps each spur search
-at the cost of the last candidate it can still yield.  All three are
-exact: ``_plain_yen`` below is the textbook enumeration — every spur
-index of every accepted path, ban sets rebuilt by scanning the accepted
-paths — over the *same* uncapped ``_p2p`` searches, and the kernel must
-yield its sequence element-wise: same
-paths, same order among equal costs, ``==`` on the float costs.
+at the cost of the last candidate it can still yield, deciding up front
+the ones whose first hop already exceeds the cap.  All of it is exact:
+``_plain_yen`` below is the textbook enumeration — every spur index of
+every accepted path, ban sets rebuilt by scanning the accepted paths —
+over the *same* uncapped ``_p2p`` searches under the same potential,
+and the kernel must yield its sequence element-wise: same paths, same
+order among equal costs, ``==`` on the float costs.
 """
 
 from heapq import heappop, heappush
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NoPathError
+from repro.graph import csr as csr_module
 from repro.graph import (
     RoadCategory,
     RoadNetwork,
@@ -32,6 +34,7 @@ from repro.graph import (
     yen_k_shortest_paths,
     yen_path_generator,
 )
+from repro.graph.csr import ALT_MIN_VERTICES, CSRGraph
 
 
 def _plain_yen(kernel, source_id, target_id, cost=None, max_paths=None,
@@ -46,7 +49,7 @@ def _plain_yen(kernel, source_id, target_id, cost=None, max_paths=None,
     s, t = kernel.index_of(source_id), kernel.index_of(target_id)
     adj = kernel._forward(cost)
     weights = kernel.edge_weights(cost)
-    h = kernel._heuristic_for(cost, t, use_alt)
+    h = kernel._potential(cost, t, use_alt)
     first = kernel._p2p(s, t, adj, h)
     if first is None:
         raise NoPathError(source_id, target_id)
@@ -60,6 +63,7 @@ def _plain_yen(kernel, source_id, target_id, cost=None, max_paths=None,
         prev, _, deviation = out[-1]
         owed += len(prev) - 1 - deviation
         root_cost = 0.0
+        positions = kernel._edge_positions(prev)
         for i in range(len(prev) - 1):
             root = prev[: i + 1]
             banned_next = {p[i + 1] for p in accepted if p[: i + 1] == root}
@@ -71,7 +75,7 @@ def _plain_yen(kernel, source_id, target_id, cost=None, max_paths=None,
                     seen.add(tuple(found))
                     heappush(candidates, (root_cost + result[1],
                                           next(counter), found, i))
-            root_cost += weights[kernel._edge_index(prev[i], prev[i + 1])]
+            root_cost += weights[positions[i]]
         if not candidates:
             break
         total, _, verts, deviation = heappop(candidates)
@@ -351,3 +355,149 @@ class TestLaneParityOnRegion:
             assert got.paths == expected.paths
             assert got.examined == expected.examined
             assert got.exhausted == expected.exhausted
+
+
+def _delta(kernel, before):
+    after = kernel.profile_counters()
+    return {key: after[key] - before[key] for key in after}
+
+
+def _weighted(weights):
+    def cost(edge):
+        return weights[edge.source, edge.target]
+    return cost
+
+
+class TestExactPotential:
+    """Yen's searches are A* under ``h = d(., t)`` from one reverse
+    search per query, wherever they used to be ALT-guided."""
+
+    @given(digraph_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_distance_to_target_on_random_digraphs(self, case):
+        network, weights, _, target = case
+        cost = _weighted(weights)
+        kernel = csr_for(network)
+        t = kernel.index_of(target)
+        h = kernel._potential(cost, t, True)
+        assert h[t] == 0.0
+        edge_weights = kernel.edge_weights(cost)
+        indptr, indices = kernel._indptr_list, kernel._indices_list
+        for u in range(kernel.num_vertices):
+            for j in range(indptr[u], indptr[u + 1]):
+                assert h[u] <= edge_weights[j] + h[indices[j]]
+        reaching = nx.ancestors(network.to_networkx(), target) | {target}
+        assert {kernel.ids[v] for v, d in enumerate(h) if d == inf} == \
+            set(network.vertex_ids()) - reaching
+        for v, d in enumerate(h):
+            if d != inf:
+                assert d == kernel.single_source(kernel.ids[v], cost)[t]
+
+    def test_guidance_follows_the_old_alt_rule(self, tiny_network,
+                                               region_network):
+        """Guided where ALT guided Yen: forced, on big networks, and on
+        small ones once landmark tables exist for the cost."""
+        small = CSRGraph(tiny_network)
+        assert small.num_vertices < ALT_MIN_VERTICES
+        assert small._potential(None, 0, None) is None
+        assert small._potential(None, 0, True) is not None
+        small.ensure_alt()
+        assert small._potential(None, 0, None) is not None
+        assert small._potential(travel_time_cost, 0, None) is None
+        assert small._potential(None, 0, False) is None
+        big = CSRGraph(region_network)
+        assert big.num_vertices >= ALT_MIN_VERTICES
+        assert big._potential(None, 0, None) is not None
+        assert big._potential(None, 0, False) is None
+
+    def test_pure_python_fallback_agrees(self, region_network, monkeypatch):
+        kernel = csr_for(region_network)
+        target = kernel.index_of(_pairs(region_network, 1, seed=8)[0][1])
+        with_scipy = kernel._potential(travel_time_cost, target, None)
+        monkeypatch.setattr(csr_module, "_HAVE_SCIPY", False)
+        fallback = kernel._potential(travel_time_cost, target, None)
+        assert [d == inf for d in fallback] == [d == inf for d in with_scipy]
+        assert fallback == pytest.approx(with_scipy, rel=1e-12)
+
+    def test_yen_builds_no_landmark_tables(self, region_network):
+        kernel = CSRGraph(region_network)
+        source, target = _pairs(region_network, 1, seed=9)[0]
+        list(kernel.yen_ids(source, target, max_paths=8))
+        assert kernel._alt_tables == {}
+        assert kernel.profile_counters()["astar_runs"] > 0
+
+    @pytest.mark.parametrize("cost", [length_cost, travel_time_cost,
+                                      detour_cost])
+    def test_one_astar_run_per_undecided_spur(self, region_network, cost):
+        """Every spur search the pre-check does not decide runs exactly
+        one A*, plus one for the first path; a decided one runs none."""
+        kernel = csr_for(region_network)
+        skipped = 0
+        for source, target in _pairs(region_network, 4, seed=10):
+            before = kernel.profile_counters()
+            list(kernel.yen_ids(source, target, cost, max_paths=40))
+            delta = _delta(kernel, before)
+            assert delta["astar_runs"] == (delta["yen_spur_searches"]
+                                           - delta["yen_spur_skipped"] + 1)
+            assert delta["p2p_runs"] == 0
+            skipped += delta["yen_spur_skipped"]
+        assert skipped > 0
+
+
+@given(digraph_queries(min_vertices=3, min_arc_share=0.4),
+       st.integers(1, 8), st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_precheck_decides_only_searches_that_find_nothing(case, max_paths,
+                                                          capped, guided):
+    """Each spur search the pre-check decides is one ``_p2p`` would have
+    ended with ``None``: same root, same bans, same bound, same
+    potential."""
+    network, weights, source, target = case
+    cost = _weighted(weights)
+    kernel = csr_for(network)
+    t = kernel.index_of(target)
+    adj = kernel._forward(cost)
+    h = kernel._potential(cost, t, guided)
+    decided = []
+
+    def spy(adj_, potential, spur, banned_next, position, i, bound):
+        assert potential == (h if guided else [0.0] * kernel.num_vertices)
+        skip = CSRGraph._spur_ruled_out(adj_, potential, spur, banned_next,
+                                        position, i, bound)
+        if skip:
+            root = [v for v, at in position.items() if at < i]
+            decided.append(kernel._p2p(spur, t, adj, h, root,
+                                       set(banned_next), bound))
+        return skip
+
+    kernel._spur_ruled_out = spy
+    try:
+        list(kernel.yen_ids(source, target, cost, use_alt=guided,
+                            max_paths=max_paths if capped else None))
+    except NoPathError:
+        return
+    finally:
+        del kernel._spur_ruled_out
+    assert decided == [None] * len(decided)
+
+
+class TestReplicaParity:
+    """A shared-memory replica is the owner's kernel: the same
+    attributes and the same Yen sequence under the exact potential."""
+
+    def test_replica_has_the_owner_attribute_set(self, region_network):
+        kernel = CSRGraph(region_network)
+        kernel.ensure_alt()
+        replica = CSRGraph.from_shared(*kernel.shared_payload())
+        assert set(vars(replica)) == set(vars(kernel))
+
+    @pytest.mark.parametrize("cost", [length_cost, travel_time_cost])
+    def test_replica_yields_the_owner_sequence(self, region_network, cost):
+        kernel = CSRGraph(region_network)
+        kernel.edge_weights(travel_time_cost)
+        replica = CSRGraph.from_shared(*kernel.shared_payload())
+        for source, target in _pairs(region_network, 4, seed=12):
+            assert list(replica.yen_ids(source, target, cost,
+                                        max_paths=40)) == \
+                list(kernel.yen_ids(source, target, cost, max_paths=40))
+        assert replica.profile_counters() == kernel.profile_counters()
