@@ -75,18 +75,6 @@ from repro.trajectories.generator import FleetConfig, TrajectoryGenerator
 __all__ = ["main", "build_parser"]
 
 
-def _flush_deadline(text: str):
-    """``--flush-deadline-ms`` value: a number of ms, or ``auto``."""
-    if text == "auto":
-        return "auto"
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number of milliseconds or 'auto', got {text!r}"
-        ) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -165,10 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--concurrency", type=int, default=0,
                        help="serve through the concurrent engine with this "
                             "many workers (0 = synchronous facade)")
-    serve.add_argument("--flush-deadline-ms", type=_flush_deadline,
-                       default=2.0,
-                       help="engine scoring-batch flush deadline in ms, or "
-                            "'auto' to derive it from live traffic")
+    serve.add_argument("--flush-deadline-ms", type=float, default=2.0,
+                       help="engine scoring-batch flush deadline in ms")
     serve.add_argument("--split", default=None,
                        help="A/B traffic split, e.g. 'v0001=3,v0002=1' "
                             "(weights are normalised)")
@@ -189,13 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "(worker pool over shared-memory CSR + weights)")
     serve.add_argument("--workers", type=int, default=2,
                        help="worker processes for --execution processes")
-    serve.add_argument("--trace", action="store_true",
-                       help="trace every request (shorthand for "
-                            "--trace-sample 1.0) and report per-stage "
-                            "latency breakdowns plus slow-request exemplars")
     serve.add_argument("--trace-sample", type=float, default=0.0,
                        help="fraction of requests to trace, in [0, 1] "
-                            "(default 0: tracing off)")
+                            "(default 0: tracing off); traced runs report "
+                            "per-stage latency breakdowns plus slow-request "
+                            "exemplars")
     serve.add_argument("--metrics-out", default=None,
                        help="append periodic metrics snapshots to this "
                             "JSONL timeline (readable via metrics-dump)")
@@ -450,7 +434,7 @@ def _build_service(args: argparse.Namespace):
         max_batch_size=max(args.batch_size * args.k, 1),
         fallback_to_shortest=not args.no_fallback,
         traffic_split=split,
-        trace_sample=1.0 if args.trace else args.trace_sample,
+        trace_sample=args.trace_sample,
         resilience=resilience,
         execution=args.execution,
         workers=args.workers,
@@ -471,12 +455,8 @@ def _build_service(args: argparse.Namespace):
                   f"{partition.num_shards} region shards "
                   f"(sizes {[s.size for s in partition.shards]})",
                   file=sys.stderr)
-        sharded = ShardedRegistry.shared(
-            registry, partition,
-            candidate_cache_size=config.candidate_cache_size,
-            score_cache_size=config.score_cache_size,
-            score_cache_quotas=config.resolved_score_quotas())
-        service = RankingService(network, sharded, config)
+        service = RankingService(
+            network, ShardedRegistry.shared(registry, partition), config)
     else:
         service = RankingService(network, registry, config)
     try:

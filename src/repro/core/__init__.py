@@ -1,11 +1,9 @@
 """PathRank core: the paper's model, trainer, and ranking API."""
 
 from repro.core.batching import (
-    bucketed_batch_indices,
     encode_path_buckets,
     encode_paths,
     length_buckets,
-    minibatches,
 )
 from repro.core.model import PathRank
 from repro.core.ranker import (
@@ -23,11 +21,9 @@ from repro.core.variants import (
 )
 
 __all__ = [
-    "bucketed_batch_indices",
     "encode_paths",
     "encode_path_buckets",
     "length_buckets",
-    "minibatches",
     "rank_paths",
     "PathRank",
     "PathRankMultiTask",

@@ -24,14 +24,11 @@ import numpy as np
 
 from repro.errors import DataError
 from repro.graph.path import Path
-from repro.rng import RngLike, make_rng
 
 __all__ = [
-    "bucketed_batch_indices",
     "encode_paths",
     "encode_path_buckets",
     "length_buckets",
-    "minibatches",
 ]
 
 #: Default greedy-bucketing knobs: a bucket closes once it holds at
@@ -158,79 +155,3 @@ def encode_path_buckets(
         chunk = [paths[i] for i in index]
         vertex_ids, mask = encode_paths(chunk, reuse=reuse)
         yield index, vertex_ids, mask
-
-
-def bucketed_batch_indices(
-    lengths: Sequence[int],
-    batch_size: int,
-    rng: RngLike = None,
-    shuffle: bool = True,
-) -> list[np.ndarray]:
-    """Batch index groups drawn from a length-sorted order.
-
-    The bucketed-padding idiom shared by inference
-    (:func:`minibatches` with ``bucket_by_length``) and the
-    :class:`~repro.core.trainer.Trainer`'s query batching: items are
-    (stably) sorted by length so each contiguous batch pads to roughly
-    its own maximum, while the shuffle randomises equal-length order and
-    the sequence batches are visited in.  Every index appears in exactly
-    one batch.
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    generator = make_rng(rng)
-    order = np.arange(len(lengths))
-    if len(order) == 0:
-        return []
-    if shuffle:
-        generator.shuffle(order)
-    values = np.asarray(lengths)[order]
-    order = order[np.argsort(values, kind="stable")]
-    starts = np.arange(0, len(order), batch_size)
-    if shuffle:
-        generator.shuffle(starts)
-    return [order[start:start + batch_size] for start in starts]
-
-
-def minibatches(
-    paths: Sequence[Path],
-    targets: np.ndarray,
-    batch_size: int,
-    rng: RngLike = None,
-    shuffle: bool = True,
-    bucket_by_length: bool = False,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield ``(vertex_ids, mask, target_batch)`` mini-batches.
-
-    ``targets`` may be 1-D (similarity scores) or 2-D (multi-task
-    targets, one row per path).
-
-    With ``bucket_by_length`` batches are drawn from a length-sorted
-    order (the shuffle, when enabled, still randomises ties and the
-    order batches are yielded in), so each batch pads to roughly its own
-    length instead of the epoch maximum.  Every path/target pair is
-    still yielded exactly once — bucketing only permutes the batching.
-    """
-    targets = np.asarray(targets, dtype=float)
-    if len(paths) != targets.shape[0]:
-        raise DataError(
-            f"paths ({len(paths)}) and targets ({targets.shape[0]}) disagree"
-        )
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    generator = make_rng(rng)
-    if bucket_by_length:
-        batches = bucketed_batch_indices(
-            [path.num_vertices for path in paths], batch_size,
-            rng=generator, shuffle=shuffle)
-    else:
-        order = np.arange(len(paths))
-        if shuffle:
-            generator.shuffle(order)
-        batches = [order[start:start + batch_size]
-                   for start in range(0, len(paths), batch_size)]
-    for index in batches:
-        chunk = [paths[int(i)] for i in index]
-        # Fresh arrays: consumers may legitimately hold several batches.
-        vertex_ids, mask = encode_paths(chunk, reuse=False)
-        yield vertex_ids, mask, targets[index]

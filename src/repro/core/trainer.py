@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.batching import bucketed_batch_indices, encode_paths
+from repro.core.batching import encode_paths
 from repro.core.model import PathRank
 from repro.core.variants import PathRankMultiTask
 from repro.errors import TrainingError
@@ -49,15 +49,6 @@ class TrainerConfig:
     rank_margin: float = 0.05    # min true-score gap for a training pair
     rank_scale: float = 8.0      # logistic sharpness on predicted gaps
     aux_weight: float = 0.3      # beta for the multi-task variant
-    #: Batch queries of similar candidate length together (the same
-    #: bucketed-padding idiom inference uses), so each batch pads to
-    #: roughly its own maximum instead of the epoch-wide one.  Every
-    #: query is still visited once per epoch in a shuffled batch order,
-    #: but batch composition correlates with trip length, which trades
-    #: pointwise calibration (MAE slightly worse) for ranking quality
-    #: (tau slightly better) on small corpora — hence opt-in: flip it on
-    #: when epoch wall-clock on long-path corpora is what matters.
-    bucket_by_length: bool = False
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -233,22 +224,12 @@ class Trainer:
 
         self.model.train()
         order = np.arange(len(material))
-        # A query's padded width is its longest candidate; batching
-        # similar-width queries together keeps training padding
-        # per-bucket, exactly like bucketed inference batches.
-        query_widths = [max(path.num_vertices for path in qpaths)
-                        for qpaths, _, _ in material]
         for epoch in range(config.epochs):
-            if config.bucket_by_length:
-                batch_indices = bucketed_batch_indices(
-                    query_widths, config.queries_per_batch, rng=self._rng)
-            else:
-                self._rng.shuffle(order)
-                batch_indices = [
-                    order[start:start + config.queries_per_batch]
-                    for start in range(0, len(order),
-                                       config.queries_per_batch)
-                ]
+            self._rng.shuffle(order)
+            batch_indices = [
+                order[start:start + config.queries_per_batch]
+                for start in range(0, len(order), config.queries_per_batch)
+            ]
             epoch_losses: list[float] = []
             epoch_sizes: list[int] = []
             epoch_norms: list[float] = []

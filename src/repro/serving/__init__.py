@@ -28,8 +28,8 @@ deployment needs around it:
 * :class:`ServingEngine` — the concurrent front door over the same
   pipeline: worker threads prepare requests, a deadline flusher
   coalesces *concurrent* queries into fused scoring batches (flush on
-  ``max_batch_size`` paths or ``flush_deadline_ms``, whichever first),
-  and an optional warm-up replays a recorded hotspot mix through the
+  ``ServingConfig.max_batch_size`` paths or the engine's fixed
+  ``flush_deadline_ms``, whichever first), and an optional warm-up replays a recorded hotspot mix through the
   caches before the engine reports ready.  Responses are element-wise
   identical to the synchronous path.
 * **A/B serving** — ``ServingConfig.traffic_split`` routes each request
@@ -43,9 +43,10 @@ deployment needs around it:
   never evicted by the majority split's churn.
 * **Shard plane** (:mod:`repro.serving.sharding`) — a
   :class:`~repro.graph.partition.GraphPartition` splits the network
-  into region shards; :class:`ShardedRegistry` holds one registry +
-  candidate/score cache per shard under a global memory budget, and a
-  :class:`ShardRouter` tags every request with its owning shard at
+  into region shards; :class:`ShardedRegistry` holds one registry per
+  shard, the service carves its own cache budgets into per-shard
+  candidate/score caches, and a :class:`ShardRouter` (whose arguments
+  are the routing policy) tags every request with its owning shard at
   admission.  Candidate generation can run shard-locally or through
   boundary-stitched cross-shard corridors, scoring flushes coalesce
   per *(shard, snapshot)* group, and with the default exact mode

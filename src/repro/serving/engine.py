@@ -10,21 +10,18 @@ small-batch path.  :class:`ServingEngine` closes that gap: callers
 * **worker threads** run the admission and candidate-generation stages
   of the shared pipeline (cache-aware, so hotspot traffic is cheap),
 * a **deadline flusher** coalesces prepared requests into one scoring
-  flush per *(shard, model snapshot)* group — triggered the moment
-  ``max_batch_size`` paths accumulate, or ``flush_deadline_ms`` after
-  the oldest pending request arrived, whichever comes first.
-  ``flush_deadline_ms="auto"`` replaces the fixed deadline with an
-  :class:`AdaptiveFlushPolicy` that re-derives it every flush cycle
-  from the live arrival rate and per-path scoring cost.  On a
-  sharded service each flush scores every shard's group through that
+  flush per *(shard, model snapshot)* group — triggered the moment the
+  service's ``max_batch_size`` paths accumulate, or ``flush_deadline_ms``
+  after the oldest pending request arrived, whichever comes first.  On
+  a sharded service each flush scores every shard's group through that
   shard's own scorer/caches, and the occupancy view keeps a per-shard
   breakdown alongside the whole-flush numbers, and
 * a third rule: **a request that needs no forward pass never waits**.
   When the score cache already holds every one of its paths, the
   worker that prepared it answers it through the same scoring stage a
   flush runs, without parking it.  Such an answer is not a flush: it
-  fires no ``engine.flush`` fault, feeds no ``engine.occupancy.*``
-  histogram and teaches the adaptive policy nothing.
+  fires no ``engine.flush`` fault and feeds no ``engine.occupancy.*``
+  histogram.
 
 Because both front doors drive the *same* stage methods and the masked
 recurrence makes batched scores identical to sequential ones, an
@@ -47,6 +44,7 @@ Usage::
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -58,7 +56,7 @@ from repro.serving.pipeline import QueryState
 from repro.serving.service import RankingService, RankRequest, RankResponse
 from repro.serving.sharding import shard_label
 
-__all__ = ["AdaptiveFlushPolicy", "EngineTicket", "ServingEngine"]
+__all__ = ["EngineTicket", "ServingEngine"]
 
 #: Slack added on top of a request's deadline budget when
 #: :meth:`EngineTicket.result` derives its wait timeout: the pipeline's
@@ -72,126 +70,6 @@ def _flush_histograms() -> tuple[Histogram, Histogram]:
     """Requests and paths per scoring flush."""
     return (Histogram("engine.occupancy.requests"),
             Histogram("engine.occupancy.paths"))
-
-
-class AdaptiveFlushPolicy:
-    """Continuously derives the flush deadline from live traffic.
-
-    A fixed ``flush_deadline_ms`` is a compromise: too short and quiet
-    periods flush tiny batches (wasting the fused kernel's batch
-    dimension), too long and busy periods park requests pointlessly
-    (a full batch would have flushed by *size* sooner anyway).  This
-    policy computes, each flusher wake-up::
-
-        deadline = clamp(min(t_fill_ms, batch_cost_ms), MIN_MS, MAX_MS)
-
-    where ``t_fill_ms`` estimates how long a full ``max_batch_size``
-    batch takes to accumulate at the observed request arrival rate and
-    paths-per-request (waiting longer than that buys nothing — the size
-    trigger fires first), and ``batch_cost_ms`` is the estimated cost
-    of scoring a full batch (waiting longer than the work the wait
-    amortises just adds latency).  Arrival times come from a sliding
-    window of :meth:`note_arrivals` stamps, one per request that parks
-    for a flush (a shed request or a cache answer never joins the
-    batch whose fill time ``t_fill_ms`` models); the per-path scoring
-    cost is an EWMA over measured flushes (:meth:`note_flush`), which a
-    cache answer never feeds, bootstrapped from the fused kernel's
-    cumulative profile
-    (``kernel.scoring.wall_s / paths_scored``) via ``cost_probe`` until
-    the first flush lands.  With no signal at all the deadline rests at
-    ``DEFAULT_MS`` — the historical fixed default.
-    """
-
-    MIN_MS = 0.25
-    MAX_MS = 25.0
-    DEFAULT_MS = 2.0
-    WINDOW = 128
-    #: EWMA smoothing for paths-per-request and per-path cost.
-    ALPHA = 0.2
-
-    def __init__(self, max_batch_size: int, cost_probe=None) -> None:
-        self.max_batch_size = max_batch_size
-        self._cost_probe = cost_probe
-        self._lock = threading.Lock()
-        self._arrivals: deque[float] = deque(maxlen=self.WINDOW)
-        self._paths_per_request: float | None = None
-        self._cost_per_path_ms: float | None = None
-        self._flushes = 0
-
-    def note_arrivals(self, count: int) -> None:
-        """Stamp ``count`` requests parking for a flush now."""
-        now = time.perf_counter()
-        with self._lock:
-            self._arrivals.extend([now] * count)
-
-    def note_flush(self, requests: int, paths: int, wall_s: float) -> None:
-        if requests < 1:
-            return
-        per_request = paths / requests
-        per_path_ms = (wall_s / paths) * 1000.0 if paths else None
-        with self._lock:
-            self._flushes += 1
-            self._paths_per_request = per_request \
-                if self._paths_per_request is None \
-                else (1 - self.ALPHA) * self._paths_per_request \
-                + self.ALPHA * per_request
-            if per_path_ms is not None:
-                self._cost_per_path_ms = per_path_ms \
-                    if self._cost_per_path_ms is None \
-                    else (1 - self.ALPHA) * self._cost_per_path_ms \
-                    + self.ALPHA * per_path_ms
-
-    def _probe_cost_ms(self) -> float | None:
-        if self._cost_probe is None:
-            return None
-        try:
-            profile = self._cost_probe() or {}
-        except Exception:  # noqa: BLE001 - a probe must not stop flushing
-            return None
-        paths = profile.get("paths_scored") or 0
-        wall_s = profile.get("wall_s") or 0.0
-        return (wall_s / paths) * 1000.0 if paths else None
-
-    def current_deadline_ms(self) -> float:
-        with self._lock:
-            arrivals = list(self._arrivals)
-            per_request = self._paths_per_request
-            cost_ms = self._cost_per_path_ms
-        if cost_ms is None:
-            cost_ms = self._probe_cost_ms()
-        bounds: list[float] = []
-        if len(arrivals) >= 2:
-            span = arrivals[-1] - arrivals[0]
-            if span > 0.0:
-                rate_hz = (len(arrivals) - 1) / span
-                paths_per_s = rate_hz * (per_request or 1.0)
-                if paths_per_s > 0.0:
-                    bounds.append(self.max_batch_size / paths_per_s * 1000.0)
-        if cost_ms is not None:
-            bounds.append(cost_ms * self.max_batch_size)
-        if not bounds:
-            return self.DEFAULT_MS
-        return min(max(min(bounds), self.MIN_MS), self.MAX_MS)
-
-    def as_dict(self) -> dict[str, object]:
-        with self._lock:
-            arrivals = list(self._arrivals)
-            per_request = self._paths_per_request
-            cost_ms = self._cost_per_path_ms
-            flushes = self._flushes
-        rate_hz = 0.0
-        if len(arrivals) >= 2:
-            span = arrivals[-1] - arrivals[0]
-            rate_hz = (len(arrivals) - 1) / span if span > 0.0 else 0.0
-        return {
-            "current_ms": self.current_deadline_ms(),
-            "min_ms": self.MIN_MS,
-            "max_ms": self.MAX_MS,
-            "arrival_rate_hz": rate_hz,
-            "paths_per_request": per_request or 0.0,
-            "cost_per_path_ms": cost_ms or 0.0,
-            "flushes_measured": flushes,
-        }
 
 
 class EngineTicket:
@@ -247,7 +125,10 @@ class EngineTicket:
             budget_ms = self.request.deadline_ms
             if budget_ms is None:
                 budget_ms = self._service.resilience.deadline_ms
-            if budget_ms is not None:
+            # A non-finite budget never reaches the pipeline (admission
+            # answers it with invalid_request), and no timeout derives
+            # from it: Event.wait(inf) raises OverflowError.
+            if budget_ms is not None and math.isfinite(budget_ms):
                 elapsed = time.perf_counter() - self.submitted
                 timeout = max(0.0, budget_ms / 1000.0 - elapsed) \
                     + RESULT_GRACE_S
@@ -278,39 +159,27 @@ class ServingEngine:
 
     def __init__(self, service: RankingService, *,
                  concurrency: int = 4,
-                 flush_deadline_ms: float | str = 2.0,
-                 max_batch_size: int | None = None,
+                 flush_deadline_ms: float = 2.0,
                  warmup: Sequence[RankRequest] | None = None,
                  start: bool = True) -> None:
         self.service = service
         self.concurrency = concurrency
-        #: Flush deadline in milliseconds, or ``"auto"`` to derive it
-        #: continuously from the observed arrival rate and per-path
-        #: scoring cost (see :class:`AdaptiveFlushPolicy`).
         self.flush_deadline_ms = flush_deadline_ms
-        self.max_batch_size = max_batch_size if max_batch_size is not None \
-            else service.config.max_batch_size
         if self.concurrency < 1:
             raise ServingError(
                 f"concurrency must be >= 1, got {self.concurrency}")
-        if self.max_batch_size < 1:
+        # The flusher sleeps on Condition.wait, which rejects timeouts
+        # above threading.TIMEOUT_MAX (and NaN never orders): a value it
+        # cannot sleep on would kill the flusher thread and strand every
+        # parked request.
+        if isinstance(flush_deadline_ms, bool) \
+                or not isinstance(flush_deadline_ms, (int, float)) \
+                or not 0.0 <= flush_deadline_ms \
+                <= threading.TIMEOUT_MAX * 1000.0:
             raise ServingError(
-                f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        #: Live deadline derivation under ``flush_deadline_ms="auto"``;
-        #: ``None`` keeps the fixed-deadline flusher byte-for-byte.
-        self.adaptive: AdaptiveFlushPolicy | None = None
-        if isinstance(self.flush_deadline_ms, str):
-            if self.flush_deadline_ms != "auto":
-                raise ServingError(
-                    f"flush_deadline_ms must be a number or 'auto', "
-                    f"got {self.flush_deadline_ms!r}")
-            self.adaptive = AdaptiveFlushPolicy(
-                self.max_batch_size,
-                cost_probe=service._scoring_kernel_view)
-        elif self.flush_deadline_ms < 0.0:
-            raise ServingError(
-                f"flush_deadline_ms must be >= 0, got {self.flush_deadline_ms}"
-            )
+                f"flush_deadline_ms must be a number of ms in "
+                f"[0, {threading.TIMEOUT_MAX * 1000.0:g}], "
+                f"got {flush_deadline_ms!r}")
         self._warmup = list(warmup) if warmup else []
         self.warmed_up = 0
         # Flush occupancy: requests and paths per scoring flush, whole
@@ -545,8 +414,6 @@ class ServingEngine:
                     self._resolve_ticket(ticket)
             if not prepared:
                 continue
-            if self.adaptive is not None:
-                self.adaptive.note_arrivals(len(prepared))
             batch: list[EngineTicket] = []
             with self._lock:
                 self._pending.extend(prepared)
@@ -555,17 +422,14 @@ class ServingEngine:
                 if self._pending_since is None:
                     self._pending_since = time.perf_counter()
                     self._flush.notify()  # wake the deadline clock
-                if self._pending_paths >= self.max_batch_size:
+                if self._pending_paths >= service.config.max_batch_size:
                     batch = self._take_pending_locked()
             if batch:
                 self._score_batch(batch)
 
     def _flusher(self) -> None:
+        deadline_s = self.flush_deadline_ms / 1000.0
         while True:
-            # Recomputed every wake-up: under "auto" the policy tracks
-            # the live arrival rate and scoring cost, so a traffic burst
-            # shortens the deadline within one flush cycle.
-            deadline_s = self._current_deadline_ms() / 1000.0
             batch: list[EngineTicket] = []
             with self._lock:
                 if self._stopping and self._pending_since is None:
@@ -643,12 +507,6 @@ class ServingEngine:
             state.scores = None
         self._resolve_ticket(ticket)
 
-    def _current_deadline_ms(self) -> float:
-        """The flush deadline in force right now (fixed or adaptive)."""
-        if self.adaptive is not None:
-            return self.adaptive.current_deadline_ms()
-        return self.flush_deadline_ms
-
     def _score_states(self, states: list[QueryState], *,
                       flush: bool) -> None:
         """``score_states`` behind the engine's backstop (never raises);
@@ -671,13 +529,7 @@ class ServingEngine:
 
     def _score_batch(self, batch: list[EngineTicket]) -> None:
         states = [ticket.state for ticket in batch]
-        score_began = time.perf_counter()
         self._score_states(states, flush=True)
-        if self.adaptive is not None:
-            self.adaptive.note_flush(
-                requests=len(states),
-                paths=sum(len(state.paths) for state in states),
-                wall_s=time.perf_counter() - score_began)
         requests, paths = self._flush_sizes
         requests.observe(len(states))
         paths.observe(sum(len(state.paths) for state in states))
@@ -742,14 +594,12 @@ class ServingEngine:
             outstanding = len(self._outstanding)
         stats["engine"] = {
             "concurrency": self.concurrency,
-            "flush_deadline_ms": self._current_deadline_ms(),
-            "max_batch_size": self.max_batch_size,
+            "flush_deadline_ms": self.flush_deadline_ms,
+            "max_batch_size": self.service.config.max_batch_size,
             "ready": self.ready,
             "warmed_up": self.warmed_up,
             "queue_depth": queue_depth,
             "outstanding": outstanding,
             "occupancy": self.occupancy(),
         }
-        if self.adaptive is not None:
-            stats["engine"]["adaptive_flush"] = self.adaptive.as_dict()
         return stats

@@ -46,6 +46,7 @@ next to them.  See ``docs/robustness.md``.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -115,9 +116,11 @@ class ResilienceConfig:
     retry_jitter: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.deadline_ms is not None and self.deadline_ms <= 0.0:
+        if self.deadline_ms is not None \
+                and not 0.0 < self.deadline_ms < math.inf:
             raise ValueError(
-                f"deadline_ms must be > 0 (or None), got {self.deadline_ms}")
+                f"deadline_ms must be finite and > 0 (or None), "
+                f"got {self.deadline_ms}")
         if self.max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {self.max_queue}")
         if self.shed_policy not in SHED_POLICIES:

@@ -33,10 +33,12 @@ case — lane 0 over the full network — so the classic
 ``RankingService(network, registry)`` construction behaves exactly as
 before.  Constructing the service with a
 :class:`~repro.serving.sharding.ShardedRegistry` instead activates the
-plane: a :class:`~repro.serving.sharding.ShardRouter` tags each request
-with its owning shard at admission, candidate generation runs on the
-request's routing graph (full network by default, shard subnetwork
-under ``local_candidates``, cross-shard corridor), and scoring batches
+plane: the service carves its cache budgets over the shards, a
+:class:`~repro.serving.sharding.ShardRouter` (the default one, or an
+injected ``router=``) tags each request with its owning shard at
+admission, candidate generation runs on the request's routing graph
+(full network by default, shard subnetwork under a router with
+``local_candidates=True``, cross-shard corridor), and scoring batches
 coalesce per shard lane.
 
 **Execution plane.**  ``ServingConfig.execution`` selects how the
@@ -52,13 +54,20 @@ lowers availability.  See ``docs/parallelism.md``.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from repro.core.ranker import generate_candidates, rank_paths
-from repro.errors import ExecError, NoPathError, ReproError, ServingError
+from repro.errors import (
+    ConfigError,
+    ExecError,
+    NoPathError,
+    ReproError,
+    ServingError,
+)
 from repro.graph.csr import csr_if_built
 from repro.graph.network import RoadNetwork
 from repro.graph.path import Path
@@ -88,12 +97,11 @@ from repro.serving.sharding import (
     ShardLane,
     ShardRouter,
     shard_label,
+    split_budget,
 )
 
 __all__ = ["EXECUTION_MODES", "ServingConfig", "RankRequest", "RankedPath",
            "RankResponse", "RankingService"]
-
-_UNRESOLVED = object()  # admit() sentinel: "look the snapshot up yourself"
 
 #: Execution-plane modes: ``"inline"`` scores groups sequentially in the
 #: calling thread (the historical behaviour, and the default);
@@ -137,27 +145,17 @@ class ServingConfig:
     weight)`` pairs) routes each request to one of several published
     model versions with probability proportional to its weight —
     deterministically per request identity, so replays and the
-    concurrent engine route identically.  ``score_cache_size=0``
-    disables score memoisation (every request pays the forward pass;
-    mainly for benchmarks isolating scoring work) — on a sharded
-    service too, where cache *capacities* otherwise come from the
-    :class:`~repro.serving.sharding.ShardedRegistry`'s global budget
-    rather than the ``*_cache_size`` fields here.
-    ``score_cache_quotas`` makes the score cache split-aware: the
-    default ``"auto"`` derives per-version segment quotas from
-    ``traffic_split`` (so a 5% variant keeps 5% of the cache to itself
-    instead of being churned out by the majority split), ``None``
-    disables segmentation, and an explicit ``{version: weight}`` map
-    pins custom quotas.  ``local_candidates`` and ``certify_corridors``
-    configure the :class:`~repro.serving.sharding.ShardRouter` of a
-    sharded service (inert otherwise): ``local_candidates=True`` opts
-    same-shard candidate generation onto the shard subnetwork (faster,
-    boundary-approximate; the default keeps it on the full network so
-    same-shard rankings exactly match an unsharded service's).
-    Cross-shard queries route through the boundary-stitched corridor
-    subgraph; an explicitly injected ``router=`` carries its *own*
-    policy (``cross_policy="fallback"`` routes them over the full
-    network) and overrides both fields.
+    concurrent engine route identically — and segments every score
+    cache by the same weights, so a 5% variant keeps 5% of the cache to
+    itself instead of being churned out by the majority split.  The
+    ``*_cache_size`` fields are the service's whole budget: a sharded
+    service carves them over its shards by node count.
+    ``score_cache_size=0`` disables score memoisation (every request
+    pays the forward pass; mainly for benchmarks isolating scoring
+    work).  ``max_batch_size`` caps the paths of one forward pass and is
+    the concurrent engine's size trigger.  A sharded service's routing
+    policy lives on its :class:`~repro.serving.sharding.ShardRouter`:
+    pass ``router=`` to the service for a non-default one.
     """
 
     candidates: TrainingDataConfig = field(default_factory=TrainingDataConfig)
@@ -166,22 +164,11 @@ class ServingConfig:
     max_batch_size: int = 64
     fallback_to_shortest: bool = True
     traffic_split: TrafficSplit | None = None
-    score_cache_quotas: object = "auto"
-    local_candidates: bool = False
-    #: Run each cross-shard corridor route through its
-    #: :class:`~repro.graph.partition.CorridorCertificate` first:
-    #: certified queries keep the small corridor graph, the rest widen
-    #: to the full network (exactness over speed).  Outcome counters
-    #: surface under ``stats()["sharding"]["routing"]``.
-    certify_corridors: bool = False
     #: Fraction of requests carrying a per-stage trace (0 disables
     #: tracing entirely; 1.0 traces every request).  Sampled traces feed
     #: the ``serving.stage.*`` histograms and the slow-request exemplar
     #: buffer in ``stats()["trace"]``.
     trace_sample: float = 0.0
-    #: Slow-request exemplars retained (top-K by latency, full span
-    #: breakdown each).
-    trace_exemplars: int = 16
     #: Resilience plane: deadlines, admission bounds + shed policy,
     #: per-lane circuit breakers, retry backoff.  The defaults keep
     #: every mechanism dormant or free (see
@@ -216,25 +203,11 @@ class ServingConfig:
             raise ValueError(
                 f"trace_sample must be in [0, 1], got {self.trace_sample}"
             )
-        if self.trace_exemplars < 0:
-            raise ValueError(
-                f"trace_exemplars must be >= 0, got {self.trace_exemplars}"
-            )
         if self.traffic_split is not None:
             # Normalised once here; dataclass frozen-ness is bypassed the
             # sanctioned way since __post_init__ is part of construction.
             object.__setattr__(self, "traffic_split",
                                normalise_split(self.traffic_split))
-        if self.score_cache_quotas is not None \
-                and self.score_cache_quotas != "auto":
-            object.__setattr__(self, "score_cache_quotas",
-                               normalise_split(self.score_cache_quotas))
-
-    def resolved_score_quotas(self) -> TrafficSplit | None:
-        """The per-split score-cache quotas this config asks for."""
-        if self.score_cache_quotas == "auto":
-            return self.traffic_split
-        return self.score_cache_quotas
 
 
 @dataclass(frozen=True)
@@ -310,49 +283,18 @@ class RankingService:
         self.registry = registry
         self.config = config or ServingConfig()
         if isinstance(registry, ShardedRegistry):
-            # Sharded plane: one lane per region shard; caches live in
-            # the ShardedRegistry (global budget), scorers here.
+            # Sharded plane: one lane per region shard.  An injected
+            # router must agree with the registry on the partition
+            # (shard ids index the lanes); its routing policy is its own.
             self.sharded: ShardedRegistry | None = registry
-            # An injected router must agree with the registry on the
-            # partition (shard ids index the lanes); its routing policy
-            # is its own and overrides the config's policy fields.
             if router is not None \
                     and router.partition is not registry.partition:
                 raise ServingError(
                     "router and sharded registry were built over different "
                     "partitions; their shard ids cannot agree")
             self.router: ShardRouter | None = router if router is not None \
-                else ShardRouter(
-                    network, registry.partition,
-                    local_candidates=self.config.local_candidates,
-                    certify_corridors=self.config.certify_corridors)
-            quotas = self.config.resolved_score_quotas()
-            self._lanes: dict[int, ShardLane] = {}
-            for shard_id in registry.shard_ids():
-                # Cache *capacities* live on the ShardedRegistry (the
-                # global budget), but ``score_cache_size=0`` keeps its
-                # documented meaning — this service scores every request
-                # through the forward pass even if the registry carries
-                # caches for other services — and so does the
-                # on-by-default split-quota segmentation: a registry
-                # whose caches are unsegmented (or segmented for a
-                # *different* split) gets its shard's budget rebuilt as
-                # a segmented cache private to this service, so the
-                # isolation guarantee tracks this service's split.
-                score_cache = (registry.score_cache(shard_id)
-                               if self.config.score_cache_size > 0 else None)
-                if score_cache is not None and quotas \
-                        and score_cache.quotas != quotas:
-                    score_cache = ScoreCache(score_cache.capacity,
-                                             quotas=quotas)
-                self._lanes[shard_id] = ShardLane(
-                    shard_id=shard_id,
-                    registry=registry.registry(shard_id),
-                    candidate_cache=registry.candidate_cache(shard_id),
-                    score_cache=score_cache,
-                    scorer=BatchingScorer(self.config.max_batch_size,
-                                          score_cache=score_cache),
-                )
+                else ShardRouter(network, registry.partition)
+            self._lanes = self._shard_lanes(registry)
             self.candidate_cache = None
             self.score_cache = None
             self.scorer = None
@@ -366,16 +308,13 @@ class RankingService:
             # Keyed by the network fingerprint too, so a graph mutation
             # (e.g. a live incident closing a road) invalidates entries
             # implicitly.
-            self.candidate_cache = CandidateCache(
-                self.config.candidate_cache_size, network=network)
-            self.score_cache = (
-                ScoreCache(self.config.score_cache_size,
-                           quotas=self.config.resolved_score_quotas())
-                if self.config.score_cache_size > 0 else None)
-            self.scorer = BatchingScorer(self.config.max_batch_size,
-                                         score_cache=self.score_cache)
-            self._lanes = {0: ShardLane(0, registry, self.candidate_cache,
-                                        self.score_cache, self.scorer)}
+            lane = self._lane(0, registry, CandidateCache(
+                self.config.candidate_cache_size, network=network),
+                self.config.score_cache_size)
+            self._lanes = {0: lane}
+            self.candidate_cache = lane.candidate_cache
+            self.score_cache = lane.score_cache
+            self.scorer = lane.scorer
         # The telemetry plane: every count the service keeps is an
         # instrument recorded once; the per-split / per-shard books are
         # keyed by data and export through callbacks.  export() reads
@@ -391,9 +330,7 @@ class RankingService:
         self._split_books: dict[str, tuple[Histogram, dict[str, Counter]]] = {}
         self._shard_books: dict[int, dict[str, Counter]] = {}
         self._books_lock = threading.Lock()
-        self.tracer = Tracer(sample=self.config.trace_sample,
-                             max_exemplars=self.config.trace_exemplars,
-                             metrics=metrics)
+        self.tracer = Tracer(sample=self.config.trace_sample, metrics=metrics)
         # Resilience plane: per-lane circuit breakers over scoring-group
         # outcomes and the (dormant-by-default) fault-injection seam.
         self.resilience = self.config.resilience
@@ -417,6 +354,56 @@ class RankingService:
             else:
                 registry.subscribe(self._on_registry_event)
         self._register_metrics()
+
+    def _lane(self, shard_id: int, registry: ModelRegistry,
+              candidate_cache: CandidateCache,
+              score_capacity: int) -> ShardLane:
+        """One lane; ``score_capacity=0`` leaves it without a score cache.
+
+        Score caches are segmented by ``traffic_split`` whenever one is
+        configured (see :class:`~repro.serving.cache.ScoreCache`).
+        """
+        score_cache = (ScoreCache(score_capacity,
+                                  quotas=self.config.traffic_split)
+                       if score_capacity > 0 else None)
+        return ShardLane(shard_id, registry, candidate_cache, score_cache,
+                         BatchingScorer(self.config.max_batch_size,
+                                        score_cache=score_cache))
+
+    def _shard_lanes(self, sharded: ShardedRegistry) -> dict[int, ShardLane]:
+        """Carve this service's cache budgets over the shards.
+
+        Each shard gets capacity proportional to its node count (see
+        :func:`~repro.serving.sharding.split_budget`), so doubling the
+        number of regions does not double serving memory.  Candidate
+        caches are built unbound (no pinned network): the pipeline keys
+        every lookup by the *routing graph* it used (full network,
+        subnetwork, corridor, or full-network retry), so one shard cache
+        holds all of them without collisions.
+        """
+        shards = sharded.partition.shards
+        candidate_size = self.config.candidate_cache_size
+        score_size = self.config.score_cache_size
+        if candidate_size < len(shards):
+            raise ConfigError(
+                f"candidate_cache_size={candidate_size} cannot give each "
+                f"of {len(shards)} shards even one entry")
+        if 0 < score_size < len(shards):
+            raise ConfigError(
+                f"score_cache_size={score_size} cannot give each of "
+                f"{len(shards)} shards even one entry "
+                f"(use 0 to disable score caching)")
+        sizes = [shard.size for shard in shards]
+        candidate_shares = split_budget(candidate_size, sizes)
+        score_shares = (split_budget(score_size, sizes) if score_size > 0
+                        else [0] * len(sizes))
+        return {
+            shard.shard_id: self._lane(
+                shard.shard_id, sharded.registry(shard.shard_id),
+                CandidateCache(candidate_share), score_share)
+            for shard, candidate_share, score_share
+            in zip(shards, candidate_shares, score_shares)
+        }
 
     def _register_metrics(self) -> None:
         """Publish the state kept outside the registry's instruments.
@@ -620,16 +607,16 @@ class RankingService:
     # Stage 1: admission
     # ------------------------------------------------------------------
     def admit(self, request: RankRequest,
-              default: object = _UNRESOLVED) -> QueryState:
+              default: dict[int, ActiveModel | None] | None = None
+              ) -> QueryState:
         """Open a :class:`QueryState`, tag its shard, route it to a model.
 
-        ``default`` lets a batch caller take one registry snapshot for
-        every unsplit request (so a concurrent hot-swap cannot divide a
-        batch across versions): pass an :class:`ActiveModel` (or
-        ``None``) to impose it, or a mutable ``dict`` that admit fills
-        with one snapshot per shard on first sight — the sharded batch
-        equivalent.  Pinned and split-routed requests resolve their own
-        snapshot regardless.
+        ``default`` lets a batch caller take one registry snapshot per
+        shard for every unsplit request (so a concurrent hot-swap cannot
+        divide a batch across versions): admit fills the dict with a
+        shard's snapshot on first sight and reuses it after.  Without it
+        each request takes its shard's current snapshot.  Pinned and
+        split-routed requests resolve their own snapshot regardless.
         """
         state = QueryState(request=request)
         if request.deadline_ms is not None:
@@ -671,14 +658,12 @@ class RankingService:
             if version is not None:
                 state.active = lane.registry.resolve(version)
                 state.split = version
-            elif isinstance(default, dict):
+            elif default is None:
+                state.active = lane.registry.snapshot()
+            else:
                 if state.shard not in default:
                     default[state.shard] = lane.registry.snapshot()
                 state.active = default[state.shard]
-            elif default is _UNRESOLVED:
-                state.active = lane.registry.snapshot()
-            else:
-                state.active = default
         except ServingError as exc:  # unpublished pin / stale split target
             state.error = str(exc)
         if trace is not None:
@@ -706,8 +691,10 @@ class RankingService:
             problem = f"unknown target vertex {request.target!r}"
         elif request.k is not None and request.k < 1:
             problem = f"k must be >= 1, got {request.k!r}"
-        elif request.deadline_ms is not None and request.deadline_ms <= 0.0:
-            problem = f"deadline_ms must be > 0, got {request.deadline_ms!r}"
+        elif request.deadline_ms is not None \
+                and not 0.0 < request.deadline_ms < math.inf:
+            problem = (f"deadline_ms must be finite and > 0, "
+                       f"got {request.deadline_ms!r}")
         if problem is None:
             return True
         state.error = problem
@@ -1252,23 +1239,20 @@ class RankingService:
                 result["score_cache_splits"] = quota_views
         if self.sharded is not None:
             sharding = self.sharded.stats()
-            if self.router is not None:
-                sharding["routing"] = dict(self.router.route_counters)
-                sharding["routing"]["certify_corridors"] = \
-                    self.router.certify_corridors
-            per_shard = sharding["per_shard"]
-            for label, counts in self._shard_view().items():
-                per_shard.setdefault(label, {})["requests"] = counts
+            sharding["routing"] = dict(self.router.route_counters)
+            sharding["routing"]["certify_corridors"] = \
+                self.router.certify_corridors
+            requests = self._shard_view()
             for lane in lanes:
                 label = shard_label(lane.shard_id)
-                entry = per_shard.setdefault(label, {})
-                entry["scoring"] = lane.scorer.as_dict()
-                # The lane's view wins over the registry's: the lane may
-                # run a quota-segmented rebuild (or no cache at all)
-                # while the registry still holds the unsegmented budget.
+                entry = sharding["per_shard"][label]
+                entry["candidate_cache"] = lane.candidate_cache.stats.as_dict()
                 entry["score_cache"] = (
                     lane.score_cache.stats.as_dict()
                     if lane.score_cache is not None else {"disabled": True})
+                if label in requests:
+                    entry["requests"] = requests[label]
+                entry["scoring"] = lane.scorer.as_dict()
             result["sharding"] = sharding
         return result
 

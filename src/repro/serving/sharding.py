@@ -13,17 +13,19 @@ the serving stack hangs one *lane* of resources off each shard —
   Cross-shard queries route through the boundary-stitched **corridor**
   subgraph of the two endpoint shards, or straight to the full network
   under the ``"fallback"`` policy.
-* :class:`ShardedRegistry` — one :class:`ModelRegistry` plus one
-  :class:`CandidateCache` / :class:`ScoreCache` per shard, carved out of
-  a *global* cache budget (proportional to shard size), so a hot region
-  cannot evict a quiet region's working set.  Per-shard registries let
-  each region serve its own weights (the paper trains PathRank per
-  region); :meth:`ShardedRegistry.shared` instead backs every shard
-  with one registry when a single model should serve everywhere.
+* :class:`ShardedRegistry` — one :class:`ModelRegistry` per shard.
+  Per-shard registries let each region serve its own weights (the
+  paper trains PathRank per region); :meth:`ShardedRegistry.shared`
+  instead backs every shard with one registry when a single model
+  should serve everywhere.
 * :class:`ShardLane` — the per-shard resource bundle
   (registry/caches/scorer) the :class:`~repro.serving.service.
   RankingService` pipeline stages index by ``QueryState.shard``; the
-  unsharded service is simply the one-lane degenerate case.
+  unsharded service is simply the one-lane degenerate case.  The
+  service carves each lane's :class:`CandidateCache` /
+  :class:`ScoreCache` out of its own cache budget (proportional to
+  shard size, see :func:`split_budget`), so a hot region cannot evict a
+  quiet region's working set.
 
 Shard subnetworks preserve global vertex ids, so shard-local paths are
 valid paths of the full network and are scored by models trained on the
@@ -211,41 +213,24 @@ def split_budget(total: int, weights: list[int]) -> list[int]:
 
 
 class ShardedRegistry:
-    """Per-shard model registries and caches under one global budget.
+    """Per-shard model registries over one partition.
 
     The per-shard :class:`ModelRegistry` instances are rooted at
     ``<root>/shard-<id>`` and constructed over the **full** network:
     models live in the global vertex space (shard subgraphs preserve
     ids), so a checkpoint published for one shard can score any path the
-    shard's routing graphs produce.  Cache capacities are carved out of
-    the global ``candidate_cache_size`` / ``score_cache_size`` budgets
-    proportionally to shard node counts; ``score_cache_size=0`` disables
-    score memoisation everywhere.  ``score_cache_quotas`` applies
-    per-split quotas inside every shard's score cache (see
-    :class:`~repro.serving.cache.ScoreCache`).
+    shard's routing graphs produce.  Caches are not kept here: each
+    :class:`~repro.serving.service.RankingService` carves its own
+    ``ServingConfig`` budgets over the shards.
     """
 
     def __init__(self, root: str | FilePath, network: RoadNetwork,
                  partition: GraphPartition, *,
-                 candidate_cache_size: int = 1024,
-                 score_cache_size: int = 8192,
-                 score_cache_quotas=None,
                  registries: dict[int, ModelRegistry] | None = None) -> None:
         if partition.num_shards < 1:
             raise ConfigError("partition has no shards")
-        if candidate_cache_size < partition.num_shards:
-            raise ConfigError(
-                f"candidate_cache_size={candidate_cache_size} cannot give "
-                f"each of {partition.num_shards} shards even one entry")
-        if 0 < score_cache_size < partition.num_shards:
-            raise ConfigError(
-                f"score_cache_size={score_cache_size} cannot give each of "
-                f"{partition.num_shards} shards even one entry "
-                f"(use 0 to disable score caching)")
         self.network = network
         self.partition = partition
-        self.candidate_cache_size = candidate_cache_size
-        self.score_cache_size = score_cache_size
         root = FilePath(root)
         if registries is None:
             registries = {
@@ -260,31 +245,9 @@ class ShardedRegistry:
                 raise ConfigError(f"registries missing shards {missing}")
         self._registries = registries
 
-        sizes = [shard.size for shard in partition.shards]
-        candidate_shares = split_budget(candidate_cache_size, sizes)
-        score_shares = (split_budget(score_cache_size, sizes)
-                        if score_cache_size > 0 else [0] * len(sizes))
-        # Candidate caches are built unbound (no pinned network): the
-        # serving pipeline keys every lookup by the *routing graph* it
-        # used (subnetwork, corridor, or full-network retry), so one
-        # shard cache can hold all three shapes without collisions.
-        self._candidate_caches = {
-            shard.shard_id: CandidateCache(candidate_shares[shard.shard_id])
-            for shard in partition.shards
-        }
-        self._score_caches = {
-            shard.shard_id: (
-                ScoreCache(score_shares[shard.shard_id],
-                           quotas=score_cache_quotas)
-                if score_shares[shard.shard_id] > 0 else None)
-            for shard in partition.shards
-        }
-
     @classmethod
-    def shared(cls, registry: ModelRegistry, partition: GraphPartition, *,
-               candidate_cache_size: int = 1024,
-               score_cache_size: int = 8192,
-               score_cache_quotas=None) -> "ShardedRegistry":
+    def shared(cls, registry: ModelRegistry,
+               partition: GraphPartition) -> "ShardedRegistry":
         """Back every shard with one shared :class:`ModelRegistry`.
 
         The deployment shape where a single model serves all regions
@@ -293,9 +256,6 @@ class ShardedRegistry:
         """
         registries = {shard.shard_id: registry for shard in partition.shards}
         return cls(registry.root, registry.network, partition,
-                   candidate_cache_size=candidate_cache_size,
-                   score_cache_size=score_cache_size,
-                   score_cache_quotas=score_cache_quotas,
                    registries=registries)
 
     # ------------------------------------------------------------------
@@ -315,14 +275,6 @@ class ShardedRegistry:
             raise ServingError(
                 f"no shard {shard_id}; registry holds "
                 f"{sorted(self._registries)}") from None
-
-    def candidate_cache(self, shard_id: int) -> CandidateCache:
-        self.registry(shard_id)  # shard validation
-        return self._candidate_caches[shard_id]
-
-    def score_cache(self, shard_id: int) -> ScoreCache | None:
-        self.registry(shard_id)
-        return self._score_caches[shard_id]
 
     # ------------------------------------------------------------------
     # Fleet-wide model management
@@ -406,19 +358,14 @@ class ShardedRegistry:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, object]:
-        """Per-shard cache statistics plus the partition summary."""
-        per_shard: dict[str, object] = {}
-        for shard in self.partition.shards:
-            shard_id = shard.shard_id
-            score = self._score_caches[shard_id]
-            per_shard[shard_label(shard_id)] = {
+        """The partition summary plus each shard's size."""
+        per_shard = {
+            shard_label(shard.shard_id): {
                 "nodes": shard.size,
                 "boundary_nodes": len(shard.boundary),
-                "candidate_cache":
-                    self._candidate_caches[shard_id].stats.as_dict(),
-                "score_cache": (score.stats.as_dict() if score is not None
-                                else {"disabled": True}),
             }
+            for shard in self.partition.shards
+        }
         return {"partition": self.partition.as_dict(),
                 "per_shard": per_shard}
 

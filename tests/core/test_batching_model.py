@@ -12,7 +12,6 @@ from repro.core import (
     encode_path_buckets,
     encode_paths,
     length_buckets,
-    minibatches,
 )
 from repro.graph import Path
 from repro.nn import Tensor, check_gradients
@@ -47,26 +46,6 @@ class TestEncodePaths:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             encode_paths([])
-
-    def test_minibatches_cover_everything(self, paths):
-        targets = np.array([0.1, 0.2, 0.3])
-        seen = 0
-        for ids, mask, t in minibatches(paths, targets, batch_size=2, shuffle=False):
-            assert ids.shape[1] == t.shape[0]
-            seen += t.shape[0]
-        assert seen == 3
-
-    def test_minibatches_shuffle_deterministic(self, paths):
-        targets = np.array([0.1, 0.2, 0.3])
-        a = [t.tolist() for _, _, t in minibatches(paths, targets, 1, rng=3)]
-        b = [t.tolist() for _, _, t in minibatches(paths, targets, 1, rng=3)]
-        assert a == b
-
-    def test_minibatches_validation(self, paths):
-        with pytest.raises(DataError):
-            list(minibatches(paths, np.zeros(2), 2))
-        with pytest.raises(ValueError):
-            list(minibatches(paths, np.zeros(3), 0))
 
     def test_compact_dtypes(self, paths):
         vertex_ids, mask = encode_paths(paths)
@@ -154,96 +133,6 @@ class TestLengthBuckets:
     def test_encode_path_buckets_rejects_empty(self):
         with pytest.raises(DataError):
             list(encode_path_buckets([]))
-
-
-class TestBucketedMinibatches:
-    def make_paths(self, tiny_network):
-        pool = [
-            Path(tiny_network, [0, 1, 2]),
-            Path(tiny_network, [0, 3, 4, 5, 2]),
-            Path(tiny_network, [0, 2]),
-            Path(tiny_network, [1, 4, 5]),
-            Path(tiny_network, [3, 4, 1, 0]),
-            Path(tiny_network, [2, 1, 4, 3]),
-            Path(tiny_network, [5, 4, 1, 2, 5]),
-        ]
-        return pool, np.arange(len(pool), dtype=float) / 10.0
-
-    def test_bucketed_is_permutation_of_unbucketed(self, tiny_network):
-        """Bucketing only regroups batches; the multiset of
-        (path-column, target) pairs must be exactly the dataset."""
-        paths, targets = self.make_paths(tiny_network)
-        for seed in range(5):
-            yielded = []
-            for vertex_ids, mask, batch_targets in minibatches(
-                    paths, targets, batch_size=3, rng=seed,
-                    bucket_by_length=True):
-                assert vertex_ids.shape == mask.shape
-                assert vertex_ids.shape[1] == batch_targets.shape[0]
-                for column, target in enumerate(batch_targets):
-                    real = int(mask[:, column].sum())
-                    yielded.append(
-                        (tuple(vertex_ids[:real, column].tolist()),
-                         float(target)))
-            expected = sorted((tuple(p.vertices), float(t))
-                              for p, t in zip(paths, targets))
-            assert sorted(yielded) == expected
-
-    def test_bucketed_batches_pad_locally(self, tiny_network):
-        paths, targets = self.make_paths(tiny_network)
-        steps = sorted(ids.shape[0] for ids, _, _ in minibatches(
-            paths, targets, batch_size=3, shuffle=False,
-            bucket_by_length=True))
-        # Without bucketing every batch containing a 5-vertex path pads
-        # to 5; the length-sorted order must produce a shorter batch.
-        assert steps[0] < 5
-
-    def test_bucketed_shuffle_deterministic(self, tiny_network):
-        paths, targets = self.make_paths(tiny_network)
-
-        def run(seed):
-            return [t.tolist() for _, _, t in minibatches(
-                paths, targets, 2, rng=seed, bucket_by_length=True)]
-
-        assert run(9) == run(9)
-
-
-class TestBucketedBatchIndices:
-    def test_exact_partition(self):
-        from repro.core.batching import bucketed_batch_indices
-
-        lengths = [9, 2, 7, 2, 11, 4, 4, 8, 3]
-        for seed in range(4):
-            batches = bucketed_batch_indices(lengths, 3, rng=seed)
-            flat = sorted(int(i) for batch in batches for i in batch)
-            assert flat == list(range(len(lengths)))
-
-    def test_batches_group_similar_lengths(self):
-        from repro.core.batching import bucketed_batch_indices
-
-        lengths = [2, 2, 2, 2, 30, 30, 30, 30]
-        batches = bucketed_batch_indices(lengths, 4, rng=0)
-        spans = sorted(
-            max(lengths[int(i)] for i in batch)
-            - min(lengths[int(i)] for i in batch)
-            for batch in batches)
-        # Length-sorted batching must separate the two length modes.
-        assert spans == [0, 0]
-
-    def test_unshuffled_is_plain_length_sort(self):
-        from repro.core.batching import bucketed_batch_indices
-
-        lengths = [5, 1, 3, 2, 4]
-        batches = bucketed_batch_indices(lengths, 2, shuffle=False)
-        ordered = [lengths[int(i)] for batch in batches for i in batch]
-        assert ordered == sorted(lengths)
-
-    def test_empty_and_validation(self):
-        from repro.core.batching import bucketed_batch_indices
-
-        assert bucketed_batch_indices([], 4) == []
-        with pytest.raises(ValueError):
-            bucketed_batch_indices([1, 2], 0)
 
 
 class TestPathRankModel:

@@ -186,30 +186,11 @@ class TestTrainer:
         with pytest.raises(ValueError):
             TrainerConfig(rank_scale=0.0)
 
-    def test_bucketed_batches_still_converge(self, small_setup):
-        """Length-bucketed query batching (opt-in) must train as
-        well as the plain shuffled order."""
-        network, _, queries = small_setup
-        losses = {}
-        for bucketed in (True, False):
-            model = self.make_model(network)
-            trainer = Trainer(model, TrainerConfig(
-                epochs=6, patience=6, queries_per_batch=8,
-                bucket_by_length=bucketed), rng=0)
-            history = trainer.fit(queries)
-            assert history.train_loss[-1] < history.train_loss[0]
-            losses[bucketed] = history.train_loss[-1]
-        # Both orders reach the same loss regime (not bit-identical:
-        # batch composition differs).
-        assert losses[True] == pytest.approx(losses[False], rel=0.5)
-
-    def test_bucketed_batches_visit_every_query(self, small_setup,
-                                                monkeypatch):
+    def test_batches_visit_every_query(self, small_setup, monkeypatch):
         network, _, queries = small_setup
         model = self.make_model(network)
         trainer = Trainer(model, TrainerConfig(epochs=1, patience=1,
-                                               queries_per_batch=4,
-                                               bucket_by_length=True), rng=0)
+                                               queries_per_batch=4), rng=0)
         seen = []
         original = Trainer._query_batch_loss
 

@@ -1,8 +1,10 @@
 """ServingEngine: coalescing, parity, deadlines, warm-up, A/B routing."""
 
+import math
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +20,14 @@ from repro.serving import (
 from repro.serving.cache import ScoreCache
 
 ALL_PAIRS = [(s, t) for s in range(6) for t in range(6) if s != t]
+
+
+def batching(service: RankingService, max_batch_size: int) -> RankingService:
+    """A fresh service like ``service`` whose engine flushes by size at
+    ``max_batch_size`` paths."""
+    return RankingService(service.network, service.registry,
+                          replace(service.config,
+                                  max_batch_size=max_batch_size))
 
 
 @pytest.fixture
@@ -64,9 +74,8 @@ class TestFrontDoor:
 
     def test_concurrent_submitters_coalesce(self, service):
         """Requests submitted by many threads share scoring flushes."""
-        with ServingEngine(service, concurrency=4,
-                           flush_deadline_ms=20.0,
-                           max_batch_size=512) as engine:
+        with ServingEngine(batching(service, 512), concurrency=4,
+                           flush_deadline_ms=20.0) as engine:
             barrier = threading.Barrier(8)
             responses = {}
 
@@ -111,8 +120,8 @@ class TestDeadlineFlush:
     def test_deadline_flushes_partial_batch(self, service):
         """A lone request must be answered within ~the flush deadline,
         not wait for max_batch_size paths to accumulate."""
-        with ServingEngine(service, concurrency=2, flush_deadline_ms=10.0,
-                           max_batch_size=10_000) as engine:
+        with ServingEngine(batching(service, 10_000), concurrency=2,
+                           flush_deadline_ms=10.0) as engine:
             started = time.perf_counter()
             response = engine.rank(RankRequest(source=0, target=5))
             elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -126,9 +135,8 @@ class TestDeadlineFlush:
 
     def test_size_trigger_fires_before_deadline(self, service):
         """Enough pending paths flush immediately, not at the deadline."""
-        with ServingEngine(service, concurrency=4,
-                           flush_deadline_ms=10_000.0,
-                           max_batch_size=2) as engine:
+        with ServingEngine(batching(service, 2), concurrency=4,
+                           flush_deadline_ms=10_000.0) as engine:
             requests = [RankRequest(source=s, target=t)
                         for s, t in ALL_PAIRS[:6]]
             started = time.perf_counter()
@@ -152,9 +160,8 @@ class TestLifecycle:
             engine.submit(RankRequest(source=0, target=5))
 
     def test_close_answers_in_flight_requests(self, service):
-        engine = ServingEngine(service, concurrency=2,
-                               flush_deadline_ms=50.0,
-                               max_batch_size=10_000)
+        engine = ServingEngine(batching(service, 10_000), concurrency=2,
+                               flush_deadline_ms=50.0)
         tickets = [engine.submit(RankRequest(source=s, target=t))
                    for s, t in ALL_PAIRS[:5]]
         engine.close()
@@ -182,8 +189,36 @@ class TestLifecycle:
             ServingEngine(service, concurrency=0, start=False)
         with pytest.raises(ServingError):
             ServingEngine(service, flush_deadline_ms=-1.0, start=False)
-        with pytest.raises(ServingError):
-            ServingEngine(service, max_batch_size=0, start=False)
+
+    @pytest.mark.parametrize("deadline_ms", [
+        math.inf, math.nan, -0.5, "auto", None,
+        threading.TIMEOUT_MAX * 1000.0 * 2])
+    def test_flush_deadline_the_flusher_cannot_sleep_on_is_rejected(
+            self, service, deadline_ms):
+        """Condition.wait raises on a timeout above TIMEOUT_MAX (inf
+        included), which killed the flusher and stranded every parked
+        request; such deadlines are refused up front."""
+        with pytest.raises(ServingError, match="flush_deadline_ms"):
+            ServingEngine(service, flush_deadline_ms=deadline_ms,
+                          start=False)
+
+    def test_longest_flush_deadline_still_answers_at_close(self, service):
+        engine = ServingEngine(
+            batching(service, 10_000), concurrency=2,
+            flush_deadline_ms=threading.TIMEOUT_MAX * 1000.0)
+        ticket = engine.submit(RankRequest(source=0, target=5))
+        time.sleep(0.05)  # let the flusher sleep on the parked request
+        engine.close(timeout=5.0)
+        assert ticket.wait(timeout=1.0).served_by == "model"
+
+    def test_stats_report_the_fixed_deadline_and_config_batch_size(
+            self, service):
+        with ServingEngine(service, concurrency=2,
+                           flush_deadline_ms=2.0) as engine:
+            stats = engine.stats()["engine"]
+        assert stats["flush_deadline_ms"] == 2.0
+        assert stats["max_batch_size"] == service.config.max_batch_size
+        assert "adaptive_flush" not in stats
 
 
 class TestRobustness:
@@ -271,8 +306,8 @@ class TestFailureIsolation:
             return real_score_paths(self, paths, **kwargs)
 
         monkeypatch.setattr(PathRank, "score_paths", explode_on_poison)
-        with ServingEngine(service, concurrency=4, flush_deadline_ms=50.0,
-                           max_batch_size=10_000) as engine:
+        with ServingEngine(batching(service, 10_000), concurrency=4,
+                           flush_deadline_ms=50.0) as engine:
             requests = [poison,
                         RankRequest(source=3, target=2),
                         RankRequest(source=1, target=5)]
@@ -288,9 +323,10 @@ class TestCacheAnswers:
     that prepared it, through the same scoring stage, without a flush."""
 
     def test_cached_request_skips_the_flush_deadline(self, service):
+        service = batching(service, 10_000)
         service.rank(RankRequest(source=0, target=5))  # warm both caches
-        with ServingEngine(service, concurrency=2, flush_deadline_ms=5000.0,
-                           max_batch_size=10_000) as engine:
+        with ServingEngine(service, concurrency=2,
+                           flush_deadline_ms=5000.0) as engine:
             started = time.perf_counter()
             cached = engine.rank(RankRequest(source=0, target=5),
                                  timeout=5.0)
@@ -346,14 +382,15 @@ class TestCacheAnswers:
                                                         monkeypatch):
         """A probe that reports coverage the cache no longer has only
         costs a miss: the worker scores the paths and answers right."""
+        service = batching(service, 10_000)
         sync = RankingService(service.network, service.registry,
                               service.config)
         requests = [RankRequest(source=s, target=t) for s, t in ALL_PAIRS]
         expected = [sync.rank(request) for request in requests]
         monkeypatch.setattr(ScoreCache, "covers",
                             lambda self, version, paths: True)
-        with ServingEngine(service, concurrency=2, flush_deadline_ms=5000.0,
-                           max_batch_size=10_000) as engine:
+        with ServingEngine(service, concurrency=2,
+                           flush_deadline_ms=5000.0) as engine:
             actual = engine.rank_batch(requests, timeout=5.0)
             assert engine.occupancy()["flushes"] == 0
         for mine, theirs in zip(actual, expected):
@@ -378,21 +415,3 @@ class TestCacheAnswers:
             pytest.approx([r.score for r in reference.results], abs=1e-6)
         assert [r.score for r in response.results] != \
             pytest.approx([r.score for r in old.results], abs=1e-6)
-
-    def test_adaptive_flush_counts_only_parked_requests(self, service):
-        cached_pairs = ALL_PAIRS[:-1]
-        service.rank_batch([RankRequest(source=s, target=t)
-                            for s, t in cached_pairs])
-        with ServingEngine(service, concurrency=4,
-                           flush_deadline_ms="auto") as engine:
-            engine.rank_batch(
-                [RankRequest(source=s, target=t, request_id=i)
-                 for i, (s, t) in enumerate((cached_pairs * 3)[:64])],
-                timeout=5.0)
-            adaptive = engine.stats()["engine"]["adaptive_flush"]
-            assert adaptive["arrival_rate_hz"] == 0.0
-            assert adaptive["flushes_measured"] == 0
-            source, target = ALL_PAIRS[-1]
-            engine.rank(RankRequest(source=source, target=target),
-                        timeout=5.0)
-            assert len(engine.adaptive._arrivals) == 1

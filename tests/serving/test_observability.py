@@ -34,8 +34,7 @@ def traced_service(tiny_network, registry, make_ranker,
     registry.publish(make_ranker(tiny_network, seed=1), activate=True)
     return RankingService(tiny_network, registry,
                           ServingConfig(candidates=candidates_config,
-                                        trace_sample=1.0,
-                                        trace_exemplars=4))
+                                        trace_sample=1.0))
 
 
 class TestServiceTracing:
@@ -64,14 +63,16 @@ class TestServiceTracing:
                     hits.append(span["cache_hit"])
         assert sorted(hits) == [False, True]
 
-    def test_exemplar_buffer_bounded_by_config(self, traced_service):
+    def test_exemplar_buffer_keeps_the_slowest_sixteen(self,
+                                                        traced_service):
         for index, (s, t) in enumerate(ALL_PAIRS):
             traced_service.rank(RankRequest(source=s, target=t,
                                             request_id=index))
         trace = traced_service.stats()["trace"]
-        assert trace["finished"] == len(ALL_PAIRS)
+        assert trace["finished"] == len(ALL_PAIRS) > 16
         exemplars = trace["slow_requests"]
-        assert len(exemplars) == 4  # trace_exemplars
+        assert len(exemplars) == traced_service.tracer.exemplars.capacity \
+            == 16
         latencies = [record["latency_ms"] for record in exemplars]
         assert latencies == sorted(latencies, reverse=True)
         assert {"request", "served_by", "cache_hit", "spans"} \
@@ -119,7 +120,7 @@ class TestServiceTracing:
         with pytest.raises(Exception):
             ServingConfig(candidates=candidates_config, trace_sample=2.0)
         with pytest.raises(Exception):
-            ServingConfig(candidates=candidates_config, trace_exemplars=-1)
+            ServingConfig(candidates=candidates_config, trace_sample=-0.1)
 
 
 class TestEngineTracing:
@@ -204,13 +205,13 @@ class TestShardedTelemetry:
                       for vid in tiny_network.vertex_ids()}
         partition = GraphPartition(tiny_network, assignment)
         registry = ShardedRegistry(tmp_path / "shards", tiny_network,
-                                   partition, candidate_cache_size=64,
-                                   score_cache_size=256)
+                                   partition)
         registry.publish(make_ranker(tiny_network, seed=1),
                          version="v0001", activate=True)
         return RankingService(
             tiny_network, registry,
-            ServingConfig(candidates=candidates_config, trace_sample=1.0))
+            ServingConfig(candidates=candidates_config, trace_sample=1.0,
+                          candidate_cache_size=64, score_cache_size=256))
 
     def test_per_shard_lane_metrics_registered(self, sharded_service):
         sharded_service.rank(RankRequest(source=0, target=2))  # shard 0
@@ -266,13 +267,13 @@ class TestPayloadsAreJsonClean:
                       for vid in tiny_network.vertex_ids()}
         partition = GraphPartition(tiny_network, assignment)
         registry = ShardedRegistry(tmp_path / "shards", tiny_network,
-                                   partition, candidate_cache_size=64,
-                                   score_cache_size=256)
+                                   partition)
         registry.publish(make_ranker(tiny_network, seed=1),
                          version="v0001", activate=True)
         service = RankingService(
             tiny_network, registry,
-            ServingConfig(candidates=candidates_config, trace_sample=1.0))
+            ServingConfig(candidates=candidates_config, trace_sample=1.0,
+                          candidate_cache_size=64, score_cache_size=256))
         service.rank(RankRequest(source=0, target=5))
         self._assert_json_clean(service.stats())
         self._assert_json_clean(service.metrics.export())
@@ -326,14 +327,14 @@ class TestMetricCatalogue:
                       for vid in tiny_network.vertex_ids()}
         registry = ShardedRegistry(
             tmp_path / "shards", tiny_network,
-            GraphPartition(tiny_network, assignment),
-            candidate_cache_size=64, score_cache_size=256)
+            GraphPartition(tiny_network, assignment))
         registry.publish(make_ranker(tiny_network, seed=1),
                          version="v0001", activate=True)
         registry.publish(make_ranker(tiny_network, seed=2), version="v0002")
         service = RankingService(tiny_network, registry, ServingConfig(
             candidates=candidates_config, trace_sample=1.0,
-            traffic_split={"v0001": 0.5, "v0002": 0.5}))
+            traffic_split={"v0001": 0.5, "v0002": 0.5},
+            candidate_cache_size=64, score_cache_size=256))
         assert service.breakers  # on by default
         requests = [RankRequest(source=s, target=t, request_id=i)
                     for i, (s, t) in enumerate(ALL_PAIRS)]

@@ -7,6 +7,7 @@ and :class:`ServingEngine` with faults armed and assert the structured
 degradation ``docs/robustness.md`` promises.
 """
 
+import math
 import threading
 import time
 
@@ -55,6 +56,8 @@ def _breaker(clock, **overrides) -> CircuitBreaker:
 @pytest.mark.parametrize("kwargs", [
     {"deadline_ms": 0.0},
     {"deadline_ms": -5.0},
+    {"deadline_ms": math.inf},
+    {"deadline_ms": math.nan},
     {"max_queue": -1},
     {"shed_policy": "panic"},
     {"retry_after_ms": -1.0},
@@ -207,6 +210,8 @@ def test_retry_backoff_doubles_without_jitter():
     RankRequest(source="0", target=5),
     RankRequest(source=0, target=5, k=0),
     RankRequest(source=0, target=5, deadline_ms=0.0),
+    RankRequest(source=0, target=5, deadline_ms=math.inf),
+    RankRequest(source=0, target=5, deadline_ms=math.nan),
 ])
 def test_malformed_requests_get_structured_errors(service, request_):
     response = service.rank(request_)
@@ -466,6 +471,23 @@ def test_ticket_result_raises_structured_deadline(tiny_network, registry,
     finally:
         service.disarm_faults()  # release the hung worker
         engine.close()
+
+
+@pytest.mark.parametrize("deadline_ms", [math.inf, math.nan])
+def test_ticket_result_answers_a_non_finite_deadline(tiny_network, registry,
+                                                     make_ranker,
+                                                     deadline_ms):
+    """A non-finite budget is refused at admission, so ``result()``
+    collects the structured answer: it neither waits on an infinite
+    timeout (which raises OverflowError) nor admits a deadline that
+    never expires."""
+    service = _engine_service(tiny_network, registry, make_ranker)
+    with ServingEngine(service, concurrency=1,
+                       flush_deadline_ms=1.0) as engine:
+        response = engine.submit(RankRequest(
+            source=0, target=5, deadline_ms=deadline_ms)).result()
+    assert response.served_by == "error"
+    assert response.error_code == "invalid_request"
 
 
 def test_ticket_result_with_explicit_timeout(tiny_network, registry,

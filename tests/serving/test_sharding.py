@@ -40,8 +40,7 @@ def tiny_partition(tiny_network) -> GraphPartition:
 def sharded_registry(tmp_path, tiny_network, tiny_partition,
                      make_ranker) -> ShardedRegistry:
     registry = ShardedRegistry(tmp_path / "shards", tiny_network,
-                               tiny_partition, candidate_cache_size=64,
-                               score_cache_size=256)
+                               tiny_partition)
     registry.publish(make_ranker(tiny_network, seed=1), version="v0001",
                      activate=True)
     return registry
@@ -51,7 +50,9 @@ def sharded_registry(tmp_path, tiny_network, tiny_partition,
 def sharded_service(tiny_network, sharded_registry,
                     candidates_config) -> RankingService:
     return RankingService(tiny_network, sharded_registry,
-                          ServingConfig(candidates=candidates_config))
+                          ServingConfig(candidates=candidates_config,
+                                        candidate_cache_size=64,
+                                        score_cache_size=256))
 
 
 ALL_PAIRS = [(s, t) for s in range(6) for t in range(6) if s != t]
@@ -165,25 +166,6 @@ class TestShardedRegistry:
         registry.activate("v0001", shards=[1])
         assert registry.active_versions() == {0: None, 1: "v0001"}
 
-    def test_cache_budget_split_proportionally(self, tmp_path, tiny_network,
-                                               tiny_partition):
-        registry = ShardedRegistry(tmp_path / "s", tiny_network,
-                                   tiny_partition, candidate_cache_size=100,
-                                   score_cache_size=50)
-        total_candidates = sum(
-            registry.candidate_cache(s)._cache.capacity
-            for s in registry.shard_ids())
-        assert total_candidates <= 100
-        assert all(registry.score_cache(s) is not None
-                   for s in registry.shard_ids())
-
-    def test_score_cache_disabled_globally(self, tmp_path, tiny_network,
-                                           tiny_partition):
-        registry = ShardedRegistry(tmp_path / "s", tiny_network,
-                                   tiny_partition, score_cache_size=0)
-        assert all(registry.score_cache(s) is None
-                   for s in registry.shard_ids())
-
     def test_shared_mode_backs_all_shards_with_one_registry(
             self, tmp_path, tiny_network, tiny_partition, make_ranker):
         base = ModelRegistry(tmp_path / "one", tiny_network)
@@ -204,6 +186,8 @@ class TestShardedRegistry:
         stats = sharded_registry.stats()
         assert set(stats["per_shard"]) == {"shard-00", "shard-01"}
         assert stats["partition"]["num_shards"] == 2
+        assert stats["per_shard"]["shard-00"] == {"nodes": 3,
+                                                  "boundary_nodes": 3}
 
 
 class TestShardedService:
@@ -296,9 +280,9 @@ class TestShardedService:
         sharded.publish(make_ranker(tiny_network, seed=1), version="v0001",
                         activate=True)
         service = RankingService(
-            tiny_network, sharded,
-            ServingConfig(candidates=candidates_config,
-                          local_candidates=True))
+            tiny_network, sharded, ServingConfig(candidates=candidates_config),
+            router=ShardRouter(tiny_network, partition,
+                               local_candidates=True))
         registry = ModelRegistry(tmp_path / "flat", tiny_network)
         registry.publish(make_ranker(tiny_network, seed=1), version="v0001",
                          activate=True)
@@ -312,8 +296,7 @@ class TestShardedService:
 
     def test_traffic_split_quotas_apply_on_shard_lanes(
             self, tiny_network, sharded_registry, candidates_config):
-        """score_cache_quotas='auto' must segment per-shard score caches
-        even when the ShardedRegistry was built without quotas — the
+        """A traffic split segments every shard lane's score cache — the
         split-isolation guarantee cannot silently disappear on the
         shard plane."""
         service = RankingService(
@@ -328,8 +311,8 @@ class TestShardedService:
 
     def test_score_cache_size_zero_disables_memoisation(
             self, tiny_network, sharded_registry, candidates_config):
-        """The documented scoring-isolation knob must hold on the shard
-        plane even though cache capacities live on the registry."""
+        """The documented scoring-isolation knob holds on the shard
+        plane: no lane gets a score cache."""
         service = RankingService(
             tiny_network, sharded_registry,
             ServingConfig(candidates=candidates_config, score_cache_size=0))
@@ -337,7 +320,6 @@ class TestShardedService:
         service.rank(RankRequest(source=0, target=2))
         assert service.lane(0).score_cache is None
         assert service.lane(0).scorer.batches_run == 2  # no memoised skip
-        assert sharded_registry.score_cache(0).stats.lookups == 0
 
     def test_warm_up_fills_per_shard_caches(self, sharded_service):
         warmed = sharded_service.warm_up(
@@ -413,14 +395,17 @@ class TestShardedEngine:
                    for entry in occupancy["groups"].values())
 
     def test_close_drains_with_one_shard_poisoned_mid_flush(
-            self, sharded_service):
+            self, tiny_network, sharded_registry, candidates_config):
         """close() must flush the parked batch even when one shard's
         scoring raises; degradation stays confined to that shard's
         group, and every ticket is answered."""
+        sharded_service = RankingService(
+            tiny_network, sharded_registry,
+            ServingConfig(candidates=candidates_config,
+                          max_batch_size=10_000))
         sharded_service.lane(1).scorer = _PoisonScorer()
         engine = ServingEngine(sharded_service, concurrency=2,
-                               flush_deadline_ms=60_000.0,
-                               max_batch_size=10_000)
+                               flush_deadline_ms=60_000.0)
         requests = [RankRequest(source=0, target=2, request_id=1),
                     RankRequest(source=3, target=5, request_id=2),
                     RankRequest(source=1, target=0, request_id=3),
@@ -443,39 +428,113 @@ class TestShardedEngine:
         assert all("poisoned" in (r.error or "") for r in by_shard[1])
 
 
-class TestLaneQuotaTracking:
-    def test_lane_rebuilds_cache_segmented_for_a_different_split(
-            self, tmp_path, tiny_network, tiny_partition, make_ranker,
-            candidates_config):
-        """A registry cache segmented for an *old* split must not serve
-        a service configured with a new one — the lane rebuilds so the
-        isolation guarantee tracks this service's split."""
-        registry = ShardedRegistry(
-            tmp_path / "s", tiny_network, tiny_partition,
-            score_cache_quotas={"stale-v": 1.0})
-        registry.publish(make_ranker(tiny_network, seed=1), version="v0001",
-                         activate=True)
-        service = RankingService(
-            tiny_network, registry,
-            ServingConfig(candidates=candidates_config,
-                          traffic_split={"v0001": 0.5, "v0002": 0.5}))
-        for lane in service.lanes():
-            versions = [version for version, _ in lane.score_cache.quotas]
-            assert versions == ["v0001", "v0002"]
+CACHE_STATS_KEYS = {"evictions", "hit_rate", "hits", "misses"}
 
-    def test_lane_keeps_matching_registry_cache(self, tmp_path, tiny_network,
-                                                tiny_partition, make_ranker,
-                                                candidates_config):
-        split = {"v0001": 0.5, "v0002": 0.5}
-        registry = ShardedRegistry(tmp_path / "s", tiny_network,
-                                   tiny_partition, score_cache_quotas=split)
-        registry.publish(make_ranker(tiny_network, seed=1), version="v0001",
-                         activate=True)
+
+class TestLaneCaches:
+    """The service carves its own cache budgets over the shard lanes,
+    to the capacities the registry used to carve."""
+
+    @pytest.fixture
+    def grid(self):
+        network = grid_network(6, 6, seed=3)
+        partition = GraphPartition(
+            network, {vid: (0 if vid < 10 else 1)
+                      for vid in network.vertex_ids()})
+        assert [shard.size for shard in partition.shards] == [10, 26]
+        return network, partition
+
+    def service(self, grid, tmp_path, make_ranker, **config):
+        network, partition = grid
+        base = ModelRegistry(tmp_path / "grid", network)
+        base.publish(make_ranker(network, seed=1), version="v0001")
         service = RankingService(
-            tiny_network, registry,
-            ServingConfig(candidates=candidates_config, traffic_split=split))
+            network, ShardedRegistry.shared(base, partition),
+            ServingConfig(**config))
+        service.activate("v0001")
+        return service
+
+    @pytest.mark.parametrize("sizes, capacities", [
+        ((1024, 8192), [(284, 2275), (739, 5916)]),
+        ((100, 50), [(27, 13), (72, 36)]),
+        ((2, 2), [(1, 1), (1, 1)]),
+        ((37, 0), [(10, None), (26, None)]),
+    ], ids=["defaults", "100-50", "floors", "no-score-cache"])
+    def test_lane_capacities_match_the_registry_carve(
+            self, grid, tmp_path, make_ranker, candidates_config, sizes,
+            capacities):
+        candidate_size, score_size = sizes
+        service = self.service(grid, tmp_path, make_ranker,
+                               candidates=candidates_config,
+                               candidate_cache_size=candidate_size,
+                               score_cache_size=score_size)
+        assert [(lane.candidate_cache._cache.capacity,
+                 None if lane.score_cache is None
+                 else lane.score_cache.capacity)
+                for lane in service.lanes()] == capacities
+        assert sum(lane.candidate_cache._cache.capacity
+                   for lane in service.lanes()) <= max(candidate_size, 2)
+
+    def test_zero_score_cache_size_leaves_no_lane_a_score_cache(
+            self, grid, tmp_path, make_ranker, candidates_config):
+        service = self.service(grid, tmp_path, make_ranker,
+                               candidates=candidates_config,
+                               score_cache_size=0)
+        service.rank(RankRequest(source=0, target=35))
+        assert all(lane.score_cache is None for lane in service.lanes())
+        per_shard = service.stats()["sharding"]["per_shard"]
+        assert all(entry["score_cache"] == {"disabled": True}
+                   for entry in per_shard.values())
+
+    def test_a_split_segments_every_lane(self, grid, tmp_path, make_ranker,
+                                         candidates_config):
+        service = self.service(grid, tmp_path, make_ranker,
+                               candidates=candidates_config,
+                               traffic_split={"v0001": 0.5, "v0002": 0.5})
         for lane in service.lanes():
-            assert lane.score_cache is registry.score_cache(lane.shard_id)
+            assert [version for version, _ in lane.score_cache.quotas] \
+                == ["v0001", "v0002"]
+
+    def test_two_services_over_one_registry_keep_their_own_caches(
+            self, grid, tmp_path, make_ranker, candidates_config):
+        first = self.service(grid, tmp_path, make_ranker,
+                             candidates=candidates_config)
+        second = RankingService(first.network, first.sharded,
+                                ServingConfig(candidates=candidates_config))
+        first.rank(RankRequest(source=0, target=35))
+        assert second.lane(0).candidate_cache is not \
+            first.lane(0).candidate_cache
+        assert second.stats()["candidate_cache"]["misses"] == 0
+
+    def test_sharding_stats_keep_their_key_set(self, grid, tmp_path,
+                                               make_ranker,
+                                               candidates_config):
+        """The keys (and per-shard key order) the section had while the
+        ShardedRegistry held the caches."""
+        service = self.service(grid, tmp_path, make_ranker,
+                               candidates=candidates_config)
+        service.rank_batch([RankRequest(source=0, target=35),
+                            RankRequest(source=12, target=30)])
+        sharding = service.stats()["sharding"]
+        assert set(sharding) == {"partition", "per_shard", "routing"}
+        assert set(sharding["partition"]) == {
+            "balance", "boundary_nodes", "cut_edges", "cut_fraction",
+            "num_shards", "shard_sizes"}
+        assert set(sharding["routing"]) == {
+            "certified", "certify_corridors", "corridor_routes",
+            "same_shard", "unreachable", "widened"}
+        assert set(sharding["per_shard"]) == {"shard-00", "shard-01"}
+        for entry in sharding["per_shard"].values():
+            assert list(entry) == ["nodes", "boundary_nodes",
+                                   "candidate_cache", "score_cache",
+                                   "requests", "scoring"]
+            assert set(entry["candidate_cache"]) == CACHE_STATS_KEYS
+            assert set(entry["score_cache"]) == CACHE_STATS_KEYS
+            assert set(entry["requests"]) == {
+                "requests", "cross_shard", "cross_shard_fraction", "model",
+                "fallback", "error"}
+            assert set(entry["scoring"]) == {"batches_run", "cache_hits",
+                                             "paths_scored"}
 
 
 class TestAccountingEdges:
@@ -487,16 +546,16 @@ class TestAccountingEdges:
         assert sharded_service.metrics.export()[
             "shard.shard-00.requests"] == 1
 
-    def test_budget_below_shard_count_rejected(self, tmp_path, tiny_network,
-                                               tiny_partition):
+    def test_budget_below_shard_count_rejected(self, tiny_network,
+                                               sharded_registry):
         with pytest.raises(ConfigError, match="even one entry"):
-            ShardedRegistry(tmp_path / "a", tiny_network, tiny_partition,
-                            candidate_cache_size=1)
+            RankingService(tiny_network, sharded_registry,
+                           ServingConfig(candidate_cache_size=1))
         with pytest.raises(ConfigError, match="even one entry"):
-            ShardedRegistry(tmp_path / "b", tiny_network, tiny_partition,
-                            score_cache_size=1)
-        ShardedRegistry(tmp_path / "c", tiny_network, tiny_partition,
-                        score_cache_size=0)  # disabled stays allowed
+            RankingService(tiny_network, sharded_registry,
+                           ServingConfig(score_cache_size=1))
+        RankingService(tiny_network, sharded_registry,
+                       ServingConfig(score_cache_size=0))  # disabled is fine
 
 
 class TestCorridorCertification:
@@ -548,11 +607,13 @@ class TestCorridorCertification:
         assert certified.graph is partition.corridor(0, 1)
 
     def test_service_stats_surface_routing_verdicts(
-            self, tiny_network, sharded_registry, candidates_config):
+            self, tiny_network, tiny_partition, sharded_registry,
+            candidates_config):
         service = RankingService(
             tiny_network, sharded_registry,
-            ServingConfig(candidates=candidates_config,
-                          certify_corridors=True))
+            ServingConfig(candidates=candidates_config),
+            router=ShardRouter(tiny_network, tiny_partition,
+                               certify_corridors=True))
         service.rank(RankRequest(source=0, target=5))
         service.rank(RankRequest(source=0, target=2))
         routing = service.stats()["sharding"]["routing"]

@@ -116,14 +116,14 @@ class TestStatsUnderConcurrency:
                       for vid in tiny_network.vertex_ids()}
         registry = ShardedRegistry(
             tmp_path / "shards", tiny_network,
-            GraphPartition(tiny_network, assignment),
-            candidate_cache_size=64, score_cache_size=256)
+            GraphPartition(tiny_network, assignment))
         registry.publish(make_ranker(tiny_network, seed=1),
                          version="v0001", activate=True)
         registry.publish(make_ranker(tiny_network, seed=2), version="v0002")
         service = RankingService(tiny_network, registry, ServingConfig(
             candidates=candidates_config,
-            traffic_split={"v0001": 0.5, "v0002": 0.5}))
+            traffic_split={"v0001": 0.5, "v0002": 0.5},
+            candidate_cache_size=64, score_cache_size=256))
         # Load the split target before the race: numpy parses .npy
         # headers with ast.literal_eval, which CPython 3.11 can fail
         # ("AST constructor recursion depth mismatch") when threads

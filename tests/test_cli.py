@@ -324,6 +324,33 @@ class TestServeCleanup:
         assert "error:" in capsys.readouterr().err
         assert lifecycle == {"built": 0, "closed": 0}
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "1e20"])
+    def test_unusable_flush_deadline_exits_cleanly(self, artifacts,
+                                                   queries_file, lifecycle,
+                                                   capsys, value):
+        """A deadline the flusher cannot sleep on is refused with exit 2
+        (an infinite one used to leave the replay waiting forever)."""
+        network, _, model = artifacts
+        code = main(["serve", "--network", str(network), "--model", str(model),
+                     "--queries-file", str(queries_file),
+                     "--concurrency", "2", "--flush-deadline-ms", value])
+        assert code == 2
+        assert "flush_deadline_ms" in capsys.readouterr().err
+        assert lifecycle == {"built": 1, "closed": 1}
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_request_deadline_builds_nothing(self, artifacts,
+                                                        queries_file,
+                                                        lifecycle, capsys,
+                                                        value):
+        network, _, model = artifacts
+        code = main(["serve", "--network", str(network), "--model", str(model),
+                     "--queries-file", str(queries_file),
+                     "--deadline-ms", value])
+        assert code == 2
+        assert "deadline_ms" in capsys.readouterr().err
+        assert lifecycle == {"built": 0, "closed": 0}
+
     def test_failed_activation_closes_the_service(self, artifacts,
                                                   queries_file, tmp_path,
                                                   lifecycle, capsys):
