@@ -11,8 +11,7 @@ kernel they attached at warmup.
 Entry points:
 
 - :func:`od_cost_matrix` / :func:`od_cost_pairs` — many-to-many and
-  sparse pair costs (chunked multi-source sweeps, CH lane for sparse
-  pair sets).
+  sparse pair costs (chunked multi-source sweeps).
 - :func:`service_area` — per-budget isochrone vertex/edge sets from
   multi-source rows, vectorised in numpy.
 - :func:`route_frequencies` — per-edge load over a workload, one SSSP

@@ -1,10 +1,9 @@
-"""Product orchestration: sweep-side choice, CH lane, pool fan-out.
+"""Product orchestration: sweep-side choice, pool fan-out.
 
 The functions here decide *how* a product is computed — which side to
-sweep, whether the CH lane beats sweeping, how to tile across the
-process pool — and then delegate the arithmetic to
-:mod:`repro.analytics.products`, so a pooled run and an inline run
-execute byte-identical kernel code.
+sweep, how to tile across the process pool — and then delegate the
+arithmetic to :mod:`repro.analytics.products`, so a pooled run and an
+inline run execute byte-identical kernel code.
 
 Accounting goes through an optional :class:`MetricsRegistry` under
 ``analytics.*`` (see ``docs/observability.md``).
@@ -28,7 +27,7 @@ from repro.analytics.products import (
 )
 from repro.analytics.tiling import DEFAULT_TILE_SIZE, tile_sources
 from repro.errors import AnalyticsError
-from repro.graph.csr import csr_for, resolve_backend
+from repro.graph.csr import csr_for
 
 __all__ = [
     "BatchAnalytics",
@@ -36,14 +35,7 @@ __all__ = [
     "od_cost_pairs",
     "service_area",
     "route_frequencies",
-    "CH_SPARSE_PAIR_BUDGET",
 ]
-
-#: The CH lane wins when each full-graph sweep would answer at most
-#: this many pairs: a sweep costs one Dijkstra over all n vertices,
-#: a CH query orders of magnitude less, so sparse pair sets (few
-#: columns per sweep source) route point-to-point instead.
-CH_SPARSE_PAIR_BUDGET = 8
 
 
 def _auto_tile_size(num_sources: int, plane) -> int:
@@ -80,19 +72,6 @@ def _fan_out(plane, payloads: list[dict], metrics) -> list[dict]:
     return results
 
 
-def _use_ch(kernel, cost, method: str, num_origins: int,
-            num_destinations: int) -> bool:
-    if method == "ch":
-        return True
-    if method != "auto":
-        return False
-    dense_side = max(num_origins, num_destinations)
-    if dense_side > CH_SPARSE_PAIR_BUDGET:
-        return False
-    return (kernel.ch_if_built(cost) is not None
-            or resolve_backend(None) == "ch")
-
-
 def od_cost_matrix(network, origins, destinations=None, *, cost=None,
                    method: str = "auto", chunk_size: int | None = None,
                    tile_size: int | None = None, plane=None,
@@ -102,10 +81,8 @@ def od_cost_matrix(network, origins, destinations=None, *, cost=None,
     Sweeps the *smaller* side — forward multi-source over origins when
     ``len(origins) <= len(destinations)``, else reverse multi-source
     over destinations — in bounded ``chunk_size`` slabs, gathering only
-    the requested columns from each slab.  ``method="auto"`` switches
-    to per-pair CH queries when the pair set is sparse (both sides at
-    most :data:`CH_SPARSE_PAIR_BUDGET`) and a hierarchy is available;
-    ``method`` can also force ``"sweep"`` or ``"ch"``.  With ``plane``,
+    the requested columns from each slab.  ``method`` is ``"auto"`` or
+    ``"sweep"``, which are the same thing.  With ``plane``,
     the sweep side is tiled (shard-aware when ``partition`` is given)
     and tiles fan across the worker pool.  Disconnected pairs cost
     ``inf``; ``d(v, v) == 0``.
@@ -115,29 +92,10 @@ def od_cost_matrix(network, origins, destinations=None, *, cost=None,
         else list(origins)
     if not origins or not destinations:
         raise AnalyticsError("od_cost_matrix needs origins and destinations")
-    if method not in ("auto", "sweep", "ch"):
+    if method not in ("auto", "sweep"):
         raise AnalyticsError(f"unknown od method {method!r}")
     began = perf_counter()
     kernel = csr_for(network)
-
-    if _use_ch(kernel, cost, method, len(origins), len(destinations)):
-        from repro.errors import NoPathError
-
-        kernel.ensure_ch(cost)
-        costs = np.empty((len(origins), len(destinations)), dtype=np.float64)
-        for i, origin in enumerate(origins):
-            for j, destination in enumerate(destinations):
-                try:
-                    costs[i, j] = kernel.ch_shortest_path_cost(
-                        origin, destination, cost)
-                except NoPathError:
-                    costs[i, j] = np.inf
-        _observe(metrics, "od", pairs=costs.size,
-                 elapsed_s=perf_counter() - began)
-        return ODMatrix(origins=tuple(origins),
-                        destinations=tuple(destinations), costs=costs,
-                        method="ch", sweeps=0)
-
     forward = len(origins) <= len(destinations)
     sweep_ids = origins if forward else destinations
     col_ids = destinations if forward else origins
@@ -187,45 +145,27 @@ def od_cost_pairs(network, pairs, *, cost=None, method: str = "auto",
     """Least costs for an explicit pair list, aligned with ``pairs``.
 
     Groups pairs by origin so each distinct origin costs one sweep at
-    most; ``method="auto"`` routes the whole set through per-pair CH
-    queries instead when the set is sparse (at most
-    :data:`CH_SPARSE_PAIR_BUDGET` pairs per distinct origin) and a
-    hierarchy is available.
+    most; ``method`` is ``"auto"`` or ``"sweep"``, which are the same
+    thing.
     """
     pairs = list(pairs)
     if not pairs:
         raise AnalyticsError("od_cost_pairs needs at least one pair")
-    if method not in ("auto", "sweep", "ch"):
+    if method not in ("auto", "sweep"):
         raise AnalyticsError(f"unknown od method {method!r}")
     began = perf_counter()
     kernel = csr_for(network)
     sources = list(dict.fromkeys(origin for origin, _ in pairs))
-    sparse = len(pairs) <= CH_SPARSE_PAIR_BUDGET * len(sources)
-    use_ch = method == "ch" or (
-        method == "auto" and sparse
-        and (kernel.ch_if_built(cost) is not None
-             or resolve_backend(None) == "ch"))
     out = np.empty(len(pairs), dtype=np.float64)
-    if use_ch:
-        from repro.errors import NoPathError
-
-        kernel.ensure_ch(cost)
-        for k, (origin, destination) in enumerate(pairs):
-            try:
-                out[k] = kernel.ch_shortest_path_cost(origin, destination,
-                                                      cost)
-            except NoPathError:
-                out[k] = np.inf
-    else:
-        wanted: dict[int, list[tuple[int, int]]] = {}
-        for k, (origin, destination) in enumerate(pairs):
-            wanted.setdefault(origin, []).append(
-                (k, kernel.index_of(destination)))
-        for start, rows in kernel.iter_multi_source(sources, cost,
-                                                    chunk_size=chunk_size):
-            for i in range(rows.shape[0]):
-                for k, target_idx in wanted[sources[start + i]]:
-                    out[k] = rows[i, target_idx]
+    wanted: dict[int, list[tuple[int, int]]] = {}
+    for k, (origin, destination) in enumerate(pairs):
+        wanted.setdefault(origin, []).append(
+            (k, kernel.index_of(destination)))
+    for start, rows in kernel.iter_multi_source(sources, cost,
+                                                chunk_size=chunk_size):
+        for i in range(rows.shape[0]):
+            for k, target_idx in wanted[sources[start + i]]:
+                out[k] = rows[i, target_idx]
     _observe(metrics, "od", pairs=len(pairs),
              elapsed_s=perf_counter() - began)
     return out

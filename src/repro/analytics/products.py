@@ -93,8 +93,8 @@ class ODMatrix:
     origins: tuple[int, ...]
     destinations: tuple[int, ...]
     costs: np.ndarray
-    method: str  #: "forward_sweep" | "reverse_sweep" | "ch"
-    sweeps: int  #: full-graph sweeps spent (0 for the CH lane)
+    method: str  #: "forward_sweep" | "reverse_sweep"
+    sweeps: int  #: full-graph sweeps spent
 
     def cost(self, origin: int, destination: int) -> float:
         return float(self.costs[self.origins.index(origin),

@@ -39,6 +39,7 @@ from repro.core.trainer import TrainerConfig
 from repro.core.variants import Variant
 from repro.errors import DataError, ReproError, ServingError
 from repro.graph.builders import grid_network, north_jutland_like, ring_radial_network
+from repro.graph.csr import resolve_backend
 from repro.graph.io import load_network_json, save_network_json
 from repro.graph.osm import save_osm_xml
 from repro.ranking.evaluation import evaluate_scorer
@@ -214,11 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     od.add_argument("--destinations", default=None,
                     help="comma-separated destination vertex ids "
                          "(default: the origins)")
-    od.add_argument("--method", choices=("auto", "sweep", "ch"),
-                    default="auto",
-                    help="auto: CH per-pair queries for sparse sets when a "
-                         "hierarchy is built, batched multi-source sweep "
-                         "otherwise")
     od.add_argument("--chunk-size", type=int, default=None,
                     help="sweep rows per slab (default: sized for ~32 MB)")
     _add_analytics_flags(od)
@@ -672,7 +668,6 @@ def _cmd_od_matrix(args: argparse.Namespace) -> int:
     try:
         matrix = od_cost_matrix(network, origins, destinations,
                                 cost=cost_from_name(args.cost),
-                                method=args.method,
                                 chunk_size=args.chunk_size,
                                 plane=plane, partition=partition)
     finally:
@@ -773,6 +768,7 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        resolve_backend()  # a bad REPRO_ROUTING_BACKEND fails every command
         return _COMMANDS[args.command](args)
     except (ReproError, OSError, ValueError) as exc:
         # Missing model/network files, malformed inputs, and out-of-range

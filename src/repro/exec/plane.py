@@ -36,7 +36,7 @@ import numpy as np
 from repro.errors import ExecError
 from repro.exec.pool import WorkerPool
 from repro.exec.shm import SharedArena
-from repro.graph.csr import ALT_MIN_VERTICES, csr_for, resolve_backend
+from repro.graph.csr import ALT_MIN_VERTICES, csr_for
 from repro.graph.path import Path
 from repro.nn.fused import compiled_for, resolve_scoring_backend
 
@@ -104,13 +104,6 @@ class ExecutionPlane:
             # picking its own landmarks could break distance ties
             # differently — the parity oracle pins this.
             kernel.ensure_alt()
-        if resolve_backend(None) == "ch":
-            # Same owner-side-before-export rule for the CH lane: the
-            # hierarchy rides the shared payload, so replicas attach the
-            # exact same shortcut graph instead of re-contracting (build
-            # order is deterministic, but paying the build per worker
-            # would defeat the shared arena).
-            kernel.ensure_ch()
         self.arena = SharedArena()
         arrays, meta = kernel.shared_payload()
         self._csr_key = kernel.shared_key()

@@ -229,10 +229,10 @@ class WorkerPool:
         self.timeouts = 0
         self._per_worker_jobs = [0] * workers
         self._outstanding = [0] * workers
-        #: Deaths before the slot ever reported ready; a slot that
-        #: cannot warm up (bad segment, import failure in the child)
-        #: stops being respawned after a few attempts instead of
-        #: fork-bombing the host.
+        #: Consecutive deaths before the slot reported ready; a slot
+        #: that cannot warm up (bad segment, import failure in the
+        #: child) stops being respawned after a few attempts instead of
+        #: fork-bombing the host.  A warm-up that succeeds resets it.
         self._early_deaths = [0] * workers
         # Observability: dispatch->result roundtrip, worker-reported
         # compute time, their difference (IPC + queueing overhead), and
@@ -503,7 +503,9 @@ class WorkerPool:
                 self._fail_orphans(dead_queue, index, exitcode)
                 with self._lock:
                     self._outstanding[index] = 0
-                    if not slot.ready.is_set():
+                    if slot.ready.is_set():
+                        self._early_deaths[index] = 0
+                    else:
                         self._early_deaths[index] += 1
                     if self._early_deaths[index] >= 3:
                         self._init_errors.append(

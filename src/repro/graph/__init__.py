@@ -2,7 +2,7 @@
 
 Routing backends
 ----------------
-Interchangeable routing implementations serve the hot paths
+Two interchangeable routing implementations serve the hot paths
 (``shortest_path``, Yen / diversified candidate enumeration, serving):
 
 * **dict** — the reference implementation in ``shortest_path.py`` /
@@ -14,8 +14,6 @@ Interchangeable routing implementations serve the hot paths
   search buffers, plus ALT (landmark) lower bounds for A* and Yen spur
   searches.  The ``serve_cold`` and ``batch_routes`` workloads of
   ``bench/run.py`` measure it.
-* **ch** — the same kernel answering unbanned point-to-point queries
-  through a contraction hierarchy (``ch.py``); see ``docs/routing.md``.
 
 The kernel is built lazily on first routing call via
 :func:`csr_for` and cached per network.  Staleness is handled through

@@ -64,7 +64,6 @@ from repro.errors import (
     NoPathError,
     VertexNotFoundError,
 )
-from repro.graph.ch import ContractionHierarchy, WITNESS_SETTLE_LIMIT
 from repro.graph.network import RoadNetwork
 from repro.graph.shortest_path import CostFunction, length_cost, travel_time_cost
 from repro.rng import RngLike, make_rng
@@ -179,7 +178,6 @@ class CSRGraph:
         self._reverse_adj: dict[object, list[list[tuple[int, float]]]] = {}
         self._matrices: dict[tuple[object, bool], object] = {}
         self._alt_tables: dict[object, tuple[np.ndarray, np.ndarray, list[int]]] = {}
-        self._ch_tables: dict[object, ContractionHierarchy] = {}
 
         # Scratch buffers, reused across searches via generation stamps:
         # an entry is valid for the current search only when its stamp
@@ -241,11 +239,6 @@ class CSRGraph:
                 self._forward_adj.pop(stale, None)
                 self._reverse_adj.pop(stale, None)
                 self._alt_tables.pop(stale, None)
-                # A hierarchy is derived from the evicted weight array; a
-                # later re-registration of the same cost object must
-                # rebuild it rather than route on weights that were
-                # dropped.
-                self._ch_tables.pop(stale, None)
                 self._matrices.pop((stale, False), None)
                 self._matrices.pop((stale, True), None)
 
@@ -644,123 +637,6 @@ class CSRGraph:
         return self._single_source_idx(target, cost, reverse=True).tolist()
 
     # ------------------------------------------------------------------
-    # Contraction hierarchies
-    # ------------------------------------------------------------------
-    def ensure_ch(self, cost: CostFunction | None = None,
-                  witness_limit: int = WITNESS_SETTLE_LIMIT,
-                  ) -> ContractionHierarchy:
-        """Build (or reuse) the contraction hierarchy for ``cost``.
-
-        Memoised per weight key, mirroring :meth:`ensure_alt`; the
-        hierarchy lives on this kernel, so a network mutation (which
-        makes :func:`csr_for` build a fresh kernel for the new
-        fingerprint) transparently invalidates it, and evicting a
-        custom weight key drops its hierarchy with it.
-        """
-        key = self._weight_key(cost)
-        hierarchy = self._ch_tables.get(key)
-        if hierarchy is None:
-            weights = self.edge_weights(cost)
-            hierarchy = ContractionHierarchy.build(
-                self._indptr_list, self._indices_list, weights,
-                self.num_vertices, witness_limit=witness_limit)
-            self._ch_tables[key] = hierarchy
-        return hierarchy
-
-    def ch_if_built(self, cost: CostFunction | None = None,
-                    ) -> ContractionHierarchy | None:
-        """The hierarchy for ``cost`` if one was built, else ``None``."""
-        return self._ch_tables.get(self._weight_key(cost))
-
-    def ch_shortest_path_ids(
-        self,
-        source_id: int,
-        target_id: int,
-        cost: CostFunction | None = None,
-    ) -> tuple[list[int], float]:
-        """Least-cost path via the contraction hierarchy.
-
-        Same contract as :meth:`shortest_path_ids` — and the same
-        answer: the hierarchy is exact, the unpacked path is the
-        original-edge path, and the returned cost re-sums the original
-        edge weights in path order so it is bitwise identical to what
-        the Dijkstra reference accumulates.
-        """
-        if source_id == target_id:
-            raise NoPathError(source_id, target_id)
-        hierarchy = self.ensure_ch(cost)
-        source = self.index_of(source_id)
-        target = self.index_of(target_id)
-        with self._lock:
-            result = hierarchy.query(source, target)
-        if result is None:
-            raise NoPathError(source_id, target_id)
-        path, _ = result
-        weights = self.edge_weights(cost)
-        total = 0.0
-        for j in self._edge_positions(path):
-            total += weights[j]
-        ids = self.ids
-        return [ids[i] for i in path], total
-
-    def ch_shortest_path_cost(self, source_id: int, target_id: int,
-                              cost: CostFunction | None = None) -> float:
-        """The hierarchy-routed least cost (0.0 for equal ids)."""
-        if source_id == target_id:
-            return 0.0
-        return self.ch_shortest_path_ids(source_id, target_id, cost)[1]
-
-    def ch_p2p(self, cost: CostFunction | None = None):
-        """A point-to-point callable over CSR indices riding the
-        hierarchy: ``(source, target) -> (vertex_indices, cost) | None``.
-
-        The cost is re-summed from the original edge weights, so the
-        callable is a drop-in replacement for the unbanned
-        :meth:`_p2p` — :meth:`yen_ids` uses it for the initial search
-        (spur searches carry bans, which a hierarchy cannot honour, and
-        stay on the kernel's A* under the exact potential).
-        """
-        hierarchy = self.ensure_ch(cost)
-        weights = self.edge_weights(cost)
-        edge_positions = self._edge_positions
-        lock = self._lock
-
-        def p2p(source: int, target: int
-                ) -> tuple[list[int], float] | None:
-            with lock:
-                result = hierarchy.query(source, target)
-            if result is None:
-                return None
-            path, _ = result
-            total = 0.0
-            for j in edge_positions(path):
-                total += weights[j]
-            return path, total
-
-        return p2p
-
-    def ch_profile_counters(self) -> dict[str, float]:
-        """Cumulative hierarchy counters, summed over built hierarchies.
-
-        ``hierarchies``/``shortcuts``/``build_ms`` describe the
-        preprocessing investment; ``queries``/``heap_pops``/``settled``/
-        ``unpacked_arcs`` the query-time effort.  Serving publishes
-        these under ``kernel.ch.*``.
-        """
-        totals: dict[str, float] = {
-            "hierarchies": 0, "shortcuts": 0, "build_ms": 0.0,
-            "queries": 0, "heap_pops": 0, "settled": 0, "unpacked_arcs": 0,
-        }
-        with self._lock:
-            for hierarchy in self._ch_tables.values():
-                totals["hierarchies"] += 1
-                totals["shortcuts"] += hierarchy.num_shortcuts
-                totals["build_ms"] += hierarchy.build_ms
-                for name, value in hierarchy.profile.items():
-                    totals[name] += value
-        return totals
-
-    # ------------------------------------------------------------------
     # Public queries (vertex ids)
     # ------------------------------------------------------------------
     def single_source(self, source_id: int,
@@ -902,7 +778,6 @@ class CSRGraph:
         cost: CostFunction | None = None,
         max_paths: int | None = None,
         use_alt: bool | None = None,
-        p2p=None,
     ) -> Iterator[tuple[tuple[int, ...], float]]:
         """Yield ``(vertex_ids, cost)`` for loopless paths in
         non-decreasing cost order (Yen, 1971).
@@ -915,16 +790,10 @@ class CSRGraph:
         each search once, guided by the exact distance to the target,
         and decides the spur searches the cap rules out without running
         them.  ``use_alt`` selects that guidance (see :meth:`_potential`).
-
-        ``p2p`` optionally substitutes the *initial* (unbanned) search
-        with an exact point-to-point callable over CSR indices — e.g.
-        :meth:`ch_p2p` — returning ``(vertex_indices, cost)`` or
-        ``None``.  Spur searches always run here: they ban vertices and
-        edges, which precomputed hierarchies cannot honour.
         """
         ids = self.ids
         for verts, total in self.yen_indices(source_id, target_id, cost,
-                                             max_paths, use_alt, p2p):
+                                             max_paths, use_alt):
             yield tuple(ids[i] for i in verts), total
 
     def yen_indices(
@@ -934,7 +803,6 @@ class CSRGraph:
         cost: CostFunction | None = None,
         max_paths: int | None = None,
         use_alt: bool | None = None,
-        p2p=None,
     ) -> Iterator[tuple[list[int], float]]:
         """:meth:`yen_ids` for consumers that stay on the kernel: same
         arguments, but each path is a list of CSR indices (not to be
@@ -997,14 +865,7 @@ class CSRGraph:
 
         with self._lock:
             self._profile["yen_runs"] += 1
-        if p2p is None:
-            first = self._search(s, t, adj, h)
-        else:
-            first = p2p(s, t)
-            if first is not None:
-                weights = self.edge_weights(cost)
-                first = (*first, [weights[j] for j in
-                                  self._edge_positions(first[0])])
+        first = self._search(s, t, adj, h)
         if first is None:
             raise NoPathError(source_id, target_id)
 
@@ -1154,8 +1015,6 @@ class CSRGraph:
             arrays[f"w:{key}"] = np.asarray(self._weight_lists[key],
                                             dtype=np.float64)
         alt_keys = []
-        ch_keys = []
-        ch_build_ms: dict[str, float] = {}
         with self._lock:
             for key in ("length", "travel_time"):
                 cached = self._alt_tables.get(key)
@@ -1168,18 +1027,6 @@ class CSRGraph:
                 arrays[f"alt:{key}:landmarks"] = np.asarray(landmarks,
                                                             dtype=np.int64)
                 alt_keys.append(key)
-            # Built hierarchies ship with the kernel for the same parity
-            # reason as the ALT tables: a replica must route on exactly
-            # the owner's shortcut set, and rebuilding one per worker
-            # would repeat the most expensive part of preprocessing.
-            for key in ("length", "travel_time"):
-                hierarchy = self._ch_tables.get(key)
-                if hierarchy is None:
-                    continue
-                for name, array in hierarchy.shared_arrays().items():
-                    arrays[f"ch:{key}:{name}"] = array
-                ch_keys.append(key)
-                ch_build_ms[key] = hierarchy.build_ms
         meta: dict[str, object] = {
             "network_name": self.network_name,
             "fingerprint": list(self.fingerprint),
@@ -1188,8 +1035,6 @@ class CSRGraph:
             "max_speed_mps": self._max_speed_mps,
             "weight_keys": weight_keys,
             "alt_keys": alt_keys,
-            "ch_keys": ch_keys,
-            "ch_build_ms": ch_build_ms,
         }
         return arrays, meta
 
@@ -1236,16 +1081,6 @@ class CSRGraph:
                 [int(i) for i in arrays[f"alt:{key}:landmarks"]],
                 OrderedDict(),
             )
-        kernel._ch_tables = {}
-        ch_build_ms = meta.get("ch_build_ms", {})
-        for key in meta.get("ch_keys", ()):
-            kernel._ch_tables[key] = ContractionHierarchy.from_shared_arrays(
-                {name: arrays[f"ch:{key}:{name}"]
-                 for name in ("rank", "fwd_indptr", "fwd_indices",
-                              "fwd_weights", "bwd_indptr", "bwd_indices",
-                              "bwd_weights", "shortcuts")},
-                build_ms=float(ch_build_ms.get(key, 0.0)),
-            )
         kernel._dist = [inf] * n
         kernel._parent = [-1] * n
         kernel._parent_w = [0.0] * n
@@ -1265,12 +1100,13 @@ class CSRGraph:
 # ----------------------------------------------------------------------
 # Backend seam
 # ----------------------------------------------------------------------
-_VALID_BACKENDS = ("auto", "csr", "dict", "ch")
+_VALID_BACKENDS = ("auto", "csr", "dict")
 
 
 def _backend_from_env() -> str:
-    name = os.environ.get("REPRO_ROUTING_BACKEND", "auto").strip().lower()
-    return name if name in _VALID_BACKENDS else "auto"
+    # Kept as given: an unknown name fails in resolve_backend on first
+    # use (not here, where it would be an import-time traceback).
+    return os.environ.get("REPRO_ROUTING_BACKEND", "auto").strip().lower()
 
 
 _routing_backend = _backend_from_env()
@@ -1280,9 +1116,8 @@ def set_routing_backend(name: str) -> None:
     """Select the process-wide routing backend.
 
     ``"csr"`` (and ``"auto"``, the default) route hot consumers through
-    the CSR kernel; ``"ch"`` additionally rides the contraction
-    hierarchy for unbanned point-to-point queries; ``"dict"`` forces
-    the reference dict-based implementation everywhere.
+    the CSR kernel; ``"dict"`` forces the reference dict-based
+    implementation everywhere.
     """
     global _routing_backend
     if name not in _VALID_BACKENDS:
@@ -1301,26 +1136,25 @@ def get_routing_backend() -> str:
 @contextmanager
 def use_routing_backend(name: str):
     """Temporarily select a routing backend (tests, benchmarks)."""
-    previous = get_routing_backend()
+    global _routing_backend
+    previous = _routing_backend
     set_routing_backend(name)
     try:
         yield
     finally:
-        set_routing_backend(previous)
+        _routing_backend = previous
 
 
 def resolve_backend(override: str | None = None) -> str:
     """Resolve an optional per-call override against the global setting
-    to a concrete backend: ``"csr"``, ``"ch"``, or ``"dict"``."""
+    to a concrete backend: ``"csr"`` or ``"dict"``."""
     name = override if override is not None else _routing_backend
     if name not in _VALID_BACKENDS:
         raise ConfigError(
             f"unknown routing backend {name!r}; expected one of "
             f"{', '.join(_VALID_BACKENDS)}"
         )
-    if name in ("dict", "ch"):
-        return name
-    return "csr"
+    return "dict" if name == "dict" else "csr"
 
 
 _csr_cache: "weakref.WeakKeyDictionary[RoadNetwork, CSRGraph]" = \

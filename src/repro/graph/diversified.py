@@ -103,11 +103,10 @@ def diversified_top_k(
             f"examine_limit ({examine_limit}) must be at least k ({k})"
         )
 
-    resolved = csr.resolve_backend(backend)
     mode = _KERNEL_SIMILARITY.get(similarity)
-    if resolved != "dict" and mode is not None:
+    if csr.resolve_backend(backend) == "csr" and mode is not None:
         return _kernel_diversified(network, source, target, k, threshold,
-                                   cost, mode, examine_limit, resolved)
+                                   cost, mode, examine_limit)
 
     kept: list[Path] = []
     examined = 0
@@ -133,7 +132,6 @@ def _kernel_diversified(
     cost: CostFunction | None,
     mode: str,
     examine_limit: int,
-    resolved: str,
 ) -> DiversifiedResult:
     """Diversified selection with the similarity filter on CSR arrays.
 
@@ -149,7 +147,6 @@ def _kernel_diversified(
     order.
     """
     kernel = csr.csr_for(network)
-    p2p = kernel.ch_p2p(cost) if resolved == "ch" else None
     edge_positions = kernel._edge_positions
     if mode == "length":
         weights = kernel.edge_weights(length_cost)
@@ -163,7 +160,7 @@ def _kernel_diversified(
     examined = 0
     exhausted = True
     for verts, _ in kernel.yen_indices(source, target, cost,
-                                       max_paths=examine_limit, p2p=p2p):
+                                       max_paths=examine_limit):
         examined += 1
         if mode == "vertex":
             sig = frozenset(verts)

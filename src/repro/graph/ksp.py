@@ -45,15 +45,10 @@ def yen_path_generator(
     """
     if max_paths is not None and max_paths < 1:
         raise ValueError(f"max_paths must be positive, got {max_paths}")
-    resolved = csr.resolve_backend(backend)
-    if resolved != "dict":
+    if csr.resolve_backend(backend) == "csr":
         kernel = csr.csr_for(network)
-        # Under the "ch" lane the initial (unbanned) search rides the
-        # contraction hierarchy; spur searches carry bans, so they stay
-        # on ALT A* inside yen_ids either way.
-        p2p = kernel.ch_p2p(cost) if resolved == "ch" else None
         for vertices, _ in kernel.yen_ids(source, target, cost,
-                                          max_paths=max_paths, p2p=p2p):
+                                          max_paths=max_paths):
             yield Path(network, vertices)
         return
 

@@ -218,29 +218,6 @@ class GraphPartition:
                 self._certificates[key] = cached
             return cached
 
-    def ensure_hierarchies(self, cost=None,
-                           include_corridors: bool = False,
-                           ) -> dict[str, float]:
-        """Prebuild contraction hierarchies for every shard subnetwork.
-
-        Under the ``"ch"`` routing backend each shard-restricted graph
-        lazily builds its own hierarchy on first use; this warm-up pays
-        those builds up front (e.g. before serving opens) and returns
-        ``{graph name: build ms}``.  Corridors are quadratic in the
-        shard count and memoised lazily, so prebuilding them is opt-in.
-        """
-        built: dict[str, float] = {}
-        for shard in self.shards:
-            subnetwork = self.subnetwork(shard.shard_id)
-            built[subnetwork.name] = csr_for(subnetwork).ensure_ch(cost).build_ms
-        if include_corridors:
-            for a in range(self.num_shards):
-                for b in range(a + 1, self.num_shards):
-                    corridor = self.corridor(a, b)
-                    built[corridor.name] = (
-                        csr_for(corridor).ensure_ch(cost).build_ms)
-        return built
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -283,7 +260,7 @@ class CorridorCertificate:
 
     The gateway set and its coordinate arrays are computed once per
     shard pair; certification is then one corridor point-to-point query
-    (near-free under the CH lane) plus a vectorised euclidean sweep.
+    plus a vectorised euclidean sweep.
     """
 
     #: Weight keys the euclidean gateway bound is admissible for.

@@ -130,12 +130,7 @@ def shortest_path(
     if not banned_vertices and not banned_edges:
         from repro.graph import csr  # deferred: csr imports this module
 
-        resolved = csr.resolve_backend(backend)
-        if resolved == "ch":
-            vertices, _ = csr.csr_for(network).ch_shortest_path_ids(
-                source, target, cost)
-            return Path(network, vertices)
-        if resolved == "csr":
+        if csr.resolve_backend(backend) == "csr":
             vertices, _ = csr.csr_for(network).shortest_path_ids(
                 source, target, cost)
             return Path(network, vertices)
@@ -155,10 +150,7 @@ def shortest_path_cost(
         return 0.0
     from repro.graph import csr  # deferred: csr imports this module
 
-    resolved = csr.resolve_backend(backend)
-    if resolved == "ch":
-        return csr.csr_for(network).ch_shortest_path_cost(source, target, cost)
-    if resolved == "csr":
+    if csr.resolve_backend(backend) == "csr":
         return csr.csr_for(network).shortest_path_cost(source, target, cost)
     dist, _ = dijkstra(network, source, cost, target=target)
     if target not in dist:

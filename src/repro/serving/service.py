@@ -422,7 +422,6 @@ class RankingService:
         metrics.register_callback("cache.score", self._score_cache_view)
         metrics.register_callback("scoring", self._scoring_view)
         metrics.register_callback("kernel.routing", self._routing_kernel_view)
-        metrics.register_callback("kernel.ch", self._ch_kernel_view)
         metrics.register_callback("kernel.scoring", self._scoring_kernel_view)
         metrics.register_callback("resilience", self._resilience_view)
         if self.plane is not None:
@@ -569,18 +568,6 @@ class RankingService:
         """
         kernel = csr_if_built(self.network)
         return kernel.profile_counters() if kernel is not None else {}
-
-    def _ch_kernel_view(self) -> dict[str, float]:
-        """``kernel.ch.*``: contraction-hierarchy build/query counters.
-
-        Empty until a hierarchy exists on the full network's kernel —
-        like the routing view, this must never build one.
-        """
-        kernel = csr_if_built(self.network)
-        if kernel is None:
-            return {}
-        totals = kernel.ch_profile_counters()
-        return totals if totals["hierarchies"] else {}
 
     def _scoring_kernel_view(self) -> dict[str, object]:
         """``kernel.scoring.*``: fused forward profiles of live snapshots.

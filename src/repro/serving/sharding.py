@@ -133,8 +133,7 @@ class ShardRouter:
         #: the small graph, the rest widen to the full network — turning
         #: the corridor policy from "approximate by construction" into
         #: "exact, small where provably safe".  Costs one corridor
-        #: point-to-point query per cross-shard route (cheap under the
-        #: CH lane).
+        #: point-to-point query per cross-shard route.
         self.certify_corridors = certify_corridors
         #: Cumulative certificate outcomes, surfaced through
         #: ``RankingService.stats()["sharding"]["routing"]``.

@@ -1,5 +1,5 @@
-"""Orchestration: sweep-side choice, CH lane, disconnected pairs,
-custom costs, metrics accounting, and the BatchAnalytics facade."""
+"""Orchestration: sweep-side choice, disconnected pairs, custom costs,
+metrics accounting, and the BatchAnalytics facade."""
 
 import math
 
@@ -85,19 +85,13 @@ class TestOdCostMatrix:
         assert matrix.cost(0, 48) == pytest.approx(
             _reference_cell(analytics_grid, 0, 48, cost=doubled), abs=1e-9)
 
-    def test_ch_lane_matches_sweep(self, analytics_grid):
-        sweep = od_cost_matrix(analytics_grid, [0, 9], [4, 48],
-                               method="sweep")
-        ch = od_cost_matrix(analytics_grid, [0, 9], [4, 48], method="ch")
-        assert ch.method == "ch"
-        assert ch.sweeps == 0
-        assert np.allclose(ch.costs, sweep.costs)
-
     def test_validation(self, analytics_grid):
         with pytest.raises(AnalyticsError):
             od_cost_matrix(analytics_grid, [])
         with pytest.raises(AnalyticsError):
             od_cost_matrix(analytics_grid, [0], [1], method="quantum")
+        with pytest.raises(AnalyticsError):
+            od_cost_matrix(analytics_grid, [0], [1], method="ch")
 
 
 class TestOdCostPairs:
@@ -111,12 +105,6 @@ class TestOdCostPairs:
                 abs=1e-9)
         assert costs[1] == costs[3]
 
-    def test_ch_lane_matches_sweep(self, analytics_grid):
-        pairs = [(0, 48), (9, 4)]
-        sweep = od_cost_pairs(analytics_grid, pairs, method="sweep")
-        ch = od_cost_pairs(analytics_grid, pairs, method="ch")
-        assert np.allclose(ch, sweep)
-
     def test_disconnected_pair_is_inf(self, split_network):
         costs = od_cost_pairs(split_network, [(11, 10), (10, 11)],
                               method="sweep")
@@ -126,6 +114,8 @@ class TestOdCostPairs:
     def test_validation(self, analytics_grid):
         with pytest.raises(AnalyticsError):
             od_cost_pairs(analytics_grid, [])
+        with pytest.raises(AnalyticsError):
+            od_cost_pairs(analytics_grid, [(0, 48)], method="ch")
 
 
 class TestServiceArea:

@@ -11,6 +11,7 @@ from repro.errors import ExecError
 from repro.exec.plane import ExecutionPlane
 from repro.exec.pool import WorkerPool
 from repro.exec.shm import SharedArena
+from repro.graph import grid_network
 from repro.graph.csr import csr_for
 from repro.nn.fused import resolve_scoring_backend
 
@@ -197,6 +198,43 @@ def test_submits_racing_a_respawn_all_resolve_promptly(exec_network):
             except ExecError as exc:
                 assert "died" in str(exc)
         assert pool.stats()["timeouts"] == 0
+    finally:
+        plane.close()
+
+
+def test_warm_ups_between_early_deaths_keep_the_slot(exec_network):
+    """The warm-up death cap counts consecutive failed warm-ups: a slot
+    that warms up between three early deaths is still respawned."""
+    plane = ExecutionPlane(grid_network(6, 6), workers=1)
+    try:
+        pool = plane.pool
+        pool.wait_ready()
+        slot = pool._slots[0]
+        respawn = pool._spawn
+        doomed = []
+
+        def spawn_and_kill_before_ready(slot):
+            respawn(slot)
+            if doomed:
+                doomed.pop()
+                slot.process.kill()
+
+        pool._spawn = spawn_and_kill_before_ready
+        for cycle in range(3):
+            generation = slot.generation
+            doomed.append(True)
+            pool.kill_worker(0)
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                process = slot.process
+                if process is None or (
+                        slot.generation == generation + 2
+                        and slot.ready.is_set() and process.is_alive()):
+                    break
+                time.sleep(0.02)
+            assert pool.stats()["alive"] == 1, f"slot lost in cycle {cycle}"
+            assert pool.run("ping", None, timeout_s=5.0) == "pong"
+        assert pool._init_errors == []
     finally:
         plane.close()
 

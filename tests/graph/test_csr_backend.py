@@ -289,6 +289,8 @@ class TestBackendSeam:
         with pytest.raises(ConfigError):
             set_routing_backend("gpu")
         with pytest.raises(ConfigError):
+            set_routing_backend("ch")
+        with pytest.raises(ConfigError):
             resolve_backend("fancy")
 
     def test_context_manager_restores(self):

@@ -1,4 +1,5 @@
-"""Region partitioning: invariants, methods, derived subgraphs."""
+"""Region partitioning: invariants, methods, derived subgraphs, corridor
+certificates."""
 
 import pytest
 
@@ -6,11 +7,13 @@ from repro.errors import ConfigError, VertexNotFoundError
 from repro.graph import (
     GraphPartition,
     bfs_partition,
+    grid_network,
     grid_partition,
     partition_network,
+    shortest_path_cost,
     voronoi_partition,
 )
-from repro.graph.partition import PARTITION_METHODS
+from repro.graph.partition import PARTITION_METHODS, CorridorCertificate
 
 
 ALL_METHODS = sorted(PARTITION_METHODS)
@@ -137,3 +140,66 @@ class TestValidationAndErrors:
         # dense, non-empty, and at least 2 for a multi-town region.
         assert partition.num_shards >= 2
         assert all(shard.size > 0 for shard in partition.shards)
+
+
+class TestCorridorCertificate:
+    @pytest.fixture(scope="class")
+    def sharded_grid(self):
+        network = grid_network(12, 12, seed=19)
+        partition = partition_network(network, 3, method="bfs", rng=2)
+        return network, partition
+
+    def test_certificate_is_memoised_and_symmetric(self, sharded_grid):
+        _, partition = sharded_grid
+        certificate = partition.corridor_certificate(0, 1)
+        assert partition.corridor_certificate(1, 0) is certificate
+        assert isinstance(certificate, CorridorCertificate)
+
+    def test_sweep_produces_both_verdicts(self, sharded_grid):
+        """The forced-widening requirement: on a 3-shard grid some
+        cross-shard pairs provably stay inside their corridor and some
+        provably might not — the sweep must produce both verdicts, or
+        the certificate is a constant function in disguise."""
+        network, partition = sharded_grid
+        certificate = partition.corridor_certificate(0, 1)
+        verdicts = {"certified": 0, "widened": 0, "unreachable": 0}
+        shard0 = sorted(partition.shard(0).nodes)
+        shard1 = sorted(partition.shard(1).nodes)
+        for source in shard0[::4]:
+            for target in shard1[::4]:
+                verdicts[certificate.decide(source, target)] += 1
+        assert verdicts["certified"] > 0
+        assert verdicts["widened"] > 0
+
+    def test_certified_routes_are_exactly_optimal(self, sharded_grid):
+        """The point of the certificate: every *certified* pair's
+        corridor-restricted cost equals the full-network optimum."""
+        network, partition = sharded_grid
+        certificate = partition.corridor_certificate(0, 1)
+        shard0 = sorted(partition.shard(0).nodes)
+        shard1 = sorted(partition.shard(1).nodes)
+        checked = 0
+        for source in shard0[::6]:
+            for target in shard1[::6]:
+                if certificate.decide(source, target) != "certified":
+                    continue
+                corridor_cost = shortest_path_cost(
+                    certificate.corridor, source, target)
+                full_cost = shortest_path_cost(network, source, target)
+                assert corridor_cost == pytest.approx(full_cost, abs=1e-9)
+                checked += 1
+        assert checked > 0
+
+    def test_custom_cost_always_widens(self, sharded_grid):
+        """No admissible geometric bound exists for an arbitrary cost
+        function, so the certificate must conservatively widen."""
+        _, partition = sharded_grid
+        certificate = partition.corridor_certificate(0, 1)
+        shard0 = sorted(partition.shard(0).nodes)
+        shard1 = sorted(partition.shard(1).nodes)
+
+        def custom(edge):
+            return edge.length * 2.0
+
+        assert certificate.decide(shard0[0], shard1[0],
+                                  cost=custom) == "widened"

@@ -9,7 +9,6 @@ from repro.graph import (
     GraphPartition,
     grid_network,
     partition_network,
-    use_routing_backend,
     voronoi_partition,
 )
 from repro.serving import (
@@ -621,27 +620,3 @@ class TestCorridorCertification:
         assert routing["corridor_routes"] == 1
         assert routing["certified"] == 1
         assert routing["same_shard"] == 1
-
-    def test_rankings_identical_across_csr_and_ch_backends(
-            self, tiny_network, tmp_path, make_ranker, candidates_config):
-        """The acceptance bar for the CH lane in serving: element-wise
-        identical rankings — same candidate paths, same scores — as the
-        CSR lane, for every pair."""
-        responses = {}
-        for backend in ("csr", "ch"):
-            registry = ModelRegistry(tmp_path / backend, tiny_network)
-            registry.publish(make_ranker(tiny_network, seed=1),
-                             version="v0001", activate=True)
-            service = RankingService(
-                tiny_network, registry,
-                ServingConfig(candidates=candidates_config))
-            with use_routing_backend(backend):
-                responses[backend] = service.rank_batch(
-                    [RankRequest(source=s, target=t, request_id=i)
-                     for i, (s, t) in enumerate(ALL_PAIRS)])
-        for a, b in zip(responses["csr"], responses["ch"]):
-            assert a.served_by == b.served_by == "model"
-            assert [r.path.vertices for r in a.results] == \
-                [r.path.vertices for r in b.results]
-            assert [r.score for r in a.results] == \
-                [r.score for r in b.results]

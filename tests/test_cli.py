@@ -2,7 +2,11 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -382,8 +386,7 @@ class TestAnalyticsCommands:
 
     def test_od_matrix_json(self, grid_file, capsys):
         assert main(["od-matrix", "--network", str(grid_file),
-                     "--origins", "0,7", "--method", "sweep",
-                     "--json"]) == 0
+                     "--origins", "0,7", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["origins"] == [0, 7]
         assert payload["destinations"] == [0, 7]
@@ -432,6 +435,21 @@ class TestAnalyticsCommands:
                      str(grid_file)]) == 2
         assert main(["service-area", "--network", str(grid_file),
                      "--sources", "0", "--budgets", "cheap"]) == 2
+
+    def test_unknown_routing_backend_env_exits_2(self, grid_file):
+        """A routing backend the environment names but the code does not
+        know is an error, not a silent fallback to the CSR lane."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, REPRO_ROUTING_BACKEND="ch", PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "od-matrix", "--network",
+             str(grid_file), "--origins", "0,7"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        [line] = done.stderr.strip().splitlines()
+        assert line.startswith("error:") and "'ch'" in line
 
 
 class TestMetricsDump:
