@@ -130,10 +130,9 @@ def main() -> None:
         # Partition the region into two road-distance Voronoi shards and
         # back both with the already-published checkpoint (a shared
         # registry): every request is owned by its source shard — its
-        # own candidate/score caches, its own scoring batches — and
-        # cross-region queries route through the boundary-stitched
-        # corridor subgraph.  Same-shard rankings stay element-wise
-        # identical to the unsharded engine's.
+        # own candidate/score caches, its own scoring batches — while
+        # candidates are always enumerated on the full network, so every
+        # ranking stays element-wise identical to the unsharded engine's.
         partition = voronoi_partition(network, 2, rng=0)
         sharded = ShardedRegistry.shared(registry, partition)
         sharded_service = RankingService(

@@ -56,6 +56,7 @@ from repro.serving import (
     parse_fault_spec,
 )
 from repro.serving.resilience import SHED_POLICIES
+from repro.serving.service import EXECUTION_MODES
 from repro.obs.export import (
     SnapshotExporter,
     load_timeline,
@@ -169,10 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--json", action="store_true",
                        help="print responses and stats as JSON")
     serve.add_argument("--execution",
-                       choices=("inline", "threads", "processes"),
-                       default="inline",
-                       help="execution plane: inline (default), threads "
-                            "(parallel scoring groups), or processes "
+                       choices=EXECUTION_MODES, default="inline",
+                       help="execution plane: inline (default) or processes "
                             "(worker pool over shared-memory CSR + weights)")
     serve.add_argument("--workers", type=int, default=2,
                        help="worker processes for --execution processes")

@@ -20,7 +20,7 @@ from repro.errors import ConfigError
 from repro.graph.path import Path
 from repro.core.batching import encode_paths
 from repro.nn import BiGRU, Dropout, Embedding, GRU, Linear, Module, Tensor, no_grad
-from repro.nn.fused import compiled_for, resolve_scoring_backend
+from repro.nn.fused import compiled_for
 from repro.ranking.training_data import RankingQuery
 from repro.rng import RngLike, make_rng, spawn
 
@@ -164,15 +164,19 @@ class PathRank(Module):
                     backend: str | None = None) -> np.ndarray:
         """Scores for arbitrary paths (inference mode, no graph).
 
-        Dispatches through the scoring-backend seam: by default the
-        fused numpy kernel (:mod:`repro.nn.fused`) scores the whole
-        batch graph-free in one call; ``backend="module"`` (or
-        ``REPRO_SCORING_BACKEND=module``) forces the reference autograd
-        forward.  Both return identical scores up to float32 roundoff.
+        By default the fused numpy kernel (:mod:`repro.nn.fused`) scores
+        the whole batch graph-free in one call; ``backend="module"``
+        runs the reference autograd forward instead, the parity oracle.
+        Both return identical scores up to float32 roundoff; any other
+        ``backend`` raises :class:`~repro.errors.ConfigError`.
         """
+        if backend is not None and backend != "module":
+            raise ConfigError(
+                f"unknown scoring backend {backend!r}; pass None for the "
+                f"fused kernel or 'module' for the reference forward")
         if not paths:
             return np.zeros(0)
-        if resolve_scoring_backend(backend) == "fused":
+        if backend is None:
             return compiled_for(self).score([path.vertices for path in paths])
         was_training = self.training
         self.eval()

@@ -214,8 +214,8 @@ class PathRankRanker:
 
         The second ranking step; batched callers can concatenate the
         candidates of many queries and score them in one forward pass.
-        ``backend`` optionally overrides the scoring backend
-        (``"fused"`` kernel by default — see :mod:`repro.nn.fused`).
+        ``backend="module"`` runs the reference forward instead of the
+        fused kernel (see :mod:`repro.nn.fused`).
         """
         return self._require_model().score_paths(paths, backend=backend)
 

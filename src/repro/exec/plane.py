@@ -38,7 +38,7 @@ from repro.exec.pool import WorkerPool
 from repro.exec.shm import SharedArena
 from repro.graph.csr import ALT_MIN_VERTICES, csr_for
 from repro.graph.path import Path
-from repro.nn.fused import compiled_for, resolve_scoring_backend
+from repro.nn.fused import compiled_for
 
 __all__ = ["ExecutionPlane"]
 
@@ -163,13 +163,6 @@ class ExecutionPlane:
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    @property
-    def scoring_enabled(self) -> bool:
-        """Process scoring needs the fused backend (workers rebuild
-        :class:`CompiledPathRank` from shared buffers; the reference
-        module forward stays owner-side)."""
-        return resolve_scoring_backend() == "fused"
-
     def ensure_weights(self, active) -> tuple[str, str]:
         """Publish ``active``'s compiled weights; returns (name, key)."""
         kernel = compiled_for(active.model)

@@ -1,10 +1,9 @@
 """Region partitioning: split a road network into node-disjoint shards.
 
-City-and-beyond networks are too large for one embedding matrix, one
-candidate cache, and one scoring batch queue; the serving layer shards
-them into *regions* instead (PathRank itself is trained per region, and
-the knowledge-enriched path literature likewise works on regional
-subnetworks).  This module produces that partition:
+City-and-beyond networks are served by region: the serving layer hangs
+one model registry, candidate cache, score cache and scoring queue off
+each shard (PathRank itself is trained per region).  This module
+produces that partition:
 
 * :func:`grid_partition` — cells of the bounding box, the classic
   spatial baseline: trivially deterministic and embarrassingly fast, but
@@ -17,37 +16,29 @@ subnetworks).  This module produces that partition:
   edges low without a full multilevel partitioner.
 * :func:`voronoi_partition` — road-distance Voronoi cells around
   farthest-point seeds (one batched multi-source Dijkstra sweep):
-  unbalanced but geography-aligned, the choice when shard-local routing
-  should reproduce full-network candidates for in-region queries.
+  unbalanced but geography-aligned.
 
-Both return a :class:`GraphPartition`: per-shard :class:`RegionShard`
-records (node sets plus the *boundary* nodes that touch another shard),
-an O(1) node→shard map, and lazily built, cached per-shard subnetworks
-and shard-pair *corridor* subgraphs (the union of two shards, including
-every edge crossing between them) that the serving layer routes
-cross-shard queries through.
-
-Shards preserve global vertex ids, so paths computed inside a shard
-subnetwork are valid paths of the full network and can be scored by any
-model trained on the global vertex space.
+All return a :class:`GraphPartition`: per-shard :class:`RegionShard`
+records (node sets plus the *boundary* nodes that touch another shard)
+and an O(1) node→shard map.  A partition only says which shard owns a
+vertex; candidate generation always runs on the full network.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigError, NoPathError, VertexNotFoundError
+from repro.errors import ConfigError, VertexNotFoundError
 from repro.graph.csr import csr_for
 from repro.graph.network import RoadNetwork
 from repro.rng import RngLike, make_rng
 
-__all__ = ["RegionShard", "GraphPartition", "CorridorCertificate",
-           "grid_partition", "bfs_partition", "voronoi_partition",
-           "partition_network", "PARTITION_METHODS"]
+__all__ = ["RegionShard", "GraphPartition", "grid_partition",
+           "bfs_partition", "voronoi_partition", "partition_network",
+           "PARTITION_METHODS"]
 
 
 @dataclass(frozen=True)
@@ -56,7 +47,7 @@ class RegionShard:
 
     ``boundary`` holds the shard's gateway nodes — members with at least
     one edge (either direction) whose other endpoint lives in a
-    different shard.  Cross-shard corridors are stitched through these.
+    different shard.
     """
 
     shard_id: int
@@ -85,10 +76,6 @@ class GraphPartition:
     Construction validates the assignment (every vertex mapped, shard
     ids dense ``0..k-1``, no empty shard) and derives the per-shard
     boundary sets and the cut-edge count in one pass over the edges.
-    Per-shard subnetworks and shard-pair corridor subgraphs are built
-    lazily and memoised; both preserve global vertex ids, so a
-    :class:`~repro.graph.path.Path` computed on either is a valid path
-    of the parent network.
     """
 
     def __init__(self, network: RoadNetwork,
@@ -128,14 +115,6 @@ class GraphPartition:
                         boundary=frozenset(boundary[i]))
             for i in range(num_shards)
         )
-        self._subnetworks: dict[int, RoadNetwork] = {}
-        self._corridors: dict[frozenset[int], RoadNetwork] = {}
-        self._certificates: dict[frozenset[int], CorridorCertificate] = {}
-        # Serialises memo construction: the serving engine's admission
-        # workers route concurrently, and racing first-requests must not
-        # each build (and later CSR-compile) their own copy of the same
-        # subgraph.
-        self._derive_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Lookup
@@ -160,65 +139,6 @@ class GraphPartition:
         return self.shards[shard_id]
 
     # ------------------------------------------------------------------
-    # Derived subgraphs (cached)
-    # ------------------------------------------------------------------
-    def subnetwork(self, shard_id: int) -> RoadNetwork:
-        """The sub-network induced by one shard's nodes (memoised)."""
-        # Lock-free fast path: routing calls this per request, and a
-        # memo hit must not contend on the build mutex.
-        cached = self._subnetworks.get(shard_id)
-        if cached is not None:
-            return cached
-        with self._derive_lock:
-            cached = self._subnetworks.get(shard_id)
-            if cached is None:
-                cached = self.network.subgraph(
-                    set(self.shard(shard_id).nodes))
-                cached.name = f"{self.network.name}/shard-{shard_id}"
-                self._subnetworks[shard_id] = cached
-            return cached
-
-    def corridor(self, shard_a: int, shard_b: int) -> RoadNetwork:
-        """The boundary-stitched union subgraph of two shards (memoised).
-
-        Contains every node of both shards and every edge whose
-        endpoints lie inside the union — in particular all cut edges
-        between the two regions, which is what makes cross-shard routing
-        through the corridor possible without loading the full network.
-        """
-        if shard_a == shard_b:
-            return self.subnetwork(shard_a)
-        key = frozenset((shard_a, shard_b))
-        cached = self._corridors.get(key)
-        if cached is not None:
-            return cached
-        with self._derive_lock:
-            cached = self._corridors.get(key)
-            if cached is None:
-                union = set(self.shard(shard_a).nodes) | set(
-                    self.shard(shard_b).nodes)
-                cached = self.network.subgraph(union)
-                lo, hi = sorted(key)
-                cached.name = f"{self.network.name}/corridor-{lo}-{hi}"
-                self._corridors[key] = cached
-            return cached
-
-    def corridor_certificate(self, shard_a: int,
-                             shard_b: int) -> "CorridorCertificate":
-        """The exactness certificate for one shard pair (memoised)."""
-        key = frozenset((shard_a, shard_b))
-        cached = self._certificates.get(key)
-        if cached is not None:
-            return cached
-        corridor = self.corridor(shard_a, shard_b)
-        with self._derive_lock:
-            cached = self._certificates.get(key)
-            if cached is None:
-                cached = CorridorCertificate(self.network, corridor)
-                self._certificates[key] = cached
-            return cached
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def balance(self) -> float:
@@ -241,93 +161,6 @@ class GraphPartition:
         sizes = ", ".join(str(shard.size) for shard in self.shards)
         return (f"GraphPartition(shards={self.num_shards}, sizes=[{sizes}], "
                 f"cut_edges={self.cut_edges})")
-
-
-class CorridorCertificate:
-    """Per-query exactness certificate for a cross-shard corridor.
-
-    A corridor (the union subgraph of the two endpoint shards) answers a
-    cross-shard query exactly *unless* the true shortest path detours
-    through a third shard.  Any such detour must pass through an
-    **exterior gateway** — a vertex outside the corridor with an edge
-    into it — so its cost is at least
-    ``min over gateways w of  euclid(s, w) + euclid(w, t)``
-    (an admissible bound for the length cost; divided by the network's
-    maximum speed it bounds travel time).  When the corridor's own
-    shortest-path cost does not exceed that bound, no exterior route can
-    beat it and the corridor result is certified globally exact;
-    otherwise the query must widen to the full network.
-
-    The gateway set and its coordinate arrays are computed once per
-    shard pair; certification is then one corridor point-to-point query
-    plus a vectorised euclidean sweep.
-    """
-
-    #: Weight keys the euclidean gateway bound is admissible for.
-    _GEOMETRIC_KEYS = ("length", "travel_time")
-
-    def __init__(self, network: RoadNetwork, corridor: RoadNetwork) -> None:
-        self.corridor = corridor
-        kernel = csr_for(network)
-        inside = set(corridor.vertex_ids())
-        gateways: set[int] = set()
-        for edge in network.edges():
-            source_in = edge.source in inside
-            target_in = edge.target in inside
-            if source_in != target_in:
-                gateways.add(edge.target if source_in else edge.source)
-        self.num_gateways = len(gateways)
-        gateway_indices = [kernel.index_of(vid) for vid in sorted(gateways)]
-        self._gx = kernel.x[gateway_indices]
-        self._gy = kernel.y[gateway_indices]
-        self._x = kernel.x
-        self._y = kernel.y
-        self._index = kernel.index_of
-        self._max_speed_mps = kernel._max_speed_mps
-
-    def exterior_bound(self, source: int, target: int,
-                       cost=None) -> float:
-        """Lower bound on any ``source -> target`` path that leaves the
-        corridor (``inf`` when no exterior gateway exists); ``-inf`` for
-        custom costs, which the euclidean geometry cannot bound."""
-        from repro.graph.shortest_path import length_cost, travel_time_cost
-
-        if cost is None or cost is length_cost:
-            key = "length"
-        elif cost is travel_time_cost:
-            key = "travel_time"
-        else:
-            return -np.inf
-        if self.num_gateways == 0:
-            return np.inf
-        si = self._index(source)
-        ti = self._index(target)
-        via = (np.hypot(self._gx - self._x[si], self._gy - self._y[si])
-               + np.hypot(self._gx - self._x[ti], self._gy - self._y[ti]))
-        bound = float(via.min())
-        if key == "travel_time":
-            bound /= self._max_speed_mps
-        return bound
-
-    def decide(self, source: int, target: int, cost=None,
-               backend: str | None = None) -> str:
-        """Certify one query: ``"certified"`` (corridor is exact),
-        ``"widened"`` (an exterior route could be shorter — or the cost
-        is custom and unboundable), or ``"unreachable"`` (no corridor
-        path; the caller should search the full network).
-        """
-        from repro.graph.shortest_path import length_cost, shortest_path_cost
-
-        bound = self.exterior_bound(source, target, cost)
-        if bound == -np.inf:
-            return "widened"
-        try:
-            corridor_cost = shortest_path_cost(
-                self.corridor, source, target,
-                cost if cost is not None else length_cost, backend=backend)
-        except NoPathError:
-            return "unreachable"
-        return "certified" if corridor_cost <= bound else "widened"
 
 
 # ----------------------------------------------------------------------
@@ -519,12 +352,10 @@ def voronoi_partition(network: RoadNetwork, num_shards: int,
     Every vertex joins the seed it is closest to by shortest-path
     distance (one batched :meth:`CSRGraph.multi_source` sweep), so
     shards follow the *geography* of the network: a multi-town region
-    partitions into its towns plus their nearest highway approaches,
-    which is the alignment that keeps same-shard queries' candidate
-    paths inside their shard.  Unlike :func:`bfs_partition` there is no
-    balance forcing — dense regions get big shards — making this the
-    partitioner of choice when exactness of shard-local routing matters
-    more than equal shard sizes.
+    partitions into its towns plus their nearest highway approaches, so
+    a town's traffic lands on one shard's caches and model.  Unlike
+    :func:`bfs_partition` there is no balance forcing — dense regions
+    get big shards.
     """
     _check_num_shards(network, num_shards)
     kernel = csr_for(network)

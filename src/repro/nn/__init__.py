@@ -11,10 +11,6 @@ from repro.nn.fused import (
     CompiledPathRank,
     compiled_for,
     compiled_if_cached,
-    get_scoring_backend,
-    resolve_scoring_backend,
-    set_scoring_backend,
-    use_scoring_backend,
 )
 from repro.nn.grad_check import check_gradients, numerical_gradient
 from repro.nn.layers import Dropout, Embedding, Linear, ReLU, Sequential, Sigmoid, Tanh
@@ -77,8 +73,4 @@ __all__ = [
     "CompiledPathRank",
     "compiled_for",
     "compiled_if_cached",
-    "get_scoring_backend",
-    "set_scoring_backend",
-    "use_scoring_backend",
-    "resolve_scoring_backend",
 ]

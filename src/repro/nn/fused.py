@@ -42,23 +42,19 @@ snapshot.  Code that mutates parameter ``.data`` in place outside
 ``load_state_dict`` must call ``model.bump_weight_version()`` before the
 next fused score.
 
-**Backend seam.**  ``PathRank.score_paths`` (and everything above it:
-the batching scorer, the serving facade, the evaluation harness)
-dispatches through :func:`resolve_scoring_backend`.  Set the environment
-variable ``REPRO_SCORING_BACKEND=module`` (or call
-:func:`set_scoring_backend`, or pass ``backend="module"`` per call) to
-force the reference Tensor forward; ``fused`` / ``auto`` (the default)
-select this kernel.
+**Reference forward.**  ``PathRank.score_paths`` (and everything above
+it: the batching scorer, the serving facade, the evaluation harness)
+scores through this kernel; ``score_paths(paths, backend="module")``
+runs the reference Tensor forward instead, per call, as the parity
+oracle.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import weakref
 from collections.abc import Sequence
-from contextlib import contextmanager
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -75,10 +71,6 @@ __all__ = [
     "CompiledPathRank",
     "compiled_for",
     "compiled_if_cached",
-    "get_scoring_backend",
-    "set_scoring_backend",
-    "use_scoring_backend",
-    "resolve_scoring_backend",
 ]
 
 #: Compiled kernels default to float32: inference does not need the
@@ -570,60 +562,3 @@ def compiled_if_cached(model: "Module",
     dtype = np.dtype(dtype if dtype is not None else DEFAULT_COMPILE_DTYPE)
     entry = _compiled_cache.get(model)
     return entry.get(dtype) if entry else None
-
-
-# ----------------------------------------------------------------------
-# Backend seam
-# ----------------------------------------------------------------------
-_VALID_SCORING_BACKENDS = ("auto", "fused", "module")
-
-
-def _scoring_backend_from_env() -> str:
-    name = os.environ.get("REPRO_SCORING_BACKEND", "auto").strip().lower()
-    return name if name in _VALID_SCORING_BACKENDS else "auto"
-
-
-_scoring_backend = _scoring_backend_from_env()
-
-
-def set_scoring_backend(name: str) -> None:
-    """Select the process-wide scoring backend.
-
-    ``"fused"`` (and ``"auto"``, the default) score through the compiled
-    numpy kernel; ``"module"`` forces the reference autograd forward.
-    """
-    global _scoring_backend
-    if name not in _VALID_SCORING_BACKENDS:
-        raise ConfigError(
-            f"unknown scoring backend {name!r}; expected one of "
-            f"{', '.join(_VALID_SCORING_BACKENDS)}"
-        )
-    _scoring_backend = name
-
-
-def get_scoring_backend() -> str:
-    """The currently selected scoring backend name."""
-    return _scoring_backend
-
-
-@contextmanager
-def use_scoring_backend(name: str):
-    """Temporarily select a scoring backend (tests, benchmarks)."""
-    previous = get_scoring_backend()
-    set_scoring_backend(name)
-    try:
-        yield
-    finally:
-        set_scoring_backend(previous)
-
-
-def resolve_scoring_backend(override: str | None = None) -> str:
-    """Resolve an optional per-call override against the global setting
-    to a concrete backend: ``"fused"`` or ``"module"``."""
-    name = override if override is not None else _scoring_backend
-    if name not in _VALID_SCORING_BACKENDS:
-        raise ConfigError(
-            f"unknown scoring backend {name!r}; expected one of "
-            f"{', '.join(_VALID_SCORING_BACKENDS)}"
-        )
-    return "module" if name == "module" else "fused"

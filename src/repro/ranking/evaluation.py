@@ -5,10 +5,9 @@ module runs a scorer over a query set and reduces the results to the
 :class:`~repro.ranking.metrics.RankingMetrics` the paper's tables
 report.
 
-PathRank scorers dispatch through the scoring-backend seam
-(:mod:`repro.nn.fused`), so evaluation sweeps run on the fused numpy
-kernel by default; set ``REPRO_SCORING_BACKEND=module`` to pin the
-reference forward when auditing metric-level parity.
+PathRank scorers run on the fused numpy kernel (:mod:`repro.nn.fused`);
+auditing metric-level parity against the reference forward means
+scoring with ``PathRank.score_paths(paths, backend="module")``.
 """
 
 from __future__ import annotations

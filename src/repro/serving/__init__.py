@@ -45,13 +45,12 @@ deployment needs around it:
   :class:`~repro.graph.partition.GraphPartition` splits the network
   into region shards; :class:`ShardedRegistry` holds one registry per
   shard, the service carves its own cache budgets into per-shard
-  candidate/score caches, and a :class:`ShardRouter` (whose arguments
-  are the routing policy) tags every request with its owning shard at
-  admission.  Candidate generation can run shard-locally or through
-  boundary-stitched cross-shard corridors, scoring flushes coalesce
-  per *(shard, snapshot)* group, and with the default exact mode
-  same-shard rankings are element-wise identical to an unsharded
-  service's (``tests/serving/test_sharding.py`` pins this).
+  candidate/score caches, and a :class:`ShardRouter` tags every
+  request with its owning shard at admission.  Scoring flushes
+  coalesce per *(shard, snapshot)* group, while candidate generation
+  always runs on the full network, so every ranking is element-wise
+  identical to an unsharded service's
+  (``tests/serving/test_sharding.py`` pins this).
 * **Telemetry** (:mod:`repro.obs`) — the service records its request,
   latency and resilience counts straight into the instruments of its
   central :class:`~repro.obs.metrics.MetricsRegistry`; caches, scorers,
@@ -105,12 +104,11 @@ in ``bench/`` (``python3 bench/run.py``).
 Scoring backends
 ----------------
 
-Model scoring dispatches through a backend seam, mirroring the routing
-seam of :mod:`repro.graph.csr`.  ``PathRank.score_paths`` — and with it
-the :class:`BatchingScorer`, the :class:`RankingService`, and the
-evaluation harness — resolves one of two implementations per call:
+``PathRank.score_paths`` — and with it the :class:`BatchingScorer`, the
+:class:`RankingService`, and the evaluation harness — scores through
+one of two implementations:
 
-* ``fused`` (and ``auto``, the default) — the graph-free numpy kernel of
+* fused (the default) — the graph-free numpy kernel of
   :mod:`repro.nn.fused`: weights snapshotted into a
   :class:`~repro.nn.fused.CompiledPathRank` (flat float32 arrays, input
   projections hoisted out of the GRU recurrence, preallocated per-thread
@@ -121,16 +119,12 @@ evaluation harness — resolves one of two implementations per call:
   never pays compile latency on the first request, and the snapshot is
   keyed by the model's ``weight_version`` counter, so stale weights can
   never serve.
-* ``module`` — the reference autograd forward, kept as the
-  always-correct fallback and parity oracle.
+* ``module`` — the reference autograd forward, the parity oracle,
+  selected per call with ``score_paths(paths, backend="module")``.
 
-Select globally with the environment variable
-``REPRO_SCORING_BACKEND=fused|module`` (read at import), at runtime with
-:func:`repro.nn.fused.set_scoring_backend` /
-:func:`~repro.nn.fused.use_scoring_backend`, or per call via
-``score_paths(..., backend=...)``.  Scores agree across backends to
-float32 roundoff (``tests/nn/test_fused.py`` pins parity; the
-``serve_rescore`` workload of ``bench/run.py`` measures the fused lane).
+Scores agree across the two to float32 roundoff
+(``tests/nn/test_fused.py`` pins parity; the ``serve_rescore`` workload
+of ``bench/run.py`` measures the fused lane).
 """
 
 from repro.serving.batching import BatchingScorer

@@ -209,13 +209,6 @@ class CandidateCache:
     serve stale candidates: old entries simply stop matching and age out
     via LRU.  Without a network the caller owns invalidation via
     :meth:`clear`.
-
-    :meth:`lookup` / :meth:`store` accept a per-call ``network``
-    override: the sharded serving plane generates candidates on varying
-    graphs (a shard subnetwork, a cross-shard corridor, or the full
-    network on a reachability retry) and keys each entry by the graph
-    actually used, so one per-shard cache holds all three shapes without
-    collisions.
     """
 
     def __init__(self, capacity: int = 1024,
@@ -242,18 +235,16 @@ class CandidateCache:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def lookup(self, source: int, target: int, config: TrainingDataConfig,
-               network: RoadNetwork | None = None) -> list[Path] | None:
+    def lookup(self, source: int, target: int,
+               config: TrainingDataConfig) -> list[Path] | None:
         cached = self._cache.get(
-            self.key_for(source, target, config, network or self._network))
+            self.key_for(source, target, config, self._network))
         return None if cached is None else list(cached)
 
     def store(self, source: int, target: int, config: TrainingDataConfig,
-              paths: Sequence[Path],
-              network: RoadNetwork | None = None) -> None:
-        self._cache.put(
-            self.key_for(source, target, config, network or self._network),
-            tuple(paths))
+              paths: Sequence[Path]) -> None:
+        self._cache.put(self.key_for(source, target, config, self._network),
+                        tuple(paths))
 
     def clear(self) -> None:
         self._cache.clear()

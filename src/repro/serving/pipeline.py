@@ -10,8 +10,7 @@ the same four stages:
    the model snapshot that will answer it (the shard's active model, a
    per-request pinned version, or a weighted A/B traffic split);
 2. **candidate generation** — cache-aware TkDI / D-TkDI enumeration on
-   the request's routing graph (full network, shard subnetwork, or a
-   cross-shard corridor);
+   the full network;
 3. **scoring** — coalesced batched forward passes, grouped per
    ``(shard, model snapshot)``;
 4. **response assembly** — ranking, degradation, and metrics.

@@ -33,7 +33,7 @@ from repro.core.model import PathRank
 from repro.core.ranker import PathRankRanker
 from repro.errors import ServingError
 from repro.graph.network import RoadNetwork
-from repro.nn.fused import compiled_for, resolve_scoring_backend
+from repro.nn.fused import compiled_for
 from repro.nn.serialization import load_state
 
 __all__ = ["ActiveModel", "ModelRegistry"]
@@ -189,10 +189,9 @@ class ModelRegistry:
     def _load_snapshot(self, version: str) -> ActiveModel:
         """Load ``version`` into a ready-to-serve immutable snapshot."""
         model = self.load(version)
-        if resolve_scoring_backend() == "fused":
-            # Warm the fused inference kernel up front so the first
-            # request against this snapshot pays no compile latency.
-            compiled_for(model)
+        # Warm the fused inference kernel up front so the first request
+        # against this snapshot pays no compile latency.
+        compiled_for(model)
         _, metadata = load_state(self._path_for(version))
         with self._lock:
             self._generation += 1

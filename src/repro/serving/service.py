@@ -15,7 +15,7 @@ Internally the service is a **staged pipeline** over
   (sharded services), then resolve the candidate configuration and the
   model snapshot (active, pinned, or A/B-split) for it;
 * :meth:`RankingService.prepare` — cache-aware candidate generation on
-  the request's routing graph;
+  the full network;
 * :meth:`RankingService.score_states` — coalesced scoring of many
   states, grouped per *(shard, model snapshot)*, with per-request
   degradation when a batch fails;
@@ -34,17 +34,14 @@ case — lane 0 over the full network — so the classic
 before.  Constructing the service with a
 :class:`~repro.serving.sharding.ShardedRegistry` instead activates the
 plane: the service carves its cache budgets over the shards, a
-:class:`~repro.serving.sharding.ShardRouter` (the default one, or an
-injected ``router=``) tags each request with its owning shard at
-admission, candidate generation runs on the request's routing graph
-(full network by default, shard subnetwork under a router with
-``local_candidates=True``, cross-shard corridor), and scoring batches
-coalesce per shard lane.
+:class:`~repro.serving.sharding.ShardRouter` tags each request with its
+owning shard at admission, and scoring batches coalesce per shard lane.
+Candidate generation always runs on the full network, so a sharded
+service answers every OD pair exactly as the unsharded one does.
 
 **Execution plane.**  ``ServingConfig.execution`` selects how the
 CPU-bound stages run: ``"inline"`` (the default — behaviour identical
-to before the plane existed), ``"threads"`` (independent scoring
-groups fan out across threads), or ``"processes"`` (an
+to before the plane existed) or ``"processes"`` (an
 :class:`~repro.exec.plane.ExecutionPlane` of worker processes attached
 zero-copy to shared-memory CSR and weight segments executes candidate
 generation and the fused forward passes, sidestepping the GIL).  Every
@@ -64,7 +61,6 @@ from repro.core.ranker import generate_candidates, rank_paths
 from repro.errors import (
     ConfigError,
     ExecError,
-    NoPathError,
     ReproError,
     ServingError,
 )
@@ -72,7 +68,7 @@ from repro.graph.csr import csr_if_built
 from repro.graph.network import RoadNetwork
 from repro.graph.path import Path
 from repro.graph.shortest_path import shortest_path
-from repro.nn.fused import compiled_if_cached, resolve_scoring_backend
+from repro.nn.fused import compiled_if_cached
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.ranking.training_data import TrainingDataConfig
@@ -103,13 +99,11 @@ from repro.serving.sharding import (
 __all__ = ["EXECUTION_MODES", "ServingConfig", "RankRequest", "RankedPath",
            "RankResponse", "RankingService"]
 
-#: Execution-plane modes: ``"inline"`` scores groups sequentially in the
-#: calling thread (the historical behaviour, and the default);
-#: ``"threads"`` fans independent *(shard, snapshot)* groups across
-#: ad-hoc threads; ``"processes"`` additionally offloads candidate
-#: generation and the fused forward passes to a pool of worker
-#: processes over shared-memory hot-state (:mod:`repro.exec`).
-EXECUTION_MODES = ("inline", "threads", "processes")
+#: Execution-plane modes: ``"inline"`` runs every stage in the calling
+#: thread (the historical behaviour, and the default); ``"processes"``
+#: offloads candidate generation and the fused forward passes to a pool
+#: of worker processes over shared-memory hot-state (:mod:`repro.exec`).
+EXECUTION_MODES = ("inline", "processes")
 
 #: Request outcome counters, service-wide as ``serving.<name>`` and per
 #: traffic-split arm under ``split.<version>.counters.<name>``.
@@ -153,9 +147,7 @@ class ServingConfig:
     ``score_cache_size=0`` disables score memoisation (every request
     pays the forward pass; mainly for benchmarks isolating scoring
     work).  ``max_batch_size`` caps the paths of one forward pass and is
-    the concurrent engine's size trigger.  A sharded service's routing
-    policy lives on its :class:`~repro.serving.sharding.ShardRouter`:
-    pass ``router=`` to the service for a non-default one.
+    the concurrent engine's size trigger.
     """
 
     candidates: TrainingDataConfig = field(default_factory=TrainingDataConfig)
@@ -277,32 +269,20 @@ class RankingService:
 
     def __init__(self, network: RoadNetwork,
                  registry: ModelRegistry | ShardedRegistry,
-                 config: ServingConfig | None = None, *,
-                 router: ShardRouter | None = None) -> None:
+                 config: ServingConfig | None = None) -> None:
         self.network = network
         self.registry = registry
         self.config = config or ServingConfig()
         if isinstance(registry, ShardedRegistry):
-            # Sharded plane: one lane per region shard.  An injected
-            # router must agree with the registry on the partition
-            # (shard ids index the lanes); its routing policy is its own.
+            # Sharded plane: one lane per region shard.
             self.sharded: ShardedRegistry | None = registry
-            if router is not None \
-                    and router.partition is not registry.partition:
-                raise ServingError(
-                    "router and sharded registry were built over different "
-                    "partitions; their shard ids cannot agree")
-            self.router: ShardRouter | None = router if router is not None \
-                else ShardRouter(network, registry.partition)
+            self.router: ShardRouter | None = ShardRouter(
+                network, registry.partition)
             self._lanes = self._shard_lanes(registry)
             self.candidate_cache = None
             self.score_cache = None
             self.scorer = None
         else:
-            if router is not None:
-                raise ServingError(
-                    "router= requires a ShardedRegistry; an unsharded "
-                    "service has no shard plane to route on")
             self.sharded = None
             self.router = None
             # Keyed by the network fingerprint too, so a graph mutation
@@ -339,11 +319,10 @@ class RankingService:
              for shard_id in self._lanes}
             if self.resilience.breaker_enabled else {})
         self.faults: FaultInjector | None = None
-        # Execution plane: dormant unless asked for.  "threads" needs no
-        # machinery (score_states fans groups out with ad-hoc threads);
-        # "processes" stands up shared-memory hot-state plus a warm
-        # worker pool, and subscribes to registry lifecycle events so a
-        # deactivated version's weight segments are unlinked promptly.
+        # Execution plane: dormant unless asked for.  "processes" stands
+        # up shared-memory hot-state plus a warm worker pool, and
+        # subscribes to registry lifecycle events so a deactivated
+        # version's weight segments are unlinked promptly.
         self.plane = None
         if self.config.execution == "processes":
             from repro.exec.plane import ExecutionPlane
@@ -375,11 +354,9 @@ class RankingService:
 
         Each shard gets capacity proportional to its node count (see
         :func:`~repro.serving.sharding.split_budget`), so doubling the
-        number of regions does not double serving memory.  Candidate
-        caches are built unbound (no pinned network): the pipeline keys
-        every lookup by the *routing graph* it used (full network,
-        subnetwork, corridor, or full-network retry), so one shard cache
-        holds all of them without collisions.
+        number of regions does not double serving memory.  Like lane
+        0's, each candidate cache keys its entries by the network
+        fingerprint, so a graph mutation invalidates them implicitly.
         """
         shards = sharded.partition.shards
         candidate_size = self.config.candidate_cache_size
@@ -400,7 +377,8 @@ class RankingService:
         return {
             shard.shard_id: self._lane(
                 shard.shard_id, sharded.registry(shard.shard_id),
-                CandidateCache(candidate_share), score_share)
+                CandidateCache(candidate_share, network=self.network),
+                score_share)
             for shard, candidate_share, score_share
             in zip(shards, candidate_shares, score_shares)
         }
@@ -734,44 +712,30 @@ class RankingService:
 
     def _candidates(self, state: QueryState) -> tuple[list[Path], bool]:
         request, config = state.request, state.config
-        lane = self._lanes[state.shard]
-        graph = state.route.graph if state.route is not None else self.network
-        cached = lane.candidate_cache.lookup(request.source, request.target,
-                                             config, network=graph)
+        cache = self._lanes[state.shard].candidate_cache
+        cached = cache.lookup(request.source, request.target, config)
         if cached is not None:
             return cached, True
-        try:
-            paths = self._generate_candidates(state, graph)
-        except NoPathError:
-            if state.route is None or not state.route.local:
-                raise
-            # The shard-restricted graph (subnetwork or corridor) found
-            # no path; the full network is the authority on
-            # reachability, and its answer matches the unsharded one.
-            paths = generate_candidates(self.network, request.source,
-                                        request.target, config)
-        lane.candidate_cache.store(request.source, request.target, config,
-                                   paths, network=graph)
+        paths = self._generate_candidates(state)
+        cache.store(request.source, request.target, config, paths)
         return paths, False
 
-    def _generate_candidates(self, state: QueryState, graph) -> list[Path]:
+    def _generate_candidates(self, state: QueryState) -> list[Path]:
         """Cold candidate generation, offloaded to the pool when possible.
 
-        Only full-network queries dispatch (the workers attached the
-        full network's CSR; shard subnetworks and corridors stay
-        inline), and a pool failure falls back to inline generation —
-        the plane is a throughput optimisation, never an availability
-        risk.  :class:`~repro.errors.NoPathError` from a worker is the
-        *query's* answer and propagates exactly as inline.
+        A pool failure falls back to inline generation — the plane is a
+        throughput optimisation, never an availability risk.
+        :class:`~repro.errors.NoPathError` from a worker is the *query's*
+        answer and propagates exactly as inline.
         """
         request, config = state.request, state.config
-        if self.plane is not None and graph is self.network:
+        if self.plane is not None:
             try:
                 return self.plane.candidates_for(state)
             except ExecError:
                 pass
-        return generate_candidates(graph, request.source, request.target,
-                                   config)
+        return generate_candidates(self.network, request.source,
+                                   request.target, config)
 
     # ------------------------------------------------------------------
     # Stage 3: coalesced scoring
@@ -796,13 +760,12 @@ class RankingService:
             if state.scorable:
                 groups.setdefault((state.shard, state.active.generation),
                                   []).append(state)
-        if len(groups) > 1 and self.config.execution != "inline":
-            # Parallel group execution: the groups are independent by
+        if len(groups) > 1 and self.plane is not None:
+            # Pooled group execution: the groups are independent by
             # construction (disjoint states, per-shard scorers/caches/
-            # breakers), so a flush mixing shards or snapshots scores
-            # them concurrently instead of serialising behind the
-            # largest.  Under "processes" the threads merely wait on
-            # pool tickets, overlapping the workers' forward passes.
+            # breakers), and each thread merely waits on pool tickets,
+            # so the workers' forward passes overlap instead of
+            # serialising behind the largest group.
             threads = [
                 threading.Thread(target=self._score_states_group,
                                  args=(shard_id, members),
@@ -875,7 +838,7 @@ class RankingService:
         began = time.perf_counter()
         attempt = 0
         model = active.model
-        if self.plane is not None and self.plane.scoring_enabled:
+        if self.plane is not None:
             # Swap in the pool-dispatching proxy: BatchingScorer still
             # runs dedup/caching/chunking in this process, but each
             # chunk's forward pass executes on a worker, bounded by the
@@ -1089,9 +1052,6 @@ class RankingService:
             return self._error_response(
                 state, f"{reason} (fallback disabled)", elapsed_ms)
         try:
-            # Always the full network: the fallback is the floor of
-            # service quality, and shard-local reachability must never
-            # lower it.
             path = shortest_path(self.network, request.source, request.target)
         except ReproError as exc:
             return self._error_response(state, str(exc), elapsed_ms)
@@ -1171,7 +1131,6 @@ class RankingService:
         lanes = self.lanes()
         scoring = self._scoring_view()
         scoring["max_batch_size"] = self.config.max_batch_size
-        scoring["backend"] = resolve_scoring_backend()
         resilience = self.resilience
         # Exact count and mean; quantiles interpolated within one log2
         # bucket.  Read before the counters (see _record).
@@ -1227,8 +1186,6 @@ class RankingService:
         if self.sharded is not None:
             sharding = self.sharded.stats()
             sharding["routing"] = dict(self.router.route_counters)
-            sharding["routing"]["certify_corridors"] = \
-                self.router.certify_corridors
             requests = self._shard_view()
             for lane in lanes:
                 label = shard_label(lane.shard_id)

@@ -1,18 +1,12 @@
-"""The serving shard plane: route, cache, and score per region shard.
+"""The serving shard plane: per-region models, caches and scoring batches.
 
-Every layer below PR 5 silently assumed one :class:`RoadNetwork` and one
-model.  This module is the seam that removes that assumption without
-rewriting the pipeline: a :class:`GraphPartition` (see
-:mod:`repro.graph.partition`) splits the network into region shards, and
-the serving stack hangs one *lane* of resources off each shard —
+A :class:`GraphPartition` (see :mod:`repro.graph.partition`) splits the
+network into region shards, and the serving stack hangs one *lane* of
+resources off each shard —
 
-* :class:`ShardRouter` — maps an OD query to its owning shard.
-  Same-shard queries route *locally*: the **source** shard's lane owns
-  them (cache, model, scorer), and with ``local_candidates=True``
-  candidate generation additionally runs on the shard's subnetwork.
-  Cross-shard queries route through the boundary-stitched **corridor**
-  subgraph of the two endpoint shards, or straight to the full network
-  under the ``"fallback"`` policy.
+* :class:`ShardRouter` — maps an OD query to its owning shard: the
+  **source** shard's lane (cache, model, scorer) serves it, same-shard
+  or cross-shard alike.
 * :class:`ShardedRegistry` — one :class:`ModelRegistry` per shard.
   Per-shard registries let each region serve its own weights (the
   paper trains PathRank per region); :meth:`ShardedRegistry.shared`
@@ -27,24 +21,16 @@ the serving stack hangs one *lane* of resources off each shard —
   shard size, see :func:`split_budget`), so a hot region cannot evict a
   quiet region's working set.
 
-Shard subnetworks preserve global vertex ids, so shard-local paths are
-valid paths of the full network and are scored by models trained on the
-global vertex space — no id remapping crosses this seam.
-
-Exactness: with the default ``local_candidates=False``, same-shard
-queries enumerate on the full network, so their rankings are
-element-wise identical to the unsharded service — the shard plane then
-scopes *models, caches, and scoring batches*, not reachability.
-``local_candidates=True`` trades that guarantee for subnetwork-sized
-searches: exact whenever a query's alternatives stay inside its region
-(the case geography-aligned partitioning optimises for), approximate
-for paths that would detour across the boundary.  Either way a
-shard-restricted search that finds **no** path retries on the full
-network, so reachability never regresses.
+Shards own models, caches and scoring batches — not the graph.  Every
+request enumerates its candidates on the full network, so a sharded
+service answers every OD pair exactly as the unsharded service does
+(``docs/routing.md`` says why no request runs on a shard-restricted
+graph).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from pathlib import Path as FilePath
 
@@ -56,7 +42,7 @@ from repro.serving.cache import CandidateCache, ScoreCache, carve_budget
 from repro.serving.registry import ActiveModel, ModelRegistry
 
 __all__ = ["ShardRoute", "ShardRouter", "ShardedRegistry", "ShardLane",
-           "CROSS_SHARD_POLICIES", "shard_label", "split_budget"]
+           "shard_label", "split_budget"]
 
 
 def shard_label(shard_id: int) -> str:
@@ -68,29 +54,18 @@ def shard_label(shard_id: int) -> str:
     """
     return f"shard-{shard_id:02d}"
 
-#: How a cross-shard query picks its candidate-generation graph:
-#: ``"corridor"`` stitches the two endpoint shards' subnetworks together
-#: through their boundary edges; ``"fallback"`` goes straight to the
-#: full network.
-CROSS_SHARD_POLICIES = ("corridor", "fallback")
-
 
 @dataclass(frozen=True)
 class ShardRoute:
     """Where one OD query lives on the shard plane.
 
     ``shard`` is the owning (source) shard — the lane whose caches,
-    registry, and scorer serve the request.  ``graph`` is the network
-    candidate generation runs on; ``local`` says whether that graph is a
-    shard-restricted view (subnetwork or corridor) rather than the full
-    network, i.e. whether a no-path result still warrants a full-network
-    retry.
+    registry, and scorer serve the request; ``target_shard`` owns the
+    destination.
     """
 
     shard: int
     target_shard: int
-    graph: RoadNetwork
-    local: bool
 
     @property
     def cross(self) -> bool:
@@ -104,14 +79,8 @@ class ShardRouter:
     live here, so one router can be shared by any number of services.
     """
 
-    def __init__(self, network: RoadNetwork, partition: GraphPartition, *,
-                 cross_policy: str = "corridor",
-                 local_candidates: bool = False,
-                 certify_corridors: bool = False) -> None:
-        if cross_policy not in CROSS_SHARD_POLICIES:
-            raise ConfigError(
-                f"cross_policy must be one of {CROSS_SHARD_POLICIES}, "
-                f"got {cross_policy!r}")
+    def __init__(self, network: RoadNetwork,
+                 partition: GraphPartition) -> None:
         if partition.network is not network:
             raise ConfigError(
                 "partition was built for a different network object")
@@ -121,25 +90,11 @@ class ShardRouter:
                 "built; re-partition before serving")
         self.network = network
         self.partition = partition
-        self.cross_policy = cross_policy
-        #: When true, same-shard candidate generation runs on the shard
-        #: subnetwork (faster, boundary-approximate); the default keeps
-        #: it on the full network so same-shard rankings are exactly the
-        #: unsharded service's.
-        self.local_candidates = local_candidates
-        #: When true, every corridor route first runs the shard pair's
-        #: :class:`~repro.graph.partition.CorridorCertificate`: queries
-        #: whose shortest path provably stays inside the corridor keep
-        #: the small graph, the rest widen to the full network — turning
-        #: the corridor policy from "approximate by construction" into
-        #: "exact, small where provably safe".  Costs one corridor
-        #: point-to-point query per cross-shard route.
-        self.certify_corridors = certify_corridors
-        #: Cumulative certificate outcomes, surfaced through
+        #: Cumulative routes per kind, surfaced through
         #: ``RankingService.stats()["sharding"]["routing"]``.
-        self.route_counters = {"same_shard": 0, "corridor_routes": 0,
-                               "certified": 0, "widened": 0,
-                               "unreachable": 0}
+        self.route_counters = {"same_shard": 0, "cross_shard": 0}
+        # The engine's admission workers route concurrently.
+        self._counters_lock = threading.Lock()
         #: Chaos seam (``route`` injection point): armed by
         #: :meth:`RankingService.arm_faults`, ``None`` keeps routing at
         #: a single attribute check.
@@ -153,14 +108,12 @@ class ShardRouter:
         return self.partition.shard_of(vertex_id)
 
     def route(self, source: int, target: int) -> ShardRoute:
-        """The shard, graph, and policy one OD query is served under.
+        """The owning and destination shards of one OD query.
 
         Raises :class:`ServingError` once the live network's fingerprint
-        diverges from the partition's: the memoised subnetwork/corridor
-        snapshots can no longer reflect the graph (a closed road would
-        keep serving), so every request fails loudly until the operator
-        re-partitions — unlike full-network routing, shard-restricted
-        graphs cannot invalidate implicitly.  O(1) per route on an
+        diverges from the partition's: a mutated network may have moved
+        a vertex's region (or dropped it), so every request fails loudly
+        until the operator re-partitions.  O(1) per route on an
         unmutated network (the fingerprint is cached by version).
         """
         if self.partition.fingerprint != self.network.fingerprint:
@@ -170,31 +123,11 @@ class ShardRouter:
         shard = self.partition.shard_of(source)
         if self.faults is not None:
             self.faults.fire("route", shard=shard)
-        target_shard = self.partition.shard_of(target)
-        if shard == target_shard:
-            self.route_counters["same_shard"] += 1
-            if self.local_candidates:
-                return ShardRoute(shard, target_shard,
-                                  self.partition.subnetwork(shard), True)
-            return ShardRoute(shard, target_shard, self.network, False)
-        if self.cross_policy == "corridor":
-            self.route_counters["corridor_routes"] += 1
-            if self.certify_corridors:
-                certificate = self.partition.corridor_certificate(
-                    shard, target_shard)
-                verdict = certificate.decide(source, target)
-                self.route_counters[verdict] += 1
-                if verdict != "certified":
-                    # The corridor either provably misses a cheaper
-                    # exterior path ("widened") or cannot connect the
-                    # endpoints at all ("unreachable"): serve from the
-                    # full network instead of a wrong small graph.
-                    return ShardRoute(shard, target_shard, self.network,
-                                      False)
-            return ShardRoute(shard, target_shard,
-                              self.partition.corridor(shard, target_shard),
-                              True)
-        return ShardRoute(shard, target_shard, self.network, False)
+        route = ShardRoute(shard, self.partition.shard_of(target))
+        with self._counters_lock:
+            self.route_counters["cross_shard" if route.cross
+                                else "same_shard"] += 1
+        return route
 
 
 def split_budget(total: int, weights: list[int]) -> list[int]:
@@ -216,9 +149,8 @@ class ShardedRegistry:
 
     The per-shard :class:`ModelRegistry` instances are rooted at
     ``<root>/shard-<id>`` and constructed over the **full** network:
-    models live in the global vertex space (shard subgraphs preserve
-    ids), so a checkpoint published for one shard can score any path the
-    shard's routing graphs produce.  Caches are not kept here: each
+    models live in the global vertex space, so a checkpoint published
+    for one shard can score any candidate path.  Caches are not kept here: each
     :class:`~repro.serving.service.RankingService` carves its own
     ``ServingConfig`` budgets over the shards.
     """

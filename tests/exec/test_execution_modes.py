@@ -5,8 +5,15 @@ import time
 import pytest
 
 from repro.exec.shm import list_repro_segments
+from repro.graph import voronoi_partition
 from repro.ranking import Strategy, TrainingDataConfig
-from repro.serving import ModelRegistry, RankingService, ServingConfig
+from repro.serving import (
+    ModelRegistry,
+    RankingService,
+    RankRequest,
+    ServingConfig,
+    ShardedRegistry,
+)
 
 CANDIDATES = TrainingDataConfig(strategy=Strategy.TKDI, k=3)
 
@@ -56,18 +63,45 @@ def test_config_validates_execution_mode():
 def test_all_modes_serve_identical_responses(exec_network, exec_ranker,
                                              tmp_path, workload,
                                              proc_service):
-    """processes == threads == inline, element-wise: same routing, same
-    candidate orderings, identical scores."""
+    """processes == inline, element-wise: same routing, same candidate
+    orderings, identical scores."""
     inline = _service(exec_network, exec_ranker, tmp_path / "inline")
-    threads = _service(exec_network, exec_ranker, tmp_path / "threads",
-                       execution="threads", workers=2)
     try:
         oracle = _signature(inline.rank_batch(workload))
-        assert _signature(threads.rank_batch(workload)) == oracle
         assert _signature(proc_service.rank_batch(workload)) == oracle
         assert all(entry[2] is None for entry in oracle)
     finally:
-        threads.close()
+        inline.close()
+
+
+def test_sharded_cold_cross_shard_request_runs_on_the_pool(
+        exec_network, exec_ranker, tmp_path):
+    """A sharded processes-mode service generates a cold cross-shard
+    request's candidates on a worker, over the full network, and answers
+    exactly as the unsharded inline service does."""
+    partition = voronoi_partition(exec_network, 2, rng=0)
+    source = min(partition.shard(0).nodes)
+    target = max(partition.shard(1).nodes)
+    request = RankRequest(source=source, target=target)
+    registry = ModelRegistry(tmp_path / "sharded", exec_network)
+    registry.publish(exec_ranker, activate=True)
+    sharded = RankingService(
+        exec_network, ShardedRegistry.shared(registry, partition),
+        ServingConfig(candidates=CANDIDATES, execution="processes",
+                      workers=1))
+    inline = _service(exec_network, exec_ranker, tmp_path / "inline")
+    try:
+        pooled = []
+        candidates_for = sharded.plane.candidates_for
+        sharded.plane.candidates_for = \
+            lambda state: pooled.append(state) or candidates_for(state)
+        response = sharded.rank(request)
+        assert response.shard == 0 and not response.candidate_cache_hit
+        assert [state.request for state in pooled] == [request]
+        assert _signature([response]) == _signature([inline.rank(request)])
+        assert response.served_by == "model"
+    finally:
+        sharded.close()
         inline.close()
 
 
@@ -91,15 +125,6 @@ def test_stats_expose_execution_block_only_when_armed(
         assert "execution" not in inline.stats()
     finally:
         inline.close()
-
-    threads = _service(exec_network, exec_ranker, tmp_path / "threads",
-                       execution="threads")
-    try:
-        # Threads mode has no worker pool, only the mode marker.
-        assert threads.plane is None
-        assert threads.stats()["execution"] == {"mode": "threads"}
-    finally:
-        threads.close()
 
 
 def test_exec_metrics_registered(proc_service):
@@ -153,8 +178,7 @@ def test_deactivate_unlinks_weight_segments(exec_network, exec_ranker,
         responses = service.rank_batch(workload[:4])
         assert all(response.ok for response in responses)
         keys = service.plane.arena.keys()
-        if service.plane.scoring_enabled:
-            assert any(key.startswith("weights:") for key in keys)
+        assert any(key.startswith("weights:") for key in keys)
         service.registry.deactivate()
         keys = service.plane.arena.keys()
         assert not any(key.startswith("weights:") for key in keys)

@@ -13,7 +13,6 @@ from repro.exec.pool import WorkerPool
 from repro.exec.shm import SharedArena
 from repro.graph import grid_network
 from repro.graph.csr import csr_for
-from repro.nn.fused import resolve_scoring_backend
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +85,6 @@ def test_unknown_job_kind_fails_cleanly(plane):
         plane.pool.run("frobnicate", None, timeout_s=30.0)
 
 
-@pytest.mark.skipif(resolve_scoring_backend() != "fused",
-                    reason="process scoring requires the fused backend")
 def test_score_parity_is_bitwise(plane, exec_network, exec_ranker,
                                  exec_candidates):
     """The worker makes ``PathRank.score_paths``' one fused call over
@@ -110,8 +107,6 @@ def test_score_parity_is_bitwise(plane, exec_network, exec_ranker,
                    for key in plane.arena.keys())
 
 
-@pytest.mark.skipif(resolve_scoring_backend() != "fused",
-                    reason="process scoring requires the fused backend")
 def test_scores_match_inline_on_a_flush_sharing_prefixes_and_suffixes(
         plane, exec_network, exec_ranker, exec_candidates):
     """A flush of several requests' candidates, whose paths share

@@ -1,5 +1,4 @@
-"""Region partitioning: invariants, methods, derived subgraphs, corridor
-certificates."""
+"""Region partitioning: invariants, methods, validation."""
 
 import pytest
 
@@ -7,13 +6,10 @@ from repro.errors import ConfigError, VertexNotFoundError
 from repro.graph import (
     GraphPartition,
     bfs_partition,
-    grid_network,
     grid_partition,
     partition_network,
-    shortest_path_cost,
-    voronoi_partition,
 )
-from repro.graph.partition import PARTITION_METHODS, CorridorCertificate
+from repro.graph.partition import PARTITION_METHODS
 
 
 ALL_METHODS = sorted(PARTITION_METHODS)
@@ -76,35 +72,6 @@ class TestPartitionInvariants:
         assert partition.balance() < 1.5
 
 
-class TestDerivedSubgraphs:
-    def test_subnetwork_preserves_global_ids_and_edges(self, region_network):
-        partition = voronoi_partition(region_network, 3, rng=0)
-        shard = partition.shards[0]
-        sub = partition.subnetwork(0)
-        assert sorted(sub.vertex_ids()) == sorted(shard.nodes)
-        for edge in sub.edges():
-            original = region_network.edge(edge.source, edge.target)
-            assert original.length == edge.length
-        # Memoised: the same object comes back.
-        assert partition.subnetwork(0) is sub
-
-    def test_corridor_contains_both_shards_and_cut_edges(self, region_network):
-        partition = voronoi_partition(region_network, 3, rng=0)
-        corridor = partition.corridor(0, 1)
-        union = set(partition.shards[0].nodes) | set(partition.shards[1].nodes)
-        assert set(corridor.vertex_ids()) == union
-        cut_01 = [edge for edge in region_network.edges()
-                  if {partition.shard_of(edge.source),
-                      partition.shard_of(edge.target)} == {0, 1}]
-        for edge in cut_01:
-            assert corridor.has_edge(edge.source, edge.target)
-        assert partition.corridor(1, 0) is corridor  # unordered memo
-
-    def test_corridor_of_same_shard_is_the_subnetwork(self, region_network):
-        partition = voronoi_partition(region_network, 2, rng=0)
-        assert partition.corridor(1, 1) is partition.subnetwork(1)
-
-
 class TestValidationAndErrors:
     def test_unknown_vertex_raises(self, region_network):
         partition = bfs_partition(region_network, 2)
@@ -140,66 +107,3 @@ class TestValidationAndErrors:
         # dense, non-empty, and at least 2 for a multi-town region.
         assert partition.num_shards >= 2
         assert all(shard.size > 0 for shard in partition.shards)
-
-
-class TestCorridorCertificate:
-    @pytest.fixture(scope="class")
-    def sharded_grid(self):
-        network = grid_network(12, 12, seed=19)
-        partition = partition_network(network, 3, method="bfs", rng=2)
-        return network, partition
-
-    def test_certificate_is_memoised_and_symmetric(self, sharded_grid):
-        _, partition = sharded_grid
-        certificate = partition.corridor_certificate(0, 1)
-        assert partition.corridor_certificate(1, 0) is certificate
-        assert isinstance(certificate, CorridorCertificate)
-
-    def test_sweep_produces_both_verdicts(self, sharded_grid):
-        """The forced-widening requirement: on a 3-shard grid some
-        cross-shard pairs provably stay inside their corridor and some
-        provably might not — the sweep must produce both verdicts, or
-        the certificate is a constant function in disguise."""
-        network, partition = sharded_grid
-        certificate = partition.corridor_certificate(0, 1)
-        verdicts = {"certified": 0, "widened": 0, "unreachable": 0}
-        shard0 = sorted(partition.shard(0).nodes)
-        shard1 = sorted(partition.shard(1).nodes)
-        for source in shard0[::4]:
-            for target in shard1[::4]:
-                verdicts[certificate.decide(source, target)] += 1
-        assert verdicts["certified"] > 0
-        assert verdicts["widened"] > 0
-
-    def test_certified_routes_are_exactly_optimal(self, sharded_grid):
-        """The point of the certificate: every *certified* pair's
-        corridor-restricted cost equals the full-network optimum."""
-        network, partition = sharded_grid
-        certificate = partition.corridor_certificate(0, 1)
-        shard0 = sorted(partition.shard(0).nodes)
-        shard1 = sorted(partition.shard(1).nodes)
-        checked = 0
-        for source in shard0[::6]:
-            for target in shard1[::6]:
-                if certificate.decide(source, target) != "certified":
-                    continue
-                corridor_cost = shortest_path_cost(
-                    certificate.corridor, source, target)
-                full_cost = shortest_path_cost(network, source, target)
-                assert corridor_cost == pytest.approx(full_cost, abs=1e-9)
-                checked += 1
-        assert checked > 0
-
-    def test_custom_cost_always_widens(self, sharded_grid):
-        """No admissible geometric bound exists for an arbitrary cost
-        function, so the certificate must conservatively widen."""
-        _, partition = sharded_grid
-        certificate = partition.corridor_certificate(0, 1)
-        shard0 = sorted(partition.shard(0).nodes)
-        shard1 = sorted(partition.shard(1).nodes)
-
-        def custom(edge):
-            return edge.length * 2.0
-
-        assert certificate.decide(shard0[0], shard1[0],
-                                  cost=custom) == "widened"

@@ -13,14 +13,7 @@ from repro.core import PathRank, build_pathrank, encode_paths
 from repro.errors import ConfigError, ShapeError
 from repro.graph.path import Path
 from repro.nn import Module, no_grad
-from repro.nn.fused import (
-    CompiledPathRank,
-    compiled_for,
-    get_scoring_backend,
-    resolve_scoring_backend,
-    set_scoring_backend,
-    use_scoring_backend,
-)
+from repro.nn.fused import CompiledPathRank, compiled_for
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +39,7 @@ class TestParity:
         model = make_model(small_grid, pooling=pooling,
                            bidirectional=bidirectional)
         reference = model.score_paths(mixed_paths, backend="module")
-        fused = model.score_paths(mixed_paths, backend="fused")
+        fused = model.score_paths(mixed_paths)
         np.testing.assert_allclose(fused, reference, atol=1e-6, rtol=0)
 
     @pytest.mark.parametrize("pooling", ["mean", "final", "attention"])
@@ -72,7 +65,7 @@ class TestParity:
                                embedding_dim=16, hidden_size=16, fc_hidden=8,
                                rng=5).eval()
         reference = model.score_paths(mixed_paths, backend="module")
-        fused = model.score_paths(mixed_paths, backend="fused")
+        fused = model.score_paths(mixed_paths)
         np.testing.assert_allclose(fused, reference, atol=1e-6, rtol=0)
 
     def test_returns_float64(self, small_grid, mixed_paths):
@@ -159,7 +152,7 @@ class TestTrieRecurrence:
         paths = data.draw(path_families(small_grid))
         model = cached_model(small_grid.num_vertices, pooling, bidirectional)
         reference = model.score_paths(paths, backend="module")
-        np.testing.assert_allclose(model.score_paths(paths, backend="fused"),
+        np.testing.assert_allclose(model.score_paths(paths),
                                    reference, atol=1e-6, rtol=0)
         kernel = CompiledPathRank(model, dtype=np.float64)
         np.testing.assert_allclose(kernel.score([p.vertices for p in paths]),
@@ -268,28 +261,20 @@ class TestCompiledCache:
 
 
 class TestBackendSeam:
-    def test_default_resolves_to_fused(self):
-        assert get_scoring_backend() == "auto"
-        assert resolve_scoring_backend() == "fused"
-        assert resolve_scoring_backend("module") == "module"
-
-    def test_use_scoring_backend_restores(self):
-        with use_scoring_backend("module"):
-            assert resolve_scoring_backend() == "module"
-        assert resolve_scoring_backend() == "fused"
-
-    def test_global_switch_controls_score_paths(self, small_grid, mixed_paths):
+    def test_default_resolves_to_fused(self, small_grid, mixed_paths):
         model = make_model(small_grid)
-        fused = model.score_paths(mixed_paths)
-        with use_scoring_backend("module"):
-            reference = model.score_paths(mixed_paths)
-        np.testing.assert_allclose(fused, reference, atol=1e-6, rtol=0)
+        np.testing.assert_array_equal(
+            model.score_paths(mixed_paths),
+            compiled_for(model).score([p.vertices for p in mixed_paths]))
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError):
-            set_scoring_backend("cuda")
-        with pytest.raises(ConfigError):
-            resolve_scoring_backend("banana")
+    def test_unknown_backend_rejected(self, small_grid, mixed_paths):
+        """Only ``backend="module"`` selects anything: every other name
+        raises instead of silently scoring on the default kernel."""
+        model = make_model(small_grid)
+        for backend in ("fused", "auto", "cuda", ""):
+            for paths in (mixed_paths, []):
+                with pytest.raises(ConfigError, match="scoring backend"):
+                    model.score_paths(paths, backend=backend)
 
     def test_score_query_returns_plain_floats(self, small_grid, mixed_paths):
         model = make_model(small_grid)

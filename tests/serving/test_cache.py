@@ -251,32 +251,3 @@ class TestScoreCacheQuotas:
             ScoreCache(capacity=10, quotas={"a": 0.0})
         with pytest.raises(ConfigError):
             ScoreCache(capacity=10, quotas=[("a", 1.0), ("a", 1.0)])
-
-
-class TestCandidateCachePerGraphKeys:
-    """The shard plane keys one cache by several routing graphs."""
-
-    def test_network_override_separates_graphs(self, tiny_network):
-        import copy
-
-        config = TrainingDataConfig(strategy=Strategy.TKDI, k=3)
-        other = copy.deepcopy(tiny_network)
-        other.add_edge(3, 1)
-        cache = CandidateCache(capacity=8)
-        cache.store(0, 5, config, [Path(tiny_network, [0, 1, 2])],
-                    network=tiny_network)
-        assert cache.lookup(0, 5, config, network=tiny_network) is not None
-        assert cache.lookup(0, 5, config, network=other) is None
-        assert cache.lookup(0, 5, config) is None  # unkeyed lookup differs
-
-    def test_override_wins_over_bound_network(self, tiny_network):
-        import copy
-
-        config = TrainingDataConfig(strategy=Strategy.TKDI, k=3)
-        other = copy.deepcopy(tiny_network)
-        other.add_edge(3, 1)
-        cache = CandidateCache(capacity=8, network=tiny_network)
-        cache.store(0, 5, config, [Path(tiny_network, [0, 1, 2])],
-                    network=other)
-        assert cache.lookup(0, 5, config) is None
-        assert cache.lookup(0, 5, config, network=other) is not None

@@ -47,6 +47,8 @@ def _keyword_arguments(function) -> list[str]:
 
 
 def _knobs_in_code() -> dict[str, list[str]]:
+    """``{owner: [knob, ...]}`` for every serving object, knobless ones
+    included (they have no rows in the table)."""
     return {
         "ServingConfig": [f.name for f in dataclasses.fields(ServingConfig)],
         "ResilienceConfig": [f.name
@@ -58,12 +60,13 @@ def _knobs_in_code() -> dict[str, list[str]]:
 
 
 def test_table_lists_exactly_the_knobs_in_the_code():
-    assert _documented_knobs() == _knobs_in_code()
+    assert _documented_knobs() == {owner: knobs for owner, knobs
+                                   in _knobs_in_code().items() if knobs}
 
 
 def test_knob_counts():
     counts = {owner: len(knobs) for owner, knobs in _knobs_in_code().items()}
     assert counts == {"ServingConfig": 10, "ResilienceConfig": 15,
                       "ServingEngine": 4, "ShardedRegistry": 1,
-                      "ShardRouter": 3}
+                      "ShardRouter": 0}
     assert _keyword_arguments(ShardedRegistry.shared) == []

@@ -151,7 +151,7 @@ class TestFusedKernelAcrossSwaps:
         scores = {}
         for version in ("v1", "v2"):
             active = registry.activate(version)
-            fused = active.model.score_paths(paths, backend="fused")
+            fused = active.model.score_paths(paths)
             module = active.model.score_paths(paths, backend="module")
             np.testing.assert_allclose(fused, module, atol=1e-6, rtol=0)
             scores[version] = fused
@@ -170,7 +170,7 @@ class TestFusedKernelAcrossSwaps:
         stale = compiled_for(model)
         model.load_state_dict(make_ranker(tiny_network, seed=2)
                               .model.state_dict())
-        fused = model.score_paths(paths, backend="fused")
+        fused = model.score_paths(paths)
         module = model.score_paths(paths, backend="module")
         assert compiled_for(model) is not stale
         np.testing.assert_allclose(fused, module, atol=1e-6, rtol=0)

@@ -1,16 +1,11 @@
-"""The shard plane: router policy, sharded registry, per-shard serving."""
+"""The shard plane: router, sharded registry, per-shard serving."""
 
 import threading
 
 import pytest
 
 from repro.errors import ConfigError, ServingError
-from repro.graph import (
-    GraphPartition,
-    grid_network,
-    partition_network,
-    voronoi_partition,
-)
+from repro.graph import GraphPartition, grid_network
 from repro.serving import (
     ModelRegistry,
     RankingService,
@@ -26,6 +21,11 @@ from repro.serving.sharding import split_budget
 #: tiny_network split down the middle: the top row {0, 1, 2} and the
 #: bottom row {3, 4, 5} (cut edges: 0-3, 1-4, 2-5 in both directions).
 TOP, BOTTOM = {0, 1, 2}, {3, 4, 5}
+
+#: tiny_network split into its three columns {0, 3}, {1, 4}, {2, 5}.
+#: The union of two columns misses the third, so a cross-shard pair such
+#: as 0 -> 5 has fewer paths inside its two shards than on the network.
+COLUMNS = {0: 0, 3: 0, 1: 1, 4: 1, 2: 2, 5: 2}
 
 
 @pytest.fixture
@@ -65,37 +65,13 @@ class TestShardRouter:
         assert route.shard == route.target_shard == 0
         assert not route.cross
 
-    def test_exact_mode_keeps_full_network(self, tiny_network,
-                                           tiny_partition):
-        router = ShardRouter(tiny_network, tiny_partition)
-        assert router.route(0, 2).graph is tiny_network
-        assert not router.route(0, 2).local
-
-    def test_local_mode_uses_subnetwork(self, tiny_network, tiny_partition):
-        router = ShardRouter(tiny_network, tiny_partition,
-                             local_candidates=True)
-        route = router.route(3, 5)
-        assert route.local
-        assert sorted(route.graph.vertex_ids()) == sorted(BOTTOM)
-
-    def test_cross_shard_corridor_is_stitched_union(self, tiny_network,
-                                                    tiny_partition):
+    def test_cross_shard_routes_to_source_shard(self, tiny_network,
+                                                tiny_partition):
         router = ShardRouter(tiny_network, tiny_partition)
         route = router.route(0, 5)
         assert route.cross and route.shard == 0 and route.target_shard == 1
-        assert sorted(route.graph.vertex_ids()) == [0, 1, 2, 3, 4, 5]
-        assert route.graph.has_edge(1, 4)  # a cut edge survives stitching
-
-    def test_cross_shard_fallback_policy_uses_full_network(
-            self, tiny_network, tiny_partition):
-        router = ShardRouter(tiny_network, tiny_partition,
-                             cross_policy="fallback")
-        route = router.route(0, 5)
-        assert route.cross and route.graph is tiny_network and not route.local
-
-    def test_bad_policy_rejected(self, tiny_network, tiny_partition):
-        with pytest.raises(ConfigError):
-            ShardRouter(tiny_network, tiny_partition, cross_policy="teleport")
+        router.route(0, 2)
+        assert router.route_counters == {"same_shard": 1, "cross_shard": 1}
 
     def test_stale_partition_rejected(self, tiny_network, tiny_partition):
         import copy
@@ -110,9 +86,9 @@ class TestShardRouter:
 
     def test_mid_serving_mutation_fails_routes_loudly(self, tiny_network,
                                                       tiny_partition):
-        """Memoised shard graphs cannot invalidate implicitly, so a
+        """A partition cannot follow a mutation of its network, so a
         post-construction mutation must fail every route (and thereby
-        every request) instead of serving a closed road."""
+        every request) instead of serving from stale shards."""
         import copy
 
         mutated = copy.deepcopy(tiny_network)
@@ -194,22 +170,31 @@ class TestShardedService:
                                                  sharded_service, tmp_path,
                                                  make_ranker,
                                                  candidates_config):
-        """Exact mode: every pair — same- and cross-shard — identical."""
+        """Every pair — same- and cross-shard — is identical, on the
+        two-row partition and on the three-column one."""
         registry = ModelRegistry(tmp_path / "flat", tiny_network)
         registry.publish(make_ranker(tiny_network, seed=1), version="v0001",
                          activate=True)
         flat = RankingService(tiny_network, registry,
                               ServingConfig(candidates=candidates_config))
+        columns = RankingService(
+            tiny_network,
+            ShardedRegistry.shared(registry,
+                                   GraphPartition(tiny_network, COLUMNS)),
+            ServingConfig(candidates=candidates_config))
         requests = [RankRequest(source=s, target=t, request_id=i)
                     for i, (s, t) in enumerate(ALL_PAIRS)]
-        mine = sharded_service.rank_batch(requests)
         theirs = flat.rank_batch(requests)
-        for a, b in zip(mine, theirs):
-            assert a.served_by == b.served_by == "model"
-            assert [r.path.vertices for r in a.results] == \
-                [r.path.vertices for r in b.results]
-            assert [r.score for r in a.results] == pytest.approx(
-                [r.score for r in b.results], abs=1e-6)
+        for service in (sharded_service, columns):
+            mine = service.rank_batch(requests)
+            for a, b in zip(mine, theirs):
+                layout = f"{service.router.num_shards} shards, " \
+                    f"{a.request.source}->{a.request.target}"
+                assert a.served_by == b.served_by == "model", layout
+                assert [r.path.vertices for r in a.results] == \
+                    [r.path.vertices for r in b.results], layout
+                assert [r.score for r in a.results] == pytest.approx(
+                    [r.score for r in b.results], abs=1e-6), layout
 
     def test_responses_tagged_with_owning_shard(self, sharded_service):
         same = sharded_service.rank(RankRequest(source=3, target=5))
@@ -268,31 +253,6 @@ class TestShardedService:
         response = sharded_service.rank(RankRequest(source=0, target=999))
         assert response.served_by == "error"
 
-    def test_local_mode_retries_unreachable_on_full_network(
-            self, tiny_network, tmp_path, make_ranker, candidates_config):
-        """Shard {0, 2} only has the one-way 0->2 motorway internally, so
-        a local 2->0 query must fall back to full-network enumeration —
-        and thereby match the unsharded answer exactly."""
-        assignment = {0: 0, 2: 0, 1: 1, 3: 1, 4: 1, 5: 1}
-        partition = GraphPartition(tiny_network, assignment)
-        sharded = ShardedRegistry(tmp_path / "s", tiny_network, partition)
-        sharded.publish(make_ranker(tiny_network, seed=1), version="v0001",
-                        activate=True)
-        service = RankingService(
-            tiny_network, sharded, ServingConfig(candidates=candidates_config),
-            router=ShardRouter(tiny_network, partition,
-                               local_candidates=True))
-        registry = ModelRegistry(tmp_path / "flat", tiny_network)
-        registry.publish(make_ranker(tiny_network, seed=1), version="v0001",
-                         activate=True)
-        flat = RankingService(tiny_network, registry,
-                              ServingConfig(candidates=candidates_config))
-        mine = service.rank(RankRequest(source=2, target=0))
-        theirs = flat.rank(RankRequest(source=2, target=0))
-        assert mine.served_by == "model"
-        assert [r.path.vertices for r in mine.results] == \
-            [r.path.vertices for r in theirs.results]
-
     def test_traffic_split_quotas_apply_on_shard_lanes(
             self, tiny_network, sharded_registry, candidates_config):
         """A traffic split segments every shard lane's score cache — the
@@ -336,22 +296,6 @@ class TestShardedService:
         per_shard = stats["sharding"]["per_shard"]
         assert per_shard["shard-00"]["requests"]["requests"] == 1
         assert per_shard["shard-00"]["requests"]["cross_shard"] == 1
-
-    def test_router_requires_sharded_registry(self, tiny_network, registry,
-                                              tiny_partition):
-        router = ShardRouter(tiny_network, tiny_partition)
-        with pytest.raises(ServingError):
-            RankingService(tiny_network, registry, router=router)
-
-    def test_router_partition_must_match_registry(self, tiny_network,
-                                                  sharded_registry):
-        foreign = GraphPartition(
-            tiny_network, {vid: (0 if vid < 2 else 1)
-                           for vid in tiny_network.vertex_ids()})
-        router = ShardRouter(tiny_network, foreign)
-        with pytest.raises(ServingError, match="different partitions"):
-            RankingService(tiny_network, sharded_registry, router=router)
-
 
 class _PoisonScorer:
     """Stands in for one shard's BatchingScorer and always fails."""
@@ -519,9 +463,7 @@ class TestLaneCaches:
         assert set(sharding["partition"]) == {
             "balance", "boundary_nodes", "cut_edges", "cut_fraction",
             "num_shards", "shard_sizes"}
-        assert set(sharding["routing"]) == {
-            "certified", "certify_corridors", "corridor_routes",
-            "same_shard", "unreachable", "widened"}
+        assert sharding["routing"] == {"same_shard": 1, "cross_shard": 1}
         assert set(sharding["per_shard"]) == {"shard-00", "shard-01"}
         for entry in sharding["per_shard"].values():
             assert list(entry) == ["nodes", "boundary_nodes",
@@ -555,68 +497,3 @@ class TestAccountingEdges:
                            ServingConfig(score_cache_size=1))
         RankingService(tiny_network, sharded_registry,
                        ServingConfig(score_cache_size=0))  # disabled is fine
-
-
-class TestCorridorCertification:
-    def test_certified_route_keeps_corridor(self, tiny_network,
-                                            tiny_partition):
-        router = ShardRouter(tiny_network, tiny_partition,
-                             certify_corridors=True)
-        route = router.route(0, 5)
-        # tiny's two shards union to the whole network, so no exterior
-        # gateway exists and the certificate proves the corridor exact.
-        assert route.cross
-        assert router.route_counters == {
-            "same_shard": 0, "corridor_routes": 1, "certified": 1,
-            "widened": 0, "unreachable": 0}
-        router.route(0, 2)
-        assert router.route_counters["same_shard"] == 1
-
-    def test_widened_route_falls_back_to_full_network(self):
-        """The forced-widening path: a 3-shard grid has cross-shard
-        pairs whose optimum may legitimately leave the corridor; those
-        must be served from the full network, uncertified pairs from
-        the corridor, and the counters must record both verdicts."""
-        network = grid_network(12, 12, seed=19)
-        partition = partition_network(network, 3, method="bfs", rng=2)
-        router = ShardRouter(network, partition, certify_corridors=True)
-        widened = certified = None
-        for source in sorted(partition.shard(0).nodes):
-            for target in sorted(partition.shard(1).nodes):
-                before = dict(router.route_counters)
-                route = router.route(source, target)
-                if router.route_counters["widened"] > before["widened"]:
-                    widened = widened or route
-                elif router.route_counters["certified"] > \
-                        before["certified"]:
-                    certified = certified or route
-                if widened is not None and certified is not None:
-                    break
-            else:
-                continue
-            break
-        assert widened is not None, "sweep never widened a route"
-        assert certified is not None, "sweep never certified a route"
-        # Widened: exactness beats locality — the full graph serves,
-        # and ``local`` is False so no-path needs no second retry.
-        assert widened.graph is network
-        assert not widened.local
-        # Certified: the small corridor stays, provably exact.
-        assert certified.local
-        assert certified.graph is partition.corridor(0, 1)
-
-    def test_service_stats_surface_routing_verdicts(
-            self, tiny_network, tiny_partition, sharded_registry,
-            candidates_config):
-        service = RankingService(
-            tiny_network, sharded_registry,
-            ServingConfig(candidates=candidates_config),
-            router=ShardRouter(tiny_network, tiny_partition,
-                               certify_corridors=True))
-        service.rank(RankRequest(source=0, target=5))
-        service.rank(RankRequest(source=0, target=2))
-        routing = service.stats()["sharding"]["routing"]
-        assert routing["certify_corridors"] is True
-        assert routing["corridor_routes"] == 1
-        assert routing["certified"] == 1
-        assert routing["same_shard"] == 1
