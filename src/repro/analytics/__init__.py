@@ -16,12 +16,13 @@ Entry points:
   multi-source rows, vectorised in numpy.
 - :func:`route_frequencies` — per-edge load over a workload, one SSSP
   tree per distinct source.
-- :class:`BatchAnalytics` — the facade bundling a network with an
-  optional pool, partition, and metrics registry.
+
+Each takes the network first, then optional ``plane=`` (an
+:class:`~repro.exec.plane.ExecutionPlane` to fan tiles across) and
+``metrics=`` (a :class:`~repro.obs.MetricsRegistry` for ``analytics.*``).
 """
 
 from repro.analytics.batch import (
-    BatchAnalytics,
     od_cost_matrix,
     od_cost_pairs,
     route_frequencies,
@@ -37,7 +38,6 @@ from repro.analytics.products import (
 from repro.analytics.tiling import tile_sources
 
 __all__ = [
-    "BatchAnalytics",
     "ODMatrix",
     "RouteFrequencies",
     "ServiceArea",

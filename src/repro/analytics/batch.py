@@ -19,6 +19,7 @@ import numpy as np
 from repro.analytics.products import (
     ODMatrix,
     RouteFrequencies,
+    ServiceArea,
     group_pairs,
     od_sweep_block,
     require_cost_name,
@@ -30,7 +31,6 @@ from repro.errors import AnalyticsError
 from repro.graph.csr import csr_for
 
 __all__ = [
-    "BatchAnalytics",
     "od_cost_matrix",
     "od_cost_pairs",
     "service_area",
@@ -74,18 +74,16 @@ def _fan_out(plane, payloads: list[dict], metrics) -> list[dict]:
 
 def od_cost_matrix(network, origins, destinations=None, *, cost=None,
                    method: str = "auto", chunk_size: int | None = None,
-                   tile_size: int | None = None, plane=None,
-                   partition=None, metrics=None) -> ODMatrix:
+                   plane=None, metrics=None) -> ODMatrix:
     """Many-to-many least costs as one (or a few) batched sweeps.
 
     Sweeps the *smaller* side — forward multi-source over origins when
     ``len(origins) <= len(destinations)``, else reverse multi-source
     over destinations — in bounded ``chunk_size`` slabs, gathering only
     the requested columns from each slab.  ``method`` is ``"auto"`` or
-    ``"sweep"``, which are the same thing.  With ``plane``,
-    the sweep side is tiled (shard-aware when ``partition`` is given)
-    and tiles fan across the worker pool.  Disconnected pairs cost
-    ``inf``; ``d(v, v) == 0``.
+    ``"sweep"``, which are the same thing.  With ``plane``, the sweep
+    side is cut into input-order tiles that fan across the worker pool.
+    Disconnected pairs cost ``inf``; ``d(v, v) == 0``.
     """
     origins = list(origins)
     destinations = list(destinations) if destinations is not None \
@@ -103,9 +101,7 @@ def od_cost_matrix(network, origins, destinations=None, *, cost=None,
     if plane is not None and len(sweep_ids) > 1:
         name = require_cost_name(cost)
         tiles = tile_sources(sweep_ids,
-                             tile_size or _auto_tile_size(len(sweep_ids),
-                                                          plane),
-                             partition)
+                             _auto_tile_size(len(sweep_ids), plane))
         payloads = [
             {"product": "od", "sweep": tile, "cols": col_ids,
              "reverse": not forward, "cost": name, "chunk_size": chunk_size}
@@ -113,20 +109,8 @@ def od_cost_matrix(network, origins, destinations=None, *, cost=None,
         ]
         num_tiles = len(tiles)
         results = _fan_out(plane, payloads, metrics)
-        # Shard-aware tiling may permute the sweep side; scatter each
-        # tile's rows back to the input positions (duplicates resolve
-        # to identical rows, so clobbering is harmless).
-        block = np.empty((len(sweep_ids), len(col_ids)), dtype=np.float64)
-        positions: dict[int, list[int]] = {}
-        for pos, vid in enumerate(sweep_ids):
-            positions.setdefault(vid, []).append(pos)
-        consumed: dict[int, int] = {}
-        for tile, result in zip(tiles, results):
-            for row, vid in zip(result["rows"], tile):
-                slots = positions[vid]
-                k = consumed.get(vid, 0)
-                block[slots[min(k, len(slots) - 1)]] = row
-                consumed[vid] = k + 1
+        block = np.array([row for result in results for row in result["rows"]],
+                         dtype=np.float64)
     else:
         block = od_sweep_block(kernel, sweep_ids, col_ids, cost=cost,
                                reverse=not forward, chunk_size=chunk_size)
@@ -173,8 +157,7 @@ def od_cost_pairs(network, pairs, *, cost=None, method: str = "auto",
 
 def service_area(network, sources, budgets, *, cost=None,
                  reverse: bool = False, chunk_size: int | None = None,
-                 tile_size: int | None = None, plane=None, partition=None,
-                 metrics=None):
+                 plane=None, metrics=None):
     """Isochrones for every (source, budget) pair, source-major in
     input order, budget-minor in input order.
 
@@ -184,8 +167,6 @@ def service_area(network, sources, budgets, *, cost=None,
     ``plane``, sources tile across the pool as for
     :func:`od_cost_matrix`.
     """
-    from repro.analytics.products import ServiceArea
-
     sources = list(sources)
     budgets = [float(b) for b in budgets]
     if not sources:
@@ -194,10 +175,7 @@ def service_area(network, sources, budgets, *, cost=None,
     num_tiles = 1
     if plane is not None and len(sources) > 1:
         name = require_cost_name(cost)
-        tiles = tile_sources(sources,
-                             tile_size or _auto_tile_size(len(sources),
-                                                          plane),
-                             partition)
+        tiles = tile_sources(sources, _auto_tile_size(len(sources), plane))
         payloads = [
             {"product": "service_area", "sources": tile, "budgets": budgets,
              "reverse": reverse, "cost": name, "chunk_size": chunk_size}
@@ -205,27 +183,13 @@ def service_area(network, sources, budgets, *, cost=None,
         ]
         num_tiles = len(tiles)
         results = _fan_out(plane, payloads, metrics)
-        by_source: dict[int, list[list[ServiceArea]]] = {}
-        for tile, result in zip(tiles, results):
-            areas = [
-                ServiceArea(source=entry["source"], budget=entry["budget"],
-                            reverse=entry["reverse"],
-                            vertices=frozenset(entry["vertices"]),
-                            edges=frozenset(
-                                (u, v) for u, v in entry["edges"]))
-                for entry in result["areas"]
-            ]
-            per_budget = len(budgets)
-            for i, vid in enumerate(tile):
-                by_source.setdefault(vid, []).append(
-                    areas[i * per_budget:(i + 1) * per_budget])
-        out: list[ServiceArea] = []
-        taken: dict[int, int] = {}
-        for vid in sources:
-            k = taken.get(vid, 0)
-            group = by_source[vid][min(k, len(by_source[vid]) - 1)]
-            taken[vid] = k + 1
-            out.extend(group)
+        out = [
+            ServiceArea(source=entry["source"], budget=entry["budget"],
+                        reverse=entry["reverse"],
+                        vertices=frozenset(entry["vertices"]),
+                        edges=frozenset((u, v) for u, v in entry["edges"]))
+            for result in results for entry in result["areas"]
+        ]
     else:
         kernel = csr_for(network)
         out = service_area_blocks(kernel, sources, budgets, cost=cost,
@@ -239,8 +203,7 @@ def service_area(network, sources, budgets, *, cost=None,
 
 
 def route_frequencies(network, pairs, *, weights=None, cost=None,
-                      tile_size: int | None = None, plane=None,
-                      partition=None, metrics=None) -> RouteFrequencies:
+                      plane=None, metrics=None) -> RouteFrequencies:
     """Per-edge load over a workload of (origin, destination) pairs.
 
     Pairs are grouped by origin; each distinct origin costs one
@@ -258,16 +221,12 @@ def route_frequencies(network, pairs, *, weights=None, cost=None,
     num_tiles = 1
     if plane is not None and len(groups) > 1:
         name = require_cost_name(cost)
-        by_source = dict(groups)
-        source_tiles = tile_sources([source for source, _ in groups],
-                                    tile_size or _auto_tile_size(len(groups),
-                                                                 plane),
-                                    partition)
         payloads = [
             {"product": "route_freq",
-             "groups": [[source, by_source[source]] for source in tile],
+             "groups": [[source, targets] for source, targets in tile],
              "cost": name}
-            for tile in source_tiles
+            for tile in tile_sources(groups,
+                                     _auto_tile_size(len(groups), plane))
         ]
         num_tiles = len(payloads)
         results = _fan_out(plane, payloads, metrics)
@@ -289,53 +248,3 @@ def route_frequencies(network, pairs, *, weights=None, cost=None,
     return RouteFrequencies(kernel=kernel, counts=counts,
                             num_pairs=num_pairs,
                             unreachable_pairs=unreachable)
-
-
-class BatchAnalytics:
-    """The analytics plane: a network bundled with its batch context.
-
-    Holds the optional :class:`~repro.exec.plane.ExecutionPlane`
-    (tiles fan across its pool), :class:`GraphPartition` (shard-aware
-    tiling), :class:`MetricsRegistry` (``analytics.*`` accounting) and
-    default chunk/tile sizes, and exposes the products as methods so
-    callers configure once and query many times.
-    """
-
-    def __init__(self, network, *, plane=None, partition=None, metrics=None,
-                 tile_size: int | None = None,
-                 chunk_size: int | None = None) -> None:
-        self.network = network
-        self.plane = plane
-        self.partition = partition
-        self.metrics = metrics
-        self.tile_size = tile_size
-        self.chunk_size = chunk_size
-
-    def od_cost_matrix(self, origins, destinations=None, *, cost=None,
-                       method: str = "auto") -> ODMatrix:
-        return od_cost_matrix(self.network, origins, destinations,
-                              cost=cost, method=method,
-                              chunk_size=self.chunk_size,
-                              tile_size=self.tile_size, plane=self.plane,
-                              partition=self.partition,
-                              metrics=self.metrics)
-
-    def od_cost_pairs(self, pairs, *, cost=None,
-                      method: str = "auto") -> np.ndarray:
-        return od_cost_pairs(self.network, pairs, cost=cost, method=method,
-                             chunk_size=self.chunk_size,
-                             metrics=self.metrics)
-
-    def service_area(self, sources, budgets, *, cost=None,
-                     reverse: bool = False):
-        return service_area(self.network, sources, budgets, cost=cost,
-                            reverse=reverse, chunk_size=self.chunk_size,
-                            tile_size=self.tile_size, plane=self.plane,
-                            partition=self.partition, metrics=self.metrics)
-
-    def route_frequencies(self, pairs, *, weights=None,
-                          cost=None) -> RouteFrequencies:
-        return route_frequencies(self.network, pairs, weights=weights,
-                                 cost=cost, tile_size=self.tile_size,
-                                 plane=self.plane, partition=self.partition,
-                                 metrics=self.metrics)

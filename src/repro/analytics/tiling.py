@@ -6,12 +6,8 @@ and a cost *name* — never arrays, edge objects, or cost closures.  The
 same :func:`run_tile_payload` executes a tile inline (the caller's
 kernel) and inside a pool worker (the shared-memory kernel installed
 at warmup), which is what makes pooled and inline results identical by
-construction.
-
-Shard-aware tiling: when a :class:`~repro.graph.partition.GraphPartition`
-is present, :func:`tile_sources` groups sources by home shard before
-chunking, so a tile's sweeps start in one region and its searches share
-touched pages instead of striding the whole graph.
+construction.  Tiles are contiguous slices of the input, so the
+parent concatenates tile results in submission order.
 """
 
 from __future__ import annotations
@@ -35,25 +31,13 @@ __all__ = [
 DEFAULT_TILE_SIZE = 32
 
 
-def tile_sources(sources: list[int], tile_size: int,
-                 partition=None) -> list[list[int]]:
-    """Split a source set into tiles of at most ``tile_size`` ids.
-
-    With a partition, sources are first grouped by home shard (shard
-    order, then input order within a shard) so each tile stays
-    region-local; without one, input order is preserved.
-    """
+def tile_sources(sources: list, tile_size: int) -> list[list]:
+    """Split ``sources`` into contiguous, input-order tiles of at most
+    ``tile_size`` entries."""
     if tile_size < 1:
         raise AnalyticsError(f"tile_size must be >= 1, got {tile_size}")
-    if partition is not None:
-        by_shard: dict[int, list[int]] = {}
-        for vid in sources:
-            by_shard.setdefault(partition.shard_of(vid), []).append(vid)
-        ordered = [vid for shard in sorted(by_shard) for vid in by_shard[shard]]
-    else:
-        ordered = list(sources)
-    return [ordered[i:i + tile_size]
-            for i in range(0, len(ordered), tile_size)]
+    return [sources[i:i + tile_size]
+            for i in range(0, len(sources), tile_size)]
 
 
 def run_tile_payload(network, payload: dict) -> dict:

@@ -15,7 +15,7 @@ without writing Python::
     python -m repro.cli serve --network /tmp/net.json --model /tmp/model.npz \
         --queries-file /tmp/queries.json --json \
         --concurrency 8 --flush-deadline-ms 2 --split v0001=3,v0002=1 \
-        --shards 4 --partition-method voronoi
+        --shards 4
     python -m repro.cli od-matrix --network /tmp/net.json \
         --origins 3,9,12 --destinations 47,58 --cost travel_time
     python -m repro.cli service-area --network /tmp/net.json \
@@ -37,14 +37,14 @@ from pathlib import Path as FilePath
 from repro.core.ranker import PathRankRanker, RankerConfig
 from repro.core.trainer import TrainerConfig
 from repro.core.variants import Variant
-from repro.errors import DataError, ReproError, ServingError
+from repro.errors import ConfigError, DataError, ReproError, ServingError
 from repro.graph.builders import grid_network, north_jutland_like, ring_radial_network
 from repro.graph.csr import resolve_backend
 from repro.graph.io import load_network_json, save_network_json
 from repro.graph.osm import save_osm_xml
 from repro.ranking.evaluation import evaluate_scorer
 from repro.ranking.training_data import Strategy, TrainingDataConfig, generate_queries
-from repro.graph.partition import PARTITION_METHODS, partition_network
+from repro.graph.partition import voronoi_partition
 from repro.serving import (
     ModelRegistry,
     RankingService,
@@ -161,12 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="A/B traffic split, e.g. 'v0001=3,v0002=1' "
                             "(weights are normalised)")
     serve.add_argument("--shards", type=int, default=0,
-                       help="partition the network into this many region "
-                            "shards and serve on the shard plane (0 = "
-                            "unsharded; the checkpoint serves all shards)")
-    serve.add_argument("--partition-method",
-                       choices=sorted(PARTITION_METHODS), default="voronoi",
-                       help="partitioner behind --shards")
+                       help="partition the network into this many "
+                            "road-distance Voronoi region shards and serve "
+                            "on the shard plane (0 = unsharded; the "
+                            "checkpoint serves all shards)")
     serve.add_argument("--json", action="store_true",
                        help="print responses and stats as JSON")
     serve.add_argument("--execution",
@@ -268,16 +266,6 @@ def _add_analytics_flags(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument("--workers", type=int, default=0,
                            help="fan tiles across a process pool with this "
                                 "many workers (0 = run inline)")
-    subparser.add_argument("--shards", type=int, default=0,
-                           help="shard-aware tiling: partition the network "
-                                "into this many region shards so each tile "
-                                "stays shard-local (0 = plain tiling)")
-    subparser.add_argument("--partition-method",
-                           choices=sorted(PARTITION_METHODS),
-                           default="voronoi",
-                           help="partitioner behind --shards")
-    subparser.add_argument("--seed", type=int, default=0,
-                           help="partitioner determinism seed")
     subparser.add_argument("--json", action="store_true",
                            help="print the full product as JSON")
 
@@ -434,22 +422,12 @@ def _build_service(args: argparse.Namespace):
         execution=args.execution,
         workers=args.workers,
     )
-    shards = args.shards
-    if shards > 1:
+    if args.shards > 1:
         # Shard plane behind one checkpoint: partition the network and
         # back every shard with the shared registry, so the single
         # published model serves all regions while caches and scoring
         # batches stay shard-local.
-        partition = partition_network(
-            network, shards, method=args.partition_method, rng=0)
-        if partition.num_shards != shards:
-            # The grid partitioner realises occupied cells, not the
-            # exact request; say so rather than silently serving a
-            # different shard count than the operator asked for.
-            print(f"note: --shards {shards} realised as "
-                  f"{partition.num_shards} region shards "
-                  f"(sizes {[s.size for s in partition.shards]})",
-                  file=sys.stderr)
+        partition = voronoi_partition(network, args.shards, rng=0)
         service = RankingService(
             network, ShardedRegistry.shared(registry, partition), config)
     else:
@@ -512,6 +490,8 @@ def _print_trace_breakdown(trace: dict) -> None:
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Validate every input before the service exists: under --execution
     # processes it owns worker processes and shared-memory segments.
+    if args.shards < 0:
+        raise ConfigError(f"--shards must be >= 0, got {args.shards}")
     requests = _load_queries(args.queries_file)
     faults = (None if args.fault_spec is None
               else parse_fault_spec(args.fault_spec))
@@ -645,17 +625,13 @@ def _parse_pair_workload(args: argparse.Namespace) -> list[tuple[int, int]]:
     return pairs
 
 
-def _analytics_context(args: argparse.Namespace, network):
-    """The (plane, partition) batch context behind --workers/--shards."""
-    partition = None
-    if args.shards and args.shards > 1:
-        partition = partition_network(network, args.shards,
-                                      method=args.partition_method,
-                                      rng=args.seed)
-    plane = None
-    if args.workers and args.workers > 0:
-        plane = ExecutionPlane(network, workers=args.workers)
-    return plane, partition
+def _analytics_plane(args: argparse.Namespace, network):
+    """The worker pool behind --workers, or None to run inline."""
+    if args.workers < 0:
+        raise ConfigError(f"--workers must be >= 0, got {args.workers}")
+    if args.workers == 0:
+        return None
+    return ExecutionPlane(network, workers=args.workers)
 
 
 def _cmd_od_matrix(args: argparse.Namespace) -> int:
@@ -663,12 +639,12 @@ def _cmd_od_matrix(args: argparse.Namespace) -> int:
     origins = _parse_id_list(args.origins, "--origins")
     destinations = (None if args.destinations is None
                     else _parse_id_list(args.destinations, "--destinations"))
-    plane, partition = _analytics_context(args, network)
+    plane = _analytics_plane(args, network)
     try:
         matrix = od_cost_matrix(network, origins, destinations,
                                 cost=cost_from_name(args.cost),
                                 chunk_size=args.chunk_size,
-                                plane=plane, partition=partition)
+                                plane=plane)
     finally:
         if plane is not None:
             plane.close()
@@ -690,12 +666,12 @@ def _cmd_service_area(args: argparse.Namespace) -> int:
     network = load_network_json(args.network)
     sources = _parse_id_list(args.sources, "--sources")
     budgets = _parse_budget_list(args.budgets)
-    plane, partition = _analytics_context(args, network)
+    plane = _analytics_plane(args, network)
     try:
         areas = service_area(network, sources, budgets,
                              cost=cost_from_name(args.cost),
                              reverse=args.reverse,
-                             plane=plane, partition=partition)
+                             plane=plane)
     finally:
         if plane is not None:
             plane.close()
@@ -712,11 +688,11 @@ def _cmd_service_area(args: argparse.Namespace) -> int:
 def _cmd_route_frequencies(args: argparse.Namespace) -> int:
     network = load_network_json(args.network)
     pairs = _parse_pair_workload(args)
-    plane, partition = _analytics_context(args, network)
+    plane = _analytics_plane(args, network)
     try:
         frequencies = route_frequencies(network, pairs,
                                         cost=cost_from_name(args.cost),
-                                        plane=plane, partition=partition)
+                                        plane=plane)
     finally:
         if plane is not None:
             plane.close()

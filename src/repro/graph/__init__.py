@@ -28,6 +28,13 @@ To force the reference backend, set ``REPRO_ROUTING_BACKEND=dict`` in
 the environment, call :func:`set_routing_backend("dict")
 <set_routing_backend>`, or use the :func:`use_routing_backend` context
 manager; individual calls also accept ``backend="dict"``.
+
+Partitioning
+------------
+:func:`voronoi_partition` splits a network into the node-disjoint
+region shards the serving plane keys its registries, caches and
+breakers on; a :class:`GraphPartition` only says which shard owns a
+vertex.
 """
 
 from repro.graph.builders import grid_network, north_jutland_like, ring_radial_network
@@ -54,9 +61,6 @@ from repro.graph.osm import load_osm_xml, save_osm_xml
 from repro.graph.partition import (
     GraphPartition,
     RegionShard,
-    bfs_partition,
-    grid_partition,
-    partition_network,
     voronoi_partition,
 )
 from repro.graph.path import Path
@@ -64,7 +68,6 @@ from repro.graph.shortest_path import (
     astar,
     bidirectional_dijkstra,
     dijkstra,
-    euclidean_heuristic,
     length_cost,
     shortest_path,
     shortest_path_cost,
@@ -88,9 +91,6 @@ __all__ = [
     "Path",
     "GraphPartition",
     "RegionShard",
-    "bfs_partition",
-    "grid_partition",
-    "partition_network",
     "voronoi_partition",
     "CSRGraph",
     "csr_for",
@@ -108,7 +108,6 @@ __all__ = [
     "astar",
     "length_cost",
     "travel_time_cost",
-    "euclidean_heuristic",
     "travel_time_heuristic",
     "yen_k_shortest_paths",
     "yen_path_generator",

@@ -1,27 +1,16 @@
 """Region partitioning: split a road network into node-disjoint shards.
 
-City-and-beyond networks are served by region: the serving layer hangs
-one model registry, candidate cache, score cache and scoring queue off
-each shard (PathRank itself is trained per region).  This module
-produces that partition:
+The serving layer hangs one model registry, candidate cache, score
+cache and scoring queue off each shard.  A partition only says which
+shard owns a vertex; candidate generation always runs on the full
+network.
 
-* :func:`grid_partition` — cells of the bounding box, the classic
-  spatial baseline: trivially deterministic and embarrassingly fast, but
-  blind to the road topology (a river with one bridge can land on a cell
-  edge).
-* :func:`bfs_partition` — METIS-lite balanced BFS growth **over the CSR
-  arrays**: farthest-point seeds (the same selection idea as the ALT
-  landmarks), then round-robin frontier expansion that always grows the
-  currently smallest shard, which keeps shard sizes balanced and cut
-  edges low without a full multilevel partitioner.
-* :func:`voronoi_partition` — road-distance Voronoi cells around
-  farthest-point seeds (one batched multi-source Dijkstra sweep):
-  unbalanced but geography-aligned.
-
-All return a :class:`GraphPartition`: per-shard :class:`RegionShard`
-records (node sets plus the *boundary* nodes that touch another shard)
-and an O(1) node→shard map.  A partition only says which shard owns a
-vertex; candidate generation always runs on the full network.
+:func:`voronoi_partition` is the partitioner: road-distance Voronoi
+cells around farthest-point seeds (one batched multi-source Dijkstra
+sweep), so a multi-town region splits into its towns.  It returns a
+:class:`GraphPartition`: per-shard :class:`RegionShard` records (node
+sets plus the *boundary* nodes that touch another shard) and an O(1)
+node→shard map.
 """
 
 from __future__ import annotations
@@ -36,9 +25,7 @@ from repro.graph.csr import csr_for
 from repro.graph.network import RoadNetwork
 from repro.rng import RngLike, make_rng
 
-__all__ = ["RegionShard", "GraphPartition", "grid_partition",
-           "bfs_partition", "voronoi_partition", "partition_network",
-           "PARTITION_METHODS"]
+__all__ = ["RegionShard", "GraphPartition", "voronoi_partition"]
 
 
 @dataclass(frozen=True)
@@ -57,10 +44,6 @@ class RegionShard:
     @property
     def size(self) -> int:
         return len(self.nodes)
-
-    @property
-    def interior(self) -> frozenset[int]:
-        return self.nodes - self.boundary
 
     def __contains__(self, vertex_id: int) -> bool:
         return vertex_id in self.nodes
@@ -129,9 +112,6 @@ class GraphPartition:
         except KeyError:
             raise VertexNotFoundError(vertex_id) from None
 
-    def same_shard(self, a: int, b: int) -> bool:
-        return self.shard_of(a) == self.shard_of(b)
-
     def shard(self, shard_id: int) -> RegionShard:
         if not 0 <= shard_id < len(self.shards):
             raise ConfigError(
@@ -169,8 +149,8 @@ class GraphPartition:
 def _undirected_adjacency(kernel) -> list[list[int]]:
     """Symmetrised neighbour lists in CSR index space.
 
-    Partition growth must not strand the tail of a one-way street in a
-    foreign shard, so both edge directions count as adjacency.
+    Seed spreading must not treat the tail of a one-way street as
+    unreachable, so both edge directions count as adjacency.
     """
     n = kernel.num_vertices
     adjacency: list[set[int]] = [set() for _ in range(n)]
@@ -218,116 +198,6 @@ def _farthest_point_seeds(adjacency: list[list[int]], num_seeds: int,
     return seeds
 
 
-def bfs_partition(network: RoadNetwork, num_shards: int,
-                  rng: RngLike = 0) -> GraphPartition:
-    """METIS-lite balanced BFS growth over the CSR arrays.
-
-    Farthest-point seeds claim one region each; regions then grow one
-    frontier vertex's unclaimed neighbourhood at a time, always
-    expanding the currently smallest shard, so shard sizes stay
-    balanced while each shard remains a contiguous BFS ball — exactly
-    the "grow regions from spread-out seeds" core of multilevel
-    partitioners, minus the coarsening/refinement machinery.  Vertices
-    no frontier can reach (satellite components) join the smallest
-    shard wholesale.
-    """
-    _check_num_shards(network, num_shards)
-    kernel = csr_for(network)
-    if num_shards == 1:
-        return GraphPartition(network, {vid: 0 for vid in kernel.ids})
-    adjacency = _undirected_adjacency(kernel)
-    generator = make_rng(rng)
-    seeds = _farthest_point_seeds(adjacency, num_shards, generator)
-
-    n = kernel.num_vertices
-    assignment = [-1] * n
-    sizes = [0] * num_shards
-    frontiers: list[deque[int]] = [deque() for _ in range(num_shards)]
-    for shard_id, seed in enumerate(seeds):
-        if assignment[seed] != -1:  # duplicate seed on a tiny graph
-            seed = next(v for v in range(n) if assignment[v] == -1)
-        assignment[seed] = shard_id
-        sizes[shard_id] = 1
-        frontiers[shard_id].append(seed)
-
-    active = set(range(num_shards))
-    while active:
-        # Grow the smallest live shard by one frontier vertex's
-        # unclaimed neighbourhood: balance emerges from the scheduling,
-        # not from a post-hoc repair pass.
-        shard_id = min(active, key=lambda s: (sizes[s], s))
-        frontier = frontiers[shard_id]
-        grew = False
-        while frontier and not grew:
-            u = frontier.popleft()
-            for v in adjacency[u]:
-                if assignment[v] == -1:
-                    assignment[v] = shard_id
-                    sizes[shard_id] += 1
-                    frontier.append(v)
-                    grew = True
-        if not grew:
-            active.discard(shard_id)
-
-    for v in range(n):  # disconnected leftovers: flood each into the
-        if assignment[v] != -1:  # smallest shard, keeping components whole
-            continue
-        shard_id = min(range(num_shards), key=lambda s: (sizes[s], s))
-        component = deque([v])
-        assignment[v] = shard_id
-        sizes[shard_id] += 1
-        while component:
-            u = component.popleft()
-            for w in adjacency[u]:
-                if assignment[w] == -1:
-                    assignment[w] = shard_id
-                    sizes[shard_id] += 1
-                    component.append(w)
-
-    mapping = {kernel.ids[i]: assignment[i] for i in range(n)}
-    return GraphPartition(network, _densify(mapping))
-
-
-def grid_partition(network: RoadNetwork, num_shards: int,
-                   rng: RngLike = 0) -> GraphPartition:
-    """Spatial grid cells over the bounding box (CSR coordinate arrays).
-
-    The cell grid is the ``rows x cols`` factorisation of a cell count
-    ``>= num_shards`` whose cells best match the bounding box's aspect
-    ratio; every *occupied* cell becomes a shard, so the realised shard
-    count can land above (extra cells from the ceil factorisation) or
-    below (empty cells collapse) the request on clustered geometry —
-    read :attr:`GraphPartition.num_shards` back.  :func:`bfs_partition`
-    is the topology-aware choice; this is the spatial baseline.
-    """
-    _check_num_shards(network, num_shards)
-    kernel = csr_for(network)
-    if num_shards == 1:
-        return GraphPartition(network, {vid: 0 for vid in kernel.ids})
-    xs, ys = kernel.x, kernel.y
-    x_min, y_min = float(xs.min()), float(ys.min())
-    span_x = max(float(xs.max()) - x_min, 1e-9)
-    span_y = max(float(ys.max()) - y_min, 1e-9)
-    # Pick rows/cols so cells are roughly square on this bounding box.
-    best_rows, best_cols = 1, num_shards
-    best_score = None
-    for rows in range(1, num_shards + 1):
-        cols = -(-num_shards // rows)  # ceil
-        cell_aspect = (span_y / rows) / (span_x / cols)
-        score = abs(cell_aspect - 1.0) + 0.01 * (rows * cols - num_shards)
-        if best_score is None or score < best_score:
-            best_rows, best_cols, best_score = rows, cols, score
-    rows, cols = best_rows, best_cols
-
-    def cell_of(i: int) -> int:
-        cx = min(int((float(xs[i]) - x_min) / span_x * cols), cols - 1)
-        cy = min(int((float(ys[i]) - y_min) / span_y * rows), rows - 1)
-        return cy * cols + cx
-
-    mapping = {kernel.ids[i]: cell_of(i) for i in range(kernel.num_vertices)}
-    return GraphPartition(network, _densify(mapping))
-
-
 def _densify(mapping: dict[int, int]) -> dict[int, int]:
     """Relabel shard ids to dense 0..k-1 (sorted by original label)."""
     labels = {label: i for i, label in enumerate(sorted(set(mapping.values())))}
@@ -353,9 +223,8 @@ def voronoi_partition(network: RoadNetwork, num_shards: int,
     distance (one batched :meth:`CSRGraph.multi_source` sweep), so
     shards follow the *geography* of the network: a multi-town region
     partitions into its towns plus their nearest highway approaches, so
-    a town's traffic lands on one shard's caches and model.  Unlike
-    :func:`bfs_partition` there is no balance forcing — dense regions
-    get big shards.
+    a town's traffic lands on one shard's caches and model.  There is
+    no balance forcing — dense regions get big shards.
     """
     _check_num_shards(network, num_shards)
     kernel = csr_for(network)
@@ -386,19 +255,3 @@ def voronoi_partition(network: RoadNetwork, num_shards: int,
         assignment[kernel.ids[v]] = int((dx * dx + dy * dy).argmin())
     return GraphPartition(network, _densify(assignment))
 
-
-PARTITION_METHODS = {"bfs": bfs_partition, "grid": grid_partition,
-                     "voronoi": voronoi_partition}
-
-
-def partition_network(network: RoadNetwork, num_shards: int,
-                      method: str = "bfs",
-                      rng: RngLike = 0) -> GraphPartition:
-    """Partition ``network`` into ``num_shards`` regions by ``method``."""
-    try:
-        partitioner = PARTITION_METHODS[method]
-    except KeyError:
-        raise ConfigError(
-            f"unknown partition method {method!r}; "
-            f"choose from {sorted(PARTITION_METHODS)}") from None
-    return partitioner(network, num_shards, rng=rng)

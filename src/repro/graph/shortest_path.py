@@ -26,7 +26,6 @@ __all__ = [
     "shortest_path_cost",
     "bidirectional_dijkstra",
     "astar",
-    "euclidean_heuristic",
     "travel_time_heuristic",
 ]
 
@@ -237,12 +236,6 @@ def bidirectional_dijkstra(
     return Path(network, forward_part)
 
 
-def euclidean_heuristic(network: RoadNetwork, target: int) -> Callable[[int], float]:
-    """Admissible heuristic for length costs: straight-line distance."""
-    goal = network.vertex(target)
-    return lambda node: network.vertex(node).distance_to(goal)
-
-
 def travel_time_heuristic(network: RoadNetwork, target: int) -> Callable[[int], float]:
     """Admissible heuristic for time costs: distance at the network's
     maximum speed."""
@@ -258,12 +251,16 @@ def astar(
     cost: CostFunction = length_cost,
     heuristic: Callable[[int], float] | None = None,
 ) -> Path:
-    """A* search; defaults to the euclidean heuristic (admissible for
-    length costs because edge length >= straight-line distance)."""
+    """A* search; defaults to the straight-line distance to ``target``
+    (admissible for length costs because edge length >= straight-line
+    distance)."""
     _check_endpoints(network, source, target)
     if source == target:
         raise NoPathError(source, target)
-    h = heuristic if heuristic is not None else euclidean_heuristic(network, target)
+    h = heuristic
+    if h is None:
+        goal = network.vertex(target)
+        h = lambda node: network.vertex(node).distance_to(goal)  # noqa: E731
 
     dist: dict[int, float] = {source: 0.0}
     prev: dict[int, int] = {}

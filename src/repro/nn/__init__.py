@@ -17,7 +17,7 @@ from repro.nn.layers import Dropout, Embedding, Linear, ReLU, Sequential, Sigmoi
 from repro.nn.loss import BCELoss, HuberLoss, MAELoss, MSELoss
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, AdaGrad, Adam, Optimizer, clip_grad_norm
-from repro.nn.rnn import GRU, LSTM, BiGRU, GRUCell, LSTMCell
+from repro.nn.rnn import GRU, BiGRU, GRUCell
 from repro.nn.schedule import (
     ConstantLR,
     CosineLR,
@@ -47,8 +47,6 @@ __all__ = [
     "GRUCell",
     "GRU",
     "BiGRU",
-    "LSTMCell",
-    "LSTM",
     "MSELoss",
     "MAELoss",
     "HuberLoss",

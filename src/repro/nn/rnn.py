@@ -1,4 +1,4 @@
-"""Recurrent layers: GRU cell/stack, bidirectional GRU, and LSTM.
+"""Recurrent layers: GRU cell/stack and bidirectional GRU.
 
 PathRank consumes a candidate path as a sequence of vertex embeddings and
 summarises it with a bidirectional GRU (the two GRU rows in the paper's
@@ -13,7 +13,6 @@ forward pass records the same handful of nodes at any sequence length;
 the backward direction of :class:`BiGRU` is the same node with
 ``reverse=True``.  :meth:`GRUCell.step` keeps the gate maths as
 primitive ops: the reference the fused node is tested against.
-:class:`LSTM` stays a per-step composite of primitive ops.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
 from repro.rng import RngLike, make_rng, spawn
 
-__all__ = ["GRUCell", "GRU", "BiGRU", "LSTMCell", "LSTM"]
+__all__ = ["GRUCell", "GRU", "BiGRU"]
 
 
 def _check_step_inputs(x: Tensor, h: Tensor, input_size: int, hidden_size: int) -> None:
@@ -182,77 +181,3 @@ class BiGRU(Module):
         outputs = F.concat([forward_out, backward_out], axis=2)
         summary = F.concat([forward_final, backward_final], axis=1)
         return outputs, summary
-
-
-class LSTMCell(Module):
-    """Single-step LSTM, provided for the RNN-architecture ablation."""
-
-    def __init__(self, input_size: int, hidden_size: int, rng: RngLike = None) -> None:
-        super().__init__()
-        if input_size <= 0 or hidden_size <= 0:
-            raise ValueError(f"sizes must be positive, got ({input_size}, {hidden_size})")
-        generator = make_rng(rng)
-        input_rng, hidden_rng = spawn(generator, 2)
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.weight_ih = Parameter(init.xavier_uniform(input_rng, (input_size, 4 * hidden_size)))
-        recurrent = np.concatenate(
-            [init.orthogonal(hidden_rng, (hidden_size, hidden_size)) for _ in range(4)], axis=1
-        )
-        self.weight_hh = Parameter(recurrent)
-        bias = np.zeros(4 * hidden_size)
-        bias[hidden_size:2 * hidden_size] = 1.0  # forget-gate bias trick
-        self.bias = Parameter(bias)
-
-    def forward(self, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-        h, c = state
-        _check_step_inputs(x, h, self.input_size, self.hidden_size)
-        gates = x @ self.weight_ih + h @ self.weight_hh + self.bias
-        i_gate, f_gate, g_gate, o_gate = F.chunk(gates, 4, axis=-1)
-        i_gate = i_gate.sigmoid()
-        f_gate = f_gate.sigmoid()
-        g_gate = g_gate.tanh()
-        o_gate = o_gate.sigmoid()
-        c_next = f_gate * c + i_gate * g_gate
-        h_next = o_gate * c_next.tanh()
-        return h_next, c_next
-
-    def initial_state(self, batch: int) -> tuple[Tensor, Tensor]:
-        zeros = np.zeros((batch, self.hidden_size))
-        return Tensor(zeros.copy()), Tensor(zeros.copy())
-
-
-class LSTM(Module):
-    """Masked unidirectional LSTM over ``(steps, batch, input)``."""
-
-    def __init__(self, input_size: int, hidden_size: int, rng: RngLike = None) -> None:
-        super().__init__()
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.cell = LSTMCell(input_size, hidden_size, rng=rng)
-
-    def forward(
-        self, inputs: Tensor, mask: np.ndarray | None = None
-    ) -> tuple[Tensor, Tensor]:
-        if inputs.ndim != 3 or inputs.shape[2] != self.input_size:
-            raise ShapeError(
-                f"LSTM expected (steps, batch, {self.input_size}), got {inputs.shape}"
-            )
-        steps, batch, _ = inputs.shape
-        if steps == 0:
-            raise ShapeError("LSTM requires at least one time step")
-        if mask is not None:
-            mask = _as_mask(mask, steps, batch)
-        hidden, cell_state = self.cell.initial_state(batch)
-        outputs: list[Tensor] = []
-        for t in range(steps):
-            h_next, c_next = self.cell(inputs[t], (hidden, cell_state))
-            if mask is None:
-                hidden, cell_state = h_next, c_next
-            else:
-                step_mask = Tensor(mask[t][:, None])
-                keep = 1.0 - step_mask
-                hidden = step_mask * h_next + keep * hidden
-                cell_state = step_mask * c_next + keep * cell_state
-            outputs.append(hidden)
-        return F.stack(outputs, axis=0), hidden

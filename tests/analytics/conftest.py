@@ -1,5 +1,5 @@
-"""Batch-analytics fixtures: a deterministic grid, a partition of it,
-and a session-wide /dev/shm hygiene check.
+"""Batch-analytics fixtures: a deterministic grid and a session-wide
+/dev/shm hygiene check.
 
 The grid is session-scoped (products are read-only over it); pooled
 tests build their own module-scoped :class:`ExecutionPlane` because
@@ -10,7 +10,6 @@ import pytest
 
 from repro.exec.shm import list_repro_segments
 from repro.graph import grid_network
-from repro.graph.partition import bfs_partition
 
 
 @pytest.fixture(scope="session")
@@ -18,11 +17,6 @@ def analytics_grid():
     """A 7x7 perturbed grid: big enough for non-trivial sweeps, small
     enough that per-query dict reference loops stay fast."""
     return grid_network(7, 7, seed=13)
-
-
-@pytest.fixture(scope="session")
-def analytics_partition(analytics_grid):
-    return bfs_partition(analytics_grid, 3, rng=1)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,5 +1,5 @@
 """Orchestration: sweep-side choice, disconnected pairs, custom costs,
-metrics accounting, and the BatchAnalytics facade."""
+metrics accounting."""
 
 import math
 
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.analytics import (
-    BatchAnalytics,
     od_cost_matrix,
     od_cost_pairs,
     route_frequencies,
@@ -178,18 +177,9 @@ class TestMetrics:
         assert exported["analytics.route_freq.ms.count"] == 1
 
 
-class TestBatchAnalyticsFacade:
-    def test_methods_share_the_configured_context(self, analytics_grid):
+    def test_od_cost_pairs_count_as_od_requests(self, analytics_grid):
         metrics = MetricsRegistry()
-        plane = BatchAnalytics(analytics_grid, metrics=metrics)
-        matrix = plane.od_cost_matrix([0, 9], [4, 48], method="sweep")
-        assert matrix.cost(0, 4) == pytest.approx(
-            _reference_cell(analytics_grid, 0, 4), abs=1e-9)
-        [area] = plane.service_area([0], [100.0])
-        assert 0 in area.vertices
-        frequencies = plane.route_frequencies([(0, 48)])
-        assert frequencies.num_pairs == 1
-        costs = plane.od_cost_pairs([(0, 48)], method="sweep")
-        assert costs[0] == pytest.approx(
-            _reference_cell(analytics_grid, 0, 48), abs=1e-9)
-        assert metrics.export()["analytics.od.requests"] == 2
+        od_cost_pairs(analytics_grid, [(0, 48), (9, 4)], metrics=metrics)
+        exported = metrics.export()
+        assert exported["analytics.od.requests"] == 1
+        assert exported["analytics.od.pairs"] == 2

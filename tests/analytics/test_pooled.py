@@ -23,40 +23,43 @@ def plane(analytics_grid):
 
 
 class TestPooledParity:
-    def test_od_matrix(self, analytics_grid, analytics_partition, plane):
+    """A two-worker pool cuts ``n`` sweep sources into input-order tiles
+    of ``ceil(n / 4)``, so every duplicate source below spans tiles."""
+
+    def test_od_matrix(self, analytics_grid, plane):
         origins = [0, 9, 17, 9]  # duplicate sweep source on purpose
         destinations = [4, 22, 48, 31, 44]  # origins stay the sweep side
         inline = od_cost_matrix(analytics_grid, origins, destinations,
                                 method="sweep")
         pooled = od_cost_matrix(analytics_grid, origins, destinations,
-                                method="sweep", plane=plane,
-                                partition=analytics_partition, tile_size=2)
+                                method="sweep", plane=plane)
         assert np.array_equal(pooled.costs, inline.costs)
         assert pooled.method == inline.method
 
-    def test_service_area(self, analytics_grid, analytics_partition, plane):
-        sources = [0, 24, 44, 7]
+    def test_service_area(self, analytics_grid, plane):
         budgets = [150.0, 400.0]
-        inline = service_area(analytics_grid, sources, budgets)
-        pooled = service_area(analytics_grid, sources, budgets,
-                              plane=plane, partition=analytics_partition,
-                              tile_size=2)
-        assert len(pooled) == len(inline)
-        for got, want in zip(pooled, inline):
-            assert (got.source, got.budget) == (want.source, want.budget)
-            assert got.vertices == want.vertices
-            assert got.edges == want.edges
+        for sources in ([0, 24, 44, 7], [0, 24, 44, 7, 0]):
+            inline = service_area(analytics_grid, sources, budgets)
+            pooled = service_area(analytics_grid, sources, budgets,
+                                  plane=plane)
+            assert len(pooled) == len(inline)
+            for got, want in zip(pooled, inline):
+                assert (got.source, got.budget) == (want.source, want.budget)
+                assert got.vertices == want.vertices
+                assert got.edges == want.edges
 
-    def test_route_frequencies(self, analytics_grid, analytics_partition,
-                               plane):
-        pairs = [(0, 48), (9, 4), (17, 30), (44, 2), (0, 31)]
-        inline = route_frequencies(analytics_grid, pairs)
-        pooled = route_frequencies(analytics_grid, pairs, plane=plane,
-                                   partition=analytics_partition,
-                                   tile_size=2)
-        assert np.array_equal(pooled.counts, inline.counts)
-        assert pooled.num_pairs == inline.num_pairs
-        assert pooled.unreachable_pairs == inline.unreachable_pairs
+    def test_route_frequencies(self, analytics_grid, plane):
+        workloads = (
+            [(0, 48), (9, 4), (17, 30), (44, 2), (0, 31)],
+            # Origin 0 opens and closes the workload with the same pair.
+            [(0, 48), (9, 4), (17, 30), (44, 2), (30, 5), (0, 48)],
+        )
+        for pairs in workloads:
+            inline = route_frequencies(analytics_grid, pairs)
+            pooled = route_frequencies(analytics_grid, pairs, plane=plane)
+            assert np.array_equal(pooled.counts, inline.counts)
+            assert pooled.num_pairs == inline.num_pairs
+            assert pooled.unreachable_pairs == inline.unreachable_pairs
 
 
 class TestPooledConstraints:
@@ -69,9 +72,8 @@ class TestPooledConstraints:
     def test_pooled_tiles_counted(self, analytics_grid, plane):
         metrics = MetricsRegistry()
         od_cost_matrix(analytics_grid, [0, 9, 17, 30], [4, 48, 22, 31],
-                       method="sweep", plane=plane, tile_size=2,
-                       metrics=metrics)
+                       method="sweep", plane=plane, metrics=metrics)
         exported = metrics.export()
-        assert exported["analytics.tiles.total"] == 2
-        assert exported["analytics.tiles.pooled"] == 2
-        assert exported["analytics.tile_ms.count"] == 2
+        assert exported["analytics.tiles.total"] == 4
+        assert exported["analytics.tiles.pooled"] == 4
+        assert exported["analytics.tile_ms.count"] == 4

@@ -16,17 +16,6 @@ class TestTileSources:
         assert tile_sources([5], 10) == [[5]]
         assert tile_sources([], 4) == []
 
-    def test_shard_grouping(self, analytics_grid, analytics_partition):
-        sources = sorted(analytics_grid.vertex_ids())
-        tiles = tile_sources(sources, 4, analytics_partition)
-        assert sorted(vid for tile in tiles for vid in tile) == sources
-        # Every full tile is shard-pure except at shard boundaries:
-        # sources arrive shard-major, so a tile spans at most 2 shards
-        # and shards appear in ascending blocks.
-        shard_sequence = [analytics_partition.shard_of(tile[0])
-                          for tile in tiles]
-        assert shard_sequence == sorted(shard_sequence)
-
     def test_tile_size_validated(self):
         with pytest.raises(AnalyticsError):
             tile_sources([1, 2], 0)

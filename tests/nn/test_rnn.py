@@ -1,4 +1,4 @@
-"""Unit + gradient tests for GRU/BiGRU/LSTM, and the admission tests of
+"""Unit + gradient tests for GRU/BiGRU, and the admission tests of
 the fused recurrence node ``F.gru_sequence`` against its composite
 reference (a per-step loop over ``GRUCell.step``, kept only here)."""
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core import Trainer, TrainerConfig, build_pathrank
 from repro.errors import ShapeError
 from repro.graph import grid_network
-from repro.nn import GRU, LSTM, BiGRU, GRUCell, LSTMCell, Tensor, check_gradients, no_grad
+from repro.nn import GRU, BiGRU, GRUCell, Tensor, check_gradients, no_grad
 from repro.nn import functional as F
 from repro.ranking import Strategy, TrainingDataConfig, generate_queries
 from repro.trajectories import FleetConfig, generate_fleet
@@ -201,50 +201,6 @@ class TestBiGRU:
             return (summary * summary).mean()
 
         check_gradients(fwd, [x] + list(bigru.parameters()), atol=1e-4, rtol=1e-3)
-
-
-class TestLSTM:
-    def test_cell_shapes(self):
-        cell = LSTMCell(4, 6, rng=0)
-        h, c = cell(Tensor(np.zeros((3, 4))), cell.initial_state(3))
-        assert h.shape == (3, 6)
-        assert c.shape == (3, 6)
-
-    def test_forget_bias_initialised_to_one(self):
-        cell = LSTMCell(4, 6, rng=0)
-        np.testing.assert_allclose(cell.bias.data[6:12], np.ones(6))
-
-    def test_layer_shapes(self):
-        rng = np.random.default_rng(0)
-        lstm = LSTM(4, 6, rng=0)
-        outputs, final = lstm(seq(rng))
-        assert outputs.shape == (5, 3, 6)
-        assert final.shape == (3, 6)
-
-    def test_masked_padding_invariance(self):
-        rng = np.random.default_rng(2)
-        lstm = LSTM(3, 4, rng=1)
-        short = rng.normal(size=(2, 1, 3))
-        _, final_short = lstm(Tensor(short))
-        padded = np.concatenate([short, np.zeros((2, 1, 3))], axis=0)
-        mask = np.array([[1.0], [1.0], [0.0], [0.0]])
-        _, final_padded = lstm(Tensor(padded), mask=mask)
-        np.testing.assert_allclose(final_padded.data, final_short.data, atol=1e-12)
-
-    def test_gradcheck(self):
-        rng = np.random.default_rng(13)
-        lstm = LSTM(2, 3, rng=7)
-        x = Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
-
-        def fwd():
-            _, final = lstm(x)
-            return (final * final).mean()
-
-        check_gradients(fwd, [x] + list(lstm.parameters()), atol=1e-4, rtol=1e-3)
-
-    def test_rejects_bad_rank(self):
-        with pytest.raises(ShapeError):
-            LSTM(4, 6, rng=0)(Tensor(np.zeros((5, 4))))
 
 
 def _parity_case(steps, batch, input_size, hidden_size, reverse, masked, with_h0, seed,

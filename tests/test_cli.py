@@ -12,6 +12,7 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
+from repro.graph import load_network_json, voronoi_partition
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +237,17 @@ class TestServe:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
 
+    def test_serve_shards_partition_by_voronoi(self, artifacts, queries_file,
+                                               capsys):
+        network, _, model = artifacts
+        code = main(["serve", "--network", str(network), "--model", str(model),
+                     "--queries-file", str(queries_file), "--shards", "2",
+                     "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        want = voronoi_partition(load_network_json(network), 2, rng=0)
+        assert payload["stats"]["sharding"]["partition"] == want.as_dict()
+
 
 class TestServeConcurrent:
     def test_serve_through_engine(self, artifacts, queries_file, capsys):
@@ -355,6 +367,17 @@ class TestServeCleanup:
         assert "deadline_ms" in capsys.readouterr().err
         assert lifecycle == {"built": 0, "closed": 0}
 
+    def test_negative_shards_builds_nothing(self, artifacts, queries_file,
+                                            lifecycle, capsys):
+        """``--shards -2`` used to serve unsharded without a word."""
+        network, _, model = artifacts
+        code = main(["serve", "--network", str(network), "--model", str(model),
+                     "--queries-file", str(queries_file), "--shards", "-2"])
+        assert code == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("error:") and "--shards" in line
+        assert lifecycle == {"built": 0, "closed": 0}
+
     def test_failed_activation_closes_the_service(self, artifacts,
                                                   queries_file, tmp_path,
                                                   lifecycle, capsys):
@@ -435,6 +458,16 @@ class TestAnalyticsCommands:
                      str(grid_file)]) == 2
         assert main(["service-area", "--network", str(grid_file),
                      "--sources", "0", "--budgets", "cheap"]) == 2
+
+    def test_negative_workers_exit_2(self, grid_file, capsys):
+        """``--workers -3`` used to run inline without a word."""
+        code = main(["od-matrix", "--network", str(grid_file),
+                     "--origins", "0,7", "--workers", "-3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.strip().splitlines()
+        assert line.startswith("error:") and "--workers" in line
 
     def test_unknown_routing_backend_env_exits_2(self, grid_file):
         """A routing backend the environment names but the code does not
