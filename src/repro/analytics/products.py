@@ -301,13 +301,12 @@ def route_frequency_counts(
     edge_counts = np.zeros(len(kernel.indices), dtype=np.float64)
     num_pairs = 0
     unreachable = 0
-    indices_list = kernel._indices_list
-    indptr_list = kernel._indptr_list
     for source, targets in groups:
         if not targets:
             continue
         source_idx = kernel.index_of(source)
         dist, parent = kernel.sssp_parents(source, cost)
+        parent = parent.tolist()
         for target, weight in targets:
             num_pairs += 1
             target_idx = kernel.index_of(target)
@@ -316,13 +315,13 @@ def route_frequency_counts(
             if not np.isfinite(dist[target_idx]):
                 unreachable += 1
                 continue
-            v = target_idx
-            while v != source_idx:
-                p = int(parent[v])
-                pos = bisect_left(indices_list, v, indptr_list[p],
-                                  indptr_list[p + 1])
-                edge_counts[pos] += weight
-                v = p
+            chain = [target_idx]
+            while chain[-1] != source_idx:
+                chain.append(parent[chain[-1]])
+            chain.reverse()
+            # A shortest path is simple, so no position repeats and the
+            # fancy-indexed add is one addition per edge, as in a loop.
+            edge_counts[kernel._edge_positions(chain)] += weight
     return edge_counts, num_pairs, unreachable
 
 

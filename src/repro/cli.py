@@ -492,6 +492,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # processes it owns worker processes and shared-memory segments.
     if args.shards < 0:
         raise ConfigError(f"--shards must be >= 0, got {args.shards}")
+    if args.concurrency < 0:
+        raise ConfigError(
+            f"--concurrency must be >= 0, got {args.concurrency}")
     requests = _load_queries(args.queries_file)
     faults = (None if args.fault_spec is None
               else parse_fault_spec(args.fault_spec))

@@ -177,7 +177,7 @@ class CSRGraph:
         self._forward_adj: dict[object, list[list[tuple[int, float]]]] = {}
         self._reverse_adj: dict[object, list[list[tuple[int, float]]]] = {}
         self._matrices: dict[tuple[object, bool], object] = {}
-        self._alt_tables: dict[object, tuple[np.ndarray, np.ndarray, list[int]]] = {}
+        self._alt_tables: dict[object, tuple[np.ndarray, list[int]]] = {}
 
         # Scratch buffers, reused across searches via generation stamps:
         # an entry is valid for the current search only when its stamp
@@ -189,9 +189,9 @@ class CSRGraph:
         self._done = [0] * n
         self._gen = 0
         self._lock = threading.Lock()
-        # Guards the LRU memos (custom weight keys, ALT heuristic arrays):
-        # a lookup and its move_to_end must not straddle another thread's
-        # eviction.  Never held across a search or a table build.
+        # Guards the custom-weight LRU: an insertion and its move_to_end
+        # must not straddle another thread's eviction.  Never held across
+        # a search or a table build.
         self._memo_lock = threading.Lock()
         # Cumulative search-effort counters, read by profile_counters().
         # Updated in bulk at the end of each search (which already holds
@@ -550,7 +550,7 @@ class CSRGraph:
         key = self._weight_key(cost)
         cached = self._alt_tables.get(key)
         if cached is not None:
-            return [self.ids[i] for i in cached[2]]
+            return [self.ids[i] for i in cached[1]]
         if num_landmarks < 1:
             raise ValueError(f"num_landmarks must be >= 1, got {num_landmarks}")
         generator = make_rng(rng)
@@ -576,43 +576,30 @@ class CSRGraph:
             from_rows.append(self._single_source_idx(candidate, cost))
         to_rows = self._multi_source_idx(landmarks, cost, reverse=True)
 
-        #: to_l[v, j] = d(v -> L_j); from_l[v, j] = d(L_j -> v).  The
-        #: trailing OrderedDict memoises per-target heuristic arrays.
-        to_l = np.ascontiguousarray(to_rows.T)
-        from_l = np.stack(from_rows, axis=1)
-        self._alt_tables[key] = (to_l, from_l, landmarks, OrderedDict())
+        #: One (2L, n) table: row j holds d(v -> L_j), row L + j holds
+        #: -d(L_j -> v), so both triangle bounds are ``D[:, v] - D[:, t]``.
+        table = np.concatenate([to_rows, -np.vstack(from_rows)])
+        self._alt_tables[key] = (table, landmarks)
         return [self.ids[i] for i in landmarks]
-
-    #: Per-target heuristic arrays kept per cost key; hotspot-skewed
-    #: serving traffic re-queries a small pool of destinations.
-    _H_CACHE_CAP = 64
 
     def _alt_heuristic(self, key: object, target: int) -> list[float] | None:
         """Vectorised ALT lower bounds towards ``target`` (CSR index),
-        or ``None`` when no tables exist for this cost."""
+        or ``None`` when no tables exist for this cost.
+
+        ``h[v] = max_r (D[r, v] - D[r, t])`` over the rows of the
+        stacked table: ``d(v, L) - d(t, L)`` and ``d(L, t) - d(L, v)``
+        (negation is exact, so the second is the same float either
+        way).  Non-finite differences (a vertex or the target missing a
+        landmark distance) are left out, and 0 is always admissible.
+        """
         cached = self._alt_tables.get(key)
         if cached is None:
             return None
-        to_l, from_l, _, h_cache = cached
-        with self._memo_lock:
-            h_list = h_cache.get(target)
-            if h_list is not None:
-                h_cache.move_to_end(target)
-                return h_list
+        table = cached[0]
         with np.errstate(invalid="ignore"):
-            a = to_l - to_l[target]
-            b = from_l[target] - from_l
-        # Non-finite bounds (a vertex or the target missing a landmark
-        # distance) are dropped to 0, which is always admissible.
-        a[~np.isfinite(a)] = 0.0
-        b[~np.isfinite(b)] = 0.0
-        h = np.maximum(np.maximum(a, b).max(axis=1), 0.0)
-        h_list = h.tolist()
-        with self._memo_lock:
-            h_cache[target] = h_list
-            while len(h_cache) > self._H_CACHE_CAP:
-                h_cache.popitem(last=False)
-        return h_list
+            diff = table - table[:, target, None]
+        return np.max(diff, axis=0, initial=0.0,
+                      where=np.isfinite(diff)).tolist()
 
     def _potential(self, cost: CostFunction | None, target: int,
                    use_alt: bool | None) -> list[float] | None:
@@ -689,14 +676,65 @@ class CSRGraph:
 
         ``parent[v]`` is the CSR index of ``v``'s predecessor on the
         least-cost path from ``source_id`` (-1 for the source itself and
-        for unreachable vertices, whose ``dist`` is ``inf``).  The heap
-        orders ties by CSR index — which equals ascending-vertex-id
+        for unreachable vertices, whose ``dist`` is ``inf``).  Among
+        tight predecessors (``dist[u] + w == dist[v]``) it is the one
+        with the least ``(dist[u], u)``: the first settled by a heap
+        that orders ties by CSR index — which equals ascending-vertex-id
         order, the same tie-break as the dict-backend reference
         :func:`repro.graph.shortest_path.dijkstra` — so batched path
         reconstructions (route frequencies) match the per-query
         reference tree exactly, not just in cost.
+
+        With scipy the tree comes from its C Dijkstra's distances and
+        one numpy pass over the tight edges.  That settle order only holds
+        while every tight edge climbs to a larger distance, so a tree
+        with a tight edge between equal distances (a zero-weight
+        plateau, or a weight absorbed by a large ``dist``) runs the
+        heap loop instead, as does every tree without scipy.
         """
         source = self.index_of(source_id)
+        if _HAVE_SCIPY:
+            dist = self._single_source_idx(source, cost)
+            parent = self._tight_parents(dist, cost)
+            if parent is not None:
+                with self._lock:
+                    self._profile["sssp_runs"] += 1
+                return dist, parent
+        return self._sssp_parents_loop(source, cost)
+
+    def _tight_parents(self, dist: np.ndarray,
+                       cost: CostFunction | None) -> np.ndarray | None:
+        """Each vertex's tight predecessor with the least ``(dist[u],
+        u)``, or ``None`` when some tight edge joins equal distances."""
+        n = self.num_vertices
+        tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        heads = self.indices
+        # The matrix holds the weights in CSR order (see _matrix).
+        weights = self._matrix(cost, False).data
+        dist_tails = dist[tails]
+        dist_heads = dist[heads]
+        tight = np.flatnonzero((dist_tails + weights == dist_heads)
+                               & np.isfinite(dist_heads))
+        tails, heads, dist_tails = tails[tight], heads[tight], dist_tails[tight]
+        if np.any(dist_tails == dist_heads[tight]):
+            return None
+        parent = np.full(n, -1, dtype=np.int64)
+        parent[heads] = tails
+        # Heads reached by several tight edges (exact ties) take the
+        # least (dist[u], u): one lexsort over just those edges.
+        tied = np.flatnonzero(np.bincount(heads, minlength=n)[heads] > 1)
+        if tied.size:
+            order = tied[np.lexsort((tails[tied], dist_tails[tied],
+                                     heads[tied]))]
+            tails, heads = tails[order], heads[order]
+            first = np.ones(len(heads), dtype=bool)
+            first[1:] = heads[1:] != heads[:-1]
+            parent[heads[first]] = tails[first]
+        return parent
+
+    def _sssp_parents_loop(self, source: int, cost: CostFunction | None,
+                           ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`sssp_parents` by a full-settle heap loop."""
         adj = self._forward(cost)
         with self._lock:
             self._gen += 1
@@ -1020,10 +1058,8 @@ class CSRGraph:
                 cached = self._alt_tables.get(key)
                 if cached is None:
                     continue
-                to_l, from_l, landmarks = cached[0], cached[1], cached[2]
-                arrays[f"alt:{key}:to"] = np.asarray(to_l, dtype=np.float64)
-                arrays[f"alt:{key}:from"] = np.asarray(from_l,
-                                                       dtype=np.float64)
+                table, landmarks = cached
+                arrays[f"alt:{key}:table"] = table
                 arrays[f"alt:{key}:landmarks"] = np.asarray(landmarks,
                                                             dtype=np.int64)
                 alt_keys.append(key)
@@ -1076,10 +1112,8 @@ class CSRGraph:
         kernel._alt_tables = {}
         for key in meta["alt_keys"]:
             kernel._alt_tables[key] = (
-                arrays[f"alt:{key}:to"],
-                arrays[f"alt:{key}:from"],
+                arrays[f"alt:{key}:table"],
                 [int(i) for i in arrays[f"alt:{key}:landmarks"]],
-                OrderedDict(),
             )
         kernel._dist = [inf] * n
         kernel._parent = [-1] * n

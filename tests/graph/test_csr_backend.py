@@ -220,6 +220,41 @@ class TestAltAdmissibility:
             assert bounds[kernel.index_of(vertex)] <= true_cost + 1e-9
 
 
+    def test_stacked_table_matches_the_two_table_formula(self):
+        """One-way chains: every landmark misses the vertices behind it
+        (and the second chain entirely), so the tables hold ``inf``.
+        The bounds from the one ``(2L, n)`` table are ``==`` to the
+        bounds from separate to/from tables, where non-finite
+        differences were zeroed before the max."""
+        rng = np.random.default_rng(5)
+        network = RoadNetwork()
+        for v in range(50):
+            network.add_vertex(v, float(v), 0.0)
+        for first, end in ((0, 40), (40, 50)):
+            for v in range(first, end - 1):
+                network.add_edge(v, v + 1, length=float(rng.uniform(1, 9)))
+                if v + 5 < end:
+                    network.add_edge(v, v + 5,
+                                     length=float(rng.uniform(5, 40)))
+        for seed in range(3):
+            kernel = CSRGraph(network)
+            kernel.ensure_alt(num_landmarks=4, rng=seed)
+            table = kernel._alt_tables["length"][0]
+            assert np.isinf(table).any()
+            count = table.shape[0] // 2
+            to_l = table[:count].T          # d(v -> L_j)
+            from_l = -table[count:].T       # d(L_j -> v)
+            for target in range(kernel.num_vertices):
+                with np.errstate(invalid="ignore"):
+                    a = to_l - to_l[target]
+                    b = from_l[target] - from_l
+                a[~np.isfinite(a)] = 0.0
+                b[~np.isfinite(b)] = 0.0
+                previous = np.maximum(np.maximum(a, b).max(axis=1), 0.0)
+                assert kernel._alt_heuristic("length", target) == \
+                    previous.tolist()
+
+
 def _reverse_distances(network, target, cost=None):
     """d(v, target) for all v, via one dict-backend Dijkstra per vertex
     would be O(n^2); instead run forward Dijkstra per source over a
@@ -402,37 +437,25 @@ class TestSsspParents:
 
 
 class _RivalInWindow(OrderedDict):
-    """An LRU memo that, right after the caller's next lookup (``get``)
-    or insertion (``__setitem__``), lets a rival thread run before the
-    caller reaches its ``move_to_end``.  The rival gets half a second:
-    enough to finish on any host unless a lock keeps it waiting, in
-    which case it finishes once the caller is done."""
+    """An LRU memo that, right after the caller's next insertion, lets a
+    rival thread run before the caller reaches its ``move_to_end``.  The
+    rival gets half a second: enough to finish on any host unless a lock
+    keeps it waiting, in which case it finishes once the caller is
+    done."""
 
-    def __init__(self, items, rival, hook):
-        self.rival = None
-        self.hook = hook
-        self.threads = []
-        super().__init__(items)
+    def __init__(self, rival):
         self.rival = rival
+        self.threads = []
+        super().__init__()
 
-    def _let_rival_run(self):
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
         rival, self.rival = self.rival, None
         if rival is not None:
             thread = threading.Thread(target=rival)
             thread.start()
             thread.join(timeout=0.5)
             self.threads.append(thread)
-
-    def get(self, key, default=None):
-        value = super().get(key, default)
-        if self.hook == "get" and value is not None:
-            self._let_rival_run()
-        return value
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        if self.hook == "set":
-            self._let_rival_run()
 
     def join(self):
         for thread in self.threads:
@@ -441,28 +464,10 @@ class _RivalInWindow(OrderedDict):
 
 
 class TestMemoRaces:
-    """The kernel's LRU memos are read from engine worker threads
-    without the search lock; a rival thread evicting the key between a
-    lookup and its ``move_to_end`` must not raise ``KeyError``."""
-
-    def test_alt_heuristic_hit_survives_a_rival_eviction(self):
-        kernel = CSRGraph(grid_network(20, 20, seed=3))
-        kernel.ensure_alt()
-        kernel._H_CACHE_CAP = 1
-        expected = {t: list(kernel._alt_heuristic("length", t))
-                    for t in (320, 5)}
-        kernel._alt_tables["length"][3].clear()
-        kernel._alt_heuristic("length", 320)
-        rival_got = []
-        to_l, from_l, landmarks, memo = kernel._alt_tables["length"]
-        memo = _RivalInWindow(
-            memo, lambda: rival_got.append(kernel._alt_heuristic("length", 5)),
-            "get")
-        kernel._alt_tables["length"] = (to_l, from_l, landmarks, memo)
-        assert kernel._alt_heuristic("length", 320) == expected[320]
-        memo.join()
-        assert rival_got == [expected[5]]
-        assert list(memo) == [5]
+    """The kernel's custom-weight LRU is filled from engine worker
+    threads without the search lock; a rival thread evicting a key
+    between an insertion and its ``move_to_end`` must not raise
+    ``KeyError``."""
 
     def test_custom_weights_survive_a_rival_eviction(self, monkeypatch):
         monkeypatch.setattr(csr_module, "_CUSTOM_WEIGHT_CAP", 1)
@@ -477,7 +482,7 @@ class TestMemoRaces:
 
         rival_got = []
         memo = _RivalInWindow(
-            (), lambda: rival_got.append(kernel.edge_weights(tripled)), "set")
+            lambda: rival_got.append(kernel.edge_weights(tripled)))
         kernel._custom_order = memo
         weights = kernel.edge_weights(doubled)
         memo.join()
@@ -492,18 +497,16 @@ class TestMemoRaces:
 
     def test_threaded_memo_hammer(self, monkeypatch):
         """More threads than cores and a shortened switch interval over
-        both memos, each held to two entries so every call evicts."""
+        the custom-weight memo, held to two entries so every call
+        evicts."""
         monkeypatch.setattr(csr_module, "_CUSTOM_WEIGHT_CAP", 2)
         kernel = CSRGraph(grid_network(20, 20, seed=3))
-        kernel.ensure_alt()
-        kernel._H_CACHE_CAP = 2
         costs = [lambda edge, f=float(f): f * edge.length for f in range(4)]
         errors = []
 
         def hammer(worker):
             try:
                 for call in range(150):
-                    kernel._alt_heuristic("length", (worker + call) % 7)
                     kernel.edge_weights(costs[(worker + call) % 4])
             except Exception as error:  # reported by the assert below
                 errors.append(error)

@@ -10,11 +10,15 @@ every accepted path, ban sets rebuilt by scanning the accepted paths —
 over the *same* uncapped ``_p2p`` searches under the same potential,
 and the kernel must yield its sequence element-wise: same paths, same
 order among equal costs, ``==`` on the float costs.
+
+The same digraph strategy is the oracle for the kernel's shortest-path
+trees (``sssp_parents`` against the dict ``dijkstra`` tree).
 """
 
 from heapq import heappop, heappush
 from itertools import count, islice
 from math import inf
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -28,6 +32,7 @@ from repro.graph import (
     RoadCategory,
     RoadNetwork,
     csr_for,
+    dijkstra,
     diversified_top_k,
     length_cost,
     travel_time_cost,
@@ -442,6 +447,55 @@ class TestExactPotential:
             assert delta["p2p_runs"] == 0
             skipped += delta["yen_spur_skipped"]
         assert skipped > 0
+
+
+class TestSsspParentsOracle:
+    """``sssp_parents`` against the dict ``dijkstra`` tree, ``==`` on
+    distances and on parents, ties included: zero weights, integer ties,
+    one-way arcs and unreachable vertices, with scipy and without."""
+
+    @pytest.mark.parametrize("have_scipy", [True, False])
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    @given(case=digraph_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_random_digraphs(self, have_scipy, shift, case):
+        """``shift`` 1 lifts the weights to 1..3: no zero weights, so
+        every scipy tree comes from the distances, integer ties and
+        all."""
+        network, weights, source, _ = case
+        cost = _weighted({arc: w + shift for arc, w in weights.items()})
+        kernel = csr_for(network)
+        ref_dist, ref_prev = dijkstra(network, source, cost)
+        with mock.patch.object(csr_module, "_HAVE_SCIPY", have_scipy):
+            dist, parent = kernel.sssp_parents(source, cost)
+        ids = kernel.ids
+        assert {ids[v]: d for v, d in enumerate(dist.tolist())
+                if d != inf} == ref_dist
+        assert {ids[v]: ids[p] for v, p in enumerate(parent.tolist())
+                if p >= 0} == ref_prev
+        if have_scipy and shift:
+            assert kernel._tight_parents(dist, cost) is not None
+
+    def test_absorbed_weight_runs_the_loop(self):
+        """``2**53 + 1 == 2**53``, so the edge 2 -> 1 is tight between
+        equal distances and 1 settles after 2 although its index is
+        smaller: the least ``(dist, index)`` predecessor of 3 is 1, but
+        Dijkstra reaches 3 from 2 first."""
+        big = 2.0 ** 53
+        weights = {(0, 2): big, (2, 1): 1.0, (1, 3): 2.0, (2, 3): 2.0}
+        network = RoadNetwork()
+        for v in range(4):
+            network.add_vertex(v, float(v), 0.0)
+        for u, v in weights:
+            network.add_edge(u, v, length=1.0)
+        cost = _weighted(weights)
+        kernel = CSRGraph(network)
+        ref_dist, ref_prev = dijkstra(network, 0, cost)
+        assert ref_dist[1] == ref_dist[2] == big and ref_prev[3] == 2
+        dist, parent = kernel.sssp_parents(0, cost)
+        assert kernel._tight_parents(dist, cost) is None
+        assert dist.tolist() == [ref_dist[v] for v in range(4)]
+        assert parent.tolist() == [-1, 2, 0, 2]
 
 
 @given(digraph_queries(min_vertices=3, min_arc_share=0.4),

@@ -378,6 +378,20 @@ class TestServeCleanup:
         assert line.startswith("error:") and "--shards" in line
         assert lifecycle == {"built": 0, "closed": 0}
 
+    def test_negative_concurrency_builds_nothing(self, artifacts,
+                                                 queries_file, lifecycle,
+                                                 capsys):
+        """``--concurrency -1`` used to serve through the synchronous
+        facade without a word."""
+        network, _, model = artifacts
+        code = main(["serve", "--network", str(network), "--model", str(model),
+                     "--queries-file", str(queries_file),
+                     "--concurrency", "-1"])
+        assert code == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("error:") and "--concurrency" in line
+        assert lifecycle == {"built": 0, "closed": 0}
+
     def test_failed_activation_closes_the_service(self, artifacts,
                                                   queries_file, tmp_path,
                                                   lifecycle, capsys):
