@@ -20,6 +20,7 @@ from repro.analytics.products import (
     ODMatrix,
     RouteFrequencies,
     ServiceArea,
+    check_budgets,
     group_pairs,
     od_sweep_block,
     require_cost_name,
@@ -171,6 +172,9 @@ def service_area(network, sources, budgets, *, cost=None,
     budgets = [float(b) for b in budgets]
     if not sources:
         raise AnalyticsError("service_area needs at least one source")
+    # Before any tile: a pooled bad budget would otherwise surface as
+    # the worker's ExecError instead of this AnalyticsError.
+    check_budgets(budgets)
     began = perf_counter()
     num_tiles = 1
     if plane is not None and len(sources) > 1:

@@ -233,6 +233,16 @@ def od_sweep_block(kernel: CSRGraph, sweep_ids: list[int],
     return out
 
 
+def check_budgets(budgets: list[float]) -> None:
+    """Raise :class:`AnalyticsError` unless ``budgets`` is a non-empty
+    list of numbers ``>= 0`` (NaN is refused too)."""
+    if not budgets:
+        raise AnalyticsError("service_area needs at least one budget")
+    for budget in budgets:
+        if not budget >= 0.0:
+            raise AnalyticsError(f"budgets must be >= 0, got {budget!r}")
+
+
 def service_area_blocks(kernel: CSRGraph, source_ids: list[int],
                         budgets: list[float], *,
                         cost: CostFunction | None = None,
@@ -240,24 +250,24 @@ def service_area_blocks(kernel: CSRGraph, source_ids: list[int],
                         chunk_size: int | None = None) -> list[ServiceArea]:
     """Isochrones for every (source, budget) pair, source-major.
 
-    One batched multi-source sweep covers all sources; each row is then
-    cut at every budget with two vectorised comparisons (vertex: ``dist
-    <= budget``; edge: full-traversal test, see :class:`ServiceArea`).
+    One batched multi-source sweep covers all sources and stops at the
+    largest budget; each row is then cut at every budget with two
+    vectorised comparisons (vertex: ``dist <= budget``; edge:
+    full-traversal test, see :class:`ServiceArea`).  A vertex beyond
+    the largest budget fails every test whether its distance reads
+    finite or ``inf``, so the limit changes no membership.
     """
-    if not budgets:
-        raise AnalyticsError("service_area needs at least one budget")
-    for budget in budgets:
-        if not budget >= 0.0:
-            raise AnalyticsError(f"budgets must be >= 0, got {budget!r}")
+    check_budgets(budgets)
     n = kernel.num_vertices
     indptr = np.asarray(kernel.indptr)
     tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     heads = np.asarray(kernel.indices, dtype=np.int64)
-    weights = np.asarray(kernel.edge_weights(cost), dtype=np.float64)
+    weights = kernel.weight_array(cost)
     ids = np.asarray(kernel.ids, dtype=np.int64)
     areas: list[ServiceArea] = []
     for start, rows in kernel.iter_multi_source(
-            source_ids, cost, reverse=reverse, chunk_size=chunk_size):
+            source_ids, cost, reverse=reverse, chunk_size=chunk_size,
+            limit=max(budgets)):
         for i in range(rows.shape[0]):
             dist = rows[i]
             # Forward: tail settled + edge fits; reverse: edge + head's

@@ -20,8 +20,12 @@ and travel time) and runs the same algorithms over plain scalar arrays:
 Distance / parent / visited buffers are preallocated once and reused
 across calls via generation stamps, so repeated queries allocate almost
 nothing.  Landmark lower bounds use farthest-point landmark selection
-and triangle-inequality bounds, with the per-landmark tables stored as
-dense arrays and the per-query heuristic vectorised over all vertices.
+and triangle-inequality bounds from one stacked ``(2L, n)`` table whose
+non-finite entries are all ``-inf``: the per-query bound skips the rows
+that cannot bound the target and takes one in-place ``maximum`` per
+remaining row, and the search reads it through a ``memoryview``.
+Multi-source sweeps take a distance ``limit``, so a service-area sweep
+stops at its largest budget instead of covering the whole network.
 
 **Backend seam.**  Hot consumers (``yen_path_generator``, the
 diversified generator, ``generate_candidates``, serving) dispatch
@@ -284,6 +288,18 @@ class CSRGraph:
         return self._edge_keys.searchsorted(
             path[:-1] * self.num_vertices + path[1:]).tolist()
 
+    def weight_array(self, cost: CostFunction | None = None) -> np.ndarray:
+        """Per-edge weights in CSR order as a float64 array (shared:
+        callers must not write to it).
+
+        With scipy this is the forward matrix's ``.data``, which holds
+        the weights in CSR order and is built once per cost; without
+        scipy the weight list is converted on each call.
+        """
+        if _HAVE_SCIPY:
+            return self._matrix(cost, False).data
+        return np.asarray(self.edge_weights(cost), dtype=np.float64)
+
     def _matrix(self, cost: CostFunction | None, reverse: bool):
         """The scipy CSR matrix for a cost (transposed when ``reverse``)."""
         key = (self._weight_key(cost), reverse)
@@ -344,12 +360,16 @@ class CSRGraph:
     def _iter_multi_source_idx(self, sources: list[int],
                                cost: CostFunction | None,
                                reverse: bool = False,
-                               chunk_size: int | None = None):
+                               chunk_size: int | None = None,
+                               limit: float = inf):
         """Yield ``(start, rows)`` distance slabs for CSR-index sources.
 
         ``rows`` is a ``(<= chunk_size, n)`` float64 block covering
         ``sources[start:start + rows.shape[0]]``; only one slab is live
-        at a time, which is what bounds multi-source memory.
+        at a time, which is what bounds multi-source memory.  Distances
+        above ``limit`` read ``inf``: scipy stops each sweep there, the
+        pure-Python path masks them, and a distance equal to ``limit``
+        stays finite on both.
         """
         if chunk_size is None:
             chunk_size = self.default_chunk_size()
@@ -362,10 +382,13 @@ class CSRGraph:
             chunk = sources[start:start + chunk_size]
             if _HAVE_SCIPY:
                 rows = np.atleast_2d(_sp_dijkstra(self._matrix(cost, reverse),
-                                                  directed=True, indices=chunk))
+                                                  directed=True, indices=chunk,
+                                                  limit=limit))
             else:
                 rows = np.vstack([self._sssp_array(source, adj)
                                   for source in chunk])
+                if limit < inf:
+                    rows[rows > limit] = inf
             yield start, rows
 
     # ------------------------------------------------------------------
@@ -415,7 +438,7 @@ class CSRGraph:
         source: int,
         target: int,
         adj: list[list[tuple[int, float]]],
-        h: list[float] | None = None,
+        h: list[float] | memoryview | None = None,
         banned_vertices: Iterable[int] = (),
         banned_next: Iterable[int] = (),
         bound: float = inf,
@@ -430,7 +453,7 @@ class CSRGraph:
         source: int,
         target: int,
         adj: list[list[tuple[int, float]]],
-        h: list[float] | None = None,
+        h: list[float] | memoryview | None = None,
         banned_vertices: Iterable[int] = (),
         banned_next: Iterable[int] = (),
         bound: float = inf,
@@ -578,28 +601,39 @@ class CSRGraph:
 
         #: One (2L, n) table: row j holds d(v -> L_j), row L + j holds
         #: -d(L_j -> v), so both triangle bounds are ``D[:, v] - D[:, t]``.
+        #: Every non-finite entry (v cannot reach L_j, or L_j cannot
+        #: reach v) is stored as -inf, so no difference is ever NaN or
+        #: +inf and an unusable one can never beat the bound 0.
         table = np.concatenate([to_rows, -np.vstack(from_rows)])
+        table[~np.isfinite(table)] = -inf
         self._alt_tables[key] = (table, landmarks)
         return [self.ids[i] for i in landmarks]
 
-    def _alt_heuristic(self, key: object, target: int) -> list[float] | None:
+    def _alt_heuristic(self, key: object, target: int) -> memoryview | None:
         """Vectorised ALT lower bounds towards ``target`` (CSR index),
         or ``None`` when no tables exist for this cost.
 
-        ``h[v] = max_r (D[r, v] - D[r, t])`` over the rows of the
-        stacked table: ``d(v, L) - d(t, L)`` and ``d(L, t) - d(L, v)``
+        ``h[v] = max(0, max_r (D[r, v] - D[r, t]))`` over the rows of
+        the stacked table: ``d(v, L) - d(t, L)`` and ``d(L, t) - d(L, v)``
         (negation is exact, so the second is the same float either
-        way).  Non-finite differences (a vertex or the target missing a
-        landmark distance) are left out, and 0 is always admissible.
+        way).  A row whose ``D[r, t]`` is ``-inf`` (the target misses
+        that landmark distance) bounds nothing and is skipped; in every
+        other row a ``-inf`` entry gives a ``-inf`` difference, which
+        never beats 0.  The result is a ``memoryview`` over a fresh
+        float64 array, so the search reads ``h[v]`` as a Python float
+        without a list copy of all n bounds.
         """
         cached = self._alt_tables.get(key)
         if cached is None:
             return None
         table = cached[0]
-        with np.errstate(invalid="ignore"):
-            diff = table - table[:, target, None]
-        return np.max(diff, axis=0, initial=0.0,
-                      where=np.isfinite(diff)).tolist()
+        h = np.zeros(self.num_vertices)
+        scratch = np.empty_like(h)
+        for row, at_target in zip(table, table[:, target].tolist()):
+            if at_target != -inf:
+                np.maximum(h, np.subtract(row, at_target, out=scratch),
+                           out=h)
+        return memoryview(h)
 
     def _potential(self, cost: CostFunction | None, target: int,
                    use_alt: bool | None) -> list[float] | None:
@@ -656,6 +690,7 @@ class CSRGraph:
                           cost: CostFunction | None = None,
                           reverse: bool = False,
                           chunk_size: int | None = None,
+                          limit: float = inf,
                           ) -> Iterator[tuple[int, np.ndarray]]:
         """Stream multi-source distance slabs as ``(start, rows)`` pairs.
 
@@ -664,11 +699,14 @@ class CSRGraph:
         are live per step.  This is the memory-bounded primitive behind
         :meth:`multi_source` and the ``repro.analytics`` batch products,
         which reduce each slab (isochrone membership, OD columns) and
-        drop it before the next sweep.
+        drop it before the next sweep.  Distances above ``limit`` read
+        ``inf`` (the sweeps stop there); the others are the unlimited
+        ones, a distance equal to ``limit`` included.
         """
         sources = [self.index_of(vid) for vid in source_ids]
         yield from self._iter_multi_source_idx(sources, cost, reverse=reverse,
-                                               chunk_size=chunk_size)
+                                               chunk_size=chunk_size,
+                                               limit=limit)
 
     def sssp_parents(self, source_id: int, cost: CostFunction | None = None,
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -709,8 +747,7 @@ class CSRGraph:
         n = self.num_vertices
         tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
         heads = self.indices
-        # The matrix holds the weights in CSR order (see _matrix).
-        weights = self._matrix(cost, False).data
+        weights = self.weight_array(cost)
         dist_tails = dist[tails]
         dist_heads = dist[heads]
         tight = np.flatnonzero((dist_tails + weights == dist_heads)

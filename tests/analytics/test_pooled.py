@@ -69,6 +69,25 @@ class TestPooledConstraints:
                            method="sweep", plane=plane,
                            cost=lambda edge: edge.length * 2.0)
 
+    @pytest.mark.parametrize("budgets", [[], [-1.0, 400.0], [float("nan")]])
+    def test_bad_budgets_refused_before_any_tile(self, analytics_grid, plane,
+                                                 budgets, monkeypatch):
+        """The pooled path raises the inline path's AnalyticsError and
+        submits nothing, rather than a worker's ExecError."""
+        submitted = []
+        submit = plane.submit_analytics
+
+        def counting_submit(payload):
+            submitted.append(payload)
+            return submit(payload)
+
+        monkeypatch.setattr(plane, "submit_analytics", counting_submit)
+        for lane in (None, plane):
+            with pytest.raises(AnalyticsError, match="budget"):
+                service_area(analytics_grid, [0, 24, 44], budgets,
+                             plane=lane)
+        assert submitted == []
+
     def test_pooled_tiles_counted(self, analytics_grid, plane):
         metrics = MetricsRegistry()
         od_cost_matrix(analytics_grid, [0, 9, 17, 30], [4, 48, 22, 31],

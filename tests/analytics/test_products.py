@@ -6,6 +6,7 @@ count must equal what a per-query loop over ``dijkstra`` /
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.analytics.products import (
 )
 from repro.errors import AnalyticsError, EdgeNotFoundError, NoPathError
 from repro.graph import (
+    RoadNetwork,
     csr_for,
     dijkstra,
     length_cost,
@@ -28,6 +30,8 @@ from repro.graph import (
     shortest_path_cost,
     travel_time_cost,
 )
+from repro.graph import csr as csr_module
+from repro.graph.csr import CSRGraph
 
 
 def _dist_rows(network, sources, cost=length_cost):
@@ -126,6 +130,39 @@ class TestServiceAreaBlocks:
         assert area.edges == {
             edge.key for edge in analytics_grid.edges()
             if edge.length + to_source(edge.key[1]) <= budget}
+
+    @pytest.mark.parametrize("have_scipy", [True, False])
+    def test_sweep_limit_keeps_the_largest_budget(self, have_scipy):
+        """Integer weights make ``d == budget`` exact: vertex 2 sits at
+        exactly the largest budget (7) and the traversal of edge 1 -> 2
+        ends exactly at it, so both are members; the limited sweep rows
+        are the unlimited ones up to the limit and ``inf`` beyond it."""
+        network = RoadNetwork()
+        for v in range(6):
+            network.add_vertex(v, float(v), 0.0)
+        for u, v, w in ((0, 1, 3), (1, 2, 4), (0, 2, 9), (2, 3, 2),
+                        (3, 4, 1), (1, 5, 6), (5, 0, 1)):
+            network.add_edge(u, v, length=float(w))
+        kernel = CSRGraph(network)
+        budgets = [5.0, 7.0]
+        with mock.patch.object(csr_module, "_HAVE_SCIPY", have_scipy):
+            for reverse in (False, True):
+                full = kernel.multi_source([0, 2], reverse=reverse)
+                [(start, rows)] = kernel.iter_multi_source(
+                    [0, 2], reverse=reverse, limit=7.0)
+                assert start == 0
+                assert np.array_equal(
+                    rows, np.where(full <= 7.0, full, math.inf))
+            small, large = service_area_blocks(kernel, [0], budgets)
+        assert 2 in large.vertices and (1, 2) in large.edges
+        assert 2 not in small.vertices
+        dist = kernel.single_source(0)
+        for area in (small, large):
+            assert area.vertices == {
+                v for v in range(6) if dist[v] <= area.budget}
+            assert area.edges == {
+                edge.key for edge in network.edges()
+                if dist[edge.key[0]] + edge.length <= area.budget}
 
     def test_source_always_inside_its_area(self, analytics_grid):
         kernel = csr_for(analytics_grid)

@@ -222,37 +222,70 @@ class TestAltAdmissibility:
 
     def test_stacked_table_matches_the_two_table_formula(self):
         """One-way chains: every landmark misses the vertices behind it
-        (and the second chain entirely), so the tables hold ``inf``.
+        (and the second chain entirely), so the tables hold infinities.
         The bounds from the one ``(2L, n)`` table are ``==`` to the
         bounds from separate to/from tables, where non-finite
         differences were zeroed before the max."""
-        rng = np.random.default_rng(5)
-        network = RoadNetwork()
-        for v in range(50):
-            network.add_vertex(v, float(v), 0.0)
-        for first, end in ((0, 40), (40, 50)):
-            for v in range(first, end - 1):
-                network.add_edge(v, v + 1, length=float(rng.uniform(1, 9)))
-                if v + 5 < end:
-                    network.add_edge(v, v + 5,
-                                     length=float(rng.uniform(5, 40)))
+        network = _one_way_chains()
         for seed in range(3):
             kernel = CSRGraph(network)
             kernel.ensure_alt(num_landmarks=4, rng=seed)
-            table = kernel._alt_tables["length"][0]
-            assert np.isinf(table).any()
-            count = table.shape[0] // 2
-            to_l = table[:count].T          # d(v -> L_j)
-            from_l = -table[count:].T       # d(L_j -> v)
+            assert np.isinf(kernel._alt_tables["length"][0]).any()
             for target in range(kernel.num_vertices):
-                with np.errstate(invalid="ignore"):
-                    a = to_l - to_l[target]
-                    b = from_l[target] - from_l
-                a[~np.isfinite(a)] = 0.0
-                b[~np.isfinite(b)] = 0.0
-                previous = np.maximum(np.maximum(a, b).max(axis=1), 0.0)
-                assert kernel._alt_heuristic("length", target) == \
-                    previous.tolist()
+                assert kernel._alt_heuristic("length", target).tolist() == \
+                    _two_table_bounds(kernel, target).tolist()
+
+    @pytest.mark.parametrize("network_kind", ["chains", "grid"])
+    def test_astar_matches_the_previous_bound(self, network_kind):
+        """A* guided by the bound read through the ``memoryview`` returns
+        ``==`` ``(path, cost)`` to A* guided by the previous formula's
+        list, on the one-way chains (tables with infinities, many
+        unreachable pairs) and on a random grid."""
+        network = (_one_way_chains() if network_kind == "chains"
+                   else grid_network(9, 11, seed=23))
+        kernel = CSRGraph(network)
+        kernel.ensure_alt(num_landmarks=4, rng=1)
+        adj = kernel._forward(None)
+        rng = np.random.default_rng(29)
+        n = kernel.num_vertices
+        reached = 0
+        for source, target in rng.integers(0, n, size=(60, 2)).tolist():
+            bound = kernel._alt_heuristic("length", target)
+            assert isinstance(bound, memoryview)
+            previous = _two_table_bounds(kernel, target).tolist()
+            got = kernel._p2p(source, target, adj, bound)
+            assert got == kernel._p2p(source, target, adj, previous)
+            reached += got is not None
+        assert reached > 0
+
+
+def _one_way_chains():
+    """Two one-way chains (0..39 and 40..49) with random forward skips."""
+    rng = np.random.default_rng(5)
+    network = RoadNetwork()
+    for v in range(50):
+        network.add_vertex(v, float(v), 0.0)
+    for first, end in ((0, 40), (40, 50)):
+        for v in range(first, end - 1):
+            network.add_edge(v, v + 1, length=float(rng.uniform(1, 9)))
+            if v + 5 < end:
+                network.add_edge(v, v + 5, length=float(rng.uniform(5, 40)))
+    return network
+
+
+def _two_table_bounds(kernel, target):
+    """The ALT bound towards ``target`` from separate to/from tables,
+    non-finite differences zeroed before the max."""
+    table = kernel._alt_tables["length"][0]
+    count = table.shape[0] // 2
+    to_l = table[:count].T          # d(v -> L_j), -inf where unreachable
+    from_l = -table[count:].T       # d(L_j -> v), inf where unreachable
+    with np.errstate(invalid="ignore"):
+        a = to_l - to_l[target]
+        b = from_l[target] - from_l
+    a[~np.isfinite(a)] = 0.0
+    b[~np.isfinite(b)] = 0.0
+    return np.maximum(np.maximum(a, b).max(axis=1), 0.0)
 
 
 def _reverse_distances(network, target, cost=None):
