@@ -11,14 +11,6 @@ coalescing, and per-request latency accounting included — then compares
 its top suggestion against the classic criteria (shortest, fastest) by
 how well each matches what a held-out driver actually drove.
 
-The final section rebuilds the same deployment on the **shard plane**:
-the region is partitioned into two road-distance Voronoi shards, the
-published model serves both through a shared
-:class:`~repro.serving.ShardedRegistry`, and the engine coalesces each
-shard's traffic through that shard's own caches and scorer — the
-arrangement that scales to graphs too big for one cache or one
-embedding matrix.
-
     python examples/navigation_service.py
 """
 
@@ -31,7 +23,6 @@ from repro.graph import (
     north_jutland_like,
     shortest_path,
     travel_time_cost,
-    voronoi_partition,
     weighted_jaccard,
 )
 from repro.ranking import Strategy, TrainingDataConfig
@@ -41,7 +32,6 @@ from repro.serving import (
     RankRequest,
     ServingConfig,
     ServingEngine,
-    ShardedRegistry,
 )
 from repro.trajectories import FleetConfig, TrajectoryDataset, generate_fleet
 
@@ -123,42 +113,6 @@ def main() -> None:
               f"{stats['scoring']['paths_scored']} paths, "
               f"{occupancy['mean_requests_per_flush']:.1f} requests per "
               f"engine flush, p95 latency {stats['latency']['p95_ms']:.1f} ms")
-
-        # ------------------------------------------------------------------
-        # The same deployment on the shard plane: two regions, one engine.
-        # ------------------------------------------------------------------
-        # Partition the region into two road-distance Voronoi shards and
-        # back both with the already-published checkpoint (a shared
-        # registry): every request is owned by its source shard — its
-        # own candidate/score caches, its own scoring batches — while
-        # candidates are always enumerated on the full network, so every
-        # ranking stays element-wise identical to the unsharded engine's.
-        partition = voronoi_partition(network, 2, rng=0)
-        sharded = ShardedRegistry.shared(registry, partition)
-        sharded_service = RankingService(
-            network, sharded, ServingConfig(candidates=candidates))
-        sharded_service.activate(version)
-        with ServingEngine(sharded_service, concurrency=8,
-                           flush_deadline_ms=2.0, warmup=warmup) as engine:
-            sharded_responses = engine.rank_batch(requests)
-            sharded_stats = engine.stats()
-
-        agree = sum(
-            1 for mine, theirs in zip(sharded_responses, responses)
-            if [r.path.vertices for r in mine.results]
-            == [r.path.vertices for r in theirs.results]
-        )
-        print(f"\nshard plane: {partition.num_shards} regions "
-              f"(sizes {[s.size for s in partition.shards]}, "
-              f"{partition.cut_edges} cut edges), "
-              f"{agree}/{len(requests)} responses identical to the "
-              f"unsharded engine")
-        for label, entry in sharded_stats["sharding"]["per_shard"].items():
-            requests_block = entry.get("requests", {})
-            print(f"  {label}: {requests_block.get('requests', 0)} requests "
-                  f"({requests_block.get('cross_shard', 0)} cross-shard), "
-                  f"candidate-cache hit rate "
-                  f"{entry['candidate_cache']['hit_rate']:.2f}")
 
 
 if __name__ == "__main__":

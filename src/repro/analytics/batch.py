@@ -48,6 +48,13 @@ def _auto_tile_size(num_sources: int, plane) -> int:
     return max(1, min(DEFAULT_TILE_SIZE, per_wave))
 
 
+def _check_chunk_size(chunk_size: int | None) -> None:
+    """Refuse a slab size the kernel cannot sweep, before any tile: a
+    pooled one would otherwise fail inside a worker as its ExecError."""
+    if chunk_size is not None and chunk_size < 1:
+        raise AnalyticsError(f"chunk_size must be >= 1, got {chunk_size}")
+
+
 def _observe(metrics, product: str, *, pairs: int, elapsed_s: float,
              tiles: int = 1, pooled: bool = False) -> None:
     if metrics is None:
@@ -93,6 +100,7 @@ def od_cost_matrix(network, origins, destinations=None, *, cost=None,
         raise AnalyticsError("od_cost_matrix needs origins and destinations")
     if method not in ("auto", "sweep"):
         raise AnalyticsError(f"unknown od method {method!r}")
+    _check_chunk_size(chunk_size)
     began = perf_counter()
     kernel = csr_for(network)
     forward = len(origins) <= len(destinations)
@@ -138,6 +146,7 @@ def od_cost_pairs(network, pairs, *, cost=None, method: str = "auto",
         raise AnalyticsError("od_cost_pairs needs at least one pair")
     if method not in ("auto", "sweep"):
         raise AnalyticsError(f"unknown od method {method!r}")
+    _check_chunk_size(chunk_size)
     began = perf_counter()
     kernel = csr_for(network)
     sources = list(dict.fromkeys(origin for origin, _ in pairs))
@@ -175,6 +184,7 @@ def service_area(network, sources, budgets, *, cost=None,
     # Before any tile: a pooled bad budget would otherwise surface as
     # the worker's ExecError instead of this AnalyticsError.
     check_budgets(budgets)
+    _check_chunk_size(chunk_size)
     began = perf_counter()
     num_tiles = 1
     if plane is not None and len(sources) > 1:

@@ -1,7 +1,7 @@
 """Kernel-level batch products and their result types.
 
 Everything here computes directly against a :class:`CSRGraph` — no
-pool, no partition, no metrics — so the exact same code runs inline in
+pool, no tiles, no metrics — so the exact same code runs inline in
 the caller's process and inside a worker that attached the kernel from
 shared memory.  Orchestration (tiling, fan-out, accounting) lives in
 :mod:`repro.analytics.tiling` and :mod:`repro.analytics.batch`.

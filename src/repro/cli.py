@@ -14,8 +14,7 @@ without writing Python::
         --source 3 --target 47
     python -m repro.cli serve --network /tmp/net.json --model /tmp/model.npz \
         --queries-file /tmp/queries.json --json \
-        --concurrency 8 --flush-deadline-ms 2 --split v0001=3,v0002=1 \
-        --shards 4
+        --concurrency 8 --flush-deadline-ms 2 --split v0001=3,v0002=1
     python -m repro.cli od-matrix --network /tmp/net.json \
         --origins 3,9,12 --destinations 47,58 --cost travel_time
     python -m repro.cli service-area --network /tmp/net.json \
@@ -44,7 +43,6 @@ from repro.graph.io import load_network_json, save_network_json
 from repro.graph.osm import save_osm_xml
 from repro.ranking.evaluation import evaluate_scorer
 from repro.ranking.training_data import Strategy, TrainingDataConfig, generate_queries
-from repro.graph.partition import voronoi_partition
 from repro.serving import (
     ModelRegistry,
     RankingService,
@@ -52,7 +50,6 @@ from repro.serving import (
     ResilienceConfig,
     ServingConfig,
     ServingEngine,
-    ShardedRegistry,
     parse_fault_spec,
 )
 from repro.serving.resilience import SHED_POLICIES
@@ -160,11 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--split", default=None,
                        help="A/B traffic split, e.g. 'v0001=3,v0002=1' "
                             "(weights are normalised)")
-    serve.add_argument("--shards", type=int, default=0,
-                       help="partition the network into this many "
-                            "road-distance Voronoi region shards and serve "
-                            "on the shard plane (0 = unsharded; the "
-                            "checkpoint serves all shards)")
     serve.add_argument("--json", action="store_true",
                        help="print responses and stats as JSON")
     serve.add_argument("--execution",
@@ -198,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "degrade to the shortest path")
     serve.add_argument("--fault-spec", default=None,
                        help="arm deterministic fault injection for the "
-                            "replay, e.g. 'score@1:error;prepare:delay=20' "
+                            "replay, e.g. 'score:error;prepare:delay=20' "
                             "(see docs/robustness.md)")
     serve.add_argument("--fault-seed", type=int, default=0,
                        help="determinism seed for --fault-spec firing draws")
@@ -350,7 +342,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     dataset = TrajectoryDataset.load(args.dataset)
-    ranker = PathRankRanker(dataset.network).load(args.model)
+    ranker = PathRankRanker(dataset.network, RankerConfig(
+        training_data=TrainingDataConfig(k=args.k))).load(args.model)
     if not dataset.network.has_vertex(args.source) \
             or not dataset.network.has_vertex(args.target):
         print("error: source/target vertex not in the network", file=sys.stderr)
@@ -414,7 +407,7 @@ def _build_service(args: argparse.Namespace):
         candidates=TrainingDataConfig(
             strategy=Strategy.from_name(args.strategy), k=args.k),
         candidate_cache_size=args.cache_size,
-        max_batch_size=max(args.batch_size * args.k, 1),
+        max_batch_size=args.batch_size * args.k,
         fallback_to_shortest=not args.no_fallback,
         traffic_split=split,
         trace_sample=args.trace_sample,
@@ -422,16 +415,7 @@ def _build_service(args: argparse.Namespace):
         execution=args.execution,
         workers=args.workers,
     )
-    if args.shards > 1:
-        # Shard plane behind one checkpoint: partition the network and
-        # back every shard with the shared registry, so the single
-        # published model serves all regions while caches and scoring
-        # batches stay shard-local.
-        partition = voronoi_partition(network, args.shards, rng=0)
-        service = RankingService(
-            network, ShardedRegistry.shared(registry, partition), config)
-    else:
-        service = RankingService(network, registry, config)
+    service = RankingService(network, registry, config)
     try:
         service.activate(model_path.stem)
     except BaseException:
@@ -490,11 +474,12 @@ def _print_trace_breakdown(trace: dict) -> None:
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Validate every input before the service exists: under --execution
     # processes it owns worker processes and shared-memory segments.
-    if args.shards < 0:
-        raise ConfigError(f"--shards must be >= 0, got {args.shards}")
     if args.concurrency < 0:
         raise ConfigError(
             f"--concurrency must be >= 0, got {args.concurrency}")
+    if args.batch_size < 1:
+        raise ConfigError(
+            f"--batch-size must be >= 1, got {args.batch_size}")
     requests = _load_queries(args.queries_file)
     faults = (None if args.fault_spec is None
               else parse_fault_spec(args.fault_spec))

@@ -2,7 +2,7 @@
 
 The serving stack's kernels (CSR routing, fused scoring) release no
 GIL, so worker *threads* only amortise batching — cold candidate
-generation and per-(shard, snapshot) scoring groups still execute
+generation and per-snapshot scoring groups still execute
 serially on one core.  This package takes the step past the GIL:
 
 - :mod:`repro.exec.shm` — :class:`SharedArena` and the segment codec:

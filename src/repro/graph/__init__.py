@@ -28,13 +28,6 @@ To force the reference backend, set ``REPRO_ROUTING_BACKEND=dict`` in
 the environment, call :func:`set_routing_backend("dict")
 <set_routing_backend>`, or use the :func:`use_routing_backend` context
 manager; individual calls also accept ``backend="dict"``.
-
-Partitioning
-------------
-:func:`voronoi_partition` splits a network into the node-disjoint
-region shards the serving plane keys its registries, caches and
-breakers on; a :class:`GraphPartition` only says which shard owns a
-vertex.
 """
 
 from repro.graph.builders import grid_network, north_jutland_like, ring_radial_network
@@ -58,11 +51,6 @@ from repro.graph.io import (
 from repro.graph.ksp import yen_k_shortest_paths, yen_path_generator
 from repro.graph.network import Edge, RoadCategory, RoadNetwork, Vertex
 from repro.graph.osm import load_osm_xml, save_osm_xml
-from repro.graph.partition import (
-    GraphPartition,
-    RegionShard,
-    voronoi_partition,
-)
 from repro.graph.path import Path
 from repro.graph.shortest_path import (
     astar,
@@ -89,9 +77,6 @@ __all__ = [
     "Vertex",
     "Edge",
     "Path",
-    "GraphPartition",
-    "RegionShard",
-    "voronoi_partition",
     "CSRGraph",
     "csr_for",
     "csr_if_built",

@@ -1,7 +1,7 @@
 """Per-request stage tracing with sampling and slow-request exemplars.
 
 A :class:`Trace` is a flat list of :class:`Span` records — one per
-pipeline stage a request passed through (``admit``, ``shard_route``,
+pipeline stage a request passed through (``admit``,
 ``split_assign``, ``candidates``, ``queue_wait``, ``flush_wait``,
 ``score``, ``assemble``) — cheap enough to ride on the
 :class:`~repro.serving.pipeline.QueryState` itself.  Spans store their

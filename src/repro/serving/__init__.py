@@ -41,20 +41,10 @@ deployment needs around it:
   outcome counters (``stats()["splits"]``), and the score cache carves a
   per-split quota for each variant so a low-traffic arm's entries are
   never evicted by the majority split's churn.
-* **Shard plane** (:mod:`repro.serving.sharding`) — a
-  :class:`~repro.graph.partition.GraphPartition` splits the network
-  into region shards; :class:`ShardedRegistry` holds one registry per
-  shard, the service carves its own cache budgets into per-shard
-  candidate/score caches, and a :class:`ShardRouter` tags every
-  request with its owning shard at admission.  Scoring flushes
-  coalesce per *(shard, snapshot)* group, while candidate generation
-  always runs on the full network, so every ranking is element-wise
-  identical to an unsharded service's
-  (``tests/serving/test_sharding.py`` pins this).
 * **Telemetry** (:mod:`repro.obs`) — the service records its request,
   latency and resilience counts straight into the instruments of its
-  central :class:`~repro.obs.metrics.MetricsRegistry`; caches, scorers,
-  breakers and the per-split / per-shard books publish through
+  central :class:`~repro.obs.metrics.MetricsRegistry`; the caches, the
+  scorer, the breaker and the per-split books publish through
   callbacks under canonical dotted names, and ``stats()`` reads the
   same objects.  ``ServingConfig.trace_sample`` arms per-request stage
   tracing (spans on :class:`~repro.serving.pipeline.QueryState`,
@@ -67,8 +57,8 @@ deployment needs around it:
   :mod:`repro.serving.faults`) — per-request deadline budgets checked
   at every pipeline stage, bounded admission queues with an explicit
   shed policy (reject-with-retry-after or degrade-to-shortest-path),
-  per-shard-lane circuit breakers that route tripped lanes to the
-  global fallback, deterministic jittered retry for transient scoring
+  one circuit breaker per service that routes scoring groups to the
+  shortest-path fallback while it is open, deterministic jittered retry for transient scoring
   failures, and a seedable fault-injection layer (latency spikes,
   errors, hangs at named points) for reproducible chaos testing — all
   dormant by default with exact response parity (see
@@ -143,12 +133,6 @@ from repro.serving.resilience import (
     ResilienceConfig,
     retry_backoff,
 )
-from repro.serving.sharding import (
-    ShardedRegistry,
-    ShardLane,
-    ShardRoute,
-    ShardRouter,
-)
 from repro.serving.service import (
     RankedPath,
     RankingService,
@@ -177,10 +161,6 @@ __all__ = [
     "ScoreCache",
     "ServingConfig",
     "ServingEngine",
-    "ShardedRegistry",
-    "ShardLane",
-    "ShardRoute",
-    "ShardRouter",
     "assign_split",
     "format_fault_spec",
     "normalise_split",

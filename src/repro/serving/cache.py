@@ -38,10 +38,8 @@ def carve_budget(total: int, weights: Sequence[float]) -> list[int]:
     Shares are carved from the remaining budget — leaving one entry for
     every later share — so the result stays within ``total`` whenever
     the budget covers the floors
-    (``sum(shares) <= max(total, len(weights))``).  The single
-    allocation rule behind both the per-shard cache budgets
-    (:func:`repro.serving.sharding.split_budget`) and the per-split
-    score-cache quota segments.
+    (``sum(shares) <= max(total, len(weights))``).  The allocation
+    rule behind the score cache's per-split quota segments.
     """
     if total < 1:
         raise ConfigError(f"budget must be >= 1, got {total}")
@@ -86,9 +84,8 @@ class CacheStats:
     def merge(self, other: "CacheStats") -> "CacheStats":
         """Accumulate ``other`` into this record (returns self).
 
-        The aggregation point for every multi-segment view (score-cache
-        quota segments, per-shard lane roll-ups): new counters added
-        here propagate to all of them.
+        The aggregation point for the score cache's quota segments: new
+        counters added here propagate to its merged view.
         """
         self.hits += other.hits
         self.misses += other.misses

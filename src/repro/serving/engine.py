@@ -10,12 +10,9 @@ small-batch path.  :class:`ServingEngine` closes that gap: callers
 * **worker threads** run the admission and candidate-generation stages
   of the shared pipeline (cache-aware, so hotspot traffic is cheap),
 * a **deadline flusher** coalesces prepared requests into one scoring
-  flush per *(shard, model snapshot)* group — triggered the moment the
+  flush, scored per model-snapshot group — triggered the moment the
   service's ``max_batch_size`` paths accumulate, or ``flush_deadline_ms``
-  after the oldest pending request arrived, whichever comes first.  On
-  a sharded service each flush scores every shard's group through that
-  shard's own scorer/caches, and the occupancy view keeps a per-shard
-  breakdown alongside the whole-flush numbers, and
+  after the oldest pending request arrived, whichever comes first, and
 * a third rule: **a request that needs no forward pass never waits**.
   When the score cache already holds every one of its paths, the
   worker that prepared it answers it through the same scoring stage a
@@ -54,7 +51,6 @@ from repro.errors import DeadlineExceeded, ServingError
 from repro.obs.metrics import Histogram
 from repro.serving.pipeline import QueryState
 from repro.serving.service import RankingService, RankRequest, RankResponse
-from repro.serving.sharding import shard_label
 
 __all__ = ["EngineTicket", "ServingEngine"]
 
@@ -64,12 +60,6 @@ __all__ = ["EngineTicket", "ServingEngine"]
 #: structured deadline response, and the waiter should collect *that*
 #: rather than racing it.
 RESULT_GRACE_S = 0.5
-
-
-def _flush_histograms() -> tuple[Histogram, Histogram]:
-    """Requests and paths per scoring flush."""
-    return (Histogram("engine.occupancy.requests"),
-            Histogram("engine.occupancy.paths"))
 
 
 class EngineTicket:
@@ -182,13 +172,13 @@ class ServingEngine:
                 f"got {flush_deadline_ms!r}")
         self._warmup = list(warmup) if warmup else []
         self.warmed_up = 0
-        # Flush occupancy: requests and paths per scoring flush, whole
-        # and per shard group (sharded services).  A histogram's exact
-        # count and sum give flushes and totals.  The histograms belong
-        # to this engine: a rebuilt engine over the same service starts
-        # at zero and takes the engine.occupancy.* section over.
-        self._flush_sizes = _flush_histograms()
-        self._group_sizes: dict[str, tuple[Histogram, Histogram]] = {}
+        # Flush occupancy: requests and paths per scoring flush.  A
+        # histogram's exact count and sum give flushes and totals.  The
+        # histograms belong to this engine: a rebuilt engine over the
+        # same service starts at zero and takes the engine.occupancy.*
+        # section over.
+        self._flush_sizes = (Histogram("engine.occupancy.requests"),
+                             Histogram("engine.occupancy.paths"))
         service.metrics.register_callback("engine.occupancy", self.occupancy)
 
         self._lock = threading.Lock()
@@ -517,8 +507,8 @@ class ServingEngine:
             self.service.score_states(states)
         except Exception as exc:  # noqa: BLE001 - deliberate backstop
             # score_states degrades ReproError per request already (and
-            # per (shard, snapshot) group, so one shard's poison batch
-            # never touches another's); an unexpected exception degrades
+            # per snapshot group, so one version's poison batch never
+            # touches another's); an unexpected exception degrades
             # the whole batch to the fallback instead of killing the
             # scoring thread (which would strand these tickets and stop
             # deadline flushes).
@@ -533,20 +523,6 @@ class ServingEngine:
         requests, paths = self._flush_sizes
         requests.observe(len(states))
         paths.observe(sum(len(state.paths) for state in states))
-        if self.service.sharded is not None:
-            groups: dict[str, list[int]] = {}
-            for state in states:
-                sizes = groups.setdefault(shard_label(state.shard), [0, 0])
-                sizes[0] += 1
-                sizes[1] += len(state.paths)
-            for label, (group_requests, group_paths) in groups.items():
-                histograms = self._group_sizes.get(label)
-                if histograms is None:
-                    with self._lock:
-                        histograms = self._group_sizes.setdefault(
-                            label, _flush_histograms())
-                histograms[0].observe(group_requests)
-                histograms[1].observe(group_paths)
         # Assembly is deferred to each ticket's waiter (see
         # EngineTicket.wait): releasing the batch here keeps the flush
         # critical path at "score + wake", so the next flush can start
@@ -558,7 +534,7 @@ class ServingEngine:
     # Introspection
     # ------------------------------------------------------------------
     def occupancy(self) -> dict[str, object]:
-        """Mean requests / paths per scoring flush, whole and per group.
+        """Mean requests / paths per scoring flush.
 
         Above 1 request per flush is the direct evidence that
         cross-request coalescing engaged: independent queries shared a
@@ -566,25 +542,12 @@ class ServingEngine:
         """
         requests, paths = (histogram.summary()
                            for histogram in self._flush_sizes)
-        view: dict[str, object] = {
+        return {
             "flushes": requests["count"],
             "requests_coalesced": int(requests["sum"]),
             "mean_requests_per_flush": requests["mean"],
             "mean_paths_per_flush": paths["mean"],
         }
-        with self._lock:
-            groups = sorted(self._group_sizes.items())
-        if groups:
-            view["groups"] = {}
-            for label, histograms in groups:
-                requests, paths = (histogram.summary()
-                                   for histogram in histograms)
-                view["groups"][label] = {
-                    "flushes": requests["count"],
-                    "mean_requests_per_flush": requests["mean"],
-                    "mean_paths_per_flush": paths["mean"],
-                }
-        return view
 
     def stats(self) -> dict[str, object]:
         """The underlying service's stats plus the engine's own gauges."""

@@ -8,7 +8,7 @@ or bench can assert precisely how much chaos it caused.
 
 A :class:`FaultInjector` holds a list of :class:`FaultRule` records and
 is consulted at *named injection points* threaded through the serving
-stack (``service.py``, ``engine.py``, ``batching.py``, ``sharding.py``):
+stack (``service.py``, ``engine.py``, ``batching.py``, ``exec/pool.py``):
 
 ===================  =====================================================
 point                fires
@@ -23,7 +23,6 @@ point                fires
                      never for a request the engine answers from the
                      score cache, which skips the flush
 ``scorer.flush``     per call, inside :meth:`BatchingScorer.score_many`
-``route``            per request, in :class:`ShardRouter.route`
 ``exec.worker``      per pool dispatch, in :class:`WorkerPool.submit` —
                      an ``error`` firing is translated into a real
                      ``SIGKILL`` of a live worker process, so the
@@ -35,18 +34,18 @@ Rules support three kinds: ``delay`` (latency spike of ``delay_ms``),
 :class:`ServingError`, so the stack retries / trips breakers / degrades
 exactly as for a real transient failure), and ``hang`` (block on an
 event until :meth:`FaultInjector.disarm` releases it — how tests prove
-nothing waits forever).  Rules can be scoped to one shard, rate-limited
-(``rate``), warmup-skipped (``after``) and budget-capped (``count``).
+nothing waits forever).  Rules can be rate-limited (``rate``),
+warmup-skipped (``after``) and budget-capped (``count``).
 
 The whole layer is **dormant by default**: a service without an armed
 injector (``service.faults is None``) pays only an attribute check per
 stage, and ``tests/serving/test_resilience.py`` pins exact response
 parity for that state.
 
-Specs are written ``point[@shard]:kind[:key=value,...]`` joined by
+Specs are written ``point:kind[:key=value,...]`` joined by
 semicolons, e.g.::
 
-    score@1:error                    # kill shard lane 1's scorer
+    score:error                      # kill the service's scorer
     prepare:delay:delay_ms=20        # 20 ms latency spike on prepare
     score:error:rate=0.25,count=10   # 25% failures, at most 10
     engine.flush:hang                # hang a flush until disarm()
@@ -71,7 +70,7 @@ FAULT_KINDS = ("delay", "error", "hang")
 
 #: Named injection points wired through the serving stack.
 INJECTION_POINTS = ("admit", "prepare", "score", "assemble",
-                    "engine.submit", "engine.flush", "scorer.flush", "route",
+                    "engine.submit", "engine.flush", "scorer.flush",
                     "exec.worker")
 
 
@@ -82,8 +81,7 @@ class FaultRule:
     ``rate`` is the per-hit firing probability (decided by a
     deterministic hash draw, see :meth:`FaultInjector.fire`);
     ``after`` skips the first N hits entirely (warmup); ``count``
-    caps total firings (``None`` = unlimited); ``shard`` restricts the
-    rule to one shard lane (``None`` = all).
+    caps total firings (``None`` = unlimited).
     """
 
     point: str
@@ -92,7 +90,6 @@ class FaultRule:
     rate: float = 1.0
     count: int | None = None
     after: int = 0
-    shard: int | None = None
 
     def __post_init__(self) -> None:
         if self.point not in INJECTION_POINTS:
@@ -114,8 +111,6 @@ class FaultRule:
             raise ConfigError(f"count must be >= 1 (or None), got {self.count}")
         if self.after < 0:
             raise ConfigError(f"after must be >= 0, got {self.after}")
-        if self.shard is not None and self.shard < 0:
-            raise ConfigError(f"shard must be >= 0 (or None), got {self.shard}")
 
 
 class FaultInjector:
@@ -158,8 +153,8 @@ class FaultInjector:
                          digest_size=8).digest()
         return int.from_bytes(digest, "big") / 2.0 ** 64
 
-    def fire(self, point: str, shard: int | None = None) -> None:
-        """Evaluate all rules matching ``point`` (and ``shard``).
+    def fire(self, point: str) -> None:
+        """Evaluate all rules matching ``point``.
 
         Called from the serving hot path; returns immediately when
         disarmed or when no rule matches.  May sleep (``delay``),
@@ -172,9 +167,6 @@ class FaultInjector:
         with self._lock:
             for index, rule in enumerate(self.rules):
                 if rule.point != point:
-                    continue
-                if rule.shard is not None and shard is not None \
-                        and rule.shard != shard:
                     continue
                 hit = self._hits[index]
                 self._hits[index] += 1
@@ -200,9 +192,7 @@ class FaultInjector:
                         self._hanging -= 1
         for rule in actions:
             if rule.kind == "error":
-                raise FaultInjected(
-                    f"injected fault at {point!r}"
-                    + (f" (shard {shard})" if shard is not None else ""))
+                raise FaultInjected(f"injected fault at {point!r}")
 
     def disarm(self) -> None:
         """Stop all future firings and release every hanging thread."""
@@ -221,7 +211,6 @@ class FaultInjector:
                 "hanging": self._hanging,
                 "rules": [
                     {"point": rule.point, "kind": rule.kind,
-                     "shard": rule.shard,
                      "hits": self._hits[index],
                      "fired": self._fired[index]}
                     for index, rule in enumerate(self.rules)
@@ -232,13 +221,13 @@ class FaultInjector:
 def _parse_value(key: str, raw: str):
     if key in ("delay_ms", "rate"):
         return float(raw)
-    if key in ("count", "after", "shard"):
+    if key in ("count", "after"):
         return int(raw)
     raise ConfigError(f"unknown fault rule option {key!r}")
 
 
 def parse_fault_spec(text: str) -> tuple[FaultRule, ...]:
-    """Parse ``point[@shard]:kind[:key=value,...]`` rules joined by ``;``.
+    """Parse ``point:kind[:key=value,...]`` rules joined by ``;``.
 
     ``delay`` accepts the shorthand ``point:delay=<ms>`` in place of
     ``point:delay:delay_ms=<ms>``.  Raises :class:`ConfigError` on any
@@ -253,17 +242,8 @@ def parse_fault_spec(text: str) -> tuple[FaultRule, ...]:
         if len(parts) < 2:
             raise ConfigError(
                 f"fault rule {chunk!r} must look like point:kind[:options]")
-        target, kind = parts[0].strip(), parts[1].strip()
+        point, kind = parts[0].strip(), parts[1].strip()
         options = ":".join(parts[2:]).strip()
-        shard: int | None = None
-        if "@" in target:
-            target, _, shard_text = target.partition("@")
-            try:
-                shard = int(shard_text)
-            except ValueError:
-                raise ConfigError(
-                    f"fault rule {chunk!r} has a non-integer shard "
-                    f"{shard_text!r}") from None
         kwargs: dict[str, object] = {}
         if "=" in kind:  # shorthand: point:delay=20
             kind, _, raw = kind.partition("=")
@@ -284,10 +264,8 @@ def parse_fault_spec(text: str) -> tuple[FaultRule, ...]:
                 raise ConfigError(
                     f"fault rule {chunk!r} option {option!r} has a "
                     f"malformed value") from None
-        if shard is not None:
-            kwargs["shard"] = shard
         try:
-            rules.append(FaultRule(point=target, kind=kind, **kwargs))
+            rules.append(FaultRule(point=point, kind=kind, **kwargs))
         except TypeError:
             raise ConfigError(
                 f"fault rule {chunk!r} repeats or misuses an option") from None
@@ -300,8 +278,6 @@ def format_fault_spec(rules) -> str:
     """Render rules back to the spec grammar (inverse of the parser)."""
     chunks = []
     for rule in rules:
-        target = rule.point if rule.shard is None \
-            else f"{rule.point}@{rule.shard}"
         options = []
         if rule.kind == "delay":
             options.append(f"delay_ms={rule.delay_ms:g}")
@@ -311,7 +287,7 @@ def format_fault_spec(rules) -> str:
             options.append(f"count={rule.count}")
         if rule.after:
             options.append(f"after={rule.after}")
-        chunk = f"{target}:{rule.kind}"
+        chunk = f"{rule.point}:{rule.kind}"
         if options:
             chunk += ":" + ",".join(options)
         chunks.append(chunk)

@@ -5,14 +5,14 @@ Every query — whether it enters through the synchronous
 :class:`~repro.serving.engine.ServingEngine` front door — moves through
 the same four stages:
 
-1. **admission** — route the request to its region shard (when the
-   service is sharded), then resolve the candidate configuration and
-   the model snapshot that will answer it (the shard's active model, a
-   per-request pinned version, or a weighted A/B traffic split);
+1. **admission** — validate the request, then resolve the candidate
+   configuration and the model snapshot that will answer it (the active
+   model, a per-request pinned version, or a weighted A/B traffic
+   split);
 2. **candidate generation** — cache-aware TkDI / D-TkDI enumeration on
    the full network;
-3. **scoring** — coalesced batched forward passes, grouped per
-   ``(shard, model snapshot)``;
+3. **scoring** — coalesced batched forward passes, grouped per model
+   snapshot;
 4. **response assembly** — ranking, degradation, and metrics.
 
 The stage implementations live on :class:`RankingService` (they need its
@@ -38,7 +38,6 @@ from repro.serving.registry import ActiveModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.service import RankRequest, RankResponse
-    from repro.serving.sharding import ShardRoute
 
 __all__ = ["QueryState", "TrafficSplit", "normalise_split", "assign_split",
            "tightest_remaining_ms"]
@@ -65,13 +64,6 @@ class QueryState:
     started: float = field(default_factory=time.perf_counter)
     #: Candidate configuration after the per-request ``k`` override.
     config: TrainingDataConfig | None = None
-    #: Region shard owning this request (0 on an unsharded service).
-    #: The scoring stage coalesces per ``(shard, snapshot)`` group and
-    #: every stage indexes its per-shard resources by this.
-    shard: int = 0
-    #: Shard routing decision (graph + cross-shard policy outcome);
-    #: ``None`` on an unsharded service.
-    route: "ShardRoute | None" = None
     #: The split label this request was routed to (a model version), or
     #: ``None`` when the plain active model answered.
     split: str | None = None
@@ -120,11 +112,6 @@ class QueryState:
         """Whether the deadline budget has run out."""
         remaining = self.remaining_ms(now)
         return remaining is not None and remaining <= 0.0
-
-    @property
-    def cross_shard(self) -> bool:
-        """Whether the request's endpoints live in different shards."""
-        return self.route is not None and self.route.cross
 
 
 def tightest_remaining_ms(states) -> float | None:

@@ -1,6 +1,6 @@
 """The serving resilience plane: deadlines, shedding, breakers, retries.
 
-Everything below PR 6 fails *open-ended*: a slow or poisoned shard lane
+Everything below PR 6 fails *open-ended*: a slow or poisoned scorer
 stalls whole flush batches, admission queues grow without bound under
 overload, and a waiter can block forever on a ticket whose worker died.
 This module holds the policy objects that turn those failure modes into
@@ -27,20 +27,20 @@ This module holds the policy objects that turn those failure modes into
   error carrying a ``retry_after_ms`` hint; ``"degrade"`` skips model
   scoring and serves the shortest-path fallback (bounded work in the
   caller's thread, no queue growth either way).
-* :class:`CircuitBreaker` — one per shard lane, closed/open/half-open
+* :class:`CircuitBreaker` — one per service, closed/open/half-open
   over a rolling window of scoring-group outcomes (failures, and
-  optionally successes slower than ``breaker_latency_ms``).  A tripped
-  lane's requests route straight to the existing global shortest-path
-  fallback without touching the scorer; after ``breaker_cooldown_ms``
-  a few half-open probe groups test the lane and either close it again
-  or re-open it.
+  optionally successes slower than ``breaker_latency_ms``).  While it
+  is tripped, requests route straight to the shortest-path fallback
+  without touching the scorer; after ``breaker_cooldown_ms`` a few
+  half-open probe groups test the scorer and either close the breaker
+  again or re-open it.
 * :func:`retry_backoff` — deterministic jittered exponential backoff
   for transient scoring/registry failures.  Hash-seeded (not
   RNG-state-seeded) so replays and both front doors retry on the same
   schedule.
 
 The service counts how often each mechanism fired in ``resilience.*``
-counters of its metrics registry and publishes per-lane breaker state
+counters of its metrics registry and publishes its breaker's state
 next to them.  See ``docs/robustness.md``.
 """
 
@@ -89,9 +89,9 @@ class ResilienceConfig:
     shed_policy: str = "reject"
     #: ``retry_after_ms`` hint attached to shed-rejected responses.
     retry_after_ms: float = 50.0
-    #: Per-shard-lane circuit breakers over scoring-group outcomes.
+    #: The service's circuit breaker over scoring-group outcomes.
     breaker_enabled: bool = True
-    #: Rolling outcome window per lane (scoring groups, not requests).
+    #: Rolling outcome window (scoring groups, not requests).
     breaker_window: int = 32
     #: Minimum outcomes in the window before the breaker may trip.
     breaker_min_samples: int = 8
@@ -100,7 +100,7 @@ class ResilienceConfig:
     #: Optional latency SLO: a successful group slower than this counts
     #: as a failure in the window (``None`` = outcome-only).
     breaker_latency_ms: float | None = None
-    #: How long an open breaker blocks its lane before probing.
+    #: How long an open breaker blocks scoring before probing.
     breaker_cooldown_ms: float = 1000.0
     #: Consecutive half-open probe successes required to close again.
     breaker_half_open_probes: int = 2
@@ -194,10 +194,10 @@ def retry_backoff(attempt: int, config: ResilienceConfig,
 
 
 class CircuitBreaker:
-    """Closed/open/half-open gate over one shard lane's scoring health.
+    """Closed/open/half-open gate over a service's scoring health.
 
-    Outcomes are recorded per scoring *group* (one coalesced flush of a
-    lane), not per request, so the hot-path cost is one deque append
+    Outcomes are recorded per scoring *group* (one coalesced pass over a
+    model snapshot), not per request, so the hot-path cost is one deque append
     per forward batch.  The clock is injectable for deterministic
     lifecycle tests.
 
@@ -205,8 +205,8 @@ class CircuitBreaker:
       ``breaker_window`` outcomes trips the breaker open once at least
       ``breaker_min_samples`` outcomes show a failure fraction of
       ``breaker_failure_rate`` or worse.
-    * **open** — :meth:`allow` refuses (the service routes the lane's
-      requests to the global fallback) until ``breaker_cooldown_ms``
+    * **open** — :meth:`allow` refuses (the service routes the group's
+      requests to the shortest-path fallback) until ``breaker_cooldown_ms``
       has elapsed, then the breaker moves to half-open.
     * **half-open** — up to ``breaker_half_open_probes`` probe groups
       are admitted; that many consecutive successes close the breaker,
@@ -242,7 +242,7 @@ class CircuitBreaker:
             self._probe_successes = 0
 
     def allow(self) -> bool:
-        """Whether the lane may score a group right now.
+        """Whether the scorer may score a group right now.
 
         In half-open state this *claims* a probe slot, so callers must
         follow every allowed attempt with :meth:`record_success` or

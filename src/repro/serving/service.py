@@ -11,33 +11,22 @@ instead of failing the request.
 Internally the service is a **staged pipeline** over
 :class:`~repro.serving.pipeline.QueryState` records:
 
-* :meth:`RankingService.admit` — route the request to its region shard
-  (sharded services), then resolve the candidate configuration and the
-  model snapshot (active, pinned, or A/B-split) for it;
+* :meth:`RankingService.admit` — validate the request, then resolve the
+  candidate configuration and the model snapshot (active, pinned, or
+  A/B-split) for it;
 * :meth:`RankingService.prepare` — cache-aware candidate generation on
   the full network;
 * :meth:`RankingService.score_states` — coalesced scoring of many
-  states, grouped per *(shard, model snapshot)*, with per-request
-  degradation when a batch fails;
+  states, grouped per model snapshot, with per-request degradation
+  when a batch fails;
 * :meth:`RankingService.assemble` — ranking, fallback, and metrics.
 
 :meth:`rank_batch` simply runs the stages back to back; the concurrent
 :class:`~repro.serving.engine.ServingEngine` drives the *same* stage
 methods from worker threads with deadline-based flushing, which is what
 makes its responses element-wise identical to the synchronous path.
-
-**Shard plane.**  Every stage indexes its resources through a per-shard
-:class:`~repro.serving.sharding.ShardLane` (registry, candidate cache,
-score cache, scorer).  An unsharded service is the one-lane degenerate
-case — lane 0 over the full network — so the classic
-``RankingService(network, registry)`` construction behaves exactly as
-before.  Constructing the service with a
-:class:`~repro.serving.sharding.ShardedRegistry` instead activates the
-plane: the service carves its cache budgets over the shards, a
-:class:`~repro.serving.sharding.ShardRouter` tags each request with its
-owning shard at admission, and scoring batches coalesce per shard lane.
-Candidate generation always runs on the full network, so a sharded
-service answers every OD pair exactly as the unsharded one does.
+Every stage reads the service's one candidate cache, one score cache,
+one scorer and (at most) one circuit breaker directly.
 
 **Execution plane.**  ``ServingConfig.execution`` selects how the
 CPU-bound stages run: ``"inline"`` (the default — behaviour identical
@@ -58,12 +47,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from repro.core.ranker import generate_candidates, rank_paths
-from repro.errors import (
-    ConfigError,
-    ExecError,
-    ReproError,
-    ServingError,
-)
+from repro.errors import ExecError, ReproError, ServingError
 from repro.graph.csr import csr_if_built
 from repro.graph.network import RoadNetwork
 from repro.graph.path import Path
@@ -73,7 +57,7 @@ from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.ranking.training_data import TrainingDataConfig
 from repro.serving.batching import BatchingScorer
-from repro.serving.cache import CacheStats, CandidateCache, ScoreCache
+from repro.serving.cache import CandidateCache, ScoreCache
 from repro.serving.faults import FaultInjector
 from repro.serving.pipeline import (
     QueryState,
@@ -87,13 +71,6 @@ from repro.serving.resilience import (
     CircuitBreaker,
     ResilienceConfig,
     retry_backoff,
-)
-from repro.serving.sharding import (
-    ShardedRegistry,
-    ShardLane,
-    ShardRouter,
-    shard_label,
-    split_budget,
 )
 
 __all__ = ["EXECUTION_MODES", "ServingConfig", "RankRequest", "RankedPath",
@@ -122,9 +99,8 @@ _RESILIENCE_COUNTERS = ("shed_rejected", "shed_degraded", "deadline_exceeded",
                         "breaker_degraded", "retries", "retry_successes",
                         "invalid_requests")
 
-#: Per-shard request columns; ``degraded.<error_code>`` columns join
-#: them on first sight of a code.
-_SHARD_COUNTERS = ("requests", "cross_shard", "model", "fallback", "error")
+#: ``admit``'s default snapshot: the registry's current one.
+_CURRENT = object()
 
 
 def _values(counters: dict[str, Counter]) -> dict[str, int]:
@@ -141,9 +117,7 @@ class ServingConfig:
     deterministically per request identity, so replays and the
     concurrent engine route identically — and segments every score
     cache by the same weights, so a 5% variant keeps 5% of the cache to
-    itself instead of being churned out by the majority split.  The
-    ``*_cache_size`` fields are the service's whole budget: a sharded
-    service carves them over its shards by node count.
+    itself instead of being churned out by the majority split.
     ``score_cache_size=0`` disables score memoisation (every request
     pays the forward pass; mainly for benchmarks isolating scoring
     work).  ``max_batch_size`` caps the paths of one forward pass and is
@@ -162,7 +136,7 @@ class ServingConfig:
     #: buffer in ``stats()["trace"]``.
     trace_sample: float = 0.0
     #: Resilience plane: deadlines, admission bounds + shed policy,
-    #: per-lane circuit breakers, retry backoff.  The defaults keep
+    #: the service's circuit breaker, retry backoff.  The defaults keep
     #: every mechanism dormant or free (see
     #: :class:`~repro.serving.resilience.ResilienceConfig`).
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
@@ -244,8 +218,6 @@ class RankResponse:
     candidate_cache_hit: bool
     latency_ms: float
     error: str | None = None
-    #: Region shard that owned the request (0 on unsharded services).
-    shard: int = 0
     #: Machine-readable failure class when the resilience plane shaped
     #: this response (``invalid_request``, ``deadline_exceeded``,
     #: ``shed``, ``breaker_open``, ``engine_closed``); ``None`` for
@@ -265,42 +237,31 @@ class RankResponse:
 
 
 class RankingService:
-    """Answers ranking queries against the registry's active model(s)."""
+    """Answers ranking queries against the registry's active model."""
 
-    def __init__(self, network: RoadNetwork,
-                 registry: ModelRegistry | ShardedRegistry,
+    def __init__(self, network: RoadNetwork, registry: ModelRegistry,
                  config: ServingConfig | None = None) -> None:
         self.network = network
         self.registry = registry
         self.config = config or ServingConfig()
-        if isinstance(registry, ShardedRegistry):
-            # Sharded plane: one lane per region shard.
-            self.sharded: ShardedRegistry | None = registry
-            self.router: ShardRouter | None = ShardRouter(
-                network, registry.partition)
-            self._lanes = self._shard_lanes(registry)
-            self.candidate_cache = None
-            self.score_cache = None
-            self.scorer = None
-        else:
-            self.sharded = None
-            self.router = None
-            # Keyed by the network fingerprint too, so a graph mutation
-            # (e.g. a live incident closing a road) invalidates entries
-            # implicitly.
-            lane = self._lane(0, registry, CandidateCache(
-                self.config.candidate_cache_size, network=network),
-                self.config.score_cache_size)
-            self._lanes = {0: lane}
-            self.candidate_cache = lane.candidate_cache
-            self.score_cache = lane.score_cache
-            self.scorer = lane.scorer
+        # Keyed by the network fingerprint too, so a graph mutation
+        # (e.g. a live incident closing a road) invalidates entries
+        # implicitly.
+        self.candidate_cache = CandidateCache(
+            self.config.candidate_cache_size, network=network)
+        # Segmented by traffic_split whenever one is configured (see
+        # ScoreCache); score_cache_size=0 leaves no score cache at all.
+        self.score_cache = (
+            ScoreCache(self.config.score_cache_size,
+                       quotas=self.config.traffic_split)
+            if self.config.score_cache_size > 0 else None)
+        self.scorer = BatchingScorer(self.config.max_batch_size,
+                                     score_cache=self.score_cache)
         # The telemetry plane: every count the service keeps is an
-        # instrument recorded once; the per-split / per-shard books are
-        # keyed by data and export through callbacks.  export() reads
-        # metrics in creation order, so serving.latency is created
-        # before the request counter it must never run ahead of (see
-        # _record).
+        # instrument recorded once; the per-split books are keyed by
+        # data and export through a callback.  export() reads metrics in
+        # creation order, so serving.latency is created before the
+        # request counter it must never run ahead of (see _record).
         metrics = self.metrics = MetricsRegistry()
         self.latency = metrics.histogram("serving.latency")
         self.counters = {name: metrics.counter(f"serving.{name}")
@@ -308,16 +269,14 @@ class RankingService:
         self.res_counters = {name: metrics.counter(f"resilience.{name}")
                              for name in _RESILIENCE_COUNTERS}
         self._split_books: dict[str, tuple[Histogram, dict[str, Counter]]] = {}
-        self._shard_books: dict[int, dict[str, Counter]] = {}
         self._books_lock = threading.Lock()
         self.tracer = Tracer(sample=self.config.trace_sample, metrics=metrics)
-        # Resilience plane: per-lane circuit breakers over scoring-group
+        # Resilience plane: a circuit breaker over scoring-group
         # outcomes and the (dormant-by-default) fault-injection seam.
         self.resilience = self.config.resilience
-        self.breakers: dict[int, CircuitBreaker] = (
-            {shard_id: CircuitBreaker(self.resilience)
-             for shard_id in self._lanes}
-            if self.resilience.breaker_enabled else {})
+        self.breaker: CircuitBreaker | None = (
+            CircuitBreaker(self.resilience)
+            if self.resilience.breaker_enabled else None)
         self.faults: FaultInjector | None = None
         # Execution plane: dormant unless asked for.  "processes" stands
         # up shared-memory hot-state plus a warm worker pool, and
@@ -328,73 +287,20 @@ class RankingService:
             from repro.exec.plane import ExecutionPlane
             self.plane = ExecutionPlane(network, workers=self.config.workers,
                                         metrics=self.metrics)
-            if self.sharded is not None:
-                self.sharded.subscribe(self._on_registry_event)
-            else:
-                registry.subscribe(self._on_registry_event)
+            registry.subscribe(self._on_registry_event)
         self._register_metrics()
-
-    def _lane(self, shard_id: int, registry: ModelRegistry,
-              candidate_cache: CandidateCache,
-              score_capacity: int) -> ShardLane:
-        """One lane; ``score_capacity=0`` leaves it without a score cache.
-
-        Score caches are segmented by ``traffic_split`` whenever one is
-        configured (see :class:`~repro.serving.cache.ScoreCache`).
-        """
-        score_cache = (ScoreCache(score_capacity,
-                                  quotas=self.config.traffic_split)
-                       if score_capacity > 0 else None)
-        return ShardLane(shard_id, registry, candidate_cache, score_cache,
-                         BatchingScorer(self.config.max_batch_size,
-                                        score_cache=score_cache))
-
-    def _shard_lanes(self, sharded: ShardedRegistry) -> dict[int, ShardLane]:
-        """Carve this service's cache budgets over the shards.
-
-        Each shard gets capacity proportional to its node count (see
-        :func:`~repro.serving.sharding.split_budget`), so doubling the
-        number of regions does not double serving memory.  Like lane
-        0's, each candidate cache keys its entries by the network
-        fingerprint, so a graph mutation invalidates them implicitly.
-        """
-        shards = sharded.partition.shards
-        candidate_size = self.config.candidate_cache_size
-        score_size = self.config.score_cache_size
-        if candidate_size < len(shards):
-            raise ConfigError(
-                f"candidate_cache_size={candidate_size} cannot give each "
-                f"of {len(shards)} shards even one entry")
-        if 0 < score_size < len(shards):
-            raise ConfigError(
-                f"score_cache_size={score_size} cannot give each of "
-                f"{len(shards)} shards even one entry "
-                f"(use 0 to disable score caching)")
-        sizes = [shard.size for shard in shards]
-        candidate_shares = split_budget(candidate_size, sizes)
-        score_shares = (split_budget(score_size, sizes) if score_size > 0
-                        else [0] * len(sizes))
-        return {
-            shard.shard_id: self._lane(
-                shard.shard_id, sharded.registry(shard.shard_id),
-                CandidateCache(candidate_share, network=self.network),
-                score_share)
-            for shard, candidate_share, score_share
-            in zip(shards, candidate_shares, score_shares)
-        }
 
     def _register_metrics(self) -> None:
         """Publish the state kept outside the registry's instruments.
 
-        Caches, scorers, breakers and kernels keep their own locked
-        state, and the per-split / per-shard books are keyed by data;
-        the registry pulls each through a callback at export time.
+        Caches, the scorer, the breaker and kernels keep their own
+        locked state, and the per-split books are keyed by data; the
+        registry pulls each through a callback at export time.
         Every callback that is also a ``stats()`` section is the same
         view function on both sides.
         """
         metrics = self.metrics
         metrics.register_callback("split", self._split_view)
-        metrics.register_callback("shard", self._shard_view)
         metrics.register_callback("cache.candidate",
                                   self._candidate_cache_view)
         metrics.register_callback("cache.score", self._score_cache_view)
@@ -407,9 +313,6 @@ class RankingService:
             # exec.overhead_ms / exec.occupancy histograms the pool
             # records directly into this registry.
             metrics.register_callback("exec", self.plane.stats)
-        if self.sharded is not None:
-            for lane in self.lanes():
-                lane.register_into(metrics)
 
     def _book(self, books: dict, label, make):
         """``books[label]``, made under the books lock on first sight."""
@@ -434,56 +337,26 @@ class RankingService:
                         "counters": _values(counters)}
                 for split, (latency, counters) in books}
 
-    def _shard_view(self) -> dict[str, dict[str, float]]:
-        """Per-shard request, cross-shard and outcome columns.
-
-        ``degraded.<error_code>`` columns count responses the
-        resilience plane shaped; each also lands in its outcome column,
-        so ``requests`` is the sum of ``model``/``fallback``/``error``.
-        """
-        with self._books_lock:
-            books = sorted((shard, dict(counts))
-                           for shard, counts in self._shard_books.items())
-        view: dict[str, dict[str, float]] = {}
-        for shard, counts in books:
-            row: dict[str, float] = _values(counts)
-            row["cross_shard_fraction"] = (
-                row["cross_shard"] / row["requests"] if row["requests"]
-                else 0.0)
-            view[shard_label(shard)] = row
-        return view
-
     def _candidate_cache_view(self) -> dict[str, object]:
-        return CacheStats.merged(
-            [lane.candidate_cache.stats for lane in self.lanes()]).as_dict()
+        return self.candidate_cache.stats.as_dict()
 
     def _score_cache_view(self) -> dict[str, object]:
-        stats = [lane.score_cache.stats for lane in self.lanes()
-                 if lane.score_cache is not None]
-        if not stats:
+        if self.score_cache is None:
             return {"disabled": True}
-        return CacheStats.merged(stats).as_dict()
+        return self.score_cache.stats.as_dict()
 
     def _scoring_view(self) -> dict[str, int]:
-        totals = {"batches_run": 0, "paths_scored": 0, "cache_hits": 0}
-        for lane in self.lanes():
-            for key, value in lane.scorer.as_dict().items():
-                totals[key] += value
-        return totals
+        return self.scorer.as_dict()
 
     def _resilience_view(self) -> dict[str, object]:
         """``resilience.*`` beyond the counters.
 
-        Per-lane breaker state under ``resilience.breaker.shard-NN.*``
-        and the fault layer's summary under ``resilience.faults.*``
-        while armed.
+        The breaker's state under ``resilience.breaker.*`` and the fault
+        layer's summary under ``resilience.faults.*`` while armed.
         """
         view: dict[str, object] = {}
-        if self.breakers:
-            view["breaker"] = {
-                shard_label(shard_id): breaker.as_dict()
-                for shard_id, breaker in sorted(self.breakers.items())
-            }
+        if self.breaker is not None:
+            view["breaker"] = self.breaker.as_dict()
         if self.faults is not None:
             stats = self.faults.stats()
             view["faults"] = {
@@ -497,7 +370,7 @@ class RankingService:
     # Fault injection (chaos testing)
     # ------------------------------------------------------------------
     def arm_faults(self, spec, seed: int = 0) -> FaultInjector:
-        """Arm a fault spec across the whole stack (service, lanes, router).
+        """Arm a fault spec across the whole stack (service, scorer, pool).
 
         ``spec`` is a spec string, an iterable of
         :class:`~repro.serving.faults.FaultRule` records, or an existing
@@ -507,10 +380,7 @@ class RankingService:
         """
         injector = FaultInjector.from_spec(spec, seed=seed)
         self.faults = injector
-        for lane in self.lanes():
-            lane.scorer.faults = injector
-        if self.router is not None:
-            self.router.faults = injector
+        self.scorer.faults = injector
         if self.plane is not None:
             self.plane.set_faults(injector)
         return injector
@@ -520,10 +390,7 @@ class RankingService:
         if self.faults is not None:
             self.faults.disarm()
         self.faults = None
-        for lane in self.lanes():
-            lane.scorer.faults = None
-        if self.router is not None:
-            self.router.faults = None
+        self.scorer.faults = None
         if self.plane is not None:
             self.plane.set_faults(None)
 
@@ -531,11 +398,6 @@ class RankingService:
         """Registry lifecycle hook: prune a dead version's shared weights."""
         if event == "deactivate" and self.plane is not None:
             self.plane.on_deactivate(version)
-
-    def _fire_fault(self, point: str, shard: int | None = None) -> None:
-        """Hot-path guard: one attribute check when no injector is armed."""
-        if self.faults is not None:
-            self.faults.fire(point, shard=shard)
 
     def _routing_kernel_view(self) -> dict[str, int]:
         """``kernel.routing.*``: the network's CSR search-effort counters.
@@ -548,40 +410,28 @@ class RankingService:
         return kernel.profile_counters() if kernel is not None else {}
 
     def _scoring_kernel_view(self) -> dict[str, object]:
-        """``kernel.scoring.*``: fused forward profiles of live snapshots.
+        """``kernel.scoring.*``: the active snapshot's fused forward profile.
 
-        Sums the compiled-kernel profile over every distinct resident
-        snapshot (shards can share one); empty when nothing is compiled
-        (e.g. the module backend is active).
+        Empty when no model is active or nothing is compiled (e.g. the
+        module backend is active).
         """
-        totals: dict[str, float] = {}
-        seen: set[int] = set()
-        for lane in self.lanes():
-            active = lane.registry.snapshot()
-            if active is None:
-                continue
-            compiled = compiled_if_cached(active.model)
-            if compiled is None or id(compiled) in seen:
-                continue
-            seen.add(id(compiled))
-            for key, value in compiled.profile_counters().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        active = self.registry.snapshot()
+        compiled = None if active is None else compiled_if_cached(active.model)
+        return {} if compiled is None else compiled.profile_counters()
 
     # ------------------------------------------------------------------
     # Stage 1: admission
     # ------------------------------------------------------------------
     def admit(self, request: RankRequest,
-              default: dict[int, ActiveModel | None] | None = None
+              snapshot: ActiveModel | None | object = _CURRENT
               ) -> QueryState:
-        """Open a :class:`QueryState`, tag its shard, route it to a model.
+        """Open a :class:`QueryState` and route it to a model snapshot.
 
-        ``default`` lets a batch caller take one registry snapshot per
-        shard for every unsplit request (so a concurrent hot-swap cannot
-        divide a batch across versions): admit fills the dict with a
-        shard's snapshot on first sight and reuses it after.  Without it
-        each request takes its shard's current snapshot.  Pinned and
-        split-routed requests resolve their own snapshot regardless.
+        ``snapshot`` lets a batch caller take one registry snapshot for
+        every unsplit request (so a concurrent hot-swap cannot divide a
+        batch across versions).  Without it each request takes the
+        registry's current snapshot.  Pinned and split-routed requests
+        resolve their own snapshot regardless.
         """
         state = QueryState(request=request)
         if request.deadline_ms is not None:
@@ -591,7 +441,7 @@ class RankingService:
         trace = state.trace = self.tracer.maybe_start()
         if self.faults is not None:
             try:
-                self.faults.fire("admit", shard=None)
+                self.faults.fire("admit")
             except ReproError as exc:
                 state.error = str(exc)
                 return state
@@ -602,33 +452,18 @@ class RankingService:
         except ValueError as exc:  # hostile per-request k override
             state.error = str(exc)
             return state
-        if self.router is not None:
-            route_began = time.perf_counter() if trace is not None else 0.0
-            try:
-                state.route = self.router.route(request.source,
-                                                request.target)
-            except ReproError as exc:  # vertex outside the network
-                state.error = str(exc)
-                return state
-            state.shard = state.route.shard
-            if trace is not None:
-                trace.add("shard_route", route_began, time.perf_counter(),
-                          shard=state.shard, cross=state.route.cross)
-        lane = self._lanes[state.shard]
         version = request.model_version
         if version is None and self.config.traffic_split is not None:
             version = assign_split(request, self.config.traffic_split)
         split_began = time.perf_counter() if trace is not None else 0.0
         try:
             if version is not None:
-                state.active = lane.registry.resolve(version)
+                state.active = self.registry.resolve(version)
                 state.split = version
-            elif default is None:
-                state.active = lane.registry.snapshot()
+            elif snapshot is _CURRENT:
+                state.active = self.registry.snapshot()
             else:
-                if state.shard not in default:
-                    default[state.shard] = lane.registry.snapshot()
-                state.active = default[state.shard]
+                state.active = snapshot
         except ServingError as exc:  # unpublished pin / stale split target
             state.error = str(exc)
         if trace is not None:
@@ -700,7 +535,7 @@ class RankingService:
         began = time.perf_counter() if trace is not None else 0.0
         try:
             if self.faults is not None:
-                self.faults.fire("prepare", shard=state.shard)
+                self.faults.fire("prepare")
             state.paths, state.cache_hit = self._candidates(state)
         except ReproError as exc:
             state.error = str(exc)
@@ -712,7 +547,7 @@ class RankingService:
 
     def _candidates(self, state: QueryState) -> tuple[list[Path], bool]:
         request, config = state.request, state.config
-        cache = self._lanes[state.shard].candidate_cache
+        cache = self.candidate_cache
         cached = cache.lookup(request.source, request.target, config)
         if cached is not None:
             return cached, True
@@ -743,70 +578,63 @@ class RankingService:
     def score_states(self, states: Sequence[QueryState]) -> None:
         """Score every scorable state, one coalesced pass per group.
 
-        States are grouped per *(shard, model snapshot)* — A/B splits,
-        hot-swaps, and shard routing can all mix within one batch — and
-        each group is scored atomically through its shard's
-        :class:`BatchingScorer`.  A batch failure degrades *only* the
-        affected requests: each member is retried individually, and only
-        the ones that still fail fall back to the shortest path — so a
-        poison path in one shard's flush never touches another shard's
-        group.
+        States are grouped per model snapshot — A/B splits and hot-swaps
+        can both mix within one batch — and each group is scored
+        atomically through the service's :class:`BatchingScorer`.  A
+        batch failure degrades *only* the affected requests: each member
+        is retried individually, and only the ones that still fail fall
+        back to the shortest path.
         """
-        groups: dict[tuple[int, int], list[QueryState]] = {}
+        groups: dict[int, list[QueryState]] = {}
         for state in states:
             if state.error is None and state.expired():
                 self._expire(state)
                 continue
             if state.scorable:
-                groups.setdefault((state.shard, state.active.generation),
-                                  []).append(state)
+                groups.setdefault(state.active.generation, []).append(state)
         if len(groups) > 1 and self.plane is not None:
             # Pooled group execution: the groups are independent by
-            # construction (disjoint states, per-shard scorers/caches/
-            # breakers), and each thread merely waits on pool tickets,
-            # so the workers' forward passes overlap instead of
+            # construction (disjoint states, thread-safe scorer, caches
+            # and breaker), and each thread merely waits on pool
+            # tickets, so the workers' forward passes overlap instead of
             # serialising behind the largest group.
             threads = [
                 threading.Thread(target=self._score_states_group,
-                                 args=(shard_id, members),
-                                 name=f"score-group-{shard_id}")
-                for (shard_id, _), members in groups.items()
+                                 args=(members,),
+                                 name=f"score-group-{generation}")
+                for generation, members in groups.items()
             ]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
         else:
-            for (shard_id, _), members in groups.items():
-                self._score_states_group(shard_id, members)
+            for members in groups.values():
+                self._score_states_group(members)
 
     def scores_cached(self, state: QueryState) -> bool:
-        """Whether the lane's score cache holds every candidate of a
-        scorable ``state`` under its snapshot's version (read-only)."""
-        cache = self._lanes[state.shard].score_cache
+        """Whether the score cache holds every candidate of a scorable
+        ``state`` under its snapshot's version (read-only)."""
+        cache = self.score_cache
         return cache is not None \
             and cache.covers(state.active.version, state.paths)
 
-    def _score_states_group(self, shard_id: int,
-                            members: list[QueryState]) -> None:
-        """Score one *(shard, snapshot)* group end to end (thread-safe)."""
-        lane = self._lanes[shard_id]
-        breaker = self.breakers.get(shard_id)
-        if breaker is not None and not breaker.allow():
-            # The lane is tripped (or out of half-open probe slots):
-            # route its requests straight to the global fallback
+    def _score_states_group(self, members: list[QueryState]) -> None:
+        """Score one snapshot's group end to end (thread-safe)."""
+        if self.breaker is not None and not self.breaker.allow():
+            # The breaker is tripped (or out of half-open probe slots):
+            # route the group straight to the shortest-path fallback
             # without touching the scorer.
             for state in members:
                 state.active = None
-                state.degraded = (f"circuit breaker open on "
-                                  f"{shard_label(shard_id)}")
+                state.degraded = "circuit breaker open"
                 state.error_code = "breaker_open"
             self.res_counters["breaker_degraded"].inc(len(members))
             return
         active = members[0].active
         traced = [state for state in members if state.trace is not None]
         began = time.perf_counter() if traced else 0.0
-        scored = self._score_group(lane, breaker, members, active)
+        scored = self._score_group(members, active)
         if scored is not None:
             for state, scores in zip(members, scored):
                 state.scores = scores.tolist()
@@ -823,16 +651,16 @@ class RankingService:
                                 group_requests=len(members),
                                 group_paths=group_paths)
 
-    def _score_group(self, lane: ShardLane, breaker: CircuitBreaker | None,
-                     members: Sequence[QueryState], active: ActiveModel):
+    def _score_group(self, members: Sequence[QueryState],
+                     active: ActiveModel):
         """One group's scoring attempt: retry, breaker accounting, faults.
 
         Transient :class:`ReproError` failures (including injected ones)
         are retried up to ``retry_attempts`` times with deterministic
         jittered exponential backoff — but never past the tightest
-        member deadline.  The final outcome is recorded on the lane's
-        breaker (group latency included, so a latency SLO can trip it),
-        and a terminal failure falls back to per-request isolation via
+        member deadline.  The final outcome is recorded on the breaker
+        (group latency included, so a latency SLO can trip it), and a
+        terminal failure falls back to per-request isolation via
         :meth:`_score_individually`.
         """
         began = time.perf_counter()
@@ -852,15 +680,15 @@ class RankingService:
         while True:
             try:
                 if self.faults is not None:
-                    self.faults.fire("score", shard=lane.shard_id)
-                scored = lane.scorer.score_many(
+                    self.faults.fire("score")
+                scored = self.scorer.score_many(
                     model, [state.paths for state in members],
                     active.version)
             except ReproError:
                 if attempt < self.resilience.retry_attempts:
                     delay_s = retry_backoff(
                         attempt + 1, self.resilience,
-                        key=(lane.shard_id, active.generation, attempt))
+                        key=active.generation)
                     budget = [state.remaining_ms() for state in members]
                     tightest = min((ms for ms in budget if ms is not None),
                                    default=None)
@@ -870,20 +698,19 @@ class RankingService:
                         if delay_s > 0.0:
                             time.sleep(delay_s)
                         continue
-                if breaker is not None:
-                    breaker.record_failure()
-                self._score_individually(lane, members)
+                if self.breaker is not None:
+                    self.breaker.record_failure()
+                self._score_individually(members)
                 return None
             else:
                 if attempt:
                     self.res_counters["retry_successes"].inc()
-                if breaker is not None:
-                    breaker.record_success(
+                if self.breaker is not None:
+                    self.breaker.record_success(
                         (time.perf_counter() - began) * 1000.0)
                 return scored
 
-    def _score_individually(self, lane: ShardLane,
-                            states: Sequence[QueryState]) -> None:
+    def _score_individually(self, states: Sequence[QueryState]) -> None:
         """Retry a failed batch one request at a time.
 
         Isolates the poison request(s): a path that breaks the forward
@@ -893,7 +720,7 @@ class RankingService:
         for state in states:
             active = state.active
             try:
-                scores = lane.scorer.score_paths(active.model, state.paths,
+                scores = self.scorer.score_paths(active.model, state.paths,
                                                  active.version)
             except ReproError as exc:
                 state.active = None
@@ -921,7 +748,7 @@ class RankingService:
             self._expire(state)
         if self.faults is not None and state.error is None:
             try:
-                self.faults.fire("assemble", shard=state.shard)
+                self.faults.fire("assemble")
             except ReproError as exc:
                 state.error = str(exc)
         if state.error is not None:
@@ -942,12 +769,12 @@ class RankingService:
                     request_id=request.request_id,
                     served_by=response.served_by,
                     cache_hit=response.candidate_cache_hit,
-                    shard=state.shard, split=state.split)
+                    split=state.split)
         state.response = response
         return response
 
     def _record(self, state: QueryState, response: RankResponse) -> None:
-        """Count one answered request, service-wide, per split, per shard.
+        """Count one answered request, service-wide and per split.
 
         Each request counter is bumped before its latency histogram
         observes, and every reader takes the histogram first, so a
@@ -967,20 +794,6 @@ class RankingService:
             counters["requests"].inc()
             counters[outcome].inc()
             latency.observe(latency_ms)
-        if self.router is not None and state.route is not None:
-            # No route means no owning shard (e.g. an unknown vertex):
-            # recording it would misattribute the error to shard 0.
-            counts = self._book(
-                self._shard_books, state.shard,
-                lambda: {name: Counter(f"shard.{name}")
-                         for name in _SHARD_COUNTERS})
-            counts["requests"].inc()
-            if state.cross_shard:
-                counts["cross_shard"].inc()
-            counts[response.served_by].inc()
-            if state.error_code is not None:
-                self._book(counts, f"degraded.{state.error_code}",
-                           lambda: Counter("shard.degraded")).inc()
 
     # ------------------------------------------------------------------
     # Serving facade
@@ -990,16 +803,16 @@ class RankingService:
         return self.rank_batch([request])[0]
 
     def rank_batch(self, requests: Sequence[RankRequest]) -> list[RankResponse]:
-        """Answer many queries with one coalesced pass per (shard, model).
+        """Answer many queries with one coalesced pass per model snapshot.
 
-        The default snapshot is taken once per shard for the whole
-        batch, so a concurrent hot-swap cannot split the unsplit portion
-        of a batch across versions.
+        The default snapshot is taken once for the whole batch, so a
+        concurrent hot-swap cannot split the unsplit portion of a batch
+        across versions.
         """
         if not requests:
             return []
-        defaults: dict[int, ActiveModel | None] = {}
-        states = [self.admit(request, default=defaults)
+        snapshot = self.registry.snapshot()
+        states = [self.admit(request, snapshot=snapshot)
                   for request in requests]
         for state in states:
             self.prepare(state)
@@ -1042,7 +855,7 @@ class RankingService:
                             served_by="model",
                             model_version=state.active.version,
                             candidate_cache_hit=state.cache_hit,
-                            latency_ms=elapsed_ms, shard=state.shard)
+                            latency_ms=elapsed_ms)
 
     def _fallback_response(self, state: QueryState,
                            elapsed_ms: float) -> RankResponse:
@@ -1060,7 +873,7 @@ class RankingService:
                             served_by="fallback", model_version=None,
                             candidate_cache_hit=state.cache_hit,
                             latency_ms=elapsed_ms, error=cause,
-                            shard=state.shard, error_code=state.error_code)
+                            error_code=state.error_code)
 
     def _error_response(self, state: QueryState, error: str,
                         elapsed_ms: float) -> RankResponse:
@@ -1071,7 +884,7 @@ class RankingService:
                             served_by="error", model_version=None,
                             candidate_cache_hit=state.cache_hit,
                             latency_ms=elapsed_ms, error=error,
-                            shard=state.shard, error_code=state.error_code,
+                            error_code=state.error_code,
                             retry_after_ms=retry_after)
 
     # ------------------------------------------------------------------
@@ -1095,48 +908,23 @@ class RankingService:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def activate(self, version: str, shards: list[int] | None = None):
-        """Hot-swap to ``version`` (in-flight batches keep their snapshot).
-
-        On a sharded service this activates the version on every shard
-        (or just ``shards``) and returns the per-shard snapshot map.
-        """
-        if self.sharded is not None:
-            actives = self.sharded.activate(version, shards=shards)
-        else:
-            actives = self.registry.activate(version)
+    def activate(self, version: str) -> ActiveModel:
+        """Hot-swap to ``version`` (in-flight batches keep their snapshot)."""
+        active = self.registry.activate(version)
         self.counters["hot_swaps"].inc()
-        return actives
-
-    def lane(self, shard_id: int) -> ShardLane:
-        """The per-shard resource bundle (lane 0 on unsharded services)."""
-        try:
-            return self._lanes[shard_id]
-        except KeyError:
-            raise ServingError(
-                f"no shard {shard_id}; service has lanes "
-                f"{sorted(self._lanes)}") from None
-
-    def lanes(self) -> list[ShardLane]:
-        return [self._lanes[shard_id] for shard_id in sorted(self._lanes)]
+        return active
 
     def stats(self) -> dict[str, object]:
-        """Everything ``serve --json`` and the load benchmark report.
-
-        Aggregate cache/scoring numbers keep their PR-4 shape in both
-        modes (summed across lanes when sharded); a sharded service adds
-        a ``"sharding"`` section with the partition summary and the
-        per-shard breakdown.
-        """
-        lanes = self.lanes()
+        """Everything ``serve --json`` and the load benchmark report."""
         scoring = self._scoring_view()
         scoring["max_batch_size"] = self.config.max_batch_size
         resilience = self.resilience
         # Exact count and mean; quantiles interpolated within one log2
         # bucket.  Read before the counters (see _record).
         latency = self.latency.summary()
+        active = self.registry.snapshot()
         result: dict[str, object] = {
-            "active_version": self._active_version_view(),
+            "active_version": active.version if active else None,
             "counters": _values(self.counters),
             "latency": {"count": latency["count"],
                         "mean_ms": latency["mean"],
@@ -1171,39 +959,8 @@ class RankingService:
             # zeros) otherwise, and existing consumers pin the shape of
             # the default stats payload.
             result["trace"] = self.tracer.as_dict()
-        quota_views = {}
-        for lane in lanes:
-            if lane.score_cache is None:
-                continue
-            view = lane.score_cache.quota_stats()
-            if view:
-                quota_views[shard_label(lane.shard_id)] = view
-        if quota_views:
-            if self.sharded is None:
-                result["score_cache_splits"] = quota_views[shard_label(0)]
-            else:
-                result["score_cache_splits"] = quota_views
-        if self.sharded is not None:
-            sharding = self.sharded.stats()
-            sharding["routing"] = dict(self.router.route_counters)
-            requests = self._shard_view()
-            for lane in lanes:
-                label = shard_label(lane.shard_id)
-                entry = sharding["per_shard"][label]
-                entry["candidate_cache"] = lane.candidate_cache.stats.as_dict()
-                entry["score_cache"] = (
-                    lane.score_cache.stats.as_dict()
-                    if lane.score_cache is not None else {"disabled": True})
-                if label in requests:
-                    entry["requests"] = requests[label]
-                entry["scoring"] = lane.scorer.as_dict()
-            result["sharding"] = sharding
+        quotas = ({} if self.score_cache is None
+                  else self.score_cache.quota_stats())
+        if quotas:
+            result["score_cache_splits"] = quotas
         return result
-
-    def _active_version_view(self):
-        if self.sharded is not None:
-            return {shard_label(shard_id): version
-                    for shard_id, version
-                    in self.sharded.active_versions().items()}
-        active = self.registry.snapshot()
-        return active.version if active else None

@@ -88,6 +88,31 @@ class TestPooledConstraints:
                              plane=lane)
         assert submitted == []
 
+    @pytest.mark.parametrize("product", ["od", "service_area"])
+    def test_bad_chunk_size_refused_before_any_tile(self, analytics_grid,
+                                                    plane, product,
+                                                    monkeypatch):
+        """``chunk_size=0`` raises the same AnalyticsError inline and
+        pooled, and the pooled path submits nothing."""
+        submitted = []
+        submit = plane.submit_analytics
+
+        def counting_submit(payload):
+            submitted.append(payload)
+            return submit(payload)
+
+        monkeypatch.setattr(plane, "submit_analytics", counting_submit)
+        for lane in (None, plane):
+            with pytest.raises(AnalyticsError,
+                               match="chunk_size must be >= 1, got 0"):
+                if product == "od":
+                    od_cost_matrix(analytics_grid, [0, 9, 17], [4, 48, 22],
+                                   chunk_size=0, plane=lane)
+                else:
+                    service_area(analytics_grid, [0, 24, 44], [400.0],
+                                 chunk_size=0, plane=lane)
+        assert submitted == []
+
     def test_pooled_tiles_counted(self, analytics_grid, plane):
         metrics = MetricsRegistry()
         od_cost_matrix(analytics_grid, [0, 9, 17, 30], [4, 48, 22, 31],

@@ -5,14 +5,12 @@ import time
 import pytest
 
 from repro.exec.shm import list_repro_segments
-from repro.graph import voronoi_partition
 from repro.ranking import Strategy, TrainingDataConfig
 from repro.serving import (
     ModelRegistry,
     RankingService,
     RankRequest,
     ServingConfig,
-    ShardedRegistry,
 )
 
 CANDIDATES = TrainingDataConfig(strategy=Strategy.TKDI, k=3)
@@ -74,34 +72,28 @@ def test_all_modes_serve_identical_responses(exec_network, exec_ranker,
         inline.close()
 
 
-def test_sharded_cold_cross_shard_request_runs_on_the_pool(
-        exec_network, exec_ranker, tmp_path):
-    """A sharded processes-mode service generates a cold cross-shard
-    request's candidates on a worker, over the full network, and answers
-    exactly as the unsharded inline service does."""
-    partition = voronoi_partition(exec_network, 2, rng=0)
-    source = min(partition.shard(0).nodes)
-    target = max(partition.shard(1).nodes)
-    request = RankRequest(source=source, target=target)
-    registry = ModelRegistry(tmp_path / "sharded", exec_network)
-    registry.publish(exec_ranker, activate=True)
-    sharded = RankingService(
-        exec_network, ShardedRegistry.shared(registry, partition),
-        ServingConfig(candidates=CANDIDATES, execution="processes",
-                      workers=1))
+def test_cold_request_runs_on_the_pool(exec_network, exec_ranker,
+                                       tmp_path):
+    """A processes-mode service generates a cold request's candidates
+    on a worker, through ``plane.candidates_for``, and answers exactly
+    as the inline service does."""
+    vertices = exec_network.vertex_ids()
+    request = RankRequest(source=min(vertices), target=max(vertices))
+    pooled_service = _service(exec_network, exec_ranker, tmp_path / "pooled",
+                              execution="processes", workers=1)
     inline = _service(exec_network, exec_ranker, tmp_path / "inline")
     try:
         pooled = []
-        candidates_for = sharded.plane.candidates_for
-        sharded.plane.candidates_for = \
+        candidates_for = pooled_service.plane.candidates_for
+        pooled_service.plane.candidates_for = \
             lambda state: pooled.append(state) or candidates_for(state)
-        response = sharded.rank(request)
-        assert response.shard == 0 and not response.candidate_cache_hit
+        response = pooled_service.rank(request)
+        assert not response.candidate_cache_hit
         assert [state.request for state in pooled] == [request]
         assert _signature([response]) == _signature([inline.rank(request)])
         assert response.served_by == "model"
     finally:
-        sharded.close()
+        pooled_service.close()
         inline.close()
 
 

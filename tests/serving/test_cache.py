@@ -6,6 +6,7 @@ from repro.errors import ConfigError
 from repro.graph.path import Path
 from repro.ranking import Strategy, TrainingDataConfig
 from repro.serving import CandidateCache, LRUCache, ScoreCache
+from repro.serving.cache import carve_budget
 
 
 class TestLRUCache:
@@ -251,3 +252,28 @@ class TestScoreCacheQuotas:
             ScoreCache(capacity=10, quotas={"a": 0.0})
         with pytest.raises(ConfigError):
             ScoreCache(capacity=10, quotas=[("a", 1.0), ("a", 1.0)])
+
+
+class TestCarveBudget:
+    """The proportional integer shares behind the score-cache quotas."""
+
+    def test_proportional_with_floor(self):
+        shares = carve_budget(100, [60, 30, 10])
+        assert shares == [60, 30, 10]
+        # A dominant weight's share is trimmed so the floor of one entry
+        # per remaining share still fits inside the total.
+        assert carve_budget(4, [1000, 1, 1]) == [2, 1, 1]
+
+    def test_never_exceeds_total_when_budget_covers_floors(self):
+        assert sum(carve_budget(10, [1, 1, 1, 1])) <= 10
+        assert sum(carve_budget(7, [97, 1, 1, 1])) <= 7
+
+    def test_floor_of_one_entry_per_share_wins_over_tiny_budgets(self):
+        shares = carve_budget(2, [5, 5, 5])
+        assert shares == [1, 1, 1]  # sum == len(weights) > total, by design
+
+    def test_validation(self):
+        with pytest.raises(ConfigError):
+            carve_budget(0, [1])
+        with pytest.raises(ConfigError):
+            carve_budget(10, [0, 0])

@@ -30,6 +30,16 @@ def batching(service: RankingService, max_batch_size: int) -> RankingService:
                                   max_batch_size=max_batch_size))
 
 
+class _PoisonScorer:
+    """Stands in for the service's BatchingScorer and always fails."""
+
+    def score_many(self, model, candidate_lists, version=None):
+        raise ServingError("scorer poisoned")
+
+    def score_paths(self, model, paths, version=None):
+        raise ServingError("scorer poisoned")
+
+
 @pytest.fixture
 def engine(service) -> ServingEngine:
     with ServingEngine(service, concurrency=4, flush_deadline_ms=5.0) as eng:
@@ -167,6 +177,27 @@ class TestLifecycle:
         engine.close()
         for ticket in tickets:
             assert ticket.wait(timeout=1.0).served_by == "model"
+
+    def test_close_drains_with_a_poisoned_flush(self, service):
+        """close() must flush the parked batch even when its scoring
+        raises: every ticket is answered, by the fallback."""
+        poisoned = batching(service, 10_000)
+        poisoned.scorer = _PoisonScorer()
+        engine = ServingEngine(poisoned, concurrency=2,
+                               flush_deadline_ms=60_000.0)
+        tickets = [engine.submit(RankRequest(source=s, target=t,
+                                             request_id=i))
+                   for i, (s, t) in enumerate(ALL_PAIRS[:4])]
+        # Let the workers park the prepared states; with a one-minute
+        # deadline and a huge size trigger nothing flushes until close.
+        for _ in range(200):
+            if all(ticket.state is not None for ticket in tickets):
+                break
+            time.sleep(0.005)
+        engine.close()
+        responses = [ticket.wait(timeout=5.0) for ticket in tickets]
+        assert [r.served_by for r in responses] == ["fallback"] * 4
+        assert all("poisoned" in (r.error or "") for r in responses)
 
     def test_unstarted_engine_rejects_submit(self, service):
         engine = ServingEngine(service, concurrency=2, start=False)

@@ -26,10 +26,9 @@ CANDIDATES = TrainingDataConfig(strategy=Strategy.TKDI, k=3)
 # Spec grammar
 # ----------------------------------------------------------------------
 def test_parse_single_rule():
-    (rule,) = parse_fault_spec("score@1:error")
+    (rule,) = parse_fault_spec("score:error")
     assert rule.point == "score"
     assert rule.kind == "error"
-    assert rule.shard == 1
     assert rule.rate == 1.0
 
 
@@ -53,7 +52,7 @@ def test_parse_options_and_multiple_rules():
 
 
 def test_format_round_trips():
-    spec = "score@1:error;prepare:delay:delay_ms=20,rate=0.5;admit:error:count=3"
+    spec = "score:error;prepare:delay:delay_ms=20,rate=0.5;admit:error:count=3"
     rules = parse_fault_spec(spec)
     assert parse_fault_spec(format_fault_spec(rules)) == rules
 
@@ -64,7 +63,8 @@ def test_format_round_trips():
     "score",                     # missing kind
     "nowhere:error",             # unknown injection point
     "score:explode",             # unknown kind
-    "score@one:error",           # non-integer shard
+    "score@one:error",           # unknown injection point
+    "score@1:error",             # no per-shard scope
     "score:error:rate=banana",   # malformed value
     "score:error:volume=11",     # unknown option
     "score:error:rate",          # option without value
@@ -83,8 +83,6 @@ def test_rule_validation_direct():
         FaultRule(point="score", kind="delay")  # delay_ms missing
     with pytest.raises(ConfigError):
         FaultRule(point="score", kind="error", after=-1)
-    with pytest.raises(ConfigError):
-        FaultRule(point="score", kind="error", shard=-2)
 
 
 # ----------------------------------------------------------------------
@@ -93,11 +91,11 @@ def test_rule_validation_direct():
 def test_error_fault_raises_fault_injected():
     injector = FaultInjector.from_spec("score:error")
     with pytest.raises(FaultInjected) as excinfo:
-        injector.fire("score", shard=2)
+        injector.fire("score")
     # FaultInjected is a ServingError: the stack degrades it like any
     # real transient failure instead of needing a special case.
     assert isinstance(excinfo.value, ServingError)
-    assert "shard 2" in str(excinfo.value)
+    assert str(excinfo.value) == "injected fault at 'score'"
 
 
 def test_rules_only_fire_at_their_point():
@@ -107,17 +105,6 @@ def test_rules_only_fire_at_their_point():
     assert injector.stats()["rules"][0]["hits"] == 0
     with pytest.raises(FaultInjected):
         injector.fire("score")
-
-
-def test_shard_scoping():
-    injector = FaultInjector.from_spec("score@1:error")
-    injector.fire("score", shard=0)  # other shard: no-op
-    with pytest.raises(FaultInjected):
-        injector.fire("score", shard=1)
-    # A shard-less hit (unsharded service) matches every rule.
-    unscoped = FaultInjector.from_spec("score@1:error")
-    with pytest.raises(FaultInjected):
-        unscoped.fire("score", shard=None)
 
 
 def test_count_caps_total_firings():
@@ -198,12 +185,12 @@ def test_from_spec_accepts_rules_and_injectors():
 
 
 def test_stats_shape():
-    injector = FaultInjector.from_spec("score@1:error;prepare:delay=5")
+    injector = FaultInjector.from_spec("score:error;prepare:delay=5")
     stats = injector.stats()
     assert stats["armed"] is True
     assert stats["hanging"] == 0
     assert [r["point"] for r in stats["rules"]] == ["score", "prepare"]
-    assert stats["rules"][0]["shard"] == 1
+    assert set(stats["rules"][0]) == {"point", "kind", "hits", "fired"}
 
 
 # ----------------------------------------------------------------------

@@ -11,13 +11,7 @@ import inspect
 import re
 from pathlib import Path
 
-from repro.serving import (
-    ResilienceConfig,
-    ServingConfig,
-    ServingEngine,
-    ShardedRegistry,
-    ShardRouter,
-)
+from repro.serving import ResilienceConfig, ServingConfig, ServingEngine
 
 ROBUSTNESS_DOC = Path(__file__).resolve().parents[2] / "docs" \
     / "robustness.md"
@@ -47,15 +41,12 @@ def _keyword_arguments(function) -> list[str]:
 
 
 def _knobs_in_code() -> dict[str, list[str]]:
-    """``{owner: [knob, ...]}`` for every serving object, knobless ones
-    included (they have no rows in the table)."""
+    """``{owner: [knob, ...]}`` for every serving object."""
     return {
         "ServingConfig": [f.name for f in dataclasses.fields(ServingConfig)],
         "ResilienceConfig": [f.name
                              for f in dataclasses.fields(ResilienceConfig)],
         "ServingEngine": _keyword_arguments(ServingEngine.__init__),
-        "ShardedRegistry": _keyword_arguments(ShardedRegistry.__init__),
-        "ShardRouter": _keyword_arguments(ShardRouter.__init__),
     }
 
 
@@ -67,6 +58,4 @@ def test_table_lists_exactly_the_knobs_in_the_code():
 def test_knob_counts():
     counts = {owner: len(knobs) for owner, knobs in _knobs_in_code().items()}
     assert counts == {"ServingConfig": 10, "ResilienceConfig": 15,
-                      "ServingEngine": 4, "ShardedRegistry": 1,
-                      "ShardRouter": 0}
-    assert _keyword_arguments(ShardedRegistry.shared) == []
+                      "ServingEngine": 4}

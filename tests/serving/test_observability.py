@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.graph import GraphPartition
 from repro.obs.export import prometheus_lines
 from repro.serving import (
     ModelRegistry,
@@ -15,7 +14,6 @@ from repro.serving import (
     RankRequest,
     ServingConfig,
     ServingEngine,
-    ShardedRegistry,
 )
 
 ALL_PAIRS = [(s, t) for s in range(6) for t in range(6) if s != t]
@@ -197,42 +195,6 @@ class TestCanonicalMetricNames:
         assert exported["cache.score.disabled"] is True
 
 
-class TestShardedTelemetry:
-    @pytest.fixture
-    def sharded_service(self, tmp_path, tiny_network, make_ranker,
-                        candidates_config) -> RankingService:
-        assignment = {vid: (0 if vid in {0, 1, 2} else 1)
-                      for vid in tiny_network.vertex_ids()}
-        partition = GraphPartition(tiny_network, assignment)
-        registry = ShardedRegistry(tmp_path / "shards", tiny_network,
-                                   partition)
-        registry.publish(make_ranker(tiny_network, seed=1),
-                         version="v0001", activate=True)
-        return RankingService(
-            tiny_network, registry,
-            ServingConfig(candidates=candidates_config, trace_sample=1.0,
-                          candidate_cache_size=64, score_cache_size=256))
-
-    def test_per_shard_lane_metrics_registered(self, sharded_service):
-        sharded_service.rank(RankRequest(source=0, target=2))  # shard 0
-        sharded_service.rank(RankRequest(source=3, target=5))  # shard 1
-        exported = sharded_service.metrics.export()
-        assert exported["shard.shard-00.requests"] == 1
-        assert exported["shard.shard-01.requests"] == 1
-        assert exported["cache.candidate.shard-00.misses"] == 1
-        assert exported["cache.candidate.shard-01.misses"] == 1
-        assert exported["scoring.shard-00.batches_run"] >= 1
-        assert exported["cache.score.shard-00.misses"] >= 1
-
-    def test_trace_spans_carry_shard_attribution(self, sharded_service):
-        sharded_service.rank(RankRequest(source=0, target=5))  # cross
-        record = sharded_service.tracer.exemplars.snapshot()[0]
-        assert record["shard"] == 0
-        route_spans = [span for span in record["spans"]
-                       if span["name"] == "shard_route"]
-        assert route_spans and route_spans[0]["cross"] is True
-
-
 class TestPayloadsAreJsonClean:
     """Satellite lint: every stats()/export() surface the serving and
     obs layers expose must survive ``json.dumps`` untouched."""
@@ -261,23 +223,6 @@ class TestPayloadsAreJsonClean:
             engine.rank_batch(requests)
             self._assert_json_clean(engine.stats())
 
-    def test_sharded_service_surfaces(self, tmp_path, tiny_network,
-                                      make_ranker, candidates_config):
-        assignment = {vid: (0 if vid in {0, 1, 2} else 1)
-                      for vid in tiny_network.vertex_ids()}
-        partition = GraphPartition(tiny_network, assignment)
-        registry = ShardedRegistry(tmp_path / "shards", tiny_network,
-                                   partition)
-        registry.publish(make_ranker(tiny_network, seed=1),
-                         version="v0001", activate=True)
-        service = RankingService(
-            tiny_network, registry,
-            ServingConfig(candidates=candidates_config, trace_sample=1.0,
-                          candidate_cache_size=64, score_cache_size=256))
-        service.rank(RankRequest(source=0, target=5))
-        self._assert_json_clean(service.stats())
-        self._assert_json_clean(service.metrics.export())
-
 
 class TestTypedExposition:
     def test_service_counts_are_typed_instruments(self, service):
@@ -305,9 +250,8 @@ def _documented_families() -> list[str]:
 
 
 def _family_regex(family: str) -> re.Pattern:
-    """``<name>`` is one label, ``shard-NN`` a shard, ``.*`` any tail."""
-    regex = re.escape(family).replace(r"shard\-NN", r"shard-\d\d")
-    regex = re.sub(r"<\w+>", ".+", regex).replace(r"\*", ".+")
+    """``<name>`` is one label, ``.*`` any tail."""
+    regex = re.sub(r"<\w+>", ".+", re.escape(family)).replace(r"\*", ".+")
     return re.compile(regex)
 
 
@@ -320,14 +264,9 @@ class TestMetricCatalogue:
     #: batch-analytics products.
     UNARMED = ("exec.", "analytics.")
 
-    def test_table_matches_a_fully_armed_export(self, tmp_path, tiny_network,
+    def test_table_matches_a_fully_armed_export(self, tiny_network, registry,
                                                 make_ranker,
                                                 candidates_config):
-        assignment = {vid: (0 if vid in {0, 1, 2} else 1)
-                      for vid in tiny_network.vertex_ids()}
-        registry = ShardedRegistry(
-            tmp_path / "shards", tiny_network,
-            GraphPartition(tiny_network, assignment))
         registry.publish(make_ranker(tiny_network, seed=1),
                          version="v0001", activate=True)
         registry.publish(make_ranker(tiny_network, seed=2), version="v0002")
@@ -335,7 +274,7 @@ class TestMetricCatalogue:
             candidates=candidates_config, trace_sample=1.0,
             traffic_split={"v0001": 0.5, "v0002": 0.5},
             candidate_cache_size=64, score_cache_size=256))
-        assert service.breakers  # on by default
+        assert service.breaker is not None  # on by default
         requests = [RankRequest(source=s, target=t, request_id=i)
                     for i, (s, t) in enumerate(ALL_PAIRS)]
         with ServingEngine(service, concurrency=2,

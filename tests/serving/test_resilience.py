@@ -292,7 +292,7 @@ def test_single_shot_score_fault_is_retried_away(tiny_network, registry,
     assert counters["retries"] == 1
     assert counters["retry_successes"] == 1
     # The breaker saw the eventual success, not the transient failure.
-    assert service.breakers[0].state == "closed"
+    assert service.breaker.state == "closed"
 
 
 def test_persistent_score_fault_falls_back_and_feeds_breaker(
@@ -310,7 +310,7 @@ def test_persistent_score_fault_falls_back_and_feeds_breaker(
         # The group fails terminally, the per-member individual rescue
         # still answers, and the breaker records the group failure.
         assert response.ok
-    breaker = service.breakers[0]
+    breaker = service.breaker
     assert breaker.state == "open"
     assert breaker.trips == 1
     # Once open, requests degrade to the fallback without touching the
@@ -320,7 +320,7 @@ def test_persistent_score_fault_falls_back_and_feeds_breaker(
     assert degraded.error_code == "breaker_open"
     assert service.res_counters["breaker_degraded"].value >= 1
     stats = service.stats()["resilience"]
-    assert stats["breaker"]["shard-00"]["state"] == "open"
+    assert stats["breaker"]["state"] == "open"
 
 
 def test_breaker_recovers_through_half_open_probes(tiny_network, registry,
@@ -334,12 +334,12 @@ def test_breaker_recovers_through_half_open_probes(tiny_network, registry,
     service.arm_faults("score:error")
     for _ in range(2):
         service.rank(RankRequest(source=0, target=5))
-    assert service.breakers[0].state == "open"
+    assert service.breaker.state == "open"
     service.disarm_faults()
     time.sleep(0.02)  # past the cooldown: next group is the probe
     response = service.rank(RankRequest(source=0, target=5))
     assert response.served_by == "model"
-    breaker = service.breakers[0]
+    breaker = service.breaker
     assert breaker.state == "closed"
     assert breaker.recoveries == 1
 
@@ -374,7 +374,7 @@ def test_score_faults_degrade_cache_answers_like_flushes(
     assert rescued.served_by == "model"
     assert degraded.served_by == "fallback"
     assert degraded.error_code == "breaker_open"
-    assert service.breakers[0].trips == 1
+    assert service.breaker.trips == 1
     assert service.res_counters["retries"].value == 1
     assert service.res_counters["breaker_degraded"].value == 1
     assert service.stats()["resilience"]["faults"]["fired"] == 2

@@ -5,7 +5,13 @@ import pytest
 from repro.core.model import PathRank
 from repro.errors import ServingError, TrainingError
 from repro.graph import RoadCategory, RoadNetwork, shortest_path
-from repro.serving import ModelRegistry, RankingService, RankRequest, ServingConfig
+from repro.serving import (
+    ModelRegistry,
+    RankingService,
+    RankRequest,
+    ResilienceConfig,
+    ServingConfig,
+)
 
 
 @pytest.fixture
@@ -142,3 +148,89 @@ class TestLifecycle:
             {r.path.vertices for r in before.results}
         assert [r.score for r in after.results] != \
             [r.score for r in before.results]
+
+
+ALL_PAIRS = [(s, t) for s in range(6) for t in range(6) if s != t]
+
+
+class TestOneServiceOneLane:
+    """A service owns one candidate cache, one score cache, one scorer
+    and one breaker, and every stage reads them directly."""
+
+    def test_two_services_keep_their_own_caches(
+            self, tiny_network, registry, service, candidates_config):
+        second = RankingService(tiny_network, registry,
+                                ServingConfig(candidates=candidates_config))
+        service.rank(RankRequest(source=0, target=5))
+        assert second.candidate_cache is not service.candidate_cache
+        assert second.score_cache is not service.score_cache
+        assert second.stats()["candidate_cache"]["misses"] == 0
+        assert service.stats()["candidate_cache"]["misses"] == 1
+
+    def test_zero_score_cache_size_leaves_no_score_cache(
+            self, tiny_network, registry, make_ranker, candidates_config):
+        registry.publish(make_ranker(tiny_network, seed=1), activate=True)
+        service = RankingService(tiny_network, registry, ServingConfig(
+            candidates=candidates_config, score_cache_size=0))
+        service.rank(RankRequest(source=0, target=5))
+        assert service.score_cache is None
+        assert service.stats()["score_cache"] == {"disabled": True}
+
+    def test_score_cache_size_zero_disables_memoisation(
+            self, tiny_network, registry, make_ranker, candidates_config):
+        registry.publish(make_ranker(tiny_network, seed=1), activate=True)
+        service = RankingService(tiny_network, registry, ServingConfig(
+            candidates=candidates_config, score_cache_size=0))
+        service.rank(RankRequest(source=0, target=2))
+        service.rank(RankRequest(source=0, target=2))
+        assert service.scorer.batches_run == 2  # no memoised skip
+
+    def _split_service(self, tiny_network, registry, make_ranker,
+                       candidates_config):
+        registry.publish(make_ranker(tiny_network, seed=1), version="v0001",
+                         activate=True)
+        registry.publish(make_ranker(tiny_network, seed=2), version="v0002")
+        return RankingService(tiny_network, registry, ServingConfig(
+            candidates=candidates_config,
+            traffic_split={"v0001": 0.5, "v0002": 0.5}))
+
+    def test_a_split_segments_the_score_cache_per_version(
+            self, tiny_network, registry, make_ranker, candidates_config):
+        service = self._split_service(tiny_network, registry, make_ranker,
+                                      candidates_config)
+        assert [version for version, _ in service.score_cache.quotas] \
+            == ["v0001", "v0002"]
+
+    def test_a_traffic_split_segments_the_score_cache(
+            self, tiny_network, registry, make_ranker, candidates_config):
+        service = self._split_service(tiny_network, registry, make_ranker,
+                                      candidates_config)
+        assert service.score_cache.has_quotas
+        service.rank_batch([RankRequest(source=s, target=t, request_id=i)
+                            for i, (s, t) in enumerate(ALL_PAIRS)])
+        assert set(service.stats()["score_cache_splits"]) \
+            == {"v0001", "v0002", "(shared)"}
+
+    def test_a_killed_scorer_trips_the_service_breaker(
+            self, tiny_network, registry, make_ranker, candidates_config):
+        """Every group's scoring call fails: the individual rescue still
+        answers the first groups, then the breaker opens and later
+        requests degrade to the fallback without touching the scorer."""
+        registry.publish(make_ranker(tiny_network, seed=1), activate=True)
+        service = RankingService(tiny_network, registry, ServingConfig(
+            candidates=candidates_config,
+            resilience=ResilienceConfig(
+                retry_attempts=0, breaker_window=4, breaker_min_samples=2,
+                breaker_cooldown_ms=60_000.0)))
+        service.arm_faults("score:error")
+        rescued = [service.rank(RankRequest(source=0, target=t))
+                   for t in (2, 5)]
+        degraded = service.rank(RankRequest(source=3, target=5))
+        assert [r.served_by for r in rescued] == ["model", "model"]
+        assert (degraded.served_by, degraded.error_code, degraded.error) \
+            == ("fallback", "breaker_open", "circuit breaker open")
+        assert (service.breaker.state, service.breaker.trips) == ("open", 1)
+        exported = service.metrics.export()
+        assert exported["resilience.breaker.state"] == "open"
+        assert exported["resilience.breaker.trips"] == 1
+        assert exported["resilience.breaker_degraded"] == 1

@@ -15,14 +15,12 @@ import threading
 
 import pytest
 
-from repro.graph import GraphPartition
 from repro.obs.export import prometheus_lines
 from repro.serving import (
     RankingService,
     RankRequest,
     ServingConfig,
     ServingEngine,
-    ShardedRegistry,
 )
 
 ALL_PAIRS = [(s, t) for s in range(6) for t in range(6) if s != t]
@@ -107,16 +105,11 @@ class TestStatsUnderConcurrency:
         assert exported["serving.latency.count"] == len(requests)
         assert stats["latency"]["count"] == len(requests)
 
-    def test_split_and_shard_books_lose_no_update(
-            self, tmp_path, tiny_network, make_ranker, candidates_config):
+    def test_split_books_lose_no_update(
+            self, tiny_network, registry, make_ranker, candidates_config):
         """Six threads race to create and bump the lazily made per-split
-        and per-shard books under a tiny switch interval: every request
-        must land in exactly one split and one shard row."""
-        assignment = {vid: (0 if vid in {0, 1, 2} else 1)
-                      for vid in tiny_network.vertex_ids()}
-        registry = ShardedRegistry(
-            tmp_path / "shards", tiny_network,
-            GraphPartition(tiny_network, assignment))
+        books under a tiny switch interval: every request must land in
+        exactly one split row."""
         registry.publish(make_ranker(tiny_network, seed=1),
                          version="v0001", activate=True)
         registry.publish(make_ranker(tiny_network, seed=2), version="v0002")
@@ -128,8 +121,7 @@ class TestStatsUnderConcurrency:
         # headers with ast.literal_eval, which CPython 3.11 can fail
         # ("AST constructor recursion depth mismatch") when threads
         # switch every microsecond.
-        for shard_id in registry.shard_ids():
-            registry.registry(shard_id).resolve("v0002")
+        registry.resolve("v0002")
         clients, rounds = 6, 2
         start = threading.Barrier(clients)
 
@@ -159,6 +151,3 @@ class TestStatsUnderConcurrency:
         assert sum(s["counters"]["requests"] for s in splits) == total
         assert all(s["latency"]["count"] == s["counters"]["requests"]
                    for s in splits)
-        rows = stats["sharding"]["per_shard"]
-        assert sum(row["requests"]["requests"]
-                   for row in rows.values()) == total

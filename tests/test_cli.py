@@ -12,7 +12,6 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
-from repro.graph import load_network_json, voronoi_partition
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +141,28 @@ class TestRank:
                      "--source", "0", "--target", "99999"])
         assert code == 2
 
+    def test_rank_k_sizes_the_candidate_list(self, artifacts, capsys):
+        """``--k`` used to be read by nothing: ``--k 1`` printed the
+        default candidate list (3 paths for this query)."""
+        _, dataset, model = artifacts
+        code = main(["rank", "--dataset", str(dataset), "--model", str(model),
+                     "--source", "0", "--target", "51", "--k", "1"])
+        assert code == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("#")]
+        assert len(lines) == 1
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_rank_non_positive_k_exits_2(self, artifacts, capsys, value):
+        _, dataset, model = artifacts
+        code = main(["rank", "--dataset", str(dataset), "--model", str(model),
+                     "--source", "0", "--target", "51", "--k", value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.strip().splitlines()
+        assert line.startswith("error:") and "k must be >= 1" in line
+
 
 @pytest.fixture(scope="module")
 def queries_file(artifacts, tmp_path_factory):
@@ -236,17 +257,6 @@ class TestServe:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
-
-    def test_serve_shards_partition_by_voronoi(self, artifacts, queries_file,
-                                               capsys):
-        network, _, model = artifacts
-        code = main(["serve", "--network", str(network), "--model", str(model),
-                     "--queries-file", str(queries_file), "--shards", "2",
-                     "--json"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        want = voronoi_partition(load_network_json(network), 2, rng=0)
-        assert payload["stats"]["sharding"]["partition"] == want.as_dict()
 
 
 class TestServeConcurrent:
@@ -367,15 +377,46 @@ class TestServeCleanup:
         assert "deadline_ms" in capsys.readouterr().err
         assert lifecycle == {"built": 0, "closed": 0}
 
-    def test_negative_shards_builds_nothing(self, artifacts, queries_file,
-                                            lifecycle, capsys):
-        """``--shards -2`` used to serve unsharded without a word."""
+    def test_shards_flag_is_gone(self, artifacts, queries_file, lifecycle,
+                                 capsys):
+        network, _, model = artifacts
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--network", str(network), "--model", str(model),
+                  "--queries-file", str(queries_file), "--shards", "2"])
+        assert exit_info.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+        assert lifecycle == {"built": 0, "closed": 0}
+
+    def test_shard_scoped_fault_spec_builds_nothing(self, artifacts,
+                                                    queries_file, lifecycle,
+                                                    capsys):
+        """Fault rules have no ``@shard`` scope: ``score@1`` is an
+        unknown injection point."""
         network, _, model = artifacts
         code = main(["serve", "--network", str(network), "--model", str(model),
-                     "--queries-file", str(queries_file), "--shards", "-2"])
+                     "--queries-file", str(queries_file),
+                     "--fault-spec", "score@1:error"])
         assert code == 2
         [line] = capsys.readouterr().err.strip().splitlines()
-        assert line.startswith("error:") and "--shards" in line
+        assert line.startswith("error:") and "'score@1'" in line
+        assert lifecycle == {"built": 0, "closed": 0}
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_batch_size_builds_nothing(self, artifacts,
+                                                    queries_file, lifecycle,
+                                                    capsys, value):
+        """``--batch-size -3`` used to answer no query and exit 0, and
+        ``--batch-size 0`` failed in ``range()`` after the service was
+        built."""
+        network, _, model = artifacts
+        code = main(["serve", "--network", str(network), "--model", str(model),
+                     "--queries-file", str(queries_file),
+                     "--batch-size", value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.strip().splitlines()
+        assert line.startswith("error:") and "--batch-size" in line
         assert lifecycle == {"built": 0, "closed": 0}
 
     def test_negative_concurrency_builds_nothing(self, artifacts,
