@@ -41,11 +41,9 @@ from repro.graph.csr import (
 )
 from repro.graph.diversified import DiversifiedResult, diversified_top_k
 from repro.graph.io import (
-    load_network_csv,
     load_network_json,
     network_from_dict,
     network_to_dict,
-    save_network_csv,
     save_network_json,
 )
 from repro.graph.ksp import yen_k_shortest_paths, yen_path_generator
@@ -108,8 +106,6 @@ __all__ = [
     "network_from_dict",
     "save_network_json",
     "load_network_json",
-    "save_network_csv",
-    "load_network_csv",
     "load_osm_xml",
     "save_osm_xml",
 ]

@@ -1,14 +1,7 @@
-"""Road-network persistence: JSON documents and CSV pairs.
-
-The JSON format is a single self-describing document; the CSV format
-mirrors the conventional ``vertices.csv`` / ``edges.csv`` pair used by
-road-network datasets, making it easy to bring external data into the
-library.
-"""
+"""Road-network persistence as a single self-describing JSON document."""
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path as FilePath
 
@@ -20,8 +13,6 @@ __all__ = [
     "network_from_dict",
     "save_network_json",
     "load_network_json",
-    "save_network_csv",
-    "load_network_csv",
 ]
 
 _FORMAT_VERSION = 1
@@ -91,46 +82,3 @@ def load_network_json(path: str | FilePath) -> RoadNetwork:
             raise SerializationError(f"invalid JSON in {path}: {exc}") from exc
     return network_from_dict(document)
 
-
-def save_network_csv(network: RoadNetwork, directory: str | FilePath) -> None:
-    """Write ``vertices.csv`` and ``edges.csv`` into ``directory``."""
-    directory = FilePath(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "vertices.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "x", "y"])
-        for v in network.vertices():
-            writer.writerow([v.id, v.x, v.y])
-    with open(directory / "edges.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["source", "target", "length", "speed", "category"])
-        for e in network.edges():
-            writer.writerow([e.source, e.target, e.length, e.speed, e.category.value])
-
-
-def load_network_csv(directory: str | FilePath, name: str = "road-network") -> RoadNetwork:
-    """Read a ``vertices.csv`` / ``edges.csv`` pair."""
-    directory = FilePath(directory)
-    vertices_path = directory / "vertices.csv"
-    edges_path = directory / "edges.csv"
-    for required in (vertices_path, edges_path):
-        if not required.exists():
-            raise SerializationError(f"missing CSV file: {required}")
-    network = RoadNetwork(name=name)
-    try:
-        with open(vertices_path, newline="", encoding="utf-8") as handle:
-            for row in csv.DictReader(handle):
-                network.add_vertex(int(row["id"]), float(row["x"]), float(row["y"]))
-        with open(edges_path, newline="", encoding="utf-8") as handle:
-            for row in csv.DictReader(handle):
-                network.add_edge(
-                    int(row["source"]),
-                    int(row["target"]),
-                    length=float(row["length"]),
-                    speed=float(row["speed"]),
-                    category=RoadCategory(row["category"]),
-                )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed CSV network in {directory}: {exc}") from exc
-    network.validate()
-    return network

@@ -13,7 +13,7 @@ import enum
 import hashlib
 import math
 import struct
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.errors import EdgeNotFoundError, GraphError, VertexNotFoundError
@@ -43,6 +43,69 @@ _DEFAULT_SPEEDS = {
 }
 
 
+def check_point(vertex_id: int, x: float, y: float) -> None:
+    """Refuse a vertex position that is not a finite point."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise GraphError(f"vertex {vertex_id} has non-finite position ({x}, {y})")
+
+
+def check_road(source: int, target: int, length: float, speed: float) -> None:
+    """Refuse a road whose length or speed is not positive and finite."""
+    if not 0.0 < length < math.inf:
+        raise GraphError(f"edge ({source}->{target}) has length {length}; "
+                         "it must be positive and finite")
+    if not 0.0 < speed < math.inf:
+        raise GraphError(f"edge ({source}->{target}) has speed {speed}; "
+                         "it must be positive and finite")
+
+
+def kosaraju(successors: Mapping[int, Sequence[int]],
+             predecessors: Mapping[int, Sequence[int]]) -> list[set[int]]:
+    """Strongly connected components of a directed graph given as plain
+    adjacency lists, by Kosaraju's algorithm.
+
+    Iterative, since road graphs exceed the default recursion limit.
+    ``successors`` must hold every vertex as a key; its iteration order
+    and the order inside each list fix the order of the returned
+    components, which is how callers break ties among equal-size ones.
+    """
+    order: list[int] = []
+    visited: set[int] = set()
+    for start in successors:
+        if start in visited:
+            continue
+        stack: list[tuple[int, Iterator[int]]] = [(start, iter(successors[start]))]
+        visited.add(start)
+        while stack:
+            node, it = stack[-1]
+            for nxt in it:
+                if nxt not in visited:
+                    visited.add(nxt)
+                    stack.append((nxt, iter(successors[nxt])))
+                    break
+            else:
+                order.append(node)
+                stack.pop()
+
+    components: list[set[int]] = []
+    assigned: set[int] = set()
+    for start in reversed(order):
+        if start in assigned:
+            continue
+        component = {start}
+        assigned.add(start)
+        frontier = [start]
+        while frontier:
+            node = frontier.pop()
+            for prev in predecessors[node]:
+                if prev not in assigned:
+                    assigned.add(prev)
+                    component.add(prev)
+                    frontier.append(prev)
+        components.append(component)
+    return components
+
+
 @dataclass(frozen=True)
 class Vertex:
     """A network vertex at planar position ``(x, y)`` in metres."""
@@ -70,12 +133,7 @@ class Edge:
     category: RoadCategory = RoadCategory.LOCAL
 
     def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise GraphError(f"edge ({self.source}->{self.target}) has non-positive "
-                             f"length {self.length}")
-        if self.speed <= 0:
-            raise GraphError(f"edge ({self.source}->{self.target}) has non-positive "
-                             f"speed {self.speed}")
+        check_road(self.source, self.target, self.length, self.speed)
 
     @property
     def travel_time(self) -> float:
@@ -115,6 +173,7 @@ class RoadNetwork:
         if vertex_id in self._vertices:
             raise GraphError(f"vertex {vertex_id} already exists")
         vertex = Vertex(int(vertex_id), float(x), float(y))
+        check_point(vertex.id, vertex.x, vertex.y)
         self._vertices[vertex.id] = vertex
         self._out[vertex.id] = []
         self._in[vertex.id] = []
@@ -303,77 +362,24 @@ class RoadNetwork:
     # Connectivity
     # ------------------------------------------------------------------
     def strongly_connected_components(self) -> list[set[int]]:
-        """Kosaraju's algorithm, iterative (road graphs exceed the
-        default recursion limit)."""
-        order: list[int] = []
-        visited: set[int] = set()
-        for start in self._vertices:
-            if start in visited:
-                continue
-            stack: list[tuple[int, Iterator[int]]] = [(start, iter(self.successors(start)))]
-            visited.add(start)
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if nxt not in visited:
-                        visited.add(nxt)
-                        stack.append((nxt, iter(self.successors(nxt))))
-                        advanced = True
-                        break
-                if not advanced:
-                    order.append(node)
-                    stack.pop()
-
-        components: list[set[int]] = []
-        assigned: set[int] = set()
-        for start in reversed(order):
-            if start in assigned:
-                continue
-            component = {start}
-            assigned.add(start)
-            frontier = [start]
-            while frontier:
-                node = frontier.pop()
-                for prev in self.predecessors(node):
-                    if prev not in assigned:
-                        assigned.add(prev)
-                        component.add(prev)
-                        frontier.append(prev)
-            components.append(component)
-        return components
+        """Strongly connected components, by :func:`kosaraju` over this
+        network's adjacency in insertion order (vertices, then each
+        vertex's out-edges), which fixes the order of the components."""
+        successors = {v: [e.target for e in out] for v, out in self._out.items()}
+        predecessors = {v: [e.source for e in into] for v, into in self._in.items()}
+        return kosaraju(successors, predecessors)
 
     def is_strongly_connected(self) -> bool:
         if not self._vertices:
             return True
         return len(self.strongly_connected_components()) == 1
 
-    def largest_scc_subgraph(self) -> "RoadNetwork":
-        """The sub-network induced by the largest strongly connected
-        component, preserving vertex ids."""
-        components = self.strongly_connected_components()
-        if not components:
-            return RoadNetwork(name=self.name)
-        keep = max(components, key=len)
-        return self.subgraph(keep)
-
-    def subgraph(self, vertex_ids: set[int]) -> "RoadNetwork":
-        sub = RoadNetwork(name=self.name)
-        for vid in sorted(vertex_ids):
-            v = self.vertex(vid)
-            sub.add_vertex(v.id, v.x, v.y)
-        for edge in self._edges.values():
-            if edge.source in vertex_ids and edge.target in vertex_ids:
-                sub.add_edge(edge.source, edge.target, length=edge.length,
-                             speed=edge.speed, category=edge.category)
-        return sub
-
     def relabelled(self) -> tuple["RoadNetwork", dict[int, int]]:
         """Copy with vertices renumbered 0..n-1 (sorted by old id).
 
         Returns the new network and the old→new id mapping.  The
-        embedding layer indexes vertices densely, so experiment pipelines
-        relabel after taking the largest SCC.
+        embedding layer indexes vertices densely, so a hand-built network
+        with sparse ids is relabelled before training or serving.
         """
         mapping = {old: new for new, old in enumerate(sorted(self._vertices))}
         renamed = RoadNetwork(name=self.name)

@@ -17,6 +17,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path as FilePath
 
 from repro.errors import SerializationError
+from repro.graph.builders import NetworkDraft, gc_paused
 from repro.graph.network import RoadCategory, RoadNetwork
 
 __all__ = ["load_osm_xml", "save_osm_xml", "HIGHWAY_TO_CATEGORY"]
@@ -78,12 +79,15 @@ def _parse_maxspeed(value: str | None, fallback: float) -> float:
         return fallback
 
 
+@gc_paused()
 def load_osm_xml(path: str | FilePath, keep_largest_scc: bool = True) -> RoadNetwork:
     """Parse an OSM XML file into a :class:`RoadNetwork`.
 
     Ways without a recognised ``highway`` tag are ignored.  Two-way
     streets (no ``oneway=yes``) produce both directed edges.  Node ids
-    are renumbered densely in document order.
+    are renumbered densely in document order; with ``keep_largest_scc``
+    only the largest strongly connected component is kept, renumbered
+    densely in the same order.
     """
     path = FilePath(path)
     if not path.exists():
@@ -109,7 +113,7 @@ def load_osm_xml(path: str | FilePath, keep_largest_scc: bool = True) -> RoadNet
     lat0 = sum(lat for lat, _ in raw_nodes.values()) / len(raw_nodes)
     lon0 = sum(lon for _, lon in raw_nodes.values()) / len(raw_nodes)
 
-    network = RoadNetwork(name=path.stem)
+    draft = NetworkDraft(name=path.stem)
     id_map: dict[str, int] = {}
 
     def ensure_vertex(osm_id: str) -> int:
@@ -117,7 +121,7 @@ def load_osm_xml(path: str | FilePath, keep_largest_scc: bool = True) -> RoadNet
             lat, lon = raw_nodes[osm_id]
             x, y = _project(lat, lon, lat0, lon0)
             id_map[osm_id] = len(id_map)
-            network.add_vertex(id_map[osm_id], x, y)
+            draft.add_vertex(id_map[osm_id], x, y)
         return id_map[osm_id]
 
     for way in root.iter("way"):
@@ -135,15 +139,11 @@ def load_osm_xml(path: str | FilePath, keep_largest_scc: bool = True) -> RoadNet
             lat_a, lon_a = raw_nodes[a_ref]
             lat_b, lon_b = raw_nodes[b_ref]
             length = max(_haversine(lat_a, lon_a, lat_b, lon_b), 0.1)
-            if not network.has_edge(a, b):
-                network.add_edge(a, b, length=length, speed=speed, category=category)
-            if not one_way and not network.has_edge(b, a):
-                network.add_edge(b, a, length=length, speed=speed, category=category)
-
-    if keep_largest_scc:
-        network, _ = network.largest_scc_subgraph().relabelled()
-    network.validate()
-    return network
+            if not draft.has_edge(a, b):
+                draft.add_edge(a, b, length=length, speed=speed, category=category)
+            if not one_way and not draft.has_edge(b, a):
+                draft.add_edge(b, a, length=length, speed=speed, category=category)
+    return draft.build(largest_scc=keep_largest_scc)
 
 
 def save_osm_xml(

@@ -1,22 +1,26 @@
-"""Tests for network generators, JSON/CSV persistence, and OSM interop."""
+"""Tests for network generators, the draft they build through, JSON
+persistence, and OSM interop."""
+
+import gc
+import math
 
 import pytest
 
-from repro.errors import SerializationError
+from repro.errors import GraphError, SerializationError, VertexNotFoundError
 from repro.graph import (
     RoadCategory,
+    RoadNetwork,
     grid_network,
-    load_network_csv,
     load_network_json,
     load_osm_xml,
     network_from_dict,
     network_to_dict,
     north_jutland_like,
     ring_radial_network,
-    save_network_csv,
     save_network_json,
     save_osm_xml,
 )
+from repro.graph.builders import NetworkDraft
 
 
 class TestGridBuilder:
@@ -110,6 +114,113 @@ class TestRegionBuilder:
             north_jutland_like(town_size_range=(5, 3))
 
 
+class TestOneBuild:
+    """A generator call builds one RoadNetwork and adds each returned
+    edge once: the draft is cut before anything is built."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: grid_network(12, 12, seed=5, removal_probability=0.3),
+        lambda: ring_radial_network(rings=2, spokes=5, seed=1),
+        lambda: north_jutland_like(num_towns=3, seed=5),
+    ], ids=["grid", "ring-radial", "region"])
+    def test_one_network_and_one_add_edge_per_edge(self, build, monkeypatch):
+        calls = {"init": 0, "add_edge": 0}
+        init, add_edge = RoadNetwork.__init__, RoadNetwork.add_edge
+
+        def counted_init(self, *args, **kwargs):
+            calls["init"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_add_edge(self, *args, **kwargs):
+            calls["add_edge"] += 1
+            return add_edge(self, *args, **kwargs)
+
+        monkeypatch.setattr(RoadNetwork, "__init__", counted_init)
+        monkeypatch.setattr(RoadNetwork, "add_edge", counted_add_edge)
+        network = build()
+        assert calls == {"init": 1, "add_edge": network.num_edges}
+
+    def test_collector_is_paused_during_the_build_only(self, monkeypatch):
+        seen = []
+        init = RoadNetwork.__init__
+
+        def spying_init(self, *args, **kwargs):
+            seen.append(gc.isenabled())
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RoadNetwork, "__init__", spying_init)
+        assert gc.isenabled()
+        grid_network(4, 4, seed=0)
+        with pytest.raises(ValueError):
+            grid_network(1, 4)
+        assert seen == [False] and gc.isenabled()
+        gc.disable()
+        try:
+            grid_network(4, 4, seed=0)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
+class TestDraft:
+    """The draft refuses what RoadNetwork refuses, at insertion, so a
+    road the largest-SCC cut would drop still fails loudly."""
+
+    @pytest.fixture
+    def draft(self):
+        draft = NetworkDraft("draft")
+        draft.add_vertex(0, 0.0, 0.0)
+        draft.add_vertex(1, 3.0, 4.0)
+        return draft
+
+    def test_duplicate_vertex(self, draft):
+        with pytest.raises(GraphError, match="already exists"):
+            draft.add_vertex(1, 5.0, 5.0)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_non_finite_position(self, draft, x, y):
+        with pytest.raises(GraphError, match="non-finite"):
+            draft.add_vertex(2, x, y)
+
+    def test_unknown_endpoint(self, draft):
+        with pytest.raises(VertexNotFoundError):
+            draft.add_edge(0, 7, length=1.0)
+        with pytest.raises(VertexNotFoundError):
+            draft.add_edge(7, 0, length=1.0)
+
+    def test_self_loop(self, draft):
+        with pytest.raises(GraphError, match="self-loop"):
+            draft.add_edge(1, 1, length=1.0)
+
+    def test_duplicate_edge(self, draft):
+        draft.add_edge(0, 1, length=1.0)
+        with pytest.raises(GraphError, match="already exists"):
+            draft.add_two_way(0, 1, length=1.0)
+
+    @pytest.mark.parametrize("length, speed", [
+        (0.0, None), (-1.0, None), (math.nan, None), (math.inf, None),
+        (1.0, 0.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_bad_length_or_speed(self, draft, length, speed):
+        with pytest.raises(GraphError, match="positive and finite"):
+            draft.add_edge(0, 1, length=length, speed=speed)
+        assert not draft.has_edge(0, 1)
+
+    def test_refused_road_leaves_no_trace(self, draft):
+        with pytest.raises(GraphError):
+            draft.add_edge(0, 1, length=math.nan)
+        draft.add_two_way(0, 1, length=5.0, category=RoadCategory.ARTERIAL)
+        network = draft.build()
+        assert network.num_edges == 2
+        assert network.edge(1, 0).speed == RoadCategory.ARTERIAL.default_speed
+
+    def test_build_without_cut_keeps_everything(self, draft):
+        draft.add_edge(0, 1, length=1.0)
+        network = draft.build(largest_scc=False)
+        assert network.vertex_ids() == [0, 1]
+        assert network.num_edges == 1
+        assert draft.build().num_vertices == 1
+
+
 class TestJsonRoundTrip:
     def test_dict_roundtrip(self, tiny_network):
         doc = network_to_dict(tiny_network)
@@ -155,24 +266,6 @@ class TestJsonRoundTrip:
             network_from_dict([1, 2, 3])
 
 
-class TestCsvRoundTrip:
-    def test_roundtrip(self, small_grid, tmp_path):
-        save_network_csv(small_grid, tmp_path)
-        restored = load_network_csv(tmp_path)
-        assert restored.num_vertices == small_grid.num_vertices
-        assert {e.key for e in restored.edges()} == {e.key for e in small_grid.edges()}
-
-    def test_lengths_preserved(self, tiny_network, tmp_path):
-        save_network_csv(tiny_network, tmp_path)
-        restored = load_network_csv(tmp_path)
-        for e in tiny_network.edges():
-            assert restored.edge(*e.key).length == pytest.approx(e.length)
-
-    def test_missing_files(self, tmp_path):
-        with pytest.raises(SerializationError):
-            load_network_csv(tmp_path)
-
-
 class TestOsmRoundTrip:
     def test_topology_survives(self, tiny_network, tmp_path):
         path = tmp_path / "tiny.osm"
@@ -209,6 +302,34 @@ class TestOsmRoundTrip:
         for e in restored.edges():
             euclid = restored.euclidean(e.source, e.target)
             assert e.length == pytest.approx(euclid, rel=0.02)
+
+    def test_largest_scc_drops_dangling_one_way(self, tmp_path):
+        doc = """<?xml version='1.0'?>
+        <osm version='0.6'>
+          <node id='5' lat='57.0' lon='9.9'/>
+          <node id='6' lat='57.01' lon='9.9'/>
+          <node id='7' lat='57.02' lon='9.9'/>
+          <node id='8' lat='57.03' lon='9.9'/>
+          <way id='1' version='1'>
+            <nd ref='5'/><nd ref='6'/><nd ref='7'/>
+            <tag k='highway' v='primary'/>
+          </way>
+          <way id='2' version='1'>
+            <nd ref='7'/><nd ref='8'/>
+            <tag k='highway' v='residential'/><tag k='oneway' v='yes'/>
+          </way>
+        </osm>"""
+        path = tmp_path / "dangling.osm"
+        path.write_text(doc, encoding="utf-8")
+        whole = load_osm_xml(path, keep_largest_scc=False)
+        assert whole.num_vertices == 4 and whole.num_edges == 5
+        net = load_osm_xml(path)
+        assert net.vertex_ids() == [0, 1, 2]
+        assert net.num_edges == 4
+        assert net.is_strongly_connected()
+        assert {e.category for e in net.edges()} == {RoadCategory.ARTERIAL}
+        assert [(v.x, v.y) for v in net.vertices()] == [
+            (v.x, v.y) for v in list(whole.vertices())[:3]]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SerializationError):

@@ -6,6 +6,8 @@ import pytest
 
 from repro.errors import EdgeNotFoundError, GraphError, VertexNotFoundError
 from repro.graph import RoadCategory, RoadNetwork
+from repro.graph.builders import NetworkDraft
+from repro.graph.network import kosaraju
 
 
 @pytest.fixture
@@ -29,6 +31,13 @@ class TestVertices:
     def test_duplicate_vertex_rejected(self, pair):
         with pytest.raises(GraphError):
             pair.add_vertex(0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.nan),
+                                      (math.inf, 0.0), (0.0, -math.inf)])
+    def test_non_finite_position_rejected(self, empty, x, y):
+        with pytest.raises(GraphError, match="non-finite"):
+            empty.add_vertex(0, x, y)
+        assert empty.num_vertices == 0
 
     def test_missing_vertex_raises(self, pair):
         with pytest.raises(VertexNotFoundError):
@@ -91,6 +100,18 @@ class TestEdges:
         forward, backward = pair.add_two_way(0, 1)
         assert forward.length == backward.length
         assert pair.has_edge(0, 1) and pair.has_edge(1, 0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_length_rejected(self, pair, value):
+        with pytest.raises(GraphError, match="length"):
+            pair.add_edge(0, 1, length=value)
+        assert pair.num_edges == 0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_speed_rejected(self, pair, value):
+        with pytest.raises(GraphError, match="speed"):
+            pair.add_edge(0, 1, length=1.0, speed=value)
+        assert pair.num_edges == 0
 
     def test_non_positive_length_rejected(self, pair):
         with pytest.raises(GraphError):
@@ -177,15 +198,36 @@ class TestConnectivity:
         assert ours == theirs
 
     def test_largest_scc_subgraph(self):
-        net = RoadNetwork()
+        draft = NetworkDraft("dangling")
         for i in range(4):
-            net.add_vertex(i, float(i), 0.0)
-        net.add_two_way(0, 1, length=1.0)
-        net.add_two_way(1, 2, length=1.0)
-        net.add_edge(2, 3, length=1.0)  # 3 dangles (no way back)
-        largest = net.largest_scc_subgraph()
-        assert set(largest.vertex_ids()) == {0, 1, 2}
+            draft.add_vertex(10 * i, float(i), 0.0)
+        draft.add_two_way(0, 10, length=1.0)
+        draft.add_two_way(10, 20, length=1.0)
+        draft.add_edge(20, 30, length=1.0)  # 30 dangles (no way back)
+        largest = draft.build()
+        assert largest.vertex_ids() == [0, 1, 2]
+        assert [(v.x, v.y) for v in largest.vertices()] == [
+            (0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+        assert largest.num_edges == 4 and not largest.has_edge(2, 3)
         assert largest.is_strongly_connected()
+
+    def test_equal_size_components_resolve_in_kosaraju_order(self):
+        """Two disjoint two-way pairs: the cut keeps the one Kosaraju
+        lists first, which is the pair inserted last."""
+        draft = NetworkDraft("twins")
+        for i in range(4):
+            draft.add_vertex(i, float(i), 0.0)
+        draft.add_two_way(0, 1, length=1.0)
+        draft.add_two_way(2, 3, length=2.0)
+        kept = draft.build()
+        assert [(v.x, v.y) for v in kept.vertices()] == [(2.0, 0.0), (3.0, 0.0)]
+        assert kept.edge(0, 1).length == 2.0
+
+        whole = draft.build(largest_scc=False)
+        first = max(whole.strongly_connected_components(), key=len)
+        assert first == {2, 3}
+        assert kosaraju({0: [1], 1: [0], 2: [3], 3: [2]},
+                        {0: [1], 1: [0], 2: [3], 3: [2]}) == [{2, 3}, {0, 1}]
 
     def test_empty_network_connected(self, empty):
         assert empty.is_strongly_connected()
@@ -206,12 +248,6 @@ class TestConnectivity:
         copy = renamed.edge(mapping[0], mapping[2])
         assert copy.length == original.length
         assert copy.category == original.category
-
-    def test_subgraph_drops_crossing_edges(self, tiny_network):
-        sub = tiny_network.subgraph({0, 1, 2})
-        assert sub.num_vertices == 3
-        assert not sub.has_edge(1, 4)
-        assert sub.has_edge(0, 1)
 
 
 class TestValidationInterop:

@@ -514,6 +514,24 @@ class TestAnalyticsCommands:
         assert main(["service-area", "--network", str(grid_file),
                      "--sources", "0", "--budgets", "cheap"]) == 2
 
+    def test_non_finite_length_exits_2(self, grid_file, tmp_path, capsys):
+        """A ``NaN`` road length used to load, and the command answered
+        around it with exit 0."""
+        document = json.loads(grid_file.read_text(encoding="utf-8"))
+        document["edges"][0]["length"] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        assert "NaN" in bad.read_text(encoding="utf-8")
+        edge = document["edges"][0]
+        code = main(["od-matrix", "--network", str(bad), "--origins",
+                     str(edge["source"]), "--destinations",
+                     str(edge["target"])])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.strip().splitlines()
+        assert line.startswith("error:") and "length nan" in line
+
     def test_negative_workers_exit_2(self, grid_file, capsys):
         """``--workers -3`` used to run inline without a word."""
         code = main(["od-matrix", "--network", str(grid_file),
