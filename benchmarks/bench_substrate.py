@@ -1,10 +1,10 @@
 """Benchmarks E9/E10 — substrate micro-benchmarks.
 
-E9 measures the routing kernels behind candidate generation (Dijkstra,
-bidirectional Dijkstra, A*, Yen, diversified top-k); E10 measures
-node2vec.  The ``substrate-training`` group times one GRU direction's
-forward + backward at T=40, B=64, H=32 two ways: the per-step composite
-of primitive ops over ``GRUCell.step``, and the single hand-derived
+E9 measures the routing kernels behind candidate generation (one
+shortest path, Yen, diversified top-k); E10 measures node2vec.  The
+``substrate-training`` group times one GRU direction's forward +
+backward at T=40, B=64, H=32 two ways: the per-step composite of
+primitive ops over ``GRUCell.step``, and the single hand-derived
 ``F.gru_sequence`` node that ``GRU`` runs.  These are genuine
 pytest-benchmark timings (multiple rounds), unlike the table benches
 which time one full pipeline run.
@@ -15,8 +15,6 @@ import pytest
 
 from repro.embedding import BiasedWalkGenerator, Node2Vec, Node2VecConfig
 from repro.graph import (
-    astar,
-    bidirectional_dijkstra,
     diversified_top_k,
     shortest_path,
     yen_k_shortest_paths,
@@ -38,21 +36,6 @@ def test_bench_dijkstra(benchmark, od_pair):
     network, source, target = od_pair
     path = benchmark(shortest_path, network, source, target)
     assert path.source == source
-
-
-@pytest.mark.benchmark(group="substrate-routing")
-def test_bench_bidirectional(benchmark, od_pair):
-    network, source, target = od_pair
-    path = benchmark(bidirectional_dijkstra, network, source, target)
-    assert path.length == pytest.approx(
-        shortest_path(network, source, target).length)
-
-
-@pytest.mark.benchmark(group="substrate-routing")
-def test_bench_astar(benchmark, od_pair):
-    network, source, target = od_pair
-    path = benchmark(astar, network, source, target)
-    assert path.target == target
 
 
 @pytest.mark.benchmark(group="substrate-routing")

@@ -10,8 +10,8 @@ kernel they attached at warmup.
 
 Entry points:
 
-- :func:`od_cost_matrix` / :func:`od_cost_pairs` — many-to-many and
-  sparse pair costs (chunked multi-source sweeps).
+- :func:`od_cost_matrix` — many-to-many costs (chunked multi-source
+  sweeps).
 - :func:`service_area` — per-budget isochrone vertex/edge sets from
   multi-source rows, vectorised in numpy.
 - :func:`route_frequencies` — per-edge load over a workload, one SSSP
@@ -24,7 +24,6 @@ Each takes the network first, then optional ``plane=`` (an
 
 from repro.analytics.batch import (
     od_cost_matrix,
-    od_cost_pairs,
     route_frequencies,
     service_area,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "cost_from_name",
     "cost_name",
     "od_cost_matrix",
-    "od_cost_pairs",
     "route_frequencies",
     "service_area",
     "tile_sources",

@@ -33,7 +33,6 @@ from repro.graph.csr import csr_for
 
 __all__ = [
     "od_cost_matrix",
-    "od_cost_pairs",
     "service_area",
     "route_frequencies",
 ]
@@ -131,38 +130,6 @@ def od_cost_matrix(network, origins, destinations=None, *, cost=None,
                     costs=costs,
                     method="forward_sweep" if forward else "reverse_sweep",
                     sweeps=len(sweep_ids))
-
-
-def od_cost_pairs(network, pairs, *, cost=None, method: str = "auto",
-                  chunk_size: int | None = None, metrics=None) -> np.ndarray:
-    """Least costs for an explicit pair list, aligned with ``pairs``.
-
-    Groups pairs by origin so each distinct origin costs one sweep at
-    most; ``method`` is ``"auto"`` or ``"sweep"``, which are the same
-    thing.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise AnalyticsError("od_cost_pairs needs at least one pair")
-    if method not in ("auto", "sweep"):
-        raise AnalyticsError(f"unknown od method {method!r}")
-    _check_chunk_size(chunk_size)
-    began = perf_counter()
-    kernel = csr_for(network)
-    sources = list(dict.fromkeys(origin for origin, _ in pairs))
-    out = np.empty(len(pairs), dtype=np.float64)
-    wanted: dict[int, list[tuple[int, int]]] = {}
-    for k, (origin, destination) in enumerate(pairs):
-        wanted.setdefault(origin, []).append(
-            (k, kernel.index_of(destination)))
-    for start, rows in kernel.iter_multi_source(sources, cost,
-                                                chunk_size=chunk_size):
-        for i in range(rows.shape[0]):
-            for k, target_idx in wanted[sources[start + i]]:
-                out[k] = rows[i, target_idx]
-    _observe(metrics, "od", pairs=len(pairs),
-             elapsed_s=perf_counter() - began)
-    return out
 
 
 def service_area(network, sources, budgets, *, cost=None,

@@ -674,6 +674,8 @@ def _cmd_service_area(args: argparse.Namespace) -> int:
 
 
 def _cmd_route_frequencies(args: argparse.Namespace) -> int:
+    if args.top < 0:
+        raise ConfigError(f"--top must be >= 0, got {args.top}")
     network = load_network_json(args.network)
     pairs = _parse_pair_workload(args)
     plane = _analytics_plane(args, network)
@@ -688,7 +690,7 @@ def _cmd_route_frequencies(args: argparse.Namespace) -> int:
         print(json.dumps(frequencies.as_dict()))
         return 0
     loaded = sorted(frequencies.items(), key=lambda item: -item[1])
-    shown = loaded if args.top <= 0 else loaded[:args.top]
+    shown = loaded if args.top == 0 else loaded[:args.top]
     for (u, v), load in shown:
         print(f"edge {u}->{v}: {load:g}")
     if len(loaded) > len(shown):

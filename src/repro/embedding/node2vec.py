@@ -18,7 +18,7 @@ from repro.embedding.walks import BiasedWalkGenerator
 from repro.graph.network import RoadNetwork
 from repro.rng import RngLike, make_rng, spawn
 
-__all__ = ["Node2VecConfig", "Node2Vec", "train_node2vec"]
+__all__ = ["Node2VecConfig", "Node2Vec"]
 
 
 @dataclass(frozen=True)
@@ -98,14 +98,3 @@ class Node2Vec:
         if self.model is None:
             raise RuntimeError("call fit() before reading the embedding matrix")
         return self.model.vectors
-
-
-def train_node2vec(
-    network: RoadNetwork,
-    dim: int = 64,
-    rng: RngLike = None,
-    **overrides,
-) -> np.ndarray:
-    """Convenience wrapper: embedding matrix for ``network`` at size ``dim``."""
-    config = Node2VecConfig(dim=dim, **overrides)
-    return Node2Vec(network, config).fit(rng=rng)

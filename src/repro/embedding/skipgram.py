@@ -210,13 +210,3 @@ class SkipGramModel:
         if denom == 0.0:
             return 0.0
         return float(va @ vb / denom)
-
-    def most_similar(self, vertex: int, top: int = 5) -> list[tuple[int, float]]:
-        """The ``top`` most cosine-similar vertices (excluding itself)."""
-        norms = np.linalg.norm(self.vectors, axis=1)
-        norms = np.where(norms == 0.0, 1.0, norms)
-        normalised = self.vectors / norms[:, None]
-        scores = normalised @ normalised[vertex]
-        scores[vertex] = -np.inf
-        best = np.argsort(-scores)[:top]
-        return [(int(i), float(scores[i])) for i in best]

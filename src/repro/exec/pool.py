@@ -397,17 +397,6 @@ class WorkerPool:
             process.kill()
         return index
 
-    def hang_worker(self, index: int | None = None) -> int:
-        """Wedge one worker with a never-returning job (chaos helper)."""
-        with self._lock:
-            if index is None:
-                index = min(range(self.workers),
-                            key=lambda i: self._outstanding[i])
-            self._outstanding[index] += 1  # occupy the slot for real
-            inqueue = self._slots[index].inqueue
-        inqueue.put(("hang", 0, None))
-        return index
-
     def _note_timeout(self, ticket: PoolTicket) -> None:
         """A waiter gave up on ``ticket``: treat its worker as sick."""
         with self._lock:

@@ -51,17 +51,13 @@ from repro.graph.network import Edge, RoadCategory, RoadNetwork, Vertex
 from repro.graph.osm import load_osm_xml, save_osm_xml
 from repro.graph.path import Path
 from repro.graph.shortest_path import (
-    astar,
-    bidirectional_dijkstra,
     dijkstra,
     length_cost,
     shortest_path,
     shortest_path_cost,
     travel_time_cost,
-    travel_time_heuristic,
 )
 from repro.graph.similarity import (
-    get_similarity,
     jaccard,
     overlap_ratio,
     time_weighted_jaccard,
@@ -87,11 +83,8 @@ __all__ = [
     "dijkstra",
     "shortest_path",
     "shortest_path_cost",
-    "bidirectional_dijkstra",
-    "astar",
     "length_cost",
     "travel_time_cost",
-    "travel_time_heuristic",
     "yen_k_shortest_paths",
     "yen_path_generator",
     "diversified_top_k",
@@ -101,7 +94,6 @@ __all__ = [
     "jaccard",
     "vertex_jaccard",
     "overlap_ratio",
-    "get_similarity",
     "network_to_dict",
     "network_from_dict",
     "save_network_json",

@@ -6,6 +6,7 @@ import json
 from pathlib import Path as FilePath
 
 from repro.errors import SerializationError
+from repro.graph.builders import gc_paused
 from repro.graph.network import RoadCategory, RoadNetwork
 
 __all__ = [
@@ -39,6 +40,7 @@ def network_to_dict(network: RoadNetwork) -> dict:
     }
 
 
+@gc_paused()
 def network_from_dict(document: dict) -> RoadNetwork:
     """Inverse of :func:`network_to_dict`, with validation."""
     if not isinstance(document, dict):

@@ -347,17 +347,6 @@ class RoadNetwork:
         """Straight-line distance between two vertices, in metres."""
         return self.vertex(a).distance_to(self.vertex(b))
 
-    def bounding_box(self) -> tuple[float, float, float, float]:
-        """``(min_x, min_y, max_x, max_y)`` over all vertices."""
-        if not self._vertices:
-            raise GraphError("bounding box of an empty network")
-        xs = [v.x for v in self._vertices.values()]
-        ys = [v.y for v in self._vertices.values()]
-        return (min(xs), min(ys), max(xs), max(ys))
-
-    def total_length(self) -> float:
-        return sum(e.length for e in self._edges.values())
-
     # ------------------------------------------------------------------
     # Connectivity
     # ------------------------------------------------------------------

@@ -113,14 +113,8 @@ class Path:
     # ------------------------------------------------------------------
     # Relations
     # ------------------------------------------------------------------
-    def contains_edge(self, source: int, target: int) -> bool:
-        return (source, target) in self.edge_set
-
     def shared_edges(self, other: "Path") -> frozenset[tuple[int, int]]:
         return self.edge_set & other.edge_set
-
-    def same_endpoints(self, other: "Path") -> bool:
-        return self.source == other.source and self.target == other.target
 
     # ------------------------------------------------------------------
     # Composition
@@ -132,14 +126,6 @@ class Path:
                 f"prefix length {num_vertices} out of range [2, {self.num_vertices}]"
             )
         return Path(self._network, self._vertices[:num_vertices])
-
-    def suffix_from(self, index: int) -> "Path":
-        """The sub-path starting at vertex position ``index``."""
-        if not 0 <= index <= self.num_vertices - 2:
-            raise InvalidPathError(
-                f"suffix index {index} out of range [0, {self.num_vertices - 2}]"
-            )
-        return Path(self._network, self._vertices[index:])
 
     def concat(self, other: "Path") -> "Path":
         """Join two paths where ``self`` ends at ``other``'s start."""

@@ -24,7 +24,6 @@ __all__ = [
     "vertex_jaccard",
     "time_weighted_jaccard",
     "overlap_ratio",
-    "get_similarity",
 ]
 
 SimilarityFunction = Callable[[Path, Path], float]
@@ -94,20 +93,3 @@ def overlap_ratio(candidate: Path, reference: Path) -> float:
         return 0.0
     shared_length = sum(candidate.network.edge(u, v).length for u, v in shared)
     return shared_length / candidate.length
-
-
-_REGISTRY: dict[str, SimilarityFunction] = {
-    "weighted_jaccard": weighted_jaccard,
-    "time_weighted_jaccard": time_weighted_jaccard,
-    "jaccard": jaccard,
-    "vertex_jaccard": vertex_jaccard,
-}
-
-
-def get_similarity(name: str) -> SimilarityFunction:
-    """Look up a similarity function by configuration name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"unknown similarity {name!r}; known: {known}") from None

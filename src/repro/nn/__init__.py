@@ -2,8 +2,8 @@
 
 PyTorch is unavailable in the reproduction environment, so this package
 implements the pieces PathRank needs — tensors with autograd, embedding
-and linear layers, masked (bi)directional GRUs, losses, and optimisers —
-with the conventional framework API surface.
+and linear layers, masked (bi)directional GRUs, the MSE loss and the
+Adam optimiser — with the conventional framework API surface.
 """
 
 from repro.nn import functional  # noqa: F401  (re-export the namespace)
@@ -13,20 +13,12 @@ from repro.nn.fused import (
     compiled_if_cached,
 )
 from repro.nn.grad_check import check_gradients, numerical_gradient
-from repro.nn.layers import Dropout, Embedding, Linear, ReLU, Sequential, Sigmoid, Tanh
-from repro.nn.loss import BCELoss, HuberLoss, MAELoss, MSELoss
+from repro.nn.layers import Dropout, Embedding, Linear
+from repro.nn.loss import MSELoss
 from repro.nn.module import Module, Parameter
-from repro.nn.optim import SGD, AdaGrad, Adam, Optimizer, clip_grad_norm
+from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.rnn import GRU, BiGRU, GRUCell
-from repro.nn.schedule import (
-    ConstantLR,
-    CosineLR,
-    ExponentialLR,
-    LinearWarmup,
-    LRSchedule,
-    StepLR,
-)
-from repro.nn.serialization import load_module, load_state, save_module, save_state
+from repro.nn.serialization import load_state, save_state
 from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled, no_grad
 
 __all__ = [
@@ -40,30 +32,12 @@ __all__ = [
     "Linear",
     "Embedding",
     "Dropout",
-    "Sequential",
-    "Tanh",
-    "ReLU",
-    "Sigmoid",
     "GRUCell",
     "GRU",
     "BiGRU",
     "MSELoss",
-    "MAELoss",
-    "HuberLoss",
-    "BCELoss",
-    "Optimizer",
-    "SGD",
     "Adam",
-    "AdaGrad",
     "clip_grad_norm",
-    "LRSchedule",
-    "ConstantLR",
-    "StepLR",
-    "ExponentialLR",
-    "CosineLR",
-    "LinearWarmup",
-    "save_module",
-    "load_module",
     "save_state",
     "load_state",
     "check_gradients",

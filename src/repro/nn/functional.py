@@ -1,9 +1,9 @@
 """Composite tensor operations built on :mod:`repro.nn.tensor`.
 
 These are the free functions a layer implementation reaches for:
-concatenation, stacking, masked selection, softmax, dropout, the
-embedding gather used by PathRank's vertex-embedding matrix ``B``, and
-:func:`gru_sequence`, a whole masked GRU recurrence as one graph node.
+concatenation, stacking, splitting, dropout, the embedding gather used by
+PathRank's vertex-embedding matrix ``B``, and :func:`gru_sequence`, a
+whole masked GRU recurrence as one graph node.
 """
 
 from __future__ import annotations
@@ -13,79 +13,16 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.nn.tensor import (Tensor, _send, as_tensor, is_grad_enabled, stable_sigmoid,
-                              unbroadcast)
+from repro.nn.tensor import Tensor, _send, as_tensor, is_grad_enabled, stable_sigmoid
 
 __all__ = [
-    "add",
-    "mul",
-    "matmul",
     "concat",
     "stack",
-    "where",
-    "maximum",
-    "minimum",
-    "softmax",
-    "log_softmax",
     "dropout",
     "embedding_lookup",
-    "sigmoid",
-    "tanh",
-    "relu",
-    "exp",
-    "log",
-    "square",
-    "mean",
-    "total",
     "chunk",
     "gru_sequence",
 ]
-
-
-def add(a: Tensor | float, b: Tensor | float) -> Tensor:
-    return as_tensor(a) + as_tensor(b)
-
-
-def mul(a: Tensor | float, b: Tensor | float) -> Tensor:
-    return as_tensor(a) * as_tensor(b)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return as_tensor(a) @ as_tensor(b)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return as_tensor(x).sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return as_tensor(x).tanh()
-
-
-def relu(x: Tensor) -> Tensor:
-    return as_tensor(x).relu()
-
-
-def exp(x: Tensor) -> Tensor:
-    return as_tensor(x).exp()
-
-
-def log(x: Tensor) -> Tensor:
-    return as_tensor(x).log()
-
-
-def square(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    return x * x
-
-
-def mean(x: Tensor) -> Tensor:
-    return as_tensor(x).mean()
-
-
-def total(x: Tensor) -> Tensor:
-    """Sum of all elements (named ``total`` to avoid shadowing ``sum``)."""
-    return as_tensor(x).sum()
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -125,47 +62,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 _send(part, np.ascontiguousarray(piece))
 
     return Tensor._make(data, tuple(parts), backward)
-
-
-def where(condition: np.ndarray, a: Tensor | float, b: Tensor | float) -> Tensor:
-    """Elementwise select: ``condition`` is a boolean array (not a tensor)."""
-    cond = np.asarray(condition, dtype=bool)
-    at, bt = as_tensor(a), as_tensor(b)
-    data = np.where(cond, at.data, bt.data)
-
-    def backward(g: np.ndarray) -> None:
-        if at.requires_grad:
-            _send(at, unbroadcast(g * cond, at.shape))
-        if bt.requires_grad:
-            _send(bt, unbroadcast(g * ~cond, bt.shape))
-
-    return Tensor._make(data, (at, bt), backward)
-
-
-def maximum(a: Tensor | float, b: Tensor | float) -> Tensor:
-    """Elementwise max; ties send the full gradient to the first operand."""
-    at, bt = as_tensor(a), as_tensor(b)
-    return where(at.data >= bt.data, at, bt)
-
-
-def minimum(a: Tensor | float, b: Tensor | float) -> Tensor:
-    """Elementwise min; ties send the full gradient to the first operand."""
-    at, bt = as_tensor(a), as_tensor(b)
-    return where(at.data <= bt.data, at, bt)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable softmax built from differentiable primitives."""
-    x = as_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    exps = shifted.exp()
-    return exps / exps.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x = as_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["uniform", "normal", "xavier_uniform", "xavier_normal", "orthogonal", "zeros"]
+__all__ = ["uniform", "normal", "xavier_uniform", "orthogonal", "zeros"]
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
@@ -39,12 +39,6 @@ def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
     fan_in, fan_out = _fan_in_out(shape)
     bound = float(np.sqrt(6.0 / (fan_in + fan_out)))
     return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    fan_in, fan_out = _fan_in_out(shape)
-    std = float(np.sqrt(2.0 / (fan_in + fan_out)))
-    return rng.normal(0.0, std, size=shape)
 
 
 def orthogonal(rng: np.random.Generator, shape: tuple[int, int], gain: float = 1.0) -> np.ndarray:

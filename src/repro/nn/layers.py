@@ -1,8 +1,6 @@
-"""Feed-forward layers: Linear, Embedding, Dropout, Sequential."""
+"""Feed-forward layers: Linear, Embedding, Dropout."""
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -13,7 +11,7 @@ from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
 from repro.rng import RngLike, make_rng
 
-__all__ = ["Linear", "Embedding", "Dropout", "Sequential", "Tanh", "ReLU", "Sigmoid"]
+__all__ = ["Linear", "Embedding", "Dropout"]
 
 
 class Linear(Module):
@@ -89,41 +87,3 @@ class Dropout(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.rate, self._rng, training=self.training)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Sequential(Module):
-    """Chain modules; the output of one feeds the next."""
-
-    def __init__(self, layers: Sequence[Module]) -> None:
-        super().__init__()
-        if not layers:
-            raise ValueError("Sequential requires at least one layer")
-        self._layer_list = list(layers)
-        for index, layer in enumerate(self._layer_list):
-            setattr(self, f"layer{index}", layer)
-
-    def __len__(self) -> int:
-        return len(self._layer_list)
-
-    def __getitem__(self, index: int) -> Module:
-        return self._layer_list[index]
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self._layer_list:
-            x = layer(x)
-        return x

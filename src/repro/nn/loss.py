@@ -1,9 +1,5 @@
-"""Regression and classification losses.
-
-PathRank trains with mean-squared error against the weighted-Jaccard
-ground-truth scores; MAE/Huber/BCE are provided for ablations and for the
-node2vec trainer.
-"""
+"""The regression loss: PathRank trains with mean-squared error against
+the weighted-Jaccard ground-truth scores."""
 
 from __future__ import annotations
 
@@ -11,14 +7,7 @@ from repro.errors import ShapeError
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor, as_tensor
 
-__all__ = ["MSELoss", "MAELoss", "HuberLoss", "BCELoss"]
-
-
-def _check_same_shape(prediction: Tensor, target: Tensor) -> None:
-    if prediction.shape != target.shape:
-        raise ShapeError(
-            f"loss shapes differ: prediction {prediction.shape} vs target {target.shape}"
-        )
+__all__ = ["MSELoss"]
 
 
 class MSELoss(Module):
@@ -26,51 +15,9 @@ class MSELoss(Module):
 
     def forward(self, prediction: Tensor, target: Tensor | object) -> Tensor:
         target = as_tensor(target)
-        _check_same_shape(prediction, target)
+        if prediction.shape != target.shape:
+            raise ShapeError(
+                f"loss shapes differ: prediction {prediction.shape} vs target {target.shape}"
+            )
         diff = prediction - target
         return (diff * diff).mean()
-
-
-class MAELoss(Module):
-    """Mean absolute error (L1)."""
-
-    def forward(self, prediction: Tensor, target: Tensor | object) -> Tensor:
-        target = as_tensor(target)
-        _check_same_shape(prediction, target)
-        return (prediction - target).abs().mean()
-
-
-class HuberLoss(Module):
-    """Smooth L1: quadratic within ``delta``, linear outside."""
-
-    def __init__(self, delta: float = 1.0) -> None:
-        super().__init__()
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        self.delta = float(delta)
-
-    def forward(self, prediction: Tensor, target: Tensor | object) -> Tensor:
-        target = as_tensor(target)
-        _check_same_shape(prediction, target)
-        diff = prediction - target
-        abs_diff = diff.abs()
-        quadratic = 0.5 * diff * diff
-        linear = self.delta * abs_diff - 0.5 * self.delta * self.delta
-        from repro.nn.functional import where
-
-        return where(abs_diff.data <= self.delta, quadratic, linear).mean()
-
-
-class BCELoss(Module):
-    """Binary cross-entropy on probabilities, clipped for stability."""
-
-    def __init__(self, eps: float = 1e-9) -> None:
-        super().__init__()
-        self.eps = float(eps)
-
-    def forward(self, prediction: Tensor, target: Tensor | object) -> Tensor:
-        target = as_tensor(target)
-        _check_same_shape(prediction, target)
-        p = prediction.clip(self.eps, 1.0 - self.eps)
-        losses = -(target * p.log() + (1.0 - target) * (1.0 - p).log())
-        return losses.mean()

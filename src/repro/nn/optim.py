@@ -1,8 +1,6 @@
-"""First-order optimisers over :class:`~repro.nn.module.Parameter` lists.
-
-Provides SGD (with optional momentum and weight decay), Adam, and
-AdaGrad, plus global-norm gradient clipping — everything the PathRank
-trainer and the skip-gram trainer need.
+"""The PathRank trainer's optimiser: Adam over
+:class:`~repro.nn.module.Parameter` lists, plus global-norm gradient
+clipping.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ import numpy as np
 
 from repro.nn.module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "AdaGrad", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
@@ -36,61 +34,7 @@ def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
     return norm
 
 
-class Optimizer:
-    """Shared bookkeeping: parameter list, learning rate, zero_grad."""
-
-    def __init__(self, parameters: Sequence[Parameter], lr: float) -> None:
-        params = list(parameters)
-        if not params:
-            raise ValueError("optimizer received no parameters")
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.parameters = params
-        self.lr = float(lr)
-
-    def zero_grad(self) -> None:
-        for p in self.parameters:
-            p.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with momentum and L2 weight decay."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0.0:
-            raise ValueError(f"weight decay must be non-negative, got {weight_decay}")
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for p in self.parameters:
-            if p.grad is None or not p.requires_grad:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                velocity = self._velocity.get(id(p))
-                velocity = grad if velocity is None else self.momentum * velocity + grad
-                self._velocity[id(p)] = velocity
-                grad = velocity
-            p.data = p.data - self.lr * grad
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam (Kingma & Ba, 2015) with bias correction."""
 
     def __init__(
@@ -101,7 +45,11 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(parameters, lr)
+        params = list(parameters)
+        if not params:
+            raise ValueError("optimizer received no parameters")
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
         beta1, beta2 = betas
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError(f"betas must be in [0, 1), got {betas}")
@@ -109,12 +57,18 @@ class Adam(Optimizer):
             raise ValueError(f"eps must be positive, got {eps}")
         if weight_decay < 0.0:
             raise ValueError(f"weight decay must be non-negative, got {weight_decay}")
+        self.parameters = params
+        self.lr = float(lr)
         self.beta1, self.beta2 = float(beta1), float(beta2)
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self._step_count = 0
         self._first: dict[int, np.ndarray] = {}
         self._second: dict[int, np.ndarray] = {}
+
+    def zero_grad(self) -> None:
+        for p in self.parameters:
+            p.zero_grad()
 
     def step(self) -> None:
         self._step_count += 1
@@ -134,25 +88,3 @@ class Adam(Optimizer):
             self._second[id(p)] = second
             update = (first / bias1) / (np.sqrt(second / bias2) + self.eps)
             p.data = p.data - self.lr * update
-
-
-class AdaGrad(Optimizer):
-    """AdaGrad, the classic choice for sparse embedding updates."""
-
-    def __init__(
-        self, parameters: Sequence[Parameter], lr: float = 0.01, eps: float = 1e-10
-    ) -> None:
-        super().__init__(parameters, lr)
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        self.eps = float(eps)
-        self._accumulator: dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for p in self.parameters:
-            if p.grad is None or not p.requires_grad:
-                continue
-            acc = self._accumulator.get(id(p), np.zeros_like(p.data))
-            acc = acc + p.grad * p.grad
-            self._accumulator[id(p)] = acc
-            p.data = p.data - self.lr * p.grad / (np.sqrt(acc) + self.eps)

@@ -1,4 +1,4 @@
-"""Saving and loading module weights as ``.npz`` archives."""
+"""Saving and loading state dicts as ``.npz`` archives."""
 
 from __future__ import annotations
 
@@ -8,9 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import SerializationError
-from repro.nn.module import Module
 
-__all__ = ["save_module", "load_module", "save_state", "load_state"]
+__all__ = ["save_state", "load_state"]
 
 _META_KEY = "__repro_meta__"
 _FORMAT_VERSION = 1
@@ -45,16 +44,3 @@ def load_state(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, objec
             )
         state = {key: archive[key] for key in archive.files if key != _META_KEY}
     return state, meta.get("user", {})
-
-
-def save_module(module: Module, path: str | Path,
-                metadata: dict[str, object] | None = None) -> None:
-    """Persist ``module.state_dict()`` to ``path``."""
-    save_state(module.state_dict(), path, metadata=metadata)
-
-
-def load_module(module: Module, path: str | Path, strict: bool = True) -> dict[str, object]:
-    """Load weights into ``module`` in place; returns the saved metadata."""
-    state, metadata = load_state(path)
-    module.load_state_dict(state, strict=strict)
-    return metadata

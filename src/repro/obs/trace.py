@@ -90,11 +90,6 @@ class Trace:
         finally:
             self.add(name, start, time.perf_counter(), **attrs)
 
-    def duration_of(self, name: str) -> float:
-        """Total milliseconds spent in spans called ``name``."""
-        return sum(span.duration_ms for span in self.spans
-                   if span.name == name)
-
     def as_dict(self) -> dict[str, object]:
         record: dict[str, object] = {
             "spans": [span.as_dict(self.started) for span in self.spans],

@@ -13,8 +13,6 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path as FilePath
 
-import numpy as np
-
 from repro.errors import DataError, SerializationError
 from repro.graph.io import network_from_dict, network_to_dict
 from repro.graph.network import RoadNetwork
@@ -66,12 +64,6 @@ class TrajectoryDataset:
     @property
     def num_drivers(self) -> int:
         return len({trip.driver_id for trip in self.trips})
-
-    def trips_of_driver(self, driver_id: int) -> list[Trip]:
-        return [trip for trip in self.trips if trip.driver_id == driver_id]
-
-    def mean_path_length(self) -> float:
-        return float(np.mean([trip.path.length for trip in self.trips]))
 
     def split(
         self,

@@ -8,7 +8,6 @@ import pytest
 
 from repro.analytics import (
     od_cost_matrix,
-    od_cost_pairs,
     route_frequencies,
     service_area,
 )
@@ -17,7 +16,6 @@ from repro.graph import (
     RoadCategory,
     RoadNetwork,
     dijkstra,
-    shortest_path_cost,
     travel_time_cost,
 )
 from repro.obs import MetricsRegistry
@@ -93,30 +91,6 @@ class TestOdCostMatrix:
             od_cost_matrix(analytics_grid, [0], [1], method="ch")
 
 
-class TestOdCostPairs:
-    def test_aligned_with_input_pairs(self, analytics_grid):
-        pairs = [(0, 48), (9, 4), (0, 4), (9, 4)]  # duplicate on purpose
-        costs = od_cost_pairs(analytics_grid, pairs, method="sweep")
-        assert costs.shape == (4,)
-        for k, (origin, destination) in enumerate(pairs):
-            assert costs[k] == pytest.approx(
-                _reference_cell(analytics_grid, origin, destination),
-                abs=1e-9)
-        assert costs[1] == costs[3]
-
-    def test_disconnected_pair_is_inf(self, split_network):
-        costs = od_cost_pairs(split_network, [(11, 10), (10, 11)],
-                              method="sweep")
-        assert costs[0] == math.inf  # one-way edge
-        assert costs[1] == 100.0
-
-    def test_validation(self, analytics_grid):
-        with pytest.raises(AnalyticsError):
-            od_cost_pairs(analytics_grid, [])
-        with pytest.raises(AnalyticsError):
-            od_cost_pairs(analytics_grid, [(0, 48)], method="ch")
-
-
 class TestServiceArea:
     def test_output_order_source_major_budget_minor(self, analytics_grid):
         areas = service_area(analytics_grid, [0, 24], [100.0, 300.0])
@@ -175,11 +149,3 @@ class TestMetrics:
         assert exported["analytics.tiles.total"] == 3
         assert exported["analytics.od.ms.count"] == 1
         assert exported["analytics.route_freq.ms.count"] == 1
-
-
-    def test_od_cost_pairs_count_as_od_requests(self, analytics_grid):
-        metrics = MetricsRegistry()
-        od_cost_pairs(analytics_grid, [(0, 48), (9, 4)], metrics=metrics)
-        exported = metrics.export()
-        assert exported["analytics.od.requests"] == 1
-        assert exported["analytics.od.pairs"] == 2

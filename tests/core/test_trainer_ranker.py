@@ -16,6 +16,7 @@ from repro.core import (
     Variant,
     build_pathrank,
 )
+from repro.core import trainer as trainer_module
 from repro.core.trainer import _pairs_within, flatten_queries
 from repro.errors import ConfigError, TrainingError
 from repro.graph import grid_network
@@ -175,6 +176,55 @@ class TestTrainer:
             parameter.freeze()
         with pytest.raises(TrainingError):
             Trainer(model).fit(queries)
+
+    def test_two_epochs_follow_the_textbook_adam_exactly(self, small_setup,
+                                                         monkeypatch):
+        """A seeded two-epoch fit gives the same losses and weights, ``==``,
+        as one whose optimiser is Adam with bias correction written out
+        here, update for update."""
+
+        class TextbookAdam:
+            def __init__(self, parameters, lr, weight_decay):
+                self.parameters, self.lr, self.decay = parameters, lr, weight_decay
+                self.beta1, self.beta2, self.eps, self.t = 0.9, 0.999, 1e-8, 0
+                self.m = [np.zeros_like(p.data) for p in parameters]
+                self.v = [np.zeros_like(p.data) for p in parameters]
+
+            def zero_grad(self):
+                for p in self.parameters:
+                    p.zero_grad()
+
+            def step(self):
+                self.t += 1
+                bias1 = 1.0 - self.beta1**self.t
+                bias2 = 1.0 - self.beta2**self.t
+                for i, p in enumerate(self.parameters):
+                    if p.grad is None:
+                        continue
+                    g = p.grad + self.decay * p.data
+                    self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+                    self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+                    update = (self.m[i] / bias1) / (np.sqrt(self.v[i] / bias2) + self.eps)
+                    p.data = p.data - self.lr * update
+
+        network, _, queries = small_setup
+        config = TrainerConfig(epochs=2, patience=2, queries_per_batch=8,
+                               weight_decay=1e-4)
+
+        def fit():
+            model = self.make_model(network)
+            history = Trainer(model, config, rng=0).fit(queries[:-3], queries[-3:])
+            return history, model.state_dict()
+
+        history, weights = fit()
+        monkeypatch.setattr(trainer_module, "Adam", TextbookAdam)
+        reference, reference_weights = fit()
+        assert history.train_loss == reference.train_loss
+        assert history.validation_loss == reference.validation_loss
+        assert history.gradient_norm == reference.gradient_norm
+        assert weights.keys() == reference_weights.keys()
+        for name, value in weights.items():
+            np.testing.assert_array_equal(value, reference_weights[name])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from repro.embedding import (
     SkipGramConfig,
     SkipGramModel,
     build_training_pairs,
-    train_node2vec,
 )
 from repro.graph import grid_network
 
@@ -103,12 +102,6 @@ class TestSkipGramModel:
         model.train(walks, rng=0, callback=lambda e, l: seen.append((e, l)))
         assert [e for e, _ in seen] == [0, 1]
 
-    def test_most_similar_excludes_self(self):
-        model = SkipGramModel(5, SkipGramConfig(dim=4), rng=0)
-        result = model.most_similar(2, top=3)
-        assert len(result) == 3
-        assert all(vertex != 2 for vertex, _ in result)
-
     def test_similarity_bounds(self):
         model = SkipGramModel(5, SkipGramConfig(dim=4), rng=0)
         for a in range(5):
@@ -161,11 +154,6 @@ class TestNode2Vec:
         a = Node2Vec(net, config).fit(rng=7)
         b = Node2Vec(net, config).fit(rng=7)
         np.testing.assert_allclose(a, b)
-
-    def test_convenience_wrapper(self):
-        net = grid_network(4, 4, seed=0)
-        matrix = train_node2vec(net, dim=8, rng=0, num_walks=2, walk_length=10, epochs=1)
-        assert matrix.shape == (net.num_vertices, 8)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

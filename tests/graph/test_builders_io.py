@@ -265,6 +265,32 @@ class TestJsonRoundTrip:
         with pytest.raises(SerializationError):
             network_from_dict([1, 2, 3])
 
+    def test_collector_is_paused_during_the_load_only(self, tiny_network,
+                                                      monkeypatch):
+        seen = []
+        add_edge = RoadNetwork.add_edge
+
+        def spying_add_edge(self, *args, **kwargs):
+            seen.append(gc.isenabled())
+            return add_edge(self, *args, **kwargs)
+
+        monkeypatch.setattr(RoadNetwork, "add_edge", spying_add_edge)
+        doc = network_to_dict(tiny_network)
+        assert gc.isenabled()
+        network_from_dict(doc)
+        assert seen and not any(seen) and gc.isenabled()
+        doc["edges"][0]["length"] = "far"
+        with pytest.raises(SerializationError):
+            network_from_dict(doc)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            with pytest.raises(SerializationError):
+                network_from_dict(doc)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
 
 class TestOsmRoundTrip:
     def test_topology_survives(self, tiny_network, tmp_path):

@@ -21,7 +21,6 @@ import pytest
 from repro.errors import NoPathError, VertexNotFoundError
 from repro.graph import (
     RoadNetwork,
-    astar,
     csr_for,
     dijkstra,
     grid_network,
@@ -137,11 +136,11 @@ class TestPointToPointParity:
 
     def test_astar_costs_match(self, random_grid):
         """With landmark tables built, point-to-point queries run ALT A*
-        and must still cost what the dict reference's A* costs."""
+        and must still cost what the dict reference's Dijkstra costs."""
         kernel = csr_for(random_grid)
         kernel.ensure_alt()
         for source, target in _random_pairs(random_grid, 15, seed=3):
-            reference = astar(random_grid, source, target)
+            reference = shortest_path(random_grid, source, target, backend="dict")
             vertices, cost = kernel.shortest_path_ids(source, target)
             assert cost == pytest.approx(reference.length, rel=1e-12)
             assert vertices[0] == source and vertices[-1] == target

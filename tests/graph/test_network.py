@@ -57,14 +57,6 @@ class TestVertices:
     def test_vertex_distance_to(self, pair):
         assert pair.vertex(0).distance_to(pair.vertex(1)) == pytest.approx(500.0)
 
-    def test_bounding_box(self, pair):
-        assert pair.bounding_box() == (0.0, 0.0, 300.0, 400.0)
-
-    def test_bounding_box_empty_raises(self, empty):
-        with pytest.raises(GraphError):
-            empty.bounding_box()
-
-
 class TestEdges:
     def test_add_edge_defaults(self, pair):
         edge = pair.add_edge(0, 1)
@@ -169,12 +161,6 @@ class TestAdjacency:
         edges = tiny_network.out_edges(0)
         edges.clear()
         assert tiny_network.out_edges(0)
-
-    def test_total_length(self, tiny_network):
-        # Sum of all directed edge lengths: 7 two-way pairs + one one-way.
-        expected = 2 * (100 + 100 + 100 + 50 + 100 + 100 + 100) + 250
-        assert tiny_network.total_length() == pytest.approx(expected)
-
 
 class TestConnectivity:
     def test_tiny_is_strongly_connected(self, tiny_network):

@@ -69,20 +69,10 @@ class TestSetsAndRelations:
     def test_edge_set(self, tiny_network):
         assert Path(tiny_network, [0, 1]).edge_set == {(0, 1)}
 
-    def test_contains_edge(self, tiny_network):
-        path = Path(tiny_network, [0, 1, 2])
-        assert path.contains_edge(0, 1)
-        assert not path.contains_edge(1, 0)
-
     def test_shared_edges(self, tiny_network):
         a = Path(tiny_network, [0, 1, 2])
         b = Path(tiny_network, [3, 0, 1])
         assert a.shared_edges(b) == {(0, 1)}
-
-    def test_same_endpoints(self, tiny_network):
-        a = Path(tiny_network, [0, 1, 2])
-        b = Path(tiny_network, [0, 2])
-        assert a.same_endpoints(b)
 
     def test_is_simple(self, tiny_network):
         assert Path(tiny_network, [0, 1, 2]).is_simple()
@@ -110,15 +100,6 @@ class TestComposition:
             path.prefix(1)
         with pytest.raises(InvalidPathError):
             path.prefix(4)
-
-    def test_suffix_from(self, tiny_network):
-        path = Path(tiny_network, [0, 1, 4, 5])
-        assert path.suffix_from(1).vertices == (1, 4, 5)
-
-    def test_suffix_bounds(self, tiny_network):
-        path = Path(tiny_network, [0, 1, 2])
-        with pytest.raises(InvalidPathError):
-            path.suffix_from(2)
 
     def test_concat(self, tiny_network):
         left = Path(tiny_network, [0, 1])

@@ -1,4 +1,4 @@
-"""Tests for Dijkstra / bidirectional / A*, with networkx as the oracle."""
+"""Tests for Dijkstra, with networkx as the oracle."""
 
 import math
 
@@ -8,14 +8,11 @@ import pytest
 from repro.errors import NoPathError, VertexNotFoundError
 from repro.graph import (
     RoadNetwork,
-    astar,
-    bidirectional_dijkstra,
     dijkstra,
     length_cost,
     shortest_path,
     shortest_path_cost,
     travel_time_cost,
-    travel_time_heuristic,
     yen_k_shortest_paths,
 )
 from repro.graph.builders import grid_network
@@ -110,76 +107,3 @@ class TestDijkstra:
 
     def test_shortest_path_cost_zero_for_self(self, tiny_network):
         assert shortest_path_cost(tiny_network, 0, 0) == 0.0
-
-
-class TestBidirectional:
-    def test_matches_dijkstra_costs_grid(self, small_grid):
-        ids = small_grid.vertex_ids()
-        pairs = [(ids[0], ids[-1]), (ids[3], ids[17]), (ids[10], ids[42])]
-        for s, d in pairs:
-            uni = shortest_path(small_grid, s, d)
-            bi = bidirectional_dijkstra(small_grid, s, d)
-            assert bi.length == pytest.approx(uni.length)
-            assert bi.source == s and bi.target == d
-
-    def test_matches_on_region(self, region_network):
-        ids = region_network.vertex_ids()
-        s, d = ids[2], ids[-3]
-        assert bidirectional_dijkstra(region_network, s, d).length == pytest.approx(
-            shortest_path(region_network, s, d).length
-        )
-
-    def test_travel_time_cost(self, small_grid):
-        ids = small_grid.vertex_ids()
-        s, d = ids[1], ids[-2]
-        bi = bidirectional_dijkstra(small_grid, s, d, cost=travel_time_cost)
-        uni = shortest_path(small_grid, s, d, cost=travel_time_cost)
-        assert bi.travel_time == pytest.approx(uni.travel_time)
-
-    def test_no_path(self):
-        net = RoadNetwork()
-        net.add_vertex(0, 0, 0)
-        net.add_vertex(1, 1, 0)
-        net.add_edge(0, 1, length=1.0)
-        with pytest.raises(NoPathError):
-            bidirectional_dijkstra(net, 1, 0)
-
-    def test_self_raises(self, tiny_network):
-        with pytest.raises(NoPathError):
-            bidirectional_dijkstra(tiny_network, 2, 2)
-
-
-class TestAStar:
-    def test_matches_dijkstra_length(self, small_grid):
-        ids = small_grid.vertex_ids()
-        for s, d in [(ids[0], ids[-1]), (ids[7], ids[30])]:
-            assert astar(small_grid, s, d).length == pytest.approx(
-                shortest_path(small_grid, s, d).length
-            )
-
-    def test_travel_time_heuristic_admissible(self, region_network):
-        ids = region_network.vertex_ids()
-        s, d = ids[0], ids[-1]
-        h = travel_time_heuristic(region_network, d)
-        found = astar(region_network, s, d, cost=travel_time_cost, heuristic=h)
-        oracle = shortest_path(region_network, s, d, cost=travel_time_cost)
-        assert found.travel_time == pytest.approx(oracle.travel_time)
-
-    def test_no_path(self):
-        net = RoadNetwork()
-        net.add_vertex(0, 0.0, 0.0)
-        net.add_vertex(1, 10.0, 0.0)
-        net.add_edge(1, 0, length=10.0)
-        with pytest.raises(NoPathError):
-            astar(net, 0, 1)
-
-    def test_missing_vertices(self, tiny_network):
-        with pytest.raises(VertexNotFoundError):
-            astar(tiny_network, 0, 404)
-
-    def test_paths_are_valid(self, region_network):
-        ids = region_network.vertex_ids()
-        path = astar(region_network, ids[4], ids[-5])
-        # Path construction validates every edge; reaching here means valid.
-        assert path.source == ids[4]
-        assert path.target == ids[-5]

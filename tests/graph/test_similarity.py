@@ -5,7 +5,6 @@ import pytest
 from repro.errors import GraphError
 from repro.graph import (
     Path,
-    get_similarity,
     jaccard,
     overlap_ratio,
     time_weighted_jaccard,
@@ -94,13 +93,3 @@ class TestOtherMeasures:
         b = shortest_path(small_grid, ids[0], ids[1])
         with pytest.raises(GraphError):
             overlap_ratio(a, b)
-
-
-class TestRegistry:
-    def test_lookup(self):
-        assert get_similarity("weighted_jaccard") is weighted_jaccard
-        assert get_similarity("jaccard") is jaccard
-
-    def test_unknown_name(self):
-        with pytest.raises(KeyError, match="unknown similarity"):
-            get_similarity("cosine")

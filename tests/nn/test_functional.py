@@ -55,56 +55,6 @@ class TestConcatStack:
         check_gradients(lambda: (F.concat([a, b], axis=0) ** 2).mean(), [a, b])
 
 
-class TestWhereMaxMin:
-    def test_where_selects(self):
-        out = F.where(np.array([True, False]), leaf([1.0, 1.0]), leaf([2.0, 2.0]))
-        np.testing.assert_allclose(out.data, [1, 2])
-
-    def test_where_grad_masks(self):
-        a, b = leaf([1.0, 1.0]), leaf([2.0, 2.0])
-        F.where(np.array([True, False]), a, b).sum().backward()
-        np.testing.assert_allclose(a.grad, [1, 0])
-        np.testing.assert_allclose(b.grad, [0, 1])
-
-    def test_maximum(self):
-        np.testing.assert_allclose(F.maximum(leaf([1.0, 5.0]), leaf([3.0, 2.0])).data, [3, 5])
-
-    def test_minimum(self):
-        np.testing.assert_allclose(F.minimum(leaf([1.0, 5.0]), leaf([3.0, 2.0])).data, [1, 2])
-
-    def test_maximum_tie_prefers_first(self):
-        a, b = leaf([2.0]), leaf([2.0])
-        F.maximum(a, b).backward()
-        np.testing.assert_allclose(a.grad, [1.0])
-        assert b.grad is None or np.allclose(b.grad, [0.0])
-
-
-class TestSoftmax:
-    def test_rows_sum_to_one(self):
-        out = F.softmax(leaf(np.random.default_rng(0).normal(size=(4, 5))))
-        np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(4), rtol=1e-12)
-
-    def test_invariant_to_shift(self):
-        x = np.array([[1.0, 2.0, 3.0]])
-        np.testing.assert_allclose(
-            F.softmax(leaf(x)).data, F.softmax(leaf(x + 100.0)).data, rtol=1e-12
-        )
-
-    def test_large_values_stable(self):
-        out = F.softmax(leaf([[1000.0, 1000.0]]))
-        np.testing.assert_allclose(out.data, [[0.5, 0.5]])
-
-    def test_log_softmax_matches_log_of_softmax(self):
-        x = leaf(np.random.default_rng(1).normal(size=(3, 4)))
-        np.testing.assert_allclose(
-            F.log_softmax(x).data, np.log(F.softmax(x).data), rtol=1e-10
-        )
-
-    def test_softmax_gradcheck(self):
-        x = leaf(np.random.default_rng(2).normal(size=(2, 3)))
-        check_gradients(lambda: (F.softmax(x) ** 2).sum(), [x])
-
-
 class TestDropout:
     def test_eval_mode_identity(self):
         x = leaf(np.ones(100))

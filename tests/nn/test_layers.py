@@ -1,4 +1,4 @@
-"""Unit tests for Linear/Embedding/Dropout/Sequential and Module."""
+"""Unit tests for Linear/Embedding/Dropout and Module."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,6 @@ from repro.nn import (
     Linear,
     Module,
     Parameter,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    Tanh,
     Tensor,
     check_gradients,
 )
@@ -101,28 +97,6 @@ class TestDropout:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             Dropout(1.5)
-
-
-class TestSequential:
-    def test_chains(self):
-        model = Sequential([Linear(4, 8, rng=0), Tanh(), Linear(8, 1, rng=1), Sigmoid()])
-        out = model(Tensor(np.zeros((3, 4))))
-        assert out.shape == (3, 1)
-        assert np.all((out.data > 0) & (out.data < 1))
-
-    def test_registers_children(self):
-        model = Sequential([Linear(2, 2, rng=0), ReLU()])
-        assert model.num_parameters() == 2 * 2 + 2
-
-    def test_len_and_getitem(self):
-        layers = [Linear(2, 2, rng=0), Tanh()]
-        model = Sequential(layers)
-        assert len(model) == 2
-        assert model[1] is layers[1]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Sequential([])
 
 
 class TestModule:

@@ -1,29 +1,17 @@
-"""Tests for losses, optimisers, schedules, and serialization."""
+"""Tests for the loss, the optimiser, gradient clipping, and serialization."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SerializationError, ShapeError
 from repro.nn import (
-    SGD,
-    AdaGrad,
     Adam,
-    BCELoss,
-    ConstantLR,
-    CosineLR,
-    ExponentialLR,
-    HuberLoss,
     Linear,
-    LinearWarmup,
-    MAELoss,
     MSELoss,
     Parameter,
-    StepLR,
     Tensor,
     clip_grad_norm,
-    load_module,
     load_state,
-    save_module,
     save_state,
 )
 
@@ -40,30 +28,6 @@ class TestLosses:
     def test_mse_zero_at_match(self):
         assert MSELoss()(leaf([1.0, 2.0]), Tensor([1.0, 2.0])).item() == 0.0
 
-    def test_mae_value(self):
-        assert MAELoss()(leaf([1.0, -3.0]), Tensor([0.0, 0.0])).item() == pytest.approx(2.0)
-
-    def test_huber_quadratic_inside(self):
-        loss = HuberLoss(delta=1.0)(leaf([0.5]), Tensor([0.0]))
-        assert loss.item() == pytest.approx(0.125)
-
-    def test_huber_linear_outside(self):
-        loss = HuberLoss(delta=1.0)(leaf([3.0]), Tensor([0.0]))
-        assert loss.item() == pytest.approx(2.5)
-
-    def test_huber_invalid_delta(self):
-        with pytest.raises(ValueError):
-            HuberLoss(delta=0.0)
-
-    def test_bce_matches_formula(self):
-        p, y = 0.8, 1.0
-        loss = BCELoss()(leaf([p]), Tensor([y]))
-        assert loss.item() == pytest.approx(-np.log(p))
-
-    def test_bce_clips_extremes(self):
-        loss = BCELoss()(leaf([0.0, 1.0]), Tensor([1.0, 0.0]))
-        assert np.isfinite(loss.item())
-
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
             MSELoss()(leaf([1.0, 2.0]), Tensor([1.0]))
@@ -72,60 +36,6 @@ class TestLosses:
         x = leaf([2.0])
         MSELoss()(x, Tensor([0.0])).backward()
         np.testing.assert_allclose(x.grad, [4.0])
-
-
-class TestSGD:
-    def test_plain_step(self):
-        p = Parameter(np.array([1.0]))
-        p.grad = np.array([0.5])
-        SGD([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, [0.95])
-
-    def test_momentum_accumulates(self):
-        p = Parameter(np.array([0.0]))
-        opt = SGD([p], lr=1.0, momentum=0.9)
-        p.grad = np.array([1.0])
-        opt.step()  # v=1, p=-1
-        p.grad = np.array([1.0])
-        opt.step()  # v=1.9, p=-2.9
-        np.testing.assert_allclose(p.data, [-2.9])
-
-    def test_weight_decay(self):
-        p = Parameter(np.array([1.0]))
-        p.grad = np.array([0.0])
-        SGD([p], lr=0.1, weight_decay=0.5).step()
-        np.testing.assert_allclose(p.data, [0.95])
-
-    def test_skips_frozen(self):
-        p = Parameter(np.array([1.0]))
-        p.grad = np.array([1.0])
-        p.requires_grad = False
-        SGD([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, [1.0])
-
-    def test_zero_grad(self):
-        p = Parameter(np.array([1.0]))
-        p.grad = np.array([1.0])
-        opt = SGD([p], lr=0.1)
-        opt.zero_grad()
-        assert p.grad is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=-1.0)
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.1, momentum=1.5)
-
-    def test_converges_on_quadratic(self):
-        p = Parameter(np.array([5.0]))
-        opt = SGD([p], lr=0.1)
-        for _ in range(200):
-            opt.zero_grad()
-            ((p - 2.0) ** 2).sum().backward()
-            opt.step()
-        np.testing.assert_allclose(p.data, [2.0], atol=1e-6)
 
 
 class TestAdam:
@@ -145,21 +55,40 @@ class TestAdam:
             opt.step()
         np.testing.assert_allclose(p.data, [2.0], atol=1e-3)
 
+    def test_weight_decay(self):
+        # A zero gradient plus decay 0.5 on p = 1 makes the first step
+        # ~lr * sign(0.5), as for any gradient.
+        p = Parameter(np.array([1.0]))
+        p.grad = np.array([0.0])
+        Adam([p], lr=0.1, weight_decay=0.5).step()
+        np.testing.assert_allclose(p.data, [0.9], atol=1e-6)
+
+    def test_skips_frozen(self):
+        p = Parameter(np.array([1.0]))
+        p.grad = np.array([1.0])
+        p.requires_grad = False
+        Adam([p], lr=0.1).step()
+        np.testing.assert_allclose(p.data, [1.0])
+
+    def test_zero_grad(self):
+        p = Parameter(np.array([1.0]))
+        p.grad = np.array([1.0])
+        opt = Adam([p], lr=0.1)
+        opt.zero_grad()
+        assert p.grad is None
+
     def test_validation(self):
         p = [Parameter(np.zeros(1))]
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
+        with pytest.raises(ValueError):
+            Adam(p, lr=-1.0)
         with pytest.raises(ValueError):
             Adam(p, betas=(1.0, 0.999))
         with pytest.raises(ValueError):
             Adam(p, eps=0.0)
-
-    def test_adagrad_converges(self):
-        p = Parameter(np.array([5.0]))
-        opt = AdaGrad([p], lr=1.0)
-        for _ in range(500):
-            opt.zero_grad()
-            ((p - 2.0) ** 2).sum().backward()
-            opt.step()
-        np.testing.assert_allclose(p.data, [2.0], atol=1e-2)
+        with pytest.raises(ValueError):
+            Adam(p, weight_decay=-1.0)
 
 
 class TestClipGradNorm:
@@ -184,52 +113,6 @@ class TestClipGradNorm:
             clip_grad_norm([], max_norm=0.0)
 
 
-class TestSchedules:
-    def make_opt(self, lr=1.0):
-        return SGD([Parameter(np.zeros(1))], lr=lr)
-
-    def test_constant(self):
-        sched = ConstantLR(self.make_opt())
-        assert sched.step() == 1.0
-
-    def test_step_lr(self):
-        opt = self.make_opt()
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        rates = [sched.step() for _ in range(4)]
-        assert rates == [1.0, 0.5, 0.5, 0.25]
-
-    def test_exponential(self):
-        sched = ExponentialLR(self.make_opt(), gamma=0.5)
-        assert sched.step() == 0.5
-        assert sched.step() == 0.25
-
-    def test_cosine_endpoints(self):
-        opt = self.make_opt()
-        sched = CosineLR(opt, total_epochs=10, min_lr=0.1)
-        for _ in range(10):
-            final = sched.step()
-        assert final == pytest.approx(0.1)
-
-    def test_cosine_monotone_decreasing(self):
-        sched = CosineLR(self.make_opt(), total_epochs=10, min_lr=1e-6)
-        rates = [sched.step() for _ in range(10)]
-        assert all(a >= b for a, b in zip(rates, rates[1:]))
-
-    def test_warmup_ramps(self):
-        opt = self.make_opt(lr=1.0)
-        sched = LinearWarmup(opt, warmup_epochs=4)
-        assert opt.lr < 1.0
-        for _ in range(4):
-            sched.step()
-        assert opt.lr == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StepLR(self.make_opt(), step_size=0)
-        with pytest.raises(ValueError):
-            CosineLR(self.make_opt(), total_epochs=0)
-
-
 class TestSerialization:
     def test_state_roundtrip(self, tmp_path):
         path = tmp_path / "ckpt.npz"
@@ -242,9 +125,9 @@ class TestSerialization:
     def test_module_roundtrip(self, tmp_path):
         path = tmp_path / "model.npz"
         model = Linear(3, 2, rng=0)
-        save_module(model, path)
+        save_state(model.state_dict(), path)
         other = Linear(3, 2, rng=99)
-        load_module(other, path)
+        other.load_state_dict(load_state(path)[0])
         np.testing.assert_allclose(other.weight.data, model.weight.data)
 
     def test_missing_file(self, tmp_path):

@@ -96,15 +96,6 @@ def test_backward_linearity(a_data, b_data):
     np.testing.assert_allclose(b.grad, np.ones_like(b_data))
 
 
-@given(arrays(dtype=np.float64, shape=st.tuples(st.integers(1, 5), st.integers(1, 5)),
-              elements=finite))
-@settings(max_examples=50, deadline=None)
-def test_softmax_rows_are_distributions(data):
-    out = F.softmax(Tensor(data), axis=-1)
-    assert np.all(out.data >= 0.0)
-    np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(data.shape[0]), rtol=1e-9)
-
-
 @given(st.integers(2, 6), st.integers(1, 4), st.integers(1, 6))
 @settings(max_examples=30, deadline=None)
 def test_concat_then_chunk_roundtrip(parts, rows, cols):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GradientError, ShapeError
-from repro.nn import GRU, Tensor, as_tensor, fused, is_grad_enabled, no_grad
+from repro.nn import GRU, Tensor, as_tensor, check_gradients, fused, is_grad_enabled, no_grad
 from repro.nn.tensor import stable_sigmoid, unbroadcast
 
 
@@ -240,6 +240,15 @@ class TestUnaryOps:
             "abs": np.abs,
         }[name]
         np.testing.assert_allclose(t.data, reference(x), rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ["relu", "abs", "clip"])
+    def test_gradient_matches_finite_differences(self, name):
+        # The kinked ops, at inputs away from their kinks; the smooth ones
+        # are gradient-checked in test_grad_properties.
+        op = {"relu": Tensor.relu, "abs": Tensor.abs,
+              "clip": lambda v: v.clip(-1.0, 1.0)}[name]
+        t = leaf([-2.1, -0.7, 0.4, 1.3])
+        check_gradients(lambda: (op(t) ** 2).sum(), [t])
 
     def test_one_sigmoid_for_tensor_and_fused_kernel(self):
         x = np.linspace(-30.0, 30.0, 61)

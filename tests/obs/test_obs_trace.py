@@ -37,13 +37,6 @@ class TestTrace:
         assert before == pytest.approx(500.0)
         assert after == pytest.approx(1500.0)
 
-    def test_duration_of_sums_same_named_spans(self):
-        trace = Trace(started=0.0)
-        trace.add("score", 0.0, 0.010)
-        trace.add("score", 0.020, 0.025)
-        trace.add("admit", 0.030, 0.031)
-        assert trace.duration_of("score") == pytest.approx(15.0)
-
     def test_as_dict_is_json_serialisable(self):
         trace = Trace(label="3->5", started=0.0)
         trace.add("admit", 0.0, 0.001, shard="shard-00")

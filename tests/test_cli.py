@@ -542,6 +542,16 @@ class TestAnalyticsCommands:
         [line] = captured.err.strip().splitlines()
         assert line.startswith("error:") and "--workers" in line
 
+    def test_negative_top_exits_2(self, grid_file, capsys):
+        """``--top -3`` used to print every loaded edge and exit 0."""
+        code = main(["route-frequencies", "--network", str(grid_file),
+                     "--pairs", "0:24,7:24", "--top", "-3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.strip().splitlines()
+        assert line.startswith("error:") and "--top" in line
+
     def test_unknown_routing_backend_env_exits_2(self, grid_file):
         """A routing backend the environment names but the code does not
         know is an error, not a silent fallback to the CSR lane."""

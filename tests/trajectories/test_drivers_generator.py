@@ -190,12 +190,6 @@ class TestDataset:
     def test_num_drivers(self, dataset):
         assert dataset.num_drivers == 6
 
-    def test_trips_of_driver(self, dataset):
-        assert len(dataset.trips_of_driver(0)) == 5
-
-    def test_mean_path_length_positive(self, dataset):
-        assert dataset.mean_path_length() > 0
-
     def test_split_fractions(self, dataset):
         split = dataset.split(train_fraction=0.6, validation_fraction=0.2, rng=0)
         assert sum(split.sizes) == len(dataset)
