@@ -14,7 +14,7 @@ without writing Python::
         --source 3 --target 47
     python -m repro.cli serve --network /tmp/net.json --model /tmp/model.npz \
         --queries-file /tmp/queries.json --json \
-        --concurrency 8 --flush-deadline-ms 2 --split v0001=3,v0002=1
+        --concurrency 8 --flush-deadline-ms 2
     python -m repro.cli od-matrix --network /tmp/net.json \
         --origins 3,9,12 --destinations 47,58 --cost travel_time
     python -m repro.cli service-area --network /tmp/net.json \
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 from collections.abc import Sequence
 from contextlib import nullcontext
 from pathlib import Path as FilePath
@@ -154,9 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "many workers (0 = synchronous facade)")
     serve.add_argument("--flush-deadline-ms", type=float, default=2.0,
                        help="engine scoring-batch flush deadline in ms")
-    serve.add_argument("--split", default=None,
-                       help="A/B traffic split, e.g. 'v0001=3,v0002=1' "
-                            "(weights are normalised)")
     serve.add_argument("--json", action="store_true",
                        help="print responses and stats as JSON")
     serve.add_argument("--execution",
@@ -358,30 +356,6 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_split(text: str | None) -> dict[str, float] | None:
-    """Parse an A/B split flag: ``'v0001=3,v0002=1'`` -> weight map."""
-    if text is None:
-        return None
-    split: dict[str, float] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        version, _, weight = part.partition("=")
-        if not version or not weight:
-            raise ServingError(
-                f"malformed --split entry {part!r}; expected version=weight")
-        try:
-            split[version] = float(weight)
-        except ValueError:
-            raise ServingError(
-                f"--split weight for {version!r} must be a number, "
-                f"got {weight!r}") from None
-    if not split:
-        raise ServingError("--split named no versions")
-    return split
-
-
 def _build_service(args: argparse.Namespace):
     """``serve`` bootstrap: network + registry + activated service."""
     network = load_network_json(args.network)
@@ -390,14 +364,6 @@ def _build_service(args: argparse.Namespace):
         # Check before ModelRegistry mkdirs a typo'd parent directory.
         raise ServingError(f"no such model checkpoint: {model_path}")
     registry = ModelRegistry(model_path.parent, network)
-    split = _parse_split(args.split)
-    if split is not None:
-        for version in split:
-            if not registry.has_version(version):
-                known = ", ".join(registry.versions()) or "none"
-                raise ServingError(
-                    f"--split names unpublished version {version!r} "
-                    f"(published: {known})")
     resilience = ResilienceConfig(
         deadline_ms=args.deadline_ms,
         max_queue=args.max_queue,
@@ -409,7 +375,6 @@ def _build_service(args: argparse.Namespace):
         candidate_cache_size=args.cache_size,
         max_batch_size=args.batch_size * args.k,
         fallback_to_shortest=not args.no_fallback,
-        traffic_split=split,
         trace_sample=args.trace_sample,
         resilience=resilience,
         execution=args.execution,
@@ -438,10 +403,17 @@ def _load_queries(path: str) -> list[RankRequest]:
             raise DataError(
                 f"query #{position} must be an object with source/target"
             )
+        # JSON integers only: int() would truncate 0.9 to vertex 0 and
+        # read true as vertex 1, and a null would escape as TypeError.
+        for name in ("source", "target", "k"):
+            value = entry.get(name, 0)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DataError(
+                    f"query #{position}: {name} must be an integer, "
+                    f"got {json.dumps(value)}")
         requests.append(RankRequest(
-            source=int(entry["source"]), target=int(entry["target"]),
-            k=int(entry["k"]) if "k" in entry else None,
-            request_id=position,
+            source=entry["source"], target=entry["target"],
+            k=entry.get("k"), request_id=position,
         ))
     return requests
 
@@ -480,6 +452,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.batch_size < 1:
         raise ConfigError(
             f"--batch-size must be >= 1, got {args.batch_size}")
+    if not 0.0 < args.metrics_interval_s <= threading.TIMEOUT_MAX:
+        raise ConfigError(
+            f"--metrics-interval-s must be in (0, {threading.TIMEOUT_MAX:g}], "
+            f"got {args.metrics_interval_s}")
     requests = _load_queries(args.queries_file)
     faults = (None if args.fault_spec is None
               else parse_fault_spec(args.fault_spec))

@@ -10,7 +10,7 @@ the serving layer records into:
   log2-bucketed :class:`Histogram` primitives behind one
   :class:`MetricsRegistry`, plus pull-mode callbacks for state kept
   elsewhere, all under canonical dotted names (``serving.latency``,
-  ``split.v0002.counters.requests``, ``cache.candidate.hits``, …);
+  ``serving.requests``, ``cache.candidate.hits``, …);
 * :mod:`repro.obs.trace` — a lightweight per-request :class:`Trace` /
   :class:`Span` recorder with stride sampling (~zero cost at the
   default sampling rate) and a bounded slow-request exemplar buffer

@@ -54,8 +54,12 @@ class SnapshotExporter:
 
     def __init__(self, source, path: str | FilePath,
                  interval_s: float = 1.0) -> None:
-        if interval_s <= 0.0:
-            raise ValueError(f"interval_s must be > 0, got {interval_s}")
+        # The thread sleeps on Event.wait, which returns at once on NaN
+        # (a busy loop) and raises OverflowError above TIMEOUT_MAX.
+        if not 0.0 < interval_s <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"interval_s must be in (0, {threading.TIMEOUT_MAX:g}], "
+                f"got {interval_s}")
         self.source = source
         self.path = FilePath(path)
         self.interval_s = interval_s

@@ -241,9 +241,10 @@ class MetricsRegistry:
     Write-mode metrics are created on first use (``counter(name)`` is a
     get-or-create; asking for an existing name as a different type is
     an error).  Pull-mode callbacks let state kept elsewhere (cache
-    stats, breakers, label-keyed split books) publish a nested dict that :meth:`export` flattens under the callback's
-    prefix — re-registering a prefix replaces the previous callback, so
-    a rebuilt engine simply takes over its section.
+    stats, breakers, kernel profiles) publish a nested dict that
+    :meth:`export` flattens under the callback's prefix —
+    re-registering a prefix replaces the previous callback, so a rebuilt
+    engine simply takes over its section.
     """
 
     def __init__(self) -> None:

@@ -2,8 +2,8 @@
 
 A :class:`Trace` is a flat list of :class:`Span` records — one per
 pipeline stage a request passed through (``admit``,
-``split_assign``, ``candidates``, ``queue_wait``, ``flush_wait``,
-``score``, ``assemble``) — cheap enough to ride on the
+``candidates``, ``queue_wait``, ``flush_wait``, ``score``,
+``assemble``) — cheap enough to ride on the
 :class:`~repro.serving.pipeline.QueryState` itself.  Spans store their
 absolute ``perf_counter`` start, so offsets stay consistent even when
 the engine rebases a trace's origin to the submit time.

@@ -8,7 +8,8 @@ deployment needs around it:
 
 * :class:`ModelRegistry` — versioned ``.npz`` model artifacts on disk,
   with atomic hot-swap: activation replaces a single snapshot reference,
-  so in-flight requests finish on the version they started with.
+  so in-flight requests finish on the version they started with.  One
+  model answers every request: the one active snapshot.
 * :class:`CandidateCache` / :class:`ScoreCache` — bounded LRU caches for
   the two expensive steps.  Candidate sets are keyed on
   ``(source, target, strategy, k)`` and survive model swaps; per-path
@@ -32,21 +33,12 @@ deployment needs around it:
   ``flush_deadline_ms``, whichever first), and an optional warm-up replays a recorded hotspot mix through the
   caches before the engine reports ready.  Responses are element-wise
   identical to the synchronous path.
-* **A/B serving** — ``ServingConfig.traffic_split`` routes each request
-  deterministically to one of several published model versions (and
-  ``RankRequest.model_version`` pins one explicitly); the registry
-  keeps every split target resident (balanced ``pin``/``release``
-  accounting frees a superseded version's model and compiled kernel at
-  the last release), each variant gets its own latency histogram and
-  outcome counters (``stats()["splits"]``), and the score cache carves a
-  per-split quota for each variant so a low-traffic arm's entries are
-  never evicted by the majority split's churn.
 * **Telemetry** (:mod:`repro.obs`) — the service records its request,
   latency and resilience counts straight into the instruments of its
   central :class:`~repro.obs.metrics.MetricsRegistry`; the caches, the
-  scorer, the breaker and the per-split books publish through
-  callbacks under canonical dotted names, and ``stats()`` reads the
-  same objects.  ``ServingConfig.trace_sample`` arms per-request stage
+  scorer and the breaker publish through callbacks under canonical
+  dotted names, and ``stats()`` reads the same objects.
+  ``ServingConfig.trace_sample`` arms per-request stage
   tracing (spans on :class:`~repro.serving.pipeline.QueryState`,
   per-stage latency histograms, top-K slow-request exemplars; dormant
   by default), and a :class:`~repro.obs.export.SnapshotExporter` can
@@ -126,7 +118,7 @@ from repro.serving.faults import (
     format_fault_spec,
     parse_fault_spec,
 )
-from repro.serving.pipeline import QueryState, assign_split, normalise_split
+from repro.serving.pipeline import QueryState
 from repro.serving.registry import ActiveModel, ModelRegistry
 from repro.serving.resilience import (
     CircuitBreaker,
@@ -161,9 +153,7 @@ __all__ = [
     "ScoreCache",
     "ServingConfig",
     "ServingEngine",
-    "assign_split",
     "format_fault_spec",
-    "normalise_split",
     "parse_fault_spec",
     "retry_backoff",
 ]

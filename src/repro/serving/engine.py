@@ -115,10 +115,12 @@ class EngineTicket:
             budget_ms = self.request.deadline_ms
             if budget_ms is None:
                 budget_ms = self._service.resilience.deadline_ms
-            # A non-finite budget never reaches the pipeline (admission
-            # answers it with invalid_request), and no timeout derives
-            # from it: Event.wait(inf) raises OverflowError.
-            if budget_ms is not None and math.isfinite(budget_ms):
+            # A non-finite or non-numeric budget never reaches the
+            # pipeline (admission answers it with invalid_request), and
+            # no timeout derives from it: Event.wait(inf) raises
+            # OverflowError.
+            if isinstance(budget_ms, (int, float)) \
+                    and math.isfinite(budget_ms):
                 elapsed = time.perf_counter() - self.submitted
                 timeout = max(0.0, budget_ms / 1000.0 - elapsed) \
                     + RESULT_GRACE_S

@@ -1,4 +1,4 @@
-"""The staged serving pipeline's data model and routing policy.
+"""The staged serving pipeline's data model.
 
 Every query — whether it enters through the synchronous
 :class:`~repro.serving.service.RankingService` facade or the concurrent
@@ -6,31 +6,26 @@ Every query — whether it enters through the synchronous
 the same four stages:
 
 1. **admission** — validate the request, then resolve the candidate
-   configuration and the model snapshot that will answer it (the active
-   model, a per-request pinned version, or a weighted A/B traffic
-   split);
+   configuration and the registry's active model snapshot that will
+   answer it;
 2. **candidate generation** — cache-aware TkDI / D-TkDI enumeration on
    the full network;
 3. **scoring** — coalesced batched forward passes, grouped per model
-   snapshot;
+   snapshot (a flush can straddle a hot-swap);
 4. **response assembly** — ranking, degradation, and metrics.
 
 The stage implementations live on :class:`RankingService` (they need its
 caches, scorer, and registry); this module holds what the stages operate
 *on*: the mutable :class:`QueryState` record threaded through the
-pipeline, plus the deterministic A/B split assignment both front doors
-share.  Keeping assignment a pure function of the request is what makes
-engine responses element-wise identical to synchronous ones.
+pipeline.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from hashlib import blake2b
 from typing import TYPE_CHECKING
 
-from repro.errors import ServingError
 from repro.graph.path import Path
 from repro.obs.trace import Trace
 from repro.ranking.training_data import TrainingDataConfig
@@ -39,11 +34,7 @@ from repro.serving.registry import ActiveModel
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.service import RankRequest, RankResponse
 
-__all__ = ["QueryState", "TrafficSplit", "normalise_split", "assign_split",
-           "tightest_remaining_ms"]
-
-#: A weighted A/B traffic split: ``((version, weight), ...)``.
-TrafficSplit = tuple[tuple[str, float], ...]
+__all__ = ["QueryState", "tightest_remaining_ms"]
 
 
 @dataclass
@@ -64,15 +55,12 @@ class QueryState:
     started: float = field(default_factory=time.perf_counter)
     #: Candidate configuration after the per-request ``k`` override.
     config: TrainingDataConfig | None = None
-    #: The split label this request was routed to (a model version), or
-    #: ``None`` when the plain active model answered.
-    split: str | None = None
     #: Model snapshot that will score this request.
     active: ActiveModel | None = None
     paths: list[Path] = field(default_factory=list)
     cache_hit: bool = False
     scores: list[float] | None = None
-    #: Request-level failure (candidate generation, bad pin): terminal.
+    #: Request-level failure (e.g. candidate generation): terminal.
     error: str | None = None
     #: Machine-readable failure class for structured error responses
     #: (``invalid_request``, ``deadline_exceeded``, ``shed``,
@@ -130,60 +118,3 @@ def tightest_remaining_ms(states) -> float | None:
         if tightest is None or remaining < tightest:
             tightest = remaining
     return tightest
-
-
-def normalise_split(split) -> TrafficSplit:
-    """Validate a traffic split and normalise its weights to sum to 1.
-
-    Accepts a mapping or an iterable of ``(version, weight)`` pairs;
-    order is preserved (it defines the assignment intervals, so two
-    services configured with the same split route identically).
-    """
-    pairs = list(split.items()) if hasattr(split, "items") else list(split)
-    if not pairs:
-        raise ServingError("traffic split must name at least one version")
-    seen: set[str] = set()
-    total = 0.0
-    for version, weight in pairs:
-        if not version or not isinstance(version, str):
-            raise ServingError(
-                f"traffic split version must be a non-empty string, "
-                f"got {version!r}"
-            )
-        if version in seen:
-            raise ServingError(
-                f"traffic split names version {version!r} twice")
-        seen.add(version)
-        if not weight > 0.0:
-            raise ServingError(
-                f"traffic split weight for {version!r} must be > 0, "
-                f"got {weight!r}"
-            )
-        total += float(weight)
-    return tuple((version, float(weight) / total) for version, weight in pairs)
-
-
-def _request_point(request: "RankRequest") -> float:
-    """A deterministic uniform draw in ``[0, 1)`` per request identity.
-
-    Hash-based (not RNG-based) so the same request routes to the same
-    split on every front door and every replay — the property the
-    engine/sync parity contract and sticky A/B assignment both need.
-    ``request_id`` participates, so a workload of distinct ids spreads
-    across splits even when the OD pair repeats.
-    """
-    key = repr((request.source, request.target, request.request_id,
-                request.k)).encode("utf-8")
-    digest = blake2b(key, digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2.0 ** 64
-
-
-def assign_split(request: "RankRequest", split: TrafficSplit) -> str:
-    """The model version a normalised traffic split routes ``request`` to."""
-    point = _request_point(request)
-    edge = 0.0
-    for version, weight in split:
-        edge += weight
-        if point < edge:
-            return version
-    return split[-1][0]  # float-rounding guard: the last interval owns 1.0

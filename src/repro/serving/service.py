@@ -12,13 +12,12 @@ Internally the service is a **staged pipeline** over
 :class:`~repro.serving.pipeline.QueryState` records:
 
 * :meth:`RankingService.admit` — validate the request, then resolve the
-  candidate configuration and the model snapshot (active, pinned, or
-  A/B-split) for it;
+  candidate configuration and the registry's active model snapshot;
 * :meth:`RankingService.prepare` — cache-aware candidate generation on
   the full network;
 * :meth:`RankingService.score_states` — coalesced scoring of many
-  states, grouped per model snapshot, with per-request degradation
-  when a batch fails;
+  states, grouped per model snapshot (a flush can straddle a hot-swap),
+  with per-request degradation when a batch fails;
 * :meth:`RankingService.assemble` — ranking, fallback, and metrics.
 
 :meth:`rank_batch` simply runs the stages back to back; the concurrent
@@ -41,31 +40,24 @@ lowers availability.  See ``docs/parallelism.md``.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from repro.core.ranker import generate_candidates, rank_paths
-from repro.errors import ExecError, ReproError, ServingError
+from repro.errors import ExecError, ReproError
 from repro.graph.csr import csr_if_built
 from repro.graph.network import RoadNetwork
 from repro.graph.path import Path
 from repro.graph.shortest_path import shortest_path
 from repro.nn.fused import compiled_if_cached
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.ranking.training_data import TrainingDataConfig
 from repro.serving.batching import BatchingScorer
 from repro.serving.cache import CandidateCache, ScoreCache
 from repro.serving.faults import FaultInjector
-from repro.serving.pipeline import (
-    QueryState,
-    TrafficSplit,
-    assign_split,
-    normalise_split,
-    tightest_remaining_ms,
-)
+from repro.serving.pipeline import QueryState, tightest_remaining_ms
 from repro.serving.registry import ActiveModel, ModelRegistry
 from repro.serving.resilience import (
     CircuitBreaker,
@@ -82,8 +74,7 @@ __all__ = ["EXECUTION_MODES", "ServingConfig", "RankRequest", "RankedPath",
 #: of worker processes over shared-memory hot-state (:mod:`repro.exec`).
 EXECUTION_MODES = ("inline", "processes")
 
-#: Request outcome counters, service-wide as ``serving.<name>`` and per
-#: traffic-split arm under ``split.<version>.counters.<name>``.
+#: Request outcome counters, as ``serving.<name>``.
 _SERVING_COUNTERS = ("requests", "model_served", "fallback_served", "failed",
                      "hot_swaps")
 
@@ -103,6 +94,10 @@ _RESILIENCE_COUNTERS = ("shed_rejected", "shed_degraded", "deadline_exceeded",
 _CURRENT = object()
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _values(counters: dict[str, Counter]) -> dict[str, int]:
     return {name: counter.value for name, counter in counters.items()}
 
@@ -111,13 +106,6 @@ def _values(counters: dict[str, Counter]) -> dict[str, int]:
 class ServingConfig:
     """Knobs of one :class:`RankingService` instance.
 
-    ``traffic_split`` (a ``{version: weight}`` mapping or ``(version,
-    weight)`` pairs) routes each request to one of several published
-    model versions with probability proportional to its weight —
-    deterministically per request identity, so replays and the
-    concurrent engine route identically — and segments every score
-    cache by the same weights, so a 5% variant keeps 5% of the cache to
-    itself instead of being churned out by the majority split.
     ``score_cache_size=0`` disables score memoisation (every request
     pays the forward pass; mainly for benchmarks isolating scoring
     work).  ``max_batch_size`` caps the paths of one forward pass and is
@@ -129,7 +117,6 @@ class ServingConfig:
     score_cache_size: int = 8192
     max_batch_size: int = 64
     fallback_to_shortest: bool = True
-    traffic_split: TrafficSplit | None = None
     #: Fraction of requests carrying a per-stage trace (0 disables
     #: tracing entirely; 1.0 traces every request).  Sampled traces feed
     #: the ``serving.stage.*`` histograms and the slow-request exemplar
@@ -169,11 +156,6 @@ class ServingConfig:
             raise ValueError(
                 f"trace_sample must be in [0, 1], got {self.trace_sample}"
             )
-        if self.traffic_split is not None:
-            # Normalised once here; dataclass frozen-ness is bypassed the
-            # sanctioned way since __post_init__ is part of construction.
-            object.__setattr__(self, "traffic_split",
-                               normalise_split(self.traffic_split))
 
 
 @dataclass(frozen=True)
@@ -182,8 +164,6 @@ class RankRequest:
 
     ``k`` overrides the service's configured candidate-set size for this
     request only (it participates in the candidate-cache key).
-    ``model_version`` pins the request to a specific published model
-    version, overriding both the active model and any traffic split.
     ``deadline_ms`` caps this request's end-to-end budget (overriding
     ``ServingConfig.resilience.deadline_ms``); when it expires the
     request terminates with a structured ``deadline_exceeded`` error
@@ -194,7 +174,6 @@ class RankRequest:
     target: int
     k: int | None = None
     request_id: int | None = None
-    model_version: str | None = None
     deadline_ms: float | None = None
 
 
@@ -249,17 +228,14 @@ class RankingService:
         # implicitly.
         self.candidate_cache = CandidateCache(
             self.config.candidate_cache_size, network=network)
-        # Segmented by traffic_split whenever one is configured (see
-        # ScoreCache); score_cache_size=0 leaves no score cache at all.
+        # score_cache_size=0 leaves no score cache at all.
         self.score_cache = (
-            ScoreCache(self.config.score_cache_size,
-                       quotas=self.config.traffic_split)
+            ScoreCache(self.config.score_cache_size)
             if self.config.score_cache_size > 0 else None)
         self.scorer = BatchingScorer(self.config.max_batch_size,
                                      score_cache=self.score_cache)
         # The telemetry plane: every count the service keeps is an
-        # instrument recorded once; the per-split books are keyed by
-        # data and export through a callback.  export() reads metrics in
+        # instrument recorded once.  export() reads metrics in
         # creation order, so serving.latency is created before the
         # request counter it must never run ahead of (see _record).
         metrics = self.metrics = MetricsRegistry()
@@ -268,8 +244,6 @@ class RankingService:
                          for name in _SERVING_COUNTERS}
         self.res_counters = {name: metrics.counter(f"resilience.{name}")
                              for name in _RESILIENCE_COUNTERS}
-        self._split_books: dict[str, tuple[Histogram, dict[str, Counter]]] = {}
-        self._books_lock = threading.Lock()
         self.tracer = Tracer(sample=self.config.trace_sample, metrics=metrics)
         # Resilience plane: a circuit breaker over scoring-group
         # outcomes and the (dormant-by-default) fault-injection seam.
@@ -294,13 +268,12 @@ class RankingService:
         """Publish the state kept outside the registry's instruments.
 
         Caches, the scorer, the breaker and kernels keep their own
-        locked state, and the per-split books are keyed by data; the
-        registry pulls each through a callback at export time.
+        locked state; the registry pulls each through a callback at
+        export time.
         Every callback that is also a ``stats()`` section is the same
         view function on both sides.
         """
         metrics = self.metrics
-        metrics.register_callback("split", self._split_view)
         metrics.register_callback("cache.candidate",
                                   self._candidate_cache_view)
         metrics.register_callback("cache.score", self._score_cache_view)
@@ -313,29 +286,6 @@ class RankingService:
             # exec.overhead_ms / exec.occupancy histograms the pool
             # records directly into this registry.
             metrics.register_callback("exec", self.plane.stats)
-
-    def _book(self, books: dict, label, make):
-        """``books[label]``, made under the books lock on first sight."""
-        entry = books.get(label)
-        if entry is None:
-            with self._books_lock:
-                entry = books.get(label)
-                if entry is None:
-                    entry = books[label] = make()
-        return entry
-
-    def _split_view(self) -> dict[str, dict[str, object]]:
-        """Per-split latency and outcome counts, keyed by version.
-
-        Only requests a traffic split or a version pin routed land
-        here, so the section is a pure view of the experiment traffic.
-        """
-        with self._books_lock:
-            books = sorted(self._split_books.items())
-        # The histogram is read before the counters (see _record).
-        return {split: {"latency": latency.summary(),
-                        "counters": _values(counters)}
-                for split, (latency, counters) in books}
 
     def _candidate_cache_view(self) -> dict[str, object]:
         return self.candidate_cache.stats.as_dict()
@@ -425,13 +375,12 @@ class RankingService:
     def admit(self, request: RankRequest,
               snapshot: ActiveModel | None | object = _CURRENT
               ) -> QueryState:
-        """Open a :class:`QueryState` and route it to a model snapshot.
+        """Open a :class:`QueryState` and hand it a model snapshot.
 
         ``snapshot`` lets a batch caller take one registry snapshot for
-        every unsplit request (so a concurrent hot-swap cannot divide a
-        batch across versions).  Without it each request takes the
-        registry's current snapshot.  Pinned and split-routed requests
-        resolve their own snapshot regardless.
+        every request (so a concurrent hot-swap cannot divide a batch
+        across versions).  Without it each request takes the registry's
+        current snapshot.
         """
         state = QueryState(request=request)
         if request.deadline_ms is not None:
@@ -452,47 +401,38 @@ class RankingService:
         except ValueError as exc:  # hostile per-request k override
             state.error = str(exc)
             return state
-        version = request.model_version
-        if version is None and self.config.traffic_split is not None:
-            version = assign_split(request, self.config.traffic_split)
-        split_began = time.perf_counter() if trace is not None else 0.0
-        try:
-            if version is not None:
-                state.active = self.registry.resolve(version)
-                state.split = version
-            elif snapshot is _CURRENT:
-                state.active = self.registry.snapshot()
-            else:
-                state.active = snapshot
-        except ServingError as exc:  # unpublished pin / stale split target
-            state.error = str(exc)
+        state.active = (self.registry.snapshot() if snapshot is _CURRENT
+                        else snapshot)
         if trace is not None:
-            end = time.perf_counter()
-            trace.add("split_assign", split_began, end, split=state.split)
-            trace.add("admit", trace.started, end)
+            trace.add("admit", trace.started, time.perf_counter())
         return state
 
     def _validate(self, state: QueryState) -> bool:
         """Refuse malformed requests at the front door.
 
-        An unknown endpoint or a non-positive ``k`` can never be served
-        — not even by the shortest-path fallback — so it terminates
-        here with a structured ``invalid_request`` error instead of
-        tripping the fallback or leaking a ``KeyError`` from the CSR
-        kernel deeper in the stack.
+        An unknown endpoint, a ``k`` that is not an integer >= 1 or a
+        deadline that is not a finite positive number can never be
+        served — not even by the shortest-path fallback — so it
+        terminates here with a structured ``invalid_request`` error
+        instead of tripping the fallback or leaking a ``KeyError`` from
+        the CSR kernel deeper in the stack.  ``bool`` is an ``int`` to
+        Python, but never a vertex, a count or a budget.
         """
         request = state.request
         problem = None
-        if not isinstance(request.source, int) \
+        if not _is_int(request.source) \
                 or not self.network.has_vertex(request.source):
             problem = f"unknown source vertex {request.source!r}"
-        elif not isinstance(request.target, int) \
+        elif not _is_int(request.target) \
                 or not self.network.has_vertex(request.target):
             problem = f"unknown target vertex {request.target!r}"
-        elif request.k is not None and request.k < 1:
-            problem = f"k must be >= 1, got {request.k!r}"
+        elif request.k is not None \
+                and not (_is_int(request.k) and request.k >= 1):
+            problem = f"k must be an integer >= 1, got {request.k!r}"
         elif request.deadline_ms is not None \
-                and not 0.0 < request.deadline_ms < math.inf:
+                and not (isinstance(request.deadline_ms, (int, float))
+                         and not isinstance(request.deadline_ms, bool)
+                         and 0.0 < request.deadline_ms < math.inf):
             problem = (f"deadline_ms must be finite and > 0, "
                        f"got {request.deadline_ms!r}")
         if problem is None:
@@ -578,9 +518,9 @@ class RankingService:
     def score_states(self, states: Sequence[QueryState]) -> None:
         """Score every scorable state, one coalesced pass per group.
 
-        States are grouped per model snapshot — A/B splits and hot-swaps
-        can both mix within one batch — and each group is scored
-        atomically through the service's :class:`BatchingScorer`.  A
+        States are grouped per model snapshot — an engine flush can
+        straddle a hot-swap — and each group is scored atomically
+        through the service's :class:`BatchingScorer`.  A
         batch failure degrades *only* the affected requests: each member
         is retried individually, and only the ones that still fail fall
         back to the shortest path.
@@ -592,25 +532,8 @@ class RankingService:
                 continue
             if state.scorable:
                 groups.setdefault(state.active.generation, []).append(state)
-        if len(groups) > 1 and self.plane is not None:
-            # Pooled group execution: the groups are independent by
-            # construction (disjoint states, thread-safe scorer, caches
-            # and breaker), and each thread merely waits on pool
-            # tickets, so the workers' forward passes overlap instead of
-            # serialising behind the largest group.
-            threads = [
-                threading.Thread(target=self._score_states_group,
-                                 args=(members,),
-                                 name=f"score-group-{generation}")
-                for generation, members in groups.items()
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        else:
-            for members in groups.values():
-                self._score_states_group(members)
+        for members in groups.values():
+            self._score_states_group(members)
 
     def scores_cached(self, state: QueryState) -> bool:
         """Whether the score cache holds every candidate of a scorable
@@ -758,7 +681,7 @@ class RankingService:
         else:
             response = self._model_response(state, elapsed_ms)
         if record:
-            self._record(state, response)
+            self._record(response)
         if trace is not None:
             trace.add("assemble", assemble_began, time.perf_counter())
             if record:
@@ -768,32 +691,20 @@ class RankingService:
                     request=f"{request.source}->{request.target}",
                     request_id=request.request_id,
                     served_by=response.served_by,
-                    cache_hit=response.candidate_cache_hit,
-                    split=state.split)
+                    cache_hit=response.candidate_cache_hit)
         state.response = response
         return response
 
-    def _record(self, state: QueryState, response: RankResponse) -> None:
-        """Count one answered request, service-wide and per split.
+    def _record(self, response: RankResponse) -> None:
+        """Count one answered request.
 
         Each request counter is bumped before its latency histogram
         observes, and every reader takes the histogram first, so a
         latency count never runs ahead of its request count.
         """
-        outcome = _OUTCOME_COUNTERS[response.served_by]
-        latency_ms = response.latency_ms
         self.counters["requests"].inc()
-        self.counters[outcome].inc()
-        self.latency.observe(latency_ms)
-        if state.split is not None:
-            latency, counters = self._book(
-                self._split_books, state.split,
-                lambda: (Histogram("split.latency"),
-                         {name: Counter(f"split.{name}")
-                          for name in _SERVING_COUNTERS}))
-            counters["requests"].inc()
-            counters[outcome].inc()
-            latency.observe(latency_ms)
+        self.counters[_OUTCOME_COUNTERS[response.served_by]].inc()
+        self.latency.observe(response.latency_ms)
 
     # ------------------------------------------------------------------
     # Serving facade
@@ -805,9 +716,8 @@ class RankingService:
     def rank_batch(self, requests: Sequence[RankRequest]) -> list[RankResponse]:
         """Answer many queries with one coalesced pass per model snapshot.
 
-        The default snapshot is taken once for the whole batch, so a
-        concurrent hot-swap cannot split the unsplit portion of a batch
-        across versions.
+        The snapshot is taken once for the whole batch, so a concurrent
+        hot-swap cannot divide a batch across versions.
         """
         if not requests:
             return []
@@ -831,8 +741,7 @@ class RankingService:
         seen: set[tuple] = set()
         states = []
         for request in requests:
-            key = (request.source, request.target, request.k,
-                   request.model_version)
+            key = (request.source, request.target, request.k)
             if key in seen:
                 continue
             seen.add(key)
@@ -930,7 +839,6 @@ class RankingService:
                         "mean_ms": latency["mean"],
                         "p50_ms": latency["p50"],
                         "p95_ms": latency["p95"]},
-            "splits": self._split_view(),
             "candidate_cache": self._candidate_cache_view(),
             "score_cache": self._score_cache_view(),
             "scoring": scoring,
@@ -959,8 +867,4 @@ class RankingService:
             # zeros) otherwise, and existing consumers pin the shape of
             # the default stats payload.
             result["trace"] = self.tracer.as_dict()
-        quotas = ({} if self.score_cache is None
-                  else self.score_cache.quota_stats())
-        if quotas:
-            result["score_cache_splits"] = quotas
         return result

@@ -1,6 +1,8 @@
 """Unit tests for the JSONL snapshot exporter and exposition formats."""
 
 import json
+import math
+import threading
 import time
 
 import pytest
@@ -32,6 +34,17 @@ class TestSnapshotExporter:
         with pytest.raises(ValueError):
             SnapshotExporter(_StaticSource(), tmp_path / "t.jsonl",
                              interval_s=0.0)
+
+    @pytest.mark.parametrize("interval_s", [
+        math.nan, math.inf, threading.TIMEOUT_MAX * 2])
+    def test_rejects_an_interval_it_cannot_sleep_on(self, tmp_path,
+                                                    interval_s):
+        """``Event.wait(nan)`` returns at once, so the thread used to
+        spin; ``inf`` killed it with ``OverflowError``."""
+        with pytest.raises(ValueError, match="interval_s"):
+            SnapshotExporter(_StaticSource(), tmp_path / "t.jsonl",
+                             interval_s=interval_s)
+        assert not (tmp_path / "t.jsonl").exists()
 
     def test_truncates_previous_timeline(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -6,7 +6,6 @@ from repro.errors import ConfigError
 from repro.graph.path import Path
 from repro.ranking import Strategy, TrainingDataConfig
 from repro.serving import CandidateCache, LRUCache, ScoreCache
-from repro.serving.cache import carve_budget
 
 
 class TestLRUCache:
@@ -138,6 +137,38 @@ class TestScoreCache:
         assert cache.lookup(
             "v1", Path(tiny_network, [0, 1, 2])) == pytest.approx(0.5)
 
+    def test_lookup_many_returns_only_present_paths(self):
+        cache = ScoreCache(capacity=100)
+        paths = [_FakePath(0, 1), _FakePath(1, 2)]
+        cache.store_many("a", [(paths[0], 0.5)])
+        assert cache.lookup_many("a", paths) == {(0, 1): 0.5}
+
+    def test_one_versions_churn_evicts_another_versions_entries(self):
+        """One LRU budget across versions: a superseded version's
+        entries age out under the live version's traffic."""
+        cache = ScoreCache(capacity=100)
+        cache.store("old", _FakePath(0, 1), 0.5)
+        for i in range(500):
+            cache.store("live", _FakePath(i, i + 1), float(i))
+        assert cache.lookup("old", _FakePath(0, 1)) is None
+        assert len(cache) == 100
+
+    def test_clear_empties_the_cache(self):
+        cache = ScoreCache(capacity=100)
+        cache.store("a", _FakePath(0, 1), 0.5)
+        cache.store("b", _FakePath(2, 3), 0.5)
+        cache.clear()
+        assert len(cache) == 0
+
+
+class _FakePath:
+    """Stands in for a Path in score-cache keys (only ``vertices`` is read)."""
+
+    __slots__ = ("vertices",)
+
+    def __init__(self, *vertices):
+        self.vertices = tuple(vertices)
+
 
 class TestCandidateCacheInvalidation:
     """A network-aware cache must never serve candidates for a mutated graph."""
@@ -172,108 +203,3 @@ class TestCandidateCacheInvalidation:
                        config.examine_limit)
         cache.store(0, 5, config, [Path(tiny_network, [0, 1, 2])])
         assert cache.lookup(0, 5, config) is not None
-
-
-class _FakePath:
-    """Stands in for a Path in score-cache keys (only ``vertices`` is read)."""
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, *vertices):
-        self.vertices = tuple(vertices)
-
-
-class TestScoreCacheQuotas:
-    def test_minority_split_survives_majority_churn(self):
-        """The whole point of split quotas: a 10% variant's entries must
-        not be evicted by the 90% variant's churn."""
-        cache = ScoreCache(capacity=100, quotas={"big": 0.9, "small": 0.1})
-        cache.store("small", _FakePath(0, 1), 0.5)
-        for i in range(500):
-            cache.store("big", _FakePath(i, i + 1), float(i))
-        assert cache.lookup("small", _FakePath(0, 1)) == pytest.approx(0.5)
-
-    def test_without_quotas_majority_churn_evicts(self):
-        """Baseline behaviour the quotas exist to fix."""
-        cache = ScoreCache(capacity=100)
-        cache.store("small", _FakePath(0, 1), 0.5)
-        for i in range(500):
-            cache.store("big", _FakePath(i, i + 1), float(i))
-        assert cache.lookup("small", _FakePath(0, 1)) is None
-
-    def test_unquoted_version_uses_shared_segment(self):
-        cache = ScoreCache(capacity=100, quotas={"a": 0.5, "b": 0.5})
-        cache.store("other", _FakePath(7, 8), 1.25)
-        assert cache.lookup("other", _FakePath(7, 8)) == pytest.approx(1.25)
-        assert cache.lookup("a", _FakePath(7, 8)) is None
-
-    def test_shared_segment_keeps_working_capacity(self):
-        """Out-of-split pinned versions must keep a real cache, not the
-        one-entry sliver that fully-allocated quota weights would leave."""
-        cache = ScoreCache(capacity=800, quotas={"a": 0.5, "b": 0.5})
-        for i in range(50):
-            cache.store("pinned", _FakePath(i, i + 1), float(i))
-        hits = sum(cache.lookup("pinned", _FakePath(i, i + 1)) is not None
-                   for i in range(50))
-        assert hits == 50  # capacity // SHARED_FRACTION = 100 entries
-        assert cache.capacity <= 800
-
-    def test_stats_aggregate_across_segments(self):
-        cache = ScoreCache(capacity=100, quotas={"a": 0.5, "b": 0.5})
-        cache.store("a", _FakePath(0, 1), 0.1)
-        cache.lookup("a", _FakePath(0, 1))
-        cache.lookup("b", _FakePath(0, 1))
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        quota_stats = cache.quota_stats()
-        assert set(quota_stats) == {"a", "b", "(shared)"}
-        assert quota_stats["a"]["hits"] == 1
-
-    def test_lookup_many_respects_segments(self):
-        cache = ScoreCache(capacity=100, quotas={"a": 0.5})
-        paths = [_FakePath(0, 1), _FakePath(1, 2)]
-        cache.store_many("a", [(paths[0], 0.5)])
-        found = cache.lookup_many("a", paths)
-        assert found == {(0, 1): 0.5}
-
-    def test_clear_empties_every_segment(self):
-        cache = ScoreCache(capacity=100, quotas={"a": 0.5})
-        cache.store("a", _FakePath(0, 1), 0.5)
-        cache.store("other", _FakePath(2, 3), 0.5)
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_invalid_quotas_rejected(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            ScoreCache(capacity=10, quotas={"": 1.0})
-        with pytest.raises(ConfigError):
-            ScoreCache(capacity=10, quotas={"a": 0.0})
-        with pytest.raises(ConfigError):
-            ScoreCache(capacity=10, quotas=[("a", 1.0), ("a", 1.0)])
-
-
-class TestCarveBudget:
-    """The proportional integer shares behind the score-cache quotas."""
-
-    def test_proportional_with_floor(self):
-        shares = carve_budget(100, [60, 30, 10])
-        assert shares == [60, 30, 10]
-        # A dominant weight's share is trimmed so the floor of one entry
-        # per remaining share still fits inside the total.
-        assert carve_budget(4, [1000, 1, 1]) == [2, 1, 1]
-
-    def test_never_exceeds_total_when_budget_covers_floors(self):
-        assert sum(carve_budget(10, [1, 1, 1, 1])) <= 10
-        assert sum(carve_budget(7, [97, 1, 1, 1])) <= 7
-
-    def test_floor_of_one_entry_per_share_wins_over_tiny_budgets(self):
-        shares = carve_budget(2, [5, 5, 5])
-        assert shares == [1, 1, 1]  # sum == len(weights) > total, by design
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            carve_budget(0, [1])
-        with pytest.raises(ConfigError):
-            carve_budget(10, [0, 0])

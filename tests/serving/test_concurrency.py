@@ -141,24 +141,6 @@ class TestServingCachesUnderParallelRank:
 
 
 class TestRegistryUnderParallelResolve:
-    def test_parallel_pin_loads_one_snapshot_per_version(self, tiny_network,
-                                                         tmp_path,
-                                                         make_ranker):
-        registry = ModelRegistry(tmp_path / "models", tiny_network)
-        registry.publish(make_ranker(tiny_network, seed=1), version="v0001")
-        registry.publish(make_ranker(tiny_network, seed=2), version="v0002")
-
-        def work(index: int):
-            version = "v0001" if index % 2 == 0 else "v0002"
-            return registry.resolve(version)
-
-        snapshots = _hammer(16, work)
-        by_version: dict[str, set[int]] = {}
-        for snapshot in snapshots:
-            by_version.setdefault(snapshot.version, set()).add(id(snapshot))
-        # Every caller of one version got the same resident snapshot.
-        assert all(len(ids) == 1 for ids in by_version.values())
-
     def test_hot_swap_during_parallel_rank(self, tiny_network, tmp_path,
                                            make_ranker, candidates_config):
         registry = ModelRegistry(tmp_path / "models", tiny_network)

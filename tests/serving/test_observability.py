@@ -22,8 +22,7 @@ OBSERVABILITY_DOC = Path(__file__).resolve().parents[2] / "docs" \
     / "observability.md"
 
 #: Stages the synchronous facade stamps on every traced request.
-SYNC_STAGES = {"admit", "split_assign", "candidates", "flush_wait",
-               "score", "assemble"}
+SYNC_STAGES = {"admit", "candidates", "flush_wait", "score", "assemble"}
 
 
 @pytest.fixture
@@ -269,10 +268,8 @@ class TestMetricCatalogue:
                                                 candidates_config):
         registry.publish(make_ranker(tiny_network, seed=1),
                          version="v0001", activate=True)
-        registry.publish(make_ranker(tiny_network, seed=2), version="v0002")
         service = RankingService(tiny_network, registry, ServingConfig(
             candidates=candidates_config, trace_sample=1.0,
-            traffic_split={"v0001": 0.5, "v0002": 0.5},
             candidate_cache_size=64, score_cache_size=256))
         assert service.breaker is not None  # on by default
         requests = [RankRequest(source=s, target=t, request_id=i)

@@ -23,7 +23,7 @@ class TestVersioning:
 
     def test_publish_explicit_version(self, tiny_network, registry, make_ranker):
         registry.publish(make_ranker(tiny_network, 1), version="golden")
-        assert registry.has_version("golden")
+        assert registry.versions() == ["golden"]
         loaded = registry.load("golden")
         assert loaded.num_vertices == tiny_network.num_vertices
 
@@ -174,88 +174,6 @@ class TestFusedKernelAcrossSwaps:
         module = model.score_paths(paths, backend="module")
         assert compiled_for(model) is not stale
         np.testing.assert_allclose(fused, module, atol=1e-6, rtol=0)
-
-
-class TestPinAccounting:
-    """Balanced pin/release residency (the PR-5 accounting fix)."""
-
-    def _two_versions(self, network, registry, make_ranker):
-        registry.publish(make_ranker(network, seed=1), version="v1")
-        registry.publish(make_ranker(network, seed=2), version="v2")
-
-    def test_pin_of_active_version_reuses_live_snapshot(
-            self, tiny_network, registry, make_ranker):
-        """Pinning the active version must not load a duplicate model
-        (previously two copies of the same weights — and two compiled
-        kernels — ended up resident)."""
-        self._two_versions(tiny_network, registry, make_ranker)
-        active = registry.activate("v1")
-        assert registry.pin("v1") is active
-        registry.release("v1")
-
-    def test_release_of_last_pin_frees_superseded_model(
-            self, tiny_network, registry, make_ranker):
-        """activate -> pin -> activate -> release: the superseded
-        version's model (and with it its compiled fused kernel, held in
-        a weakly-keyed cache) must become garbage at the last release."""
-        import gc
-        import weakref
-
-        self._two_versions(tiny_network, registry, make_ranker)
-        registry.activate("v1")
-        pinned = registry.pin("v1")
-        model_ref = weakref.ref(pinned.model)
-        registry.activate("v2")  # v1 superseded, but still pinned
-        assert registry.resolve("v1").model is model_ref()
-        registry.release("v1")
-        del pinned
-        gc.collect()
-        assert model_ref() is None, \
-            "superseded model survived its last release"
-
-    def test_pins_are_counted(self, tiny_network, registry, make_ranker):
-        self._two_versions(tiny_network, registry, make_ranker)
-        registry.activate("v1")
-        registry.pin("v2")
-        registry.pin("v2")
-        registry.release("v2")
-        assert registry.pinned_versions() == {"v2": 1}  # still resident
-        assert registry.resolve("v2").version == "v2"
-        registry.release("v2")
-        assert registry.pinned_versions() == {}
-
-    def test_unbalanced_release_rejected(self, tiny_network, registry,
-                                         make_ranker):
-        self._two_versions(tiny_network, registry, make_ranker)
-        with pytest.raises(ServingError):
-            registry.release("v1")
-        registry.activate("v1")
-        registry.resolve("v2")  # implicit residency holds no pins
-        with pytest.raises(ServingError):
-            registry.release("v2")
-
-    def test_resolve_keeps_residency_without_pins(self, tiny_network,
-                                                  registry, make_ranker):
-        """Split targets stay resident across requests (no reload per
-        request) yet never accumulate pin counts."""
-        self._two_versions(tiny_network, registry, make_ranker)
-        registry.activate("v1")
-        first = registry.resolve("v2")
-        assert registry.resolve("v2") is first
-        assert registry.pinned_versions() == {"v2": 0}
-        registry.unpin("v2")  # the operator hammer still evicts
-        assert registry.pinned_versions() == {}
-
-    def test_activate_refresh_preserves_pin_count(self, tiny_network,
-                                                  registry, make_ranker):
-        self._two_versions(tiny_network, registry, make_ranker)
-        registry.activate("v1")
-        registry.pin("v2")
-        registry.activate("v2")  # refreshes the resident snapshot
-        assert registry.pinned_versions() == {"v2": 1}
-        assert registry.resolve("v2") is registry.snapshot()
-        registry.release("v2")
-        assert registry.pinned_versions() == {}
 
 
 class TestLifecycleListeners:

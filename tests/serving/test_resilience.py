@@ -202,8 +202,24 @@ def test_retry_backoff_doubles_without_jitter():
 
 
 # ----------------------------------------------------------------------
-# Admission validation (satellite b)
+# Admission validation
 # ----------------------------------------------------------------------
+#: Requests that admission must refuse with ``invalid_request``.  ``bool``
+#: is an ``int`` to Python: ``k=2.5`` and ``k=nan`` used to pass the
+#: ``k < 1`` check and rank every examined candidate, ``True`` was served
+#: as vertex 1, ``k=1`` or a 1 ms budget.
+BOOL_AND_NON_INTEGER_REQUESTS = [
+    RankRequest(source=0, target=5, k=2.5),
+    RankRequest(source=0, target=5, k=math.nan),
+    RankRequest(source=0, target=5, k=True),
+    RankRequest(source=True, target=5),
+    RankRequest(source=0, target=True),
+    RankRequest(source=0, target=5, deadline_ms=True),
+    RankRequest(source=0, target=5, k="3"),
+    RankRequest(source=0, target=5, deadline_ms="50"),
+]
+
+
 @pytest.mark.parametrize("request_", [
     RankRequest(source=99, target=5),
     RankRequest(source=0, target=-3),
@@ -212,13 +228,14 @@ def test_retry_backoff_doubles_without_jitter():
     RankRequest(source=0, target=5, deadline_ms=0.0),
     RankRequest(source=0, target=5, deadline_ms=math.inf),
     RankRequest(source=0, target=5, deadline_ms=math.nan),
+    *BOOL_AND_NON_INTEGER_REQUESTS,
 ])
 def test_malformed_requests_get_structured_errors(service, request_):
     response = service.rank(request_)
     assert response.served_by == "error"
     assert response.error_code == "invalid_request"
     assert response.results == ()
-    assert service.res_counters["invalid_requests"].value >= 1
+    assert service.res_counters["invalid_requests"].value == 1
 
 
 def test_valid_request_is_untouched_by_validation(service):
@@ -488,6 +505,19 @@ def test_ticket_result_answers_a_non_finite_deadline(tiny_network, registry,
             source=0, target=5, deadline_ms=deadline_ms)).result()
     assert response.served_by == "error"
     assert response.error_code == "invalid_request"
+
+
+@pytest.mark.parametrize("request_", BOOL_AND_NON_INTEGER_REQUESTS)
+def test_engine_refuses_bool_and_non_integer_fields(tiny_network, registry,
+                                                    make_ranker, request_):
+    service = _engine_service(tiny_network, registry, make_ranker)
+    with ServingEngine(service, concurrency=1,
+                       flush_deadline_ms=1.0) as engine:
+        response = engine.submit(request_).result()
+    assert (response.served_by, response.error_code) \
+        == ("error", "invalid_request")
+    assert response.results == ()
+    assert service.res_counters["invalid_requests"].value == 1
 
 
 def test_ticket_result_with_explicit_timeout(tiny_network, registry,

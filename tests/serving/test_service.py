@@ -185,32 +185,6 @@ class TestOneServiceOneLane:
         service.rank(RankRequest(source=0, target=2))
         assert service.scorer.batches_run == 2  # no memoised skip
 
-    def _split_service(self, tiny_network, registry, make_ranker,
-                       candidates_config):
-        registry.publish(make_ranker(tiny_network, seed=1), version="v0001",
-                         activate=True)
-        registry.publish(make_ranker(tiny_network, seed=2), version="v0002")
-        return RankingService(tiny_network, registry, ServingConfig(
-            candidates=candidates_config,
-            traffic_split={"v0001": 0.5, "v0002": 0.5}))
-
-    def test_a_split_segments_the_score_cache_per_version(
-            self, tiny_network, registry, make_ranker, candidates_config):
-        service = self._split_service(tiny_network, registry, make_ranker,
-                                      candidates_config)
-        assert [version for version, _ in service.score_cache.quotas] \
-            == ["v0001", "v0002"]
-
-    def test_a_traffic_split_segments_the_score_cache(
-            self, tiny_network, registry, make_ranker, candidates_config):
-        service = self._split_service(tiny_network, registry, make_ranker,
-                                      candidates_config)
-        assert service.score_cache.has_quotas
-        service.rank_batch([RankRequest(source=s, target=t, request_id=i)
-                            for i, (s, t) in enumerate(ALL_PAIRS)])
-        assert set(service.stats()["score_cache_splits"]) \
-            == {"v0001", "v0002", "(shared)"}
-
     def test_a_killed_scorer_trips_the_service_breaker(
             self, tiny_network, registry, make_ranker, candidates_config):
         """Every group's scoring call fails: the individual rescue still

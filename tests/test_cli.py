@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +58,19 @@ class TestParser:
         documented = set(re.findall(r"python -m repro\.cli ([a-z-]+)",
                                     cli.__doc__))
         assert parsed == set(cli._COMMANDS) == documented
+
+    def test_docstring_examples_parse(self):
+        """Each ``python -m repro.cli ...`` example in the module
+        docstring is accepted by the parser as written."""
+        text = cli.__doc__.replace("\\\n", " ")
+        examples = [line.split("python -m repro.cli", 1)[1]
+                    for line in text.splitlines()
+                    if "python -m repro.cli" in line]
+        assert len(examples) == len(cli._COMMANDS)
+        parser = build_parser()
+        for example in examples:
+            args = parser.parse_args(shlex.split(example))
+            assert args.command in cli._COMMANDS
 
     def test_no_subcommand_takes_smoke(self):
         parser = build_parser()
@@ -276,36 +290,6 @@ class TestServeConcurrent:
         assert payload["stats"]["engine"]["concurrency"] == 4
         assert payload["stats"]["engine"]["occupancy"]["flushes"] >= 1
 
-    def test_serve_split_single_version(self, artifacts, queries_file,
-                                        capsys):
-        network, _, model = artifacts
-        code = main(["serve", "--network", str(network), "--model", str(model),
-                     "--queries-file", str(queries_file), "--k", "3",
-                     "--split", f"{model.stem}=1", "--json"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert all(r["model_version"] == model.stem
-                   for r in payload["responses"])
-        assert model.stem in payload["stats"]["splits"]
-
-    def test_serve_split_unknown_version_exits_cleanly(self, artifacts,
-                                                       queries_file, capsys):
-        network, _, model = artifacts
-        code = main(["serve", "--network", str(network), "--model", str(model),
-                     "--queries-file", str(queries_file),
-                     "--split", "v9999=1"])
-        assert code == 2
-        assert "v9999" in capsys.readouterr().err
-
-    def test_serve_malformed_split_exits_cleanly(self, artifacts,
-                                                 queries_file, capsys):
-        network, _, model = artifacts
-        code = main(["serve", "--network", str(network), "--model", str(model),
-                     "--queries-file", str(queries_file),
-                     "--split", "justaname"])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error:")
-
 
 class TestServeCleanup:
     """``serve`` closes every service it builds, whichever way it exits."""
@@ -385,6 +369,59 @@ class TestServeCleanup:
                   "--queries-file", str(queries_file), "--shards", "2"])
         assert exit_info.value.code == 2
         assert "--shards" in capsys.readouterr().err
+        assert lifecycle == {"built": 0, "closed": 0}
+
+    def test_split_flag_is_gone(self, artifacts, queries_file, lifecycle,
+                                capsys):
+        network, _, model = artifacts
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--network", str(network), "--model", str(model),
+                  "--queries-file", str(queries_file),
+                  "--split", "v0001=1"])
+        assert exit_info.value.code == 2
+        assert "--split" in capsys.readouterr().err
+        assert lifecycle == {"built": 0, "closed": 0}
+
+    @pytest.mark.parametrize("field, value", [
+        ("source", None), ("k", None), ("source", 0.9), ("target", 399.7),
+        ("source", True), ("k", 2.9), ("k", True), ("target", "5"),
+    ])
+    def test_non_integer_query_field_builds_nothing(
+            self, artifacts, queries_file, tmp_path, lifecycle, capsys,
+            field, value):
+        """``null`` used to escape as a ``TypeError`` traceback, and
+        ``int()`` served ``0.9`` as vertex 0 and ``true`` as vertex 1."""
+        network, _, model = artifacts
+        queries = json.loads(queries_file.read_text())
+        queries[1][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(queries))
+        code = main(["serve", "--network", str(network), "--model", str(model),
+                     "--queries-file", str(bad)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.strip().splitlines()
+        assert line.startswith("error:")
+        assert "query #1" in line and field in line
+        assert lifecycle == {"built": 0, "closed": 0}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "1e10"])
+    def test_unusable_metrics_interval_builds_nothing(
+            self, artifacts, queries_file, tmp_path, lifecycle, capsys,
+            value):
+        """``nan`` used to spin the exporter thread, and ``inf`` killed it
+        with ``OverflowError``; both runs exited 0."""
+        network, _, model = artifacts
+        code = main(["serve", "--network", str(network), "--model", str(model),
+                     "--queries-file", str(queries_file),
+                     "--metrics-out", str(tmp_path / "run.jsonl"),
+                     "--metrics-interval-s", value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.strip().splitlines()
+        assert line.startswith("error:") and "--metrics-interval-s" in line
         assert lifecycle == {"built": 0, "closed": 0}
 
     def test_shard_scoped_fault_spec_builds_nothing(self, artifacts,
