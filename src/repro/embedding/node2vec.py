@@ -9,6 +9,7 @@ dense vertex-id order, ready for :class:`repro.nn.Embedding`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,10 @@ class Node2VecConfig:
                 f"need num_walks >= 1 and walk_length >= 2, got "
                 f"({self.num_walks}, {self.walk_length})"
             )
-        if self.p <= 0 or self.q <= 0:
-            raise ValueError(f"p and q must be positive, got ({self.p}, {self.q})")
+        if not (0 < self.p < math.inf and 0 < self.q < math.inf):
+            raise ValueError(
+                f"p and q must be positive and finite, got ({self.p}, {self.q})")
+        self.skipgram()  # validates the SGNS fields
 
     def skipgram(self) -> SkipGramConfig:
         return SkipGramConfig(

@@ -4,16 +4,28 @@ This is the word2vec objective node2vec trains: maximise
 ``log σ(u_c · v_w)`` for observed (centre, context) pairs and
 ``log σ(-u_n · v_w)`` for sampled negatives, where negatives are drawn
 from the unigram distribution raised to 3/4.  Updates are applied
-mini-batch-wise with ``np.add.at`` scatter-adds so repeated vertices in
-a batch accumulate correctly.
+mini-batch-wise by scatter-adds, so repeated vertices in a batch
+accumulate correctly.
+
+Each matrix takes one scatter a batch, through
+:func:`repro.nn.tensor.scatter_add_rows` (``np.add.at`` on the flattened
+matrix at flat indices ``row * dim + column``), the output-side rows
+ordered contexts first, then the negatives row-major.  ``np.add.at``
+applies its adds one after another in index order, so every cell
+receives the same adds in the same order as three row-wise scatters
+(centres; contexts; negatives) would give it, and the trained matrices
+are bitwise the same; the flat form only drops the per-row overhead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
+from repro.nn.tensor import scatter_add_rows
 from repro.rng import RngLike, make_rng
 
 __all__ = ["SkipGramConfig", "SkipGramModel", "build_training_pairs"]
@@ -25,21 +37,23 @@ def build_training_pairs(
     """(centre, context) index pairs from walks with the given window.
 
     Matches word2vec: every ordered pair within ``window`` positions of
-    each other (both directions) is a positive example.
+    each other (both directions) is a positive example.  Pairs come walk
+    by walk, centre position ascending, then context position ascending.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    centres: list[int] = []
-    contexts: list[int] = []
-    for walk in walks:
-        for i, centre in enumerate(walk):
-            low = max(0, i - window)
-            high = min(len(walk), i + window + 1)
-            for j in range(low, high):
-                if j != i:
-                    centres.append(centre)
-                    contexts.append(walk[j])
-    return np.asarray(centres, dtype=np.int64), np.asarray(contexts, dtype=np.int64)
+    lengths = np.fromiter(map(len, walks), dtype=np.int64, count=len(walks))
+    total = int(lengths.sum())
+    vertices = np.fromiter(chain.from_iterable(walks), dtype=np.int64, count=total)
+    # Each position sees the offsets -window..-1, 1..window, masked to the
+    # bounds of its own walk; a row-major mask keeps the pair order.
+    ends = np.repeat(np.cumsum(lengths), lengths)
+    starts = ends - np.repeat(lengths, lengths)
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    positions = np.arange(total)[:, None] + offsets
+    valid = (positions >= starts[:, None]) & (positions < ends[:, None])
+    centres = np.broadcast_to(vertices[:, None], positions.shape)[valid]
+    return centres, vertices[positions[valid]]
 
 
 @dataclass(frozen=True)
@@ -63,6 +77,12 @@ class SkipGramConfig:
             raise ValueError(f"negatives must be >= 1, got {self.negatives}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not (math.isfinite(self.learning_rate)
+                and math.isfinite(self.min_learning_rate)):
+            raise ValueError(
+                f"learning rates must be finite, got ({self.learning_rate}, "
+                f"{self.min_learning_rate})"
+            )
         if self.learning_rate <= 0 or self.min_learning_rate <= 0:
             raise ValueError("learning rates must be positive")
         if self.min_learning_rate > self.learning_rate:
@@ -96,7 +116,6 @@ class SkipGramModel:
         bound = 0.5 / config.dim
         self.vectors = generator.uniform(-bound, bound, size=(vocab_size, config.dim))
         self.context_vectors = np.zeros((vocab_size, config.dim))
-        self._noise_table: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Negative-sampling noise distribution
@@ -158,7 +177,8 @@ class SkipGramModel:
     ) -> float:
         """One SGNS mini-batch update; returns the batch loss."""
         batch = centres.size
-        negatives = self._draw_negatives(rng, (batch, self.config.negatives))
+        num_negatives, dim = self.config.negatives, self.config.dim
+        negatives = self._draw_negatives(rng, (batch, num_negatives))
 
         centre_vecs = self.vectors[centres]                      # (B, D)
         context_vecs = self.context_vectors[contexts]            # (B, D)
@@ -171,14 +191,19 @@ class SkipGramModel:
         loss = -(np.log(pos_score + eps).sum()
                  + np.log(1.0 - neg_score + eps).sum()) / batch
 
-        # Gradients of the SGNS objective.
+        # Gradients of the SGNS objective.  The output side (contexts,
+        # then negatives row-major) shares one (B·(1+N), D) buffer, the
+        # row order of its single scatter.
         pos_coeff = (pos_score - 1.0)[:, None]                    # (B, 1)
         neg_coeff = neg_score[:, :, None]                         # (B, N, 1)
+        outputs = np.concatenate([contexts, negatives.reshape(-1)])
+        grad_output = np.empty((outputs.size, dim))
 
         grad_centre = pos_coeff * context_vecs + np.einsum(
             "bnd->bd", neg_coeff * negative_vecs)
-        grad_context = pos_coeff * centre_vecs
-        grad_negative = neg_coeff * centre_vecs[:, None, :]
+        np.multiply(pos_coeff, centre_vecs, out=grad_output[:batch])
+        np.multiply(neg_coeff, centre_vecs[:, None, :],
+                    out=grad_output[batch:].reshape(batch, num_negatives, dim))
 
         # Duplicate damping: scatter-added updates for a row repeated K
         # times in one batch are all computed at the stale value, which
@@ -186,18 +211,15 @@ class SkipGramModel:
         # on repetitive walks.  Scaling each pair's contribution by
         # 1/sqrt(K) keeps frequent rows moving decisively while bounding
         # the blow-up (pure summing diverges; pure averaging stalls).
-        flat_negatives = negatives.reshape(-1)
         centre_counts = np.bincount(centres, minlength=self.vocab_size)
-        output_counts = (np.bincount(contexts, minlength=self.vocab_size)
-                         + np.bincount(flat_negatives, minlength=self.vocab_size))
+        output_counts = np.bincount(outputs, minlength=self.vocab_size)
         grad_centre /= np.sqrt(centre_counts[centres])[:, None]
-        grad_context /= np.sqrt(output_counts[contexts])[:, None]
-        grad_negative_flat = grad_negative.reshape(-1, self.config.dim)
-        grad_negative_flat /= np.sqrt(output_counts[flat_negatives])[:, None]
+        grad_output /= np.sqrt(output_counts[outputs])[:, None]
+        grad_centre *= -lr
+        grad_output *= -lr
 
-        np.add.at(self.vectors, centres, -lr * grad_centre)
-        np.add.at(self.context_vectors, contexts, -lr * grad_context)
-        np.add.at(self.context_vectors, flat_negatives, -lr * grad_negative_flat)
+        scatter_add_rows(self.vectors, centres, grad_centre)
+        scatter_add_rows(self.context_vectors, outputs, grad_output)
         return loss
 
     # ------------------------------------------------------------------

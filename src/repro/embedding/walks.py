@@ -15,6 +15,8 @@ care about topology; pass ``weighted=True`` to use edge lengths).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.embedding.alias import AliasSampler
@@ -34,8 +36,8 @@ class BiasedWalkGenerator:
         q: float = 1.0,
         weighted: bool = False,
     ) -> None:
-        if p <= 0 or q <= 0:
-            raise ValueError(f"p and q must be positive, got p={p}, q={q}")
+        if not (0 < p < math.inf and 0 < q < math.inf):
+            raise ValueError(f"p and q must be positive and finite, got p={p}, q={q}")
         if network.num_vertices == 0:
             raise ValueError("cannot walk an empty network")
         self.network = network

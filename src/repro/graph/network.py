@@ -288,12 +288,6 @@ class RoadNetwork:
         except KeyError:
             raise VertexNotFoundError(vertex_id) from None
 
-    def in_edges(self, vertex_id: int) -> list[Edge]:
-        try:
-            return list(self._in[vertex_id])
-        except KeyError:
-            raise VertexNotFoundError(vertex_id) from None
-
     def successors(self, vertex_id: int) -> list[int]:
         if vertex_id not in self._vertices:
             raise VertexNotFoundError(vertex_id)

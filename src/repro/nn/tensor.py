@@ -130,6 +130,24 @@ def _is_basic_index(index: object) -> bool:
     )
 
 
+def scatter_add_rows(target: np.ndarray, rows: np.ndarray,
+                     updates: np.ndarray) -> None:
+    """``np.add.at(target, rows, updates)`` for an integer row index, as
+    one pass over the flattened, C-contiguous ``target``.
+
+    ``np.add.at`` applies its adds one after another in index order, and
+    the flat indices ``row * width + column`` keep that order for every
+    cell, so the result is bitwise the row-wise one; the flat form only
+    drops numpy's per-row overhead.
+    """
+    if not target.flags.c_contiguous:
+        raise ValueError("scatter_add_rows needs a C-contiguous target")
+    rows = np.where(rows < 0, rows + target.shape[0], rows).reshape(-1, 1)
+    width = int(np.prod(target.shape[1:]))
+    np.add.at(target.reshape(-1), (rows * width + np.arange(width)).reshape(-1),
+              updates.reshape(-1))
+
+
 def _coerce_array(data: object, dtype: np.dtype | None) -> np.ndarray:
     array = np.asarray(data, dtype=dtype if dtype is not None else None)
     if array.dtype.kind in "iub":  # integers/bools promote to float for autodiff
@@ -434,14 +452,6 @@ class Tensor:
     def sigmoid(self) -> "Tensor":
         return self._unary(stable_sigmoid, lambda g, x, y: g * y * (1.0 - y))
 
-    def relu(self) -> "Tensor":
-        return self._unary(
-            lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0.0).astype(x.dtype)
-        )
-
-    def abs(self) -> "Tensor":
-        return self._unary(np.abs, lambda g, x, y: g * np.sign(x))
-
     def clip(self, low: float, high: float) -> "Tensor":
         if low > high:
             raise ValueError(f"clip bounds are inverted: [{low}, {high}]")
@@ -531,6 +541,9 @@ class Tensor:
             grad = np.zeros_like(a.data)
             if _is_basic_index(index):
                 grad[index] = g
+            elif isinstance(index, np.ndarray) and index.dtype.kind in "iu":
+                grad = np.ascontiguousarray(grad)  # a row lookup
+                scatter_add_rows(grad, index, g)
             else:  # integer arrays may repeat an index: scatter-add
                 np.add.at(grad, index, g)
             _send(a, grad)

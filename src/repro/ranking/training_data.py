@@ -149,18 +149,27 @@ def generate_queries(
 ) -> list[RankingQuery]:
     """Build labelled ranking queries for ``trips``.
 
-    Queries ending up with fewer than ``min_candidates`` candidates are
-    dropped (rank correlations are undefined on singletons), mirroring
-    the paper's preprocessing.
+    Candidates are enumerated once per distinct OD (network, source,
+    target) in a call and shared by every trip with that OD; each trip
+    labels them against its own path.  Queries ending up with fewer than
+    ``min_candidates`` candidates are dropped (rank correlations are
+    undefined on singletons), mirroring the paper's preprocessing.
     """
     if config is None:
         config = TrainingDataConfig()
     if min_candidates < 1:
         raise ValueError(f"min_candidates must be >= 1, got {min_candidates}")
 
+    # Keyed by network identity: the trips hold their networks for the
+    # whole call, so no id is reused while the dict lives.
+    candidate_sets: dict[tuple[int, int, int], list[Path]] = {}
     queries: list[RankingQuery] = []
     for trip in trips:
-        paths = _candidates_for(trip, config, cost, similarity)
+        key = (id(trip.path.network), trip.source, trip.target)
+        paths = candidate_sets.get(key)
+        if paths is None:
+            paths = candidate_sets[key] = _candidates_for(trip, config, cost,
+                                                          similarity)
         if len(paths) < min_candidates:
             continue
         candidates = tuple(

@@ -226,9 +226,6 @@ class ScoreCache:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def lookup(self, version: str | None, path: Path) -> float | None:
-        return self._cache.get(self.key_for(version, path))
-
     def lookup_many(self, version: str | None,
                     paths: Sequence[Path]) -> dict[tuple[int, ...], float]:
         """Cached scores for ``paths``, keyed by vertex sequence.
@@ -245,9 +242,6 @@ class ScoreCache:
         no hit or miss and leaves LRU order alone (one lock round-trip)."""
         return self._cache.covers(
             [self.key_for(version, path) for path in paths])
-
-    def store(self, version: str | None, path: Path, score: float) -> None:
-        self._cache.put(self.key_for(version, path), float(score))
 
     def store_many(self, version: str | None,
                    scored: Sequence[tuple[Path, float]]) -> None:

@@ -56,6 +56,9 @@ class TestSkipGramConfig:
             {"learning_rate": 0.0},
             {"batch_size": 0},
             {"learning_rate": 0.001, "min_learning_rate": 0.01},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"min_learning_rate": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -160,3 +163,23 @@ class TestNode2Vec:
             Node2VecConfig(num_walks=0)
         with pytest.raises(ValueError):
             Node2VecConfig(p=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"learning_rate": 1e-5},  # below the SGNS minimum rate
+            {"p": float("nan")},
+            {"q": float("inf")},
+            {"dim": 0},
+            {"window": 0},
+            {"negatives": 0},
+            {"epochs": 0},
+        ],
+    )
+    def test_config_rejects_bad_fields_at_construction(self, kwargs):
+        # Every field is checked before a walk is generated: a NaN rate
+        # would otherwise train to an all-NaN embedding without an error.
+        with pytest.raises(ValueError):
+            Node2VecConfig(**kwargs)

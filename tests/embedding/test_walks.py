@@ -60,6 +60,14 @@ class TestWalkValidity:
         with pytest.raises(ValueError):
             BiasedWalkGenerator(grid, q=-1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"p": float("nan")}, {"p": float("inf")},
+        {"q": float("nan")}, {"q": float("inf")},
+    ])
+    def test_non_finite_pq_rejected(self, grid, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            BiasedWalkGenerator(grid, **kwargs)
+
     def test_empty_network_rejected(self):
         with pytest.raises(ValueError):
             BiasedWalkGenerator(RoadNetwork())

@@ -29,7 +29,7 @@ def order_digest(network) -> str:
         digest.update(e.category.value.encode("ascii"))
     for vid in network.vertex_ids():
         out = [e.target for e in network.out_edges(vid)]
-        into = [e.source for e in network.in_edges(vid)]
+        into = network.predecessors(vid)
         digest.update(struct.pack(f"<qq{len(out)}q", vid, len(out), *out))
         digest.update(struct.pack(f"<q{len(into)}q", len(into), *into))
     return digest.hexdigest()

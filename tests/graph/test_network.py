@@ -140,7 +140,7 @@ class TestAdjacency:
     def test_out_in_edges(self, tiny_network):
         outs = {e.target for e in tiny_network.out_edges(0)}
         assert outs == {1, 2, 3}
-        ins = {e.source for e in tiny_network.in_edges(2)}
+        ins = set(tiny_network.predecessors(2))
         assert ins == {0, 1, 5}
 
     def test_successors_predecessors(self, tiny_network):

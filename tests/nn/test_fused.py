@@ -101,7 +101,7 @@ def path_families(draw, network):
         vertices = [start]
         while len(vertices) < length:
             if backward:
-                options = [e.source for e in network.in_edges(vertices[-1])]
+                options = network.predecessors(vertices[-1])
             else:
                 options = [e.target for e in network.out_edges(vertices[-1])]
             vertices.append(options[draw(st.integers(0, 7)) % len(options)])

@@ -5,7 +5,9 @@ import itertools
 import pytest
 
 from repro.errors import DataError
-from repro.graph import Path, weighted_jaccard, yen_k_shortest_paths
+from repro.graph import (Path, grid_network, length_cost, weighted_jaccard,
+                         yen_k_shortest_paths)
+from repro.ranking import training_data
 from repro.ranking import (
     RankedCandidate,
     RankingQuery,
@@ -135,3 +137,70 @@ class TestGenerateQueries:
             return sum(values) / len(values)
 
         assert mean_pairwise(dtkdi) < mean_pairwise(tkdi)
+
+
+class TestCandidatesOncePerOD:
+    """Trips that share an OD share one candidate enumeration per call;
+    the labels, ranks and drop rule stay per trip."""
+
+    CONFIG = TrainingDataConfig(strategy=Strategy.D_TKDI, k=5,
+                                diversity_threshold=0.3, examine_limit=20)
+    ODS = [(0, 63), (7, 56), (0, 9), (9, 18)]
+
+    @pytest.fixture(scope="class")
+    def trips(self):
+        # Two networks with the same vertex ids but different lengths: at
+        # min_candidates=3, OD (0, 63) is dropped on the first and kept on
+        # the second, so a shared entry would show.
+        networks = (grid_network(8, 8, seed=7), grid_network(8, 8, seed=8))
+        trips = []
+        for round_ in range(3):
+            for network in networks:
+                for source, target in self.ODS:
+                    path = yen_k_shortest_paths(network, source, target, 3)[round_]
+                    trips.append(Trip(len(trips), driver_id=len(trips) % 5,
+                                      path=path))
+        return trips
+
+    @staticmethod
+    def per_trip_reference(trips, config, min_candidates):
+        queries = []
+        for trip in trips:
+            paths = training_data._candidates_for(trip, config, length_cost,
+                                                  weighted_jaccard)
+            if len(paths) < min_candidates:
+                continue
+            queries.append((trip.trip_id, trip.driver_id, trip.path.vertices,
+                            [(p.vertices, weighted_jaccard(p, trip.path), rank)
+                             for rank, p in enumerate(paths)]))
+        return queries
+
+    def test_equals_per_trip_reference(self, trips):
+        queries = generate_queries(trips, self.CONFIG, min_candidates=3)
+        got = [(q.trip_id, q.driver_id, q.trajectory_path.vertices,
+                [(c.path.vertices, c.score, c.generation_rank)
+                 for c in q.candidates]) for q in queries]
+        want = self.per_trip_reference(trips, self.CONFIG, min_candidates=3)
+        assert got == want
+        kept = {(id(q.trajectory_path.network), q.source, q.target)
+                for q in queries}
+        first, second = {id(t.path.network): None for t in trips}
+        assert (first, 0, 63) not in kept and (second, 0, 63) in kept
+
+    def test_enumerates_each_od_once_and_never_across_networks(
+            self, trips, monkeypatch):
+        calls = []
+        original = training_data._candidates_for
+
+        def counting(trip, *args):
+            calls.append((trip.path.network, trip.source, trip.target))
+            return original(trip, *args)
+
+        monkeypatch.setattr(training_data, "_candidates_for", counting)
+        queries = generate_queries(trips, self.CONFIG, min_candidates=3)
+        distinct = {(id(t.path.network), t.source, t.target) for t in trips}
+        assert len(calls) == len(distinct) == 2 * len(self.ODS)
+        assert len({(id(n), s, t) for n, s, t in calls}) == len(calls)
+        for query in queries:
+            assert all(c.path.network is query.trajectory_path.network
+                       for c in query.candidates)

@@ -127,15 +127,15 @@ class TestScoreCache:
     def test_keyed_by_model_version(self, tiny_network):
         path = Path(tiny_network, [0, 1, 2])
         cache = ScoreCache(capacity=4)
-        cache.store("v1", path, 0.75)
-        assert cache.lookup("v1", path) == pytest.approx(0.75)
-        assert cache.lookup("v2", path) is None
+        cache.store_many("v1", [(path, 0.75)])
+        assert cache.lookup_many("v1", [path]) == {(0, 1, 2): 0.75}
+        assert cache.lookup_many("v2", [path]) == {}
 
     def test_same_vertices_share_an_entry(self, tiny_network):
         cache = ScoreCache(capacity=4)
-        cache.store("v1", Path(tiny_network, [0, 1, 2]), 0.5)
-        assert cache.lookup(
-            "v1", Path(tiny_network, [0, 1, 2])) == pytest.approx(0.5)
+        cache.store_many("v1", [(Path(tiny_network, [0, 1, 2]), 0.5)])
+        assert cache.lookup_many(
+            "v1", [Path(tiny_network, [0, 1, 2])]) == {(0, 1, 2): 0.5}
 
     def test_lookup_many_returns_only_present_paths(self):
         cache = ScoreCache(capacity=100)
@@ -147,16 +147,16 @@ class TestScoreCache:
         """One LRU budget across versions: a superseded version's
         entries age out under the live version's traffic."""
         cache = ScoreCache(capacity=100)
-        cache.store("old", _FakePath(0, 1), 0.5)
+        cache.store_many("old", [(_FakePath(0, 1), 0.5)])
         for i in range(500):
-            cache.store("live", _FakePath(i, i + 1), float(i))
-        assert cache.lookup("old", _FakePath(0, 1)) is None
+            cache.store_many("live", [(_FakePath(i, i + 1), float(i))])
+        assert cache.lookup_many("old", [_FakePath(0, 1)]) == {}
         assert len(cache) == 100
 
     def test_clear_empties_the_cache(self):
         cache = ScoreCache(capacity=100)
-        cache.store("a", _FakePath(0, 1), 0.5)
-        cache.store("b", _FakePath(2, 3), 0.5)
+        cache.store_many("a", [(_FakePath(0, 1), 0.5)])
+        cache.store_many("b", [(_FakePath(2, 3), 0.5)])
         cache.clear()
         assert len(cache) == 0
 

@@ -131,8 +131,8 @@ class TestServingCachesUnderParallelRank:
             version = f"v{index % 2}"
             for i in range(100):
                 path = paths[i % len(paths)]
-                cache.store(version, path, float(index))
-                value = cache.lookup(version, path)
+                cache.store_many(version, [(path, float(index))])
+                value = cache.lookup_many(version, [path]).get(path.vertices)
                 assert value is None or isinstance(value, float)
                 found = cache.lookup_many(version, paths)
                 assert set(found) <= {p.vertices for p in paths}
