@@ -70,7 +70,7 @@ def main() -> None:
         # Held-out queries arrive concurrently in production; the engine
         # coalesces them into shared scoring batches.  Warm-up replays
         # the training OD mix (yesterday's hotspots) through the caches
-        # before the engine reports ready.
+        # before the engine takes its first request.
         warmup = [RankRequest(source=trip.source, target=trip.target)
                   for trip in split.train[:40]]
         requests = [RankRequest(source=trip.source, target=trip.target,

@@ -145,14 +145,14 @@ def build_parser() -> argparse.ArgumentParser:
                        default="D-TkDI")
     serve.add_argument("--k", type=int, default=5)
     serve.add_argument("--batch-size", type=int, default=64,
-                       help="coalesce this many requests per forward pass")
+                       help="flush a scoring batch once this many "
+                            "requests' candidates are pending")
     serve.add_argument("--cache-size", type=int, default=1024)
     serve.add_argument("--no-fallback", action="store_true",
                        help="fail requests instead of degrading to the "
                             "shortest path")
-    serve.add_argument("--concurrency", type=int, default=0,
-                       help="serve through the concurrent engine with this "
-                            "many workers (0 = synchronous facade)")
+    serve.add_argument("--concurrency", type=int, default=4,
+                       help="engine worker threads (>= 1)")
     serve.add_argument("--flush-deadline-ms", type=float, default=2.0,
                        help="engine scoring-batch flush deadline in ms")
     serve.add_argument("--json", action="store_true",
@@ -446,9 +446,9 @@ def _print_trace_breakdown(trace: dict) -> None:
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Validate every input before the service exists: under --execution
     # processes it owns worker processes and shared-memory segments.
-    if args.concurrency < 0:
+    if args.concurrency < 1:
         raise ConfigError(
-            f"--concurrency must be >= 0, got {args.concurrency}")
+            f"--concurrency must be >= 1, got {args.concurrency}")
     if args.batch_size < 1:
         raise ConfigError(
             f"--batch-size must be >= 1, got {args.batch_size}")
@@ -463,23 +463,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         if faults is not None:
             service.arm_faults(faults, seed=args.fault_seed)
-        if args.concurrency > 0:
-            # Concurrent front door: the engine re-batches by its own
-            # deadline/size policy; responses stay in request order.
-            with ServingEngine(
-                    service, concurrency=args.concurrency,
-                    flush_deadline_ms=args.flush_deadline_ms) as engine:
-                with _timeline(service, args):
-                    responses = engine.rank_batch(requests)
-                stats = engine.stats()
-        else:
-            responses = []
+        # The engine re-batches by its own deadline/size policy;
+        # responses stay in request order.
+        with ServingEngine(
+                service, concurrency=args.concurrency,
+                flush_deadline_ms=args.flush_deadline_ms) as engine:
             with _timeline(service, args):
-                for start in range(0, len(requests), args.batch_size):
-                    responses.extend(
-                        service.rank_batch(
-                            requests[start:start + args.batch_size]))
-            stats = service.stats()
+                responses = engine.rank_batch(requests)
+            stats = engine.stats()
     finally:
         if faults is not None:
             service.disarm_faults()

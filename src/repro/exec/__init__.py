@@ -15,9 +15,9 @@ serially on one core.  This package takes the step past the GIL:
   *existing* kernels unmodified; dead workers are detected, their
   in-flight tickets failed (never hung), and the slot respawned.
 - :mod:`repro.exec.plane` — :class:`ExecutionPlane`: the seam the
-  serving layer talks to (``submit_candidates`` / ``submit_score_group``
-  and a model-shaped scoring proxy), plus weight-segment lifecycle
-  tied to registry activation.
+  serving layer talks to (``candidates_for`` and a model-shaped
+  scoring proxy), plus weight-segment lifecycle tied to registry
+  activation.
 
 Everything here is dormant unless ``ServingConfig.execution`` is set to
 ``"processes"`` — the default ``"inline"`` path is byte-identical to a

@@ -5,13 +5,13 @@
 the :class:`~repro.exec.pool.WorkerPool`, and exposes exactly the two
 operations the serving layer fans out:
 
-- ``submit_candidates(state)`` / ``candidates_for(state)`` — cold
-  candidate generation for a full-network query, returning real
+- :meth:`candidates_for` — cold candidate generation for a
+  full-network query, returning real
   :class:`~repro.graph.path.Path` objects rebuilt from the workers'
   bare vertex tuples (paths are never pickled across the boundary —
   they drag the whole network with them).
-- ``submit_score_group`` / :meth:`scoring_proxy` — scoring chunks on
-  worker processes.  The proxy duck-types ``PathRank``'s
+- :meth:`scoring_proxy` — scoring chunks on worker processes.  The
+  proxy duck-types ``PathRank``'s
   ``score_paths`` surface, so :class:`BatchingScorer` (and with it
   dedup, the score cache, retries, breakers and per-request
   degradation) runs unmodified in the parent while only the padded
@@ -44,6 +44,9 @@ __all__ = ["ExecutionPlane"]
 
 #: Fallback waiter deadline when a request carries no budget.
 DEFAULT_TIMEOUT_S = 30.0
+
+#: How long the constructor waits for every worker to report warm.
+READY_TIMEOUT_S = 120.0
 
 
 class _PoolModel:
@@ -93,9 +96,7 @@ class _PoolModel:
 class ExecutionPlane:
     """Shared arena + worker pool behind ``execution="processes"``."""
 
-    def __init__(self, network, *, workers: int, faults=None, metrics=None,
-                 warm: bool = True,
-                 ready_timeout_s: float = 120.0) -> None:
+    def __init__(self, network, *, workers: int, metrics=None) -> None:
         self.network = network
         kernel = csr_for(network)
         if kernel.num_vertices >= ALT_MIN_VERTICES:
@@ -110,28 +111,21 @@ class ExecutionPlane:
         segment = self.arena.publish(self._csr_key, arrays, meta)
         self.pool = WorkerPool(network, workers=workers,
                                csr_name=segment.name, csr_key=self._csr_key,
-                               faults=faults, metrics=metrics,
-                               ready_timeout_s=ready_timeout_s)
+                               metrics=metrics,
+                               ready_timeout_s=READY_TIMEOUT_S)
         self._lock = threading.Lock()
         #: model version -> weight segment keys, for deactivation pruning.
         self._weight_keys: dict[str, set[str]] = {}
         self._closed = False
-        if warm:
-            try:
-                self.pool.wait_ready(ready_timeout_s)
-            except ExecError:
-                self.close()
-                raise
+        try:
+            self.pool.wait_ready(READY_TIMEOUT_S)
+        except ExecError:
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     # Candidate generation
     # ------------------------------------------------------------------
-    def submit_candidates(self, state):
-        """Dispatch one state's cold candidate generation to the pool."""
-        request = state.request
-        return self.pool.submit(
-            "candidates", (request.source, request.target, state.config))
-
     def candidates_for(self, state) -> list[Path]:
         """Generate candidates on a worker; blocks within the deadline.
 
@@ -139,7 +133,9 @@ class ExecutionPlane:
         generator would, and :class:`~repro.errors.ExecError` for pool
         failures (which the caller treats as any transient failure).
         """
-        ticket = self.submit_candidates(state)
+        request = state.request
+        ticket = self.pool.submit(
+            "candidates", (request.source, request.target, state.config))
         remaining = state.remaining_ms()
         timeout_s = (remaining / 1000.0 if remaining is not None
                      else DEFAULT_TIMEOUT_S)
@@ -181,16 +177,6 @@ class ExecutionPlane:
         """A model stand-in scoring ``active``'s snapshot on the pool."""
         name, key = self.ensure_weights(active)
         return _PoolModel(self, name, key, deadline_ms)
-
-    def submit_score_group(self, active, chunks):
-        """Dispatch one scoring job per chunk; returns the tickets."""
-        name, key = self.ensure_weights(active)
-        return [
-            self.pool.submit("score",
-                             (name, key,
-                              [[path.vertices for path in chunk]]))
-            for chunk in chunks
-        ]
 
     # ------------------------------------------------------------------
     # Lifecycle

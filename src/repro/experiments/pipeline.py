@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.trainer import Trainer, TrainingHistory
 from repro.core.variants import build_pathrank
 from repro.embedding.node2vec import Node2Vec, Node2VecConfig
+from repro.errors import DataError
 from repro.experiments.config import ExperimentConfig
 from repro.graph.network import RoadNetwork
 from repro.ranking.evaluation import evaluate_scorer
@@ -106,8 +107,20 @@ class ExperimentPipeline:
                round(data_config.diversity_threshold, 6),
                data_config.examine_limit)
         if key not in self._queries:
-            train = generate_queries(self.split.train, data_config)
-            test = generate_queries(self.split.test, data_config)
+            # One call over both halves: an OD shared by a train and a
+            # test trip has its candidates enumerated once.
+            split = self.split
+            train_ids = {trip.trip_id for trip in split.train}
+            train: list[RankingQuery] = []
+            test: list[RankingQuery] = []
+            for query in generate_queries(split.train + split.test,
+                                          data_config):
+                (train if query.trip_id in train_ids else test).append(query)
+            if not train or not test:
+                raise DataError(
+                    "no usable ranking queries were generated for one half "
+                    "of the split; check the candidate configuration "
+                    "against the network size")
             self._queries[key] = (train, test)
         return self._queries[key]
 

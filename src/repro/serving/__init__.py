@@ -19,20 +19,20 @@ deployment needs around it:
   requests into padded batches and runs one forward pass per batch.
   The masked recurrence makes batched scores identical to sequential
   per-query scores.
-* :class:`RankingService` — the synchronous facade: request/response
+* :class:`RankingService` — the service: request/response
   dataclasses, per-request latency and outcome counts recorded into its
   metrics registry, and graceful degradation to the shortest path when
-  no model is available.
-  Internally a **staged pipeline** (admission → candidate generation →
-  scoring → assembly) over :class:`~repro.serving.pipeline.QueryState`
-  records.
-* :class:`ServingEngine` — the concurrent front door over the same
-  pipeline: worker threads prepare requests, a deadline flusher
+  no model is available.  Internally a **staged pipeline** (admission
+  → candidate generation → scoring → assembly) over
+  :class:`~repro.serving.pipeline.QueryState` records; the stages never
+  raise, and ``rank`` runs them for exactly one request.
+* :class:`ServingEngine` — the front door for batches, over the same
+  stages: worker threads prepare requests, a deadline flusher
   coalesces *concurrent* queries into fused scoring batches (flush on
   ``ServingConfig.max_batch_size`` paths or the engine's fixed
-  ``flush_deadline_ms``, whichever first), and an optional warm-up replays a recorded hotspot mix through the
-  caches before the engine reports ready.  Responses are element-wise
-  identical to the synchronous path.
+  ``flush_deadline_ms``, whichever first), and an optional warm-up
+  replays a recorded hotspot mix through the caches before the
+  constructor returns.  Responses equal ``service.rank``'s.
 * **Telemetry** (:mod:`repro.obs`) — the service records its request,
   latency and resilience counts straight into the instruments of its
   central :class:`~repro.obs.metrics.MetricsRegistry`; the caches, the
@@ -66,16 +66,16 @@ Usage::
     registry = ModelRegistry("artifacts/models", network)
     version = registry.publish(ranker, activate=True)
 
-    # Online: answer queries; repeats hit the caches, batches share one
-    # forward pass, and a later ``service.activate("v0002")`` hot-swaps
-    # without dropping requests.
+    # Online: answer queries; repeats hit the caches, and a later
+    # ``service.activate("v0002")`` hot-swaps without dropping requests.
     service = RankingService(network, registry, ServingConfig())
     response = service.rank(RankRequest(source=3, target=47))
     for suggestion in response.results:
         print(suggestion.position, suggestion.score, suggestion.path)
     print(service.stats())
 
-    # Concurrent traffic: the engine coalesces independent requests.
+    # Batches and concurrent traffic: the engine coalesces independent
+    # requests into shared forward passes.
     with ServingEngine(service, concurrency=8,
                        warmup=recorded_hotspot_mix) as engine:
         responses = engine.rank_batch(live_requests)

@@ -3,7 +3,7 @@
 Per-query scoring wastes the batch dimension — a typical query carries
 only ``k`` ≈ 5 candidate paths, so the GRU runs at batch 5.
 :meth:`BatchingScorer.score_many` takes the candidate lists of many
-requests (the engine's flush, or one ``rank_batch`` call), concatenates
+requests (one engine flush), concatenates
 them into chunks of up to ``max_batch_size`` paths, runs one forward
 pass per chunk (``PathRank.score_paths``), and scatters the scores back
 to each list.  A path's score does not depend on its chunk neighbours,

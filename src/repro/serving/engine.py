@@ -1,9 +1,8 @@
 """The concurrent serving front door: deadline-batched cross-request coalescing.
 
-:class:`~repro.serving.service.RankingService.rank_batch` only realises
-the fused kernel's batched-scoring win when one caller hands it a
-pre-assembled batch; independent concurrent queries each pay the
-small-batch path.  :class:`ServingEngine` closes that gap: callers
+Every batch of queries enters the serving stack here.  Scoring one
+request alone runs the fused kernel at batch ``k``; :class:`ServingEngine`
+coalesces independent queries into shared forward passes: callers
 :meth:`submit` single requests from any thread and block on a
 :class:`EngineTicket`, while inside the engine
 
@@ -20,21 +19,21 @@ small-batch path.  :class:`ServingEngine` closes that gap: callers
   fires no ``engine.flush`` fault and feeds no ``engine.occupancy.*``
   histogram.
 
-Because both front doors drive the *same* stage methods and the masked
-recurrence makes batched scores identical to sequential ones, an
-engine's responses are element-wise identical to the synchronous
-service's on the same request stream — coalescing buys throughput, not
-different answers.
+The engine drives the *same* stage methods as ``service.rank``, and
+those stages never raise, so no engine thread dies of a request and
+both answer a failure alike.  The masked recurrence makes batched
+scores identical to sequential ones, so an engine's responses equal
+``service.rank``'s — coalescing buys throughput, not different answers.
 
 The optional warm-up hook replays a recorded hotspot mix through the
-candidate/score caches before the engine reports ready, so a freshly
-deployed engine doesn't serve its first minutes off a cold cache.
+candidate/score caches before the constructor returns, so a freshly
+deployed engine doesn't serve its first minutes off a cold cache.  A
+constructed engine is a started engine.
 
 Usage::
 
-    engine = ServingEngine(service, concurrency=8, flush_deadline_ms=2.0,
-                           warmup=yesterdays_hotspot_mix)
-    with engine:                      # ready once warm-up finished
+    with ServingEngine(service, concurrency=8, flush_deadline_ms=2.0,
+                       warmup=yesterdays_hotspot_mix) as engine:
         responses = engine.rank_batch(requests)   # or submit()/wait()
     print(engine.stats()["engine"]["occupancy"])
 """
@@ -152,8 +151,7 @@ class ServingEngine:
     def __init__(self, service: RankingService, *,
                  concurrency: int = 4,
                  flush_deadline_ms: float = 2.0,
-                 warmup: Sequence[RankRequest] | None = None,
-                 start: bool = True) -> None:
+                 warmup: Sequence[RankRequest] | None = None) -> None:
         self.service = service
         self.concurrency = concurrency
         self.flush_deadline_ms = flush_deadline_ms
@@ -172,7 +170,6 @@ class ServingEngine:
                 f"flush_deadline_ms must be a number of ms in "
                 f"[0, {threading.TIMEOUT_MAX * 1000.0:g}], "
                 f"got {flush_deadline_ms!r}")
-        self._warmup = list(warmup) if warmup else []
         self.warmed_up = 0
         # Flush occupancy: requests and paths per scoring flush.  A
         # histogram's exact count and sum give flushes and totals.  The
@@ -194,41 +191,26 @@ class ServingEngine:
         self._pending_paths = 0
         self._pending_since: float | None = None
         self._stopping = False
-        self._workers: list[threading.Thread] = []
-        self._flusher_thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        if start:
-            self.start()
+        # Warm the caches, then spin up the workers and the flusher.
+        if warmup:
+            self.warmed_up = service.warm_up(warmup)
+        self._workers = [
+            threading.Thread(target=self._worker, daemon=True,
+                             name=f"serving-worker-{number}")
+            for number in range(concurrency)]
+        for thread in self._workers:
+            thread.start()
+        self._flusher_thread = threading.Thread(
+            target=self._flusher, daemon=True, name="serving-flusher")
+        self._flusher_thread.start()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> "ServingEngine":
-        """Warm the caches, spin up the workers, and report ready."""
-        if self._workers:
-            return self
-        if self._stopping:
-            raise ServingError("engine already closed; build a new one")
-        if self._warmup:
-            self.warmed_up = self.service.warm_up(self._warmup)
-        for number in range(self.concurrency):
-            thread = threading.Thread(target=self._worker, daemon=True,
-                                      name=f"serving-worker-{number}")
-            thread.start()
-            self._workers.append(thread)
-        self._flusher_thread = threading.Thread(
-            target=self._flusher, daemon=True, name="serving-flusher")
-        self._flusher_thread.start()
-        self._ready.set()
-        return self
-
     @property
     def ready(self) -> bool:
-        """Whether warm-up completed and the workers are accepting load."""
-        return self._ready.is_set() and not self._stopping
-
-    def wait_ready(self, timeout: float | None = None) -> bool:
-        return self._ready.wait(timeout)
+        """Whether the engine is accepting load (until :meth:`close`)."""
+        return not self._stopping
 
     def close(self, timeout: float | None = None) -> None:
         """Stop accepting requests, drain in-flight ones, join threads.
@@ -276,7 +258,6 @@ class ServingEngine:
                 ticket, "engine closed before the request was answered",
                 "engine_closed")
         self._workers.clear()
-        self._ready.clear()
 
     @staticmethod
     def _join_budget(give_up_at: float | None) -> float | None:
@@ -285,7 +266,7 @@ class ServingEngine:
         return max(0.0, give_up_at - time.perf_counter())
 
     def __enter__(self) -> "ServingEngine":
-        return self.start()
+        return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
@@ -314,8 +295,6 @@ class ServingEngine:
         with self._lock:
             if self._stopping:
                 raise ServingError("engine is closed; no new requests")
-            if not self._workers:
-                raise ServingError("engine not started; call start() first")
             max_queue = service.resilience.max_queue
             if max_queue > 0 and len(self._inbox) >= max_queue:
                 shed = True
@@ -354,10 +333,8 @@ class ServingEngine:
                    timeout: float | None = None) -> list[RankResponse]:
         """Submit many requests at once and block for all responses.
 
-        Unlike the synchronous facade there is no single-batch scoring
-        guarantee — the engine re-batches by its own deadline/size
-        policy — but responses come back in request order and are
-        element-wise identical to the synchronous path.
+        The engine re-batches by its own deadline/size policy; responses
+        come back in request order and equal ``service.rank``'s.
         """
         tickets = [self.submit(request) for request in requests]
         return [ticket.wait(timeout) for ticket in tickets]
@@ -399,9 +376,9 @@ class ServingEngine:
                     prepared.append(ticket)
             if cached:
                 # No forward pass to share, so the flush's stage answers
-                # these now; an entry evicted since the probe is just a
-                # miss that score_states scores here.
-                self._score_states([t.state for t in cached], flush=False)
+                # these now (not a flush: no engine.flush fault); an entry
+                # evicted since the probe is just a miss scored here.
+                service.score_states([t.state for t in cached])
                 for ticket in cached:
                     self._resolve_ticket(ticket)
             if not prepared:
@@ -441,21 +418,11 @@ class ServingEngine:
                 self._score_batch(batch)
 
     def _prepare_ticket(self, ticket: EngineTicket) -> QueryState:
-        """Admission + candidate stages, guaranteed not to raise.
-
-        The stage methods already convert per-request library failures
-        into error states; the catch-alls here are the engine's last
-        line of defence — an unexpected exception must cost one request
-        an error response, never a worker thread (a dead worker strands
-        every ticket it claimed, and its waiters block forever).
-        """
+        """Admission + candidate stages (which never raise: a dead worker
+        would strand every ticket it claimed)."""
         service = self.service
         picked_up = time.perf_counter()
-        try:
-            state = service.admit(ticket.request)
-        except Exception as exc:  # noqa: BLE001 - deliberate backstop
-            state = QueryState(request=ticket.request)
-            state.error = str(exc)
+        state = service.admit(ticket.request)
         # Queue wait counts toward latency: the clock starts at
         # submission, not at pickup.
         state.started = ticket.submitted
@@ -466,12 +433,7 @@ class ServingEngine:
             state.trace.started = ticket.submitted
             state.trace.add("queue_wait", ticket.submitted, picked_up)
         ticket.state = state
-        if state.error is None:
-            try:
-                service.prepare(state)
-            except Exception as exc:  # noqa: BLE001 - deliberate backstop
-                state.error = str(exc)
-        return state
+        return service.prepare(state)
 
     def _take_pending_locked(self) -> list[EngineTicket]:
         batch, self._pending = self._pending, []
@@ -499,29 +461,9 @@ class ServingEngine:
             state.scores = None
         self._resolve_ticket(ticket)
 
-    def _score_states(self, states: list[QueryState], *,
-                      flush: bool) -> None:
-        """``score_states`` behind the engine's backstop (never raises);
-        only a ``flush`` fires ``engine.flush``, a cache answer does not."""
-        try:
-            if flush and self.service.faults is not None:
-                self.service.faults.fire("engine.flush")
-            self.service.score_states(states)
-        except Exception as exc:  # noqa: BLE001 - deliberate backstop
-            # score_states degrades ReproError per request already (and
-            # per snapshot group, so one version's poison batch never
-            # touches another's); an unexpected exception degrades
-            # the whole batch to the fallback instead of killing the
-            # scoring thread (which would strand these tickets and stop
-            # deadline flushes).
-            for state in states:
-                if state.scores is None and state.error is None:
-                    state.active = None
-                    state.degraded = str(exc)
-
     def _score_batch(self, batch: list[EngineTicket]) -> None:
         states = [ticket.state for ticket in batch]
-        self._score_states(states, flush=True)
+        self.service.score_states(states, flush=True)
         requests, paths = self._flush_sizes
         requests.observe(len(states))
         paths.observe(sum(len(state.paths) for state in states))

@@ -1,9 +1,9 @@
 """The staged serving pipeline's data model.
 
-Every query — whether it enters through the synchronous
-:class:`~repro.serving.service.RankingService` facade or the concurrent
-:class:`~repro.serving.engine.ServingEngine` front door — moves through
-the same four stages:
+Every query — one at a time through
+:meth:`~repro.serving.service.RankingService.rank` or batched through
+the concurrent :class:`~repro.serving.engine.ServingEngine`, the front
+door for batches — moves through the same four stages:
 
 1. **admission** — validate the request, then resolve the candidate
    configuration and the registry's active model snapshot that will
@@ -15,9 +15,10 @@ the same four stages:
 4. **response assembly** — ranking, degradation, and metrics.
 
 The stage implementations live on :class:`RankingService` (they need its
-caches, scorer, and registry); this module holds what the stages operate
-*on*: the mutable :class:`QueryState` record threaded through the
-pipeline.
+caches, scorer, and registry) and never raise: a failure becomes the
+state's ``error`` or ``degraded``.  This module holds what the stages
+operate *on*: the mutable :class:`QueryState` record threaded through
+the pipeline.
 """
 
 from __future__ import annotations

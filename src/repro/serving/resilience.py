@@ -36,8 +36,8 @@ This module holds the policy objects that turn those failure modes into
   again or re-open it.
 * :func:`retry_backoff` — deterministic jittered exponential backoff
   for transient scoring/registry failures.  Hash-seeded (not
-  RNG-state-seeded) so replays and both front doors retry on the same
-  schedule.
+  RNG-state-seeded) so replays, ``service.rank`` and the engine retry
+  on the same schedule.
 
 The service counts how often each mechanism fired in ``resilience.*``
 counters of its metrics registry and publishes its breaker's state

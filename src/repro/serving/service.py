@@ -20,11 +20,12 @@ Internally the service is a **staged pipeline** over
   with per-request degradation when a batch fails;
 * :meth:`RankingService.assemble` — ranking, fallback, and metrics.
 
-:meth:`rank_batch` simply runs the stages back to back; the concurrent
-:class:`~repro.serving.engine.ServingEngine` drives the *same* stage
-methods from worker threads with deadline-based flushing, which is what
-makes its responses element-wise identical to the synchronous path.
-Every stage reads the service's one candidate cache, one score cache,
+Batches enter through the :class:`~repro.serving.engine.ServingEngine`,
+which drives these stages from worker threads with deadline-based
+flushing; :meth:`RankingService.rank` runs them for one request.  The
+first three stages never raise — an exception becomes the request's
+``error`` or a fallback degradation — so both drivers answer a failure
+alike.  Every stage reads the service's one candidate cache, one score cache,
 one scorer and (at most) one circuit breaker directly.
 
 **Execution plane.**  ``ServingConfig.execution`` selects how the
@@ -89,9 +90,6 @@ _OUTCOME_COUNTERS = {"model": "model_served", "fallback": "fallback_served",
 _RESILIENCE_COUNTERS = ("shed_rejected", "shed_degraded", "deadline_exceeded",
                         "breaker_degraded", "retries", "retry_successes",
                         "invalid_requests")
-
-#: ``admit``'s default snapshot: the registry's current one.
-_CURRENT = object()
 
 
 def _is_int(value) -> bool:
@@ -372,39 +370,28 @@ class RankingService:
     # ------------------------------------------------------------------
     # Stage 1: admission
     # ------------------------------------------------------------------
-    def admit(self, request: RankRequest,
-              snapshot: ActiveModel | None | object = _CURRENT
-              ) -> QueryState:
-        """Open a :class:`QueryState` and hand it a model snapshot.
+    def admit(self, request: RankRequest) -> QueryState:
+        """Open a :class:`QueryState` with the registry's current snapshot.
 
-        ``snapshot`` lets a batch caller take one registry snapshot for
-        every request (so a concurrent hot-swap cannot divide a batch
-        across versions).  Without it each request takes the registry's
-        current snapshot.
+        Never raises: any failure (an injected fault, a hostile ``k``
+        override) becomes the state's ``error``.
         """
         state = QueryState(request=request)
-        if request.deadline_ms is not None:
-            state.deadline_ms = request.deadline_ms
-        else:
-            state.deadline_ms = self.resilience.deadline_ms
-        trace = state.trace = self.tracer.maybe_start()
-        if self.faults is not None:
-            try:
-                self.faults.fire("admit")
-            except ReproError as exc:
-                state.error = str(exc)
-                return state
-        if not self._validate(state):
-            return state
         try:
-            state.config = self._candidate_config(request)
-        except ValueError as exc:  # hostile per-request k override
+            if request.deadline_ms is not None:
+                state.deadline_ms = request.deadline_ms
+            else:
+                state.deadline_ms = self.resilience.deadline_ms
+            trace = state.trace = self.tracer.maybe_start()
+            if self.faults is not None:
+                self.faults.fire("admit")
+            if self._validate(state):
+                state.config = self._candidate_config(request)
+                state.active = self.registry.snapshot()
+                if trace is not None:
+                    trace.add("admit", trace.started, time.perf_counter())
+        except Exception as exc:  # noqa: BLE001 - the per-request backstop
             state.error = str(exc)
-            return state
-        state.active = (self.registry.snapshot() if snapshot is _CURRENT
-                        else snapshot)
-        if trace is not None:
-            trace.add("admit", trace.started, time.perf_counter())
         return state
 
     def _validate(self, state: QueryState) -> bool:
@@ -465,6 +452,8 @@ class RankingService:
 
         Candidate enumeration is wasted work when only the shortest-path
         fallback can answer, so a state with no snapshot passes through.
+        Never raises: any failure (no path, an injected fault, a bug in
+        the generator) becomes the state's ``error``.
         """
         if state.error is not None or state.active is None:
             return state
@@ -477,7 +466,7 @@ class RankingService:
             if self.faults is not None:
                 self.faults.fire("prepare")
             state.paths, state.cache_hit = self._candidates(state)
-        except ReproError as exc:
+        except Exception as exc:  # noqa: BLE001 - the per-request backstop
             state.error = str(exc)
         if trace is not None:
             state.prepared_at = time.perf_counter()
@@ -515,25 +504,38 @@ class RankingService:
     # ------------------------------------------------------------------
     # Stage 3: coalesced scoring
     # ------------------------------------------------------------------
-    def score_states(self, states: Sequence[QueryState]) -> None:
+    def score_states(self, states: Sequence[QueryState], *,
+                     flush: bool = False) -> None:
         """Score every scorable state, one coalesced pass per group.
 
         States are grouped per model snapshot — an engine flush can
         straddle a hot-swap — and each group is scored atomically
-        through the service's :class:`BatchingScorer`.  A
-        batch failure degrades *only* the affected requests: each member
-        is retried individually, and only the ones that still fail fall
-        back to the shortest path.
+        through the service's :class:`BatchingScorer`.  A library
+        failure degrades *only* the affected requests: each member is
+        retried individually, and only the ones that still fail fall
+        back to the shortest path.  ``flush`` marks an engine flush,
+        which fires the ``engine.flush`` injection point first.  Never
+        raises: any other exception degrades the states it left
+        unscored to the fallback.
         """
-        groups: dict[int, list[QueryState]] = {}
-        for state in states:
-            if state.error is None and state.expired():
-                self._expire(state)
-                continue
-            if state.scorable:
-                groups.setdefault(state.active.generation, []).append(state)
-        for members in groups.values():
-            self._score_states_group(members)
+        try:
+            if flush and self.faults is not None:
+                self.faults.fire("engine.flush")
+            groups: dict[int, list[QueryState]] = {}
+            for state in states:
+                if state.error is None and state.expired():
+                    self._expire(state)
+                    continue
+                if state.scorable:
+                    groups.setdefault(state.active.generation,
+                                      []).append(state)
+            for members in groups.values():
+                self._score_states_group(members)
+        except Exception as exc:  # noqa: BLE001 - the per-request backstop
+            for state in states:
+                if state.scorable and state.scores is None:
+                    state.active = None
+                    state.degraded = str(exc)
 
     def scores_cached(self, state: QueryState) -> bool:
         """Whether the score cache holds every candidate of a scorable
@@ -612,9 +614,7 @@ class RankingService:
                     delay_s = retry_backoff(
                         attempt + 1, self.resilience,
                         key=active.generation)
-                    budget = [state.remaining_ms() for state in members]
-                    tightest = min((ms for ms in budget if ms is not None),
-                                   default=None)
+                    tightest = tightest_remaining_ms(members)
                     if tightest is None or delay_s * 1000.0 < tightest:
                         attempt += 1
                         self.res_counters["retries"].inc()
@@ -710,24 +710,14 @@ class RankingService:
     # Serving facade
     # ------------------------------------------------------------------
     def rank(self, request: RankRequest) -> RankResponse:
-        """Answer one query; never raises for per-request failures."""
-        return self.rank_batch([request])[0]
+        """Answer one query; never raises for per-request failures.
 
-    def rank_batch(self, requests: Sequence[RankRequest]) -> list[RankResponse]:
-        """Answer many queries with one coalesced pass per model snapshot.
-
-        The snapshot is taken once for the whole batch, so a concurrent
-        hot-swap cannot divide a batch across versions.
+        Batches go through :class:`~repro.serving.engine.ServingEngine`,
+        which coalesces concurrent requests into shared forward passes.
         """
-        if not requests:
-            return []
-        snapshot = self.registry.snapshot()
-        states = [self.admit(request, snapshot=snapshot)
-                  for request in requests]
-        for state in states:
-            self.prepare(state)
-        self.score_states(states)
-        return [self.assemble(state) for state in states]
+        state = self.prepare(self.admit(request))
+        self.score_states([state])
+        return self.assemble(state)
 
     def warm_up(self, requests: Sequence[RankRequest]) -> int:
         """Replay a recorded query mix through the caches, off the books.
@@ -735,8 +725,9 @@ class RankingService:
         Runs the candidate and scoring stages for every distinct request
         so the candidate caches (and score caches, when enabled) are hot
         before live traffic arrives — the deploy-time cure for the cold
-        p95 cliff.  Nothing is recorded in the latency/counter metrics;
-        returns the number of requests replayed.
+        p95 cliff.  Deploy-time work, not requests: no deadline, no
+        response, nothing recorded in the latency/counter metrics.
+        Returns the number of requests replayed.
         """
         seen: set[tuple] = set()
         states = []
@@ -745,12 +736,10 @@ class RankingService:
             if key in seen:
                 continue
             seen.add(key)
-            states.append(self.admit(request))
-        for state in states:
-            self.prepare(state)
+            state = self.admit(request)
+            state.deadline_ms = None
+            states.append(self.prepare(state))
         self.score_states(states)
-        for state in states:
-            self.assemble(state, record=False)
         return len(states)
 
     def _model_response(self, state: QueryState,

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro.exec.plane import _PoolModel
 from repro.exec.shm import list_repro_segments
 from repro.ranking import Strategy, TrainingDataConfig
 from repro.serving import (
@@ -11,6 +12,7 @@ from repro.serving import (
     RankingService,
     RankRequest,
     ServingConfig,
+    ServingEngine,
 )
 
 CANDIDATES = TrainingDataConfig(strategy=Strategy.TKDI, k=3)
@@ -39,6 +41,12 @@ def proc_service(exec_network, exec_ranker, tmp_path_factory):
     service.close()
 
 
+def _rank_all(service, requests):
+    """Answer ``requests`` through an engine over ``service``."""
+    with ServingEngine(service, concurrency=2) as engine:
+        return engine.rank_batch(requests, timeout=30.0)
+
+
 def _signature(responses):
     return [
         (response.served_by, response.model_version, response.error,
@@ -60,16 +68,28 @@ def test_config_validates_execution_mode():
 
 def test_all_modes_serve_identical_responses(exec_network, exec_ranker,
                                              tmp_path, workload,
-                                             proc_service):
+                                             monkeypatch):
     """processes == inline, element-wise: same routing, same candidate
-    orderings, identical scores."""
-    inline = _service(exec_network, exec_ranker, tmp_path / "inline")
+    orderings, identical scores.  A two-path batch cap splits every
+    flush into several chunks, which the pool scores concurrently."""
+    dispatched = []
+    score_paths_many = _PoolModel.score_paths_many
+    monkeypatch.setattr(
+        _PoolModel, "score_paths_many",
+        lambda self, chunks: dispatched.append(len(chunks))
+        or score_paths_many(self, chunks))
+    inline = _service(exec_network, exec_ranker, tmp_path / "inline",
+                      max_batch_size=2)
+    pooled = _service(exec_network, exec_ranker, tmp_path / "pooled",
+                      max_batch_size=2, execution="processes", workers=2)
     try:
-        oracle = _signature(inline.rank_batch(workload))
-        assert _signature(proc_service.rank_batch(workload)) == oracle
+        oracle = _signature(_rank_all(inline, workload))
+        assert _signature(_rank_all(pooled, workload)) == oracle
         assert all(entry[2] is None for entry in oracle)
+        assert max(dispatched) > 1
     finally:
         inline.close()
+        pooled.close()
 
 
 def test_cold_request_runs_on_the_pool(exec_network, exec_ranker,
@@ -102,7 +122,7 @@ def test_cold_request_runs_on_the_pool(exec_network, exec_ranker,
 # ----------------------------------------------------------------------
 def test_stats_expose_execution_block_only_when_armed(
         exec_network, exec_ranker, tmp_path, workload, proc_service):
-    proc_service.rank_batch(workload[:4])
+    _rank_all(proc_service, workload[:4])
     stats = proc_service.stats()["execution"]
     assert stats["mode"] == "processes"
     assert stats["workers"] == 2
@@ -139,7 +159,7 @@ def test_exec_worker_fault_kills_for_real_and_service_degrades(
     before = proc_service.plane.pool.stats()["respawns"]
     proc_service.arm_faults("exec.worker:error", seed=1)
     try:
-        responses = proc_service.rank_batch(fresh)
+        responses = _rank_all(proc_service, fresh)
     finally:
         proc_service.disarm_faults()
     assert all(response.ok for response in responses)
@@ -155,7 +175,7 @@ def test_exec_worker_fault_kills_for_real_and_service_degrades(
             f"pool did not recover: {stats}")
         time.sleep(0.05)
     # And the recovered pool still serves.
-    followup = proc_service.rank_batch(fresh[:3])
+    followup = _rank_all(proc_service, fresh[:3])
     assert all(response.ok for response in followup)
 
 
@@ -167,7 +187,7 @@ def test_deactivate_unlinks_weight_segments(exec_network, exec_ranker,
     service = _service(exec_network, exec_ranker, tmp_path / "models",
                        execution="processes", workers=1)
     try:
-        responses = service.rank_batch(workload[:4])
+        responses = _rank_all(service, workload[:4])
         assert all(response.ok for response in responses)
         keys = service.plane.arena.keys()
         assert any(key.startswith("weights:") for key in keys)
@@ -186,7 +206,7 @@ def test_service_close_unlinks_every_segment(exec_network, exec_ranker,
     service = _service(exec_network, exec_ranker, tmp_path / "models",
                        execution="processes", workers=1)
     try:
-        service.rank_batch(workload[:2])
+        _rank_all(service, workload[:2])
         created = set(list_repro_segments()) - before
         assert created, "processes mode should have published segments"
     finally:

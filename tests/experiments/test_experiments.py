@@ -5,6 +5,8 @@ candidate generation, training, evaluation — at the tiny ``smoke`` scale
 so the suite stays fast.  Headline-scale results live in benchmarks/.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.variants import Variant
@@ -15,7 +17,8 @@ from repro.experiments import (
     render_table,
     strategy_table,
 )
-from repro.ranking import Strategy
+from repro.ranking import Strategy, training_data
+from repro.ranking.training_data import generate_queries
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +69,27 @@ class TestPipeline:
         assert first is pipeline.queries(base)
         train, test = first
         assert train and test
+
+    def test_queries_label_each_od_once_across_the_split(self, pipeline,
+                                                          monkeypatch):
+        """One labelling pass over both halves: the same queries as one
+        ``generate_queries`` call per half, with each distinct OD's
+        candidates enumerated once even when both halves ask it."""
+        base = pipeline.base.training_data
+        config = replace(base, k=base.k + 1)  # a key nothing cached yet
+        split = pipeline.split
+        expected = (generate_queries(split.train, config),
+                    generate_queries(split.test, config))
+        enumerated = []
+        candidates_for = training_data._candidates_for
+        monkeypatch.setattr(
+            training_data, "_candidates_for",
+            lambda trip, *args: enumerated.append((trip.source, trip.target))
+            or candidates_for(trip, *args))
+        assert pipeline.queries(config) == expected
+        trips = split.train + split.test
+        assert len(enumerated) == len(set(enumerated)) \
+            == len({(trip.source, trip.target) for trip in trips})
 
     def test_eval_queries_fixed_across_cells(self, pipeline):
         eval_set = pipeline.eval_queries()

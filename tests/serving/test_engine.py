@@ -199,17 +199,9 @@ class TestLifecycle:
         assert [r.served_by for r in responses] == ["fallback"] * 4
         assert all("poisoned" in (r.error or "") for r in responses)
 
-    def test_unstarted_engine_rejects_submit(self, service):
-        engine = ServingEngine(service, concurrency=2, start=False)
-        with pytest.raises(ServingError, match="not started"):
-            engine.submit(RankRequest(source=0, target=5))
-        engine.start()
-        assert engine.rank(RankRequest(source=0, target=5)).ok
-        engine.close()
-
     def test_context_manager_and_ready(self, service):
-        engine = ServingEngine(service, concurrency=2, start=False)
-        assert not engine.ready
+        engine = ServingEngine(service, concurrency=2)
+        assert engine.ready  # a constructed engine is a started engine
         with engine:
             assert engine.ready
             assert engine.rank(RankRequest(source=0, target=5)).ok
@@ -217,9 +209,9 @@ class TestLifecycle:
 
     def test_invalid_knobs_rejected(self, service):
         with pytest.raises(ServingError):
-            ServingEngine(service, concurrency=0, start=False)
+            ServingEngine(service, concurrency=0)
         with pytest.raises(ServingError):
-            ServingEngine(service, flush_deadline_ms=-1.0, start=False)
+            ServingEngine(service, flush_deadline_ms=-1.0)
 
     @pytest.mark.parametrize("deadline_ms", [
         math.inf, math.nan, -0.5, "auto", None,
@@ -230,8 +222,7 @@ class TestLifecycle:
         included), which killed the flusher and stranded every parked
         request; such deadlines are refused up front."""
         with pytest.raises(ServingError, match="flush_deadline_ms"):
-            ServingEngine(service, flush_deadline_ms=deadline_ms,
-                          start=False)
+            ServingEngine(service, flush_deadline_ms=deadline_ms)
 
     def test_longest_flush_deadline_still_answers_at_close(self, service):
         engine = ServingEngine(
@@ -281,6 +272,29 @@ class TestRobustness:
         assert response.served_by == "fallback"
         assert "BLAS exploded" in response.error
 
+    @pytest.mark.parametrize("stage", ["candidates", "forward"])
+    def test_both_doors_answer_an_unexpected_exception_alike(
+            self, service, monkeypatch, stage):
+        """A RuntimeError inside candidate generation or the forward
+        pass reaches neither caller: ``service.rank`` and ``engine.rank``
+        return the same error or fallback answer."""
+        def explode(*args, **kwargs):
+            raise RuntimeError(f"{stage} exploded")
+
+        if stage == "candidates":
+            monkeypatch.setattr("repro.serving.service.generate_candidates",
+                                explode)
+        else:
+            monkeypatch.setattr(PathRank, "score_paths", explode)
+        request = RankRequest(source=0, target=5)
+        sync = service.rank(request)
+        with ServingEngine(service, concurrency=2,
+                           flush_deadline_ms=2.0) as engine:
+            concurrent = engine.rank(request, timeout=5.0)
+        expected = "error" if stage == "candidates" else "fallback"
+        for response in (sync, concurrent):
+            assert (response.served_by, response.error, response.error_code) \
+                == (expected, f"{stage} exploded", None)
     def test_latency_excludes_waiter_drain_delay(self, service):
         """A ticket collected long after scoring finished must report
         the pipeline's latency, not the collection delay."""

@@ -58,4 +58,4 @@ def test_table_lists_exactly_the_knobs_in_the_code():
 def test_knob_counts():
     counts = {owner: len(knobs) for owner, knobs in _knobs_in_code().items()}
     assert counts == {"ServingConfig": 9, "ResilienceConfig": 15,
-                      "ServingEngine": 4}
+                      "ServingEngine": 3}

@@ -101,7 +101,7 @@ class TestServiceTracing:
                 tiny_network, registry,
                 ServingConfig(candidates=candidates_config,
                               trace_sample=sample))
-            arms.append([service.rank_batch(requests)
+            arms.append([[service.rank(request) for request in requests]
                          for _ in range(2)])
             assert service.tracer.finished == (2 * len(requests)
                                                if sample else 0)

@@ -4,7 +4,12 @@ import pytest
 
 from repro.core.model import PathRank
 from repro.errors import TrainingError
-from repro.serving import RankingService, RankRequest, ServingConfig
+from repro.serving import (
+    RankingService,
+    RankRequest,
+    ResilienceConfig,
+    ServingConfig,
+)
 
 
 class TestStages:
@@ -75,6 +80,25 @@ class TestWarmup:
         service.rank(RankRequest(source=0, target=5))
         assert service.scorer.cache_hits > before
 
+    def test_warm_up_states_carry_no_deadline(self, tiny_network, registry,
+                                              make_ranker,
+                                              candidates_config):
+        """Warm-up is deploy-time work, not a request: a 2 ms service
+        deadline must not expire the mix while each state waits behind
+        a 10 ms candidate stage."""
+        registry.publish(make_ranker(tiny_network, seed=1), activate=True)
+        service = RankingService(tiny_network, registry, ServingConfig(
+            candidates=candidates_config,
+            resilience=ResilienceConfig(deadline_ms=2.0)))
+        service.arm_faults("prepare:delay=10")
+        mix = [RankRequest(source=s, target=t)
+               for s, t in ((0, 5), (3, 2), (1, 5), (5, 0))]
+        assert service.warm_up(mix) == 4
+        assert all(service.candidate_cache.lookup(
+            request.source, request.target, candidates_config) is not None
+            for request in mix)
+        assert service.res_counters["deadline_exceeded"].value == 0
+
 
 class TestPerRequestDegradation:
     def test_poisoned_request_in_sync_batch_degrades_alone(self, service,
@@ -91,11 +115,12 @@ class TestPerRequestDegradation:
             return real_score_paths(self, paths, **kwargs)
 
         monkeypatch.setattr(PathRank, "score_paths", explode_on_poison)
-        responses = service.rank_batch([
+        states = [service.prepare(service.admit(request)) for request in (
             RankRequest(source=0, target=5),
             RankRequest(source=3, target=2),
-            RankRequest(source=1, target=5),
-        ])
+            RankRequest(source=1, target=5))]
+        service.score_states(states)
+        responses = [service.assemble(state) for state in states]
         assert responses[0].served_by == "fallback"
         assert "bad weights" in responses[0].error
         assert responses[1].served_by == "model"

@@ -572,15 +572,14 @@ def test_dormant_resilience_keeps_exact_parity(tiny_network, registry,
                                     retry_attempts=2)))
     requests = [RankRequest(source=s, target=t)
                 for s in range(6) for t in range(6) if s != t]
-    baseline = plain.rank_batch(requests)
-    for front_door in (armed.rank_batch,):
-        for mine, theirs in zip(front_door(requests), baseline):
-            assert mine.served_by == theirs.served_by
-            assert mine.model_version == theirs.model_version
-            assert [p.path.vertices for p in mine.results] \
-                == [p.path.vertices for p in theirs.results]
-            assert [p.score for p in mine.results] \
-                == pytest.approx([p.score for p in theirs.results])
+    baseline = [plain.rank(request) for request in requests]
+    for mine, theirs in zip(map(armed.rank, requests), baseline):
+        assert mine.served_by == theirs.served_by
+        assert mine.model_version == theirs.model_version
+        assert [p.path.vertices for p in mine.results] \
+            == [p.path.vertices for p in theirs.results]
+        assert [p.score for p in mine.results] \
+            == pytest.approx([p.score for p in theirs.results])
     counters = armed.stats()["resilience"]["counters"]
     assert all(v == 0 for v in counters.values())
     with ServingEngine(armed, concurrency=4,

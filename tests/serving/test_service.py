@@ -50,10 +50,12 @@ class TestModelServing:
         assert not wide.candidate_cache_hit
 
     def test_batch_coalesces_forward_passes(self, service):
-        requests = [RankRequest(source=0, target=5),
-                    RankRequest(source=3, target=2),
-                    RankRequest(source=1, target=5)]
-        responses = service.rank_batch(requests)
+        states = [service.prepare(service.admit(request)) for request in (
+            RankRequest(source=0, target=5),
+            RankRequest(source=3, target=2),
+            RankRequest(source=1, target=5))]
+        service.score_states(states)
+        responses = [service.assemble(state) for state in states]
         assert all(r.served_by == "model" for r in responses)
         assert service.scorer.batches_run == 1
 
@@ -66,9 +68,6 @@ class TestModelServing:
         assert stats["latency"]["count"] == 2
         assert stats["latency"]["p95_ms"] >= 0.0
         assert stats["active_version"] == "v0001"
-
-    def test_empty_batch(self, service):
-        assert service.rank_batch([]) == []
 
 
 class TestFallback:

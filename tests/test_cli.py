@@ -198,8 +198,11 @@ def queries_file(artifacts, tmp_path_factory):
 class TestServe:
     def test_serve_replays_queries(self, artifacts, queries_file, capsys):
         network, _, model = artifacts
+        # One worker answers the replay in order, so the repeat query
+        # finds the first one's candidates cached.
         code = main(["serve", "--network", str(network), "--model", str(model),
-                     "--queries-file", str(queries_file), "--k", "3"])
+                     "--queries-file", str(queries_file), "--k", "3",
+                     "--concurrency", "1"])
         assert code == 0
         out = capsys.readouterr().out
         assert "cache hit" in out
@@ -210,7 +213,7 @@ class TestServe:
         network, _, model = artifacts
         code = main(["serve", "--network", str(network), "--model", str(model),
                      "--queries-file", str(queries_file), "--k", "3",
-                     "--json"])
+                     "--concurrency", "1", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["responses"]) == 3
@@ -456,15 +459,17 @@ class TestServeCleanup:
         assert line.startswith("error:") and "--batch-size" in line
         assert lifecycle == {"built": 0, "closed": 0}
 
+    @pytest.mark.parametrize("value", ["-1", "0"])
     def test_negative_concurrency_builds_nothing(self, artifacts,
                                                  queries_file, lifecycle,
-                                                 capsys):
-        """``--concurrency -1`` used to serve through the synchronous
-        facade without a word."""
+                                                 capsys, value):
+        """``serve`` has one path, the engine, which needs a worker:
+        ``--concurrency -1`` used to serve through the synchronous
+        facade without a word, and ``0`` selected that facade."""
         network, _, model = artifacts
         code = main(["serve", "--network", str(network), "--model", str(model),
                      "--queries-file", str(queries_file),
-                     "--concurrency", "-1"])
+                     "--concurrency", value])
         assert code == 2
         [line] = capsys.readouterr().err.strip().splitlines()
         assert line.startswith("error:") and "--concurrency" in line
