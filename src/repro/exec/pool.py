@@ -189,7 +189,7 @@ class _Slot:
     """One worker slot: process + private queues + drainer thread."""
 
     __slots__ = ("index", "generation", "process", "inqueue", "results",
-                 "drainer", "ready")
+                 "drainer", "ready", "killed")
 
     def __init__(self, index: int, generation: int) -> None:
         self.index = index
@@ -199,6 +199,9 @@ class _Slot:
         self.results = None
         self.drainer = None
         self.ready = threading.Event()
+        #: The incarnation the pool itself killed (:meth:`kill_worker`);
+        #: its death is not a failed warm-up.
+        self.killed = None
 
 
 class WorkerPool:
@@ -232,7 +235,8 @@ class WorkerPool:
         #: Consecutive deaths before the slot reported ready; a slot
         #: that cannot warm up (bad segment, import failure in the
         #: child) stops being respawned after a few attempts instead of
-        #: fork-bombing the host.  A warm-up that succeeds resets it.
+        #: fork-bombing the host.  A warm-up that succeeds resets it,
+        #: and a kill the pool delivered itself does not count.
         self._early_deaths = [0] * workers
         # Observability: dispatch->result roundtrip, worker-reported
         # compute time, their difference (IPC + queueing overhead), and
@@ -392,9 +396,12 @@ class WorkerPool:
             if index is None:
                 index = max(range(self.workers),
                             key=lambda i: self._outstanding[i])
-            process = self._slots[index].process
-        if process is not None and process.is_alive():
-            process.kill()
+            slot = self._slots[index]
+            process = slot.process
+            if process is None or not process.is_alive():
+                return index
+            slot.killed = process
+        process.kill()
         return index
 
     def _note_timeout(self, ticket: PoolTicket) -> None:
@@ -494,7 +501,7 @@ class WorkerPool:
                     self._outstanding[index] = 0
                     if slot.ready.is_set():
                         self._early_deaths[index] = 0
-                    else:
+                    elif slot.killed is not process:
                         self._early_deaths[index] += 1
                     if self._early_deaths[index] >= 3:
                         self._init_errors.append(

@@ -9,8 +9,8 @@ The header records a content *key* (e.g. ``csr:<fingerprint digest>``
 or ``weights:<version>:<weight_version>``) and per-array descriptors
 (name, dtype, shape, byte offset).  Attaching validates the key, so a
 worker can never silently score against stale hot-state: after a model
-swap or graph rebuild the key changes and the old segment is rejected
-with :class:`~repro.errors.StaleSegmentError`.
+swap the key changes, and another network's graph never matches, so the
+old segment is rejected with :class:`~repro.errors.StaleSegmentError`.
 
 Ownership is explicit: the process that called :func:`create_segment`
 owns the block and is the only one that unlinks it (idempotently, and

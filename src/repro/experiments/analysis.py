@@ -68,7 +68,7 @@ def query_shortest_distances(queries: Sequence[RankingQuery]) -> np.ndarray:
     :meth:`~repro.graph.csr.CSRGraph.multi_source` call; the per-query
     distance is then a table lookup.  Unreachable targets yield
     ``numpy.inf`` (candidate generation normally guarantees
-    reachability, but a mutated network may disagree).
+    reachability).
     """
     if not queries:
         return np.zeros(0)

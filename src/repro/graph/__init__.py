@@ -16,10 +16,10 @@ Two interchangeable routing implementations serve the hot paths
   ``bench/run.py`` measure it.
 
 The kernel is built lazily on first routing call via
-:func:`csr_for` and cached per network.  Staleness is handled through
-:attr:`RoadNetwork.fingerprint` — a content hash recomputed after any
-mutation — so adding or removing edges transparently rebuilds the
-kernel (and invalidates serving's candidate cache) on the next query.
+:func:`csr_for` and cached per network.  A network is sealed by its
+first derived read (:attr:`RoadNetwork.fingerprint`, and so the kernel
+build): ``add_*`` raises afterwards, so the kernel and serving's
+candidate cache never go stale.
 Results cross the backend boundary as plain vertex-id sequences and are
 re-wrapped in :class:`Path` objects, so downstream code is
 backend-agnostic.

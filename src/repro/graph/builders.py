@@ -112,7 +112,7 @@ class NetworkDraft:
         return math.hypot(ax - bx, ay - by)
 
     def build(self, largest_scc: bool = True) -> RoadNetwork:
-        """The one :class:`RoadNetwork` this draft describes, validated.
+        """The one :class:`RoadNetwork` this draft describes.
 
         With ``largest_scc`` only the largest strongly connected
         component is kept; ties among equal-size components go to the
@@ -133,7 +133,6 @@ class NetworkDraft:
             if source in new_id and target in new_id:
                 network.add_edge(new_id[source], new_id[target], length=length,
                                  speed=speed, category=category)
-        network.validate()
         return network
 
 

@@ -32,8 +32,9 @@ diversified generator, ``generate_candidates``, serving) dispatch
 through :func:`resolve_backend` / :func:`csr_for` and convert kernel
 results back to :class:`~repro.graph.path.Path` objects at the
 boundary, so downstream code never sees CSR internals.  The kernel is
-cached per network and rebuilt automatically when the network's
-:attr:`~repro.graph.network.RoadNetwork.fingerprint` changes.  Set the
+built once per network and cached: building it reads the network's
+:attr:`~repro.graph.network.RoadNetwork.fingerprint`, which seals the
+network against change, so a cached kernel never goes stale.  Set the
 environment variable ``REPRO_ROUTING_BACKEND=dict`` (or call
 :func:`set_routing_backend`) to force the reference implementation.
 """
@@ -136,8 +137,9 @@ class CSRGraph:
         # kernels in a WeakKeyDictionary keyed by the network, and a
         # value -> key reference would pin every routed network forever.
         self.network_name = network.name
-        #: Fingerprint of the network at build time; :func:`csr_for`
-        #: compares it against the live network to detect staleness.
+        #: Fingerprint of the (now sealed) network: it names the shared
+        #: segment, and :func:`install_csr` refuses a kernel whose
+        #: fingerprint is not the network's.
         self.fingerprint = network.fingerprint
 
         ids = sorted(network.vertex_ids())
@@ -1234,18 +1236,17 @@ _csr_cache_lock = threading.Lock()
 
 
 def csr_for(network: RoadNetwork) -> CSRGraph:
-    """The cached CSR kernel for ``network``, rebuilt when stale.
+    """The CSR kernel for ``network``, built on first use and cached.
 
-    Staleness is detected through the network's content fingerprint, so
-    mutating the network (adding/removing vertices or edges) transparently
-    triggers a rebuild on the next routing call.
+    Building reads the network's fingerprint, which seals it, so the
+    cached kernel stays valid for the network's lifetime.
     """
     graph = _csr_cache.get(network)
-    if graph is not None and graph.fingerprint == network.fingerprint:
+    if graph is not None:
         return graph
     with _csr_cache_lock:
         graph = _csr_cache.get(network)
-        if graph is None or graph.fingerprint != network.fingerprint:
+        if graph is None:
             graph = CSRGraph(network)
             _csr_cache[network] = graph
         return graph
@@ -1258,14 +1259,14 @@ def install_csr(network: RoadNetwork, kernel: CSRGraph) -> CSRGraph:
     the kernel with :meth:`CSRGraph.from_shared` and installs it here,
     so every existing consumer (`yen_path_generator`, the diversified
     generator, serving) transparently routes on the shared arrays via
-    :func:`csr_for`.  The fingerprint must match the live network —
-    installing stale hot-state would silently corrupt results.
+    :func:`csr_for`.  The fingerprint must match the network's —
+    routing on a kernel of another graph would silently corrupt results.
     """
     if kernel.fingerprint != network.fingerprint:
         raise GraphError(
             f"kernel fingerprint {kernel.fingerprint!r} does not match "
             f"network fingerprint {network.fingerprint!r}; refusing to "
-            "install a stale CSR kernel"
+            "install a CSR kernel of another network"
         )
     with _csr_cache_lock:
         _csr_cache[network] = kernel
@@ -1278,7 +1279,6 @@ def csr_if_built(network: RoadNetwork) -> CSRGraph | None:
     Telemetry readers (``kernel.routing.*`` callbacks) must observe the
     kernel routing actually used, not force an expensive CSR build on a
     network nothing has routed on yet; ``None`` means "no kernel, no
-    counters".  A stale kernel (the network mutated since the build) is
-    still returned: its counters describe the searches that really ran.
+    counters".
     """
     return _csr_cache.get(network)

@@ -62,7 +62,6 @@ def network_from_dict(document: dict) -> RoadNetwork:
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed network document: {exc}") from exc
-    network.validate()
     return network
 
 

@@ -152,6 +152,11 @@ class RoadNetwork:
     ordered vertex pair is allowed (parallel roads between the same two
     junctions are out of scope for the paper's setting, which works on
     simple road graphs).
+
+    A network is built, then read.  The first derived read
+    (:attr:`fingerprint`, and so the CSR routing kernel) seals it:
+    afterwards ``add_*`` raises :class:`GraphError`, so everything
+    derived from a network stays valid for its lifetime.
     """
 
     def __init__(self, name: str = "road-network") -> None:
@@ -160,16 +165,20 @@ class RoadNetwork:
         self._edges: dict[tuple[int, int], Edge] = {}
         self._out: dict[int, list[Edge]] = {}
         self._in: dict[int, list[Edge]] = {}
-        #: Bumped on every mutation; lets derived structures (fingerprint,
-        #: CSR kernel, candidate caches) detect staleness in O(1).
-        self._version = 0
+        #: Set by the first :attr:`fingerprint` read, which seals the
+        #: network against further ``add_*``.
         self._fingerprint: tuple[int, int, str] | None = None
-        self._fingerprint_version = -1
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def _refuse_if_sealed(self) -> None:
+        if self._fingerprint is not None:
+            raise GraphError(f"network {self.name!r} is sealed: it was read, "
+                             "so it can no longer be changed")
+
     def add_vertex(self, vertex_id: int, x: float, y: float) -> Vertex:
+        self._refuse_if_sealed()
         if vertex_id in self._vertices:
             raise GraphError(f"vertex {vertex_id} already exists")
         vertex = Vertex(int(vertex_id), float(x), float(y))
@@ -177,7 +186,6 @@ class RoadNetwork:
         self._vertices[vertex.id] = vertex
         self._out[vertex.id] = []
         self._in[vertex.id] = []
-        self._version += 1
         return vertex
 
     def add_edge(
@@ -193,6 +201,7 @@ class RoadNetwork:
         ``length`` defaults to the euclidean distance between endpoints;
         ``speed`` defaults to the category's free-flow speed.
         """
+        self._refuse_if_sealed()
         if source not in self._vertices:
             raise VertexNotFoundError(source)
         if target not in self._vertices:
@@ -218,7 +227,6 @@ class RoadNetwork:
         self._edges[key] = edge
         self._out[source].append(edge)
         self._in[target].append(edge)
-        self._version += 1
         return edge
 
     def add_two_way(
@@ -234,15 +242,6 @@ class RoadNetwork:
         backward = self.add_edge(b, a, length=forward.length, speed=forward.speed,
                                  category=category)
         return forward, backward
-
-    def remove_edge(self, source: int, target: int) -> None:
-        key = (source, target)
-        edge = self._edges.pop(key, None)
-        if edge is None:
-            raise EdgeNotFoundError(source, target)
-        self._out[source].remove(edge)
-        self._in[target].remove(edge)
-        self._version += 1
 
     # ------------------------------------------------------------------
     # Queries
@@ -305,26 +304,15 @@ class RoadNetwork:
         return len(self._out[vertex_id]) + len(self._in[vertex_id])
 
     @property
-    def version(self) -> int:
-        """Monotonic mutation counter (add/remove of vertices or edges)."""
-        return self._version
-
-    @property
     def fingerprint(self) -> tuple[int, int, str]:
         """Cheap content fingerprint: ``(num_vertices, num_edges, digest)``.
 
         The digest covers every edge's endpoints, length, speed, and
-        category in canonical (sorted-key) order, so any mutation that
-        could change routing results or path features changes the
-        fingerprint.  Recomputed lazily only after a mutation — repeated
-        reads on a static network are O(1) — which makes it suitable as a
-        staleness key for candidate caches and the CSR routing kernel.
+        category in canonical (sorted-key) order.  Computed once, on the
+        first read, which seals the network; the shared-memory content
+        key ``csr:<digest>`` tells a worker which graph it attached.
         """
-        # Snapshot the version before hashing: a mutation racing with the
-        # digest must leave the stamp stale so the next read recomputes,
-        # never cache a half-mutated digest under the new version.
-        version = self._version
-        if self._fingerprint_version != version:
+        if self._fingerprint is None:
             digest = hashlib.blake2b(digest_size=16)
             digest.update(struct.pack("<qq", len(self._vertices), len(self._edges)))
             for key in sorted(self._edges):
@@ -334,7 +322,6 @@ class RoadNetwork:
                 digest.update(edge.category.value.encode("ascii"))
             self._fingerprint = (len(self._vertices), len(self._edges),
                                  digest.hexdigest())
-            self._fingerprint_version = version
         return self._fingerprint
 
     def euclidean(self, a: int, b: int) -> float:
@@ -375,20 +362,8 @@ class RoadNetwork:
         return renamed, mapping
 
     # ------------------------------------------------------------------
-    # Validation / interop
+    # Interop
     # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Check internal consistency; raises :class:`GraphError` on damage."""
-        for key, edge in self._edges.items():
-            if key != (edge.source, edge.target):
-                raise GraphError(f"edge stored under wrong key {key}")
-            if edge.source not in self._vertices or edge.target not in self._vertices:
-                raise GraphError(f"edge {key} references a missing vertex")
-        out_count = sum(len(edges) for edges in self._out.values())
-        in_count = sum(len(edges) for edges in self._in.values())
-        if out_count != len(self._edges) or in_count != len(self._edges):
-            raise GraphError("adjacency lists are out of sync with the edge map")
-
     def to_networkx(self):
         """Export to a :class:`networkx.DiGraph` (used as a test oracle)."""
         import networkx as nx

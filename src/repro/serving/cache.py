@@ -21,7 +21,6 @@ from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.graph.network import RoadNetwork
 from repro.graph.path import Path
 from repro.ranking.training_data import TrainingDataConfig
 
@@ -156,30 +155,20 @@ class CandidateCache:
 
     Candidate sets depend only on the graph and the generation
     configuration, never on the model, so entries stay valid across
-    model hot-swaps.  When constructed with the ``network``, every key
-    also embeds :attr:`RoadNetwork.fingerprint`, so a mutated graph
-    (edge added/removed, weight changed via remove + re-add) can never
-    serve stale candidates: old entries simply stop matching and age out
-    via LRU.  Without a network the caller owns invalidation via
-    :meth:`clear`.
+    model hot-swaps.  The graph is sealed once built, so keys hold only
+    the generation configuration; :meth:`clear` drops every entry.
     """
 
-    def __init__(self, capacity: int = 1024,
-                 network: RoadNetwork | None = None) -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         self._cache = LRUCache(capacity)
-        self._network = network
 
     @staticmethod
-    def key_for(source: int, target: int, config: TrainingDataConfig,
-                network: RoadNetwork | None = None) -> tuple:
+    def key_for(source: int, target: int,
+                config: TrainingDataConfig) -> tuple:
         # Every field that changes the generated candidate set must be in
-        # the key; threshold and examine_limit both alter D-TkDI output,
-        # and the network fingerprint pins the graph content itself.
-        key = (source, target, config.strategy.value, config.k,
-               config.diversity_threshold, config.examine_limit)
-        if network is not None:
-            key += (network.fingerprint,)
-        return key
+        # the key; threshold and examine_limit both alter D-TkDI output.
+        return (source, target, config.strategy.value, config.k,
+                config.diversity_threshold, config.examine_limit)
 
     @property
     def stats(self) -> CacheStats:
@@ -190,14 +179,12 @@ class CandidateCache:
 
     def lookup(self, source: int, target: int,
                config: TrainingDataConfig) -> list[Path] | None:
-        cached = self._cache.get(
-            self.key_for(source, target, config, self._network))
+        cached = self._cache.get(self.key_for(source, target, config))
         return None if cached is None else list(cached)
 
     def store(self, source: int, target: int, config: TrainingDataConfig,
               paths: Sequence[Path]) -> None:
-        self._cache.put(self.key_for(source, target, config, self._network),
-                        tuple(paths))
+        self._cache.put(self.key_for(source, target, config), tuple(paths))
 
     def clear(self) -> None:
         self._cache.clear()

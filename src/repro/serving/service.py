@@ -221,11 +221,7 @@ class RankingService:
         self.network = network
         self.registry = registry
         self.config = config or ServingConfig()
-        # Keyed by the network fingerprint too, so a graph mutation
-        # (e.g. a live incident closing a road) invalidates entries
-        # implicitly.
-        self.candidate_cache = CandidateCache(
-            self.config.candidate_cache_size, network=network)
+        self.candidate_cache = CandidateCache(self.config.candidate_cache_size)
         # score_cache_size=0 leaves no score cache at all.
         self.score_cache = (
             ScoreCache(self.config.score_cache_size)
@@ -661,7 +657,9 @@ class RankingService:
         ``completed`` (a ``perf_counter`` value) lets a deferred caller
         pin the latency clock to when the pipeline actually finished the
         request, rather than when the caller got around to collecting
-        the response.
+        the response.  Never raises: any failure (an injected fault, the
+        fallback's shortest path, ranking) becomes the request's error
+        response, recorded once like any other.
         """
         end = completed if completed is not None else time.perf_counter()
         elapsed_ms = (end - state.started) * 1000.0
@@ -669,17 +667,19 @@ class RankingService:
         assemble_began = time.perf_counter() if trace is not None else 0.0
         if state.error is None and state.expired(end):
             self._expire(state)
-        if self.faults is not None and state.error is None:
-            try:
+        try:
+            if self.faults is not None and state.error is None:
                 self.faults.fire("assemble")
-            except ReproError as exc:
-                state.error = str(exc)
-        if state.error is not None:
+            if state.error is not None:
+                response = self._error_response(state, state.error,
+                                                elapsed_ms)
+            elif state.active is None:
+                response = self._fallback_response(state, elapsed_ms)
+            else:
+                response = self._model_response(state, elapsed_ms)
+        except Exception as exc:  # noqa: BLE001 - the per-request backstop
+            state.error = str(exc)
             response = self._error_response(state, state.error, elapsed_ms)
-        elif state.active is None:
-            response = self._fallback_response(state, elapsed_ms)
-        else:
-            response = self._model_response(state, elapsed_ms)
         if record:
             self._record(response)
         if trace is not None:
@@ -762,10 +762,7 @@ class RankingService:
             reason = cause or "no active model"
             return self._error_response(
                 state, f"{reason} (fallback disabled)", elapsed_ms)
-        try:
-            path = shortest_path(self.network, request.source, request.target)
-        except ReproError as exc:
-            return self._error_response(state, str(exc), elapsed_ms)
+        path = shortest_path(self.network, request.source, request.target)
         results = (RankedPath(path=path, score=0.0, position=1),)
         return RankResponse(request=request, results=results,
                             served_by="fallback", model_version=None,

@@ -234,6 +234,42 @@ def test_warm_ups_between_early_deaths_keep_the_slot(exec_network):
         plane.close()
 
 
+def test_kills_the_pool_delivers_during_warm_up_keep_the_slot():
+    """Only a worker that dies on its own counts toward the warm-up
+    death cap: three respawns killed by ``kill_worker`` before they are
+    ready (as an armed ``exec.worker`` fault does under load) leave the
+    slot alive."""
+    plane = ExecutionPlane(grid_network(6, 6), workers=1)
+    try:
+        pool = plane.pool
+        pool.wait_ready()
+        slot = pool._slots[0]
+        respawn = pool._spawn
+        kills = [0]
+
+        def spawn_and_kill_before_ready(slot):
+            respawn(slot)
+            if kills[0] < 3:
+                kills[0] += 1
+                pool.kill_worker(slot.index)
+
+        pool._spawn = spawn_and_kill_before_ready
+        pool.kill_worker(0)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            process = slot.process
+            if process is None or (kills[0] == 3 and slot.ready.is_set()
+                                   and process.is_alive()):
+                break
+            time.sleep(0.02)
+        assert slot.process is not None, pool._init_errors
+        assert pool.stats()["alive"] == 1
+        assert pool.run("ping", None, timeout_s=5.0) == "pong"
+        assert pool._init_errors == []
+    finally:
+        plane.close()
+
+
 def test_waiter_deadline_kills_hung_worker_and_recovers(exec_network):
     plane = ExecutionPlane(exec_network, workers=1)
     try:

@@ -6,7 +6,7 @@ identical costs — and identical paths wherever the optimum is unique.
 Equal-cost ties may legitimately resolve differently between backends,
 so path identity is only asserted after re-costing both answers.
 Plus: ALT admissibility (the landmark heuristic never overestimates the
-true cost) and the staleness machinery (fingerprint-keyed rebuilds).
+true cost) and the backend seam (one kernel per sealed network).
 """
 
 import re
@@ -340,16 +340,18 @@ class TestBackendSeam:
     def test_csr_for_caches_per_network(self, random_grid):
         assert csr_for(random_grid) is csr_for(random_grid)
 
-    def test_mutation_triggers_rebuild(self):
+    def test_install_refuses_a_kernel_of_another_network(self):
+        from repro.errors import GraphError
+        from repro.graph.csr import CSRGraph, install_csr
         net = grid_network(4, 4, seed=1)
-        kernel = csr_for(net)
-        u = net.vertex_ids()[0]
-        v = next(t for t in net.vertex_ids()
-                 if t != u and not net.has_edge(u, t))
-        net.add_edge(u, v, length=1.0)
-        rebuilt = csr_for(net)
-        assert rebuilt is not kernel
-        assert rebuilt.num_edges == kernel.num_edges + 1
+        other = grid_network(4, 4, seed=2)
+        arrays, meta = csr_for(other).shared_payload()
+        with pytest.raises(GraphError, match="another network"):
+            install_csr(net, CSRGraph.from_shared(arrays, meta))
+        arrays, meta = CSRGraph(net).shared_payload()
+        replica = CSRGraph.from_shared(arrays, meta)
+        assert install_csr(net, replica) is replica
+        assert csr_for(net) is replica
 
     def test_unknown_backend_rejected(self):
         from repro.errors import ConfigError

@@ -121,16 +121,6 @@ class TestEdges:
             net.add_edge(0, 1)
         net.add_edge(0, 1, length=5.0)
 
-    def test_remove_edge(self, pair):
-        pair.add_edge(0, 1)
-        pair.remove_edge(0, 1)
-        assert not pair.has_edge(0, 1)
-        assert pair.out_edges(0) == []
-
-    def test_remove_missing_edge(self, pair):
-        with pytest.raises(EdgeNotFoundError):
-            pair.remove_edge(0, 1)
-
     def test_edge_lookup_missing(self, pair):
         with pytest.raises(EdgeNotFoundError):
             pair.edge(0, 1)
@@ -237,9 +227,6 @@ class TestConnectivity:
 
 
 class TestValidationInterop:
-    def test_validate_clean(self, tiny_network):
-        tiny_network.validate()
-
     def test_to_networkx_preserves_counts(self, tiny_network):
         g = tiny_network.to_networkx()
         assert g.number_of_nodes() == tiny_network.num_vertices
@@ -279,31 +266,67 @@ class TestFingerprint:
         assert edges == net.num_edges
         assert isinstance(digest, str) and digest
 
-    def test_changes_on_edge_addition_and_removal(self):
+    def test_changes_with_an_extra_edge(self):
         net = self._net()
-        before = net.fingerprint
-        net.add_edge(0, 2, length=250.0)
-        added = net.fingerprint
-        assert added != before
-        net.remove_edge(0, 2)
-        assert net.fingerprint != added
+        extra = self._net()
+        extra.add_edge(0, 2, length=250.0)
+        assert extra.fingerprint != net.fingerprint
+        assert self._net().fingerprint == net.fingerprint
 
     def test_changes_on_vertex_addition(self):
         net = self._net()
-        before = net.fingerprint
-        net.add_vertex(99, 500.0, 500.0)
-        assert net.fingerprint != before
+        extra = self._net()
+        extra.add_vertex(99, 500.0, 500.0)
+        assert extra.fingerprint != net.fingerprint
 
     def test_sensitive_to_edge_weights(self):
         a = self._net()
         b = self._net()
-        assert a.fingerprint == b.fingerprint
         a.add_edge(0, 2, length=250.0)
         b.add_edge(0, 2, length=251.0)
         assert a.fingerprint != b.fingerprint
 
-    def test_version_counts_mutations(self):
+
+class TestSeal:
+    """The first derived read seals a network against further changes."""
+
+    def _net(self):
+        net = RoadNetwork(name="sealed")
+        net.add_vertex(0, 0.0, 0.0)
+        net.add_vertex(1, 100.0, 0.0)
+        net.add_vertex(2, 200.0, 0.0)
+        net.add_edge(0, 1)
+        return net
+
+    def _assert_sealed(self, net):
+        shape = (net.num_vertices, net.num_edges)
+        with pytest.raises(GraphError, match="sealed"):
+            net.add_vertex(3, 300.0, 0.0)
+        with pytest.raises(GraphError, match="sealed"):
+            net.add_edge(1, 2)
+        with pytest.raises(GraphError, match="sealed"):
+            net.add_two_way(1, 2)
+        assert (net.num_vertices, net.num_edges) == shape
+
+    def test_add_after_fingerprint_is_refused(self):
         net = self._net()
-        version = net.version
-        net.add_vertex(50, 1.0, 1.0)
-        assert net.version == version + 1
+        before = net.fingerprint
+        self._assert_sealed(net)
+        assert net.fingerprint == before
+
+    def test_add_after_csr_build_is_refused(self):
+        from repro.graph.csr import csr_for
+
+        net = self._net()
+        kernel = csr_for(net)
+        self._assert_sealed(net)
+        assert csr_for(net) is kernel
+
+    def test_pickled_network_stays_sealed(self):
+        import pickle
+
+        net = self._net()
+        fingerprint = net.fingerprint
+        copy = pickle.loads(pickle.dumps(net))
+        assert copy.fingerprint == fingerprint
+        self._assert_sealed(copy)

@@ -103,7 +103,7 @@ class TestServingCachesUnderParallelRank:
 
     def test_candidate_cache_thread_safety(self, tiny_network,
                                            candidates_config):
-        cache = CandidateCache(capacity=8, network=tiny_network)
+        cache = CandidateCache(capacity=8)
         from repro.core.ranker import generate_candidates
 
         def work(index: int) -> None:
