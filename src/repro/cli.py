@@ -48,7 +48,6 @@ from repro.serving import (
     ModelRegistry,
     RankingService,
     RankRequest,
-    ResilienceConfig,
     ServingConfig,
     ServingEngine,
     parse_fault_spec,
@@ -364,11 +363,6 @@ def _build_service(args: argparse.Namespace):
         # Check before ModelRegistry mkdirs a typo'd parent directory.
         raise ServingError(f"no such model checkpoint: {model_path}")
     registry = ModelRegistry(model_path.parent, network)
-    resilience = ResilienceConfig(
-        deadline_ms=args.deadline_ms,
-        max_queue=args.max_queue,
-        shed_policy=args.shed_policy,
-    )
     config = ServingConfig(
         candidates=TrainingDataConfig(
             strategy=Strategy.from_name(args.strategy), k=args.k),
@@ -376,7 +370,9 @@ def _build_service(args: argparse.Namespace):
         max_batch_size=args.batch_size * args.k,
         fallback_to_shortest=not args.no_fallback,
         trace_sample=args.trace_sample,
-        resilience=resilience,
+        deadline_ms=args.deadline_ms,
+        max_queue=args.max_queue,
+        shed_policy=args.shed_policy,
         execution=args.execution,
         workers=args.workers,
     )
@@ -387,6 +383,18 @@ def _build_service(args: argparse.Namespace):
         service.close()
         raise
     return service
+
+
+def _json_integer(value, where: str, name: str) -> int:
+    """``value`` if it is a JSON integer, else a :class:`DataError`.
+
+    ``int()`` would truncate 0.9 to vertex 0 and read ``true`` or
+    ``"1"`` as vertex 1, and a ``null`` would escape as ``TypeError``.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"{where}: {name} must be an integer, "
+                        f"got {json.dumps(value)}")
+    return value
 
 
 def _load_queries(path: str) -> list[RankRequest]:
@@ -403,14 +411,8 @@ def _load_queries(path: str) -> list[RankRequest]:
             raise DataError(
                 f"query #{position} must be an object with source/target"
             )
-        # JSON integers only: int() would truncate 0.9 to vertex 0 and
-        # read true as vertex 1, and a null would escape as TypeError.
         for name in ("source", "target", "k"):
-            value = entry.get(name, 0)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise DataError(
-                    f"query #{position}: {name} must be an integer, "
-                    f"got {json.dumps(value)}")
+            _json_integer(entry.get(name, 0), f"query #{position}", name)
         requests.append(RankRequest(
             source=entry["source"], target=entry["target"],
             k=entry.get("k"), request_id=position,
@@ -552,12 +554,15 @@ def _parse_pair_workload(args: argparse.Namespace) -> list[tuple[int, int]]:
                 if "source" not in entry or "target" not in entry:
                     raise DataError(f"pair #{position} must have "
                                     "source/target")
-                pairs.append((int(entry["source"]), int(entry["target"])))
-            elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-                pairs.append((int(entry[0]), int(entry[1])))
+                ends = (entry["source"], entry["target"])
+            elif isinstance(entry, list) and len(entry) == 2:
+                ends = entry
             else:
                 raise DataError(f"pair #{position} must be [source, target] "
                                 "or an object with source/target")
+            pairs.append(tuple(
+                _json_integer(value, f"pair #{position}", name)
+                for value, name in zip(ends, ("source", "target"))))
         return pairs
     if args.pairs is None:
         raise DataError("route-frequencies needs --pairs or --pairs-file")

@@ -47,13 +47,14 @@ deployment needs around it:
   ``docs/observability.md``).
 * **Resilience plane** (:mod:`repro.serving.resilience` /
   :mod:`repro.serving.faults`) — per-request deadline budgets checked
-  at every pipeline stage, bounded admission queues with an explicit
-  shed policy (reject-with-retry-after or degrade-to-shortest-path),
+  at every pipeline stage (``ServingConfig.deadline_ms``), a bounded
+  admission queue with an explicit shed policy (``max_queue``,
+  ``shed_policy``: reject-with-retry-after or degrade-to-shortest-path),
   one circuit breaker per service that routes scoring groups to the
-  shortest-path fallback while it is open, deterministic jittered retry for transient scoring
-  failures, and a seedable fault-injection layer (latency spikes,
-  errors, hangs at named points) for reproducible chaos testing — all
-  dormant by default with exact response parity (see
+  shortest-path fallback while it is open, one retry of a scoring
+  group that failed, and a seedable fault-injection layer (latency
+  spikes, errors, hangs at named points) for reproducible chaos
+  testing — all dormant by default with exact response parity (see
   ``docs/robustness.md``).
 
 Usage::
@@ -120,11 +121,7 @@ from repro.serving.faults import (
 )
 from repro.serving.pipeline import QueryState
 from repro.serving.registry import ActiveModel, ModelRegistry
-from repro.serving.resilience import (
-    CircuitBreaker,
-    ResilienceConfig,
-    retry_backoff,
-)
+from repro.serving.resilience import CircuitBreaker
 from repro.serving.service import (
     RankedPath,
     RankingService,
@@ -149,11 +146,9 @@ __all__ = [
     "RankingService",
     "RankRequest",
     "RankResponse",
-    "ResilienceConfig",
     "ScoreCache",
     "ServingConfig",
     "ServingEngine",
     "format_fault_spec",
     "parse_fault_spec",
-    "retry_backoff",
 ]

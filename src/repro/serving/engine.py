@@ -49,6 +49,7 @@ from collections.abc import Sequence
 from repro.errors import DeadlineExceeded, ServingError
 from repro.obs.metrics import Histogram
 from repro.serving.pipeline import QueryState
+from repro.serving.resilience import RETRY_AFTER_MS
 from repro.serving.service import RankingService, RankRequest, RankResponse
 
 __all__ = ["EngineTicket", "ServingEngine"]
@@ -103,17 +104,17 @@ class EngineTicket:
 
         With no explicit ``timeout`` the wait is derived from the
         request's deadline (``request.deadline_ms``, falling back to the
-        service's ``resilience.deadline_ms``) plus a small grace so the
+        service's ``config.deadline_ms``) plus a small grace so the
         pipeline's own structured deadline response wins the race when
         it can.  Raises :class:`~repro.errors.DeadlineExceeded` —
-        carrying the service's ``retry_after_ms`` hint — if the response
+        carrying the ``retry_after_ms`` hint — if the response
         is still not ready; a request with no deadline anywhere blocks
         like :meth:`wait`.
         """
         if timeout is None:
             budget_ms = self.request.deadline_ms
             if budget_ms is None:
-                budget_ms = self._service.resilience.deadline_ms
+                budget_ms = self._service.config.deadline_ms
             # A non-finite or non-numeric budget never reaches the
             # pipeline (admission answers it with invalid_request), and
             # no timeout derives from it: Event.wait(inf) raises
@@ -127,7 +128,7 @@ class EngineTicket:
             raise DeadlineExceeded(
                 f"request {self.request.source}->{self.request.target} "
                 f"not answered within {timeout:g}s",
-                retry_after_ms=self._service.resilience.retry_after_ms)
+                retry_after_ms=RETRY_AFTER_MS)
         return self._collect()
 
     def _collect(self) -> RankResponse:
@@ -277,7 +278,7 @@ class ServingEngine:
     def submit(self, request: RankRequest) -> EngineTicket:
         """Enqueue one request; returns immediately with its ticket.
 
-        When the service's ``resilience.max_queue`` bound is set and the
+        When the service's ``config.max_queue`` bound is set and the
         inbox is full, the request is *shed* instead of enqueued:
         ``shed_policy="reject"`` answers the ticket immediately with a
         structured ``shed`` error (plus a ``retry_after_ms`` hint),
@@ -295,7 +296,7 @@ class ServingEngine:
         with self._lock:
             if self._stopping:
                 raise ServingError("engine is closed; no new requests")
-            max_queue = service.resilience.max_queue
+            max_queue = service.config.max_queue
             if max_queue > 0 and len(self._inbox) >= max_queue:
                 shed = True
             else:
@@ -312,7 +313,7 @@ class ServingEngine:
         state = QueryState(request=ticket.request)
         state.started = ticket.submitted
         state.error_code = "shed"
-        if service.resilience.shed_policy == "degrade":
+        if service.config.shed_policy == "degrade":
             # Degrade-to-shortest-path: no model work is queued, the
             # fallback runs in the caller's thread at assembly.
             state.degraded = "admission queue full; degraded to fallback"

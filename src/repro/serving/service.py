@@ -26,7 +26,7 @@ flushing; :meth:`RankingService.rank` runs them for one request.  The
 first three stages never raise — an exception becomes the request's
 ``error`` or a fallback degradation — so both drivers answer a failure
 alike.  Every stage reads the service's one candidate cache, one score cache,
-one scorer and (at most) one circuit breaker directly.
+one scorer and one circuit breaker directly.
 
 **Execution plane.**  ``ServingConfig.execution`` selects how the
 CPU-bound stages run: ``"inline"`` (the default — behaviour identical
@@ -61,9 +61,10 @@ from repro.serving.faults import FaultInjector
 from repro.serving.pipeline import QueryState, tightest_remaining_ms
 from repro.serving.registry import ActiveModel, ModelRegistry
 from repro.serving.resilience import (
+    RETRY_AFTER_MS,
+    RETRY_DELAY_MS,
+    SHED_POLICIES,
     CircuitBreaker,
-    ResilienceConfig,
-    retry_backoff,
 )
 
 __all__ = ["EXECUTION_MODES", "ServingConfig", "RankRequest", "RankedPath",
@@ -85,8 +86,8 @@ _OUTCOME_COUNTERS = {"model": "model_served", "fallback": "fallback_served",
 
 #: How often each resilience mechanism fired, as ``resilience.<name>``:
 #: requests shed per policy, expired by their deadline, or routed to the
-#: fallback by an open breaker; backoff sleeps taken and how many of
-#: them rescued their scoring group; admissions refused by validation.
+#: fallback by an open breaker; retries taken and how many of them
+#: rescued their scoring group; admissions refused by validation.
 _RESILIENCE_COUNTERS = ("shed_rejected", "shed_degraded", "deadline_exceeded",
                         "breaker_degraded", "retries", "retry_successes",
                         "invalid_requests")
@@ -120,11 +121,15 @@ class ServingConfig:
     #: the ``serving.stage.*`` histograms and the slow-request exemplar
     #: buffer in ``stats()["trace"]``.
     trace_sample: float = 0.0
-    #: Resilience plane: deadlines, admission bounds + shed policy,
-    #: the service's circuit breaker, retry backoff.  The defaults keep
-    #: every mechanism dormant or free (see
-    #: :class:`~repro.serving.resilience.ResilienceConfig`).
-    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
+    #: Default per-request deadline budget in milliseconds (``None``
+    #: disables; ``RankRequest.deadline_ms`` overrides per request).
+    deadline_ms: float | None = None
+    #: Engine admission-queue bound (requests waiting for a worker);
+    #: 0 = unbounded.
+    max_queue: int = 0
+    #: What to do with a request the full queue cannot admit (see
+    #: :data:`~repro.serving.resilience.SHED_POLICIES`).
+    shed_policy: str = "reject"
     #: Execution plane (see :data:`EXECUTION_MODES`).  The default
     #: ``"inline"`` keeps the plane fully dormant: no worker processes,
     #: no shared-memory segments, and stage behaviour bit-identical to
@@ -154,6 +159,17 @@ class ServingConfig:
             raise ValueError(
                 f"trace_sample must be in [0, 1], got {self.trace_sample}"
             )
+        if self.deadline_ms is not None \
+                and not 0.0 < self.deadline_ms < math.inf:
+            raise ValueError(
+                f"deadline_ms must be finite and > 0 (or None), "
+                f"got {self.deadline_ms}")
+        if self.max_queue < 0:
+            raise ValueError(f"max_queue must be >= 0, got {self.max_queue}")
+        if self.shed_policy not in SHED_POLICIES:
+            raise ValueError(
+                f"shed_policy must be one of {SHED_POLICIES}, "
+                f"got {self.shed_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -163,7 +179,7 @@ class RankRequest:
     ``k`` overrides the service's configured candidate-set size for this
     request only (it participates in the candidate-cache key).
     ``deadline_ms`` caps this request's end-to-end budget (overriding
-    ``ServingConfig.resilience.deadline_ms``); when it expires the
+    ``ServingConfig.deadline_ms``); when it expires the
     request terminates with a structured ``deadline_exceeded`` error
     instead of occupying later pipeline stages.
     """
@@ -241,10 +257,7 @@ class RankingService:
         self.tracer = Tracer(sample=self.config.trace_sample, metrics=metrics)
         # Resilience plane: a circuit breaker over scoring-group
         # outcomes and the (dormant-by-default) fault-injection seam.
-        self.resilience = self.config.resilience
-        self.breaker: CircuitBreaker | None = (
-            CircuitBreaker(self.resilience)
-            if self.resilience.breaker_enabled else None)
+        self.breaker = CircuitBreaker()
         self.faults: FaultInjector | None = None
         # Execution plane: dormant unless asked for.  "processes" stands
         # up shared-memory hot-state plus a warm worker pool, and
@@ -298,9 +311,7 @@ class RankingService:
         The breaker's state under ``resilience.breaker.*`` and the fault
         layer's summary under ``resilience.faults.*`` while armed.
         """
-        view: dict[str, object] = {}
-        if self.breaker is not None:
-            view["breaker"] = self.breaker.as_dict()
+        view: dict[str, object] = {"breaker": self.breaker.as_dict()}
         if self.faults is not None:
             stats = self.faults.stats()
             view["faults"] = {
@@ -377,7 +388,7 @@ class RankingService:
             if request.deadline_ms is not None:
                 state.deadline_ms = request.deadline_ms
             else:
-                state.deadline_ms = self.resilience.deadline_ms
+                state.deadline_ms = self.config.deadline_ms
             trace = state.trace = self.tracer.maybe_start()
             if self.faults is not None:
                 self.faults.fire("admit")
@@ -542,7 +553,7 @@ class RankingService:
 
     def _score_states_group(self, members: list[QueryState]) -> None:
         """Score one snapshot's group end to end (thread-safe)."""
-        if self.breaker is not None and not self.breaker.allow():
+        if not self.breaker.allow():
             # The breaker is tripped (or out of half-open probe slots):
             # route the group straight to the shortest-path fallback
             # without touching the scorer.
@@ -574,60 +585,57 @@ class RankingService:
 
     def _score_group(self, members: Sequence[QueryState],
                      active: ActiveModel):
-        """One group's scoring attempt: retry, breaker accounting, faults.
+        """One group the breaker allowed: one retry, one breaker outcome.
 
-        Transient :class:`ReproError` failures (including injected ones)
-        are retried up to ``retry_attempts`` times with deterministic
-        jittered exponential backoff — but never past the tightest
-        member deadline.  The final outcome is recorded on the breaker
-        (group latency included, so a latency SLO can trip it), and a
-        terminal failure falls back to per-request isolation via
-        :meth:`_score_individually`.
+        A :class:`ReproError` (injected ones included) is retried once
+        after :data:`~repro.serving.resilience.RETRY_DELAY_MS` — but
+        never past the tightest member deadline — and a group that
+        still fails falls back to per-request isolation via
+        :meth:`_score_individually`.  The breaker records exactly one
+        outcome per group: an exception of any other type counts as a
+        failure before it reaches :meth:`score_states`' backstop, so it
+        never leaves a half-open probe slot claimed.
         """
-        began = time.perf_counter()
-        attempt = 0
-        model = active.model
-        if self.plane is not None:
-            # Swap in the pool-dispatching proxy: BatchingScorer still
-            # runs dedup/caching/chunking in this process, but each
-            # chunk's forward pass executes on a worker, bounded by the
-            # group's tightest member deadline.  A plane failure here
-            # (segment publish) just keeps the inline model.
+        try:
+            model = active.model
+            if self.plane is not None:
+                # Swap in the pool-dispatching proxy: BatchingScorer
+                # still runs dedup/caching/chunking in this process, but
+                # each chunk's forward pass executes on a worker, bounded
+                # by the group's tightest member deadline.  A plane
+                # failure here (segment publish) just keeps the inline
+                # model.
+                try:
+                    model = self.plane.scoring_proxy(
+                        active, deadline_ms=tightest_remaining_ms(members))
+                except ExecError:
+                    model = active.model
             try:
-                model = self.plane.scoring_proxy(
-                    active, deadline_ms=tightest_remaining_ms(members))
-            except ExecError:
-                model = active.model
-        while True:
-            try:
-                if self.faults is not None:
-                    self.faults.fire("score")
-                scored = self.scorer.score_many(
-                    model, [state.paths for state in members],
-                    active.version)
+                scored = self._score_attempt(model, members, active)
             except ReproError:
-                if attempt < self.resilience.retry_attempts:
-                    delay_s = retry_backoff(
-                        attempt + 1, self.resilience,
-                        key=active.generation)
-                    tightest = tightest_remaining_ms(members)
-                    if tightest is None or delay_s * 1000.0 < tightest:
-                        attempt += 1
-                        self.res_counters["retries"].inc()
-                        if delay_s > 0.0:
-                            time.sleep(delay_s)
-                        continue
-                if self.breaker is not None:
-                    self.breaker.record_failure()
-                self._score_individually(members)
-                return None
-            else:
-                if attempt:
-                    self.res_counters["retry_successes"].inc()
-                if self.breaker is not None:
-                    self.breaker.record_success(
-                        (time.perf_counter() - began) * 1000.0)
-                return scored
+                tightest = tightest_remaining_ms(members)
+                if tightest is not None and tightest <= RETRY_DELAY_MS:
+                    raise
+                self.res_counters["retries"].inc()
+                time.sleep(RETRY_DELAY_MS / 1000.0)
+                scored = self._score_attempt(model, members, active)
+                self.res_counters["retry_successes"].inc()
+        except ReproError:
+            self.breaker.record_failure()
+            self._score_individually(members)
+            return None
+        except BaseException:
+            self.breaker.record_failure()
+            raise
+        self.breaker.record_success()
+        return scored
+
+    def _score_attempt(self, model, members: Sequence[QueryState],
+                       active: ActiveModel):
+        if self.faults is not None:
+            self.faults.fire("score")
+        return self.scorer.score_many(
+            model, [state.paths for state in members], active.version)
 
     def _score_individually(self, states: Sequence[QueryState]) -> None:
         """Retry a failed batch one request at a time.
@@ -659,7 +667,8 @@ class RankingService:
         request, rather than when the caller got around to collecting
         the response.  Never raises: any failure (an injected fault, the
         fallback's shortest path, ranking) becomes the request's error
-        response, recorded once like any other.
+        response, recorded once like any other, and a failure while
+        recording or tracing the response leaves the response as it is.
         """
         end = completed if completed is not None else time.perf_counter()
         elapsed_ms = (end - state.started) * 1000.0
@@ -680,18 +689,21 @@ class RankingService:
         except Exception as exc:  # noqa: BLE001 - the per-request backstop
             state.error = str(exc)
             response = self._error_response(state, state.error, elapsed_ms)
-        if record:
-            self._record(response)
-        if trace is not None:
-            trace.add("assemble", assemble_began, time.perf_counter())
+        try:
             if record:
-                request = state.request
-                self.tracer.finish(
-                    trace, response.latency_ms,
-                    request=f"{request.source}->{request.target}",
-                    request_id=request.request_id,
-                    served_by=response.served_by,
-                    cache_hit=response.candidate_cache_hit)
+                self._record(response)
+            if trace is not None:
+                trace.add("assemble", assemble_began, time.perf_counter())
+                if record:
+                    request = state.request
+                    self.tracer.finish(
+                        trace, response.latency_ms,
+                        request=f"{request.source}->{request.target}",
+                        request_id=request.request_id,
+                        served_by=response.served_by,
+                        cache_hit=response.candidate_cache_hit)
+        except Exception:  # noqa: BLE001 - bookkeeping never costs an answer
+            pass
         state.response = response
         return response
 
@@ -774,7 +786,7 @@ class RankingService:
                         elapsed_ms: float) -> RankResponse:
         retry_after = None
         if state.error_code in ("deadline_exceeded", "shed"):
-            retry_after = self.resilience.retry_after_ms
+            retry_after = RETRY_AFTER_MS
         return RankResponse(request=state.request, results=(),
                             served_by="error", model_version=None,
                             candidate_cache_hit=state.cache_hit,
@@ -813,7 +825,6 @@ class RankingService:
         """Everything ``serve --json`` and the load benchmark report."""
         scoring = self._scoring_view()
         scoring["max_batch_size"] = self.config.max_batch_size
-        resilience = self.resilience
         # Exact count and mean; quantiles interpolated within one log2
         # bucket.  Read before the counters (see _record).
         latency = self.latency.summary()
@@ -830,11 +841,9 @@ class RankingService:
             "scoring": scoring,
             "resilience": {
                 "config": {
-                    "deadline_ms": resilience.deadline_ms,
-                    "max_queue": resilience.max_queue,
-                    "shed_policy": resilience.shed_policy,
-                    "breaker_enabled": resilience.breaker_enabled,
-                    "retry_attempts": resilience.retry_attempts,
+                    "deadline_ms": self.config.deadline_ms,
+                    "max_queue": self.config.max_queue,
+                    "shed_policy": self.config.shed_policy,
                 },
                 "counters": _values(self.res_counters),
                 **self._resilience_view(),

@@ -257,98 +257,6 @@ class TestRobustness:
         assert "k must be" in bad.error
         assert good.served_by == "model"
 
-    def test_non_repro_scoring_error_degrades_not_hangs(self, service,
-                                                        monkeypatch):
-        """An unexpected exception type from the forward pass must not
-        kill the scoring thread; requests degrade to the fallback."""
-        def explode(self, paths, **kwargs):
-            raise RuntimeError("BLAS exploded")
-
-        monkeypatch.setattr(PathRank, "score_paths", explode)
-        with ServingEngine(service, concurrency=2,
-                           flush_deadline_ms=2.0) as engine:
-            response = engine.rank(RankRequest(source=0, target=5),
-                                   timeout=5.0)
-        assert response.served_by == "fallback"
-        assert "BLAS exploded" in response.error
-
-    @pytest.mark.parametrize("stage", ["candidates", "forward"])
-    def test_both_doors_answer_an_unexpected_exception_alike(
-            self, service, monkeypatch, stage):
-        """A RuntimeError inside candidate generation or the forward
-        pass reaches neither caller: ``service.rank`` and ``engine.rank``
-        return the same error or fallback answer."""
-        def explode(*args, **kwargs):
-            raise RuntimeError(f"{stage} exploded")
-
-        if stage == "candidates":
-            monkeypatch.setattr("repro.serving.service.generate_candidates",
-                                explode)
-        else:
-            monkeypatch.setattr(PathRank, "score_paths", explode)
-        request = RankRequest(source=0, target=5)
-        sync = service.rank(request)
-        with ServingEngine(service, concurrency=2,
-                           flush_deadline_ms=2.0) as engine:
-            concurrent = engine.rank(request, timeout=5.0)
-        expected = "error" if stage == "candidates" else "fallback"
-        for response in (sync, concurrent):
-            assert (response.served_by, response.error, response.error_code) \
-                == (expected, f"{stage} exploded", None)
-
-    @pytest.mark.parametrize("seam", ["fallback", "ranking"])
-    def test_assembly_failure_answers_every_ticket(
-            self, tiny_network, registry, make_ranker, candidates_config,
-            monkeypatch, seam):
-        """A RuntimeError while assembling a response (the fallback's
-        shortest path with no active model, or ranking the scored
-        candidates) becomes that request's error response on both doors,
-        recorded once; the engine's lone worker survives and answers the
-        next healthy request."""
-        from repro.serving import service as service_module
-
-        if seam == "ranking":
-            registry.publish(make_ranker(tiny_network, seed=1),
-                             activate=True)
-            original = service_module.rank_paths
-
-            def explode(paths, scores):
-                if paths[0].vertices[-1] == 5:
-                    raise RuntimeError("ranking exploded")
-                return original(paths, scores)
-
-            monkeypatch.setattr(service_module, "rank_paths", explode)
-        else:
-            original = service_module.shortest_path
-
-            def explode(network, source, target, *args, **kwargs):
-                if target == 5:
-                    raise RuntimeError("fallback exploded")
-                return original(network, source, target, *args, **kwargs)
-
-            monkeypatch.setattr(service_module, "shortest_path", explode)
-        service = RankingService(tiny_network, registry,
-                                 ServingConfig(candidates=candidates_config))
-        poisoned = RankRequest(source=0, target=5)
-        healthy = RankRequest(source=0, target=4)
-        healthy_by = "model" if seam == "ranking" else "fallback"
-
-        sync = service.rank(poisoned)
-        assert service.counters["requests"].value == 1
-        assert service.counters["failed"].value == 1
-        with ServingEngine(service, concurrency=1,
-                           flush_deadline_ms=2.0) as engine:
-            first = engine.submit(poisoned)
-            second = engine.submit(healthy)
-            concurrent = first.wait(5.0)
-            assert second.wait(5.0).served_by == healthy_by
-            threads = engine._workers + [engine._flusher_thread]
-            assert all(thread.is_alive() for thread in threads)
-        assert service.counters["requests"].value == 3
-        assert service.counters["failed"].value == 2
-        for response in (sync, concurrent):
-            assert (response.served_by, response.error, response.error_code) \
-                == ("error", f"{seam} exploded", None)
     def test_latency_excludes_waiter_drain_delay(self, service):
         """A ticket collected long after scoring finished must report
         the pipeline's latency, not the collection delay."""

@@ -271,7 +271,6 @@ class TestMetricCatalogue:
         service = RankingService(tiny_network, registry, ServingConfig(
             candidates=candidates_config, trace_sample=1.0,
             candidate_cache_size=64, score_cache_size=256))
-        assert service.breaker is not None  # on by default
         requests = [RankRequest(source=s, target=t, request_id=i)
                     for i, (s, t) in enumerate(ALL_PAIRS)]
         with ServingEngine(service, concurrency=2,

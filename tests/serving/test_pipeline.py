@@ -7,7 +7,6 @@ from repro.errors import TrainingError
 from repro.serving import (
     RankingService,
     RankRequest,
-    ResilienceConfig,
     ServingConfig,
 )
 
@@ -89,7 +88,7 @@ class TestWarmup:
         registry.publish(make_ranker(tiny_network, seed=1), activate=True)
         service = RankingService(tiny_network, registry, ServingConfig(
             candidates=candidates_config,
-            resilience=ResilienceConfig(deadline_ms=2.0)))
+            deadline_ms=2.0))
         service.arm_faults("prepare:delay=10")
         mix = [RankRequest(source=s, target=t)
                for s, t in ((0, 5), (3, 2), (1, 5), (5, 0))]

@@ -1,7 +1,7 @@
 """The resilience plane: deadlines, shedding, breakers, retries.
 
-Unit tests drive :class:`CircuitBreaker` and :func:`retry_backoff`
-directly (with a fake clock, so lifecycle transitions are exact);
+Unit tests drive :class:`CircuitBreaker` directly (with a fake clock,
+so lifecycle transitions are exact);
 integration tests push requests through a real :class:`RankingService`
 and :class:`ServingEngine` with faults armed and assert the structured
 degradation ``docs/robustness.md`` promises.
@@ -14,14 +14,19 @@ import time
 import pytest
 
 from repro.errors import DeadlineExceeded, ServingError
+from repro.core.model import PathRank
 from repro.serving import (
     CircuitBreaker,
     RankingService,
     RankRequest,
-    ResilienceConfig,
     ServingConfig,
     ServingEngine,
-    retry_backoff,
+)
+from repro.serving.resilience import (
+    BREAKER_COOLDOWN_MS,
+    BREAKER_HALF_OPEN_PROBES,
+    BREAKER_MIN_SAMPLES,
+    RETRY_AFTER_MS,
 )
 
 from repro.ranking import Strategy, TrainingDataConfig
@@ -42,16 +47,22 @@ class FakeClock:
         self.now += ms / 1000.0
 
 
-def _breaker(clock, **overrides) -> CircuitBreaker:
-    knobs = dict(breaker_window=4, breaker_min_samples=2,
-                 breaker_failure_rate=0.5, breaker_cooldown_ms=100.0,
-                 breaker_half_open_probes=2)
-    knobs.update(overrides)
-    return CircuitBreaker(ResilienceConfig(**knobs), clock=clock)
+def _trip(breaker: CircuitBreaker) -> None:
+    """Record failures until the breaker opens."""
+    for _ in range(BREAKER_MIN_SAMPLES):
+        breaker.record_failure()
+    assert breaker.state == "open"
+
+
+def _with_fake_clock(service: RankingService) -> FakeClock:
+    """Give ``service`` a fresh breaker on a fake clock."""
+    clock = FakeClock()
+    service.breaker = CircuitBreaker(clock=clock)
+    return clock
 
 
 # ----------------------------------------------------------------------
-# ResilienceConfig validation
+# Validation of the resilience settings on ServingConfig
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kwargs", [
     {"deadline_ms": 0.0},
@@ -60,41 +71,28 @@ def _breaker(clock, **overrides) -> CircuitBreaker:
     {"deadline_ms": math.nan},
     {"max_queue": -1},
     {"shed_policy": "panic"},
-    {"retry_after_ms": -1.0},
-    {"breaker_window": 0},
-    {"breaker_min_samples": 0},
-    {"breaker_min_samples": 9, "breaker_window": 8},
-    {"breaker_failure_rate": 0.0},
-    {"breaker_failure_rate": 1.5},
-    {"breaker_latency_ms": 0.0},
-    {"breaker_cooldown_ms": -1.0},
-    {"breaker_half_open_probes": 0},
-    {"retry_attempts": -1},
-    {"retry_base_ms": -1.0},
-    {"retry_jitter": 1.5},
 ])
 def test_resilience_config_rejects_bad_knobs(kwargs):
     with pytest.raises(ValueError):
-        ResilienceConfig(**kwargs)
+        ServingConfig(**kwargs)
 
 
-def test_default_config_is_dormant_but_breaker_armed():
-    config = ResilienceConfig()
+def test_default_config_is_dormant_but_breaker_armed(service):
+    config = ServingConfig()
     assert config.deadline_ms is None
     assert config.max_queue == 0
-    assert config.active  # breakers default on (they are free until a failure)
-    assert not ResilienceConfig(breaker_enabled=False,
-                                retry_attempts=0).active
+    # The breaker is always on (it is free until a failure).
+    assert service.breaker.state == "closed"
 
 
 # ----------------------------------------------------------------------
 # Circuit breaker lifecycle
 # ----------------------------------------------------------------------
 def test_breaker_trips_at_failure_rate():
-    clock = FakeClock()
-    breaker = _breaker(clock)
+    breaker = CircuitBreaker(clock=FakeClock())
     assert breaker.state == "closed"
-    breaker.record_failure()
+    for _ in range(BREAKER_MIN_SAMPLES - 1):
+        breaker.record_failure()
     assert breaker.state == "closed"  # below min_samples
     breaker.record_failure()
     assert breaker.state == "open"
@@ -104,26 +102,25 @@ def test_breaker_trips_at_failure_rate():
 
 
 def test_breaker_does_not_trip_below_rate():
-    clock = FakeClock()
-    breaker = _breaker(clock)
-    for _ in range(3):
+    breaker = CircuitBreaker(clock=FakeClock())
+    for _ in range(5):
         breaker.record_success()
-    breaker.record_failure()  # 1/4 < 0.5
+    for _ in range(4):
+        breaker.record_failure()  # 4/9 < 0.5
     assert breaker.state == "closed"
     assert breaker.trips == 0
 
 
 def test_breaker_half_opens_after_cooldown_and_recovers():
     clock = FakeClock()
-    breaker = _breaker(clock)
-    breaker.record_failure()
-    breaker.record_failure()
-    assert breaker.state == "open"
-    clock.advance_ms(99.0)
+    breaker = CircuitBreaker(clock=clock)
+    _trip(breaker)
+    clock.advance_ms(BREAKER_COOLDOWN_MS - 1.0)
     assert breaker.state == "open"
     clock.advance_ms(2.0)
     assert breaker.state == "half_open"
     # Probe slots are claimed by allow(); extras are refused.
+    assert BREAKER_HALF_OPEN_PROBES == 2
     assert breaker.allow()
     assert breaker.allow()
     assert not breaker.allow()
@@ -138,67 +135,27 @@ def test_breaker_half_opens_after_cooldown_and_recovers():
 
 def test_breaker_failed_probe_reopens():
     clock = FakeClock()
-    breaker = _breaker(clock)
-    breaker.record_failure()
-    breaker.record_failure()
-    clock.advance_ms(101.0)
+    breaker = CircuitBreaker(clock=clock)
+    _trip(breaker)
+    clock.advance_ms(BREAKER_COOLDOWN_MS + 1.0)
     assert breaker.allow()
     breaker.record_failure()
     assert breaker.state == "open"
     assert breaker.trips == 2
     assert breaker.recoveries == 0
     # The re-trip restarted the cooldown from the fake clock's now.
-    clock.advance_ms(101.0)
+    clock.advance_ms(BREAKER_COOLDOWN_MS + 1.0)
     assert breaker.state == "half_open"
 
 
 def test_breaker_ignores_stragglers_while_open():
-    clock = FakeClock()
-    breaker = _breaker(clock)
-    breaker.record_failure()
-    breaker.record_failure()
+    breaker = CircuitBreaker(clock=FakeClock())
+    _trip(breaker)
     breaker.record_failure()  # straggler from a pre-trip flush
     snapshot = breaker.as_dict()
     assert snapshot["state"] == "open"
     assert snapshot["window_size"] == 0
     assert breaker.trips == 1
-
-
-def test_breaker_latency_slo_counts_slow_success_as_failure():
-    clock = FakeClock()
-    breaker = _breaker(clock, breaker_latency_ms=10.0)
-    breaker.record_success(latency_ms=50.0)
-    breaker.record_success(latency_ms=50.0)
-    assert breaker.state == "open"
-    # Without the SLO the same latencies are plain successes.
-    plain = _breaker(clock)
-    plain.record_success(latency_ms=50.0)
-    plain.record_success(latency_ms=50.0)
-    assert plain.state == "closed"
-
-
-# ----------------------------------------------------------------------
-# Retry backoff
-# ----------------------------------------------------------------------
-def test_retry_backoff_is_deterministic_and_bounded():
-    config = ResilienceConfig(retry_base_ms=4.0, retry_max_ms=10.0,
-                              retry_jitter=0.5)
-    first = retry_backoff(1, config, key=("lane", 3))
-    assert first == retry_backoff(1, config, key=("lane", 3))
-    assert first != retry_backoff(1, config, key=("lane", 4))
-    # Jitter only shrinks the delay: [1 - jitter, 1] x base schedule.
-    assert 0.002 <= first <= 0.004
-    assert retry_backoff(5, config, key="x") <= 0.010  # capped at max_ms
-
-
-def test_retry_backoff_doubles_without_jitter():
-    config = ResilienceConfig(retry_base_ms=2.0, retry_max_ms=100.0,
-                              retry_jitter=0.0)
-    assert retry_backoff(1, config) == pytest.approx(0.002)
-    assert retry_backoff(2, config) == pytest.approx(0.004)
-    assert retry_backoff(3, config) == pytest.approx(0.008)
-    with pytest.raises(ValueError):
-        retry_backoff(0, config)
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +210,7 @@ def _deadline_service(tiny_network, registry, make_ranker, fault_spec,
     knobs = dict(deadline_ms=20.0)
     knobs.update(res_overrides)
     service = RankingService(tiny_network, registry, ServingConfig(
-        candidates=CANDIDATES, resilience=ResilienceConfig(**knobs)))
+        candidates=CANDIDATES, **knobs))
     if fault_spec is not None:
         service.arm_faults(fault_spec)
     return service
@@ -296,12 +253,17 @@ def test_no_deadline_means_no_expiry(tiny_network, registry, make_ranker):
 # ----------------------------------------------------------------------
 # Retries rescue transient scoring failures
 # ----------------------------------------------------------------------
+def _scoring_service(tiny_network, registry, make_ranker):
+    """A model-served service whose breaker runs on a fake clock."""
+    registry.publish(make_ranker(tiny_network, seed=1), activate=True)
+    service = RankingService(tiny_network, registry,
+                             ServingConfig(candidates=CANDIDATES))
+    return service, _with_fake_clock(service)
+
+
 def test_single_shot_score_fault_is_retried_away(tiny_network, registry,
                                                  make_ranker):
-    registry.publish(make_ranker(tiny_network, seed=1), activate=True)
-    service = RankingService(tiny_network, registry, ServingConfig(
-        candidates=CANDIDATES,
-        resilience=ResilienceConfig(retry_attempts=2, retry_base_ms=1.0)))
+    service, _ = _scoring_service(tiny_network, registry, make_ranker)
     service.arm_faults("score:error:count=1")
     response = service.rank(RankRequest(source=0, target=5))
     assert response.served_by == "model"
@@ -310,19 +272,14 @@ def test_single_shot_score_fault_is_retried_away(tiny_network, registry,
     assert counters["retry_successes"] == 1
     # The breaker saw the eventual success, not the transient failure.
     assert service.breaker.state == "closed"
+    assert service.breaker.as_dict()["window_failures"] == 0
 
 
 def test_persistent_score_fault_falls_back_and_feeds_breaker(
         tiny_network, registry, make_ranker):
-    registry.publish(make_ranker(tiny_network, seed=1), activate=True)
-    service = RankingService(tiny_network, registry, ServingConfig(
-        candidates=CANDIDATES,
-        resilience=ResilienceConfig(
-            retry_attempts=1, retry_base_ms=1.0,
-            breaker_window=4, breaker_min_samples=2,
-            breaker_cooldown_ms=60_000.0)))
+    service, _ = _scoring_service(tiny_network, registry, make_ranker)
     service.arm_faults("score:error")
-    for _ in range(2):
+    for _ in range(BREAKER_MIN_SAMPLES):
         response = service.rank(RankRequest(source=0, target=5))
         # The group fails terminally, the per-member individual rescue
         # still answers, and the breaker records the group failure.
@@ -330,6 +287,9 @@ def test_persistent_score_fault_falls_back_and_feeds_breaker(
     breaker = service.breaker
     assert breaker.state == "open"
     assert breaker.trips == 1
+    # One retry per failed group.
+    assert service.res_counters["retries"].value == BREAKER_MIN_SAMPLES
+    assert service.res_counters["retry_successes"].value == 0
     # Once open, requests degrade to the fallback without touching the
     # scorer (or the armed fault).
     degraded = service.rank(RankRequest(source=0, target=5))
@@ -342,40 +302,68 @@ def test_persistent_score_fault_falls_back_and_feeds_breaker(
 
 def test_breaker_recovers_through_half_open_probes(tiny_network, registry,
                                                    make_ranker):
-    registry.publish(make_ranker(tiny_network, seed=1), activate=True)
-    service = RankingService(tiny_network, registry, ServingConfig(
-        candidates=CANDIDATES,
-        resilience=ResilienceConfig(
-            retry_attempts=0, breaker_window=4, breaker_min_samples=2,
-            breaker_cooldown_ms=10.0, breaker_half_open_probes=1)))
+    service, clock = _scoring_service(tiny_network, registry, make_ranker)
     service.arm_faults("score:error")
-    for _ in range(2):
+    for _ in range(BREAKER_MIN_SAMPLES):
         service.rank(RankRequest(source=0, target=5))
     assert service.breaker.state == "open"
     service.disarm_faults()
-    time.sleep(0.02)  # past the cooldown: next group is the probe
-    response = service.rank(RankRequest(source=0, target=5))
-    assert response.served_by == "model"
+    clock.advance_ms(BREAKER_COOLDOWN_MS)  # the next groups are probes
+    for _ in range(BREAKER_HALF_OPEN_PROBES):
+        assert service.breaker.state == "half_open"
+        response = service.rank(RankRequest(source=0, target=5))
+        assert response.served_by == "model"
     breaker = service.breaker
     assert breaker.state == "closed"
     assert breaker.recoveries == 1
+
+
+def test_a_failure_of_any_type_releases_its_half_open_probe(
+        tiny_network, registry, make_ranker, monkeypatch):
+    """Only a ``ReproError`` or a success used to record a group's
+    outcome.  A half-open probe whose forward pass raised
+    ``RuntimeError`` kept its slot claimed; two such probes wedged the
+    breaker half-open, and it refused every later group for good."""
+    service, clock = _scoring_service(tiny_network, registry, make_ranker)
+    service.arm_faults("score:error")
+    for _ in range(BREAKER_MIN_SAMPLES):
+        service.rank(RankRequest(source=0, target=5))
+    service.disarm_faults()
+    clock.advance_ms(BREAKER_COOLDOWN_MS)
+    assert service.breaker.state == "half_open"
+
+    def explode(self, paths, **kwargs):
+        raise RuntimeError("BLAS exploded")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PathRank, "score_paths", explode)
+        probe = service.rank(RankRequest(source=3, target=2))
+        assert (probe.served_by, probe.error) \
+            == ("fallback", "BLAS exploded")
+        # The failed probe re-opened the breaker and restarted the
+        # cooldown.
+        assert (service.breaker.state, service.breaker.trips) == ("open", 2)
+        refused = service.rank(RankRequest(source=3, target=2))
+        assert refused.error_code == "breaker_open"
+    clock.advance_ms(BREAKER_COOLDOWN_MS)
+    healthy = service.rank(RankRequest(source=3, target=2))
+    assert healthy.served_by == "model"
 
 
 @pytest.mark.parametrize("front_door", ["sync", "engine"])
 def test_score_faults_degrade_cache_answers_like_flushes(
         tiny_network, registry, make_ranker, front_door):
     """The engine answers a fully cached request outside a flush, but
-    through the same scoring stage: the ``score`` fault, retries, the
+    through the same scoring stage: the ``score`` fault, the retry, the
     individual rescue and the breaker treat it as the sync facade does."""
-    registry.publish(make_ranker(tiny_network, seed=1), activate=True)
-    service = RankingService(tiny_network, registry, ServingConfig(
-        candidates=CANDIDATES,
-        resilience=ResilienceConfig(
-            retry_attempts=1, retry_base_ms=1.0,
-            breaker_window=4, breaker_min_samples=2,
-            breaker_cooldown_ms=60_000.0)))
+    service, _ = _scoring_service(tiny_network, registry, make_ranker)
     request = RankRequest(source=0, target=5)
     paths = len(service.rank(request).results)  # warm both caches
+    # One failure short of tripping: the warm-up's success and
+    # BREAKER_MIN_SAMPLES - 2 failures fill the window to one below its
+    # minimum.
+    for _ in range(BREAKER_MIN_SAMPLES - 2):
+        service.breaker.record_failure()
     service.arm_faults("score:error")
     with ServingEngine(service, concurrency=2,
                        flush_deadline_ms=1.0) as engine:
@@ -384,7 +372,7 @@ def test_score_faults_degrade_cache_answers_like_flushes(
                 return engine.rank(request, timeout=5.0)
             return service.rank(request)
 
-        # The warm-up's success and this failure trip the breaker.
+        # This failure trips the breaker.
         rescued = rank(request)
         degraded = rank(request)
         flushes = engine.occupancy()["flushes"]
@@ -407,8 +395,7 @@ def _engine_service(tiny_network, registry, make_ranker,
                     **res_overrides) -> RankingService:
     registry.publish(make_ranker(tiny_network, seed=1), activate=True)
     return RankingService(tiny_network, registry, ServingConfig(
-        candidates=CANDIDATES,
-        resilience=ResilienceConfig(**res_overrides)))
+        candidates=CANDIDATES, **res_overrides))
 
 
 def _flood(engine, service, stall_spec, count):
@@ -422,8 +409,7 @@ def _flood(engine, service, stall_spec, count):
 def test_overflowing_queue_sheds_with_reject(tiny_network, registry,
                                              make_ranker):
     service = _engine_service(tiny_network, registry, make_ranker,
-                              max_queue=1, shed_policy="reject",
-                              retry_after_ms=25.0)
+                              max_queue=1, shed_policy="reject")
     with ServingEngine(service, concurrency=1,
                        flush_deadline_ms=1.0) as engine:
         tickets = _flood(engine, service, "prepare:delay=50", 16)
@@ -432,7 +418,7 @@ def test_overflowing_queue_sheds_with_reject(tiny_network, registry,
     shed = [r for r in responses if r.error_code == "shed"]
     assert shed, "a 16-deep flood against max_queue=1 never shed"
     assert all(r.served_by == "error" for r in shed)
-    assert all(r.retry_after_ms == 25.0 for r in shed)
+    assert all(r.retry_after_ms == RETRY_AFTER_MS for r in shed)
     assert service.res_counters["shed_rejected"].value == len(shed)
     answered = [r for r in responses if r.error_code != "shed"]
     assert all(r.ok for r in answered)
@@ -472,8 +458,7 @@ def test_ticket_result_raises_structured_deadline(tiny_network, registry,
                                                   make_ranker):
     """Satellite (a): ``result()`` derives its wait from the request
     deadline and raises DeadlineExceeded instead of blocking forever."""
-    service = _engine_service(tiny_network, registry, make_ranker,
-                              retry_after_ms=33.0)
+    service = _engine_service(tiny_network, registry, make_ranker)
     engine = ServingEngine(service, concurrency=1, flush_deadline_ms=1.0)
     try:
         service.arm_faults("prepare:hang")
@@ -483,7 +468,7 @@ def test_ticket_result_raises_structured_deadline(tiny_network, registry,
         with pytest.raises(DeadlineExceeded) as excinfo:
             ticket.result()
         waited = time.perf_counter() - began
-        assert excinfo.value.retry_after_ms == 33.0
+        assert excinfo.value.retry_after_ms == RETRY_AFTER_MS
         assert waited < 5.0  # budget + grace, nowhere near a hang
     finally:
         service.disarm_faults()  # release the hung worker
@@ -567,9 +552,7 @@ def test_dormant_resilience_keeps_exact_parity(tiny_network, registry,
     plain = RankingService(tiny_network, registry,
                            ServingConfig(candidates=CANDIDATES))
     armed = RankingService(tiny_network, registry, ServingConfig(
-        candidates=CANDIDATES,
-        resilience=ResilienceConfig(deadline_ms=120_000.0, max_queue=4096,
-                                    retry_attempts=2)))
+        candidates=CANDIDATES, deadline_ms=120_000.0, max_queue=4096))
     requests = [RankRequest(source=s, target=t)
                 for s in range(6) for t in range(6) if s != t]
     baseline = [plain.rank(request) for request in requests]

@@ -6,12 +6,13 @@ from repro.core.model import PathRank
 from repro.errors import ServingError, TrainingError
 from repro.graph import RoadCategory, RoadNetwork, shortest_path
 from repro.serving import (
+    CircuitBreaker,
     ModelRegistry,
     RankingService,
     RankRequest,
-    ResilienceConfig,
     ServingConfig,
 )
+from repro.serving.resilience import BREAKER_MIN_SAMPLES
 
 
 @pytest.fixture
@@ -191,15 +192,15 @@ class TestOneServiceOneLane:
         requests degrade to the fallback without touching the scorer."""
         registry.publish(make_ranker(tiny_network, seed=1), activate=True)
         service = RankingService(tiny_network, registry, ServingConfig(
-            candidates=candidates_config,
-            resilience=ResilienceConfig(
-                retry_attempts=0, breaker_window=4, breaker_min_samples=2,
-                breaker_cooldown_ms=60_000.0)))
+            candidates=candidates_config))
+        # A clock that stands still: the breaker never cools down here.
+        service.breaker = CircuitBreaker(clock=lambda: 0.0)
         service.arm_faults("score:error")
         rescued = [service.rank(RankRequest(source=0, target=t))
-                   for t in (2, 5)]
+                   for t in (2, 5) * (BREAKER_MIN_SAMPLES // 2)]
         degraded = service.rank(RankRequest(source=3, target=5))
-        assert [r.served_by for r in rescued] == ["model", "model"]
+        assert [r.served_by for r in rescued] \
+            == ["model"] * BREAKER_MIN_SAMPLES
         assert (degraded.served_by, degraded.error_code, degraded.error) \
             == ("fallback", "breaker_open", "circuit breaker open")
         assert (service.breaker.state, service.breaker.trips) == ("open", 1)

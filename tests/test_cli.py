@@ -545,6 +545,27 @@ class TestAnalyticsCommands:
         assert payload["unreachable_pairs"] == 0
         assert all(load >= 1.0 for _, _, load in payload["edges"])
 
+    @pytest.mark.parametrize("entry", [
+        [None, 24], [0.9, 24], [True, 24], ["1", 24], [0, 23.5],
+        {"source": 0.9, "target": 24}, {"source": 7, "target": None},
+    ])
+    def test_pairs_file_refuses_a_non_integer_vertex(self, grid_file,
+                                                     tmp_path, capsys,
+                                                     entry):
+        """``null`` used to escape as a ``TypeError`` traceback, and
+        ``int()`` routed ``0.9`` from vertex 0 and ``true`` or ``"1"``
+        from vertex 1."""
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps([[0, 24], entry]), encoding="utf-8")
+        code = main(["route-frequencies", "--network", str(grid_file),
+                     "--pairs-file", str(pairs)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.strip().splitlines()
+        assert line.startswith("error: pair #1: ")
+        assert "must be an integer" in line
+
     def test_malformed_inputs_exit_2(self, grid_file, capsys):
         assert main(["od-matrix", "--network", str(grid_file),
                      "--origins", "zero,one"]) == 2
