@@ -13,7 +13,7 @@ operations the serving layer fans out:
 - :meth:`scoring_proxy` — scoring chunks on worker processes.  The
   proxy duck-types ``PathRank``'s
   ``score_paths`` surface, so :class:`BatchingScorer` (and with it
-  dedup, the score cache, retries, breakers and per-request
+  dedup, the score memos, retries, breakers and per-request
   degradation) runs unmodified in the parent while only the padded
   forward passes leave the process.
 

@@ -10,11 +10,11 @@ deployment needs around it:
   with atomic hot-swap: activation replaces a single snapshot reference,
   so in-flight requests finish on the version they started with.  One
   model answers every request: the one active snapshot.
-* :class:`CandidateCache` / :class:`ScoreCache` — bounded LRU caches for
-  the two expensive steps.  Candidate sets are keyed on
-  ``(source, target, strategy, k)`` and survive model swaps; per-path
-  scores are keyed on the model version so a swap can never serve a
-  stale score.
+* :class:`CandidateCache` — a bounded LRU cache for the two expensive
+  steps.  Candidate sets are keyed on ``(source, target, strategy, k)``
+  and survive model swaps; each entry also carries its candidates'
+  scores tagged with the model version, so a hot request is one lookup
+  and a swap can never serve a stale score.
 * :class:`BatchingScorer` — coalesces the candidate lists of many
   requests into padded batches and runs one forward pass per batch.
   The masked recurrence makes batched scores identical to sequential
@@ -111,7 +111,12 @@ of ``bench/run.py`` measures the fused lane).
 """
 
 from repro.serving.batching import BatchingScorer
-from repro.serving.cache import CacheStats, CandidateCache, LRUCache, ScoreCache
+from repro.serving.cache import (
+    CacheStats,
+    CandidateCache,
+    CandidateEntry,
+    LRUCache,
+)
 from repro.serving.engine import EngineTicket, ServingEngine
 from repro.serving.faults import (
     FaultInjector,
@@ -135,6 +140,7 @@ __all__ = [
     "BatchingScorer",
     "CacheStats",
     "CandidateCache",
+    "CandidateEntry",
     "CircuitBreaker",
     "EngineTicket",
     "FaultInjector",
@@ -146,7 +152,6 @@ __all__ = [
     "RankingService",
     "RankRequest",
     "RankResponse",
-    "ScoreCache",
     "ServingConfig",
     "ServingEngine",
     "format_fault_spec",

@@ -4,10 +4,16 @@ Two things dominate per-query latency: candidate generation (Yen /
 diversified enumeration over the graph) and the model forward pass.
 Commuter traffic is heavily skewed toward a small pool of OD hotspots,
 so both steps repeat constantly.  :class:`CandidateCache` memoises
-candidate sets per ``(source, target, strategy, k)`` query signature;
-:class:`ScoreCache` memoises per-path model scores keyed by the path's
-vertex sequence *and the model version*, so a hot-swap never serves a
-stale score.
+candidate sets per ``(source, target, strategy, k)`` query signature,
+and each :class:`CandidateEntry` also carries the scores one model
+version gave its candidates, tagged with that version: a hot request
+costs one lookup, and after a hot-swap the tag no longer matches, so a
+stale score is never served.  Scores thus live on at most
+``capacity`` entries and leave with them.
+
+While one caller enumerates a signature's candidates, other callers
+asking for the same signature wait for its result instead of
+enumerating again (single flight, :meth:`LRUCache.get_or_make`).
 
 All caches are thread-safe and strictly bounded; eviction is
 least-recently-used.
@@ -17,16 +23,26 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Hashable, Sequence
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.graph.path import Path
 from repro.ranking.training_data import TrainingDataConfig
 
-__all__ = ["CacheStats", "LRUCache", "CandidateCache", "ScoreCache"]
+__all__ = ["CacheStats", "LRUCache", "CandidateCache", "CandidateEntry"]
 
 _MISSING = object()
+
+
+class _Flight:
+    """One value being made; waiters block on ``done``."""
+
+    __slots__ = ("done", "value")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.value = _MISSING
 
 
 @dataclass
@@ -69,6 +85,7 @@ class LRUCache:
         self.capacity = capacity
         self.stats = CacheStats()
         self._entries: OrderedDict[Hashable, object] = OrderedDict()
+        self._flights: dict[Hashable, _Flight] = {}
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -89,47 +106,62 @@ class LRUCache:
             self.stats.hits += 1
             return value
 
-    def get_many(self, keys: Sequence[Hashable]) -> dict[Hashable, object]:
-        """Present entries for ``keys`` under one lock acquisition.
-
-        Returns only the keys that were found (recency refreshed, stats
-        counted per key).  The batched scorer uses this so a flush of
-        hundreds of paths costs one lock round-trip, not one per path —
-        which matters once concurrent workers share the cache.
-        """
-        found: dict[Hashable, object] = {}
+    def find(self, key: Hashable) -> object | None:
+        """Like :meth:`get`, but an absent key counts no miss: for a
+        probe whose miss is counted later, where the value is made."""
         with self._lock:
-            for key in keys:
-                value = self._entries.get(key, _MISSING)
-                if value is _MISSING:
-                    self.stats.misses += 1
-                    continue
+            value = self._entries.get(key, _MISSING)
+            if value is _MISSING:
+                return None
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+            return value
+
+    def get_or_make(self, key: Hashable,
+                    make: Callable[[], object]) -> tuple[object, bool]:
+        """``(value, hit)``: the entry under ``key``, else ``make()``'s
+        result, stored.
+
+        Single flight: while one caller makes a key's value, the others
+        asking for that key wait for it and count a hit.  When ``make``
+        raises, each waiter makes its own value, so an error is still
+        only its own caller's answer.
+        """
+        with self._lock:
+            value = self._entries.get(key, _MISSING)
+            if value is not _MISSING:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
-                found[key] = value
-        return found
-
-    def put_many(self, items: Sequence[tuple[Hashable, object]]) -> None:
-        """Store many entries under one lock acquisition (LRU-evicting)."""
+                return value, True
+            flight = self._flights.get(key)
+            leader = flight is None
+            if leader:
+                flight = self._flights[key] = _Flight()
+                self.stats.misses += 1
+        if leader:
+            try:
+                flight.value = make()
+                self.put(key, flight.value)
+            finally:
+                with self._lock:
+                    del self._flights[key]
+                flight.done.set()
+            return flight.value, False
+        flight.done.wait()
         with self._lock:
-            for key, value in items:
-                if key in self._entries:
-                    self._entries.move_to_end(key)
-                self._entries[key] = value
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+            if flight.value is not _MISSING:
+                self.stats.hits += 1
+                return flight.value, True
+            self.stats.misses += 1
+        value = make()
+        self.put(key, value)
+        return value, False
 
     def peek(self, key: Hashable, default: object = None) -> object:
         """Read without touching recency or statistics (for tests/metrics)."""
         with self._lock:
             value = self._entries.get(key, _MISSING)
             return default if value is _MISSING else value
-
-    def covers(self, keys: Sequence[Hashable]) -> bool:
-        """Whether every key is present; like :meth:`peek`, read-only."""
-        with self._lock:
-            return all(key in self._entries for key in keys)
 
     def put(self, key: Hashable, value: object) -> None:
         with self._lock:
@@ -150,17 +182,43 @@ class LRUCache:
             self._entries.clear()
 
 
+class CandidateEntry:
+    """One cached candidate set, plus the scores one model version gave it.
+
+    ``scored`` is ``(version, scores)`` or ``None``.  It is replaced
+    whole, by one attribute store, so a reader sees the old pair or the
+    new one, never a mix.
+    """
+
+    __slots__ = ("paths", "scored")
+
+    def __init__(self, paths: Sequence[Path]) -> None:
+        self.paths = tuple(paths)
+        self.scored: tuple[str, list[float]] | None = None
+
+    def scores_for(self, version: str) -> list[float] | None:
+        """The memoised scores when they are tagged ``version``."""
+        scored = self.scored
+        if scored is not None and scored[0] == version:
+            return scored[1]
+        return None
+
+
 class CandidateCache:
     """Memoises candidate generation per query signature.
 
     Candidate sets depend only on the graph and the generation
     configuration, never on the model, so entries stay valid across
-    model hot-swaps.  The graph is sealed once built, so keys hold only
-    the generation configuration; :meth:`clear` drops every entry.
+    model hot-swaps; the scores on an entry are tagged with the version
+    that produced them.  The graph is sealed once built, so keys hold
+    only the generation configuration; :meth:`clear` drops every entry.
+    ``score_stats`` counts score-memo hits and misses per path.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
         self._cache = LRUCache(capacity)
+        self.score_stats = CacheStats()
+        self._score_lock = threading.Lock()
 
     @staticmethod
     def key_for(source: int, target: int,
@@ -179,62 +237,34 @@ class CandidateCache:
 
     def lookup(self, source: int, target: int,
                config: TrainingDataConfig) -> list[Path] | None:
-        cached = self._cache.get(self.key_for(source, target, config))
-        return None if cached is None else list(cached)
+        entry = self._cache.get(self.key_for(source, target, config))
+        return None if entry is None else list(entry.paths)
 
     def store(self, source: int, target: int, config: TrainingDataConfig,
               paths: Sequence[Path]) -> None:
-        self._cache.put(self.key_for(source, target, config), tuple(paths))
+        self._cache.put(self.key_for(source, target, config),
+                        CandidateEntry(paths))
 
-    def clear(self) -> None:
-        self._cache.clear()
+    def probe(self, source: int, target: int,
+              config: TrainingDataConfig) -> CandidateEntry | None:
+        """The cached entry, as a hit; a miss counts nothing here, since
+        :meth:`resolve` counts it when it makes the set."""
+        return self._cache.find(self.key_for(source, target, config))
 
+    def resolve(self, source: int, target: int, config: TrainingDataConfig,
+                generate: Callable[[], Sequence[Path]]
+                ) -> tuple[CandidateEntry, bool]:
+        """``(entry, hit)``, generating and storing the set on a miss;
+        concurrent misses on one signature generate it once."""
+        return self._cache.get_or_make(
+            self.key_for(source, target, config),
+            lambda: CandidateEntry(generate()))
 
-class ScoreCache:
-    """Memoises per-path model scores, keyed by model version.
-
-    Featurisation and scoring of a path are deterministic given the
-    model weights, so a path seen under the same model version can skip
-    the forward pass entirely.  Keys embed the version string; after a
-    hot-swap old entries simply stop matching and age out via LRU.
-    """
-
-    def __init__(self, capacity: int = 8192) -> None:
-        self._cache = LRUCache(capacity)
-
-    @staticmethod
-    def key_for(version: str | None, path: Path) -> tuple:
-        return (version, path.vertices)
-
-    @property
-    def stats(self) -> CacheStats:
-        return self._cache.stats
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def lookup_many(self, version: str | None,
-                    paths: Sequence[Path]) -> dict[tuple[int, ...], float]:
-        """Cached scores for ``paths``, keyed by vertex sequence.
-
-        One lock acquisition for the whole group; absent paths are
-        simply missing from the result.
-        """
-        keys = [self.key_for(version, path) for path in paths]
-        found = self._cache.get_many(keys)
-        return {key[1]: value for key, value in found.items()}
-
-    def covers(self, version: str | None, paths: Sequence[Path]) -> bool:
-        """Whether every path has a score cached under ``version``; counts
-        no hit or miss and leaves LRU order alone (one lock round-trip)."""
-        return self._cache.covers(
-            [self.key_for(version, path) for path in paths])
-
-    def store_many(self, version: str | None,
-                   scored: Sequence[tuple[Path, float]]) -> None:
-        self._cache.put_many(
-            [(self.key_for(version, path), float(score))
-             for path, score in scored])
+    def count_scores(self, hits: int, misses: int) -> None:
+        """Count score-memo lookups, in paths."""
+        with self._score_lock:
+            self.score_stats.hits += hits
+            self.score_stats.misses += misses
 
     def clear(self) -> None:
         self._cache.clear()

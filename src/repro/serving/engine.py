@@ -4,20 +4,23 @@ Every batch of queries enters the serving stack here.  Scoring one
 request alone runs the fused kernel at batch ``k``; :class:`ServingEngine`
 coalesces independent queries into shared forward passes: callers
 :meth:`submit` single requests from any thread and block on a
-:class:`EngineTicket`, while inside the engine
+:class:`EngineTicket`, while
 
-* **worker threads** run the admission and candidate-generation stages
-  of the shared pipeline (cache-aware, so hotspot traffic is cheap),
+* **admission runs in the caller's thread**, once per request, and
+  **a request that needs no worker never enters the inbox**: one that
+  admission refuses is answered at once, and one whose candidate-cache
+  entry already holds scores for the active model version goes through
+  the candidate and scoring stages right there, so its ticket resolves
+  before :meth:`submit` returns.  Such an answer is not a flush: it
+  fires no ``engine.flush`` fault, feeds no ``engine.occupancy.*``
+  histogram, records no ``queue_wait`` span, and ``max_queue`` never
+  sheds it;
+* **worker threads** run the candidate-generation stage of the shared
+  pipeline for every other request, and
 * a **deadline flusher** coalesces prepared requests into one scoring
   flush, scored per model-snapshot group — triggered the moment the
   service's ``max_batch_size`` paths accumulate, or ``flush_deadline_ms``
-  after the oldest pending request arrived, whichever comes first, and
-* a third rule: **a request that needs no forward pass never waits**.
-  When the score cache already holds every one of its paths, the
-  worker that prepared it answers it through the same scoring stage a
-  flush runs, without parking it.  Such an answer is not a flush: it
-  fires no ``engine.flush`` fault and feeds no ``engine.occupancy.*``
-  histogram.
+  after the oldest pending request arrived, whichever comes first.
 
 The engine drives the *same* stage methods as ``service.rank``, and
 those stages never raise, so no engine thread dies of a request and
@@ -26,9 +29,9 @@ scores identical to sequential ones, so an engine's responses equal
 ``service.rank``'s — coalescing buys throughput, not different answers.
 
 The optional warm-up hook replays a recorded hotspot mix through the
-candidate/score caches before the constructor returns, so a freshly
-deployed engine doesn't serve its first minutes off a cold cache.  A
-constructed engine is a started engine.
+candidate cache and its score memos before the constructor returns, so
+a freshly deployed engine doesn't serve its first minutes off a cold
+cache.  A constructed engine is a started engine.
 
 Usage::
 
@@ -67,6 +70,7 @@ class EngineTicket:
 
     ``wait`` blocks until the pipeline finished the request and returns
     its :class:`RankResponse`; ``done`` polls without blocking.
+    ``state`` is the request's admitted :class:`QueryState`.
 
     Response assembly (ranking + metrics) runs lazily in the first
     thread that calls :meth:`wait` rather than in the scoring thread —
@@ -276,10 +280,13 @@ class ServingEngine:
     # Front door
     # ------------------------------------------------------------------
     def submit(self, request: RankRequest) -> EngineTicket:
-        """Enqueue one request; returns immediately with its ticket.
+        """Admit one request in the caller's thread; returns its ticket.
 
-        When the service's ``config.max_queue`` bound is set and the
-        inbox is full, the request is *shed* instead of enqueued:
+        A request that admission refuses, or whose scores are memoised
+        for the active version (see the module docstring), is answered
+        before this returns.  Every other one enters the inbox with its
+        admitted state.  When the service's ``config.max_queue`` bound
+        is set and the inbox is full, such a request is *shed* instead:
         ``shed_policy="reject"`` answers the ticket immediately with a
         structured ``shed`` error (plus a ``retry_after_ms`` hint),
         ``"degrade"`` answers it with the shortest-path fallback
@@ -291,39 +298,52 @@ class ServingEngine:
             # Before any bookkeeping: an injected ingress error must not
             # leave a half-submitted ticket behind.
             service.faults.fire("engine.submit")
+        if self._stopping:
+            raise ServingError("engine is closed; no new requests")
         ticket = EngineTicket(request, service)
-        shed = False
+        state = ticket.state = service.admit(request)
+        # Queue wait counts toward latency and the deadline: the clock
+        # starts at submission.
+        state.started = ticket.submitted
+        if state.trace is not None:
+            state.trace.started = ticket.submitted
+        if state.hot:
+            service.score_states([service.prepare(state)])
+        elif state.error is None and self._enqueue(ticket):
+            return ticket
+        ticket._resolve()
+        return ticket
+
+    def _enqueue(self, ticket: EngineTicket) -> bool:
+        """Park a ticket in the inbox; ``False``, after shedding its
+        state, when the full queue cannot take it."""
+        service = self.service
         with self._lock:
             if self._stopping:
                 raise ServingError("engine is closed; no new requests")
             max_queue = service.config.max_queue
-            if max_queue > 0 and len(self._inbox) >= max_queue:
-                shed = True
-            else:
+            if not 0 < max_queue <= len(self._inbox):
                 self._inbox.append(ticket)
                 self._outstanding.add(ticket)
                 self._work.notify()
-        if shed:
-            self._shed_ticket(ticket)
-        return ticket
+                return True
+        self._shed(ticket.state)
+        return False
 
-    def _shed_ticket(self, ticket: EngineTicket) -> None:
-        """Answer a shed request immediately under the configured policy."""
+    def _shed(self, state: QueryState) -> None:
+        """Answer an admitted state under the configured shed policy."""
         service = self.service
-        state = QueryState(request=ticket.request)
-        state.started = ticket.submitted
         state.error_code = "shed"
         if service.config.shed_policy == "degrade":
             # Degrade-to-shortest-path: no model work is queued, the
             # fallback runs in the caller's thread at assembly.
+            state.active = None
             state.degraded = "admission queue full; degraded to fallback"
             service.res_counters["shed_degraded"].inc()
         else:
             state.error = ("admission queue full; request shed "
                            "(retry after backoff)")
             service.res_counters["shed_rejected"].inc()
-        ticket.state = state
-        ticket._resolve()
 
     def rank(self, request: RankRequest,
              timeout: float | None = None) -> RankResponse:
@@ -343,11 +363,13 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # Pipeline threads
     # ------------------------------------------------------------------
-    #: How many inbox entries one worker wake may claim.  Draining a
-    #: chunk amortises the condvar/lock round-trips that otherwise
-    #: dominate cache-hit traffic (admission + cached candidates cost
-    #: microseconds), while the bound keeps a cold burst spread across
-    #: workers instead of serialised behind one.
+    #: How many inbox entries one worker wake may claim.  Requests whose
+    #: scores are memoised never reach the inbox, but cached candidates
+    #: awaiting a forward pass (after a hot-swap, or with memoisation
+    #: off) cost microseconds to prepare: draining a chunk amortises the
+    #: condvar/lock round-trips that would otherwise dominate them,
+    #: while the bound keeps a cold burst spread across workers instead
+    #: of serialised behind one.
     ADMISSION_CHUNK = 8
 
     def _worker(self) -> None:
@@ -363,7 +385,6 @@ class ServingEngine:
                 if self._inbox:
                     self._work.notify()  # more work: wake a sibling
             prepared: list[EngineTicket] = []
-            cached: list[EngineTicket] = []
             for ticket in claimed:
                 state = self._prepare_ticket(ticket)
                 if not state.scorable:
@@ -371,17 +392,8 @@ class ServingEngine:
                     # candidate set): answer immediately.
                     service.assemble(state)
                     self._resolve_ticket(ticket)
-                elif service.scores_cached(state):
-                    cached.append(ticket)
                 else:
                     prepared.append(ticket)
-            if cached:
-                # No forward pass to share, so the flush's stage answers
-                # these now (not a flush: no engine.flush fault); an entry
-                # evicted since the probe is just a miss scored here.
-                service.score_states([t.state for t in cached])
-                for ticket in cached:
-                    self._resolve_ticket(ticket)
             if not prepared:
                 continue
             batch: list[EngineTicket] = []
@@ -419,22 +431,13 @@ class ServingEngine:
                 self._score_batch(batch)
 
     def _prepare_ticket(self, ticket: EngineTicket) -> QueryState:
-        """Admission + candidate stages (which never raise: a dead worker
-        would strand every ticket it claimed)."""
-        service = self.service
-        picked_up = time.perf_counter()
-        state = service.admit(ticket.request)
-        # Queue wait counts toward latency: the clock starts at
-        # submission, not at pickup.
-        state.started = ticket.submitted
+        """The candidate stage (which never raises: a dead worker would
+        strand every ticket it claimed), after booking the inbox wait."""
+        state = ticket.state
         if state.trace is not None:
-            # Rebase the trace origin to the submit time (spans store
-            # absolute starts, so already-recorded admit offsets shift
-            # consistently) and book the inbox wait as its own stage.
-            state.trace.started = ticket.submitted
-            state.trace.add("queue_wait", ticket.submitted, picked_up)
-        ticket.state = state
-        return service.prepare(state)
+            state.trace.add("queue_wait", ticket.submitted,
+                            time.perf_counter())
+        return self.service.prepare(state)
 
     def _take_pending_locked(self) -> list[EngineTicket]:
         batch, self._pending = self._pending, []
@@ -451,10 +454,6 @@ class ServingEngine:
                      code: str) -> None:
         """Force-terminate an unanswered ticket with a structured error."""
         state = ticket.state
-        if state is None:
-            state = QueryState(request=ticket.request)
-            state.started = ticket.submitted
-            ticket.state = state
         if state.response is None:
             state.error = message
             state.error_code = code

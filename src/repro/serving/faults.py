@@ -20,8 +20,8 @@ point                fires
 ``assemble``         per request, during response assembly
 ``engine.submit``    per request, at the engine front door
 ``engine.flush``     per flush batch, in the engine's scoring step;
-                     never for a request the engine answers from the
-                     score cache, which skips the flush
+                     never for a request answered in the caller's
+                     thread, which skips the flush
 ``scorer.flush``     per call, inside :meth:`BatchingScorer.score_many`
 ``exec.worker``      per pool dispatch, in :class:`WorkerPool.submit` —
                      an ``error`` firing is translated into a real

@@ -6,11 +6,12 @@ the concurrent :class:`~repro.serving.engine.ServingEngine`, the front
 door for batches — moves through the same four stages:
 
 1. **admission** — validate the request, then resolve the candidate
-   configuration and the registry's active model snapshot that will
-   answer it;
+   configuration, the registry's active model snapshot that will
+   answer it and the cached candidate entry, if any;
 2. **candidate generation** — cache-aware TkDI / D-TkDI enumeration on
    the full network;
-3. **scoring** — coalesced batched forward passes, grouped per model
+3. **scoring** — the entry's memoised scores for the snapshot's
+   version, else coalesced batched forward passes, grouped per model
    snapshot (a flush can straddle a hot-swap);
 4. **response assembly** — ranking, degradation, and metrics.
 
@@ -24,12 +25,14 @@ the pipeline.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.graph.path import Path
 from repro.obs.trace import Trace
 from repro.ranking.training_data import TrainingDataConfig
+from repro.serving.cache import CandidateEntry
 from repro.serving.registry import ActiveModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,7 +61,10 @@ class QueryState:
     config: TrainingDataConfig | None = None
     #: Model snapshot that will score this request.
     active: ActiveModel | None = None
-    paths: list[Path] = field(default_factory=list)
+    #: Candidate-cache entry the paths come from; admission sets it when
+    #: the set is already cached, candidate generation otherwise.
+    entry: CandidateEntry | None = None
+    paths: Sequence[Path] = ()
     cache_hit: bool = False
     scores: list[float] | None = None
     #: Request-level failure (e.g. candidate generation): terminal.
@@ -88,6 +94,14 @@ class QueryState:
         """Whether the scoring stage has work to do for this request."""
         return (self.error is None and self.active is not None
                 and bool(self.paths))
+
+    @property
+    def hot(self) -> bool:
+        """Whether the entry already holds scores for the snapshot's
+        version: answering needs neither enumeration nor a forward pass."""
+        return (self.error is None and self.active is not None
+                and self.entry is not None
+                and self.entry.scores_for(self.active.version) is not None)
 
     def remaining_ms(self, now: float | None = None) -> float | None:
         """Milliseconds left in the deadline budget (``None`` = no limit)."""

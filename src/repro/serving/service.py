@@ -1,23 +1,25 @@
 """The `RankingService` facade: online query answering over one network.
 
 Ties the serving pieces together: candidate generation behind a
-:class:`CandidateCache`, scoring behind a :class:`BatchingScorer` with a
-version-keyed :class:`ScoreCache`, the model itself behind a
-:class:`ModelRegistry` snapshot, and per-request latency / outcome
-instrumentation.  When no model is active (or scoring fails with a
-library error) the service degrades gracefully to the shortest path
-instead of failing the request.
+:class:`CandidateCache` whose entries also memoise their scores per
+model version, scoring behind a :class:`BatchingScorer`, the model
+itself behind a :class:`ModelRegistry` snapshot, and per-request
+latency / outcome instrumentation.  When no model is active (or
+scoring fails with a library error) the service degrades gracefully to
+the shortest path instead of failing the request.
 
 Internally the service is a **staged pipeline** over
 :class:`~repro.serving.pipeline.QueryState` records:
 
 * :meth:`RankingService.admit` — validate the request, then resolve the
-  candidate configuration and the registry's active model snapshot;
+  candidate configuration, the registry's active model snapshot and
+  the cached candidate entry, if there is one;
 * :meth:`RankingService.prepare` — cache-aware candidate generation on
-  the full network;
+  the full network (one enumeration per signature in flight);
 * :meth:`RankingService.score_states` — coalesced scoring of many
   states, grouped per model snapshot (a flush can straddle a hot-swap),
-  with per-request degradation when a batch fails;
+  reading and writing the entries' score memos, with per-request
+  degradation when a batch fails;
 * :meth:`RankingService.assemble` — ranking, fallback, and metrics.
 
 Batches enter through the :class:`~repro.serving.engine.ServingEngine`,
@@ -25,8 +27,8 @@ which drives these stages from worker threads with deadline-based
 flushing; :meth:`RankingService.rank` runs them for one request.  The
 first three stages never raise — an exception becomes the request's
 ``error`` or a fallback degradation — so both drivers answer a failure
-alike.  Every stage reads the service's one candidate cache, one score cache,
-one scorer and one circuit breaker directly.
+alike.  Every stage reads the service's one candidate cache, one scorer
+and one circuit breaker directly.
 
 **Execution plane.**  ``ServingConfig.execution`` selects how the
 CPU-bound stages run: ``"inline"`` (the default — behaviour identical
@@ -56,7 +58,7 @@ from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.ranking.training_data import TrainingDataConfig
 from repro.serving.batching import BatchingScorer
-from repro.serving.cache import CandidateCache, ScoreCache
+from repro.serving.cache import CandidateCache, CandidateEntry
 from repro.serving.faults import FaultInjector
 from repro.serving.pipeline import QueryState, tightest_remaining_ms
 from repro.serving.registry import ActiveModel, ModelRegistry
@@ -107,8 +109,10 @@ class ServingConfig:
 
     ``score_cache_size=0`` disables score memoisation (every request
     pays the forward pass; mainly for benchmarks isolating scoring
-    work).  ``max_batch_size`` caps the paths of one forward pass and is
-    the concurrent engine's size trigger.
+    work); any other value keeps scores on the candidate-cache entries,
+    so on at most ``candidate_cache_size`` of them.  ``max_batch_size``
+    caps the paths of one forward pass and is the concurrent engine's
+    size trigger.
     """
 
     candidates: TrainingDataConfig = field(default_factory=TrainingDataConfig)
@@ -238,12 +242,8 @@ class RankingService:
         self.registry = registry
         self.config = config or ServingConfig()
         self.candidate_cache = CandidateCache(self.config.candidate_cache_size)
-        # score_cache_size=0 leaves no score cache at all.
-        self.score_cache = (
-            ScoreCache(self.config.score_cache_size)
-            if self.config.score_cache_size > 0 else None)
-        self.scorer = BatchingScorer(self.config.max_batch_size,
-                                     score_cache=self.score_cache)
+        self.memoise_scores = self.config.score_cache_size > 0
+        self.scorer = BatchingScorer(self.config.max_batch_size)
         # The telemetry plane: every count the service keeps is an
         # instrument recorded once.  export() reads metrics in
         # creation order, so serving.latency is created before the
@@ -298,9 +298,11 @@ class RankingService:
         return self.candidate_cache.stats.as_dict()
 
     def _score_cache_view(self) -> dict[str, object]:
-        if self.score_cache is None:
+        if not self.memoise_scores:
             return {"disabled": True}
-        return self.score_cache.stats.as_dict()
+        stats = self.candidate_cache.score_stats
+        return {"hits": stats.hits, "misses": stats.misses,
+                "hit_rate": stats.hit_rate}
 
     def _scoring_view(self) -> dict[str, int]:
         return self.scorer.as_dict()
@@ -393,8 +395,11 @@ class RankingService:
             if self.faults is not None:
                 self.faults.fire("admit")
             if self._validate(state):
-                state.config = self._candidate_config(request)
+                config = state.config = self._candidate_config(request)
                 state.active = self.registry.snapshot()
+                if state.active is not None:
+                    state.entry = self.candidate_cache.probe(
+                        request.source, request.target, config)
                 if trace is not None:
                     trace.add("admit", trace.started, time.perf_counter())
         except Exception as exc:  # noqa: BLE001 - the per-request backstop
@@ -472,7 +477,8 @@ class RankingService:
         try:
             if self.faults is not None:
                 self.faults.fire("prepare")
-            state.paths, state.cache_hit = self._candidates(state)
+            entry, state.cache_hit = self._candidates(state)
+            state.entry, state.paths = entry, entry.paths
         except Exception as exc:  # noqa: BLE001 - the per-request backstop
             state.error = str(exc)
         if trace is not None:
@@ -481,15 +487,13 @@ class RankingService:
                       cache_hit=state.cache_hit, paths=len(state.paths))
         return state
 
-    def _candidates(self, state: QueryState) -> tuple[list[Path], bool]:
-        request, config = state.request, state.config
-        cache = self.candidate_cache
-        cached = cache.lookup(request.source, request.target, config)
-        if cached is not None:
-            return cached, True
-        paths = self._generate_candidates(state)
-        cache.store(request.source, request.target, config, paths)
-        return paths, False
+    def _candidates(self, state: QueryState) -> tuple[CandidateEntry, bool]:
+        if state.entry is not None:  # admission found it
+            return state.entry, True
+        request = state.request
+        return self.candidate_cache.resolve(
+            request.source, request.target, state.config,
+            lambda: self._generate_candidates(state))
 
     def _generate_candidates(self, state: QueryState) -> list[Path]:
         """Cold candidate generation, offloaded to the pool when possible.
@@ -544,13 +548,6 @@ class RankingService:
                     state.active = None
                     state.degraded = str(exc)
 
-    def scores_cached(self, state: QueryState) -> bool:
-        """Whether the score cache holds every candidate of a scorable
-        ``state`` under its snapshot's version (read-only)."""
-        cache = self.score_cache
-        return cache is not None \
-            and cache.covers(state.active.version, state.paths)
-
     def _score_states_group(self, members: list[QueryState]) -> None:
         """Score one snapshot's group end to end (thread-safe)."""
         if not self.breaker.allow():
@@ -569,7 +566,7 @@ class RankingService:
         scored = self._score_group(members, active)
         if scored is not None:
             for state, scores in zip(members, scored):
-                state.scores = scores.tolist()
+                state.scores = scores
         if traced:
             end = time.perf_counter()
             group_paths = sum(len(state.paths) for state in members)
@@ -600,7 +597,7 @@ class RankingService:
             model = active.model
             if self.plane is not None:
                 # Swap in the pool-dispatching proxy: BatchingScorer
-                # still runs dedup/caching/chunking in this process, but
+                # still runs dedup/chunking in this process, but
                 # each chunk's forward pass executes on a worker, bounded
                 # by the group's tightest member deadline.  A plane
                 # failure here (segment publish) just keeps the inline
@@ -631,11 +628,36 @@ class RankingService:
         return scored
 
     def _score_attempt(self, model, members: Sequence[QueryState],
-                       active: ActiveModel):
+                       active: ActiveModel) -> list[list[float]]:
         if self.faults is not None:
             self.faults.fire("score")
-        return self.scorer.score_many(
-            model, [state.paths for state in members], active.version)
+        return self._scores(model, members, active.version)
+
+    def _scores(self, model, members: Sequence[QueryState],
+                version: str) -> list[list[float]]:
+        """Each member's scores: its entry's memo when tagged ``version``,
+        else one coalesced pass over the rest, written back to their
+        entries."""
+        scores: list = [None] * len(members)
+        if self.memoise_scores:
+            scores = [None if state.entry is None
+                      else state.entry.scores_for(version)
+                      for state in members]
+            hits = sum(len(state.paths)
+                       for state, found in zip(members, scores)
+                       if found is not None)
+            self.candidate_cache.count_scores(
+                hits, sum(len(state.paths) for state in members) - hits)
+        todo = [i for i, found in enumerate(scores) if found is None]
+        if todo:
+            fresh = self.scorer.score_many(
+                model, [members[i].paths for i in todo])
+            for i, array in zip(todo, fresh):
+                scores[i] = values = array.tolist()
+                entry = members[i].entry
+                if self.memoise_scores and entry is not None:
+                    entry.scored = (version, values)
+        return scores
 
     def _score_individually(self, states: Sequence[QueryState]) -> None:
         """Retry a failed batch one request at a time.
@@ -647,13 +669,11 @@ class RankingService:
         for state in states:
             active = state.active
             try:
-                scores = self.scorer.score_paths(active.model, state.paths,
-                                                 active.version)
+                state.scores = self._scores(active.model, [state],
+                                            active.version)[0]
             except ReproError as exc:
                 state.active = None
                 state.degraded = str(exc)
-            else:
-                state.scores = scores.tolist()
 
     # ------------------------------------------------------------------
     # Stage 4: response assembly
@@ -735,7 +755,7 @@ class RankingService:
         """Replay a recorded query mix through the caches, off the books.
 
         Runs the candidate and scoring stages for every distinct request
-        so the candidate caches (and score caches, when enabled) are hot
+        so the candidate cache (and its score memos, when enabled) is hot
         before live traffic arrives — the deploy-time cure for the cold
         p95 cliff.  Deploy-time work, not requests: no deadline, no
         response, nothing recorded in the latency/counter metrics.

@@ -1,4 +1,4 @@
-"""Coalesced scoring: equivalence with sequential, chunking, caching."""
+"""Coalesced scoring: equivalence with sequential, chunking, dedup."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.errors import ServingError
 from repro.graph.ksp import yen_k_shortest_paths
 from repro.graph.path import Path
 from repro.nn.fused import compiled_for
-from repro.serving import BatchingScorer, ScoreCache
+from repro.serving import BatchingScorer
 
 
 @pytest.fixture(scope="module")
@@ -135,35 +135,5 @@ class TestBucketedFlush:
 
     def test_flush_returns_python_floats(self, model, candidate_lists):
         scorer = BatchingScorer()
-        scores = scorer.score_paths(model, candidate_lists[0])
+        scores = scorer.score_many(model, candidate_lists[:1])[0]
         assert scores.dtype == np.float64
-
-
-class TestScoreCacheIntegration:
-    def test_repeat_flush_skips_forward_pass(self, model, candidate_lists):
-        scorer = BatchingScorer(score_cache=ScoreCache(capacity=64))
-        first = scorer.score_many(model, candidate_lists, "v1")
-        batches_after_first = scorer.batches_run
-        second = scorer.score_many(model, candidate_lists, "v1")
-        assert scorer.batches_run == batches_after_first
-        assert scorer.cache_hits == sum(len(p) for p in candidate_lists)
-        for got, want in zip(second, first):
-            np.testing.assert_array_equal(got, want)
-
-    def test_version_change_forces_rescore(self, model, candidate_lists):
-        scorer = BatchingScorer(score_cache=ScoreCache(capacity=64))
-        scorer.score_many(model, candidate_lists, "v1")
-        batches_after_first = scorer.batches_run
-        scorer.score_many(model, candidate_lists, "v2")
-        assert scorer.batches_run > batches_after_first
-
-    def test_no_version_disables_the_cache(self, model, candidate_lists):
-        # Without a version to key on, cached scores from one model could
-        # be served for another; the cache must sit the flush out.
-        cache = ScoreCache(capacity=64)
-        scorer = BatchingScorer(score_cache=cache)
-        scorer.score_many(model, candidate_lists)
-        scorer.score_many(model, candidate_lists)
-        assert scorer.cache_hits == 0
-        assert len(cache) == 0
-        assert scorer.paths_scored == 2 * sum(len(p) for p in candidate_lists)

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.graph.path import Path
 from repro.ranking import Strategy, TrainingDataConfig
-from repro.serving import CandidateCache, LRUCache, ScoreCache
+from repro.serving import CandidateCache, CandidateEntry, LRUCache
 
 
 class TestLRUCache:
@@ -123,51 +123,62 @@ class TestCandidateCache:
         assert len(cache.lookup(0, 5, config)) == 2
 
 
-class TestScoreCache:
-    def test_keyed_by_model_version(self, tiny_network):
-        path = Path(tiny_network, [0, 1, 2])
-        cache = ScoreCache(capacity=4)
-        cache.store_many("v1", [(path, 0.75)])
-        assert cache.lookup_many("v1", [path]) == {(0, 1, 2): 0.75}
-        assert cache.lookup_many("v2", [path]) == {}
+class TestGetOrMake:
+    def test_miss_makes_and_stores_then_hits(self):
+        cache = LRUCache(2)
+        assert cache.get_or_make("a", lambda: 1) == (1, False)
+        assert cache.get_or_make("a", lambda: 2) == (1, True)
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
 
-    def test_same_vertices_share_an_entry(self, tiny_network):
-        cache = ScoreCache(capacity=4)
-        cache.store_many("v1", [(Path(tiny_network, [0, 1, 2]), 0.5)])
-        assert cache.lookup_many(
-            "v1", [Path(tiny_network, [0, 1, 2])]) == {(0, 1, 2): 0.5}
+    def test_a_failed_make_stores_nothing(self):
+        cache = LRUCache(2)
 
-    def test_lookup_many_returns_only_present_paths(self):
-        cache = ScoreCache(capacity=100)
-        paths = [_FakePath(0, 1), _FakePath(1, 2)]
-        cache.store_many("a", [(paths[0], 0.5)])
-        assert cache.lookup_many("a", paths) == {(0, 1): 0.5}
+        def fail():
+            raise ValueError("no value")
 
-    def test_one_versions_churn_evicts_another_versions_entries(self):
-        """One LRU budget across versions: a superseded version's
-        entries age out under the live version's traffic."""
-        cache = ScoreCache(capacity=100)
-        cache.store_many("old", [(_FakePath(0, 1), 0.5)])
-        for i in range(500):
-            cache.store_many("live", [(_FakePath(i, i + 1), float(i))])
-        assert cache.lookup_many("old", [_FakePath(0, 1)]) == {}
-        assert len(cache) == 100
+        with pytest.raises(ValueError):
+            cache.get_or_make("a", fail)
+        assert "a" not in cache
+        assert cache.get_or_make("a", lambda: 3) == (3, False)
 
-    def test_clear_empties_the_cache(self):
-        cache = ScoreCache(capacity=100)
-        cache.store_many("a", [(_FakePath(0, 1), 0.5)])
-        cache.store_many("b", [(_FakePath(2, 3), 0.5)])
-        cache.clear()
-        assert len(cache) == 0
+    def test_find_counts_hits_but_no_misses(self):
+        cache = LRUCache(2)
+        assert cache.find("a") is None
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.find("a") == 1   # refreshes: b is now the LRU entry
+        cache.put("c", 3)
+        assert "b" not in cache
+        assert (cache.stats.hits, cache.stats.misses) == (1, 0)
 
 
-class _FakePath:
-    """Stands in for a Path in score-cache keys (only ``vertices`` is read)."""
+class TestScoreMemo:
+    def test_scores_are_tagged_with_their_version(self, tiny_network):
+        entry = CandidateEntry([Path(tiny_network, [0, 1, 2])])
+        assert entry.scores_for("v1") is None
+        entry.scored = ("v1", [0.75])
+        assert entry.scores_for("v1") == [0.75]
+        assert entry.scores_for("v2") is None
 
-    __slots__ = ("vertices",)
+    def test_scores_leave_with_their_entry(self, tiny_network):
+        config = TrainingDataConfig(strategy=Strategy.TKDI, k=3)
+        cache = CandidateCache(capacity=1)
+        cache.store(0, 5, config, [Path(tiny_network, [0, 1, 2])])
+        cache.probe(0, 5, config).scored = ("v1", [0.5])
+        cache.store(1, 5, config, [Path(tiny_network, [1, 2])])  # evicts
+        entry, hit = cache.resolve(
+            0, 5, config, lambda: [Path(tiny_network, [0, 1, 2])])
+        assert not hit
+        assert entry.scores_for("v1") is None
 
-    def __init__(self, *vertices):
-        self.vertices = tuple(vertices)
+    def test_restoring_a_set_drops_its_scores(self, tiny_network):
+        config = TrainingDataConfig(strategy=Strategy.TKDI, k=3)
+        cache = CandidateCache(capacity=4)
+        paths = [Path(tiny_network, [0, 1, 2])]
+        cache.store(0, 5, config, paths)
+        cache.probe(0, 5, config).scored = ("v1", [0.5])
+        cache.store(0, 5, config, paths)
+        assert cache.probe(0, 5, config).scores_for("v1") is None
 
 
 class TestCandidateCacheInvalidation:

@@ -10,7 +10,6 @@ from repro.serving import (
     ModelRegistry,
     RankingService,
     RankRequest,
-    ScoreCache,
     ServingConfig,
 )
 
@@ -58,20 +57,29 @@ class TestLRUCacheUnderContention:
         stats = cache.stats
         assert stats.hits + stats.misses == 8 * 200
 
-    def test_parallel_get_many_put_many(self):
-        cache = LRUCache(capacity=64)
+    def test_one_make_per_key_in_flight(self):
+        cache = LRUCache(capacity=8)
+        calls = []
+        release = threading.Event()
 
-        def work(index: int) -> None:
-            keys = [(index % 4, i) for i in range(20)]
-            cache.put_many([(key, index) for key in keys])
-            found = cache.get_many(keys)
-            # Everything this thread just wrote fits in capacity, but a
-            # sibling may have evicted some of it; whatever is found
-            # must carry a value some thread actually wrote.
-            assert all(isinstance(v, int) for v in found.values())
+        def make():
+            calls.append(1)
+            release.wait(timeout=5.0)
+            return "value"
 
-        _hammer(8, work)
-        assert len(cache) <= 64
+        started = []
+
+        def work(index: int):
+            started.append(index)
+            if len(started) == 8:
+                release.set()
+            return cache.get_or_make("key", make)
+
+        results = _hammer(8, work)
+        assert sorted(hit for _, hit in results) == [False] + [True] * 7
+        assert all(value == "value" for value, _ in results)
+        assert len(calls) == 1
+        assert (cache.stats.misses, cache.stats.hits) == (1, 7)
 
 
 class TestServingCachesUnderParallelRank:
@@ -119,25 +127,6 @@ class TestServingCachesUnderParallelRank:
 
         _hammer(8, work)
         assert len(cache) <= 8
-
-    def test_score_cache_thread_safety(self, tiny_network):
-        from repro.graph import Path
-
-        cache = ScoreCache(capacity=128)
-        paths = [Path(tiny_network, [0, 1, 2]), Path(tiny_network, [0, 1, 4]),
-                 Path(tiny_network, [3, 4, 5])]
-
-        def work(index: int) -> None:
-            version = f"v{index % 2}"
-            for i in range(100):
-                path = paths[i % len(paths)]
-                cache.store_many(version, [(path, float(index))])
-                value = cache.lookup_many(version, [path]).get(path.vertices)
-                assert value is None or isinstance(value, float)
-                found = cache.lookup_many(version, paths)
-                assert set(found) <= {p.vertices for p in paths}
-
-        _hammer(8, work)
 
 
 class TestRegistryUnderParallelResolve:

@@ -7,9 +7,11 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.model import PathRank
-from repro.errors import ServingError
+from repro.errors import NoPathError, ServingError
 from repro.serving import (
     ModelRegistry,
     RankingService,
@@ -17,9 +19,14 @@ from repro.serving import (
     ServingConfig,
     ServingEngine,
 )
-from repro.serving.cache import ScoreCache
+from repro.serving import service as service_module
 
 ALL_PAIRS = [(s, t) for s in range(6) for t in range(6) if s != t]
+#: Requests for the generated stream: pairs that turn hot once asked,
+#: and two that admission refuses.
+STREAM_POOL = ([RankRequest(source=s, target=t) for s, t in ALL_PAIRS[:6]]
+               + [RankRequest(source=99, target=5),
+                  RankRequest(source=0, target=5, k=0)])
 
 
 def batching(service: RankingService, max_batch_size: int) -> RankingService:
@@ -33,10 +40,7 @@ def batching(service: RankingService, max_batch_size: int) -> RankingService:
 class _PoisonScorer:
     """Stands in for the service's BatchingScorer and always fails."""
 
-    def score_many(self, model, candidate_lists, version=None):
-        raise ServingError("scorer poisoned")
-
-    def score_paths(self, model, paths, version=None):
+    def score_many(self, model, candidate_lists):
         raise ServingError("scorer poisoned")
 
 
@@ -326,8 +330,9 @@ class TestFailureIsolation:
 
 
 class TestCacheAnswers:
-    """A request whose scores are all cached is answered by the worker
-    that prepared it, through the same scoring stage, without a flush."""
+    """A request whose candidate-cache entry holds scores for the active
+    version is answered in the caller's thread, through the same
+    candidate and scoring stages, before ``submit`` returns."""
 
     def test_cached_request_skips_the_flush_deadline(self, service):
         service = batching(service, 10_000)
@@ -346,15 +351,89 @@ class TestCacheAnswers:
         assert uncached.wait(timeout=1.0).served_by == "model"
         assert cached.served_by == "model"
 
-    @pytest.mark.parametrize("score_cache_size", [8192, 4])
+    def test_hot_request_is_answered_before_submit_returns(self, service):
+        """The only worker hangs on a cold request; a hot one is still
+        answered, in the caller's thread, without entering the inbox."""
+        hot = RankRequest(source=0, target=5)
+        expected = service.rank(hot)  # warm the entry and its scores
+        with ServingEngine(service, concurrency=1,
+                           flush_deadline_ms=1.0) as engine:
+            faults = service.arm_faults("prepare:hang:count=1")
+            try:
+                cold = engine.submit(RankRequest(source=3, target=2))
+                for _ in range(400):
+                    if faults.stats()["hanging"]:
+                        break
+                    time.sleep(0.005)
+                assert faults.stats()["hanging"] == 1
+                ticket = engine.submit(hot)
+                assert ticket.done
+                assert engine.stats()["engine"]["queue_depth"] == 0
+                assert engine.occupancy()["flushes"] == 0
+                assert not cold.done
+            finally:
+                service.disarm_faults()  # release the worker
+            response = ticket.wait(timeout=0.0)
+            assert cold.wait(timeout=5.0).served_by == "model"
+        assert response.served_by == "model"
+        assert response.candidate_cache_hit
+        assert [(r.path.vertices, r.score) for r in response.results] == \
+            [(r.path.vertices, r.score) for r in expected.results]
+
+    def test_zero_score_cache_size_rescores_every_time(
+            self, tiny_network, registry, make_ranker, candidates_config):
+        registry.publish(make_ranker(tiny_network, seed=1), activate=True)
+        service = RankingService(tiny_network, registry, ServingConfig(
+            candidates=candidates_config, score_cache_size=0))
+        request = RankRequest(source=0, target=5)
+        with ServingEngine(service, concurrency=2,
+                           flush_deadline_ms=1.0) as engine:
+            responses = [engine.rank(request, timeout=5.0)
+                         for _ in range(3)]
+            assert engine.occupancy()["flushes"] == 3
+        paths = len(responses[0].results)
+        assert service.scorer.as_dict()["paths_scored"] == 3 * paths
+        assert all(r.served_by == "model" for r in responses)
+        assert service.stats()["score_cache"] == {"disabled": True}
+
+    def test_closed_engine_refuses_hot_requests_too(self, service):
+        request = RankRequest(source=0, target=5)
+        service.rank(request)
+        engine = ServingEngine(service, concurrency=1)
+        engine.close()
+        with pytest.raises(ServingError):
+            engine.submit(request)
+
+    def test_submit_fault_fires_before_any_bookkeeping(self, service):
+        service = RankingService(service.network, service.registry,
+                                 replace(service.config, trace_sample=1.0))
+        request = RankRequest(source=0, target=5)
+        service.rank(request)
+        before = service.stats()
+        with ServingEngine(service, concurrency=1) as engine:
+            service.arm_faults("engine.submit:error")
+            for bad in (request, RankRequest(source=99, target=5)):
+                with pytest.raises(ServingError):
+                    engine.submit(bad)
+            service.disarm_faults()
+            assert engine.stats()["engine"]["outstanding"] == 0
+        after = service.stats()
+        for section in ("counters", "candidate_cache", "score_cache"):
+            assert after[section] == before[section]
+        assert after["resilience"]["counters"] \
+            == before["resilience"]["counters"]
+        assert service.tracer.finished == 1
+
+    @pytest.mark.parametrize("candidate_cache_size", [8192, 4])
     def test_warm_cache_responses_equal_sync(self, tiny_network, registry,
                                              make_ranker, candidates_config,
-                                             score_cache_size):
-        """Element-wise parity with the sync facade, also with a score
-        cache smaller than the working set, which evicts mid-run."""
+                                             candidate_cache_size):
+        """Element-wise parity with the sync facade, also with a
+        candidate cache smaller than the working set, which evicts
+        entries (and the scores on them) mid-run."""
         registry.publish(make_ranker(tiny_network, seed=1), activate=True)
         config = ServingConfig(candidates=candidates_config,
-                               score_cache_size=score_cache_size)
+                               candidate_cache_size=candidate_cache_size)
         service = RankingService(tiny_network, registry, config)
         sync = RankingService(tiny_network, registry, config)
         # Each pair twice in a row: one at a time, the second finds its
@@ -380,28 +459,47 @@ class TestCacheAnswers:
                 [r.path.vertices for r in theirs.results]
             assert [r.score for r in mine.results] == \
                 pytest.approx([r.score for r in theirs.results], abs=1e-6)
-        cache = service.stats()["score_cache"]
-        assert cache["hits"] > 0
-        if score_cache_size < 8192:
-            assert cache["evictions"] > 0
+        stats = service.stats()
+        assert stats["score_cache"]["hits"] > 0
+        if candidate_cache_size < 8192:
+            assert stats["candidate_cache"]["evictions"] > 0
 
-    def test_entries_evicted_after_the_probe_are_scored(self, service,
-                                                        monkeypatch):
-        """A probe that reports coverage the cache no longer has only
-        costs a miss: the worker scores the paths and answers right."""
+    @pytest.mark.parametrize("change", ["dropped", "retagged"])
+    def test_memos_changed_after_the_check_are_scored(self, service,
+                                                      monkeypatch, change):
+        """A memo dropped or re-tagged between the caller's check and
+        the scoring attempt only costs a miss: the caller's thread runs
+        the forward pass and answers right."""
         service = batching(service, 10_000)
         sync = RankingService(service.network, service.registry,
                               service.config)
         requests = [RankRequest(source=s, target=t) for s, t in ALL_PAIRS]
         expected = [sync.rank(request) for request in requests]
-        monkeypatch.setattr(ScoreCache, "covers",
-                            lambda self, version, paths: True)
+        service.warm_up(requests)
+        prepare = RankingService.prepare
+
+        def prepare_then_change(self, state):
+            prepare(self, state)
+            if change == "dropped":
+                state.entry.scored = None
+            else:
+                state.entry.scored = ("stale", [0.0] * len(state.paths))
+            return state
+
+        monkeypatch.setattr(RankingService, "prepare", prepare_then_change)
+        scored = service.scorer.as_dict()["paths_scored"]
         with ServingEngine(service, concurrency=2,
                            flush_deadline_ms=5000.0) as engine:
-            actual = engine.rank_batch(requests, timeout=5.0)
+            actual = [engine.submit(request) for request in requests]
+            assert all(ticket.done for ticket in actual)
             assert engine.occupancy()["flushes"] == 0
+        actual = [ticket.wait(timeout=0.0) for ticket in actual]
+        assert service.scorer.as_dict()["paths_scored"] - scored \
+            == sum(len(response.results) for response in expected)
         for mine, theirs in zip(actual, expected):
             assert mine.served_by == theirs.served_by == "model"
+            assert [r.path.vertices for r in mine.results] == \
+                [r.path.vertices for r in theirs.results]
             assert [r.score for r in mine.results] == \
                 pytest.approx([r.score for r in theirs.results], abs=1e-6)
 
@@ -415,6 +513,10 @@ class TestCacheAnswers:
                            flush_deadline_ms=5.0) as engine:
             response = engine.rank(request, timeout=5.0)
             assert engine.occupancy()["flushes"] == 1
+            # The rescore wrote the new version's scores back: the next
+            # ask is answered in the caller's thread.
+            assert engine.submit(request).done
+            assert engine.occupancy()["flushes"] == 1
         reference = RankingService(tiny_network, registry,
                                    service.config).rank(request)
         assert response.model_version == new_version != old.model_version
@@ -422,3 +524,124 @@ class TestCacheAnswers:
             pytest.approx([r.score for r in reference.results], abs=1e-6)
         assert [r.score for r in response.results] != \
             pytest.approx([r.score for r in old.results], abs=1e-6)
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
+    @given(stream=st.lists(st.sampled_from(range(len(STREAM_POOL))),
+                           min_size=1, max_size=24),
+           swap_at=st.integers(min_value=0, max_value=24))
+    def test_responses_equal_rank_on_a_mixed_stream(
+            self, tiny_network, tmp_path_factory, make_ranker,
+            candidates_config, stream, swap_at):
+        """Hot, cold and invalid requests, with a second version
+        activated partway: each engine answer is ``service.rank``'s on
+        an identical service, up to the latency."""
+        registry = ModelRegistry(tmp_path_factory.mktemp("models"),
+                                 tiny_network)
+        registry.publish(make_ranker(tiny_network, seed=1), version="v1",
+                         activate=True)
+        registry.publish(make_ranker(tiny_network, seed=2), version="v2")
+        config = ServingConfig(candidates=candidates_config)
+        service = RankingService(tiny_network, registry, config)
+        sync = RankingService(tiny_network, registry, config)
+        with ServingEngine(service, concurrency=2,
+                           flush_deadline_ms=1.0) as engine:
+            for position, index in enumerate(stream):
+                if position == swap_at:
+                    registry.activate("v2")
+                request = STREAM_POOL[index]
+                mine = engine.rank(request, timeout=5.0)
+                theirs = sync.rank(request)
+                assert replace(mine, latency_ms=0.0) \
+                    == replace(theirs, latency_ms=0.0)
+
+
+
+class TestAdmission:
+    """``submit`` admits each request once, in the caller's thread."""
+
+    def test_refused_requests_are_never_shed(self, tiny_network, registry,
+                                             make_ranker, candidates_config):
+        registry.publish(make_ranker(tiny_network, seed=1), activate=True)
+        service = RankingService(tiny_network, registry, ServingConfig(
+            candidates=candidates_config, max_queue=1, trace_sample=1.0))
+        invalid = [RankRequest(source=99, target=5),
+                   RankRequest(source=0, target=5, k=0)]
+        requests = [invalid[i % 2] if i % 3 == 0
+                    else RankRequest(*ALL_PAIRS[i % len(ALL_PAIRS)])
+                    for i in range(48)]
+        with ServingEngine(service, concurrency=1,
+                           flush_deadline_ms=1.0) as engine:
+            service.arm_faults("prepare:delay=20")
+            tickets = [engine.submit(request) for request in requests]
+            responses = [ticket.wait(timeout=10.0) for ticket in tickets]
+            service.disarm_faults()
+        refused = [r for r in responses if r.request in invalid]
+        assert len(refused) == 16
+        assert all(r.error_code == "invalid_request" for r in refused)
+        counters = service.res_counters
+        assert counters["invalid_requests"].value == len(refused)
+        shed = [r for r in responses if r.error_code == "shed"]
+        assert shed, "a 32-deep flood against max_queue=1 never shed"
+        assert counters["shed_rejected"].value == len(shed)
+        # A shed request is the admitted state answered, trace and all.
+        assert service.tracer.finished == len(responses)
+
+    def test_one_enumeration_per_candidate_key_in_flight(
+            self, service, monkeypatch):
+        real = service_module.generate_candidates
+        release = threading.Event()
+        calls = []
+
+        def blocked(*args, **kwargs):
+            calls.append(args[1:3])
+            release.wait(timeout=5.0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "generate_candidates", blocked)
+        request = RankRequest(source=1, target=5)
+        with ServingEngine(service, concurrency=2,
+                           flush_deadline_ms=1.0) as engine:
+            first = engine.submit(request)
+            for _ in range(400):
+                if calls:
+                    break
+                time.sleep(0.005)
+            second = engine.submit(request)
+            time.sleep(0.1)  # the second worker reaches the flight
+            assert not second.done
+            release.set()
+            responses = [first.wait(5.0), second.wait(5.0)]
+        assert calls == [(1, 5)]
+        cache = service.stats()["candidate_cache"]
+        assert (cache["misses"], cache["hits"]) == (1, 1)
+        assert [r.candidate_cache_hit for r in responses] == [False, True]
+        assert responses[0].results == responses[1].results
+
+    def test_a_failed_leader_leaves_each_waiter_its_own_answer(
+            self, service, monkeypatch):
+        release = threading.Event()
+        calls = []
+
+        def no_path(*args, **kwargs):
+            calls.append(1)
+            release.wait(timeout=5.0)
+            raise NoPathError(*args[1:3])
+
+        monkeypatch.setattr(service_module, "generate_candidates", no_path)
+        request = RankRequest(source=1, target=5)
+        with ServingEngine(service, concurrency=2,
+                           flush_deadline_ms=1.0) as engine:
+            first = engine.submit(request)
+            for _ in range(400):
+                if calls:
+                    break
+                time.sleep(0.005)
+            second = engine.submit(request)
+            time.sleep(0.1)
+            release.set()
+            responses = [first.wait(5.0), second.wait(5.0)]
+        assert len(calls) == 2
+        assert [r.served_by for r in responses] == ["error", "error"]
+        assert [r.error for r in responses] == ["no path from 1 to 5"] * 2
+        assert service.stats()["candidate_cache"]["misses"] == 2

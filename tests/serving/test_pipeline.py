@@ -75,9 +75,10 @@ class TestWarmup:
 
     def test_warm_up_primes_score_cache(self, service):
         service.warm_up([RankRequest(source=0, target=5)])
-        before = service.scorer.cache_hits
-        service.rank(RankRequest(source=0, target=5))
-        assert service.scorer.cache_hits > before
+        before = service.stats()["score_cache"]["hits"]
+        response = service.rank(RankRequest(source=0, target=5))
+        assert service.stats()["score_cache"]["hits"] \
+            == before + len(response.results)
 
     def test_warm_up_states_carry_no_deadline(self, tiny_network, registry,
                                               make_ranker,
@@ -132,8 +133,8 @@ class TestPerRequestDegradation:
         service = RankingService(
             tiny_network, registry,
             ServingConfig(candidates=candidates_config, score_cache_size=0))
-        assert service.score_cache is None
+        first = service.rank(RankRequest(source=0, target=5))
         service.rank(RankRequest(source=0, target=5))
-        service.rank(RankRequest(source=0, target=5))
-        assert service.scorer.cache_hits == 0
+        assert service.scorer.as_dict()["paths_scored"] \
+            == 2 * len(first.results)
         assert service.stats()["score_cache"] == {"disabled": True}

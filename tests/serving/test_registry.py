@@ -96,7 +96,7 @@ class TestHotSwapAtomicity:
 
         # Ground truth: each version's scores for the query's candidates.
         request = RankRequest(source=0, target=5)
-        paths = service._candidates(service.admit(request))[0]
+        paths = service.prepare(service.admit(request)).paths
         expected = {
             version: np.sort(ranker.model.score_paths(paths))[::-1]
             for version, ranker in rankers.items()

@@ -154,8 +154,8 @@ ALL_PAIRS = [(s, t) for s in range(6) for t in range(6) if s != t]
 
 
 class TestOneServiceOneLane:
-    """A service owns one candidate cache, one score cache, one scorer
-    and one breaker, and every stage reads them directly."""
+    """A service owns one candidate cache (with its score memos), one
+    scorer and one breaker, and every stage reads them directly."""
 
     def test_two_services_keep_their_own_caches(
             self, tiny_network, registry, service, candidates_config):
@@ -163,17 +163,18 @@ class TestOneServiceOneLane:
                                 ServingConfig(candidates=candidates_config))
         service.rank(RankRequest(source=0, target=5))
         assert second.candidate_cache is not service.candidate_cache
-        assert second.score_cache is not service.score_cache
+        assert second.stats()["score_cache"]["misses"] == 0
         assert second.stats()["candidate_cache"]["misses"] == 0
         assert service.stats()["candidate_cache"]["misses"] == 1
 
-    def test_zero_score_cache_size_leaves_no_score_cache(
+    def test_zero_score_cache_size_leaves_no_score_memo(
             self, tiny_network, registry, make_ranker, candidates_config):
         registry.publish(make_ranker(tiny_network, seed=1), activate=True)
         service = RankingService(tiny_network, registry, ServingConfig(
             candidates=candidates_config, score_cache_size=0))
         service.rank(RankRequest(source=0, target=5))
-        assert service.score_cache is None
+        entry = service.candidate_cache.probe(0, 5, candidates_config)
+        assert entry.scored is None
         assert service.stats()["score_cache"] == {"disabled": True}
 
     def test_score_cache_size_zero_disables_memoisation(
