@@ -50,7 +50,6 @@ from repro.serving import (
     RankRequest,
     ServingConfig,
     ServingEngine,
-    parse_fault_spec,
 )
 from repro.serving.resilience import SHED_POLICIES
 from repro.serving.service import EXECUTION_MODES
@@ -179,18 +178,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-queue", type=int, default=0,
                        help="bound the engine admission queue; requests "
                             "beyond it are shed per --shed-policy "
-                            "(0 = unbounded)")
+                            "(0 = unbounded); the replay submits every "
+                            "query at once, so it sheds nearly every query "
+                            "past the first N")
     serve.add_argument("--shed-policy", choices=SHED_POLICIES,
                        default="reject",
                        help="what happens to requests the full queue cannot "
                             "admit: reject with a retry-after hint, or "
                             "degrade to the shortest path")
-    serve.add_argument("--fault-spec", default=None,
-                       help="arm deterministic fault injection for the "
-                            "replay, e.g. 'score:error;prepare:delay=20' "
-                            "(see docs/robustness.md)")
-    serve.add_argument("--fault-seed", type=int, default=0,
-                       help="determinism seed for --fault-spec firing draws")
 
     od = commands.add_parser(
         "od-matrix",
@@ -459,12 +454,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"--metrics-interval-s must be in (0, {threading.TIMEOUT_MAX:g}], "
             f"got {args.metrics_interval_s}")
     requests = _load_queries(args.queries_file)
-    faults = (None if args.fault_spec is None
-              else parse_fault_spec(args.fault_spec))
     service = _build_service(args)
     try:
-        if faults is not None:
-            service.arm_faults(faults, seed=args.fault_seed)
+        # One burst: every query is submitted before the first is
+        # waited for.
         # The engine re-batches by its own deadline/size policy;
         # responses stay in request order.
         with ServingEngine(
@@ -474,8 +467,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 responses = engine.rank_batch(requests)
             stats = engine.stats()
     finally:
-        if faults is not None:
-            service.disarm_faults()
         service.close()
     if args.json:
         print(json.dumps({
@@ -490,6 +481,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     "top_score": r.top.score if r.top else None,
                     "top_vertices": list(r.top.path.vertices) if r.top else None,
                     "error": r.error,
+                    "error_code": r.error_code,
+                    "retry_after_ms": r.retry_after_ms,
                 }
                 for r in responses
             ],

@@ -85,29 +85,6 @@ class ServingError(ReproError):
     batch tickets, or a service without a usable model and no fallback)."""
 
 
-class DeadlineExceeded(ServingError):
-    """Raised when a request's deadline budget expires before its response.
-
-    ``retry_after_ms`` is the caller's backoff hint: how long to wait
-    before resubmitting (``None`` when the service has no estimate).
-    """
-
-    def __init__(self, message: str,
-                 retry_after_ms: float | None = None) -> None:
-        super().__init__(message)
-        self.retry_after_ms = retry_after_ms
-
-
-class FaultInjected(ServingError):
-    """Raised by an armed fault-injection rule (chaos testing only).
-
-    A :class:`ServingError` on purpose: the serving stack must treat an
-    injected failure exactly like a real transient library failure —
-    retry, trip breakers, degrade — which is the property the
-    fault-injection harness exists to prove.
-    """
-
-
 class ExecError(ServingError):
     """Raised for process-pool execution-plane failures.
 

@@ -187,9 +187,6 @@ class ExecutionPlane:
             keys = self._weight_keys.pop(version, set())
         return sum(1 for key in keys if self.arena.drop(key))
 
-    def set_faults(self, faults) -> None:
-        self.pool.faults = faults
-
     def close(self) -> None:
         if self._closed:
             return

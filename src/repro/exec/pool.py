@@ -27,11 +27,9 @@ Failure semantics are the point, not an afterthought:
   the *waiter-side* deadline, so a hung worker can never hang a request
   — the ticket raises :class:`~repro.errors.ExecError` and the pool
   kills and respawns the suspect worker.
-- A monitor thread detects worker death (crash, OOM-kill, chaos), fails
-  that worker's in-flight tickets immediately, and respawns the slot.
-- The ``exec.worker`` fault-injection point translates an ``error``
-  firing into a real ``SIGKILL`` of a live worker, so chaos tests
-  exercise the genuine death path end to end.
+- A monitor thread detects worker death (crash, OOM-kill,
+  :meth:`WorkerPool.kill_worker`), fails that worker's in-flight
+  tickets immediately, and respawns the slot.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ import multiprocessing as mp
 import threading
 from time import perf_counter
 
-from repro.errors import ExecError, FaultInjected, NoPathError
+from repro.errors import ExecError, NoPathError
 from repro.exec.shm import attach_segment
 
 __all__ = ["PoolTicket", "WorkerPool"]
@@ -208,13 +206,12 @@ class WorkerPool:
     """N warm spawn-context workers over shared hot-state."""
 
     def __init__(self, network, *, workers: int, csr_name: str | None = None,
-                 csr_key: str | None = None, faults=None, metrics=None,
+                 csr_key: str | None = None, metrics=None,
                  ready_timeout_s: float = 60.0) -> None:
         if workers < 1:
             raise ExecError(f"workers must be >= 1, got {workers}")
         self.network = network
         self.workers = workers
-        self.faults = faults
         self._csr_name = csr_name
         self._csr_key = csr_key
         self._ctx = mp.get_context("spawn")
@@ -329,7 +326,7 @@ class WorkerPool:
         for slot in self._slots:
             # Wake the drainer.  Safe only after a *clean* worker exit:
             # a worker killed while holding its queue's write lock
-            # would block this put forever, so chaos-killed slots keep
+            # would block this put forever, so killed slots keep
             # their (daemon) drainer parked instead.
             if slot.process is not None and slot.process.exitcode == 0:
                 try:
@@ -347,14 +344,6 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def submit(self, kind: str, payload) -> PoolTicket:
         """Dispatch one job to the least-loaded live worker."""
-        if self.faults is not None:
-            try:
-                self.faults.fire("exec.worker")
-            except FaultInjected:
-                # Translate chaos into a *real* worker death: SIGKILL
-                # the target so the genuine detection -> ticket-fail ->
-                # respawn path runs, exactly as for a native crash.
-                self.kill_worker()
         with self._lock:
             if self._closed:
                 raise ExecError("worker pool is closed")

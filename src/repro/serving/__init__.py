@@ -45,16 +45,14 @@ deployment needs around it:
   stream JSONL metric timelines during a run.  Tracing is read-only:
   traced responses equal untraced ones element-wise (see
   ``docs/observability.md``).
-* **Resilience plane** (:mod:`repro.serving.resilience` /
-  :mod:`repro.serving.faults`) — per-request deadline budgets checked
-  at every pipeline stage (``ServingConfig.deadline_ms``), a bounded
-  admission queue with an explicit shed policy (``max_queue``,
-  ``shed_policy``: reject-with-retry-after or degrade-to-shortest-path),
-  one circuit breaker per service that routes scoring groups to the
-  shortest-path fallback while it is open, one retry of a scoring
-  group that failed, and a seedable fault-injection layer (latency
-  spikes, errors, hangs at named points) for reproducible chaos
-  testing — all dormant by default with exact response parity (see
+* **Resilience plane** (:mod:`repro.serving.resilience`) — per-request
+  deadline budgets checked at every pipeline stage
+  (``ServingConfig.deadline_ms``), a bounded admission queue with an
+  explicit shed policy (``max_queue``, ``shed_policy``:
+  reject-with-retry-after or degrade-to-shortest-path), one circuit
+  breaker per service that routes scoring groups to the shortest-path
+  fallback while it is open, and one retry of a scoring group that
+  failed — all dormant by default with exact response parity (see
   ``docs/robustness.md``).
 
 Usage::
@@ -118,12 +116,6 @@ from repro.serving.cache import (
     LRUCache,
 )
 from repro.serving.engine import EngineTicket, ServingEngine
-from repro.serving.faults import (
-    FaultInjector,
-    FaultRule,
-    format_fault_spec,
-    parse_fault_spec,
-)
 from repro.serving.pipeline import QueryState
 from repro.serving.registry import ActiveModel, ModelRegistry
 from repro.serving.resilience import CircuitBreaker
@@ -143,8 +135,6 @@ __all__ = [
     "CandidateEntry",
     "CircuitBreaker",
     "EngineTicket",
-    "FaultInjector",
-    "FaultRule",
     "LRUCache",
     "ModelRegistry",
     "QueryState",
@@ -154,6 +144,4 @@ __all__ = [
     "RankResponse",
     "ServingConfig",
     "ServingEngine",
-    "format_fault_spec",
-    "parse_fault_spec",
 ]

@@ -47,10 +47,6 @@ class BatchingScorer:
         # Forward-pass accounting, for instrumentation and benchmarks.
         self.batches_run = 0
         self.paths_scored = 0
-        #: Chaos seam (``scorer.flush`` injection point): armed by
-        #: :meth:`RankingService.arm_faults`, ``None`` keeps the flush
-        #: hot path at a single attribute check.
-        self.faults = None
 
     def as_dict(self) -> dict[str, int]:
         """Forward-pass counters as one consistent snapshot.
@@ -81,9 +77,6 @@ class BatchingScorer:
         if not candidate_lists:
             return []
         with self._lock:
-            if self.faults is not None:
-                self.faults.fire("scorer.flush")
-
             # Deduplicate by vertex sequence.
             unique: dict[tuple[int, ...], Path] = {}
             for paths in candidate_lists:

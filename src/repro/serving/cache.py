@@ -107,15 +107,20 @@ class LRUCache:
             return value
 
     def find(self, key: Hashable) -> object | None:
-        """Like :meth:`get`, but an absent key counts no miss: for a
-        probe whose miss is counted later, where the value is made."""
+        """Like :meth:`get`, but counting nothing: for a probe whose hit
+        is counted where the value is used (:meth:`count_hit`) and whose
+        miss is counted where the value is made."""
         with self._lock:
             value = self._entries.get(key, _MISSING)
             if value is _MISSING:
                 return None
             self._entries.move_to_end(key)
-            self.stats.hits += 1
             return value
+
+    def count_hit(self) -> None:
+        """Count the hit of a value :meth:`find` returned."""
+        with self._lock:
+            self.stats.hits += 1
 
     def get_or_make(self, key: Hashable,
                     make: Callable[[], object]) -> tuple[object, bool]:
@@ -247,9 +252,14 @@ class CandidateCache:
 
     def probe(self, source: int, target: int,
               config: TrainingDataConfig) -> CandidateEntry | None:
-        """The cached entry, as a hit; a miss counts nothing here, since
-        :meth:`resolve` counts it when it makes the set."""
+        """The cached entry, counting nothing: the caller counts a hit
+        with :meth:`count_hit` when it uses the entry, and :meth:`resolve`
+        counts a miss when it makes the set."""
         return self._cache.find(self.key_for(source, target, config))
+
+    def count_hit(self) -> None:
+        """Count the use of an entry :meth:`probe` returned."""
+        self._cache.count_hit()
 
     def resolve(self, source: int, target: int, config: TrainingDataConfig,
                 generate: Callable[[], Sequence[Path]]

@@ -12,9 +12,8 @@ coalesces independent queries into shared forward passes: callers
   entry already holds scores for the active model version goes through
   the candidate and scoring stages right there, so its ticket resolves
   before :meth:`submit` returns.  Such an answer is not a flush: it
-  fires no ``engine.flush`` fault, feeds no ``engine.occupancy.*``
-  histogram, records no ``queue_wait`` span, and ``max_queue`` never
-  sheds it;
+  feeds no ``engine.occupancy.*`` histogram, records no ``queue_wait``
+  span, and ``max_queue`` never sheds it;
 * **worker threads** run the candidate-generation stage of the shared
   pipeline for every other request, and
 * a **deadline flusher** coalesces prepared requests into one scoring
@@ -43,26 +42,17 @@ Usage::
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from collections import deque
 from collections.abc import Sequence
 
-from repro.errors import DeadlineExceeded, ServingError
+from repro.errors import ServingError
 from repro.obs.metrics import Histogram
 from repro.serving.pipeline import QueryState
-from repro.serving.resilience import RETRY_AFTER_MS
 from repro.serving.service import RankingService, RankRequest, RankResponse
 
 __all__ = ["EngineTicket", "ServingEngine"]
-
-#: Slack added on top of a request's deadline budget when
-#: :meth:`EngineTicket.result` derives its wait timeout: the pipeline's
-#: own assembly-time expiry check needs a moment to produce the
-#: structured deadline response, and the waiter should collect *that*
-#: rather than racing it.
-RESULT_GRACE_S = 0.5
 
 
 class EngineTicket:
@@ -101,38 +91,6 @@ class EngineTicket:
                 f"request {self.request.source}->{self.request.target} "
                 f"not answered within {timeout}s"
             )
-        return self._collect()
-
-    def result(self, timeout: float | None = None) -> RankResponse:
-        """Deadline-aware :meth:`wait`: never blocks past the budget.
-
-        With no explicit ``timeout`` the wait is derived from the
-        request's deadline (``request.deadline_ms``, falling back to the
-        service's ``config.deadline_ms``) plus a small grace so the
-        pipeline's own structured deadline response wins the race when
-        it can.  Raises :class:`~repro.errors.DeadlineExceeded` —
-        carrying the ``retry_after_ms`` hint — if the response
-        is still not ready; a request with no deadline anywhere blocks
-        like :meth:`wait`.
-        """
-        if timeout is None:
-            budget_ms = self.request.deadline_ms
-            if budget_ms is None:
-                budget_ms = self._service.config.deadline_ms
-            # A non-finite or non-numeric budget never reaches the
-            # pipeline (admission answers it with invalid_request), and
-            # no timeout derives from it: Event.wait(inf) raises
-            # OverflowError.
-            if isinstance(budget_ms, (int, float)) \
-                    and math.isfinite(budget_ms):
-                elapsed = time.perf_counter() - self.submitted
-                timeout = max(0.0, budget_ms / 1000.0 - elapsed) \
-                    + RESULT_GRACE_S
-        if not self._event.wait(timeout):
-            raise DeadlineExceeded(
-                f"request {self.request.source}->{self.request.target} "
-                f"not answered within {timeout:g}s",
-                retry_after_ms=RETRY_AFTER_MS)
         return self._collect()
 
     def _collect(self) -> RankResponse:
@@ -294,10 +252,6 @@ class ServingEngine:
         the queue never grows past its bound.
         """
         service = self.service
-        if service.faults is not None:
-            # Before any bookkeeping: an injected ingress error must not
-            # leave a half-submitted ticket behind.
-            service.faults.fire("engine.submit")
         if self._stopping:
             raise ServingError("engine is closed; no new requests")
         ticket = EngineTicket(request, service)
@@ -463,7 +417,7 @@ class ServingEngine:
 
     def _score_batch(self, batch: list[EngineTicket]) -> None:
         states = [ticket.state for ticket in batch]
-        self.service.score_states(states, flush=True)
+        self.service.score_states(states)
         requests, paths = self._flush_sizes
         requests.observe(len(states))
         paths.observe(sum(len(state.paths) for state in states))

@@ -59,7 +59,6 @@ from repro.obs.trace import Tracer
 from repro.ranking.training_data import TrainingDataConfig
 from repro.serving.batching import BatchingScorer
 from repro.serving.cache import CandidateCache, CandidateEntry
-from repro.serving.faults import FaultInjector
 from repro.serving.pipeline import QueryState, tightest_remaining_ms
 from repro.serving.registry import ActiveModel, ModelRegistry
 from repro.serving.resilience import (
@@ -255,10 +254,8 @@ class RankingService:
         self.res_counters = {name: metrics.counter(f"resilience.{name}")
                              for name in _RESILIENCE_COUNTERS}
         self.tracer = Tracer(sample=self.config.trace_sample, metrics=metrics)
-        # Resilience plane: a circuit breaker over scoring-group
-        # outcomes and the (dormant-by-default) fault-injection seam.
+        # Resilience plane: a circuit breaker over scoring-group outcomes.
         self.breaker = CircuitBreaker()
-        self.faults: FaultInjector | None = None
         # Execution plane: dormant unless asked for.  "processes" stands
         # up shared-memory hot-state plus a warm worker pool, and
         # subscribes to registry lifecycle events so a deactivated
@@ -308,48 +305,9 @@ class RankingService:
         return self.scorer.as_dict()
 
     def _resilience_view(self) -> dict[str, object]:
-        """``resilience.*`` beyond the counters.
-
-        The breaker's state under ``resilience.breaker.*`` and the fault
-        layer's summary under ``resilience.faults.*`` while armed.
-        """
-        view: dict[str, object] = {"breaker": self.breaker.as_dict()}
-        if self.faults is not None:
-            stats = self.faults.stats()
-            view["faults"] = {
-                "armed": stats["armed"],
-                "hanging": stats["hanging"],
-                "fired": sum(rule["fired"] for rule in stats["rules"]),
-            }
-        return view
-
-    # ------------------------------------------------------------------
-    # Fault injection (chaos testing)
-    # ------------------------------------------------------------------
-    def arm_faults(self, spec, seed: int = 0) -> FaultInjector:
-        """Arm a fault spec across the whole stack (service, scorer, pool).
-
-        ``spec`` is a spec string, an iterable of
-        :class:`~repro.serving.faults.FaultRule` records, or an existing
-        injector (re-armed fresh).  Returns the live injector so tests
-        can inspect firing counts.  An engine built over this service
-        picks the injector up through ``service.faults``.
-        """
-        injector = FaultInjector.from_spec(spec, seed=seed)
-        self.faults = injector
-        self.scorer.faults = injector
-        if self.plane is not None:
-            self.plane.set_faults(injector)
-        return injector
-
-    def disarm_faults(self) -> None:
-        """Release hanging threads and return the stack to dormancy."""
-        if self.faults is not None:
-            self.faults.disarm()
-        self.faults = None
-        self.scorer.faults = None
-        if self.plane is not None:
-            self.plane.set_faults(None)
+        """``resilience.*`` beyond the counters: the breaker's state
+        under ``resilience.breaker.*``."""
+        return {"breaker": self.breaker.as_dict()}
 
     def _on_registry_event(self, event: str, version: str) -> None:
         """Registry lifecycle hook: prune a dead version's shared weights."""
@@ -382,8 +340,8 @@ class RankingService:
     def admit(self, request: RankRequest) -> QueryState:
         """Open a :class:`QueryState` with the registry's current snapshot.
 
-        Never raises: any failure (an injected fault, a hostile ``k``
-        override) becomes the state's ``error``.
+        Never raises: any failure (a registry snapshot that raises, a
+        hostile ``k`` override) becomes the state's ``error``.
         """
         state = QueryState(request=request)
         try:
@@ -392,8 +350,6 @@ class RankingService:
             else:
                 state.deadline_ms = self.config.deadline_ms
             trace = state.trace = self.tracer.maybe_start()
-            if self.faults is not None:
-                self.faults.fire("admit")
             if self._validate(state):
                 config = state.config = self._candidate_config(request)
                 state.active = self.registry.snapshot()
@@ -464,8 +420,8 @@ class RankingService:
 
         Candidate enumeration is wasted work when only the shortest-path
         fallback can answer, so a state with no snapshot passes through.
-        Never raises: any failure (no path, an injected fault, a bug in
-        the generator) becomes the state's ``error``.
+        Never raises: any failure (no path, a bug in the generator)
+        becomes the state's ``error``.
         """
         if state.error is not None or state.active is None:
             return state
@@ -475,8 +431,6 @@ class RankingService:
         trace = state.trace
         began = time.perf_counter() if trace is not None else 0.0
         try:
-            if self.faults is not None:
-                self.faults.fire("prepare")
             entry, state.cache_hit = self._candidates(state)
             state.entry, state.paths = entry, entry.paths
         except Exception as exc:  # noqa: BLE001 - the per-request backstop
@@ -488,7 +442,10 @@ class RankingService:
         return state
 
     def _candidates(self, state: QueryState) -> tuple[CandidateEntry, bool]:
-        if state.entry is not None:  # admission found it
+        if state.entry is not None:
+            # Admission found it; the hit counts here, where it is used,
+            # so a request shed or expired before this stage counts none.
+            self.candidate_cache.count_hit()
             return state.entry, True
         request = state.request
         return self.candidate_cache.resolve(
@@ -515,8 +472,7 @@ class RankingService:
     # ------------------------------------------------------------------
     # Stage 3: coalesced scoring
     # ------------------------------------------------------------------
-    def score_states(self, states: Sequence[QueryState], *,
-                     flush: bool = False) -> None:
+    def score_states(self, states: Sequence[QueryState]) -> None:
         """Score every scorable state, one coalesced pass per group.
 
         States are grouped per model snapshot — an engine flush can
@@ -524,14 +480,10 @@ class RankingService:
         through the service's :class:`BatchingScorer`.  A library
         failure degrades *only* the affected requests: each member is
         retried individually, and only the ones that still fail fall
-        back to the shortest path.  ``flush`` marks an engine flush,
-        which fires the ``engine.flush`` injection point first.  Never
-        raises: any other exception degrades the states it left
-        unscored to the fallback.
+        back to the shortest path.  Never raises: any other exception
+        degrades the states it left unscored to the fallback.
         """
         try:
-            if flush and self.faults is not None:
-                self.faults.fire("engine.flush")
             groups: dict[int, list[QueryState]] = {}
             for state in states:
                 if state.error is None and state.expired():
@@ -584,7 +536,7 @@ class RankingService:
                      active: ActiveModel):
         """One group the breaker allowed: one retry, one breaker outcome.
 
-        A :class:`ReproError` (injected ones included) is retried once
+        A :class:`ReproError` is retried once
         after :data:`~repro.serving.resilience.RETRY_DELAY_MS` — but
         never past the tightest member deadline — and a group that
         still fails falls back to per-request isolation via
@@ -608,14 +560,14 @@ class RankingService:
                 except ExecError:
                     model = active.model
             try:
-                scored = self._score_attempt(model, members, active)
+                scored = self._scores(model, members, active.version)
             except ReproError:
                 tightest = tightest_remaining_ms(members)
                 if tightest is not None and tightest <= RETRY_DELAY_MS:
                     raise
                 self.res_counters["retries"].inc()
                 time.sleep(RETRY_DELAY_MS / 1000.0)
-                scored = self._score_attempt(model, members, active)
+                scored = self._scores(model, members, active.version)
                 self.res_counters["retry_successes"].inc()
         except ReproError:
             self.breaker.record_failure()
@@ -627,17 +579,11 @@ class RankingService:
         self.breaker.record_success()
         return scored
 
-    def _score_attempt(self, model, members: Sequence[QueryState],
-                       active: ActiveModel) -> list[list[float]]:
-        if self.faults is not None:
-            self.faults.fire("score")
-        return self._scores(model, members, active.version)
-
     def _scores(self, model, members: Sequence[QueryState],
                 version: str) -> list[list[float]]:
-        """Each member's scores: its entry's memo when tagged ``version``,
-        else one coalesced pass over the rest, written back to their
-        entries."""
+        """One scoring attempt: each member's scores are its entry's memo
+        when tagged ``version``, else one coalesced pass over the rest,
+        written back to their entries."""
         scores: list = [None] * len(members)
         if self.memoise_scores:
             scores = [None if state.entry is None
@@ -685,8 +631,8 @@ class RankingService:
         ``completed`` (a ``perf_counter`` value) lets a deferred caller
         pin the latency clock to when the pipeline actually finished the
         request, rather than when the caller got around to collecting
-        the response.  Never raises: any failure (an injected fault, the
-        fallback's shortest path, ranking) becomes the request's error
+        the response.  Never raises: any failure (the fallback's
+        shortest path, ranking) becomes the request's error
         response, recorded once like any other, and a failure while
         recording or tracing the response leaves the response as it is.
         """
@@ -697,8 +643,6 @@ class RankingService:
         if state.error is None and state.expired(end):
             self._expire(state)
         try:
-            if self.faults is not None and state.error is None:
-                self.faults.fire("assemble")
             if state.error is not None:
                 response = self._error_response(state, state.error,
                                                 elapsed_ms)

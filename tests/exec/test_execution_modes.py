@@ -1,4 +1,4 @@
-"""Service-level execution modes: parity, chaos, lifecycle, stats."""
+"""Service-level execution modes: parity, worker death, lifecycle, stats."""
 
 import time
 
@@ -146,22 +146,27 @@ def test_exec_metrics_registered(proc_service):
 
 
 # ----------------------------------------------------------------------
-# Chaos: the exec.worker injection point
+# Worker death: a real SIGKILL before each dispatch
 # ----------------------------------------------------------------------
 def test_exec_worker_fault_kills_for_real_and_service_degrades(
-        proc_service, exec_network, od_requests):
-    """An ``exec.worker`` error firing SIGKILLs a live worker.  Every
-    request must still be answered (inline fallback / degradation), and
-    the pool must respawn back to full strength."""
+        proc_service, exec_network, od_requests, monkeypatch):
+    """Each dispatch first SIGKILLs a live worker.  Every request must
+    still be answered (inline fallback / degradation), and the pool
+    must respawn back to full strength."""
     # A workload the shared service has never seen: warm caches would
-    # skip the pool entirely and the injection point would never fire.
+    # skip the pool entirely and no dispatch would kill anything.
     fresh = od_requests(exec_network, num_requests=6, num_pairs=3, seed=99)
-    before = proc_service.plane.pool.stats()["respawns"]
-    proc_service.arm_faults("exec.worker:error", seed=1)
-    try:
+    pool = proc_service.plane.pool
+    before = pool.stats()["respawns"]
+    dispatch = pool.submit
+
+    def kill_then_dispatch(kind, payload):
+        pool.kill_worker()
+        return dispatch(kind, payload)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pool, "submit", kill_then_dispatch)
         responses = _rank_all(proc_service, fresh)
-    finally:
-        proc_service.disarm_faults()
     assert all(response.ok for response in responses)
     # A job that raced the respawn fails with the dead worker; none
     # waits out the plane's fallback deadline.

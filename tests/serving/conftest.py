@@ -4,7 +4,14 @@ Serving behaviour — caching, batching, hot-swap, fallback — does not
 depend on the quality of the weights, so these fixtures skip training
 entirely and publish randomly initialised models, which keeps the suite
 fast.
+
+Failures are raised at the real seams (a patched forward pass, candidate
+generator or stage method), never by a separate injection layer; the
+``gate`` fixture holds a patched callable until the test releases it.
 """
+
+import threading
+import time
 
 import pytest
 
@@ -47,3 +54,52 @@ def service(tiny_network, registry, make_ranker) -> RankingService:
     registry.publish(make_ranker(tiny_network, seed=1), activate=True)
     return RankingService(tiny_network, registry,
                           ServingConfig(candidates=CANDIDATES))
+
+
+class Gate:
+    """Holds every call of the callables it patches until released.
+
+    ``hold(owner, name)`` replaces ``owner.name`` through the test's
+    ``monkeypatch``; a held call runs the real callable once the gate
+    opens.  ``waiting`` counts the threads blocked right now.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self._monkeypatch = monkeypatch
+        self._open = threading.Event()
+        self._lock = threading.Lock()
+        self.waiting = 0
+
+    def hold(self, owner, name: str) -> None:
+        real = getattr(owner, name)
+
+        def held(*args, **kwargs):
+            with self._lock:
+                self.waiting += 1
+            try:
+                self._open.wait()
+            finally:
+                with self._lock:
+                    self.waiting -= 1
+            return real(*args, **kwargs)
+
+        self._monkeypatch.setattr(owner, name, held)
+
+    def wait_for(self, count: int = 1, timeout: float = 5.0) -> None:
+        """Block until ``count`` threads are held."""
+        give_up_at = time.perf_counter() + timeout
+        while self.waiting < count:
+            assert time.perf_counter() < give_up_at, \
+                f"{self.waiting} of {count} calls reached the gate"
+            time.sleep(0.002)
+
+    def release(self) -> None:
+        self._open.set()
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    """A :class:`Gate`; it is released at teardown whatever happened."""
+    held = Gate(monkeypatch)
+    yield held
+    held.release()

@@ -141,7 +141,7 @@ class TestGetOrMake:
         assert "a" not in cache
         assert cache.get_or_make("a", lambda: 3) == (3, False)
 
-    def test_find_counts_hits_but_no_misses(self):
+    def test_find_refreshes_recency_and_counts_nothing(self):
         cache = LRUCache(2)
         assert cache.find("a") is None
         cache.put("a", 1)
@@ -149,6 +149,8 @@ class TestGetOrMake:
         assert cache.find("a") == 1   # refreshes: b is now the LRU entry
         cache.put("c", 3)
         assert "b" not in cache
+        assert (cache.stats.hits, cache.stats.misses) == (0, 0)
+        cache.count_hit()  # where the found value is used
         assert (cache.stats.hits, cache.stats.misses) == (1, 0)
 
 

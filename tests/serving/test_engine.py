@@ -351,28 +351,25 @@ class TestCacheAnswers:
         assert uncached.wait(timeout=1.0).served_by == "model"
         assert cached.served_by == "model"
 
-    def test_hot_request_is_answered_before_submit_returns(self, service):
+    def test_hot_request_is_answered_before_submit_returns(self, service,
+                                                           gate):
         """The only worker hangs on a cold request; a hot one is still
         answered, in the caller's thread, without entering the inbox."""
         hot = RankRequest(source=0, target=5)
         expected = service.rank(hot)  # warm the entry and its scores
         with ServingEngine(service, concurrency=1,
                            flush_deadline_ms=1.0) as engine:
-            faults = service.arm_faults("prepare:hang:count=1")
+            gate.hold(service_module, "generate_candidates")
             try:
                 cold = engine.submit(RankRequest(source=3, target=2))
-                for _ in range(400):
-                    if faults.stats()["hanging"]:
-                        break
-                    time.sleep(0.005)
-                assert faults.stats()["hanging"] == 1
+                gate.wait_for(1)
                 ticket = engine.submit(hot)
                 assert ticket.done
                 assert engine.stats()["engine"]["queue_depth"] == 0
                 assert engine.occupancy()["flushes"] == 0
                 assert not cold.done
             finally:
-                service.disarm_faults()  # release the worker
+                gate.release()  # let the worker through
             response = ticket.wait(timeout=0.0)
             assert cold.wait(timeout=5.0).served_by == "model"
         assert response.served_by == "model"
@@ -404,25 +401,23 @@ class TestCacheAnswers:
         with pytest.raises(ServingError):
             engine.submit(request)
 
-    def test_submit_fault_fires_before_any_bookkeeping(self, service):
-        service = RankingService(service.network, service.registry,
-                                 replace(service.config, trace_sample=1.0))
-        request = RankRequest(source=0, target=5)
-        service.rank(request)
-        before = service.stats()
-        with ServingEngine(service, concurrency=1) as engine:
-            service.arm_faults("engine.submit:error")
-            for bad in (request, RankRequest(source=99, target=5)):
-                with pytest.raises(ServingError):
-                    engine.submit(bad)
-            service.disarm_faults()
-            assert engine.stats()["engine"]["outstanding"] == 0
-        after = service.stats()
-        for section in ("counters", "candidate_cache", "score_cache"):
-            assert after[section] == before[section]
-        assert after["resilience"]["counters"] \
-            == before["resilience"]["counters"]
-        assert service.tracer.finished == 1
+    def test_hung_flush_spares_cache_answers(self, service, gate):
+        """A request whose scores are memoised is model-served while a
+        flush hangs in the scorer."""
+        service.rank(RankRequest(source=0, target=5))  # warm both caches
+        gate.hold(service.scorer, "score_many")
+        engine = ServingEngine(service, concurrency=2, flush_deadline_ms=1.0)
+        try:
+            uncached = engine.submit(RankRequest(source=3, target=2))
+            cached = engine.rank(RankRequest(source=0, target=5), timeout=5.0)
+            assert cached.served_by == "model"
+            gate.wait_for(1)
+            assert not uncached.done
+            gate.release()
+            assert uncached.wait(timeout=5.0).served_by == "model"
+        finally:
+            gate.release()
+            engine.close()
 
     @pytest.mark.parametrize("candidate_cache_size", [8192, 4])
     def test_warm_cache_responses_equal_sync(self, tiny_network, registry,
@@ -561,7 +556,8 @@ class TestAdmission:
     """``submit`` admits each request once, in the caller's thread."""
 
     def test_refused_requests_are_never_shed(self, tiny_network, registry,
-                                             make_ranker, candidates_config):
+                                             make_ranker, candidates_config,
+                                             gate):
         registry.publish(make_ranker(tiny_network, seed=1), activate=True)
         service = RankingService(tiny_network, registry, ServingConfig(
             candidates=candidates_config, max_queue=1, trace_sample=1.0))
@@ -572,10 +568,12 @@ class TestAdmission:
                     for i in range(48)]
         with ServingEngine(service, concurrency=1,
                            flush_deadline_ms=1.0) as engine:
-            service.arm_faults("prepare:delay=20")
-            tickets = [engine.submit(request) for request in requests]
+            gate.hold(service, "prepare")
+            try:
+                tickets = [engine.submit(request) for request in requests]
+            finally:
+                gate.release()
             responses = [ticket.wait(timeout=10.0) for ticket in tickets]
-            service.disarm_faults()
         refused = [r for r in responses if r.request in invalid]
         assert len(refused) == 16
         assert all(r.error_code == "invalid_request" for r in refused)
@@ -586,6 +584,33 @@ class TestAdmission:
         assert counters["shed_rejected"].value == len(shed)
         # A shed request is the admitted state answered, trace and all.
         assert service.tracer.finished == len(responses)
+
+    def test_candidate_cache_hits_count_where_the_entry_is_used(
+            self, tiny_network, registry, make_ranker, candidates_config,
+            gate):
+        """Admission finds the cached candidates, but a request shed
+        before the candidate stage never uses them and counts no hit:
+        the hits equal the responses that report one."""
+        registry.publish(make_ranker(tiny_network, seed=1), activate=True)
+        service = RankingService(tiny_network, registry, ServingConfig(
+            candidates=candidates_config, score_cache_size=0, max_queue=1,
+            shed_policy="degrade"))
+        request = RankRequest(source=0, target=5)
+        service.rank(request)  # caches the candidates; no score memo
+        before = service.stats()["candidate_cache"]["hits"]
+        with ServingEngine(service, concurrency=1,
+                           flush_deadline_ms=1.0) as engine:
+            gate.hold(service, "prepare")
+            try:
+                tickets = [engine.submit(request) for _ in range(6)]
+            finally:
+                gate.release()
+            responses = [ticket.wait(timeout=5.0) for ticket in tickets]
+        shed = [r for r in responses if r.error_code == "shed"]
+        assert len(shed) >= 4
+        hits = service.stats()["candidate_cache"]["hits"] - before
+        assert hits == sum(r.candidate_cache_hit for r in responses)
+        assert hits == len(responses) - len(shed)
 
     def test_one_enumeration_per_candidate_key_in_flight(
             self, service, monkeypatch):

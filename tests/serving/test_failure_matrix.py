@@ -15,8 +15,10 @@ request mix through one front door.  It asserts that
 * a healthy request after the fault is model-served once the breaker's
   cooldown has passed.
 
-The seams are patched to raise real exceptions; the fault injector is
-not involved.
+The seams are patched to raise real exceptions.  ``probe`` is the
+candidate-cache lookup admission makes, ``resolve`` the single-flight
+lookup the candidate stage makes on a miss, and ``scorer`` the
+coalesced scoring pass in front of the forward pass.
 """
 
 from unittest.mock import ANY
@@ -34,11 +36,13 @@ from repro.serving import (
     ServingEngine,
 )
 from repro.serving import service as service_module
+from repro.serving.batching import BatchingScorer
+from repro.serving.cache import CandidateCache
 from repro.serving.resilience import BREAKER_COOLDOWN_MS
 
 CANDIDATES = TrainingDataConfig(strategy=Strategy.TKDI, k=3)
 SEAMS = ("candidates", "forward", "rank_paths", "shortest_path", "snapshot",
-         "metrics")
+         "metrics", "probe", "resolve", "scorer")
 ERRORS = {"ReproError": ServingError, "RuntimeError": RuntimeError}
 BREAKER_STATES = ("closed", "open", "half_open")
 #: ``rank`` is ``service.rank``; ``engine-N`` an engine of N workers.
@@ -102,6 +106,9 @@ def _arm(monkeypatch, seam, error, registry) -> None:
         "shortest_path": (service_module, "shortest_path"),
         "snapshot": (registry, "snapshot"),
         "metrics": (RankingService, "_record"),
+        "probe": (CandidateCache, "probe"),
+        "resolve": (CandidateCache, "resolve"),
+        "scorer": (BatchingScorer, "score_many"),
     }[seam]
     monkeypatch.setattr(owner, name, explode)
 
@@ -113,7 +120,8 @@ def _expected(seam, breaker_state, kind):
     if kind == "invalid":
         return ("error", ANY, "invalid_request")
     failed = ("error", f"{seam} exploded", None)
-    if seam == "snapshot" or (seam == "candidates" and kind == "cold"):
+    if seam in ("snapshot", "probe") \
+            or (seam in ("candidates", "resolve") and kind == "cold"):
         return failed
     if breaker_state == "half_open":
         return None
@@ -123,7 +131,7 @@ def _expected(seam, breaker_state, kind):
         return ("fallback", "circuit breaker open", "breaker_open")
     if seam == "rank_paths":
         return failed
-    if seam == "forward" and kind == "cold":
+    if seam in ("forward", "scorer") and kind == "cold":
         return ("fallback", f"{seam} exploded", None)
     return ("model", None, None)
 

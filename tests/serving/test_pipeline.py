@@ -1,5 +1,7 @@
 """Pipeline stages, per-snapshot scoring groups, and warm-up."""
 
+import time
+
 import pytest
 
 from repro.core.model import PathRank
@@ -9,6 +11,7 @@ from repro.serving import (
     RankRequest,
     ServingConfig,
 )
+from repro.serving import service as service_module
 
 
 class TestStages:
@@ -82,7 +85,8 @@ class TestWarmup:
 
     def test_warm_up_states_carry_no_deadline(self, tiny_network, registry,
                                               make_ranker,
-                                              candidates_config):
+                                              candidates_config,
+                                              monkeypatch):
         """Warm-up is deploy-time work, not a request: a 2 ms service
         deadline must not expire the mix while each state waits behind
         a 10 ms candidate stage."""
@@ -90,7 +94,13 @@ class TestWarmup:
         service = RankingService(tiny_network, registry, ServingConfig(
             candidates=candidates_config,
             deadline_ms=2.0))
-        service.arm_faults("prepare:delay=10")
+        real = service_module.generate_candidates
+
+        def slow(*args, **kwargs):
+            time.sleep(0.01)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "generate_candidates", slow)
         mix = [RankRequest(source=s, target=t)
                for s, t in ((0, 5), (3, 2), (1, 5), (5, 0))]
         assert service.warm_up(mix) == 4

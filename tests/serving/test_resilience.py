@@ -3,8 +3,8 @@
 Unit tests drive :class:`CircuitBreaker` directly (with a fake clock,
 so lifecycle transitions are exact);
 integration tests push requests through a real :class:`RankingService`
-and :class:`ServingEngine` with faults armed and assert the structured
-degradation ``docs/robustness.md`` promises.
+and :class:`ServingEngine` with a seam patched to raise, sleep or hold,
+and assert the structured degradation ``docs/robustness.md`` promises.
 """
 
 import math
@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.errors import DeadlineExceeded, ServingError
+from repro.errors import ServingError
 from repro.core.model import PathRank
 from repro.serving import (
     CircuitBreaker,
@@ -22,6 +22,7 @@ from repro.serving import (
     ServingConfig,
     ServingEngine,
 )
+from repro.serving import service as service_module
 from repro.serving.resilience import (
     BREAKER_COOLDOWN_MS,
     BREAKER_HALF_OPEN_PROBES,
@@ -52,6 +53,33 @@ def _trip(breaker: CircuitBreaker) -> None:
     for _ in range(BREAKER_MIN_SAMPLES):
         breaker.record_failure()
     assert breaker.state == "open"
+
+
+def _slow(monkeypatch, owner, name: str, seconds: float) -> None:
+    """Make every call of ``owner.name`` take ``seconds`` longer."""
+    real = getattr(owner, name)
+
+    def slow(*args, **kwargs):
+        time.sleep(seconds)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, slow)
+
+
+def _failing(monkeypatch, owner, name: str, times: int | None = None):
+    """Make ``owner.name`` raise ``ServingError`` (the first ``times``
+    calls only, when given); returns the list of calls it failed."""
+    real = getattr(owner, name)
+    failed: list = []
+
+    def fail(*args, **kwargs):
+        if times is None or len(failed) < times:
+            failed.append(args)
+            raise ServingError(f"{name} exploded")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, fail)
+    return failed
 
 
 def _with_fake_clock(service: RankingService) -> FakeClock:
@@ -204,27 +232,31 @@ def test_valid_request_is_untouched_by_validation(service):
 # ----------------------------------------------------------------------
 # Deadlines through the pipeline
 # ----------------------------------------------------------------------
-def _deadline_service(tiny_network, registry, make_ranker, fault_spec,
+def _deadline_service(tiny_network, registry, make_ranker,
                       **res_overrides) -> RankingService:
     registry.publish(make_ranker(tiny_network, seed=1), activate=True)
     knobs = dict(deadline_ms=20.0)
     knobs.update(res_overrides)
-    service = RankingService(tiny_network, registry, ServingConfig(
+    return RankingService(tiny_network, registry, ServingConfig(
         candidates=CANDIDATES, **knobs))
-    if fault_spec is not None:
-        service.arm_faults(fault_spec)
-    return service
 
 
-@pytest.mark.parametrize("stage_spec", [
+#: Where a 40 ms stall lands in each stage: the registry snapshot
+#: (admission), candidate generation, the forward pass (scoring).
+STAGE_SEAMS = {"admit": lambda service: (service.registry, "snapshot"),
+               "prepare": lambda service: (service_module,
+                                           "generate_candidates"),
+               "score": lambda service: (PathRank, "score_paths")}
+
+
+@pytest.mark.parametrize("stage", list(STAGE_SEAMS))
+def test_deadline_expires_at_each_stage(tiny_network, registry, make_ranker,
+                                        monkeypatch, stage):
     # Each stage boundary checks the budget the *previous* stage burnt:
     # an admit-stage stall expires at prepare, a prepare stall at
     # score_states, a score stall at assemble.
-    "admit:delay=40", "prepare:delay=40", "score:delay=40"])
-def test_deadline_expires_at_each_stage(tiny_network, registry, make_ranker,
-                                        stage_spec):
-    service = _deadline_service(tiny_network, registry, make_ranker,
-                                stage_spec)
+    service = _deadline_service(tiny_network, registry, make_ranker)
+    _slow(monkeypatch, *STAGE_SEAMS[stage](service), 0.04)
     response = service.rank(RankRequest(source=0, target=5))
     assert response.served_by == "error"
     assert response.error_code == "deadline_exceeded"
@@ -233,18 +265,22 @@ def test_deadline_expires_at_each_stage(tiny_network, registry, make_ranker,
 
 
 def test_per_request_deadline_overrides_config(tiny_network, registry,
-                                               make_ranker):
+                                               make_ranker, monkeypatch):
+    # No score memo: the repeat pays the slow forward pass too.
     service = _deadline_service(tiny_network, registry, make_ranker,
-                                "score:delay=40", deadline_ms=120_000.0)
+                                deadline_ms=120_000.0, score_cache_size=0)
+    _slow(monkeypatch, PathRank, "score_paths", 0.04)
     relaxed = service.rank(RankRequest(source=0, target=5))
     assert relaxed.ok  # the config-level budget easily absorbs 40 ms
     tight = service.rank(RankRequest(source=0, target=5, deadline_ms=15.0))
     assert tight.error_code == "deadline_exceeded"
 
 
-def test_no_deadline_means_no_expiry(tiny_network, registry, make_ranker):
+def test_no_deadline_means_no_expiry(tiny_network, registry, make_ranker,
+                                    monkeypatch):
     service = _deadline_service(tiny_network, registry, make_ranker,
-                                "prepare:delay=30", deadline_ms=None)
+                                deadline_ms=None)
+    _slow(monkeypatch, service_module, "generate_candidates", 0.03)
     response = service.rank(RankRequest(source=0, target=5))
     assert response.ok
     assert service.res_counters["deadline_exceeded"].value == 0
@@ -262,9 +298,9 @@ def _scoring_service(tiny_network, registry, make_ranker):
 
 
 def test_single_shot_score_fault_is_retried_away(tiny_network, registry,
-                                                 make_ranker):
+                                                 make_ranker, monkeypatch):
     service, _ = _scoring_service(tiny_network, registry, make_ranker)
-    service.arm_faults("score:error:count=1")
+    _failing(monkeypatch, PathRank, "score_paths", times=1)
     response = service.rank(RankRequest(source=0, target=5))
     assert response.served_by == "model"
     counters = service.stats()["resilience"]["counters"]
@@ -276,13 +312,14 @@ def test_single_shot_score_fault_is_retried_away(tiny_network, registry,
 
 
 def test_persistent_score_fault_falls_back_and_feeds_breaker(
-        tiny_network, registry, make_ranker):
+        tiny_network, registry, make_ranker, monkeypatch):
     service, _ = _scoring_service(tiny_network, registry, make_ranker)
-    service.arm_faults("score:error")
+    _failing(monkeypatch, PathRank, "score_paths")
     for _ in range(BREAKER_MIN_SAMPLES):
         response = service.rank(RankRequest(source=0, target=5))
         # The group fails terminally, the per-member individual rescue
-        # still answers, and the breaker records the group failure.
+        # fails too and serves the fallback, and the breaker records
+        # the group failure.
         assert response.ok
     breaker = service.breaker
     assert breaker.state == "open"
@@ -291,7 +328,7 @@ def test_persistent_score_fault_falls_back_and_feeds_breaker(
     assert service.res_counters["retries"].value == BREAKER_MIN_SAMPLES
     assert service.res_counters["retry_successes"].value == 0
     # Once open, requests degrade to the fallback without touching the
-    # scorer (or the armed fault).
+    # scorer.
     degraded = service.rank(RankRequest(source=0, target=5))
     assert degraded.served_by == "fallback"
     assert degraded.error_code == "breaker_open"
@@ -301,13 +338,13 @@ def test_persistent_score_fault_falls_back_and_feeds_breaker(
 
 
 def test_breaker_recovers_through_half_open_probes(tiny_network, registry,
-                                                   make_ranker):
+                                                   make_ranker, monkeypatch):
     service, clock = _scoring_service(tiny_network, registry, make_ranker)
-    service.arm_faults("score:error")
-    for _ in range(BREAKER_MIN_SAMPLES):
-        service.rank(RankRequest(source=0, target=5))
+    with monkeypatch.context() as patch:
+        _failing(patch, PathRank, "score_paths")
+        for _ in range(BREAKER_MIN_SAMPLES):
+            service.rank(RankRequest(source=0, target=5))
     assert service.breaker.state == "open"
-    service.disarm_faults()
     clock.advance_ms(BREAKER_COOLDOWN_MS)  # the next groups are probes
     for _ in range(BREAKER_HALF_OPEN_PROBES):
         assert service.breaker.state == "half_open"
@@ -325,10 +362,10 @@ def test_a_failure_of_any_type_releases_its_half_open_probe(
     ``RuntimeError`` kept its slot claimed; two such probes wedged the
     breaker half-open, and it refused every later group for good."""
     service, clock = _scoring_service(tiny_network, registry, make_ranker)
-    service.arm_faults("score:error")
-    for _ in range(BREAKER_MIN_SAMPLES):
-        service.rank(RankRequest(source=0, target=5))
-    service.disarm_faults()
+    with monkeypatch.context() as patch:
+        _failing(patch, PathRank, "score_paths")
+        for _ in range(BREAKER_MIN_SAMPLES):
+            service.rank(RankRequest(source=0, target=5))
     clock.advance_ms(BREAKER_COOLDOWN_MS)
     assert service.breaker.state == "half_open"
 
@@ -352,10 +389,11 @@ def test_a_failure_of_any_type_releases_its_half_open_probe(
 
 @pytest.mark.parametrize("front_door", ["sync", "engine"])
 def test_score_faults_degrade_cache_answers_like_flushes(
-        tiny_network, registry, make_ranker, front_door):
+        tiny_network, registry, make_ranker, monkeypatch, front_door):
     """The engine answers a fully cached request outside a flush, but
-    through the same scoring stage: the ``score`` fault, the retry, the
-    individual rescue and the breaker treat it as the sync facade does."""
+    through the same scoring stage: a failed scoring attempt, the retry,
+    the individual rescue and the breaker treat it as the sync facade
+    does."""
     service, _ = _scoring_service(tiny_network, registry, make_ranker)
     request = RankRequest(source=0, target=5)
     paths = len(service.rank(request).results)  # warm both caches
@@ -364,7 +402,8 @@ def test_score_faults_degrade_cache_answers_like_flushes(
     # minimum.
     for _ in range(BREAKER_MIN_SAMPLES - 2):
         service.breaker.record_failure()
-    service.arm_faults("score:error")
+    # The group's attempt and its retry fail; the rescue reads the memo.
+    failed = _failing(monkeypatch, service, "_scores", times=2)
     with ServingEngine(service, concurrency=2,
                        flush_deadline_ms=1.0) as engine:
         def rank(request):
@@ -382,14 +421,14 @@ def test_score_faults_degrade_cache_answers_like_flushes(
     assert service.breaker.trips == 1
     assert service.res_counters["retries"].value == 1
     assert service.res_counters["breaker_degraded"].value == 1
-    assert service.stats()["resilience"]["faults"]["fired"] == 2
+    assert len(failed) == 2
     # Hits are counted once, by the individual rescue's lookup.
     assert service.stats()["score_cache"]["hits"] == paths
     assert flushes == 0  # the engine answered both outside a flush
 
 
 # ----------------------------------------------------------------------
-# Engine: shedding, result(timeout), close()
+# Engine: shedding, close()
 # ----------------------------------------------------------------------
 def _engine_service(tiny_network, registry, make_ranker,
                     **res_overrides) -> RankingService:
@@ -398,23 +437,26 @@ def _engine_service(tiny_network, registry, make_ranker,
         candidates=CANDIDATES, **res_overrides))
 
 
-def _flood(engine, service, stall_spec, count):
-    """Arm a stall so the worker pool saturates, then flood submits."""
-    service.arm_faults(stall_spec)
+def _flood(engine, service, gate, count):
+    """Hold the candidate stage so the workers saturate, flood submits,
+    then let the held work through."""
+    gate.hold(service, "prepare")
     requests = [RankRequest(source=0, target=5, request_id=i)
                 for i in range(count)]
-    return [engine.submit(request) for request in requests]
+    try:
+        return [engine.submit(request) for request in requests]
+    finally:
+        gate.release()
 
 
 def test_overflowing_queue_sheds_with_reject(tiny_network, registry,
-                                             make_ranker):
+                                             make_ranker, gate):
     service = _engine_service(tiny_network, registry, make_ranker,
                               max_queue=1, shed_policy="reject")
     with ServingEngine(service, concurrency=1,
                        flush_deadline_ms=1.0) as engine:
-        tickets = _flood(engine, service, "prepare:delay=50", 16)
+        tickets = _flood(engine, service, gate, 16)
         responses = [ticket.wait(timeout=10.0) for ticket in tickets]
-        service.disarm_faults()
     shed = [r for r in responses if r.error_code == "shed"]
     assert shed, "a 16-deep flood against max_queue=1 never shed"
     assert all(r.served_by == "error" for r in shed)
@@ -425,14 +467,13 @@ def test_overflowing_queue_sheds_with_reject(tiny_network, registry,
 
 
 def test_overflowing_queue_degrades_to_fallback(tiny_network, registry,
-                                                make_ranker):
+                                                make_ranker, gate):
     service = _engine_service(tiny_network, registry, make_ranker,
                               max_queue=1, shed_policy="degrade")
     with ServingEngine(service, concurrency=1,
                        flush_deadline_ms=1.0) as engine:
-        tickets = _flood(engine, service, "prepare:delay=50", 16)
+        tickets = _flood(engine, service, gate, 16)
         responses = [ticket.wait(timeout=10.0) for ticket in tickets]
-        service.disarm_faults()
     degraded = [r for r in responses if r.error_code == "shed"]
     assert degraded, "a 16-deep flood against max_queue=1 never shed"
     # Degrade answers with the shortest-path fallback, not an error.
@@ -454,40 +495,19 @@ def test_unbounded_queue_never_sheds(tiny_network, registry, make_ranker):
     assert service.res_counters["shed_degraded"].value == 0
 
 
-def test_ticket_result_raises_structured_deadline(tiny_network, registry,
-                                                  make_ranker):
-    """Satellite (a): ``result()`` derives its wait from the request
-    deadline and raises DeadlineExceeded instead of blocking forever."""
-    service = _engine_service(tiny_network, registry, make_ranker)
-    engine = ServingEngine(service, concurrency=1, flush_deadline_ms=1.0)
-    try:
-        service.arm_faults("prepare:hang")
-        ticket = engine.submit(RankRequest(source=0, target=5,
-                                           deadline_ms=30.0))
-        began = time.perf_counter()
-        with pytest.raises(DeadlineExceeded) as excinfo:
-            ticket.result()
-        waited = time.perf_counter() - began
-        assert excinfo.value.retry_after_ms == RETRY_AFTER_MS
-        assert waited < 5.0  # budget + grace, nowhere near a hang
-    finally:
-        service.disarm_faults()  # release the hung worker
-        engine.close()
-
-
 @pytest.mark.parametrize("deadline_ms", [math.inf, math.nan])
-def test_ticket_result_answers_a_non_finite_deadline(tiny_network, registry,
-                                                     make_ranker,
-                                                     deadline_ms):
-    """A non-finite budget is refused at admission, so ``result()``
-    collects the structured answer: it neither waits on an infinite
-    timeout (which raises OverflowError) nor admits a deadline that
-    never expires."""
+def test_engine_refuses_a_non_finite_deadline(tiny_network, registry,
+                                              make_ranker, deadline_ms):
+    """A non-finite budget is refused at admission, answered before
+    ``submit`` returns: the engine never admits a deadline that never
+    expires."""
     service = _engine_service(tiny_network, registry, make_ranker)
     with ServingEngine(service, concurrency=1,
                        flush_deadline_ms=1.0) as engine:
-        response = engine.submit(RankRequest(
-            source=0, target=5, deadline_ms=deadline_ms)).result()
+        ticket = engine.submit(RankRequest(
+            source=0, target=5, deadline_ms=deadline_ms))
+        assert ticket.done
+        response = ticket.wait(timeout=0.0)
     assert response.served_by == "error"
     assert response.error_code == "invalid_request"
 
@@ -498,43 +518,30 @@ def test_engine_refuses_bool_and_non_integer_fields(tiny_network, registry,
     service = _engine_service(tiny_network, registry, make_ranker)
     with ServingEngine(service, concurrency=1,
                        flush_deadline_ms=1.0) as engine:
-        response = engine.submit(request_).result()
+        response = engine.submit(request_).wait(timeout=5.0)
     assert (response.served_by, response.error_code) \
         == ("error", "invalid_request")
     assert response.results == ()
     assert service.res_counters["invalid_requests"].value == 1
 
 
-def test_ticket_result_with_explicit_timeout(tiny_network, registry,
-                                             make_ranker):
+def test_close_fails_outstanding_tickets(tiny_network, registry, make_ranker,
+                                        gate):
+    """close() answers every in-flight ticket with a structured
+    ``engine_closed`` error — no waiter blocks forever."""
     service = _engine_service(tiny_network, registry, make_ranker)
     engine = ServingEngine(service, concurrency=1, flush_deadline_ms=1.0)
-    try:
-        service.arm_faults("prepare:hang")
-        ticket = engine.submit(RankRequest(source=0, target=5))
-        with pytest.raises(DeadlineExceeded):
-            ticket.result(timeout=0.05)
-    finally:
-        service.disarm_faults()
-        engine.close()
-
-
-def test_close_fails_outstanding_tickets(tiny_network, registry, make_ranker):
-    """Satellite (a): close() answers every in-flight ticket with a
-    structured ``engine_closed`` error — no waiter blocks forever."""
-    service = _engine_service(tiny_network, registry, make_ranker)
-    engine = ServingEngine(service, concurrency=1, flush_deadline_ms=1.0)
-    service.arm_faults("prepare:hang")
+    gate.hold(service, "prepare")
     tickets = [engine.submit(RankRequest(source=0, target=5, request_id=i))
                for i in range(4)]
-    time.sleep(0.05)  # let the lone worker wedge on the hang
+    gate.wait_for(1)  # the lone worker is wedged in the candidate stage
 
     closer = threading.Thread(target=engine.close, kwargs={"timeout": 0.2})
     closer.start()
     try:
         responses = [ticket.wait(timeout=10.0) for ticket in tickets]
     finally:
-        service.disarm_faults()
+        gate.release()
         closer.join(timeout=10.0)
     failed = [r for r in responses if r.error_code == "engine_closed"]
     assert failed, "close() abandoned in-flight tickets"

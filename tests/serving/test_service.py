@@ -187,21 +187,31 @@ class TestOneServiceOneLane:
         assert service.scorer.batches_run == 2  # no memoised skip
 
     def test_a_killed_scorer_trips_the_service_breaker(
-            self, tiny_network, registry, make_ranker, candidates_config):
-        """Every group's scoring call fails: the individual rescue still
-        answers the first groups, then the breaker opens and later
-        requests degrade to the fallback without touching the scorer."""
+            self, tiny_network, registry, make_ranker, candidates_config,
+            monkeypatch):
+        """Every scoring call fails: the individual rescue answers each of
+        the first groups with the fallback, then the breaker opens and
+        later requests degrade to the fallback without touching the
+        scorer."""
         registry.publish(make_ranker(tiny_network, seed=1), activate=True)
         service = RankingService(tiny_network, registry, ServingConfig(
             candidates=candidates_config))
         # A clock that stands still: the breaker never cools down here.
         service.breaker = CircuitBreaker(clock=lambda: 0.0)
-        service.arm_faults("score:error")
+        calls = []
+
+        def killed(model, candidate_lists):
+            calls.append(len(candidate_lists))
+            raise ServingError("scorer killed")
+
+        monkeypatch.setattr(service.scorer, "score_many", killed)
         rescued = [service.rank(RankRequest(source=0, target=t))
                    for t in (2, 5) * (BREAKER_MIN_SAMPLES // 2)]
+        touched = len(calls)
         degraded = service.rank(RankRequest(source=3, target=5))
-        assert [r.served_by for r in rescued] \
-            == ["model"] * BREAKER_MIN_SAMPLES
+        assert len(calls) == touched
+        assert [(r.served_by, r.error) for r in rescued] \
+            == [("fallback", "scorer killed")] * BREAKER_MIN_SAMPLES
         assert (degraded.served_by, degraded.error_code, degraded.error) \
             == ("fallback", "breaker_open", "circuit breaker open")
         assert (service.breaker.state, service.breaker.trips) == ("open", 1)

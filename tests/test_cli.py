@@ -234,6 +234,8 @@ class TestServe:
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["responses"][0]["served_by"] == "error"
+        assert payload["responses"][0]["error_code"] == "invalid_request"
+        assert payload["responses"][0]["retry_after_ms"] is None
 
     def test_serve_missing_model_exits_cleanly(self, artifacts, queries_file,
                                                capsys):
@@ -327,16 +329,6 @@ class TestServeCleanup:
         assert "error:" in capsys.readouterr().err
         assert lifecycle == {"built": 0, "closed": 0}
 
-    def test_malformed_fault_spec_builds_nothing(self, artifacts, queries_file,
-                                                 lifecycle, capsys):
-        network, _, model = artifacts
-        code = main(["serve", "--network", str(network), "--model", str(model),
-                     "--queries-file", str(queries_file),
-                     "--fault-spec", "nowhere:error"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
-        assert lifecycle == {"built": 0, "closed": 0}
-
     @pytest.mark.parametrize("value", ["inf", "nan", "-1", "1e20"])
     def test_unusable_flush_deadline_exits_cleanly(self, artifacts,
                                                    queries_file, lifecycle,
@@ -385,6 +377,18 @@ class TestServeCleanup:
         assert "--split" in capsys.readouterr().err
         assert lifecycle == {"built": 0, "closed": 0}
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--fault-spec", "score:error"), ("--fault-seed", "7")])
+    def test_fault_flags_are_gone(self, artifacts, queries_file, lifecycle,
+                                  capsys, flag, value):
+        network, _, model = artifacts
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--network", str(network), "--model", str(model),
+                  "--queries-file", str(queries_file), flag, value])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert lifecycle == {"built": 0, "closed": 0}
+
     @pytest.mark.parametrize("field, value", [
         ("source", None), ("k", None), ("source", 0.9), ("target", 399.7),
         ("source", True), ("k", 2.9), ("k", True), ("target", "5"),
@@ -425,20 +429,6 @@ class TestServeCleanup:
         assert captured.out == ""
         [line] = captured.err.strip().splitlines()
         assert line.startswith("error:") and "--metrics-interval-s" in line
-        assert lifecycle == {"built": 0, "closed": 0}
-
-    def test_shard_scoped_fault_spec_builds_nothing(self, artifacts,
-                                                    queries_file, lifecycle,
-                                                    capsys):
-        """Fault rules have no ``@shard`` scope: ``score@1`` is an
-        unknown injection point."""
-        network, _, model = artifacts
-        code = main(["serve", "--network", str(network), "--model", str(model),
-                     "--queries-file", str(queries_file),
-                     "--fault-spec", "score@1:error"])
-        assert code == 2
-        [line] = capsys.readouterr().err.strip().splitlines()
-        assert line.startswith("error:") and "'score@1'" in line
         assert lifecycle == {"built": 0, "closed": 0}
 
     @pytest.mark.parametrize("value", ["0", "-3"])
