@@ -6,7 +6,7 @@ which one to put on top.  The script trains PathRank on fleet history,
 publishes the model into a :class:`~repro.serving.ModelRegistry`, and
 answers held-out queries through the **concurrent**
 :class:`~repro.serving.ServingEngine` — warm-up from the training
-hotspot mix, candidate caching, deadline-batched cross-request
+hotspot mix, candidate caching, group-commit cross-request
 coalescing, and per-request latency accounting included — then compares
 its top suggestion against the classic criteria (shortest, fastest) by
 how well each matches what a held-out driver actually drove.
@@ -79,7 +79,7 @@ def main() -> None:
         by_id = {trip.trip_id: trip for trip in split.test}
         overlaps = {"PathRank": [], "shortest": [], "fastest": []}
         served = 0
-        with ServingEngine(service, concurrency=8, flush_deadline_ms=2.0,
+        with ServingEngine(service, concurrency=8,
                            warmup=warmup) as engine:
             print(f"engine ready (warmed {engine.warmed_up} hotspot queries)")
             responses = engine.rank_batch(requests)

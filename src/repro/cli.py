@@ -14,7 +14,7 @@ without writing Python::
         --source 3 --target 47
     python -m repro.cli serve --network /tmp/net.json --model /tmp/model.npz \
         --queries-file /tmp/queries.json --json \
-        --concurrency 8 --flush-deadline-ms 2
+        --concurrency 8
     python -m repro.cli od-matrix --network /tmp/net.json \
         --origins 3,9,12 --destinations 47,58 --cost travel_time
     python -m repro.cli service-area --network /tmp/net.json \
@@ -143,16 +143,14 @@ def build_parser() -> argparse.ArgumentParser:
                        default="D-TkDI")
     serve.add_argument("--k", type=int, default=5)
     serve.add_argument("--batch-size", type=int, default=64,
-                       help="flush a scoring batch once this many "
-                            "requests' candidates are pending")
+                       help="paths per forward pass (the engine flushes "
+                            "whenever its previous flush ends)")
     serve.add_argument("--cache-size", type=int, default=1024)
     serve.add_argument("--no-fallback", action="store_true",
                        help="fail requests instead of degrading to the "
                             "shortest path")
     serve.add_argument("--concurrency", type=int, default=4,
                        help="engine worker threads (>= 1)")
-    serve.add_argument("--flush-deadline-ms", type=float, default=2.0,
-                       help="engine scoring-batch flush deadline in ms")
     serve.add_argument("--json", action="store_true",
                        help="print responses and stats as JSON")
     serve.add_argument("--execution",
@@ -457,12 +455,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = _build_service(args)
     try:
         # One burst: every query is submitted before the first is
-        # waited for.
-        # The engine re-batches by its own deadline/size policy;
-        # responses stay in request order.
-        with ServingEngine(
-                service, concurrency=args.concurrency,
-                flush_deadline_ms=args.flush_deadline_ms) as engine:
+        # waited for.  The engine coalesces what its flushes find
+        # pending; responses stay in request order.
+        with ServingEngine(service,
+                           concurrency=args.concurrency) as engine:
             with _timeline(service, args):
                 responses = engine.rank_batch(requests)
             stats = engine.stats()

@@ -17,13 +17,13 @@ operations the serving layer fans out:
   degradation) runs unmodified in the parent while only the padded
   forward passes leave the process.
 
-Weight segments are published lazily per ``(version, weight_version)``
-and unlinked when the serving layer reports a registry deactivation
-(:meth:`on_deactivate`), so a hot-swap cannot leak superseded weights
-into ``/dev/shm``.  CSR export happens once, after force-building the
-ALT landmark tables owner-side — landmark selection is randomised, so
-replicas must inherit the owner's tables for element-wise ranking
-parity.
+Weight segments are published lazily per ``(version, weight_version)``,
+and publishing one unlinks every other but the registry's active
+version's (:meth:`ensure_weights`), so a hot-swap cannot leak
+superseded weights into ``/dev/shm``.  CSR export
+happens once, after force-building the ALT landmark tables owner-side —
+landmark selection is randomised, so replicas must inherit the owner's
+tables for element-wise ranking parity.
 """
 
 from __future__ import annotations
@@ -113,9 +113,8 @@ class ExecutionPlane:
                                csr_name=segment.name, csr_key=self._csr_key,
                                metrics=metrics,
                                ready_timeout_s=READY_TIMEOUT_S)
+        #: Serialises weight publishing with the pruning that follows it.
         self._lock = threading.Lock()
-        #: model version -> weight segment keys, for deactivation pruning.
-        self._weight_keys: dict[str, set[str]] = {}
         self._closed = False
         try:
             self.pool.wait_ready(READY_TIMEOUT_S)
@@ -159,34 +158,45 @@ class ExecutionPlane:
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def ensure_weights(self, active) -> tuple[str, str]:
-        """Publish ``active``'s compiled weights; returns (name, key)."""
+    def ensure_weights(self, active,
+                       live: str | None = None) -> tuple[str, str]:
+        """Publish ``active``'s compiled weights; returns (name, key).
+
+        Publishing unlinks the weight segments of every version other
+        than ``active``'s and ``live``, the registry's active version.
+        So the first group after a hot-swap leaves only the live
+        weights, and a group still scoring a superseded snapshot
+        republishes its own without evicting the live ones; that
+        straggler's segment goes at the next hot-swap.  A worker that
+        cached a kernel keeps it; a dispatch whose segment is gone
+        fails, and the service's retry asks for a fresh proxy, which
+        publishes it again.
+        """
         kernel = compiled_for(active.model)
         key = (f"weights:{active.version}:{kernel.weight_version}:"
                f"{kernel.dtype}")
-        segment = self.arena.get(key)
-        if segment is None:
-            arrays, meta = kernel.shared_payload()
-            segment = self.arena.publish(key, arrays, meta)
-            with self._lock:
-                self._weight_keys.setdefault(active.version, set()).add(key)
+        with self._lock:
+            segment = self.arena.get(key)
+            if segment is None:
+                arrays, meta = kernel.shared_payload()
+                segment = self.arena.publish(key, arrays, meta)
+                self.arena.drop_where(
+                    lambda other: other != key
+                    and other.startswith("weights:")
+                    and (live is None
+                         or not other.startswith(f"weights:{live}:")))
         return segment.name, key
 
-    def scoring_proxy(self, active,
-                      deadline_ms: float | None = None) -> _PoolModel:
-        """A model stand-in scoring ``active``'s snapshot on the pool."""
-        name, key = self.ensure_weights(active)
+    def scoring_proxy(self, active, deadline_ms: float | None = None,
+                      live: str | None = None) -> _PoolModel:
+        """A model stand-in scoring ``active``'s snapshot on the pool
+        (``live`` as for :meth:`ensure_weights`)."""
+        name, key = self.ensure_weights(active, live)
         return _PoolModel(self, name, key, deadline_ms)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def on_deactivate(self, version: str) -> int:
-        """Unlink the weight segments of a deactivated model version."""
-        with self._lock:
-            keys = self._weight_keys.pop(version, set())
-        return sum(1 for key in keys if self.arena.drop(key))
-
     def close(self) -> None:
         if self._closed:
             return

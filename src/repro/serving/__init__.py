@@ -27,12 +27,13 @@ deployment needs around it:
   :class:`~repro.serving.pipeline.QueryState` records; the stages never
   raise, and ``rank`` runs them for exactly one request.
 * :class:`ServingEngine` — the front door for batches, over the same
-  stages: worker threads prepare requests, a deadline flusher
-  coalesces *concurrent* queries into fused scoring batches (flush on
-  ``ServingConfig.max_batch_size`` paths or the engine's fixed
-  ``flush_deadline_ms``, whichever first), and an optional warm-up
-  replays a recorded hotspot mix through the caches before the
-  constructor returns.  Responses equal ``service.rank``'s.
+  stages: worker threads prepare requests and coalesce *concurrent*
+  queries into fused scoring batches by group commit (a flush starts
+  when the previous one ends and takes everything prepared meanwhile;
+  ``ServingConfig.max_batch_size`` is the paths per forward pass, not a
+  flush trigger), and an optional warm-up replays a recorded hotspot
+  mix through the caches before the constructor returns.  Responses
+  equal ``service.rank``'s.
 * **Telemetry** (:mod:`repro.obs`) — the service records its request,
   latency and resilience counts straight into the instruments of its
   central :class:`~repro.obs.metrics.MetricsRegistry`; the caches, the

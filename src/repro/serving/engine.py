@@ -1,4 +1,4 @@
-"""The concurrent serving front door: deadline-batched cross-request coalescing.
+"""The concurrent serving front door: cross-request coalescing by group commit.
 
 Every batch of queries enters the serving stack here.  Scoring one
 request alone runs the fused kernel at batch ``k``; :class:`ServingEngine`
@@ -15,11 +15,22 @@ coalesces independent queries into shared forward passes: callers
   feeds no ``engine.occupancy.*`` histogram, records no ``queue_wait``
   span, and ``max_queue`` never sheds it;
 * **worker threads** run the candidate-generation stage of the shared
-  pipeline for every other request, and
-* a **deadline flusher** coalesces prepared requests into one scoring
-  flush, scored per model-snapshot group — triggered the moment the
-  service's ``max_batch_size`` paths accumulate, or ``flush_deadline_ms``
-  after the oldest pending request arrived, whichever comes first.
+  pipeline for every other request and park the prepared states, and
+* **the engine flushes when the previous flush ends** (group commit): a
+  worker that parks states starts a flush unless one is running, then
+  keeps taking *everything* pending and scoring it, one coalesced pass
+  per model-snapshot group, until nothing is pending.  Requests
+  prepared while a flush runs form the next batch, so batches grow
+  exactly when scoring is the bottleneck and a lone request never
+  waits for a timer.  ``ServingConfig.max_batch_size`` only caps the
+  paths of one forward pass within a flush.
+
+Each ticket is answered once, by the thread that finishes it: ``submit``
+for refused, hot or shed requests, a worker for one with nothing to
+score, the flushing worker after scoring, and :meth:`close` for
+leftovers.  That thread claims the ticket under the engine lock by
+stamping ``completed``, assembles the response, then wakes the waiter;
+a thread that finds the ticket already claimed leaves it alone.
 
 The engine drives the *same* stage methods as ``service.rank``, and
 those stages never raise, so no engine thread dies of a request and
@@ -34,7 +45,7 @@ cache.  A constructed engine is a started engine.
 
 Usage::
 
-    with ServingEngine(service, concurrency=8, flush_deadline_ms=2.0,
+    with ServingEngine(service, concurrency=8,
                        warmup=yesterdays_hotspot_mix) as engine:
         responses = engine.rank_batch(requests)   # or submit()/wait()
     print(engine.stats()["engine"]["occupancy"])
@@ -58,28 +69,21 @@ __all__ = ["EngineTicket", "ServingEngine"]
 class EngineTicket:
     """Handle for one in-flight engine request.
 
-    ``wait`` blocks until the pipeline finished the request and returns
+    ``wait`` blocks until the engine answered the request and returns
     its :class:`RankResponse`; ``done`` polls without blocking.
-    ``state`` is the request's admitted :class:`QueryState`.
-
-    Response assembly (ranking + metrics) runs lazily in the first
-    thread that calls :meth:`wait` rather than in the scoring thread —
-    the flush's critical path stays short, so the next batch starts
-    scoring while the woken clients assemble their own responses in
-    parallel.
+    ``state`` is the request's admitted :class:`QueryState`, and
+    ``completed`` the ``perf_counter`` instant the pipeline finished it,
+    stamped before assembly so assembling is not counted as latency.
     """
 
-    __slots__ = ("request", "submitted", "completed", "state", "_service",
-                 "_event", "_finalize")
+    __slots__ = ("request", "submitted", "completed", "state", "_event")
 
-    def __init__(self, request: RankRequest, service) -> None:
+    def __init__(self, request: RankRequest) -> None:
         self.request = request
         self.submitted = time.perf_counter()
         self.completed: float | None = None
         self.state: QueryState | None = None
-        self._service = service
         self._event = threading.Event()
-        self._finalize = threading.Lock()
 
     @property
     def done(self) -> bool:
@@ -91,21 +95,7 @@ class EngineTicket:
                 f"request {self.request.source}->{self.request.target} "
                 f"not answered within {timeout}s"
             )
-        return self._collect()
-
-    def _collect(self) -> RankResponse:
-        state = self.state
-        if state.response is None:
-            with self._finalize:
-                if state.response is None:
-                    # Latency is pinned to when the pipeline finished,
-                    # not to when this waiter drained the ticket.
-                    self._service.assemble(state, completed=self.completed)
-        return state.response
-
-    def _resolve(self) -> None:
-        self.completed = time.perf_counter()
-        self._event.set()
+        return self.state.response
 
 
 class ServingEngine:
@@ -113,26 +103,12 @@ class ServingEngine:
 
     def __init__(self, service: RankingService, *,
                  concurrency: int = 4,
-                 flush_deadline_ms: float = 2.0,
                  warmup: Sequence[RankRequest] | None = None) -> None:
         self.service = service
         self.concurrency = concurrency
-        self.flush_deadline_ms = flush_deadline_ms
         if self.concurrency < 1:
             raise ServingError(
                 f"concurrency must be >= 1, got {self.concurrency}")
-        # The flusher sleeps on Condition.wait, which rejects timeouts
-        # above threading.TIMEOUT_MAX (and NaN never orders): a value it
-        # cannot sleep on would kill the flusher thread and strand every
-        # parked request.
-        if isinstance(flush_deadline_ms, bool) \
-                or not isinstance(flush_deadline_ms, (int, float)) \
-                or not 0.0 <= flush_deadline_ms \
-                <= threading.TIMEOUT_MAX * 1000.0:
-            raise ServingError(
-                f"flush_deadline_ms must be a number of ms in "
-                f"[0, {threading.TIMEOUT_MAX * 1000.0:g}], "
-                f"got {flush_deadline_ms!r}")
         self.warmed_up = 0
         # Flush occupancy: requests and paths per scoring flush.  A
         # histogram's exact count and sum give flushes and totals.  The
@@ -145,16 +121,17 @@ class ServingEngine:
 
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)   # inbox activity
-        self._flush = threading.Condition(self._lock)  # pending activity
         self._inbox: deque[EngineTicket] = deque()
         #: Every accepted-but-unanswered ticket: close() fails whatever
         #: is left here rather than abandoning its waiters.
         self._outstanding: set[EngineTicket] = set()
+        #: Prepared tickets the next flush takes.
         self._pending: list[EngineTicket] = []
-        self._pending_paths = 0
-        self._pending_since: float | None = None
+        #: Whether a worker is flushing; it drains ``_pending`` before
+        #: it clears this.
+        self._flushing = False
         self._stopping = False
-        # Warm the caches, then spin up the workers and the flusher.
+        # Warm the caches, then spin up the workers.
         if warmup:
             self.warmed_up = service.warm_up(warmup)
         self._workers = [
@@ -163,9 +140,6 @@ class ServingEngine:
             for number in range(concurrency)]
         for thread in self._workers:
             thread.start()
-        self._flusher_thread = threading.Thread(
-            target=self._flusher, daemon=True, name="serving-flusher")
-        self._flusher_thread.start()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -176,16 +150,17 @@ class ServingEngine:
         return not self._stopping
 
     def close(self, timeout: float | None = None) -> None:
-        """Stop accepting requests, drain in-flight ones, join threads.
+        """Stop accepting requests, drain in-flight ones, join the workers.
 
         Everything submitted before the close is still answered: the
-        workers finish the inbox first, then whatever they parked for
-        scoring is flushed here before the flusher is released.  Any
-        ticket that is *still* unanswered at the end — a thread stuck in
-        a hung scorer, a straggler the ``timeout``-bounded joins gave up
-        on — is failed with a structured ``engine_closed`` error instead
-        of being abandoned, so no waiter ever blocks on a closed engine.
-        ``timeout`` bounds the total time spent joining threads
+        workers finish the inbox first, and a worker that parks states
+        flushes them (or leaves them to the flush running) before it
+        exits.  Any ticket that is *still* unanswered at the end — behind
+        a worker stuck in a stage that the ``timeout``-bounded joins gave
+        up on — is failed with a structured ``engine_closed`` error
+        instead of being abandoned, so no waiter ever blocks on a closed
+        engine; the stuck worker answers none of them when it comes
+        back.  ``timeout`` bounds the total time spent joining threads
         (``None`` = wait for a clean drain).
         """
         with self._lock:
@@ -195,31 +170,13 @@ class ServingEngine:
             self._work.notify_all()
         give_up_at = None if timeout is None \
             else time.perf_counter() + timeout
-        joined = True
         for thread in self._workers:
             thread.join(self._join_budget(give_up_at))
-            joined = joined and not thread.is_alive()
-        # Workers are gone; anything they left pending is flushed now so
-        # no ticket can be stranded between worker exit and flusher exit.
         with self._lock:
-            batch = self._take_pending_locked()
-            self._flush.notify_all()
-        if batch and joined:
-            self._score_batch(batch)
-        if self._flusher_thread is not None:
-            self._flusher_thread.join(self._join_budget(give_up_at))
-            if not self._flusher_thread.is_alive():
-                self._flusher_thread = None
-        # Fail whatever is still unanswered: inbox stragglers behind a
-        # stuck worker, claims a hung thread never released, and (when
-        # the joins timed out) the batch we chose not to score above.
-        with self._lock:
-            leftovers = [ticket for ticket in self._outstanding
-                         if not ticket.done]
-        for ticket in leftovers:
-            self._fail_ticket(
-                ticket, "engine closed before the request was answered",
-                "engine_closed")
+            leftovers = list(self._outstanding)
+            self._inbox.clear()
+            self._pending.clear()
+        self._answer(leftovers, closed=True)
         self._workers.clear()
 
     @staticmethod
@@ -244,7 +201,8 @@ class ServingEngine:
         for the active version (see the module docstring), is answered
         before this returns.  Every other one enters the inbox with its
         admitted state.  When the service's ``config.max_queue`` bound
-        is set and the inbox is full, such a request is *shed* instead:
+        is set and that many requests already wait for a worker or for
+        the next flush, such a request is *shed* instead:
         ``shed_policy="reject"`` answers the ticket immediately with a
         structured ``shed`` error (plus a ``retry_after_ms`` hint),
         ``"degrade"`` answers it with the shortest-path fallback
@@ -254,7 +212,7 @@ class ServingEngine:
         service = self.service
         if self._stopping:
             raise ServingError("engine is closed; no new requests")
-        ticket = EngineTicket(request, service)
+        ticket = EngineTicket(request)
         state = ticket.state = service.admit(request)
         # Queue wait counts toward latency and the deadline: the clock
         # starts at submission.
@@ -265,18 +223,28 @@ class ServingEngine:
             service.score_states([service.prepare(state)])
         elif state.error is None and self._enqueue(ticket):
             return ticket
-        ticket._resolve()
+        # No other thread has seen this ticket, so stamping it needs no
+        # claim under the lock.
+        ticket.completed = time.perf_counter()
+        self._release(ticket)
         return ticket
 
     def _enqueue(self, ticket: EngineTicket) -> bool:
         """Park a ticket in the inbox; ``False``, after shedding its
-        state, when the full queue cannot take it."""
+        state, when the full queue cannot take it.
+
+        The queue is everything waiting: the inbox *and* the prepared
+        tickets parked for the next flush.  While a flush holds the
+        scorer the free workers keep moving the inbox into ``_pending``,
+        so bounding the inbox alone would let the backlog grow there.
+        """
         service = self.service
         with self._lock:
             if self._stopping:
                 raise ServingError("engine is closed; no new requests")
             max_queue = service.config.max_queue
-            if not 0 < max_queue <= len(self._inbox):
+            waiting = len(self._inbox) + len(self._pending)
+            if not 0 < max_queue <= waiting:
                 self._inbox.append(ticket)
                 self._outstanding.add(ticket)
                 self._work.notify()
@@ -308,8 +276,9 @@ class ServingEngine:
                    timeout: float | None = None) -> list[RankResponse]:
         """Submit many requests at once and block for all responses.
 
-        The engine re-batches by its own deadline/size policy; responses
-        come back in request order and equal ``service.rank``'s.
+        The engine coalesces them into as few flushes as scoring allows;
+        responses come back in request order and equal
+        ``service.rank``'s.
         """
         tickets = [self.submit(request) for request in requests]
         return [ticket.wait(timeout) for ticket in tickets]
@@ -327,7 +296,6 @@ class ServingEngine:
     ADMISSION_CHUNK = 8
 
     def _worker(self) -> None:
-        service = self.service
         while True:
             with self._lock:
                 while not self._inbox and not self._stopping:
@@ -340,49 +308,14 @@ class ServingEngine:
                     self._work.notify()  # more work: wake a sibling
             prepared: list[EngineTicket] = []
             for ticket in claimed:
-                state = self._prepare_ticket(ticket)
-                if not state.scorable:
+                if self._prepare_ticket(ticket).scorable:
+                    prepared.append(ticket)
+                else:
                     # Nothing to score (error, no model, or an empty
                     # candidate set): answer immediately.
-                    service.assemble(state)
-                    self._resolve_ticket(ticket)
-                else:
-                    prepared.append(ticket)
-            if not prepared:
-                continue
-            batch: list[EngineTicket] = []
-            with self._lock:
-                self._pending.extend(prepared)
-                self._pending_paths += sum(len(ticket.state.paths)
-                                           for ticket in prepared)
-                if self._pending_since is None:
-                    self._pending_since = time.perf_counter()
-                    self._flush.notify()  # wake the deadline clock
-                if self._pending_paths >= service.config.max_batch_size:
-                    batch = self._take_pending_locked()
-            if batch:
-                self._score_batch(batch)
-
-    def _flusher(self) -> None:
-        deadline_s = self.flush_deadline_ms / 1000.0
-        while True:
-            batch: list[EngineTicket] = []
-            with self._lock:
-                if self._stopping and self._pending_since is None:
-                    # close() flushes the last stragglers itself after
-                    # joining the workers, so exiting here is safe.
-                    return
-                if self._pending_since is None:
-                    self._flush.wait()
-                    continue
-                remaining = self._pending_since + deadline_s \
-                    - time.perf_counter()
-                if remaining > 0 and not self._stopping:
-                    self._flush.wait(timeout=remaining)
-                    continue
-                batch = self._take_pending_locked()
-            if batch:
-                self._score_batch(batch)
+                    self._answer([ticket])
+            if prepared:
+                self._flush(prepared)
 
     def _prepare_ticket(self, ticket: EngineTicket) -> QueryState:
         """The candidate stage (which never raises: a dead worker would
@@ -393,40 +326,61 @@ class ServingEngine:
                             time.perf_counter())
         return self.service.prepare(state)
 
-    def _take_pending_locked(self) -> list[EngineTicket]:
-        batch, self._pending = self._pending, []
-        self._pending_paths = 0
-        self._pending_since = None
-        return batch
+    def _flush(self, prepared: list[EngineTicket]) -> None:
+        """Park prepared tickets, then flush unless a flush is running.
 
-    def _resolve_ticket(self, ticket: EngineTicket) -> None:
+        The flushing worker takes everything pending, scores and answers
+        it, and repeats until nothing is pending.  Finding ``_pending``
+        empty and clearing ``_flushing`` happen under one hold of the
+        lock, so a parked ticket is always taken by the running flush or
+        starts one itself.
+        """
         with self._lock:
-            self._outstanding.discard(ticket)
-        ticket._resolve()
+            self._pending += prepared
+            if self._flushing:
+                return
+            self._flushing = True
+        while True:
+            with self._lock:
+                batch, self._pending = self._pending, []
+                self._flushing = bool(batch)
+            if not batch:
+                return
+            states = [ticket.state for ticket in batch]
+            self.service.score_states(states)
+            requests, paths = self._flush_sizes
+            requests.observe(len(states))
+            paths.observe(sum(len(state.paths) for state in states))
+            self._answer(batch)
 
-    def _fail_ticket(self, ticket: EngineTicket, message: str,
-                     code: str) -> None:
-        """Force-terminate an unanswered ticket with a structured error."""
-        state = ticket.state
-        if state.response is None:
-            state.error = message
-            state.error_code = code
-            state.active = None
-            state.scores = None
-        self._resolve_ticket(ticket)
+    def _answer(self, tickets: Sequence[EngineTicket],
+                closed: bool = False) -> None:
+        """Claim the tickets under the engine lock, then release them.
 
-    def _score_batch(self, batch: list[EngineTicket]) -> None:
-        states = [ticket.state for ticket in batch]
-        self.service.score_states(states)
-        requests, paths = self._flush_sizes
-        requests.observe(len(states))
-        paths.observe(sum(len(state.paths) for state in states))
-        # Assembly is deferred to each ticket's waiter (see
-        # EngineTicket.wait): releasing the batch here keeps the flush
-        # critical path at "score + wake", so the next flush can start
-        # while the woken clients build their responses.
-        for ticket in batch:
-            self._resolve_ticket(ticket)
+        Claiming stamps ``completed``, so each ticket is claimed once;
+        one another thread already claimed is skipped, and nothing is
+        assembled or recorded twice.  ``closed`` fails the claimed
+        tickets with a structured ``engine_closed`` error.
+        """
+        with self._lock:
+            now = time.perf_counter()
+            owned = [ticket for ticket in tickets if ticket.completed is None]
+            for ticket in owned:
+                ticket.completed = now
+                self._outstanding.discard(ticket)
+        for ticket in owned:
+            if closed:
+                state = ticket.state
+                state.error = "engine closed before the request was answered"
+                state.error_code = "engine_closed"
+                state.active = None
+            self._release(ticket)
+
+    def _release(self, ticket: EngineTicket) -> None:
+        """Assemble a claimed ticket's response, with latency pinned to
+        the claim, then wake its waiter."""
+        self.service.assemble(ticket.state, completed=ticket.completed)
+        ticket._event.set()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -451,11 +405,10 @@ class ServingEngine:
         """The underlying service's stats plus the engine's own gauges."""
         stats = self.service.stats()
         with self._lock:
-            queue_depth = len(self._inbox)
+            queue_depth = len(self._inbox) + len(self._pending)
             outstanding = len(self._outstanding)
         stats["engine"] = {
             "concurrency": self.concurrency,
-            "flush_deadline_ms": self.flush_deadline_ms,
             "max_batch_size": self.service.config.max_batch_size,
             "ready": self.ready,
             "warmed_up": self.warmed_up,

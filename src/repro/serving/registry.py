@@ -54,9 +54,6 @@ class ModelRegistry:
         self._active: ActiveModel | None = None
         self._generation = 0
         self._lock = threading.Lock()
-        #: Lifecycle listeners, called as ``listener(event, version)``
-        #: outside the registry lock (see :meth:`subscribe`).
-        self._listeners: list = []
 
     @property
     def root(self) -> FilePath:
@@ -148,41 +145,11 @@ class ModelRegistry:
             active = self._active = ActiveModel(
                 version=version, model=model, generation=self._generation,
                 metadata=dict(metadata))
-        self._notify("activate", version)
         return active
-
-    def subscribe(self, listener) -> None:
-        """Register a lifecycle listener: ``listener(event, version)``.
-
-        Events: ``"activate"`` after a version goes live and
-        ``"deactivate"`` after the active slot is cleared (``version``
-        names the model that *was* active).  Listeners run outside the
-        registry lock, in the mutating caller's thread; exceptions are
-        swallowed — a sick observer must not break a hot-swap.  The
-        execution plane uses this to unlink the shared-memory weight
-        segments of versions that can no longer serve.
-        """
-        self._listeners.append(listener)
-
-    def unsubscribe(self, listener) -> None:
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def _notify(self, event: str, version: str) -> None:
-        for listener in list(self._listeners):
-            try:
-                listener(event, version)
-            except Exception:  # noqa: BLE001 - observers must not break swaps
-                pass
 
     def deactivate(self) -> None:
         with self._lock:
-            previous = self._active
             self._active = None
-        if previous is not None:
-            self._notify("deactivate", previous.version)
 
     def snapshot(self) -> ActiveModel | None:
         """The active model at this instant (stable for the caller)."""

@@ -110,8 +110,8 @@ class ServingConfig:
     pays the forward pass; mainly for benchmarks isolating scoring
     work); any other value keeps scores on the candidate-cache entries,
     so on at most ``candidate_cache_size`` of them.  ``max_batch_size``
-    caps the paths of one forward pass and is the concurrent engine's
-    size trigger.
+    caps the paths of one forward pass; it does not decide when the
+    concurrent engine flushes.
     """
 
     candidates: TrainingDataConfig = field(default_factory=TrainingDataConfig)
@@ -127,8 +127,8 @@ class ServingConfig:
     #: Default per-request deadline budget in milliseconds (``None``
     #: disables; ``RankRequest.deadline_ms`` overrides per request).
     deadline_ms: float | None = None
-    #: Engine admission-queue bound (requests waiting for a worker);
-    #: 0 = unbounded.
+    #: Engine admission-queue bound (requests waiting for a worker or
+    #: for the next flush); 0 = unbounded.
     max_queue: int = 0
     #: What to do with a request the full queue cannot admit (see
     #: :data:`~repro.serving.resilience.SHED_POLICIES`).
@@ -257,15 +257,12 @@ class RankingService:
         # Resilience plane: a circuit breaker over scoring-group outcomes.
         self.breaker = CircuitBreaker()
         # Execution plane: dormant unless asked for.  "processes" stands
-        # up shared-memory hot-state plus a warm worker pool, and
-        # subscribes to registry lifecycle events so a deactivated
-        # version's weight segments are unlinked promptly.
+        # up shared-memory hot-state plus a warm worker pool.
         self.plane = None
         if self.config.execution == "processes":
             from repro.exec.plane import ExecutionPlane
             self.plane = ExecutionPlane(network, workers=self.config.workers,
                                         metrics=self.metrics)
-            registry.subscribe(self._on_registry_event)
         self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -308,11 +305,6 @@ class RankingService:
         """``resilience.*`` beyond the counters: the breaker's state
         under ``resilience.breaker.*``."""
         return {"breaker": self.breaker.as_dict()}
-
-    def _on_registry_event(self, event: str, version: str) -> None:
-        """Registry lifecycle hook: prune a dead version's shared weights."""
-        if event == "deactivate" and self.plane is not None:
-            self.plane.on_deactivate(version)
 
     def _routing_kernel_view(self) -> dict[str, int]:
         """``kernel.routing.*``: the network's CSR search-effort counters.
@@ -525,7 +517,8 @@ class RankingService:
             for state in traced:
                 if state.prepared_at is not None:
                     # Time parked between candidate generation and
-                    # this group's scoring pass (deadline batching).
+                    # this group's scoring pass: the wait for the
+                    # running flush to end.
                     state.trace.add("flush_wait", state.prepared_at,
                                     began)
                 state.trace.add("score", began, end,
@@ -546,28 +539,17 @@ class RankingService:
         never leaves a half-open probe slot claimed.
         """
         try:
-            model = active.model
-            if self.plane is not None:
-                # Swap in the pool-dispatching proxy: BatchingScorer
-                # still runs dedup/chunking in this process, but
-                # each chunk's forward pass executes on a worker, bounded
-                # by the group's tightest member deadline.  A plane
-                # failure here (segment publish) just keeps the inline
-                # model.
-                try:
-                    model = self.plane.scoring_proxy(
-                        active, deadline_ms=tightest_remaining_ms(members))
-                except ExecError:
-                    model = active.model
             try:
-                scored = self._scores(model, members, active.version)
+                scored = self._scores(self._scoring_model(members, active),
+                                      members, active.version)
             except ReproError:
                 tightest = tightest_remaining_ms(members)
                 if tightest is not None and tightest <= RETRY_DELAY_MS:
                     raise
                 self.res_counters["retries"].inc()
                 time.sleep(RETRY_DELAY_MS / 1000.0)
-                scored = self._scores(model, members, active.version)
+                scored = self._scores(self._scoring_model(members, active),
+                                      members, active.version)
                 self.res_counters["retry_successes"].inc()
         except ReproError:
             self.breaker.record_failure()
@@ -578,6 +560,28 @@ class RankingService:
             raise
         self.breaker.record_success()
         return scored
+
+    def _scoring_model(self, members: Sequence[QueryState],
+                       active: ActiveModel):
+        """The model one scoring attempt runs: ``active``'s own, or
+        under ``execution="processes"`` the pool-dispatching proxy.
+
+        With the proxy, BatchingScorer still runs dedup/chunking in this
+        process, but each chunk's forward pass executes on a worker,
+        bounded by the group's tightest member deadline.  Each attempt
+        asks the plane afresh, so a retry republishes weights that a
+        hot-swap unlinked.  A plane failure here (segment publish) just
+        keeps the inline model.
+        """
+        if self.plane is None:
+            return active.model
+        live = self.registry.snapshot()
+        try:
+            return self.plane.scoring_proxy(
+                active, deadline_ms=tightest_remaining_ms(members),
+                live=None if live is None else live.version)
+        except ExecError:
+            return active.model
 
     def _scores(self, model, members: Sequence[QueryState],
                 version: str) -> list[list[float]]:

@@ -1,5 +1,6 @@
 """Service-level execution modes: parity, worker death, lifecycle, stats."""
 
+import threading
 import time
 
 import pytest
@@ -187,20 +188,76 @@ def test_exec_worker_fault_kills_for_real_and_service_degrades(
 # ----------------------------------------------------------------------
 # Lifecycle: weight pruning and teardown
 # ----------------------------------------------------------------------
-def test_deactivate_unlinks_weight_segments(exec_network, exec_ranker,
-                                            tmp_path, workload):
+def _weight_versions(service) -> list[str]:
+    return sorted(key.split(":")[1] for key in service.plane.arena.keys()
+                  if key.startswith("weights:"))
+
+
+def test_hot_swap_keeps_only_the_active_weight_segment(
+        exec_network, exec_ranker, tmp_path, workload):
     service = _service(exec_network, exec_ranker, tmp_path / "models",
                        execution="processes", workers=1)
     try:
-        responses = _rank_all(service, workload[:4])
-        assert all(response.ok for response in responses)
-        keys = service.plane.arena.keys()
-        assert any(key.startswith("weights:") for key in keys)
-        service.registry.deactivate()
-        keys = service.plane.arena.keys()
-        assert not any(key.startswith("weights:") for key in keys)
+        for version in ("v1", "v2", "v3"):
+            service.registry.publish(exec_ranker, version=version)
+            if version == "v3":
+                held = service.admit(workload[1])  # keeps v2's snapshot
+            service.activate(version)
+            response = _rank_all(service, workload[:1])[0]
+            assert (response.served_by, response.model_version) \
+                == ("model", version)
+            assert _weight_versions(service) == [version]
         # The CSR segment stays — it belongs to the graph, not a model.
-        assert any(key.startswith("csr:") for key in keys)
+        assert any(key.startswith("csr:")
+                   for key in service.plane.arena.keys())
+        # A group still holding a superseded snapshot is model-served,
+        # and republishing its weights leaves the live ones in place.
+        service.score_states([service.prepare(held)])
+        response = service.assemble(held)
+        assert (response.served_by, response.model_version) \
+            == ("model", "v2")
+        assert _weight_versions(service) == ["v2", "v3"]
+    finally:
+        service.close()
+
+
+def test_scoring_two_snapshots_at_once_fails_no_group(
+        exec_network, exec_ranker, tmp_path, workload):
+    """Groups on a superseded snapshot and on the live one score side by
+    side without evicting each other's weights for good: the breaker
+    sees no failure and every answer is model-served by its version."""
+    service = _service(exec_network, exec_ranker, tmp_path / "models",
+                       execution="processes", workers=2,
+                       score_cache_size=0)
+    try:
+        for version in ("v2", "v3"):
+            service.registry.publish(exec_ranker, version=version)
+        service.activate("v2")
+        stragglers = [service.admit(request) for request in workload * 2]
+        service.activate("v3")
+        answers: dict[str, list] = {"v2": [], "v3": []}
+
+        def straggle() -> None:
+            for state in stragglers:
+                service.score_states([service.prepare(state)])
+                answers["v2"].append(service.assemble(state))
+
+        def serve_live() -> None:
+            for request in workload * 2:
+                answers["v3"].append(service.rank(request))
+
+        threads = [threading.Thread(target=straggle),
+                   threading.Thread(target=serve_live)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        for version, responses in answers.items():
+            assert len(responses) == 2 * len(workload)
+            assert {(response.served_by, response.model_version)
+                    for response in responses} == {("model", version)}
+        assert service.breaker.as_dict()["window_failures"] == 0
+        assert _weight_versions(service) == ["v2", "v3"]
     finally:
         service.close()
 

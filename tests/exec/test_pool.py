@@ -99,12 +99,8 @@ def test_score_parity_is_bitwise(plane, exec_network, exec_ranker,
                         dtype=np.float64)
     assert remote.dtype == np.float64
     np.testing.assert_array_equal(remote, inline)
-    # The weight segment is tracked for deactivation pruning.
     assert any(key.startswith("weights:v-parity:")
                for key in plane.arena.keys())
-    assert plane.on_deactivate("v-parity") == 1
-    assert not any(key.startswith("weights:v-parity:")
-                   for key in plane.arena.keys())
 
 
 def test_scores_match_inline_on_a_flush_sharing_prefixes_and_suffixes(
@@ -128,7 +124,10 @@ def test_scores_match_inline_on_a_flush_sharing_prefixes_and_suffixes(
     for chunk, scores in zip(chunks, remote):
         np.testing.assert_allclose(
             scores, exec_ranker.model.score_paths(chunk), atol=1e-6, rtol=0)
-    assert plane.on_deactivate("v-shared") == 1
+    # Publishing v-shared's weights unlinked every other version's.
+    weights = [key for key in plane.arena.keys()
+               if key.startswith("weights:")]
+    assert len(weights) == 1 and weights[0].startswith("weights:v-shared:")
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""ServingEngine: coalescing, parity, deadlines, warm-up, A/B routing."""
+"""ServingEngine: coalescing by group commit, parity, lifecycle, warm-up."""
 
-import math
+import inspect
 import sys
 import threading
 import time
@@ -30,7 +30,7 @@ STREAM_POOL = ([RankRequest(source=s, target=t) for s, t in ALL_PAIRS[:6]]
 
 
 def batching(service: RankingService, max_batch_size: int) -> RankingService:
-    """A fresh service like ``service`` whose engine flushes by size at
+    """A fresh service like ``service`` whose forward passes take up to
     ``max_batch_size`` paths."""
     return RankingService(service.network, service.registry,
                           replace(service.config,
@@ -46,7 +46,7 @@ class _PoisonScorer:
 
 @pytest.fixture
 def engine(service) -> ServingEngine:
-    with ServingEngine(service, concurrency=4, flush_deadline_ms=5.0) as eng:
+    with ServingEngine(service, concurrency=4) as eng:
         yield eng
 
 
@@ -88,8 +88,7 @@ class TestFrontDoor:
 
     def test_concurrent_submitters_coalesce(self, service):
         """Requests submitted by many threads share scoring flushes."""
-        with ServingEngine(batching(service, 512), concurrency=4,
-                           flush_deadline_ms=20.0) as engine:
+        with ServingEngine(batching(service, 512), concurrency=4) as engine:
             barrier = threading.Barrier(8)
             responses = {}
 
@@ -130,40 +129,172 @@ class TestFrontDoor:
         assert responses[2].served_by == "model"
 
 
-class TestDeadlineFlush:
-    def test_deadline_flushes_partial_batch(self, service):
-        """A lone request must be answered within ~the flush deadline,
-        not wait for max_batch_size paths to accumulate."""
-        with ServingEngine(batching(service, 10_000), concurrency=2,
-                           flush_deadline_ms=10.0) as engine:
-            started = time.perf_counter()
-            response = engine.rank(RankRequest(source=0, target=5))
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-        assert response.served_by == "model"
-        # Generous ceiling: deadline (10ms) + scheduling + scoring.
-        assert elapsed_ms < 2000.0
-        assert elapsed_ms >= 5.0, (
-            "a lone sub-threshold request should have waited for the "
-            f"flush deadline, answered in {elapsed_ms:.2f} ms"
-        )
+class TestGroupCommit:
+    """The engine flushes when the previous flush ends: what the workers
+    prepare while a flush runs is the next flush, whole."""
 
-    def test_size_trigger_fires_before_deadline(self, service):
-        """Enough pending paths flush immediately, not at the deadline."""
-        with ServingEngine(batching(service, 2), concurrency=4,
-                           flush_deadline_ms=10_000.0) as engine:
-            requests = [RankRequest(source=s, target=t)
-                        for s, t in ALL_PAIRS[:6]]
-            started = time.perf_counter()
-            responses = engine.rank_batch(requests)
-            elapsed = time.perf_counter() - started
+    def test_requests_prepared_during_a_flush_form_the_next_one(
+            self, tiny_network, registry, make_ranker, candidates_config,
+            gate):
+        registry.publish(make_ranker(tiny_network, seed=1), activate=True)
+        service = RankingService(tiny_network, registry, ServingConfig(
+            candidates=candidates_config, score_cache_size=0))
+        requests = [RankRequest(source=s, target=t)
+                    for s, t in ALL_PAIRS[1:7]]
+        service.warm_up(requests)  # candidates cached, scores not kept
+        gate.hold(service.scorer, "score_many")
+        engine = ServingEngine(service, concurrency=2)
+        try:
+            first = engine.submit(RankRequest(*ALL_PAIRS[0]))
+            gate.wait_for(1)  # the first flush is held in the scorer
+            tickets = [engine.submit(request) for request in requests]
+            give_up_at = time.perf_counter() + 5.0
+            while len(engine._pending) < len(requests):
+                assert time.perf_counter() < give_up_at, \
+                    "the free worker never parked the requests"
+                time.sleep(0.002)
+            assert not any(ticket.done for ticket in tickets)
+        finally:
+            gate.release()
+            engine.close()
+        occupancy = engine.occupancy()
+        assert occupancy["flushes"] == 2
+        assert occupancy["requests_coalesced"] == 1 + len(requests)
+        assert all(ticket.wait(timeout=0.0).served_by == "model"
+                   for ticket in [first, *tickets])
+
+    def test_each_request_is_flushed_once_under_stress(
+            self, tiny_network, registry, make_ranker, candidates_config):
+        """More workers than cores park and flush at a shortened switch
+        interval: a ticket parked as a flush ends and lost would hang, a
+        ticket taken by two flushes would be counted twice."""
+        registry.publish(make_ranker(tiny_network, seed=1), activate=True)
+        service = RankingService(tiny_network, registry, ServingConfig(
+            candidates=candidates_config, score_cache_size=0))
+        requests = [RankRequest(source=s, target=t, request_id=i)
+                    for i, (s, t) in enumerate(ALL_PAIRS * 6)]
+        service.warm_up(requests)  # every request is a quick rescore
+        answers: dict[int, list] = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServingEngine(service, concurrency=6) as engine:
+                def client(offset: int) -> None:
+                    answers[offset] = engine.rank_batch(
+                        requests[offset::4], timeout=10.0)
+
+                clients = [threading.Thread(target=client, args=(offset,))
+                           for offset in range(4)]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=30.0)
+                    assert not thread.is_alive()
+                occupancy = engine.occupancy()
+        finally:
+            sys.setswitchinterval(interval)
+        responses = [r for offset in range(4) for r in answers[offset]]
+        assert len(responses) == len(requests)
         assert all(r.served_by == "model" for r in responses)
-        assert elapsed < 5.0  # nowhere near the 10s deadline
+        assert occupancy["requests_coalesced"] == len(requests)
+        assert service.counters["requests"].value == len(requests)
 
-    def test_zero_deadline_serves_immediately(self, service):
-        with ServingEngine(service, concurrency=2,
-                           flush_deadline_ms=0.0) as engine:
-            response = engine.rank(RankRequest(source=0, target=5))
-        assert response.served_by == "model"
+    def test_max_batch_size_chunks_a_flush_but_never_cuts_it(
+            self, tiny_network, registry, make_ranker, candidates_config,
+            gate):
+        """``max_batch_size`` sizes the forward passes inside a flush;
+        it is not a trigger: the requests prepared during a held flush
+        are one flush however many paths they carry."""
+        registry.publish(make_ranker(tiny_network, seed=1), activate=True)
+        service = RankingService(tiny_network, registry, ServingConfig(
+            candidates=candidates_config, score_cache_size=0,
+            max_batch_size=2))
+        requests = [RankRequest(source=s, target=t)
+                    for s, t in ALL_PAIRS[1:7]]
+        service.warm_up(requests)  # candidates cached, scores not kept
+        gate.hold(service.scorer, "score_many")
+        engine = ServingEngine(service, concurrency=2)
+        try:
+            engine.submit(RankRequest(*ALL_PAIRS[0]))
+            gate.wait_for(1)  # the first flush is held in the scorer
+            tickets = [engine.submit(request) for request in requests]
+            give_up_at = time.perf_counter() + 5.0
+            while len(engine._pending) < len(requests):
+                assert time.perf_counter() < give_up_at, \
+                    "the free worker never parked the requests"
+                time.sleep(0.002)
+            before = service.scorer.as_dict()
+        finally:
+            gate.release()
+            engine.close()
+        responses = [ticket.wait(timeout=0.0) for ticket in tickets]
+        assert engine.occupancy()["flushes"] == 2
+        paths = sum(len(response.results) for response in responses)
+        assert paths > 2
+        after = service.scorer.as_dict()
+        assert after["paths_scored"] - before["paths_scored"] >= paths
+        assert after["batches_run"] - before["batches_run"] \
+            >= -(-paths // 2)
+        assert all(response.served_by == "model" for response in responses)
+
+
+class TestOneAnswer:
+    """Each ticket is answered once, by the thread that finishes it: it
+    stamps ``completed``, then assembles with that instant, then wakes
+    the waiter."""
+
+    @pytest.mark.parametrize("path, served_by, by_submit", [
+        ("hot", "model", True),
+        ("refused", "error", True),
+        ("shed", "error", True),
+        ("unscorable", "fallback", False),
+        ("scored", "model", False),
+    ])
+    def test_the_finishing_thread_assembles_once(
+            self, tiny_network, registry, make_ranker, candidates_config,
+            gate, monkeypatch, path, served_by, by_submit):
+        registry.publish(make_ranker(tiny_network, seed=1), activate=True)
+        service = RankingService(tiny_network, registry, ServingConfig(
+            candidates=candidates_config, max_queue=1,
+            shed_policy="reject"))
+        request = RankRequest(source=3, target=2)
+        if path == "hot":
+            service.rank(request)  # memoise its scores
+        elif path == "refused":
+            request = RankRequest(source=99, target=5)
+        elif path == "unscorable":
+            registry.deactivate()
+        calls: dict[int, list] = {}
+        real_assemble = service.assemble
+
+        def assemble(state, completed=None):
+            calls.setdefault(id(state), []).append(
+                (completed, threading.current_thread().name))
+            return real_assemble(state, completed=completed)
+
+        monkeypatch.setattr(service, "assemble", assemble)
+        with ServingEngine(service, concurrency=1) as engine:
+            if path == "shed":
+                gate.hold(service, "prepare")
+                try:
+                    engine.submit(RankRequest(source=0, target=5))
+                    gate.wait_for(1)  # the lone worker is held
+                    engine.submit(RankRequest(source=1, target=4))
+                    ticket = engine.submit(request)  # the inbox is full
+                finally:
+                    gate.release()
+            else:
+                ticket = engine.submit(request)
+            assert ticket.done == by_submit
+            response = ticket.wait(timeout=5.0)
+        assert response is ticket.state.response
+        assert ticket.wait(timeout=0.0) is response
+        assert response.served_by == served_by
+        [(completed, thread)] = calls[id(ticket.state)]
+        assert completed is not None and completed == ticket.completed
+        assert ticket.submitted <= ticket.completed
+        assert (thread == threading.current_thread().name) == by_submit
+        assert all(len(answers) == 1 for answers in calls.values())
 
 
 class TestLifecycle:
@@ -174,8 +305,7 @@ class TestLifecycle:
             engine.submit(RankRequest(source=0, target=5))
 
     def test_close_answers_in_flight_requests(self, service):
-        engine = ServingEngine(batching(service, 10_000), concurrency=2,
-                               flush_deadline_ms=50.0)
+        engine = ServingEngine(batching(service, 10_000), concurrency=2)
         tickets = [engine.submit(RankRequest(source=s, target=t))
                    for s, t in ALL_PAIRS[:5]]
         engine.close()
@@ -183,21 +313,14 @@ class TestLifecycle:
             assert ticket.wait(timeout=1.0).served_by == "model"
 
     def test_close_drains_with_a_poisoned_flush(self, service):
-        """close() must flush the parked batch even when its scoring
-        raises: every ticket is answered, by the fallback."""
+        """close() drains flushes whose scoring raises: every ticket is
+        answered, by the fallback."""
         poisoned = batching(service, 10_000)
         poisoned.scorer = _PoisonScorer()
-        engine = ServingEngine(poisoned, concurrency=2,
-                               flush_deadline_ms=60_000.0)
+        engine = ServingEngine(poisoned, concurrency=2)
         tickets = [engine.submit(RankRequest(source=s, target=t,
                                              request_id=i))
                    for i, (s, t) in enumerate(ALL_PAIRS[:4])]
-        # Let the workers park the prepared states; with a one-minute
-        # deadline and a huge size trigger nothing flushes until close.
-        for _ in range(200):
-            if all(ticket.state is not None for ticket in tickets):
-                break
-            time.sleep(0.005)
         engine.close()
         responses = [ticket.wait(timeout=5.0) for ticket in tickets]
         assert [r.served_by for r in responses] == ["fallback"] * 4
@@ -214,35 +337,28 @@ class TestLifecycle:
     def test_invalid_knobs_rejected(self, service):
         with pytest.raises(ServingError):
             ServingEngine(service, concurrency=0)
-        with pytest.raises(ServingError):
-            ServingEngine(service, flush_deadline_ms=-1.0)
 
-    @pytest.mark.parametrize("deadline_ms", [
-        math.inf, math.nan, -0.5, "auto", None,
-        threading.TIMEOUT_MAX * 1000.0 * 2])
-    def test_flush_deadline_the_flusher_cannot_sleep_on_is_rejected(
-            self, service, deadline_ms):
-        """Condition.wait raises on a timeout above TIMEOUT_MAX (inf
-        included), which killed the flusher and stranded every parked
-        request; such deadlines are refused up front."""
-        with pytest.raises(ServingError, match="flush_deadline_ms"):
-            ServingEngine(service, flush_deadline_ms=deadline_ms)
+    def test_the_engine_takes_only_concurrency_and_warmup(self, service):
+        keywords = [name for name, parameter in inspect.signature(
+                        ServingEngine).parameters.items()
+                    if parameter.kind is inspect.Parameter.KEYWORD_ONLY]
+        assert keywords == ["concurrency", "warmup"]
+        with pytest.raises(TypeError):
+            ServingEngine(service, flush_deadline_ms=2.0)
 
-    def test_longest_flush_deadline_still_answers_at_close(self, service):
-        engine = ServingEngine(
-            batching(service, 10_000), concurrency=2,
-            flush_deadline_ms=threading.TIMEOUT_MAX * 1000.0)
-        ticket = engine.submit(RankRequest(source=0, target=5))
-        time.sleep(0.05)  # let the flusher sleep on the parked request
-        engine.close(timeout=5.0)
-        assert ticket.wait(timeout=1.0).served_by == "model"
+    def test_the_engine_starts_no_thread_but_its_workers(self, service):
+        before = set(threading.enumerate())
+        with ServingEngine(service, concurrency=3) as engine:
+            engine.rank(RankRequest(source=3, target=2), timeout=5.0)
+            started = set(threading.enumerate()) - before
+            assert sorted(thread.name for thread in started) \
+                == [f"serving-worker-{number}" for number in range(3)]
+        assert not any(thread.is_alive() for thread in started)
 
-    def test_stats_report_the_fixed_deadline_and_config_batch_size(
-            self, service):
-        with ServingEngine(service, concurrency=2,
-                           flush_deadline_ms=2.0) as engine:
+    def test_stats_report_the_config_batch_size(self, service):
+        with ServingEngine(service, concurrency=2) as engine:
             stats = engine.stats()["engine"]
-        assert stats["flush_deadline_ms"] == 2.0
+        assert "flush_deadline_ms" not in stats
         assert stats["max_batch_size"] == service.config.max_batch_size
         assert "adaptive_flush" not in stats
 
@@ -252,8 +368,7 @@ class TestRobustness:
         """A request whose parameters blow up admission (k=0 fails config
         validation) must come back as an error response — and must not
         kill the worker that claimed it."""
-        with ServingEngine(service, concurrency=2,
-                           flush_deadline_ms=2.0) as engine:
+        with ServingEngine(service, concurrency=2) as engine:
             bad = engine.rank(RankRequest(source=0, target=5, k=0),
                               timeout=5.0)
             good = engine.rank(RankRequest(source=0, target=5), timeout=5.0)
@@ -264,8 +379,7 @@ class TestRobustness:
     def test_latency_excludes_waiter_drain_delay(self, service):
         """A ticket collected long after scoring finished must report
         the pipeline's latency, not the collection delay."""
-        with ServingEngine(service, concurrency=2,
-                           flush_deadline_ms=0.0) as engine:
+        with ServingEngine(service, concurrency=2) as engine:
             ticket = engine.submit(RankRequest(source=0, target=5))
             deadline = time.perf_counter() + 5.0
             while not ticket.done and time.perf_counter() < deadline:
@@ -317,8 +431,7 @@ class TestFailureIsolation:
             return real_score_paths(self, paths, **kwargs)
 
         monkeypatch.setattr(PathRank, "score_paths", explode_on_poison)
-        with ServingEngine(batching(service, 10_000), concurrency=4,
-                           flush_deadline_ms=50.0) as engine:
+        with ServingEngine(batching(service, 10_000), concurrency=4) as engine:
             requests = [poison,
                         RankRequest(source=3, target=2),
                         RankRequest(source=1, target=5)]
@@ -334,31 +447,13 @@ class TestCacheAnswers:
     version is answered in the caller's thread, through the same
     candidate and scoring stages, before ``submit`` returns."""
 
-    def test_cached_request_skips_the_flush_deadline(self, service):
-        service = batching(service, 10_000)
-        service.rank(RankRequest(source=0, target=5))  # warm both caches
-        with ServingEngine(service, concurrency=2,
-                           flush_deadline_ms=5000.0) as engine:
-            started = time.perf_counter()
-            cached = engine.rank(RankRequest(source=0, target=5),
-                                 timeout=5.0)
-            assert time.perf_counter() - started < 1.0
-            uncached = engine.submit(RankRequest(source=3, target=2))
-            time.sleep(0.3)
-            assert not uncached.done  # parked for its flush
-            assert engine.occupancy()["flushes"] == 0
-        # close() flushed the parked request.
-        assert uncached.wait(timeout=1.0).served_by == "model"
-        assert cached.served_by == "model"
-
     def test_hot_request_is_answered_before_submit_returns(self, service,
                                                            gate):
         """The only worker hangs on a cold request; a hot one is still
         answered, in the caller's thread, without entering the inbox."""
         hot = RankRequest(source=0, target=5)
         expected = service.rank(hot)  # warm the entry and its scores
-        with ServingEngine(service, concurrency=1,
-                           flush_deadline_ms=1.0) as engine:
+        with ServingEngine(service, concurrency=1) as engine:
             gate.hold(service_module, "generate_candidates")
             try:
                 cold = engine.submit(RankRequest(source=3, target=2))
@@ -383,8 +478,7 @@ class TestCacheAnswers:
         service = RankingService(tiny_network, registry, ServingConfig(
             candidates=candidates_config, score_cache_size=0))
         request = RankRequest(source=0, target=5)
-        with ServingEngine(service, concurrency=2,
-                           flush_deadline_ms=1.0) as engine:
+        with ServingEngine(service, concurrency=2) as engine:
             responses = [engine.rank(request, timeout=5.0)
                          for _ in range(3)]
             assert engine.occupancy()["flushes"] == 3
@@ -403,16 +497,17 @@ class TestCacheAnswers:
 
     def test_hung_flush_spares_cache_answers(self, service, gate):
         """A request whose scores are memoised is model-served while a
-        flush hangs in the scorer."""
+        flush hangs in the scorer, outside any flush."""
         service.rank(RankRequest(source=0, target=5))  # warm both caches
         gate.hold(service.scorer, "score_many")
-        engine = ServingEngine(service, concurrency=2, flush_deadline_ms=1.0)
+        engine = ServingEngine(service, concurrency=2)
         try:
             uncached = engine.submit(RankRequest(source=3, target=2))
             cached = engine.rank(RankRequest(source=0, target=5), timeout=5.0)
             assert cached.served_by == "model"
             gate.wait_for(1)
             assert not uncached.done
+            assert engine.occupancy()["flushes"] == 0
             gate.release()
             assert uncached.wait(timeout=5.0).served_by == "model"
         finally:
@@ -440,8 +535,7 @@ class TestCacheAnswers:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # interleave probes and evictions
         try:
-            with ServingEngine(service, concurrency=4,
-                               flush_deadline_ms=5.0) as engine:
+            with ServingEngine(service, concurrency=4) as engine:
                 concurrent = engine.rank_batch(requests, timeout=10.0)
                 one_by_one = [engine.rank(request, timeout=5.0)
                               for request in requests]
@@ -483,8 +577,7 @@ class TestCacheAnswers:
 
         monkeypatch.setattr(RankingService, "prepare", prepare_then_change)
         scored = service.scorer.as_dict()["paths_scored"]
-        with ServingEngine(service, concurrency=2,
-                           flush_deadline_ms=5000.0) as engine:
+        with ServingEngine(service, concurrency=2) as engine:
             actual = [engine.submit(request) for request in requests]
             assert all(ticket.done for ticket in actual)
             assert engine.occupancy()["flushes"] == 0
@@ -504,8 +597,7 @@ class TestCacheAnswers:
         old = service.rank(request)  # v0001's scores now cached
         new_version = registry.publish(make_ranker(tiny_network, seed=2),
                                        activate=True)
-        with ServingEngine(service, concurrency=2,
-                           flush_deadline_ms=5.0) as engine:
+        with ServingEngine(service, concurrency=2) as engine:
             response = engine.rank(request, timeout=5.0)
             assert engine.occupancy()["flushes"] == 1
             # The rescore wrote the new version's scores back: the next
@@ -539,8 +631,7 @@ class TestCacheAnswers:
         config = ServingConfig(candidates=candidates_config)
         service = RankingService(tiny_network, registry, config)
         sync = RankingService(tiny_network, registry, config)
-        with ServingEngine(service, concurrency=2,
-                           flush_deadline_ms=1.0) as engine:
+        with ServingEngine(service, concurrency=2) as engine:
             for position, index in enumerate(stream):
                 if position == swap_at:
                     registry.activate("v2")
@@ -566,8 +657,7 @@ class TestAdmission:
         requests = [invalid[i % 2] if i % 3 == 0
                     else RankRequest(*ALL_PAIRS[i % len(ALL_PAIRS)])
                     for i in range(48)]
-        with ServingEngine(service, concurrency=1,
-                           flush_deadline_ms=1.0) as engine:
+        with ServingEngine(service, concurrency=1) as engine:
             gate.hold(service, "prepare")
             try:
                 tickets = [engine.submit(request) for request in requests]
@@ -598,8 +688,7 @@ class TestAdmission:
         request = RankRequest(source=0, target=5)
         service.rank(request)  # caches the candidates; no score memo
         before = service.stats()["candidate_cache"]["hits"]
-        with ServingEngine(service, concurrency=1,
-                           flush_deadline_ms=1.0) as engine:
+        with ServingEngine(service, concurrency=1) as engine:
             gate.hold(service, "prepare")
             try:
                 tickets = [engine.submit(request) for _ in range(6)]
@@ -625,8 +714,7 @@ class TestAdmission:
 
         monkeypatch.setattr(service_module, "generate_candidates", blocked)
         request = RankRequest(source=1, target=5)
-        with ServingEngine(service, concurrency=2,
-                           flush_deadline_ms=1.0) as engine:
+        with ServingEngine(service, concurrency=2) as engine:
             first = engine.submit(request)
             for _ in range(400):
                 if calls:
@@ -655,8 +743,7 @@ class TestAdmission:
 
         monkeypatch.setattr(service_module, "generate_candidates", no_path)
         request = RankRequest(source=1, target=5)
-        with ServingEngine(service, concurrency=2,
-                           flush_deadline_ms=1.0) as engine:
+        with ServingEngine(service, concurrency=2) as engine:
             first = engine.submit(request)
             for _ in range(400):
                 if calls:

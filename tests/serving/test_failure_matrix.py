@@ -167,8 +167,7 @@ def test_every_ticket_is_answered(tiny_network, registry, make_ranker,
         clock.advance_ms(BREAKER_COOLDOWN_MS)
         healthy = service.rank(HEALTHY)
     else:
-        with ServingEngine(service, concurrency=int(door[-1]),
-                           flush_deadline_ms=1.0) as engine:
+        with ServingEngine(service, concurrency=int(door[-1])) as engine:
             armed += [engine.rank(request, timeout=BOUND_S)
                       for _, request in MIX]
             answers = [_answer(response) for response in armed]
@@ -177,8 +176,7 @@ def test_every_ticket_is_answered(tiny_network, registry, make_ranker,
             monkeypatch.undo()
             clock.advance_ms(BREAKER_COOLDOWN_MS)
             healthy = engine.rank(HEALTHY, timeout=BOUND_S)
-            threads = engine._workers + [engine._flusher_thread]
-            assert all(thread.is_alive() for thread in threads)
+            assert all(thread.is_alive() for thread in engine._workers)
     assert answers == expected
     assert healthy.served_by == "model"
 

@@ -129,8 +129,7 @@ class TestEngineTracing:
             ServingConfig(candidates=candidates_config, trace_sample=1.0))
         requests = [RankRequest(source=s, target=t, request_id=i)
                     for i, (s, t) in enumerate(ALL_PAIRS)]
-        with ServingEngine(service, concurrency=4,
-                           flush_deadline_ms=2.0) as engine:
+        with ServingEngine(service, concurrency=4) as engine:
             engine.rank_batch(requests)
             stats = engine.stats()
         trace = stats["trace"]
@@ -217,8 +216,7 @@ class TestPayloadsAreJsonClean:
             ServingConfig(candidates=candidates_config, trace_sample=1.0))
         requests = [RankRequest(source=s, target=t, request_id=i)
                     for i, (s, t) in enumerate(ALL_PAIRS[:8])]
-        with ServingEngine(service, concurrency=2,
-                           flush_deadline_ms=2.0) as engine:
+        with ServingEngine(service, concurrency=2) as engine:
             engine.rank_batch(requests)
             self._assert_json_clean(engine.stats())
 
@@ -273,8 +271,7 @@ class TestMetricCatalogue:
             candidate_cache_size=64, score_cache_size=256))
         requests = [RankRequest(source=s, target=t, request_id=i)
                     for i, (s, t) in enumerate(ALL_PAIRS)]
-        with ServingEngine(service, concurrency=2,
-                           flush_deadline_ms=1.0) as engine:
+        with ServingEngine(service, concurrency=2) as engine:
             engine.rank_batch(requests + [RankRequest(source=99, target=5)])
             exported = service.metrics.export()
         families = {family: _family_regex(family)

@@ -174,38 +174,3 @@ class TestFusedKernelAcrossSwaps:
         module = model.score_paths(paths, backend="module")
         assert compiled_for(model) is not stale
         np.testing.assert_allclose(fused, module, atol=1e-6, rtol=0)
-
-
-class TestLifecycleListeners:
-    def test_activate_and_deactivate_notify_in_order(self, tiny_network,
-                                                     registry, make_ranker):
-        events = []
-        registry.subscribe(lambda event, version: events.append(
-            (event, version)))
-        registry.publish(make_ranker(tiny_network, 1), version="v1")
-        registry.activate("v1")
-        registry.deactivate()
-        registry.deactivate()  # already clear: no second notification
-        assert events == [("activate", "v1"), ("deactivate", "v1")]
-
-    def test_unsubscribe_stops_notifications(self, tiny_network, registry,
-                                             make_ranker):
-        events = []
-        listener = lambda event, version: events.append(event)  # noqa: E731
-        registry.subscribe(listener)
-        registry.unsubscribe(listener)
-        registry.unsubscribe(listener)  # idempotent
-        registry.publish(make_ranker(tiny_network, 1), activate=True)
-        assert events == []
-
-    def test_sick_listener_cannot_break_a_swap(self, tiny_network, registry,
-                                               make_ranker):
-        def broken(event, version):
-            raise RuntimeError("observer crashed")
-
-        seen = []
-        registry.subscribe(broken)
-        registry.subscribe(lambda event, version: seen.append(version))
-        registry.publish(make_ranker(tiny_network, 1), version="v1")
-        registry.activate("v1")  # must not raise
-        assert seen == ["v1"]

@@ -404,8 +404,7 @@ def test_score_faults_degrade_cache_answers_like_flushes(
         service.breaker.record_failure()
     # The group's attempt and its retry fail; the rescue reads the memo.
     failed = _failing(monkeypatch, service, "_scores", times=2)
-    with ServingEngine(service, concurrency=2,
-                       flush_deadline_ms=1.0) as engine:
+    with ServingEngine(service, concurrency=2) as engine:
         def rank(request):
             if front_door == "engine":
                 return engine.rank(request, timeout=5.0)
@@ -453,8 +452,7 @@ def test_overflowing_queue_sheds_with_reject(tiny_network, registry,
                                              make_ranker, gate):
     service = _engine_service(tiny_network, registry, make_ranker,
                               max_queue=1, shed_policy="reject")
-    with ServingEngine(service, concurrency=1,
-                       flush_deadline_ms=1.0) as engine:
+    with ServingEngine(service, concurrency=1) as engine:
         tickets = _flood(engine, service, gate, 16)
         responses = [ticket.wait(timeout=10.0) for ticket in tickets]
     shed = [r for r in responses if r.error_code == "shed"]
@@ -470,8 +468,7 @@ def test_overflowing_queue_degrades_to_fallback(tiny_network, registry,
                                                 make_ranker, gate):
     service = _engine_service(tiny_network, registry, make_ranker,
                               max_queue=1, shed_policy="degrade")
-    with ServingEngine(service, concurrency=1,
-                       flush_deadline_ms=1.0) as engine:
+    with ServingEngine(service, concurrency=1) as engine:
         tickets = _flood(engine, service, gate, 16)
         responses = [ticket.wait(timeout=10.0) for ticket in tickets]
     degraded = [r for r in responses if r.error_code == "shed"]
@@ -485,14 +482,48 @@ def test_overflowing_queue_degrades_to_fallback(tiny_network, registry,
 def test_unbounded_queue_never_sheds(tiny_network, registry, make_ranker):
     service = _engine_service(tiny_network, registry, make_ranker,
                               max_queue=0)
-    with ServingEngine(service, concurrency=2,
-                       flush_deadline_ms=1.0) as engine:
+    with ServingEngine(service, concurrency=2) as engine:
         responses = engine.rank_batch(
             [RankRequest(source=0, target=5, request_id=i)
              for i in range(32)])
     assert all(r.ok for r in responses)
     assert service.res_counters["shed_rejected"].value == 0
     assert service.res_counters["shed_degraded"].value == 0
+
+
+def test_work_parked_for_the_next_flush_counts_against_the_bound(
+        tiny_network, registry, make_ranker, gate):
+    """While one worker's flush holds the scorer, the free worker keeps
+    moving the inbox into the next batch: ``max_queue`` bounds that
+    batch too, or an overloaded scorer would let it grow unshed."""
+    service = _engine_service(tiny_network, registry, make_ranker,
+                              max_queue=1, score_cache_size=0)
+    service.warm_up([RankRequest(source=0, target=5)])  # scores not kept
+    gate.hold(service.scorer, "score_many")
+    engine = ServingEngine(service, concurrency=2)
+    try:
+        first = engine.submit(RankRequest(source=0, target=5))
+        gate.wait_for(1)  # the first flush is held in the scorer
+        tickets = []
+        for i in range(16):
+            ticket = engine.submit(RankRequest(source=0, target=5,
+                                               request_id=i))
+            tickets.append(ticket)
+            give_up_at = time.perf_counter() + 5.0
+            while not (ticket.done or ticket in engine._pending):
+                assert time.perf_counter() < give_up_at, \
+                    "the free worker never parked the request"
+                time.sleep(0.002)
+        assert len(engine._pending) == 1
+    finally:
+        gate.release()
+        engine.close()
+    responses = [ticket.wait(timeout=0.0) for ticket in tickets]
+    shed = [r for r in responses if r.error_code == "shed"]
+    assert len(shed) == len(tickets) - 1
+    assert service.res_counters["shed_rejected"].value == len(shed)
+    assert first.wait(timeout=0.0).served_by == "model"
+    assert responses[0].served_by == "model"
 
 
 @pytest.mark.parametrize("deadline_ms", [math.inf, math.nan])
@@ -502,8 +533,7 @@ def test_engine_refuses_a_non_finite_deadline(tiny_network, registry,
     ``submit`` returns: the engine never admits a deadline that never
     expires."""
     service = _engine_service(tiny_network, registry, make_ranker)
-    with ServingEngine(service, concurrency=1,
-                       flush_deadline_ms=1.0) as engine:
+    with ServingEngine(service, concurrency=1) as engine:
         ticket = engine.submit(RankRequest(
             source=0, target=5, deadline_ms=deadline_ms))
         assert ticket.done
@@ -516,8 +546,7 @@ def test_engine_refuses_a_non_finite_deadline(tiny_network, registry,
 def test_engine_refuses_bool_and_non_integer_fields(tiny_network, registry,
                                                     make_ranker, request_):
     service = _engine_service(tiny_network, registry, make_ranker)
-    with ServingEngine(service, concurrency=1,
-                       flush_deadline_ms=1.0) as engine:
+    with ServingEngine(service, concurrency=1) as engine:
         response = engine.submit(request_).wait(timeout=5.0)
     assert (response.served_by, response.error_code) \
         == ("error", "invalid_request")
@@ -530,7 +559,7 @@ def test_close_fails_outstanding_tickets(tiny_network, registry, make_ranker,
     """close() answers every in-flight ticket with a structured
     ``engine_closed`` error — no waiter blocks forever."""
     service = _engine_service(tiny_network, registry, make_ranker)
-    engine = ServingEngine(service, concurrency=1, flush_deadline_ms=1.0)
+    engine = ServingEngine(service, concurrency=1)
     gate.hold(service, "prepare")
     tickets = [engine.submit(RankRequest(source=0, target=5, request_id=i))
                for i in range(4)]
@@ -548,6 +577,62 @@ def test_close_fails_outstanding_tickets(tiny_network, registry, make_ranker,
     assert all(r.served_by == "error" for r in failed)
     with pytest.raises(ServingError):
         engine.submit(RankRequest(source=0, target=5))
+
+
+def test_close_answers_each_ticket_once(tiny_network, registry, make_ranker,
+                                       gate):
+    """A worker that comes back from a stage after close() failed its
+    tickets records nothing again and leaves every response as the
+    waiter got it."""
+    service = _engine_service(tiny_network, registry, make_ranker)
+    engine = ServingEngine(service, concurrency=1)
+    workers = list(engine._workers)
+    gate.hold(service, "prepare")
+    tickets = [engine.submit(RankRequest(source=0, target=5, request_id=i))
+               for i in range(4)]
+    gate.wait_for(1)  # the lone worker is wedged in the candidate stage
+    try:
+        engine.close(timeout=0.2)
+        responses = [ticket.wait(timeout=10.0) for ticket in tickets]
+        assert service.counters["requests"].value == 4
+    finally:
+        gate.release()
+    for worker in workers:
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+    assert service.counters["requests"].value == 4
+    assert all(ticket.state.response is response
+               for ticket, response in zip(tickets, responses))
+    assert all(response.error_code == "engine_closed"
+               for response in responses)
+
+
+def test_close_answers_each_flushed_ticket_once(tiny_network, registry,
+                                               make_ranker, gate):
+    """A flush that comes back from the scorer after close() failed its
+    tickets assembles none of them again."""
+    service = _engine_service(tiny_network, registry, make_ranker)
+    engine = ServingEngine(service, concurrency=1)
+    workers = list(engine._workers)
+    gate.hold(service.scorer, "score_many")
+    tickets = [engine.submit(RankRequest(source=s, target=5, request_id=s))
+               for s in range(4)]
+    gate.wait_for(1)  # the lone worker's flush is wedged in the scorer
+    try:
+        engine.close(timeout=0.2)
+        responses = [ticket.wait(timeout=10.0) for ticket in tickets]
+        completed = [ticket.completed for ticket in tickets]
+    finally:
+        gate.release()
+    for worker in workers:
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+    assert service.counters["requests"].value == 4
+    assert [ticket.completed for ticket in tickets] == completed
+    assert all(ticket.state.response is response
+               for ticket, response in zip(tickets, responses))
+    assert all(response.error_code == "engine_closed"
+               for response in responses)
 
 
 # ----------------------------------------------------------------------
@@ -572,8 +657,7 @@ def test_dormant_resilience_keeps_exact_parity(tiny_network, registry,
             == pytest.approx([p.score for p in theirs.results])
     counters = armed.stats()["resilience"]["counters"]
     assert all(v == 0 for v in counters.values())
-    with ServingEngine(armed, concurrency=4,
-                       flush_deadline_ms=2.0) as engine:
+    with ServingEngine(armed, concurrency=4) as engine:
         concurrent = engine.rank_batch(requests)
     for mine, theirs in zip(concurrent, baseline):
         assert [p.path.vertices for p in mine.results] \

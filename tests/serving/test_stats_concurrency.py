@@ -31,8 +31,7 @@ def traced_engine(tiny_network, registry, make_ranker, candidates_config):
     service = RankingService(
         tiny_network, registry,
         ServingConfig(candidates=candidates_config, trace_sample=1.0))
-    with ServingEngine(service, concurrency=4,
-                       flush_deadline_ms=2.0) as engine:
+    with ServingEngine(service, concurrency=4) as engine:
         yield engine
 
 

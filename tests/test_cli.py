@@ -14,6 +14,8 @@ import pytest
 from repro import cli
 from repro.cli import build_parser, main
 
+DOCS = Path(__file__).resolve().parents[1] / "docs"
+
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
@@ -71,6 +73,26 @@ class TestParser:
         for example in examples:
             args = parser.parse_args(shlex.split(example))
             assert args.command in cli._COMMANDS
+
+    @pytest.mark.parametrize("source", [
+        *sorted(path.name for path in DOCS.glob("*.md")), "cli.py"])
+    def test_every_documented_flag_exists(self, source):
+        """Every ``--flag`` that a ``docs/*.md`` page or the module
+        docstring names is a flag of some subcommand, so a deleted flag
+        cannot linger in the prose.  Lines about ``bench/`` are skipped:
+        its flags belong to ``bench/run.py``."""
+        parser = build_parser()
+        [subparsers] = [action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction)]
+        known = {flag for subparser in subparsers.choices.values()
+                 for action in subparser._actions
+                 for flag in action.option_strings}
+        text = cli.__doc__ if source == "cli.py" \
+            else (DOCS / source).read_text(encoding="utf-8")
+        named = {flag for line in text.splitlines() if "bench" not in line
+                 for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*",
+                                        line)}
+        assert not named - known, sorted(named - known)
 
     def test_no_subcommand_takes_smoke(self):
         parser = build_parser()
@@ -283,8 +305,7 @@ class TestServeConcurrent:
         network, _, model = artifacts
         code = main(["serve", "--network", str(network), "--model", str(model),
                      "--queries-file", str(queries_file), "--k", "3",
-                     "--concurrency", "4", "--flush-deadline-ms", "1",
-                     "--json"])
+                     "--concurrency", "4", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["responses"]) == 3
@@ -328,20 +349,6 @@ class TestServeCleanup:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert lifecycle == {"built": 0, "closed": 0}
-
-    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "1e20"])
-    def test_unusable_flush_deadline_exits_cleanly(self, artifacts,
-                                                   queries_file, lifecycle,
-                                                   capsys, value):
-        """A deadline the flusher cannot sleep on is refused with exit 2
-        (an infinite one used to leave the replay waiting forever)."""
-        network, _, model = artifacts
-        code = main(["serve", "--network", str(network), "--model", str(model),
-                     "--queries-file", str(queries_file),
-                     "--concurrency", "2", "--flush-deadline-ms", value])
-        assert code == 2
-        assert "flush_deadline_ms" in capsys.readouterr().err
-        assert lifecycle == {"built": 1, "closed": 1}
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_request_deadline_builds_nothing(self, artifacts,
@@ -387,6 +394,22 @@ class TestServeCleanup:
                   "--queries-file", str(queries_file), flag, value])
         assert exit_info.value.code == 2
         assert flag in capsys.readouterr().err
+        assert lifecycle == {"built": 0, "closed": 0}
+
+    @pytest.mark.parametrize("value", ["2", "inf", "nan", "-1", "1e20"])
+    def test_unusable_flush_deadline_exits_cleanly(self, artifacts,
+                                                   queries_file, lifecycle,
+                                                   capsys, value):
+        """The engine flushes when its previous flush ends, so every
+        flush deadline, the old default of 2 included, is an unknown
+        flag: exit 2 before anything is built."""
+        network, _, model = artifacts
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--network", str(network), "--model", str(model),
+                  "--queries-file", str(queries_file),
+                  "--concurrency", "2", "--flush-deadline-ms", value])
+        assert exit_info.value.code == 2
+        assert "--flush-deadline-ms" in capsys.readouterr().err
         assert lifecycle == {"built": 0, "closed": 0}
 
     @pytest.mark.parametrize("field, value", [
