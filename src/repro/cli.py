@@ -156,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--execution",
                        choices=EXECUTION_MODES, default="inline",
                        help="execution plane: inline (default) or processes "
-                            "(worker pool over shared-memory CSR + weights)")
+                            "(cold candidate generation on a worker pool "
+                            "over shared-memory CSR)")
     serve.add_argument("--workers", type=int, default=2,
                        help="worker processes for --execution processes")
     serve.add_argument("--trace-sample", type=float, default=0.0,

@@ -89,14 +89,13 @@ class ExecError(ServingError):
     """Raised for process-pool execution-plane failures.
 
     Covers dead or unresponsive workers, lost pool tickets, and
-    dispatch on a closed pool.  A :class:`ServingError` on purpose:
-    a sick worker process must look to the serving stack exactly like
-    any other transient scoring failure — retried, breaker-counted,
-    and finally degraded per request — never a hang.
+    dispatch on a closed pool.  The serving stack answers one by
+    generating the candidates inline, so a sick worker process costs
+    a request time, never an answer or a hang.
     """
 
 
 class StaleSegmentError(ExecError):
     """Raised when a shared-memory segment does not carry the expected
-    content key (graph fingerprint / weight version) — the attach-side
-    guard against scoring on stale hot-state after a swap."""
+    content key (the graph fingerprint) — the attach-side guard against
+    a worker routing on another network's hot-state."""

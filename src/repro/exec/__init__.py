@@ -1,33 +1,30 @@
-"""Process-pool execution plane over shared-memory hot-state.
+"""Process-pool execution plane over a shared-memory CSR segment.
 
-The serving stack's kernels (CSR routing, fused scoring) release no
-GIL, so worker *threads* only amortise batching — cold candidate
-generation and per-snapshot scoring groups still execute
-serially on one core.  This package takes the step past the GIL:
+Cold candidate generation (pure-Python Yen/diversified enumeration)
+holds the GIL, so worker *threads* cannot run two enumerations at once.
+This package takes the step past the GIL:
 
-- :mod:`repro.exec.shm` — :class:`SharedArena` and the segment codec:
-  immutable hot-state (CSR arrays, ALT landmark tables, compiled model
-  weight buffers) packed into ``multiprocessing.shared_memory``
-  segments keyed by graph fingerprint / ``weight_version``, attached
-  zero-copy and refcounted per process.
+- :mod:`repro.exec.shm` — the segment codec: immutable hot-state (the
+  CSR arrays and ALT landmark tables) packed into one
+  ``multiprocessing.shared_memory`` segment keyed by graph
+  fingerprint, attached zero-copy and refcounted per process.
 - :mod:`repro.exec.pool` — :class:`WorkerPool`: warm, spawn-safe
   worker processes that pre-attach the CSR segment and run the
   *existing* kernels unmodified; dead workers are detected, their
   in-flight tickets failed (never hung), and the slot respawned.
 - :mod:`repro.exec.plane` — :class:`ExecutionPlane`: the seam the
-  serving layer talks to (``candidates_for`` and a model-shaped
-  scoring proxy), plus weight-segment lifecycle tied to registry
-  activation.
+  serving layer and the batch-analytics products talk to
+  (``candidates_for`` and ``submit_analytics``).
 
-Everything here is dormant unless ``ServingConfig.execution`` is set to
-``"processes"`` — the default ``"inline"`` path is byte-identical to a
-build without this package.
+Scoring stays in the parent process.  Everything here is dormant
+unless ``ServingConfig.execution`` is set to ``"processes"`` (or an
+analytics product is handed a plane) — the default ``"inline"`` path
+constructs none of it.
 """
 
 from repro.exec.plane import ExecutionPlane
 from repro.exec.pool import PoolTicket, WorkerPool
 from repro.exec.shm import (
-    SharedArena,
     attach_segment,
     create_segment,
     list_repro_segments,
@@ -36,7 +33,6 @@ from repro.exec.shm import (
 __all__ = [
     "ExecutionPlane",
     "PoolTicket",
-    "SharedArena",
     "WorkerPool",
     "attach_segment",
     "create_segment",

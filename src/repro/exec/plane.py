@@ -1,44 +1,30 @@
 """The execution-plane seam between serving and the worker pool.
 
-:class:`ExecutionPlane` owns the shared hot-state (a
-:class:`~repro.exec.shm.SharedArena` of CSR and weight segments) and
-the :class:`~repro.exec.pool.WorkerPool`, and exposes exactly the two
-operations the serving layer fans out:
+:class:`ExecutionPlane` owns the one shared CSR segment and the
+:class:`~repro.exec.pool.WorkerPool`, and exposes the two operations
+the pool runs:
 
 - :meth:`candidates_for` — cold candidate generation for a
   full-network query, returning real
   :class:`~repro.graph.path.Path` objects rebuilt from the workers'
   bare vertex tuples (paths are never pickled across the boundary —
   they drag the whole network with them).
-- :meth:`scoring_proxy` — scoring chunks on worker processes.  The
-  proxy duck-types ``PathRank``'s
-  ``score_paths`` surface, so :class:`BatchingScorer` (and with it
-  dedup, the score memos, retries, breakers and per-request
-  degradation) runs unmodified in the parent while only the padded
-  forward passes leave the process.
+- :meth:`submit_analytics` — one batch-analytics tile.
 
-Weight segments are published lazily per ``(version, weight_version)``,
-and publishing one unlinks every other but the registry's active
-version's (:meth:`ensure_weights`), so a hot-swap cannot leak
-superseded weights into ``/dev/shm``.  CSR export
-happens once, after force-building the ALT landmark tables owner-side —
+Scoring never leaves the parent: every forward pass runs on the
+registry snapshot's own model, as it does inline.  CSR export happens
+once, after force-building the ALT landmark tables owner-side —
 landmark selection is randomised, so replicas must inherit the owner's
 tables for element-wise ranking parity.
 """
 
 from __future__ import annotations
 
-import threading
-from time import perf_counter
-
-import numpy as np
-
 from repro.errors import ExecError
 from repro.exec.pool import WorkerPool
-from repro.exec.shm import SharedArena
+from repro.exec.shm import create_segment
 from repro.graph.csr import ALT_MIN_VERTICES, csr_for
 from repro.graph.path import Path
-from repro.nn.fused import compiled_for
 
 __all__ = ["ExecutionPlane"]
 
@@ -49,52 +35,8 @@ DEFAULT_TIMEOUT_S = 30.0
 READY_TIMEOUT_S = 120.0
 
 
-class _PoolModel:
-    """Model-shaped scoring proxy dispatching chunks to the pool.
-
-    Quacks like ``PathRank`` for :meth:`BatchingScorer.score_many`:
-    ``score_paths(chunk)`` and the fan-out hook
-    ``score_paths_many(chunks)``.  Scores come back as float64 arrays
-    bitwise-equal to the parent's fused kernel output (same buffers,
-    same ``CompiledPathRank.score`` call, same arithmetic).
-    """
-
-    __slots__ = ("_plane", "_segment_name", "_key", "_deadline_at")
-
-    def __init__(self, plane: "ExecutionPlane", segment_name: str,
-                 key: str, deadline_ms: float | None) -> None:
-        self._plane = plane
-        self._segment_name = segment_name
-        self._key = key
-        self._deadline_at = (
-            perf_counter() + deadline_ms / 1000.0
-            if deadline_ms is not None else None)
-
-    def _remaining_s(self) -> float:
-        if self._deadline_at is None:
-            return DEFAULT_TIMEOUT_S
-        return max(0.0, self._deadline_at - perf_counter())
-
-    def score_paths_many(self, chunks) -> list[np.ndarray]:
-        tickets = [
-            self._plane.pool.submit(
-                "score",
-                (self._segment_name, self._key,
-                 [[path.vertices for path in chunk]]))
-            for chunk in chunks
-        ]
-        results = []
-        for ticket in tickets:
-            scored = ticket.wait(self._remaining_s())
-            results.append(np.asarray(scored[0], dtype=np.float64))
-        return results
-
-    def score_paths(self, paths) -> np.ndarray:
-        return self.score_paths_many([paths])[0]
-
-
 class ExecutionPlane:
-    """Shared arena + worker pool behind ``execution="processes"``."""
+    """Shared CSR segment + worker pool behind ``execution="processes"``."""
 
     def __init__(self, network, *, workers: int, metrics=None) -> None:
         self.network = network
@@ -105,17 +47,12 @@ class ExecutionPlane:
             # picking its own landmarks could break distance ties
             # differently — the parity oracle pins this.
             kernel.ensure_alt()
-        self.arena = SharedArena()
         arrays, meta = kernel.shared_payload()
-        self._csr_key = kernel.shared_key()
-        segment = self.arena.publish(self._csr_key, arrays, meta)
+        self.segment = create_segment(kernel.shared_key(), arrays, meta)
         self.pool = WorkerPool(network, workers=workers,
-                               csr_name=segment.name, csr_key=self._csr_key,
-                               metrics=metrics,
+                               csr_name=self.segment.name,
+                               csr_key=self.segment.key, metrics=metrics,
                                ready_timeout_s=READY_TIMEOUT_S)
-        #: Serialises weight publishing with the pruning that follows it.
-        self._lock = threading.Lock()
-        self._closed = False
         try:
             self.pool.wait_ready(READY_TIMEOUT_S)
         except ExecError:
@@ -130,7 +67,7 @@ class ExecutionPlane:
 
         Raises :class:`~repro.errors.NoPathError` exactly as the inline
         generator would, and :class:`~repro.errors.ExecError` for pool
-        failures (which the caller treats as any transient failure).
+        failures (which the caller answers by generating inline).
         """
         request = state.request
         ticket = self.pool.submit(
@@ -156,56 +93,16 @@ class ExecutionPlane:
         return self.pool.submit("analytics", payload)
 
     # ------------------------------------------------------------------
-    # Scoring
-    # ------------------------------------------------------------------
-    def ensure_weights(self, active,
-                       live: str | None = None) -> tuple[str, str]:
-        """Publish ``active``'s compiled weights; returns (name, key).
-
-        Publishing unlinks the weight segments of every version other
-        than ``active``'s and ``live``, the registry's active version.
-        So the first group after a hot-swap leaves only the live
-        weights, and a group still scoring a superseded snapshot
-        republishes its own without evicting the live ones; that
-        straggler's segment goes at the next hot-swap.  A worker that
-        cached a kernel keeps it; a dispatch whose segment is gone
-        fails, and the service's retry asks for a fresh proxy, which
-        publishes it again.
-        """
-        kernel = compiled_for(active.model)
-        key = (f"weights:{active.version}:{kernel.weight_version}:"
-               f"{kernel.dtype}")
-        with self._lock:
-            segment = self.arena.get(key)
-            if segment is None:
-                arrays, meta = kernel.shared_payload()
-                segment = self.arena.publish(key, arrays, meta)
-                self.arena.drop_where(
-                    lambda other: other != key
-                    and other.startswith("weights:")
-                    and (live is None
-                         or not other.startswith(f"weights:{live}:")))
-        return segment.name, key
-
-    def scoring_proxy(self, active, deadline_ms: float | None = None,
-                      live: str | None = None) -> _PoolModel:
-        """A model stand-in scoring ``active``'s snapshot on the pool
-        (``live`` as for :meth:`ensure_weights`)."""
-        name, key = self.ensure_weights(active, live)
-        return _PoolModel(self, name, key, deadline_ms)
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+        """Stop the workers and unlink the segment (idempotent)."""
         self.pool.close()
-        self.arena.close()
+        self.segment.close()
 
     def stats(self) -> dict[str, object]:
         return {
             "pool": self.pool.stats(),
-            "arena": self.arena.stats(),
+            "segment": {"key": self.segment.key,
+                        "bytes": self.segment.nbytes},
         }

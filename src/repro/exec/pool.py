@@ -4,13 +4,12 @@ Workers are *warm*: at spawn each one attaches the CSR shared-memory
 segment, rebuilds the routing kernel over the shared arrays
 (:meth:`CSRGraph.from_shared`), installs it as the network's cached
 kernel (:func:`install_csr`) and pre-touches its scratch buffers — so
-the first real job pays no setup.  Scoring kernels attach lazily per
-``weight_version`` and are cached per worker.
+the first real job pays no setup.
 
 The wire protocol keeps payloads tiny: a candidates job ships
 ``(source, target, config)`` and returns bare vertex-id tuples (never
 :class:`Path` objects, which drag the whole network through pickle);
-a score job ships vertex-id tuples and returns plain float lists.
+an analytics job ships a tile's plain ids and returns plain lists.
 
 **No queue is ever shared between two workers.**  Each worker slot
 owns a private job queue and a private result queue drained by a
@@ -46,9 +45,6 @@ __all__ = ["PoolTicket", "WorkerPool"]
 #: Seconds the monitor sleeps between liveness sweeps.
 _MONITOR_INTERVAL_S = 0.02
 
-#: Compiled scoring kernels cached per worker (per weight key).
-_WORKER_KERNEL_CAP = 8
-
 
 def _worker_main(index: int, network, csr_name: str | None,
                  csr_key: str | None, inqueue, outqueue) -> None:
@@ -57,7 +53,6 @@ def _worker_main(index: int, network, csr_name: str | None,
         from repro.analytics.tiling import run_tile_payload
         from repro.core.ranker import generate_candidates
         from repro.graph.csr import CSRGraph, install_csr
-        from repro.nn.fused import CompiledPathRank
 
         if csr_name is not None:
             segment = attach_segment(csr_name, expect_key=csr_key)
@@ -68,19 +63,6 @@ def _worker_main(index: int, network, csr_name: str | None,
         outqueue.put(("init_error", index,
                       f"{type(exc).__name__}: {exc}", 0.0))
         return
-
-    kernels: dict[str, object] = {}
-
-    def scoring_kernel(segment_name: str, key: str):
-        kernel = kernels.get(key)
-        if kernel is None:
-            segment = attach_segment(segment_name, expect_key=key)
-            kernel = CompiledPathRank.from_shared(segment.arrays,
-                                                  segment.meta)
-            kernels[key] = kernel
-            while len(kernels) > _WORKER_KERNEL_CAP:
-                kernels.pop(next(iter(kernels)))
-        return kernel
 
     while True:
         job = inqueue.get()
@@ -93,10 +75,6 @@ def _worker_main(index: int, network, csr_name: str | None,
                 source, target, config = payload
                 paths = generate_candidates(network, source, target, config)
                 result = [path.vertices for path in paths]
-            elif kind == "score":
-                segment_name, key, chunks = payload
-                kernel = scoring_kernel(segment_name, key)
-                result = [kernel.score(chunk).tolist() for chunk in chunks]
             elif kind == "analytics":
                 # One batch-analytics tile against the shared-memory
                 # kernel installed at warmup; returns plain arrays/lists
@@ -104,11 +82,6 @@ def _worker_main(index: int, network, csr_name: str | None,
                 result = run_tile_payload(network, payload)
             elif kind == "ping":
                 result = "pong"
-            elif kind == "hang":
-                # Chaos helper: wedge this worker without dying, so the
-                # waiter-side deadline (not worker exit) must answer.
-                threading.Event().wait()
-                result = None
             else:
                 raise ExecError(f"unknown job kind {kind!r}")
         except NoPathError as exc:

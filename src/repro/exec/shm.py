@@ -5,12 +5,11 @@ set of named numpy arrays plus a JSON header, laid out as::
 
     [u64 header length][JSON header][pad to 64][array 0][pad][array 1]...
 
-The header records a content *key* (e.g. ``csr:<fingerprint digest>``
-or ``weights:<version>:<weight_version>``) and per-array descriptors
-(name, dtype, shape, byte offset).  Attaching validates the key, so a
-worker can never silently score against stale hot-state: after a model
-swap the key changes, and another network's graph never matches, so the
-old segment is rejected with :class:`~repro.errors.StaleSegmentError`.
+The header records a content *key* (``csr:<fingerprint digest>``) and
+per-array descriptors (name, dtype, shape, byte offset).  Attaching
+validates the key, so a worker can never silently route on stale
+hot-state: another network's graph never matches, so its segment is
+rejected with :class:`~repro.errors.StaleSegmentError`.
 
 Ownership is explicit: the process that called :func:`create_segment`
 owns the block and is the only one that unlinks it (idempotently, and
@@ -38,9 +37,8 @@ import numpy as np
 
 from repro.errors import ExecError, StaleSegmentError
 
-__all__ = ["SEGMENT_PREFIX", "SharedArena", "SharedSegment",
-           "AttachedSegment", "create_segment", "attach_segment",
-           "list_repro_segments"]
+__all__ = ["SEGMENT_PREFIX", "SharedSegment", "AttachedSegment",
+           "create_segment", "attach_segment", "list_repro_segments"]
 
 #: Common prefix of every segment created here; the leak-check globs it.
 SEGMENT_PREFIX = "repro-exec-"
@@ -290,71 +288,3 @@ def list_repro_segments() -> list[str]:
         return []
     return sorted(entry for entry in entries
                   if entry.startswith(SEGMENT_PREFIX))
-
-
-class SharedArena:
-    """Keyed registry of owned segments with publish-once semantics.
-
-    The serving side publishes hot-state by content key (graph
-    fingerprint, weight version); re-publishing an existing key is a
-    no-op returning the live segment, so a scoring proxy can call
-    :meth:`publish` per flush without churn.  :meth:`drop` unlinks one
-    key (model deactivation), :meth:`close` unlinks everything.
-    """
-
-    def __init__(self) -> None:
-        self._segments: dict[str, SharedSegment] = {}
-        self._lock = threading.Lock()
-
-    def publish(self, key: str, arrays: dict[str, np.ndarray],
-                meta: dict[str, object] | None = None) -> SharedSegment:
-        with self._lock:
-            segment = self._segments.get(key)
-            if segment is not None and not segment.closed:
-                return segment
-            segment = create_segment(key, arrays, meta)
-            self._segments[key] = segment
-            return segment
-
-    def get(self, key: str) -> SharedSegment | None:
-        with self._lock:
-            segment = self._segments.get(key)
-            return segment if segment is not None and not segment.closed \
-                else None
-
-    def drop(self, key: str) -> bool:
-        """Unlink the segment under ``key`` (False if absent)."""
-        with self._lock:
-            segment = self._segments.pop(key, None)
-        if segment is None:
-            return False
-        segment.close()
-        return True
-
-    def drop_where(self, predicate) -> int:
-        """Unlink every segment whose key satisfies ``predicate``."""
-        with self._lock:
-            doomed = [key for key in self._segments if predicate(key)]
-        return sum(1 for key in doomed if self.drop(key))
-
-    def keys(self) -> list[str]:
-        with self._lock:
-            return sorted(key for key, segment in self._segments.items()
-                          if not segment.closed)
-
-    def close(self) -> None:
-        with self._lock:
-            segments = list(self._segments.values())
-            self._segments.clear()
-        for segment in segments:
-            segment.close()
-
-    def stats(self) -> dict[str, object]:
-        with self._lock:
-            live = {key: segment for key, segment in self._segments.items()
-                    if not segment.closed}
-            return {
-                "segments": len(live),
-                "bytes": sum(segment.nbytes for segment in live.values()),
-                "keys": sorted(live),
-            }

@@ -178,10 +178,6 @@ class CompiledPathRank:
                 f"cannot compile {type(model).__name__}: model does not "
                 f"expose the PathRank forward surface ({exc})"
             ) from exc
-        self._bind()
-
-    def _bind(self) -> None:
-        """Derived state shared by both constructors."""
         self.num_vertices, self.embedding_dim = self.embedding.shape
         self.summary_size = len(self.gru) * self.hidden_size
         # Per direction, gate-major (r, z, n first axis) so every gate
@@ -435,73 +431,6 @@ class CompiledPathRank:
         for bucket in sorted(batches):
             profile[f"batch_le_{bucket}"] = batches[bucket]
         return profile
-
-    # ------------------------------------------------------------------
-    # Shared-memory export / import (repro.exec)
-    # ------------------------------------------------------------------
-    def shared_payload(self) -> tuple[dict[str, np.ndarray], dict[str, object]]:
-        """The snapshot's flat weight buffers as ``(arrays, meta)``.
-
-        The snapshot's weights are already contiguous arrays on this
-        object, so the export is a plain dict of those buffers;
-        :meth:`from_shared` rebuilds a kernel whose weights are
-        zero-copy views into a shared segment.
-        """
-        arrays: dict[str, np.ndarray] = {"embedding": self.embedding}
-        for index, (w_ih, w_hh, b_ih, b_hh) in enumerate(self.gru):
-            arrays[f"gru:{index}:w_ih"] = w_ih
-            arrays[f"gru:{index}:w_hh"] = w_hh
-            arrays[f"gru:{index}:b_ih"] = b_ih
-            arrays[f"gru:{index}:b_hh"] = b_hh
-        arrays["fc1_weight"] = self.fc1_weight
-        arrays["fc1_bias"] = self.fc1_bias
-        arrays["fc2_weight"] = self.fc2_weight
-        arrays["fc2_bias"] = self.fc2_bias
-        if self.pooling == "attention":
-            arrays["attn_proj_weight"] = self.attn_proj_weight
-            arrays["attn_proj_bias"] = self.attn_proj_bias
-            arrays["attn_score_weight"] = self.attn_score_weight
-        meta: dict[str, object] = {
-            "dtype": str(self.dtype),
-            "weight_version": self.weight_version,
-            "pooling": self.pooling,
-            "bidirectional": self.bidirectional,
-            "hidden_size": self.hidden_size,
-            "gru_cells": len(self.gru),
-        }
-        return arrays, meta
-
-    @classmethod
-    def from_shared(cls, arrays: dict[str, np.ndarray],
-                    meta: dict[str, object]) -> "CompiledPathRank":
-        """Rebuild a scoring kernel over a shared segment's buffers.
-
-        The weight views stay zero-copy (the forward pass only reads
-        them; only the small gate-major GRU copies are private, as are
-        per-thread workspaces and profile counters).
-        """
-        kernel = cls.__new__(cls)
-        kernel.dtype = np.dtype(meta["dtype"])
-        kernel.weight_version = int(meta["weight_version"])
-        kernel.embedding = arrays["embedding"]
-        kernel.pooling = str(meta["pooling"])
-        kernel.bidirectional = bool(meta["bidirectional"])
-        kernel.hidden_size = int(meta["hidden_size"])
-        kernel.gru = [
-            (arrays[f"gru:{index}:w_ih"], arrays[f"gru:{index}:w_hh"],
-             arrays[f"gru:{index}:b_ih"], arrays[f"gru:{index}:b_hh"])
-            for index in range(int(meta["gru_cells"]))
-        ]
-        kernel.fc1_weight = arrays["fc1_weight"]
-        kernel.fc1_bias = arrays["fc1_bias"]
-        kernel.fc2_weight = arrays["fc2_weight"]
-        kernel.fc2_bias = arrays["fc2_bias"]
-        if kernel.pooling == "attention":
-            kernel.attn_proj_weight = arrays["attn_proj_weight"]
-            kernel.attn_proj_bias = arrays["attn_proj_bias"]
-            kernel.attn_score_weight = arrays["attn_score_weight"]
-        kernel._bind()
-        return kernel
 
     def __repr__(self) -> str:
         return (f"CompiledPathRank(vertices={self.num_vertices}, "

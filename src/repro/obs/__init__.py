@@ -30,7 +30,6 @@ from repro.obs.trace import SlowRequestBuffer, Span, Trace, Tracer
 from repro.obs.export import (
     SnapshotExporter,
     load_timeline,
-    prometheus_lines,
     prometheus_snapshot_lines,
     summarise_timeline,
 )
@@ -38,6 +37,6 @@ from repro.obs.export import (
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "Span", "Trace", "Tracer", "SlowRequestBuffer",
-    "SnapshotExporter", "prometheus_lines", "prometheus_snapshot_lines",
+    "SnapshotExporter", "prometheus_snapshot_lines",
     "load_timeline", "summarise_timeline",
 ]

@@ -14,10 +14,10 @@ Two consumers, two formats:
   written on :meth:`SnapshotExporter.stop`, so even a run shorter than
   one interval leaves a usable timeline.
 
-* **Prometheus-style text exposition** — :func:`prometheus_lines`
-  renders a registry in the ``name{label="..."} value`` text format
-  (dots become underscores; histograms expand to cumulative ``_bucket``
-  series plus ``_sum``/``_count``), for scraping or eyeballing.
+* **Prometheus-style text exposition** —
+  :func:`prometheus_snapshot_lines` renders one flat snapshot as
+  ``name value`` samples (dots become underscores), for scraping or
+  eyeballing.
 
 :func:`load_timeline` / :func:`summarise_timeline` read a JSONL file
 back; ``repro metrics-dump`` is a thin CLI wrapper over them.
@@ -32,10 +32,7 @@ import threading
 import time
 from pathlib import Path as FilePath
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-
-__all__ = ["SnapshotExporter", "prometheus_lines",
-           "prometheus_snapshot_lines", "load_timeline",
+__all__ = ["SnapshotExporter", "prometheus_snapshot_lines", "load_timeline",
            "summarise_timeline"]
 
 
@@ -43,10 +40,10 @@ class SnapshotExporter:
     """Periodically append ``source.export()`` snapshots to a JSONL file.
 
     ``source`` is anything with an ``export() -> dict`` (usually a
-    :class:`MetricsRegistry`).  The thread is a daemon and every write
-    failure after the first successful open is swallowed into
-    ``write_errors`` — telemetry export must never take the serving
-    process down.  Usable as a context manager::
+    :class:`~repro.obs.metrics.MetricsRegistry`).  The thread is a
+    daemon and every write failure after the first successful open is
+    swallowed into ``write_errors`` — telemetry export must never take
+    the serving process down.  Usable as a context manager::
 
         with SnapshotExporter(service.metrics, "run.jsonl", 0.5):
             engine.rank_batch(requests)
@@ -138,57 +135,11 @@ def _prom_value(value: object) -> str:
     return "NaN"  # non-numeric callback payloads have no exposition value
 
 
-def prometheus_lines(registry: MetricsRegistry) -> list[str]:
-    """Render a registry in the Prometheus text exposition format.
-
-    Counters/gauges become single samples with ``# TYPE`` headers;
-    histograms expand into cumulative ``_bucket{le="..."}`` series plus
-    ``_sum`` and ``_count``.  Callback payloads (already-flat trackers)
-    are exposed as untyped gauges; non-numeric values are skipped.
-    """
-    lines: list[str] = []
-    seen: set[str] = set()
-    for name in registry.names():
-        metric = registry.metric(name)
-        prom = _prom_name(name)
-        if isinstance(metric, Counter):
-            lines.append(f"# TYPE {prom} counter")
-            lines.append(f"{prom} {metric.value}")
-            seen.add(name)
-        elif isinstance(metric, Gauge):
-            lines.append(f"# TYPE {prom} gauge")
-            lines.append(f"{prom} {_prom_value(metric.value)}")
-            seen.add(name)
-        elif isinstance(metric, Histogram):
-            summary = metric.summary()
-            lines.append(f"# TYPE {prom} histogram")
-            for bound, cumulative in metric.buckets():
-                le = "+Inf" if math.isinf(bound) else repr(bound)
-                lines.append(f'{prom}_bucket{{le="{le}"}} {cumulative}')
-            lines.append(f"{prom}_sum {_prom_value(summary['sum'])}")
-            lines.append(f"{prom}_count {int(summary['count'])}")
-            seen.add(name)
-    # Callback payloads: take them from one export() pass so the
-    # exposition is a consistent snapshot.
-    flat = registry.export()
-    for name, value in flat.items():
-        if any(name == known or name.startswith(known + ".")
-               for known in seen):
-            continue
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            continue
-        lines.append(f"{_prom_name(name)} {_prom_value(value)}")
-    return lines
-
-
 def prometheus_snapshot_lines(flat: dict[str, object]) -> list[str]:
     """Render one already-flat snapshot (a timeline line's ``metrics``
-    dict) as untyped exposition samples.
-
-    Live registries go through :func:`prometheus_lines`, which knows
-    metric types and bucket layouts; a recorded snapshot only has the
-    flattened scalars, so ``repro metrics-dump --format prom`` emits
-    them as bare samples, skipping non-numeric values.
+    dict, or a live registry's ``export()``) as untyped exposition
+    samples, skipping non-numeric values; ``repro metrics-dump
+    --format prom`` prints them.
     """
     lines: list[str] = []
     for name in sorted(flat):

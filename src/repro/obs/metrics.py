@@ -202,16 +202,6 @@ class Histogram:
             "p99": quantile(0.99),
         }
 
-    def buckets(self) -> list[tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` pairs, Prometheus-style."""
-        counts, _, _, _, _ = self._snapshot()
-        result: list[tuple[float, int]] = []
-        cumulative = 0
-        for bound, bucket_count in zip(BUCKET_BOUNDS, counts):
-            cumulative += bucket_count
-            result.append((bound, cumulative))
-        return result
-
 
 def flatten_metrics(prefix: str, value: object,
                     out: dict[str, object]) -> None:
@@ -292,14 +282,6 @@ class MetricsRegistry:
     def unregister_callback(self, prefix: str) -> None:
         with self._lock:
             self._callbacks.pop(prefix, None)
-
-    def names(self) -> list[str]:
-        with self._lock:
-            return sorted(set(self._metrics) | set(self._callbacks))
-
-    def metric(self, name: str) -> Counter | Gauge | Histogram | None:
-        with self._lock:
-            return self._metrics.get(name)
 
     def histograms(self, prefix: str = "") -> dict[str, Histogram]:
         """Registered histograms whose names start with ``prefix``."""

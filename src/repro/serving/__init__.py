@@ -17,8 +17,8 @@ deployment needs around it:
   and a swap can never serve a stale score.
 * :class:`BatchingScorer` — coalesces the candidate lists of many
   requests into padded batches and runs one forward pass per batch.
-  The masked recurrence makes batched scores identical to sequential
-  per-query scores.
+  Batched scores equal sequential per-query scores to float32
+  rounding.
 * :class:`RankingService` — the service: request/response
   dataclasses, per-request latency and outcome counts recorded into its
   metrics registry, and graceful degradation to the shortest path when
@@ -33,7 +33,7 @@ deployment needs around it:
   ``ServingConfig.max_batch_size`` is the paths per forward pass, not a
   flush trigger), and an optional warm-up replays a recorded hotspot
   mix through the caches before the constructor returns.  Responses
-  equal ``service.rank``'s.
+  equal ``service.rank``'s, scores to float32 rounding.
 * **Telemetry** (:mod:`repro.obs`) — the service records its request,
   latency and resilience counts straight into the instruments of its
   central :class:`~repro.obs.metrics.MetricsRegistry`; the caches, the
@@ -52,9 +52,8 @@ deployment needs around it:
   explicit shed policy (``max_queue``, ``shed_policy``:
   reject-with-retry-after or degrade-to-shortest-path), one circuit
   breaker per service that routes scoring groups to the shortest-path
-  fallback while it is open, and one retry of a scoring group that
-  failed — all dormant by default with exact response parity (see
-  ``docs/robustness.md``).
+  fallback while it is open — all dormant by default with exact
+  response parity (see ``docs/robustness.md``).
 
 Usage::
 

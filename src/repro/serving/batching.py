@@ -6,8 +6,9 @@ only ``k`` ≈ 5 candidate paths, so the GRU runs at batch 5.
 requests (one engine flush), concatenates
 them into chunks of up to ``max_batch_size`` paths, runs one forward
 pass per chunk (``PathRank.score_paths``), and scatters the scores back
-to each list.  A path's score does not depend on its chunk neighbours,
-so it is what sequential per-query scoring would produce.
+to each list.  A path's score equals what sequential per-query
+scoring produces to float32 rounding: the chunk a path lands in can
+move the last bits of its score, never more.
 
 Duplicate paths inside one call are scored once.  Memoisation across
 calls is not the scorer's business: the service keeps each candidate
@@ -66,10 +67,9 @@ class BatchingScorer:
                    ) -> list[np.ndarray]:
         """Score a group of candidate lists in one coalesced flush.
 
-        Scores match per-query sequential scoring: each path's result is
-        independent of its batch neighbours.  Chunks are drawn from a
-        lexicographic order, so paths sharing a prefix are scored
-        together and the prefix runs once.  The whole flush runs under
+        Scores equal per-query sequential scoring to float32 rounding.
+        Chunks are drawn from a lexicographic order, so paths sharing a
+        prefix are scored together and the prefix runs once.  The whole flush runs under
         the scorer lock, so the group is scored by *this* model even when
         other threads score against a different (hot-swapped) snapshot
         concurrently.
@@ -92,16 +92,8 @@ class BatchingScorer:
             chunks = [to_score[start:start + self.max_batch_size]
                       for start in range(0, len(to_score),
                                          self.max_batch_size)]
-            # Models that can score several chunks concurrently (the
-            # execution plane's pool proxy) expose ``score_paths_many``;
-            # everything upstream of the forward pass — dedup, counters —
-            # is identical on both dispatch paths.
-            score_chunks = getattr(model, "score_paths_many", None)
-            if score_chunks is not None and chunks:
-                all_scores = score_chunks(chunks)
-            else:
-                all_scores = (model.score_paths(chunk) for chunk in chunks)
-            for chunk, scores in zip(chunks, all_scores):
+            for chunk in chunks:
+                scores = model.score_paths(chunk)
                 self.batches_run += 1
                 self.paths_scored += len(chunk)
                 for path, score in zip(chunk, scores.tolist()):

@@ -34,9 +34,9 @@ a thread that finds the ticket already claimed leaves it alone.
 
 The engine drives the *same* stage methods as ``service.rank``, and
 those stages never raise, so no engine thread dies of a request and
-both answer a failure alike.  The masked recurrence makes batched
-scores identical to sequential ones, so an engine's responses equal
-``service.rank``'s — coalescing buys throughput, not different answers.
+both answer a failure alike.  Batched scores equal sequential ones to
+float32 rounding, so an engine's responses equal ``service.rank``'s to
+that rounding — coalescing buys throughput, not different answers.
 
 The optional warm-up hook replays a recorded hotspot mix through the
 candidate cache and its score memos before the constructor returns, so
@@ -161,7 +161,8 @@ class ServingEngine:
         instead of being abandoned, so no waiter ever blocks on a closed
         engine; the stuck worker answers none of them when it comes
         back.  ``timeout`` bounds the total time spent joining threads
-        (``None`` = wait for a clean drain).
+        (``None`` = wait for a clean drain); a worker still alive when
+        it runs out stays in ``_workers``, so it can be joined later.
         """
         with self._lock:
             if self._stopping:
@@ -177,7 +178,8 @@ class ServingEngine:
             self._inbox.clear()
             self._pending.clear()
         self._answer(leftovers, closed=True)
-        self._workers.clear()
+        self._workers = [thread for thread in self._workers
+                         if thread.is_alive()]
 
     @staticmethod
     def _join_budget(give_up_at: float | None) -> float | None:
@@ -278,7 +280,7 @@ class ServingEngine:
 
         The engine coalesces them into as few flushes as scoring allows;
         responses come back in request order and equal
-        ``service.rank``'s.
+        ``service.rank``'s, scores to float32 rounding.
         """
         tickets = [self.submit(request) for request in requests]
         return [ticket.wait(timeout) for ticket in tickets]

@@ -38,7 +38,7 @@ from repro.serving.registry import ActiveModel
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.service import RankRequest, RankResponse
 
-__all__ = ["QueryState", "tightest_remaining_ms"]
+__all__ = ["QueryState"]
 
 
 @dataclass
@@ -116,20 +116,3 @@ class QueryState:
         remaining = self.remaining_ms(now)
         return remaining is not None and remaining <= 0.0
 
-
-def tightest_remaining_ms(states) -> float | None:
-    """The smallest remaining deadline budget across ``states``.
-
-    ``None`` when no member carries a deadline — the bound a scoring
-    group's pool dispatch must respect so the most impatient waiter in
-    a coalesced batch is still answered in time.
-    """
-    tightest: float | None = None
-    now = time.perf_counter()
-    for state in states:
-        remaining = state.remaining_ms(now)
-        if remaining is None:
-            continue
-        if tightest is None or remaining < tightest:
-            tightest = remaining
-    return tightest

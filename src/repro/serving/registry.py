@@ -147,10 +147,6 @@ class ModelRegistry:
                 metadata=dict(metadata))
         return active
 
-    def deactivate(self) -> None:
-        with self._lock:
-            self._active = None
-
     def snapshot(self) -> ActiveModel | None:
         """The active model at this instant (stable for the caller)."""
         return self._active

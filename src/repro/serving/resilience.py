@@ -1,4 +1,4 @@
-"""The serving resilience plane: deadlines, shedding, a breaker, a retry.
+"""The serving resilience plane: deadlines, shedding and a breaker.
 
 The policies that keep a failing or overloaded service's answers
 *bounded* and *structured*:
@@ -23,19 +23,20 @@ The policies that keep a failing or overloaded service's answers
   touching the scorer; after :data:`BREAKER_COOLDOWN_MS` a few
   half-open probe groups test the scorer and either close the breaker
   again or re-open it.
-* **One retry** — a scoring group that fails with a library error is
-  scored once more after :data:`RETRY_DELAY_MS`, unless the tightest
-  member deadline would expire first.
+
+A scoring group that fails with a library error is not retried as a
+group: the service scores each member again on its own, and only a
+member that fails again degrades to the shortest path.
 
 Only the deadline, the queue bound and the shed policy are settings
 (``ServingConfig`` fields, and the CLI's ``--deadline-ms`` /
 ``--max-queue`` / ``--shed-policy``); everything else is a constant
 below.  The default settings keep deadlines and shedding dormant, and
-the breaker and the retry act only after a failure already happened,
-so a service that never fails answers exactly as one without the
-plane.  The service counts how often each mechanism fired in
-``resilience.*`` counters of its metrics registry and publishes its
-breaker's state next to them.  See ``docs/robustness.md``.
+the breaker acts only after a failure already happened, so a service
+that never fails answers exactly as one without the plane.  The
+service counts how often each mechanism fired in ``resilience.*``
+counters of its metrics registry and publishes its breaker's state
+next to them.  See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from collections import deque
 __all__ = ["SHED_POLICIES", "BREAKER_STATES", "BREAKER_WINDOW",
            "BREAKER_MIN_SAMPLES", "BREAKER_FAILURE_RATE",
            "BREAKER_COOLDOWN_MS", "BREAKER_HALF_OPEN_PROBES",
-           "RETRY_DELAY_MS", "RETRY_AFTER_MS", "CircuitBreaker"]
+           "RETRY_AFTER_MS", "CircuitBreaker"]
 
 #: What happens to a request the bounded admission queue cannot hold:
 #: ``"reject"`` answers it immediately with a structured error (plus a
@@ -68,8 +69,6 @@ BREAKER_FAILURE_RATE = 0.5
 BREAKER_COOLDOWN_MS = 1000.0
 #: Consecutive half-open probe successes required to close again.
 BREAKER_HALF_OPEN_PROBES = 2
-#: Wait before the one retry of a scoring group that failed.
-RETRY_DELAY_MS = 1.0
 #: ``retry_after_ms`` hint attached to shed and deadline rejections.
 RETRY_AFTER_MS = 50.0
 

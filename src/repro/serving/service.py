@@ -30,14 +30,13 @@ first three stages never raise — an exception becomes the request's
 alike.  Every stage reads the service's one candidate cache, one scorer
 and one circuit breaker directly.
 
-**Execution plane.**  ``ServingConfig.execution`` selects how the
-CPU-bound stages run: ``"inline"`` (the default — behaviour identical
-to before the plane existed) or ``"processes"`` (an
-:class:`~repro.exec.plane.ExecutionPlane` of worker processes attached
-zero-copy to shared-memory CSR and weight segments executes candidate
-generation and the fused forward passes, sidestepping the GIL).  Every
-offload degrades to its inline path on pool failure, so the plane never
-lowers availability.  See ``docs/parallelism.md``.
+**Execution plane.**  ``ServingConfig.execution`` selects where cold
+candidate generation runs: ``"inline"`` (the default — in the calling
+thread) or ``"processes"`` (an :class:`~repro.exec.plane.ExecutionPlane`
+of worker processes attached zero-copy to a shared-memory CSR segment,
+sidestepping the GIL).  A pool failure falls back to the inline
+generator, so the plane never lowers availability.  Scoring runs in
+this process in both modes.  See ``docs/parallelism.md``.
 """
 
 from __future__ import annotations
@@ -59,11 +58,10 @@ from repro.obs.trace import Tracer
 from repro.ranking.training_data import TrainingDataConfig
 from repro.serving.batching import BatchingScorer
 from repro.serving.cache import CandidateCache, CandidateEntry
-from repro.serving.pipeline import QueryState, tightest_remaining_ms
+from repro.serving.pipeline import QueryState
 from repro.serving.registry import ActiveModel, ModelRegistry
 from repro.serving.resilience import (
     RETRY_AFTER_MS,
-    RETRY_DELAY_MS,
     SHED_POLICIES,
     CircuitBreaker,
 )
@@ -73,8 +71,8 @@ __all__ = ["EXECUTION_MODES", "ServingConfig", "RankRequest", "RankedPath",
 
 #: Execution-plane modes: ``"inline"`` runs every stage in the calling
 #: thread (the historical behaviour, and the default); ``"processes"``
-#: offloads candidate generation and the fused forward passes to a pool
-#: of worker processes over shared-memory hot-state (:mod:`repro.exec`).
+#: offloads cold candidate generation to a pool of worker processes
+#: over a shared-memory CSR segment (:mod:`repro.exec`).
 EXECUTION_MODES = ("inline", "processes")
 
 #: Request outcome counters, as ``serving.<name>``.
@@ -87,11 +85,9 @@ _OUTCOME_COUNTERS = {"model": "model_served", "fallback": "fallback_served",
 
 #: How often each resilience mechanism fired, as ``resilience.<name>``:
 #: requests shed per policy, expired by their deadline, or routed to the
-#: fallback by an open breaker; retries taken and how many of them
-#: rescued their scoring group; admissions refused by validation.
+#: fallback by an open breaker; admissions refused by validation.
 _RESILIENCE_COUNTERS = ("shed_rejected", "shed_degraded", "deadline_exceeded",
-                        "breaker_degraded", "retries", "retry_successes",
-                        "invalid_requests")
+                        "breaker_degraded", "invalid_requests")
 
 
 def _is_int(value) -> bool:
@@ -257,7 +253,7 @@ class RankingService:
         # Resilience plane: a circuit breaker over scoring-group outcomes.
         self.breaker = CircuitBreaker()
         # Execution plane: dormant unless asked for.  "processes" stands
-        # up shared-memory hot-state plus a warm worker pool.
+        # up a shared-memory CSR segment plus a warm worker pool.
         self.plane = None
         if self.config.execution == "processes":
             from repro.exec.plane import ExecutionPlane
@@ -283,7 +279,7 @@ class RankingService:
         metrics.register_callback("kernel.scoring", self._scoring_kernel_view)
         metrics.register_callback("resilience", self._resilience_view)
         if self.plane is not None:
-            # exec.pool.* / exec.arena.* next to the exec.roundtrip_ms /
+            # exec.pool.* / exec.segment.* next to the exec.roundtrip_ms /
             # exec.overhead_ms / exec.occupancy histograms the pool
             # records directly into this registry.
             metrics.register_callback("exec", self.plane.stats)
@@ -471,7 +467,7 @@ class RankingService:
         straddle a hot-swap — and each group is scored atomically
         through the service's :class:`BatchingScorer`.  A library
         failure degrades *only* the affected requests: each member is
-        retried individually, and only the ones that still fail fall
+        scored again on its own, and only the ones that still fail fall
         back to the shortest path.  Never raises: any other exception
         degrades the states it left unscored to the fallback.
         """
@@ -527,30 +523,18 @@ class RankingService:
 
     def _score_group(self, members: Sequence[QueryState],
                      active: ActiveModel):
-        """One group the breaker allowed: one retry, one breaker outcome.
+        """One group the breaker allowed, with one breaker outcome.
 
-        A :class:`ReproError` is retried once
-        after :data:`~repro.serving.resilience.RETRY_DELAY_MS` — but
-        never past the tightest member deadline — and a group that
-        still fails falls back to per-request isolation via
-        :meth:`_score_individually`.  The breaker records exactly one
-        outcome per group: an exception of any other type counts as a
-        failure before it reaches :meth:`score_states`' backstop, so it
-        never leaves a half-open probe slot claimed.
+        A group that fails with a :class:`ReproError` falls back to
+        per-request isolation via :meth:`_score_individually`, which
+        runs every member's forward pass again, so a one-shot fault is
+        still model-served.  The breaker records exactly one outcome
+        per group: an exception of any other type counts as a failure
+        before it reaches :meth:`score_states`' backstop, so it never
+        leaves a half-open probe slot claimed.
         """
         try:
-            try:
-                scored = self._scores(self._scoring_model(members, active),
-                                      members, active.version)
-            except ReproError:
-                tightest = tightest_remaining_ms(members)
-                if tightest is not None and tightest <= RETRY_DELAY_MS:
-                    raise
-                self.res_counters["retries"].inc()
-                time.sleep(RETRY_DELAY_MS / 1000.0)
-                scored = self._scores(self._scoring_model(members, active),
-                                      members, active.version)
-                self.res_counters["retry_successes"].inc()
+            scored = self._scores(members, active)
         except ReproError:
             self.breaker.record_failure()
             self._score_individually(members)
@@ -561,33 +545,12 @@ class RankingService:
         self.breaker.record_success()
         return scored
 
-    def _scoring_model(self, members: Sequence[QueryState],
-                       active: ActiveModel):
-        """The model one scoring attempt runs: ``active``'s own, or
-        under ``execution="processes"`` the pool-dispatching proxy.
-
-        With the proxy, BatchingScorer still runs dedup/chunking in this
-        process, but each chunk's forward pass executes on a worker,
-        bounded by the group's tightest member deadline.  Each attempt
-        asks the plane afresh, so a retry republishes weights that a
-        hot-swap unlinked.  A plane failure here (segment publish) just
-        keeps the inline model.
-        """
-        if self.plane is None:
-            return active.model
-        live = self.registry.snapshot()
-        try:
-            return self.plane.scoring_proxy(
-                active, deadline_ms=tightest_remaining_ms(members),
-                live=None if live is None else live.version)
-        except ExecError:
-            return active.model
-
-    def _scores(self, model, members: Sequence[QueryState],
-                version: str) -> list[list[float]]:
+    def _scores(self, members: Sequence[QueryState],
+                active: ActiveModel) -> list[list[float]]:
         """One scoring attempt: each member's scores are its entry's memo
-        when tagged ``version``, else one coalesced pass over the rest,
-        written back to their entries."""
+        when tagged ``active``'s version, else one coalesced pass of
+        ``active``'s model over the rest, written back to their entries."""
+        version = active.version
         scores: list = [None] * len(members)
         if self.memoise_scores:
             scores = [None if state.entry is None
@@ -601,7 +564,7 @@ class RankingService:
         todo = [i for i, found in enumerate(scores) if found is None]
         if todo:
             fresh = self.scorer.score_many(
-                model, [members[i].paths for i in todo])
+                active.model, [members[i].paths for i in todo])
             for i, array in zip(todo, fresh):
                 scores[i] = values = array.tolist()
                 entry = members[i].entry
@@ -610,17 +573,15 @@ class RankingService:
         return scores
 
     def _score_individually(self, states: Sequence[QueryState]) -> None:
-        """Retry a failed batch one request at a time.
+        """Score a failed group again, one request at a time.
 
         Isolates the poison request(s): a path that breaks the forward
         pass takes down its own request only, and everything else in the
         flush still gets model-served.
         """
         for state in states:
-            active = state.active
             try:
-                state.scores = self._scores(active.model, [state],
-                                            active.version)[0]
+                state.scores = self._scores([state], state.active)[0]
             except ReproError as exc:
                 state.active = None
                 state.degraded = str(exc)
@@ -768,10 +729,10 @@ class RankingService:
     def close(self) -> None:
         """Tear down the execution plane (idempotent; inline no-op).
 
-        Stops the worker processes and unlinks every shared-memory
-        segment this service published.  The service itself keeps
-        answering afterwards — stages fall back to their inline paths —
-        so closing is safe mid-traffic.
+        Stops the worker processes and unlinks the shared-memory CSR
+        segment.  The service itself keeps answering afterwards —
+        candidate generation falls back to its inline path — so closing
+        is safe mid-traffic.
         """
         plane, self.plane = self.plane, None
         if plane is not None:

@@ -1,16 +1,16 @@
-"""The worker pool: dispatch, kernel parity, and chaos recovery."""
+"""The worker pool: dispatch, candidate parity, and chaos recovery."""
 
+import os
+import signal
 import time
-from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from repro.core.ranker import generate_candidates
 from repro.errors import ExecError
 from repro.exec.plane import ExecutionPlane
 from repro.exec.pool import WorkerPool
-from repro.exec.shm import SharedArena
+from repro.exec.shm import create_segment
 from repro.graph import grid_network
 from repro.graph.csr import csr_for
 
@@ -40,6 +40,12 @@ def _ping_until_recovered(pool, deadline_s: float = 30.0) -> None:
             if time.monotonic() > deadline:
                 raise
             time.sleep(0.05)
+
+
+def _wedge(pool, index: int = 0) -> None:
+    """Stop a live worker with SIGSTOP: it stays alive but runs no job,
+    so only the waiter's deadline or a kill can answer its tickets."""
+    os.kill(pool._slots[index].process.pid, signal.SIGSTOP)
 
 
 def _od_pairs(network):
@@ -85,51 +91,6 @@ def test_unknown_job_kind_fails_cleanly(plane):
         plane.pool.run("frobnicate", None, timeout_s=30.0)
 
 
-def test_score_parity_is_bitwise(plane, exec_network, exec_ranker,
-                                 exec_candidates):
-    """The worker makes ``PathRank.score_paths``' one fused call over
-    shared weight buffers: same arithmetic, bitwise-equal scores."""
-    source, target = _od_pairs(exec_network)[0]
-    paths = generate_candidates(exec_network, source, target,
-                                exec_candidates)
-    active = SimpleNamespace(model=exec_ranker.model, version="v-parity")
-    proxy = plane.scoring_proxy(active)
-    remote = proxy.score_paths(paths)
-    inline = np.asarray(exec_ranker.model.score_paths(paths),
-                        dtype=np.float64)
-    assert remote.dtype == np.float64
-    np.testing.assert_array_equal(remote, inline)
-    assert any(key.startswith("weights:v-parity:")
-               for key in plane.arena.keys())
-
-
-def test_scores_match_inline_on_a_flush_sharing_prefixes_and_suffixes(
-        plane, exec_network, exec_ranker, exec_candidates):
-    """A flush of several requests' candidates, whose paths share
-    prefixes (one source) and suffixes (one target), scores the same on
-    the pool as inline."""
-    ids = sorted(exec_network.vertex_ids())
-    pairs = [(ids[0], ids[-1]), (ids[0], ids[-2]), (ids[1], ids[-1])]
-    lists = [generate_candidates(exec_network, source, target,
-                                 exec_candidates)
-             for source, target in pairs]
-    flush = [path for paths in lists for path in paths]
-    starts = {path.vertices[:2] for path in flush}
-    ends = {path.vertices[-2:] for path in flush}
-    assert len(starts) < len(flush) and len(ends) < len(flush)
-    active = SimpleNamespace(model=exec_ranker.model, version="v-shared")
-    proxy = plane.scoring_proxy(active)
-    chunks = [flush[:4], flush[4:]]
-    remote = proxy.score_paths_many(chunks)
-    for chunk, scores in zip(chunks, remote):
-        np.testing.assert_allclose(
-            scores, exec_ranker.model.score_paths(chunk), atol=1e-6, rtol=0)
-    # Publishing v-shared's weights unlinked every other version's.
-    weights = [key for key in plane.arena.keys()
-               if key.startswith("weights:")]
-    assert len(weights) == 1 and weights[0].startswith("weights:v-shared:")
-
-
 # ----------------------------------------------------------------------
 # Chaos: death, hangs, staleness
 # ----------------------------------------------------------------------
@@ -137,7 +98,8 @@ def test_worker_death_fails_inflight_and_respawns(exec_network):
     plane = ExecutionPlane(exec_network, workers=1)
     try:
         pool = plane.pool
-        ticket = pool.submit("hang", None)
+        _wedge(pool)
+        ticket = pool.submit("ping", None)
         pool.kill_worker(0)
         with pytest.raises(ExecError, match="died"):
             ticket.wait(30.0)
@@ -273,7 +235,8 @@ def test_waiter_deadline_kills_hung_worker_and_recovers(exec_network):
     plane = ExecutionPlane(exec_network, workers=1)
     try:
         pool = plane.pool
-        ticket = pool.submit("hang", None)
+        _wedge(pool)
+        ticket = pool.submit("ping", None)
         with pytest.raises(ExecError, match="timed out"):
             ticket.wait(0.5)
         assert pool.stats()["timeouts"] == 1
@@ -286,12 +249,10 @@ def test_stale_csr_key_rejected_at_worker_warmup(exec_network):
     """A worker handed a segment whose key does not match what it was
     told to expect must refuse to install it — warmup fails loudly
     instead of silently routing on stale hot-state."""
-    kernel = csr_for(exec_network)
-    arrays, meta = kernel.shared_payload()
-    arena = SharedArena()
+    arrays, meta = csr_for(exec_network).shared_payload()
+    segment = create_segment("csr:stale-test", arrays, meta)
     pool = None
     try:
-        segment = arena.publish("csr:stale-test", arrays, meta)
         pool = WorkerPool(exec_network, workers=1, csr_name=segment.name,
                           csr_key="csr:" + "0" * 32)
         with pytest.raises(ExecError, match="StaleSegmentError"):
@@ -299,7 +260,7 @@ def test_stale_csr_key_rejected_at_worker_warmup(exec_network):
     finally:
         if pool is not None:
             pool.close()
-        arena.close()
+        segment.close()
 
 
 def test_submit_after_close_raises(exec_network):

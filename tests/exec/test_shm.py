@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ExecError, StaleSegmentError
 from repro.exec.shm import (
     SEGMENT_PREFIX,
-    SharedArena,
     attach_segment,
     attached_refs,
     create_segment,
@@ -110,50 +109,3 @@ def test_owner_close_unlinks_from_dev_shm():
     segment.close()  # idempotent
     with pytest.raises(ExecError):
         attach_segment(segment.name)
-
-
-# ----------------------------------------------------------------------
-# arena
-# ----------------------------------------------------------------------
-def test_arena_publish_is_idempotent_per_key():
-    arena = SharedArena()
-    try:
-        first = arena.publish("csr:a", _arrays())
-        again = arena.publish("csr:a", _arrays())
-        assert again is first
-        assert arena.keys() == ["csr:a"]
-        assert arena.get("csr:a") is first
-        assert arena.get("csr:missing") is None
-    finally:
-        arena.close()
-    assert arena.keys() == []
-
-
-def test_arena_drop_unlinks_one_key():
-    arena = SharedArena()
-    try:
-        segment = arena.publish("weights:v1:1:float32", _arrays())
-        arena.publish("csr:keep", _arrays())
-        assert arena.drop("weights:v1:1:float32") is True
-        assert arena.drop("weights:v1:1:float32") is False
-        assert segment.name not in list_repro_segments()
-        assert arena.keys() == ["csr:keep"]
-    finally:
-        arena.close()
-
-
-def test_arena_drop_where_prunes_by_predicate():
-    arena = SharedArena()
-    try:
-        arena.publish("weights:v1:1:float32", _arrays())
-        arena.publish("weights:v2:1:float32", _arrays())
-        arena.publish("csr:keep", _arrays())
-        dropped = arena.drop_where(lambda key: key.startswith("weights:v1"))
-        assert dropped == 1
-        assert arena.keys() == ["csr:keep", "weights:v2:1:float32"]
-        stats = arena.stats()
-        assert stats["segments"] == 2
-        assert stats["bytes"] > 0
-        assert stats["keys"] == arena.keys()
-    finally:
-        arena.close()

@@ -10,7 +10,6 @@ import pytest
 from repro.obs.export import (
     SnapshotExporter,
     load_timeline,
-    prometheus_lines,
     prometheus_snapshot_lines,
     summarise_timeline,
 )
@@ -115,25 +114,11 @@ class TestTimeline:
 # Prometheus exposition
 # ----------------------------------------------------------------------
 class TestPrometheus:
-    def test_typed_samples_for_registry_metrics(self):
-        registry = MetricsRegistry()
-        registry.counter("serving.requests").inc(3)
-        registry.gauge("engine.depth").set(1.5)
-        registry.histogram("serving.latency").observe(2.0)
-        lines = prometheus_lines(registry)
-        text = "\n".join(lines)
-        assert "# TYPE serving_requests counter" in text
-        assert "serving_requests 3" in text
-        assert "# TYPE engine_depth gauge" in text
-        assert "# TYPE serving_latency histogram" in text
-        assert 'serving_latency_bucket{le="+Inf"} 1' in text
-        assert "serving_latency_count 1" in text
-
     def test_callback_payloads_become_untyped_samples(self):
         registry = MetricsRegistry()
         registry.register_callback(
             "cache.candidate", lambda: {"hits": 4, "note": "warm"})
-        text = "\n".join(prometheus_lines(registry))
+        text = "\n".join(prometheus_snapshot_lines(registry.export()))
         assert "cache_candidate_hits 4" in text
         assert "note" not in text  # non-numeric skipped
 

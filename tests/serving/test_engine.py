@@ -253,7 +253,10 @@ class TestOneAnswer:
     def test_the_finishing_thread_assembles_once(
             self, tiny_network, registry, make_ranker, candidates_config,
             gate, monkeypatch, path, served_by, by_submit):
-        registry.publish(make_ranker(tiny_network, seed=1), activate=True)
+        # "unscorable": a published version that was never activated
+        # leaves no model to score with.
+        registry.publish(make_ranker(tiny_network, seed=1),
+                         activate=path != "unscorable")
         service = RankingService(tiny_network, registry, ServingConfig(
             candidates=candidates_config, max_queue=1,
             shed_policy="reject"))
@@ -262,8 +265,6 @@ class TestOneAnswer:
             service.rank(request)  # memoise its scores
         elif path == "refused":
             request = RankRequest(source=99, target=5)
-        elif path == "unscorable":
-            registry.deactivate()
         calls: dict[int, list] = {}
         real_assemble = service.assemble
 

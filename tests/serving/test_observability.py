@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.export import prometheus_lines
+from repro.obs.export import prometheus_snapshot_lines
 from repro.serving import (
     ModelRegistry,
     RankingService,
@@ -205,7 +205,8 @@ class TestPayloadsAreJsonClean:
         self._assert_json_clean(traced_service.stats())
         self._assert_json_clean(traced_service.metrics.export())
         self._assert_json_clean(traced_service.tracer.as_dict())
-        for line in prometheus_lines(traced_service.metrics):
+        for line in prometheus_snapshot_lines(
+                traced_service.metrics.export()):
             assert isinstance(line, str)
 
     def test_engine_surfaces(self, tiny_network, registry, make_ranker,
@@ -219,18 +220,6 @@ class TestPayloadsAreJsonClean:
         with ServingEngine(service, concurrency=2) as engine:
             engine.rank_batch(requests)
             self._assert_json_clean(engine.stats())
-
-
-class TestTypedExposition:
-    def test_service_counts_are_typed_instruments(self, service):
-        service.rank(RankRequest(source=0, target=5))
-        service.rank(RankRequest(source=99, target=5))  # invalid
-        lines = prometheus_lines(service.metrics)
-        assert "# TYPE serving_requests counter" in lines
-        assert "serving_requests 2" in lines
-        assert "# TYPE serving_latency histogram" in lines
-        assert "# TYPE resilience_invalid_requests counter" in lines
-        assert "resilience_invalid_requests 1" in lines
 
 
 def _documented_families() -> list[str]:

@@ -74,12 +74,6 @@ class TestActivation:
         active = registry.activate("a")
         assert active.metadata["num_vertices"] == tiny_network.num_vertices
 
-    def test_deactivate(self, tiny_network, registry, make_ranker):
-        registry.publish(make_ranker(tiny_network, 1), version="a")
-        registry.activate("a")
-        registry.deactivate()
-        assert registry.snapshot() is None
-
 
 class TestHotSwapAtomicity:
     def test_interleaved_requests_never_mix_versions(self, tiny_network, tmp_path,

@@ -1,4 +1,4 @@
-"""The resilience plane: deadlines, shedding, breakers, retries.
+"""The resilience plane: deadlines, shedding, breakers, per-request rescue.
 
 Unit tests drive :class:`CircuitBreaker` directly (with a fake clock,
 so lifecycle transitions are exact);
@@ -287,7 +287,7 @@ def test_no_deadline_means_no_expiry(tiny_network, registry, make_ranker,
 
 
 # ----------------------------------------------------------------------
-# Retries rescue transient scoring failures
+# A failed group's members are scored again one by one
 # ----------------------------------------------------------------------
 def _scoring_service(tiny_network, registry, make_ranker):
     """A model-served service whose breaker runs on a fake clock."""
@@ -297,18 +297,19 @@ def _scoring_service(tiny_network, registry, make_ranker):
     return service, _with_fake_clock(service)
 
 
-def test_single_shot_score_fault_is_retried_away(tiny_network, registry,
-                                                 make_ranker, monkeypatch):
+def test_single_shot_score_fault_is_still_model_served(
+        tiny_network, registry, make_ranker, monkeypatch):
+    """The group's forward pass fails once; the per-request rescue runs
+    it again and serves the model's answer, and the breaker records the
+    group's one failure."""
     service, _ = _scoring_service(tiny_network, registry, make_ranker)
-    _failing(monkeypatch, PathRank, "score_paths", times=1)
+    failed = _failing(monkeypatch, PathRank, "score_paths", times=1)
     response = service.rank(RankRequest(source=0, target=5))
     assert response.served_by == "model"
-    counters = service.stats()["resilience"]["counters"]
-    assert counters["retries"] == 1
-    assert counters["retry_successes"] == 1
-    # The breaker saw the eventual success, not the transient failure.
-    assert service.breaker.state == "closed"
-    assert service.breaker.as_dict()["window_failures"] == 0
+    assert response.error is None
+    assert len(failed) == 1
+    breaker = service.breaker.as_dict()
+    assert (breaker["state"], breaker["window_failures"]) == ("closed", 1)
 
 
 def test_persistent_score_fault_falls_back_and_feeds_breaker(
@@ -324,9 +325,6 @@ def test_persistent_score_fault_falls_back_and_feeds_breaker(
     breaker = service.breaker
     assert breaker.state == "open"
     assert breaker.trips == 1
-    # One retry per failed group.
-    assert service.res_counters["retries"].value == BREAKER_MIN_SAMPLES
-    assert service.res_counters["retry_successes"].value == 0
     # Once open, requests degrade to the fallback without touching the
     # scorer.
     degraded = service.rank(RankRequest(source=0, target=5))
@@ -391,8 +389,8 @@ def test_a_failure_of_any_type_releases_its_half_open_probe(
 def test_score_faults_degrade_cache_answers_like_flushes(
         tiny_network, registry, make_ranker, monkeypatch, front_door):
     """The engine answers a fully cached request outside a flush, but
-    through the same scoring stage: a failed scoring attempt, the retry,
-    the individual rescue and the breaker treat it as the sync facade
+    through the same scoring stage: a failed scoring attempt, the
+    individual rescue and the breaker treat it as the sync facade
     does."""
     service, _ = _scoring_service(tiny_network, registry, make_ranker)
     request = RankRequest(source=0, target=5)
@@ -402,8 +400,8 @@ def test_score_faults_degrade_cache_answers_like_flushes(
     # minimum.
     for _ in range(BREAKER_MIN_SAMPLES - 2):
         service.breaker.record_failure()
-    # The group's attempt and its retry fail; the rescue reads the memo.
-    failed = _failing(monkeypatch, service, "_scores", times=2)
+    # The group's attempt fails; the rescue reads the memo.
+    failed = _failing(monkeypatch, service, "_scores", times=1)
     with ServingEngine(service, concurrency=2) as engine:
         def rank(request):
             if front_door == "engine":
@@ -418,9 +416,8 @@ def test_score_faults_degrade_cache_answers_like_flushes(
     assert degraded.served_by == "fallback"
     assert degraded.error_code == "breaker_open"
     assert service.breaker.trips == 1
-    assert service.res_counters["retries"].value == 1
     assert service.res_counters["breaker_degraded"].value == 1
-    assert len(failed) == 2
+    assert len(failed) == 1
     # Hits are counted once, by the individual rescue's lookup.
     assert service.stats()["score_cache"]["hits"] == paths
     assert flushes == 0  # the engine answered both outside a flush
@@ -586,18 +583,19 @@ def test_close_answers_each_ticket_once(tiny_network, registry, make_ranker,
     waiter got it."""
     service = _engine_service(tiny_network, registry, make_ranker)
     engine = ServingEngine(service, concurrency=1)
-    workers = list(engine._workers)
     gate.hold(service, "prepare")
     tickets = [engine.submit(RankRequest(source=0, target=5, request_id=i))
                for i in range(4)]
     gate.wait_for(1)  # the lone worker is wedged in the candidate stage
     try:
         engine.close(timeout=0.2)
+        # The join gave up on the wedged worker: close() keeps it listed.
+        assert [worker.is_alive() for worker in engine._workers] == [True]
         responses = [ticket.wait(timeout=10.0) for ticket in tickets]
         assert service.counters["requests"].value == 4
     finally:
         gate.release()
-    for worker in workers:
+    for worker in engine._workers:
         worker.join(timeout=10.0)
         assert not worker.is_alive()
     assert service.counters["requests"].value == 4
@@ -613,18 +611,19 @@ def test_close_answers_each_flushed_ticket_once(tiny_network, registry,
     tickets assembles none of them again."""
     service = _engine_service(tiny_network, registry, make_ranker)
     engine = ServingEngine(service, concurrency=1)
-    workers = list(engine._workers)
     gate.hold(service.scorer, "score_many")
     tickets = [engine.submit(RankRequest(source=s, target=5, request_id=s))
                for s in range(4)]
     gate.wait_for(1)  # the lone worker's flush is wedged in the scorer
     try:
         engine.close(timeout=0.2)
+        # The join gave up on the wedged worker: close() keeps it listed.
+        assert [worker.is_alive() for worker in engine._workers] == [True]
         responses = [ticket.wait(timeout=10.0) for ticket in tickets]
         completed = [ticket.completed for ticket in tickets]
     finally:
         gate.release()
-    for worker in workers:
+    for worker in engine._workers:
         worker.join(timeout=10.0)
         assert not worker.is_alive()
     assert service.counters["requests"].value == 4

@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from repro.obs.export import prometheus_lines
+from repro.obs.export import prometheus_snapshot_lines
 from repro.serving import (
     RankingService,
     RankRequest,
@@ -53,7 +53,7 @@ class TestStatsUnderConcurrency:
                     json.dumps(stats)
                     exported = engine.service.metrics.export()
                     json.dumps(exported)
-                    prometheus_lines(engine.service.metrics)
+                    prometheus_snapshot_lines(exported)
                     seen.append(exported["serving.requests"])
                     # Holds by construction: requests is bumped before
                     # latency observes, and stats()/export() read the
