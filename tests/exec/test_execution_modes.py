@@ -1,5 +1,6 @@
 """Service-level execution modes: parity, worker death, lifecycle, stats."""
 
+import threading
 import time
 
 import pytest
@@ -108,6 +109,29 @@ def test_cold_request_runs_on_the_pool(exec_network, exec_ranker,
         inline.close()
 
 
+def test_forward_passes_run_in_the_parent_on_the_snapshot_model(
+        exec_network, exec_ranker, tmp_path, workload):
+    """Under processes mode the pool generates candidates, but every
+    coalesced forward pass runs in the parent, on the active snapshot's
+    own model object."""
+    service = _service(exec_network, exec_ranker, tmp_path / "models",
+                       execution="processes", workers=1,
+                       score_cache_size=0)
+    try:
+        models = []
+        score_many = service.scorer.score_many
+        service.scorer.score_many = \
+            lambda model, lists: models.append(model) \
+            or score_many(model, lists)
+        responses = _rank_all(service, workload[:4])
+        assert {response.served_by for response in responses} == {"model"}
+        active = service.registry.snapshot()
+        assert models
+        assert all(model is active.model for model in models)
+    finally:
+        service.close()
+
+
 # ----------------------------------------------------------------------
 # Stats shape
 # ----------------------------------------------------------------------
@@ -204,6 +228,49 @@ def test_hot_swaps_publish_nothing_and_each_version_serves_its_own(
         assert set(list_repro_segments()) - before \
             == {service.plane.segment.name}
         assert service.breaker.as_dict()["window_failures"] == 0
+    finally:
+        service.close()
+
+
+def test_scoring_two_snapshots_at_once_fails_no_group(
+        exec_network, exec_ranker, tmp_path, workload):
+    """Groups on a superseded snapshot and on the live one score side by
+    side in the parent: the breaker sees no failure, every answer is
+    model-served by its version, and neither publishes a segment."""
+    before = set(list_repro_segments())
+    service = _service(exec_network, exec_ranker, tmp_path / "models",
+                       execution="processes", workers=2,
+                       score_cache_size=0)
+    try:
+        for version in ("v2", "v3"):
+            service.registry.publish(exec_ranker, version=version)
+        service.activate("v2")
+        stragglers = [service.admit(request) for request in workload * 2]
+        service.activate("v3")
+        answers: dict[str, list] = {"v2": [], "v3": []}
+
+        def straggle() -> None:
+            for state in stragglers:
+                service.score_states([service.prepare(state)])
+                answers["v2"].append(service.assemble(state))
+
+        def serve_live() -> None:
+            for request in workload * 2:
+                answers["v3"].append(service.rank(request))
+
+        threads = [threading.Thread(target=straggle),
+                   threading.Thread(target=serve_live)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        for version, responses in answers.items():
+            assert len(responses) == 2 * len(workload)
+            assert {(response.served_by, response.model_version)
+                    for response in responses} == {("model", version)}
+        assert service.breaker.as_dict()["window_failures"] == 0
+        assert set(list_repro_segments()) - before \
+            == {service.plane.segment.name}
     finally:
         service.close()
 

@@ -3,16 +3,19 @@
 import os
 import signal
 import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core.ranker import generate_candidates
 from repro.errors import ExecError
 from repro.exec.plane import ExecutionPlane
 from repro.exec.pool import WorkerPool
-from repro.exec.shm import create_segment
+from repro.exec.shm import create_segment, list_repro_segments
 from repro.graph import grid_network
 from repro.graph.csr import csr_for
+from repro.serving import RankRequest
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +92,58 @@ def test_unknown_vertex_ships_back_as_exec_error(plane, exec_network,
 def test_unknown_job_kind_fails_cleanly(plane):
     with pytest.raises(ExecError, match="unknown job kind"):
         plane.pool.run("frobnicate", None, timeout_s=30.0)
+
+
+@pytest.mark.parametrize("kind", ["score", "hang"])
+def test_workers_neither_score_nor_hang_on_request(plane, kind):
+    """Workers generate candidates and run analytics tiles only:
+    forward passes stay in the parent, and a test that needs a wedged
+    worker stops it with SIGSTOP."""
+    with pytest.raises(ExecError, match="unknown job kind"):
+        plane.pool.run(kind, None, timeout_s=30.0)
+
+
+def test_score_parity_is_bitwise(plane, exec_network, exec_ranker,
+                                 exec_candidates):
+    """The pool ships back bare vertex tuples and the parent scores the
+    rebuilt paths on its own model: the same paths through the same
+    arithmetic as inline, so bitwise-equal scores."""
+    for source, target in _od_pairs(exec_network):
+        state = SimpleNamespace(request=RankRequest(source=source,
+                                                    target=target),
+                                config=exec_candidates,
+                                remaining_ms=lambda: None)
+        remote = plane.candidates_for(state)
+        inline = generate_candidates(exec_network, source, target,
+                                     exec_candidates)
+        np.testing.assert_array_equal(
+            exec_ranker.model.score_paths(remote),
+            exec_ranker.model.score_paths(inline))
+
+
+# ----------------------------------------------------------------------
+# The plane's one shared segment
+# ----------------------------------------------------------------------
+def test_plane_segment_is_the_network_csr(plane, exec_network):
+    """The segment the workers attach is keyed by the network's CSR
+    kernel, and the plane reports that key and its size."""
+    assert plane.segment.key == csr_for(exec_network).shared_key()
+    assert plane.segment.name in list_repro_segments()
+    assert plane.stats()["segment"] == {"key": plane.segment.key,
+                                        "bytes": plane.segment.nbytes}
+    assert plane.segment.nbytes > 0
+
+
+def test_plane_publishes_one_segment_and_close_unlinks_it(exec_network):
+    before = set(list_repro_segments())
+    plane = ExecutionPlane(exec_network, workers=1)
+    try:
+        assert set(list_repro_segments()) - before == {plane.segment.name}
+    finally:
+        plane.close()
+    assert plane.segment.name not in list_repro_segments()
+    assert plane.pool.closed
+    plane.close()  # idempotent
 
 
 # ----------------------------------------------------------------------

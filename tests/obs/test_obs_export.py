@@ -114,6 +114,19 @@ class TestTimeline:
 # Prometheus exposition
 # ----------------------------------------------------------------------
 class TestPrometheus:
+    def test_registry_export_renders_every_instrument(self):
+        """A live registry's export renders as samples: counters and
+        gauges under their own name, histograms as their summary."""
+        registry = MetricsRegistry()
+        registry.counter("serving.requests").inc(3)
+        registry.gauge("engine.depth").set(1.5)
+        registry.histogram("serving.latency").observe(2.0)
+        lines = prometheus_snapshot_lines(registry.export())
+        assert "serving_requests 3" in lines
+        assert "engine_depth 1.5" in lines
+        assert "serving_latency_count 1" in lines
+        assert not any(line.startswith("#") for line in lines)
+
     def test_callback_payloads_become_untyped_samples(self):
         registry = MetricsRegistry()
         registry.register_callback(

@@ -42,7 +42,6 @@ class TestEquivalence:
         for got, want in zip(batched, sequential):
             np.testing.assert_allclose(got, want, atol=1e-9, rtol=0.0)
 
-
     def test_flush_sharing_prefixes_and_suffixes_matches_per_list(
             self, small_grid, model):
         """A flush of several requests' candidates, whose paths share
@@ -55,6 +54,22 @@ class TestEquivalence:
         assert len({path.vertices[:2] for path in flush}) < len(flush)
         assert len({path.vertices[-2:] for path in flush}) < len(flush)
         batched = BatchingScorer(max_batch_size=64).score_many(model, lists)
+        for got, paths in zip(batched, lists):
+            np.testing.assert_allclose(got, model.score_paths(paths),
+                                       atol=1e-6, rtol=0.0)
+
+
+    def test_shared_prefixes_split_across_chunks_match_per_list(
+            self, small_grid, model):
+        """The same prefix-sharing flush under a three-path batch cap,
+        so chunk boundaries cut through its groups, still scores each
+        list as scoring it alone does, to float32 rounding."""
+        ids = small_grid.vertex_ids()
+        pairs = [(ids[0], ids[-1]), (ids[0], ids[-2]), (ids[1], ids[-1])]
+        lists = [yen_k_shortest_paths(small_grid, s, t, 4) for s, t in pairs]
+        scorer = BatchingScorer(max_batch_size=3)
+        batched = scorer.score_many(model, lists)
+        assert scorer.batches_run > 1
         for got, paths in zip(batched, lists):
             np.testing.assert_allclose(got, model.score_paths(paths),
                                        atol=1e-6, rtol=0.0)

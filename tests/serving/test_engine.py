@@ -313,6 +313,14 @@ class TestLifecycle:
         for ticket in tickets:
             assert ticket.wait(timeout=1.0).served_by == "model"
 
+    def test_close_lists_no_worker_it_joined(self, service):
+        """A bounded close() that joins every worker keeps none of them:
+        only a worker its join gave up on stays in ``_workers``."""
+        engine = ServingEngine(service, concurrency=3)
+        assert len(engine._workers) == 3
+        engine.close(timeout=10.0)
+        assert engine._workers == []
+
     def test_close_drains_with_a_poisoned_flush(self, service):
         """close() drains flushes whose scoring raises: every ticket is
         answered, by the fallback."""

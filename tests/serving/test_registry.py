@@ -59,6 +59,14 @@ class TestActivation:
         assert (first.generation, second.generation, third.generation) == (1, 2, 3)
         assert registry.snapshot() is third
 
+    def test_published_version_is_not_live_until_activated(
+            self, tiny_network, registry, make_ranker):
+        registry.publish(make_ranker(tiny_network, 1), version="a")
+        assert registry.versions() == ["a"]
+        assert registry.snapshot() is None
+        assert registry.activate("a").version == "a"
+        assert registry.snapshot().version == "a"
+
     def test_snapshot_is_stable_across_swap(self, tiny_network, registry, make_ranker):
         registry.publish(make_ranker(tiny_network, 1), version="a")
         registry.publish(make_ranker(tiny_network, 2), version="b")

@@ -312,6 +312,25 @@ def test_single_shot_score_fault_is_still_model_served(
     assert (breaker["state"], breaker["window_failures"]) == ("closed", 1)
 
 
+def test_a_failed_group_is_one_breaker_failure_and_every_member_is_rescued(
+        tiny_network, registry, make_ranker, monkeypatch):
+    """A four-request group whose coalesced pass fails once: each member
+    is scored again on its own and model-served, and the breaker records
+    one failure for the group, not one per member."""
+    service, _ = _scoring_service(tiny_network, registry, make_ranker)
+    failed = _failing(monkeypatch, service.scorer, "score_many", times=1)
+    states = [service.prepare(service.admit(
+                  RankRequest(source=s, target=5, request_id=s)))
+              for s in range(4)]
+    service.score_states(states)
+    responses = [service.assemble(state) for state in states]
+    assert [response.served_by for response in responses] \
+        == ["model"] * 4
+    assert len(failed) == 1
+    breaker = service.breaker.as_dict()
+    assert (breaker["state"], breaker["window_failures"]) == ("closed", 1)
+
+
 def test_persistent_score_fault_falls_back_and_feeds_breaker(
         tiny_network, registry, make_ranker, monkeypatch):
     service, _ = _scoring_service(tiny_network, registry, make_ranker)
