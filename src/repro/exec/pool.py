@@ -254,15 +254,27 @@ class WorkerPool:
         slot.drainer.start()
 
     def wait_ready(self, timeout_s: float | None = None) -> None:
-        """Block until every worker finished warmup (or raise)."""
+        """Block until every worker finished warmup.
+
+        Raises :class:`ExecError` when ``timeout_s`` runs out, or as soon
+        as the monitor abandons a slot whose worker keeps dying during
+        warmup: that slot will never be ready.  The slot's event is read
+        afresh on each poll, since a respawn replaces it.
+        """
         timeout_s = timeout_s if timeout_s is not None \
             else self._ready_timeout_s
         deadline = perf_counter() + timeout_s
         for slot in self._slots:
-            remaining = deadline - perf_counter()
-            if not slot.ready.wait(max(0.0, remaining)):
+            while not slot.ready.wait(_MONITOR_INTERVAL_S):
+                abandoned = slot.process is None
+                if not abandoned and perf_counter() < deadline:
+                    continue
                 with self._lock:
                     errors = list(self._init_errors)
+                if abandoned:
+                    raise ExecError(
+                        "worker pool failed to warm up: "
+                        + "; ".join(dict.fromkeys(errors[-1:] + errors[:1])))
                 detail = f": {errors[0]}" if errors else ""
                 raise ExecError(
                     f"worker pool failed to warm up within {timeout_s:.1f}s"

@@ -49,7 +49,7 @@ from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from heapq import heappop, heappush
-from itertools import accumulate, count
+from itertools import count
 from math import inf
 
 import numpy as np
@@ -471,7 +471,8 @@ class CSRGraph:
 
         ``bound`` caps the search: the first live entry popped with a
         key (``g + h``, or ``g`` without a heuristic) above it ends the
-        search with ``None``.  Only Yen's spur searches pass one.
+        search with ``None``.  Only Yen's deferred spur searches pass
+        one, the cost cap as it stands when they run.
 
         ``banned_vertices`` are never entered: they are stamped as
         already settled, so the relaxation loop needs no separate ban
@@ -865,8 +866,10 @@ class CSRGraph:
         (the two lanes may resolve a tie differently).  The enumeration
         itself does not mirror the reference: :meth:`yen_indices` does
         each search once, guided by the exact distance to the target,
-        and decides the spur searches the cap rules out without running
-        them.  ``use_alt`` selects that guidance (see :meth:`_potential`).
+        decides the spur searches the cap rules out without running
+        them, and runs the others only when their spur reaches the top
+        of the queue.  ``use_alt`` selects that guidance (see
+        :meth:`_potential`).
         """
         ids = self.ids
         for verts, total in self.yen_indices(source_id, target_id, cost,
@@ -890,12 +893,13 @@ class CSRGraph:
 
         * Every candidate carries its *deviation index* — the spur index
           it was found at — and an accepted path is spurred only from
-          that index on (Lawler, 1972).  An earlier prefix is shared
-          with the path it deviated from and already bans this path's
-          next vertex, so its root and ban set are what they were when
-          that prefix was last searched: the search would return a path
-          already in ``seen_paths`` and never reach the tie-breaking
-          counter.
+          that index on (Lawler, 1972).  Each spur stands for a set of
+          paths: those that start with its root and leave it by an edge
+          its ban set allows.  An accepted path's spurs split its own
+          set less itself, so the sets stay disjoint: no search returns
+          a path another spur holds or one already yielded, and the
+          searches plain Yen runs at earlier indices only find paths it
+          already holds.
         * The ban set of a root — the next vertices of all accepted
           paths that start with it — is the key set of that root's node
           in a prefix trie of nested dicts, which each accepted path
@@ -908,22 +912,34 @@ class CSRGraph:
           :meth:`_search` returns with each spur path; the root costs of
           an accepted path are the running sums of its weights, the same
           additions in the same order as summing looked-up edges.
+        * A spur search does not run when its spur is found (Kurz &
+          Mutzel, 2016).  The spur is queued under the counter drawn
+          then, keyed by the key of the search's first pop:
+          ``root_cost + min(w + h[v])`` over its allowed out-edges, less
+          :data:`_CAP_SLACK` for rounding, a lower bound on the cost of
+          the path the search returns.  The search runs when the entry
+          reaches the top of the queue, and its path goes back on the
+          queue with its exact cost and the same counter.  A found path
+          reaches the top only after every deferred search that could
+          beat it in ``(cost, counter)`` has run, so the pops are plain
+          Yen's; searches still queued when ``max_paths`` paths are out
+          never run.  The search reads its ban set from the trie when it
+          runs, and that set is still the one the spur had when it was
+          found: a path accepted in between that added a key to the
+          spur's node would lie in the spur's own set, which only the
+          spur's own search can return.
         * Under ``max_paths``, with ``room = max_paths - produced`` paths
           still to yield, each spur search is capped at the cost ``c`` of
-          the ``room``-th cheapest held candidate (plus :data:`_CAP_SLACK`).
-          A candidate costing more than ``c`` is never among the next
-          ``room`` pops; one costing exactly ``c`` loses the tie on its
-          later counter.  ``c`` never goes up — a push can only lower the
-          ``room``-th smallest cost, a pop removes the minimum as ``room``
-          drops by one — so a path pruned once is pruned on every later
-          discovery, and the survivors keep their relative counter order.
-        * Before a spur search runs, the smallest ``w + h[v]`` over the
-          spur vertex's allowed out-edges (not banned, not into the
-          root) is the key of the search's first pop.  When it exceeds
-          the cap, or no edge is allowed or leads towards the target,
-          the search would return ``None``: it is decided without one
-          (``yen_spur_skipped``; also ``yen_spur_capped`` when the cap
-          decided it).
+          the ``room``-th cheapest found candidate (plus
+          :data:`_CAP_SLACK`): the next ``room`` pops all cost at most
+          ``c``, so a path costing more is never yielded.  Deferred
+          spurs add nothing to the cap until their search runs, which
+          only leaves it looser.
+        * The first pop's key decides some spurs without a search: when
+          it exceeds the cap, or no allowed edge leads towards the
+          target, the search would return ``None`` (``yen_spur_skipped``;
+          also ``yen_spur_capped`` when the cap decided it).  Deferred
+          searches that never run count in ``yen_spur_skipped`` too.
 
         Searches are A* under the exact potential of :meth:`_potential`
         — one reverse search from the target per query — wherever they
@@ -950,95 +966,111 @@ class CSRGraph:
         yield verts, total
 
         deviation = 0
-        seen_paths: set[tuple[int, ...]] = {tuple(verts)}
         counter = count()
-        candidates: list[tuple[float, int, list[int], int, list[float]]] = []
+        # Found paths as ``(cost, n, verts, deviation, hops)``; deferred
+        # searches as ``(key, n, verts, i, hops, node, root_cost)`` for
+        # the spur at index ``i`` of accepted path ``verts``, whose ban
+        # set is the key set of trie node ``node``.
+        candidates: list[tuple] = []
         # Prefix trie over the accepted paths: a node maps each vertex
         # that follows its prefix in some accepted path to the child
         # node, so its keys are the prefix's ban set.  The root is [s].
         trie: dict[int, dict] = {}
         produced = 1
-        costs: list[float] = []  # held candidates' costs, sorted (max_paths)
+        capping = max_paths is not None
+        costs: list[float] = []  # queued found paths' costs, sorted
         # The pre-check's potential: ``h``, or zero for unguided searches.
         reach = h if h is not None else [0.0] * self.num_vertices
-        ruled_out = self._spur_ruled_out
-
-        while max_paths is None or produced < max_paths:
-            node = trie
-            for i in range(deviation):
-                node = node[verts[i + 1]]
-            root_costs = list(accumulate(hops, initial=0.0))
-            position = {v: i for i, v in enumerate(verts)}
-            room = max_paths - produced if max_paths is not None else 0
-            spurs = skipped = capped = 0
-            try:
+        first_key_of = self._spur_ruled_out
+        spurs = skipped = capped = deferred = 0
+        try:
+            while max_paths is None or produced < max_paths:
+                room = max_paths - produced if capping else 0
+                cap = costs[room - 1] * _CAP_SLACK \
+                    if capping and len(costs) >= room else inf
+                node = trie
+                root_cost = 0.0
+                for i in range(deviation):
+                    node = node[verts[i + 1]]
+                    root_cost += hops[i]
+                root = set(verts[:deviation])
                 for i in range(deviation, len(verts) - 1):
                     spur = verts[i]
-                    following = verts[i + 1]
-                    after = node.setdefault(following, {})
+                    after = node.setdefault(verts[i + 1], {})
+                    root.add(spur)
                     spurs += 1
-                    root_cost = root_costs[i]
-                    bound = (costs[room - 1] * _CAP_SLACK - root_cost
-                             if room and len(costs) >= room else inf)
-                    if ruled_out(adj, reach, spur, node, position, i, bound):
+                    bound = cap - root_cost
+                    first_key = first_key_of(adj, reach, spur, node, root,
+                                             bound)
+                    if first_key == inf:
                         skipped += 1
                         if bound < inf:
                             capped += 1
-                        result = None
                     else:
-                        result = self._search(spur, t, adj, h, verts[:i],
-                                              node, bound)
+                        deferred += 1
+                        heappush(candidates,
+                                 ((root_cost + first_key) / _CAP_SLACK,
+                                  next(counter), verts, i, hops, node,
+                                  root_cost))
+                    node = after
+                    root_cost += hops[i]
+
+                while candidates:
+                    entry = heappop(candidates)
+                    if len(entry) == 5:
+                        break
+                    _, n, path, i, path_hops, node, root_cost = entry
+                    deferred -= 1
+                    cap = costs[room - 1] * _CAP_SLACK \
+                        if capping and len(costs) >= room else inf
+                    result = self._search(path[i], t, adj, h, path[:i],
+                                          node, cap - root_cost)
                     if result is not None:
                         spur_verts, spur_cost, spur_hops = result
-                        found = verts[:i] + spur_verts
-                        key = tuple(found)
-                        if key not in seen_paths:
-                            seen_paths.add(key)
-                            found_cost = root_cost + spur_cost
-                            heappush(candidates, (found_cost, next(counter),
-                                                  found, i,
-                                                  hops[:i] + spur_hops))
-                            if room:
-                                insort(costs, found_cost)
-                    node = after
-            finally:
-                with self._lock:
-                    profile = self._profile
-                    profile["yen_spur_searches"] += spurs
-                    profile["yen_spur_skipped"] += skipped
-                    profile["yen_spur_capped"] += capped
-
-            if not candidates:
-                return
-            total, _, verts, deviation, hops = heappop(candidates)
-            if room:
-                del costs[0]
-            produced += 1
-            yield verts, total
+                        found_cost = root_cost + spur_cost
+                        if capping:
+                            insort(costs, found_cost)
+                        heappush(candidates, (found_cost, n,
+                                              path[:i] + spur_verts, i,
+                                              path_hops[:i] + spur_hops))
+                else:
+                    return
+                total, _, verts, deviation, hops = entry
+                if capping:
+                    del costs[0]
+                produced += 1
+                yield verts, total
+        finally:
+            skipped += deferred  # queued searches that never ran
+            with self._lock:
+                profile = self._profile
+                profile["yen_spur_searches"] += spurs
+                profile["yen_spur_skipped"] += skipped
+                profile["yen_spur_capped"] += capped
 
     @staticmethod
     def _spur_ruled_out(adj: list[list[tuple[int, float]]],
                         potential: list[float], spur: int,
-                        banned_next: Iterable[int], position: dict[int, int],
-                        i: int, bound: float) -> bool:
-        """Whether Yen's spur search from ``spur`` — the vertex at index
-        ``i`` of a path whose vertex positions are ``position`` — would
-        return ``None``, decided without running it.
+                        banned_next: Iterable[int], root: set[int],
+                        bound: float) -> float:
+        """The key of the first pop of Yen's spur search from ``spur``,
+        computed without running it, or ``inf`` when the search would
+        return ``None``.
 
-        The smallest ``w + potential[v]`` over the spur's allowed
-        out-edges (``v`` not in ``banned_next``, not on the root) is the
-        key of the search's first pop: above ``bound`` the cap ends the
-        search there.  With no allowed edge, or none towards the target
-        (``inf``), there is nothing to find.  Under a finite bound the
-        two cases coincide, since ``inf > bound``.
+        That key is the smallest ``w + potential[v]`` over the spur's
+        allowed out-edges: ``v`` not in ``banned_next`` and not in
+        ``root``, the root path's vertices with the spur itself.  Above
+        ``bound`` the cap ends the search there; with no allowed edge,
+        or none towards the target, it is ``inf`` already.  Otherwise
+        the key plus the root's cost is a lower bound on the cost of the
+        path the search returns.
         """
         first_key = inf
         for v, w in adj[spur]:
             w += potential[v]
-            if (w < first_key and v not in banned_next
-                    and position.get(v, inf) > i):
+            if w < first_key and v not in banned_next and v not in root:
                 first_key = w
-        return first_key > bound or first_key == inf
+        return first_key if first_key <= bound else inf
 
     # ------------------------------------------------------------------
     # Profiling
@@ -1053,8 +1085,9 @@ class CSRGraph:
         ``yen_spur_capped`` (spur searches Yen's cost cap ruled out:
         ended before the target settled, or decided up front because
         no first hop fits under the cap) and ``yen_spur_skipped`` (spur
-        searches decided up front, without a search: by the cap, or
-        because no first hop is allowed or leads to the target).
+        searches that never ran: decided up front, by the cap or
+        because no first hop is allowed or leads to the target, or
+        deferred and still queued when the enumeration stopped).
         Serving publishes these under ``kernel.routing.*``.
         """
         with self._lock:

@@ -318,6 +318,27 @@ def test_stale_csr_key_rejected_at_worker_warmup(exec_network):
         segment.close()
 
 
+def test_wait_ready_raises_once_a_slot_is_abandoned(exec_network):
+    """A worker that dies at every warm-up gets its slot abandoned after
+    three deaths; ``wait_ready`` raises then, not when its timeout runs
+    out."""
+    arrays, meta = csr_for(exec_network).shared_payload()
+    segment = create_segment("csr:abandon-test", arrays, meta)
+    pool = None
+    try:
+        pool = WorkerPool(exec_network, workers=1, csr_name=segment.name,
+                          csr_key="csr:" + "0" * 32)
+        began = time.monotonic()
+        with pytest.raises(ExecError, match="slot abandoned.*StaleSegment"):
+            pool.wait_ready(30.0)
+        assert time.monotonic() - began < 15.0
+        assert pool._slots[0].process is None
+    finally:
+        if pool is not None:
+            pool.close()
+        segment.close()
+
+
 def test_submit_after_close_raises(exec_network):
     plane = ExecutionPlane(exec_network, workers=1)
     plane.close()

@@ -4,7 +4,9 @@
 new candidate (every prefix before a path's deviation index), keeps
 its ban sets in a trie, and under ``max_paths`` caps each spur search
 at the cost of the last candidate it can still yield, deciding up front
-the ones whose first hop already exceeds the cap.  All of it is exact:
+the ones whose first hop already exceeds the cap.  The others run only
+when their spur, queued under a lower bound on its path's cost,
+reaches the top of the candidate heap.  All of it is exact:
 ``_plain_yen`` below is the textbook enumeration — every spur index of
 every accepted path, ban sets rebuilt by scanning the accepted paths —
 over the *same* uncapped ``_p2p`` searches under the same potential,
@@ -23,7 +25,7 @@ from unittest import mock
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NoPathError
@@ -181,26 +183,55 @@ class TestSequenceIdentity:
 
 
 @st.composite
-def digraph_queries(draw, min_vertices=2, min_arc_share=0.0):
+def digraph_queries(draw, min_vertices=2, min_arc_share=0.0, parallel=False):
     """A small digraph with one-way streets and zero-weight edges, plus
-    a query that may well be unreachable."""
+    a query that may well be unreachable.
+
+    ``parallel`` doubles some arcs ``u -> v`` with a two-hop arc pair
+    ``u -> m -> v`` through a fresh vertex, of the same integer total:
+    every path over such an arc ties with its twin over the pair, so
+    the order among equal costs decides most of the enumeration.
+    """
     n = draw(st.integers(min_vertices, 6))
     arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
     chosen = draw(st.lists(st.sampled_from(arcs), unique=True,
                            min_size=int(len(arcs) * min_arc_share),
                            max_size=len(arcs)))
     weights = {arc: float(draw(st.integers(0, 2))) for arc in chosen}
+    if parallel:
+        doubled = draw(st.lists(st.sampled_from(chosen), unique=True,
+                                max_size=4)) if chosen else []
+        for m, (u, v) in enumerate(doubled, start=n):
+            first = float(draw(st.integers(0, int(weights[u, v]))))
+            weights[u, m] = first
+            weights[m, v] = weights[u, v] - first
+        n += len(doubled)
+    source = draw(st.integers(0, n - 1))
+    target = draw(st.integers(0, n - 1).filter(lambda v: v != source))
+    return _digraph_case(n, weights, source, target)
+
+
+def _digraph_case(n, weights, source, target):
+    """A ``digraph_queries`` value: vertices ``0..n-1`` and the arcs of
+    ``weights``."""
     network = RoadNetwork(name="hypothesis")
     for v in range(n):
         network.add_vertex(v, float(v), float(v * v))
-    for u, v in chosen:
+    for u, v in weights:
         network.add_edge(u, v, length=1.0)
-    source = draw(st.integers(0, n - 1))
-    target = draw(st.integers(0, n - 1).filter(lambda v: v != source))
     return network, weights, source, target
 
 
-@given(digraph_queries(min_vertices=4, min_arc_share=0.5),
+#: Drawing the tie-breaking counter when a deferred search runs, not
+#: when its spur is found, yields this complete digraph's zero-cost
+#: paths in another order.
+_COUNTER_DRAWN_LATE = _digraph_case(4, {
+    (0, 1): 0.0, (0, 2): 1.0, (0, 3): 0.0, (1, 0): 0.0, (1, 2): 0.0,
+    (1, 3): 0.0, (2, 0): 0.0, (2, 3): 0.0, (2, 1): 1.0, (3, 0): 0.0,
+    (3, 1): 0.0, (3, 2): 0.0}, 0, 1)
+
+
+@given(digraph_queries(min_vertices=4, min_arc_share=0.5, parallel=True),
        st.integers(1, 8))
 @settings(max_examples=150, deadline=None)
 def test_random_digraphs_capped(case, max_paths):
@@ -219,7 +250,8 @@ def test_random_digraphs_capped(case, max_paths):
     _assert_exact(network, source, target, cost, max_paths=max_paths)
 
 
-@given(digraph_queries())
+@given(digraph_queries(parallel=True))
+@example(_COUNTER_DRAWN_LATE)
 @settings(max_examples=150, deadline=None)
 def test_random_digraphs_to_exhaustion(case):
     network, weights, source, target = case
@@ -434,18 +466,33 @@ class TestExactPotential:
     @pytest.mark.parametrize("cost", [length_cost, travel_time_cost,
                                       detour_cost])
     def test_one_astar_run_per_undecided_spur(self, region_network, cost):
-        """Every spur search the pre-check does not decide runs exactly
-        one A*, plus one for the first path; a decided one runs none."""
+        """Every spur search that runs is one A*, plus one for the first
+        path; a spur decided up front, or deferred and still queued when
+        the enumeration stops, runs none.  Deferral does skip searches:
+        fewer run than the pre-check left undecided."""
         kernel = csr_for(region_network)
+        undecided = []
+
+        def spy(*args):
+            key = CSRGraph._spur_ruled_out(*args)
+            undecided.append(key != inf)
+            return key
+
+        kernel._spur_ruled_out = spy
         skipped = 0
-        for source, target in _pairs(region_network, 4, seed=10):
-            before = kernel.profile_counters()
-            list(kernel.yen_ids(source, target, cost, max_paths=40))
-            delta = _delta(kernel, before)
-            assert delta["astar_runs"] == (delta["yen_spur_searches"]
-                                           - delta["yen_spur_skipped"] + 1)
-            assert delta["p2p_runs"] == 0
-            skipped += delta["yen_spur_skipped"]
+        try:
+            for source, target in _pairs(region_network, 4, seed=10):
+                before = kernel.profile_counters()
+                undecided.clear()
+                list(kernel.yen_ids(source, target, cost, max_paths=40))
+                delta = _delta(kernel, before)
+                assert delta["astar_runs"] == (delta["yen_spur_searches"]
+                                               - delta["yen_spur_skipped"] + 1)
+                assert delta["astar_runs"] - 1 < sum(undecided)
+                assert delta["p2p_runs"] == 0
+                skipped += delta["yen_spur_skipped"]
+        finally:
+            del kernel._spur_ruled_out
         assert skipped > 0
 
 
@@ -498,6 +545,45 @@ class TestSsspParentsOracle:
         assert parent.tolist() == [-1, 2, 0, 2]
 
 
+def _precheck_decisions(kernel, source, target, cost, max_paths, guided):
+    """Run Yen with a spy on the pre-check; returns the ``_p2p`` result
+    of every spur search the pre-check decided, each run with the same
+    root, bans, bound and potential.
+
+    A spur it leaves undecided is queued under its first key, which the
+    spy checks is a lower bound on the cost of what the search finds, up
+    to the rounding the slack absorbs.
+    """
+    t = kernel.index_of(target)
+    adj = kernel._forward(cost)
+    h = kernel._potential(cost, t, guided)
+    decided = []
+
+    def spy(adj_, potential, spur, banned_next, root, bound):
+        assert potential == (h if guided else [0.0] * kernel.num_vertices)
+        key = CSRGraph._spur_ruled_out(adj_, potential, spur, banned_next,
+                                       root, bound)
+        result = kernel._p2p(spur, t, adj, h,
+                             [v for v in root if v != spur],
+                             set(banned_next), bound)
+        if key == inf:
+            decided.append(result)
+        else:
+            # The key adds the weights in another order than the path's
+            # cost; the queue keys it less the cap's relative slack.
+            assert result is None \
+                or result[1] >= key / csr_module._CAP_SLACK
+        return key
+
+    kernel._spur_ruled_out = spy
+    try:
+        list(kernel.yen_ids(source, target, cost, use_alt=guided,
+                            max_paths=max_paths))
+    finally:
+        del kernel._spur_ruled_out
+    return decided
+
+
 @given(digraph_queries(min_vertices=3, min_arc_share=0.4),
        st.integers(1, 8), st.booleans(), st.booleans())
 @settings(max_examples=200, deadline=None)
@@ -507,32 +593,87 @@ def test_precheck_decides_only_searches_that_find_nothing(case, max_paths,
     ended with ``None``: same root, same bans, same bound, same
     potential."""
     network, weights, source, target = case
-    cost = _weighted(weights)
-    kernel = csr_for(network)
-    t = kernel.index_of(target)
-    adj = kernel._forward(cost)
-    h = kernel._potential(cost, t, guided)
-    decided = []
-
-    def spy(adj_, potential, spur, banned_next, position, i, bound):
-        assert potential == (h if guided else [0.0] * kernel.num_vertices)
-        skip = CSRGraph._spur_ruled_out(adj_, potential, spur, banned_next,
-                                        position, i, bound)
-        if skip:
-            root = [v for v, at in position.items() if at < i]
-            decided.append(kernel._p2p(spur, t, adj, h, root,
-                                       set(banned_next), bound))
-        return skip
-
-    kernel._spur_ruled_out = spy
     try:
-        list(kernel.yen_ids(source, target, cost, use_alt=guided,
-                            max_paths=max_paths if capped else None))
+        decided = _precheck_decisions(csr_for(network), source, target,
+                                      _weighted(weights),
+                                      max_paths if capped else None, guided)
     except NoPathError:
         return
-    finally:
-        del kernel._spur_ruled_out
     assert decided == [None] * len(decided)
+
+
+@pytest.mark.parametrize("cost", [length_cost, travel_time_cost])
+def test_precheck_decides_spurs_on_the_region(region_network, cost):
+    """The pre-check decides spurs on real queries, and every one of
+    them is a search that finds nothing."""
+    kernel = csr_for(region_network)
+    decided = []
+    for source, target in _pairs(region_network, 2, seed=13):
+        decided += _precheck_decisions(kernel, source, target, cost,
+                                       max_paths=40, guided=True)
+    assert decided and decided == [None] * len(decided)
+
+
+def _deferred_ban_sets(kernel, source, target, cost, max_paths):
+    """Run Yen with spies; returns one ``(then, now)`` pair per deferred
+    search that ran: the ban set its spur had when the pre-check queued
+    it, and the one the search ran with, paired by trie node.
+
+    A node holds at most one queued spur at a time (its next spur comes
+    from accepting the path its search finds), so ``id(node)`` pairs
+    them."""
+    found, ran = {}, []
+    search = kernel._search
+
+    def precheck(adj, potential, spur, banned_next, root, bound):
+        key = CSRGraph._spur_ruled_out(adj, potential, spur, banned_next,
+                                       root, bound)
+        if key != inf:
+            assert id(banned_next) not in found
+            found[id(banned_next)] = frozenset(banned_next)
+        return key
+
+    def spy(source_, target_, adj, h=None, banned_vertices=(),
+            banned_next=(), bound=inf):
+        if banned_next != ():
+            ran.append((found.pop(id(banned_next)), frozenset(banned_next)))
+        return search(source_, target_, adj, h, banned_vertices,
+                      banned_next, bound)
+
+    kernel._spur_ruled_out, kernel._search = precheck, spy
+    try:
+        list(kernel.yen_ids(source, target, cost, max_paths=max_paths))
+    finally:
+        del kernel._spur_ruled_out, kernel._search
+    return ran
+
+
+@given(digraph_queries(min_vertices=3, min_arc_share=0.4, parallel=True),
+       st.one_of(st.none(), st.integers(1, 8)))
+@settings(max_examples=150, deadline=None)
+def test_deferred_search_runs_with_the_ban_set_of_its_spur(case, max_paths):
+    """A deferred search reads its ban set from the trie when it runs;
+    that set is still the one its spur had when it was found.  A path
+    accepted in between that added a vertex to it would lie among the
+    paths only that spur's own search returns."""
+    network, weights, source, target = case
+    try:
+        ran = _deferred_ban_sets(csr_for(network), source, target,
+                                 _weighted(weights), max_paths)
+    except NoPathError:
+        return
+    assert [then for then, now in ran] == [now for then, now in ran]
+
+
+@pytest.mark.parametrize("cost", [length_cost, travel_time_cost])
+def test_deferred_search_runs_with_the_ban_set_of_its_spur_on_the_region(
+        region_network, cost):
+    kernel = csr_for(region_network)
+    ran = []
+    for source, target in _pairs(region_network, 3, seed=14):
+        ran += _deferred_ban_sets(kernel, source, target, cost, 40)
+    assert any(then for then, _ in ran)
+    assert [then for then, now in ran] == [now for then, now in ran]
 
 
 class TestReplicaParity:
