@@ -36,18 +36,6 @@ def pipeline(bench_config) -> ExperimentPipeline:
     return ExperimentPipeline(bench_config)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _no_shared_memory_leaks():
-    """Session-wide /dev/shm hygiene: whatever the suite spawned, no
-    ``repro-exec-*`` segment may survive the last test."""
-    yield
-    from repro.exec.shm import list_repro_segments
-
-    leaked = list_repro_segments()
-    assert leaked == [], (
-        f"benchmark suite leaked shared-memory segments: {leaked}")
-
-
 @pytest.fixture(scope="session")
 def bench_embedding_sizes(bench_config):
     """Embedding sizes for the table benches: the paper's (64, 128) at

@@ -5,8 +5,8 @@ computes *products* — OD cost matrices, service areas (isochrones),
 route frequencies — as a handful of batched :class:`CSRGraph` sweeps
 instead of per-query Python loops.  Large jobs tile their source sets
 and fan the tiles across the :class:`~repro.exec.plane.ExecutionPlane`
-process pool, where workers run each tile against the shared-memory
-kernel they attached at warmup.
+process pool, where workers run each tile against the routing kernel
+they built at warmup.
 
 Entry points:
 

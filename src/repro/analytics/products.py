@@ -2,8 +2,8 @@
 
 Everything here computes directly against a :class:`CSRGraph` — no
 pool, no tiles, no metrics — so the exact same code runs inline in
-the caller's process and inside a worker that attached the kernel from
-shared memory.  Orchestration (tiling, fan-out, accounting) lives in
+the caller's process and inside a pool worker, over the kernel it
+built at warmup.  Orchestration (tiling, fan-out, accounting) lives in
 :mod:`repro.analytics.tiling` and :mod:`repro.analytics.batch`.
 
 Parity is the design constraint, not an afterthought: every product is
@@ -50,7 +50,7 @@ def cost_name(cost: CostFunction | None) -> str | None:
 
     Only named costs ("length", "travel_time") can ride a tile payload
     to a pool worker: a custom closure would drag edge objects through
-    pickle and the shared-memory replica could not evaluate it anyway.
+    pickle, if it pickles at all.
     """
     if cost is None or cost is length_cost:
         return "length"

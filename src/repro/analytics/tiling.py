@@ -4,8 +4,8 @@ A *tile* is one self-contained unit of batch-analytics work small
 enough to ship to a worker process: plain vertex ids, budgets, weights
 and a cost *name* — never arrays, edge objects, or cost closures.  The
 same :func:`run_tile_payload` executes a tile inline (the caller's
-kernel) and inside a pool worker (the shared-memory kernel installed
-at warmup), which is what makes pooled and inline results identical by
+kernel) and inside a pool worker (the kernel it built at warmup),
+which is what makes pooled and inline results identical by
 construction.  Tiles are contiguous slices of the input, so the
 parent concatenates tile results in submission order.
 """
@@ -55,8 +55,8 @@ def run_tile_payload(network, payload: dict) -> dict:
     - ``"route_freq"``: ``groups`` ``[[source, [[target, weight],
       ...]], ...]``, ``cost`` → sparse ``{"positions": [...], "counts":
       [...], "num_pairs": int, "unreachable": int}`` over CSR edge
-      positions (valid across processes — workers attach the identical
-      CSR arrays).
+      positions (valid across processes — every worker builds the
+      identical CSR arrays from the same network).
     """
     kernel = csr_for(network)
     product = payload.get("product")

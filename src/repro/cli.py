@@ -156,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--execution",
                        choices=EXECUTION_MODES, default="inline",
                        help="execution plane: inline (default) or processes "
-                            "(cold candidate generation on a worker pool "
-                            "over shared-memory CSR)")
+                            "(cold candidate generation on a worker pool)")
     serve.add_argument("--workers", type=int, default=2,
                        help="worker processes for --execution processes")
     serve.add_argument("--trace-sample", type=float, default=0.0,
@@ -441,7 +440,7 @@ def _print_trace_breakdown(trace: dict) -> None:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Validate every input before the service exists: under --execution
-    # processes it owns worker processes and shared-memory segments.
+    # processes it owns worker processes.
     if args.concurrency < 1:
         raise ConfigError(
             f"--concurrency must be >= 1, got {args.concurrency}")

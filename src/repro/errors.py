@@ -93,9 +93,3 @@ class ExecError(ServingError):
     generating the candidates inline, so a sick worker process costs
     a request time, never an answer or a hang.
     """
-
-
-class StaleSegmentError(ExecError):
-    """Raised when a shared-memory segment does not carry the expected
-    content key (the graph fingerprint) — the attach-side guard against
-    a worker routing on another network's hot-state."""

@@ -1,10 +1,8 @@
 """Spawn-safe worker-process pool running the existing kernels.
 
-Workers are *warm*: at spawn each one attaches the CSR shared-memory
-segment, rebuilds the routing kernel over the shared arrays
-(:meth:`CSRGraph.from_shared`), installs it as the network's cached
-kernel (:func:`install_csr`) and pre-touches its scratch buffers — so
-the first real job pays no setup.
+Workers are *warm*: at spawn each one receives the network by pickle
+and builds its own routing kernel (:func:`~repro.graph.csr.csr_for`)
+before it reports ready, so the first real job pays no setup.
 
 The wire protocol keeps payloads tiny: a candidates job ships
 ``(source, target, config)`` and returns bare vertex-id tuples (never
@@ -38,7 +36,6 @@ import threading
 from time import perf_counter
 
 from repro.errors import ExecError, NoPathError
-from repro.exec.shm import attach_segment
 
 __all__ = ["PoolTicket", "WorkerPool"]
 
@@ -46,18 +43,14 @@ __all__ = ["PoolTicket", "WorkerPool"]
 _MONITOR_INTERVAL_S = 0.02
 
 
-def _worker_main(index: int, network, csr_name: str | None,
-                 csr_key: str | None, inqueue, outqueue) -> None:
+def _worker_main(index: int, network, inqueue, outqueue) -> None:
     """Worker process entry point (module-level: spawn pickles by name)."""
     try:
         from repro.analytics.tiling import run_tile_payload
         from repro.core.ranker import generate_candidates
-        from repro.graph.csr import CSRGraph, install_csr
+        from repro.graph.csr import csr_for
 
-        if csr_name is not None:
-            segment = attach_segment(csr_name, expect_key=csr_key)
-            install_csr(network,
-                        CSRGraph.from_shared(segment.arrays, segment.meta))
+        csr_for(network)
         outqueue.put(("ready", index, None, 0.0))
     except BaseException as exc:  # noqa: BLE001 - report, then die
         outqueue.put(("init_error", index,
@@ -76,8 +69,8 @@ def _worker_main(index: int, network, csr_name: str | None,
                 paths = generate_candidates(network, source, target, config)
                 result = [path.vertices for path in paths]
             elif kind == "analytics":
-                # One batch-analytics tile against the shared-memory
-                # kernel installed at warmup; returns plain arrays/lists
+                # One batch-analytics tile against the kernel built at
+                # warmup; returns plain arrays/lists
                 # (see repro.analytics.tiling for the wire format).
                 result = run_tile_payload(network, payload)
             elif kind == "ping":
@@ -101,11 +94,11 @@ def _worker_main(index: int, network, csr_name: str | None,
 class PoolTicket:
     """Waitable handle for one dispatched job.
 
-    ``wait`` is the deadline seam: the *caller* bounds how long it will
+    ``wait`` is the hang seam: the *caller* bounds how long it will
     block, and on expiry the ticket fails with
     :class:`~repro.errors.ExecError` while the pool deals with the
     worker — a sick process can therefore delay a request by at most
-    its remaining budget, never hang it.
+    that bound, never hang it.
     """
 
     __slots__ = ("kind", "job_id", "worker_index", "inqueue",
@@ -176,17 +169,14 @@ class _Slot:
 
 
 class WorkerPool:
-    """N warm spawn-context workers over shared hot-state."""
+    """N warm spawn-context workers, each with its own routing kernel."""
 
-    def __init__(self, network, *, workers: int, csr_name: str | None = None,
-                 csr_key: str | None = None, metrics=None,
+    def __init__(self, network, *, workers: int, metrics=None,
                  ready_timeout_s: float = 60.0) -> None:
         if workers < 1:
             raise ExecError(f"workers must be >= 1, got {workers}")
         self.network = network
         self.workers = workers
-        self._csr_name = csr_name
-        self._csr_key = csr_key
         self._ctx = mp.get_context("spawn")
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -203,7 +193,7 @@ class WorkerPool:
         self._per_worker_jobs = [0] * workers
         self._outstanding = [0] * workers
         #: Consecutive deaths before the slot reported ready; a slot
-        #: that cannot warm up (bad segment, import failure in the
+        #: that cannot warm up (a kernel build or import failure in the
         #: child) stops being respawned after a few attempts instead of
         #: fork-bombing the host.  A warm-up that succeeds resets it,
         #: and a kill the pool delivered itself does not count.
@@ -241,8 +231,7 @@ class WorkerPool:
         slot.ready = threading.Event()
         slot.process = self._ctx.Process(
             target=_worker_main,
-            args=(slot.index, self.network, self._csr_name, self._csr_key,
-                  slot.inqueue, slot.results),
+            args=(slot.index, self.network, slot.inqueue, slot.results),
             name=f"exec-worker-{slot.index}",
             daemon=True,
         )

@@ -54,18 +54,11 @@ from math import inf
 
 import numpy as np
 
-try:  # scipy ships with the environment but stays optional: the pure
-    # Python kernel below answers every query, just slower on SSSP.
-    from scipy.sparse import csr_matrix as _sp_csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _HAVE_SCIPY = False
+from scipy.sparse import csr_matrix as _sp_csr_matrix
+from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from repro.errors import (
     ConfigError,
-    GraphError,
     NoPathError,
     VertexNotFoundError,
 )
@@ -77,22 +70,16 @@ __all__ = [
     "CSRGraph",
     "csr_for",
     "csr_if_built",
-    "install_csr",
     "get_routing_backend",
     "set_routing_backend",
     "use_routing_backend",
     "resolve_backend",
     "ALT_NUM_LANDMARKS",
-    "ALT_MIN_VERTICES",
     "MULTI_SOURCE_SLAB_ELEMENTS",
 ]
 
 #: Landmarks built per (network, cost) pair for the ALT heuristic.
 ALT_NUM_LANDMARKS = 8
-
-#: Below this vertex count Yen's searches run unguided: the plain array
-#: Dijkstra already answers tiny-graph queries in microseconds.
-ALT_MIN_VERTICES = 128
 
 #: Custom cost functions get their per-edge weight arrays memoised in a
 #: bounded FIFO so e.g. per-driver cost closures do not grow unbounded.
@@ -137,9 +124,8 @@ class CSRGraph:
         # kernels in a WeakKeyDictionary keyed by the network, and a
         # value -> key reference would pin every routed network forever.
         self.network_name = network.name
-        #: Fingerprint of the (now sealed) network: it names the shared
-        #: segment, and :func:`install_csr` refuses a kernel whose
-        #: fingerprint is not the network's.
+        #: Fingerprint of the network: reading it seals the network, so
+        #: this kernel never goes stale.
         self.fingerprint = network.fingerprint
 
         ids = sorted(network.vertex_ids())
@@ -148,32 +134,23 @@ class CSRGraph:
         self.ids: list[int] = ids
         self._index: dict[int, int] = {vid: i for i, vid in enumerate(ids)}
 
-        xs = np.empty(n, dtype=np.float64)
-        ys = np.empty(n, dtype=np.float64)
         indptr = [0]
         indices: list[int] = []
         edges = []
-        for i, vid in enumerate(ids):
-            vertex = network.vertex(vid)
-            xs[i] = vertex.x
-            ys[i] = vertex.y
+        for vid in ids:
             out = sorted(network.out_edges(vid),
                          key=lambda e: self._index[e.target])
             for edge in out:
                 indices.append(self._index[edge.target])
                 edges.append(edge)
             indptr.append(len(indices))
-        m = len(indices)
-        self.num_edges = m
-        self.x = xs
-        self.y = ys
+        self.num_edges = len(indices)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self._indptr_list = indptr
         self._indices_list = indices
         self._edge_keys = _edge_keys(self.indptr, self.indices, n)
         self._edges = edges
-        self._max_speed_mps = max((e.speed for e in edges), default=1.0) / 3.6
 
         self._weight_lists: dict[object, list[float]] = {
             "length": [e.length for e in edges],
@@ -181,7 +158,6 @@ class CSRGraph:
         }
         self._custom_order: OrderedDict[object, None] = OrderedDict()
         self._forward_adj: dict[object, list[list[tuple[int, float]]]] = {}
-        self._reverse_adj: dict[object, list[list[tuple[int, float]]]] = {}
         self._matrices: dict[tuple[object, bool], object] = {}
         self._alt_tables: dict[object, tuple[np.ndarray, list[int]]] = {}
 
@@ -219,12 +195,6 @@ class CSRGraph:
         key = self._weight_key(cost)
         weights = self._weight_lists.get(key)
         if weights is None:
-            if self._edges is None:
-                raise GraphError(
-                    "custom cost functions are unavailable on a "
-                    "shared-memory CSR replica (edge objects stay in the "
-                    "owner process); precompute the weights there"
-                )
             weights = [float(cost(edge)) for edge in self._edges]
             if not all(w >= 0 for w in weights):  # rejects NaN as well
                 raise ValueError(
@@ -243,7 +213,6 @@ class CSRGraph:
                 stale, _ = self._custom_order.popitem(last=False)
                 self._weight_lists.pop(stale, None)
                 self._forward_adj.pop(stale, None)
-                self._reverse_adj.pop(stale, None)
                 self._alt_tables.pop(stale, None)
                 self._matrices.pop((stale, False), None)
                 self._matrices.pop((stale, True), None)
@@ -260,19 +229,6 @@ class CSRGraph:
                 for u in range(self.num_vertices)
             ]
             self._forward_adj[key] = adj
-        return adj
-
-    def _reverse(self, cost: CostFunction | None) -> list[list[tuple[int, float]]]:
-        key = self._weight_key(cost)
-        adj = self._reverse_adj.get(key)
-        if adj is None:
-            weights = self.edge_weights(cost)
-            indptr, indices = self._indptr_list, self._indices_list
-            adj = [[] for _ in range(self.num_vertices)]
-            for u in range(self.num_vertices):
-                for j in range(indptr[u], indptr[u + 1]):
-                    adj[indices[j]].append((u, weights[j]))
-            self._reverse_adj[key] = adj
         return adj
 
     def index_of(self, vertex_id: int) -> int:
@@ -292,15 +248,9 @@ class CSRGraph:
 
     def weight_array(self, cost: CostFunction | None = None) -> np.ndarray:
         """Per-edge weights in CSR order as a float64 array (shared:
-        callers must not write to it).
-
-        With scipy this is the forward matrix's ``.data``, which holds
-        the weights in CSR order and is built once per cost; without
-        scipy the weight list is converted on each call.
-        """
-        if _HAVE_SCIPY:
-            return self._matrix(cost, False).data
-        return np.asarray(self.edge_weights(cost), dtype=np.float64)
+        callers must not write to it): the forward matrix's ``.data``,
+        built once per cost."""
+        return self._matrix(cost, False).data
 
     def _matrix(self, cost: CostFunction | None, reverse: bool):
         """The scipy CSR matrix for a cost (transposed when ``reverse``)."""
@@ -320,12 +270,9 @@ class CSRGraph:
     def _single_source_idx(self, source: int, cost: CostFunction | None,
                            reverse: bool = False) -> np.ndarray:
         """Distances from one CSR index to all vertices (or *to* it when
-        ``reverse``), through scipy's C implementation when present."""
-        if _HAVE_SCIPY:
-            return _sp_dijkstra(self._matrix(cost, reverse), directed=True,
-                                indices=source)
-        adj = self._reverse(cost) if reverse else self._forward(cost)
-        return self._sssp_array(source, adj)
+        ``reverse``), through scipy's C implementation."""
+        return _sp_dijkstra(self._matrix(cost, reverse), directed=True,
+                            indices=source)
 
     def default_chunk_size(self) -> int:
         """Sources per multi-source slab so one slab stays ~bounded.
@@ -342,13 +289,12 @@ class CSRGraph:
                           chunk_size: int | None = None) -> np.ndarray:
         """Distance rows for many CSR-index sources, in bounded slabs.
 
-        Returns a ``(len(sources), n)`` matrix.  With scipy, sources go
-        through batched ``dijkstra`` calls of at most ``chunk_size``
-        rows each (default :meth:`default_chunk_size`), amortising the
+        Returns a ``(len(sources), n)`` matrix.  Sources go through
+        batched scipy ``dijkstra`` calls of at most ``chunk_size`` rows
+        each (default :meth:`default_chunk_size`), amortising the
         per-call validation/dispatch overhead that dominates batch
         table builds (ALT landmarks, analysis sweeps) without ever
-        materialising more than one slab beyond the result itself;
-        without scipy, the pure-Python kernel runs once per source.
+        materialising more than one slab beyond the result itself.
         """
         n = self.num_vertices
         if not sources:
@@ -369,72 +315,22 @@ class CSRGraph:
         ``rows`` is a ``(<= chunk_size, n)`` float64 block covering
         ``sources[start:start + rows.shape[0]]``; only one slab is live
         at a time, which is what bounds multi-source memory.  Distances
-        above ``limit`` read ``inf``: scipy stops each sweep there, the
-        pure-Python path masks them, and a distance equal to ``limit``
-        stays finite on both.
+        above ``limit`` read ``inf``: scipy stops each sweep there, and
+        a distance equal to ``limit`` stays finite.
         """
         if chunk_size is None:
             chunk_size = self.default_chunk_size()
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        adj = None
-        if not _HAVE_SCIPY:
-            adj = self._reverse(cost) if reverse else self._forward(cost)
+        matrix = self._matrix(cost, reverse)
         for start in range(0, len(sources), chunk_size):
             chunk = sources[start:start + chunk_size]
-            if _HAVE_SCIPY:
-                rows = np.atleast_2d(_sp_dijkstra(self._matrix(cost, reverse),
-                                                  directed=True, indices=chunk,
-                                                  limit=limit))
-            else:
-                rows = np.vstack([self._sssp_array(source, adj)
-                                  for source in chunk])
-                if limit < inf:
-                    rows[rows > limit] = inf
-            yield start, rows
+            yield start, np.atleast_2d(_sp_dijkstra(
+                matrix, directed=True, indices=chunk, limit=limit))
 
     # ------------------------------------------------------------------
     # Core searches (CSR indices)
     # ------------------------------------------------------------------
-    def _sssp_array(self, source: int,
-                    adj: list[list[tuple[int, float]]]) -> np.ndarray:
-        """Full single-source distances as an array indexed by CSR index.
-
-        The tightest loop in the kernel: no target, ban, or heuristic
-        checks — just heap pops and scalar relaxations over flat lists.
-        """
-        with self._lock:
-            self._gen += 1
-            gen = self._gen
-            dist, seen, done = self._dist, self._seen, self._done
-            dist[source] = 0.0
-            seen[source] = gen
-            heap = [(0.0, source)]
-            push, pop = heappush, heappop
-            pops = settled = 0
-            while heap:
-                d, u = pop(heap)
-                pops += 1
-                if done[u] == gen:
-                    continue
-                done[u] = gen
-                settled += 1
-                for v, w in adj[u]:
-                    if done[v] == gen:
-                        continue
-                    nd = d + w
-                    if seen[v] != gen or nd < dist[v]:
-                        dist[v] = nd
-                        seen[v] = gen
-                        push(heap, (nd, v))
-            profile = self._profile
-            profile["sssp_runs"] += 1
-            profile["heap_pops"] += pops
-            profile["settled"] += settled
-            out = np.array(dist, dtype=np.float64)
-            out[np.asarray(seen) != gen] = np.inf
-            return out
-
     def _p2p(
         self,
         source: int,
@@ -638,26 +534,18 @@ class CSRGraph:
                            out=h)
         return memoryview(h)
 
-    def _potential(self, cost: CostFunction | None, target: int,
-                   use_alt: bool | None) -> list[float] | None:
-        """Yen's A* potential towards ``target`` (CSR index), or
-        ``None`` for unguided Dijkstra.
+    def _potential(self, cost: CostFunction | None,
+                   target: int) -> list[float]:
+        """Yen's A* potential towards ``target`` (CSR index).
 
         The potential is exact: ``h[v] = d(v, target)`` from one reverse
         single-source search (``inf`` where ``v`` cannot reach the
         target).  Bans only remove edges, so it stays admissible and
-        consistent for every spur search of the query.
-
-        It guides exactly the searches ALT used to guide: ``use_alt=True``
-        always, ``False`` never, and ``None`` on networks of at least
-        :data:`ALT_MIN_VERTICES` vertices or wherever landmark tables for
-        ``cost`` were built (:meth:`ensure_alt`).  Other small networks
-        keep unguided Dijkstra and its tie order.
+        consistent for every spur search of the query.  It depends on
+        the network and the cost alone, never on which landmark tables
+        this kernel happens to hold, so every process routing the same
+        network yields the same sequence.
         """
-        if use_alt is False or (
-                use_alt is None and self.num_vertices < ALT_MIN_VERTICES
-                and self._weight_key(cost) not in self._alt_tables):
-            return None
         return self._single_source_idx(target, cost, reverse=True).tolist()
 
     # ------------------------------------------------------------------
@@ -726,22 +614,21 @@ class CSRGraph:
         reconstructions (route frequencies) match the per-query
         reference tree exactly, not just in cost.
 
-        With scipy the tree comes from its C Dijkstra's distances and
-        one numpy pass over the tight edges.  That settle order only holds
-        while every tight edge climbs to a larger distance, so a tree
-        with a tight edge between equal distances (a zero-weight
-        plateau, or a weight absorbed by a large ``dist``) runs the
-        heap loop instead, as does every tree without scipy.
+        The tree comes from scipy's C Dijkstra's distances and one numpy
+        pass over the tight edges.  That settle order only holds while
+        every tight edge climbs to a larger distance, so a tree with a
+        tight edge between equal distances (a zero-weight plateau, or a
+        weight absorbed by a large ``dist``) runs the heap loop
+        :meth:`_sssp_parents_loop` instead.
         """
         source = self.index_of(source_id)
-        if _HAVE_SCIPY:
-            dist = self._single_source_idx(source, cost)
-            parent = self._tight_parents(dist, cost)
-            if parent is not None:
-                with self._lock:
-                    self._profile["sssp_runs"] += 1
-                return dist, parent
-        return self._sssp_parents_loop(source, cost)
+        dist = self._single_source_idx(source, cost)
+        parent = self._tight_parents(dist, cost)
+        if parent is None:
+            return self._sssp_parents_loop(source, cost)
+        with self._lock:
+            self._profile["sssp_runs"] += 1
+        return dist, parent
 
     def _tight_parents(self, dist: np.ndarray,
                        cost: CostFunction | None) -> np.ndarray | None:
@@ -855,7 +742,6 @@ class CSRGraph:
         target_id: int,
         cost: CostFunction | None = None,
         max_paths: int | None = None,
-        use_alt: bool | None = None,
     ) -> Iterator[tuple[tuple[int, ...], float]]:
         """Yield ``(vertex_ids, cost)`` for loopless paths in
         non-decreasing cost order (Yen, 1971).
@@ -868,12 +754,11 @@ class CSRGraph:
         each search once, guided by the exact distance to the target,
         decides the spur searches the cap rules out without running
         them, and runs the others only when their spur reaches the top
-        of the queue.  ``use_alt`` selects that guidance (see
-        :meth:`_potential`).
+        of the queue.
         """
         ids = self.ids
         for verts, total in self.yen_indices(source_id, target_id, cost,
-                                             max_paths, use_alt):
+                                             max_paths):
             yield tuple(ids[i] for i in verts), total
 
     def yen_indices(
@@ -882,7 +767,6 @@ class CSRGraph:
         target_id: int,
         cost: CostFunction | None = None,
         max_paths: int | None = None,
-        use_alt: bool | None = None,
     ) -> Iterator[tuple[list[int], float]]:
         """:meth:`yen_ids` for consumers that stay on the kernel: same
         arguments, but each path is a list of CSR indices (not to be
@@ -941,11 +825,9 @@ class CSRGraph:
           also ``yen_spur_capped`` when the cap decided it).  Deferred
           searches that never run count in ``yen_spur_skipped`` too.
 
-        Searches are A* under the exact potential of :meth:`_potential`
-        — one reverse search from the target per query — wherever they
-        used to be ALT-guided; ``use_alt=False`` and small networks
-        without landmark tables run unguided Dijkstra.  No landmark
-        tables are built.
+        Every search is A* under the exact potential of
+        :meth:`_potential`, one reverse search from the target per
+        query.  No landmark tables are built or read.
         """
         if max_paths is not None and max_paths < 1:
             raise ValueError(f"max_paths must be positive, got {max_paths}")
@@ -954,7 +836,7 @@ class CSRGraph:
         s = self.index_of(source_id)
         t = self.index_of(target_id)
         adj = self._forward(cost)
-        h = self._potential(cost, t, use_alt)
+        h = self._potential(cost, t)
 
         with self._lock:
             self._profile["yen_runs"] += 1
@@ -979,8 +861,6 @@ class CSRGraph:
         produced = 1
         capping = max_paths is not None
         costs: list[float] = []  # queued found paths' costs, sorted
-        # The pre-check's potential: ``h``, or zero for unguided searches.
-        reach = h if h is not None else [0.0] * self.num_vertices
         first_key_of = self._spur_ruled_out
         spurs = skipped = capped = deferred = 0
         try:
@@ -1000,7 +880,7 @@ class CSRGraph:
                     root.add(spur)
                     spurs += 1
                     bound = cap - root_cost
-                    first_key = first_key_of(adj, reach, spur, node, root,
+                    first_key = first_key_of(adj, h, spur, node, root,
                                              bound)
                     if first_key == inf:
                         skipped += 1
@@ -1093,111 +973,6 @@ class CSRGraph:
         with self._lock:
             return dict(self._profile)
 
-    # ------------------------------------------------------------------
-    # Shared-memory export / import (repro.exec)
-    # ------------------------------------------------------------------
-    def shared_key(self) -> str:
-        """Content key for shared-memory export: ``csr:<digest>``."""
-        return f"csr:{self.fingerprint[2]}"
-
-    def shared_payload(self) -> tuple[dict[str, np.ndarray], dict[str, object]]:
-        """The kernel's immutable hot-state as ``(arrays, meta)``.
-
-        Arrays are everything a worker process needs to route: CSR
-        topology, coordinates, vertex ids, the built-in weight arrays,
-        and any ALT landmark tables already built for the built-in
-        costs.  Exporting the *built* tables matters for parity:
-        landmark selection starts from a random vertex, so a replica
-        rebuilding its own tables could break ties differently from the
-        owner.  Custom cost functions are deliberately not exported —
-        they are closures over edge objects, which stay owner-side.
-        """
-        arrays: dict[str, np.ndarray] = {
-            "indptr": self.indptr,
-            "indices": self.indices,
-            "x": self.x,
-            "y": self.y,
-            "ids": np.asarray(self.ids, dtype=np.int64),
-        }
-        weight_keys = [key for key in ("length", "travel_time")
-                       if key in self._weight_lists]
-        for key in weight_keys:
-            arrays[f"w:{key}"] = np.asarray(self._weight_lists[key],
-                                            dtype=np.float64)
-        alt_keys = []
-        with self._lock:
-            for key in ("length", "travel_time"):
-                cached = self._alt_tables.get(key)
-                if cached is None:
-                    continue
-                table, landmarks = cached
-                arrays[f"alt:{key}:table"] = table
-                arrays[f"alt:{key}:landmarks"] = np.asarray(landmarks,
-                                                            dtype=np.int64)
-                alt_keys.append(key)
-        meta: dict[str, object] = {
-            "network_name": self.network_name,
-            "fingerprint": list(self.fingerprint),
-            "num_vertices": self.num_vertices,
-            "num_edges": self.num_edges,
-            "max_speed_mps": self._max_speed_mps,
-            "weight_keys": weight_keys,
-            "alt_keys": alt_keys,
-        }
-        return arrays, meta
-
-    @classmethod
-    def from_shared(cls, arrays: dict[str, np.ndarray],
-                    meta: dict[str, object]) -> "CSRGraph":
-        """Rebuild a routing kernel from a shared segment's payload.
-
-        Topology and coordinate arrays stay zero-copy views into the
-        segment; the pure-Python search loops want plain lists, so the
-        weight/indptr/indices lists are materialised once per process
-        (cheap relative to a spawn, and private to the worker).  The
-        replica has no edge objects: custom cost functions raise
-        :class:`~repro.errors.GraphError` (see :meth:`edge_weights`).
-        """
-        kernel = cls.__new__(cls)
-        kernel.network_name = meta["network_name"]
-        kernel.fingerprint = tuple(meta["fingerprint"])
-        n = int(meta["num_vertices"])
-        kernel.num_vertices = n
-        kernel.ids = [int(vid) for vid in arrays["ids"]]
-        kernel._index = {vid: i for i, vid in enumerate(kernel.ids)}
-        kernel.num_edges = int(meta["num_edges"])
-        kernel.x = arrays["x"]
-        kernel.y = arrays["y"]
-        kernel.indptr = arrays["indptr"]
-        kernel.indices = arrays["indices"]
-        kernel._indptr_list = arrays["indptr"].tolist()
-        kernel._indices_list = arrays["indices"].tolist()
-        kernel._edge_keys = _edge_keys(kernel.indptr, kernel.indices, n)
-        kernel._edges = None
-        kernel._max_speed_mps = float(meta["max_speed_mps"])
-        kernel._weight_lists = {key: arrays[f"w:{key}"].tolist()
-                                for key in meta["weight_keys"]}
-        kernel._custom_order = OrderedDict()
-        kernel._forward_adj = {}
-        kernel._reverse_adj = {}
-        kernel._matrices = {}
-        kernel._alt_tables = {}
-        for key in meta["alt_keys"]:
-            kernel._alt_tables[key] = (
-                arrays[f"alt:{key}:table"],
-                [int(i) for i in arrays[f"alt:{key}:landmarks"]],
-            )
-        kernel._dist = [inf] * n
-        kernel._parent = [-1] * n
-        kernel._parent_w = [0.0] * n
-        kernel._seen = [0] * n
-        kernel._done = [0] * n
-        kernel._gen = 0
-        kernel._lock = threading.Lock()
-        kernel._memo_lock = threading.Lock()
-        kernel._profile = dict.fromkeys(_PROFILE_KEYS, 0)
-        return kernel
-
     def __repr__(self) -> str:
         return (f"CSRGraph(vertices={self.num_vertices}, "
                 f"edges={self.num_edges}, network={self.network_name!r})")
@@ -1283,27 +1058,6 @@ def csr_for(network: RoadNetwork) -> CSRGraph:
             graph = CSRGraph(network)
             _csr_cache[network] = graph
         return graph
-
-
-def install_csr(network: RoadNetwork, kernel: CSRGraph) -> CSRGraph:
-    """Install a pre-built kernel as ``network``'s cached CSR graph.
-
-    The attach side of shared-memory routing: a worker process rebuilds
-    the kernel with :meth:`CSRGraph.from_shared` and installs it here,
-    so every existing consumer (`yen_path_generator`, the diversified
-    generator, serving) transparently routes on the shared arrays via
-    :func:`csr_for`.  The fingerprint must match the network's —
-    routing on a kernel of another graph would silently corrupt results.
-    """
-    if kernel.fingerprint != network.fingerprint:
-        raise GraphError(
-            f"kernel fingerprint {kernel.fingerprint!r} does not match "
-            f"network fingerprint {network.fingerprint!r}; refusing to "
-            "install a CSR kernel of another network"
-        )
-    with _csr_cache_lock:
-        _csr_cache[network] = kernel
-    return kernel
 
 
 def csr_if_built(network: RoadNetwork) -> CSRGraph | None:

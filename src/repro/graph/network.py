@@ -309,8 +309,7 @@ class RoadNetwork:
 
         The digest covers every edge's endpoints, length, speed, and
         category in canonical (sorted-key) order.  Computed once, on the
-        first read, which seals the network; the shared-memory content
-        key ``csr:<digest>`` tells a worker which graph it attached.
+        first read, which seals the network.
         """
         if self._fingerprint is None:
             digest = hashlib.blake2b(digest_size=16)

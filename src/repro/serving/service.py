@@ -33,8 +33,8 @@ and one circuit breaker directly.
 **Execution plane.**  ``ServingConfig.execution`` selects where cold
 candidate generation runs: ``"inline"`` (the default — in the calling
 thread) or ``"processes"`` (an :class:`~repro.exec.plane.ExecutionPlane`
-of worker processes attached zero-copy to a shared-memory CSR segment,
-sidestepping the GIL).  A pool failure falls back to the inline
+of worker processes, each with its own routing kernel, sidestepping
+the GIL).  A pool failure falls back to the inline
 generator, so the plane never lowers availability.  Scoring runs in
 this process in both modes.  See ``docs/parallelism.md``.
 """
@@ -72,7 +72,7 @@ __all__ = ["EXECUTION_MODES", "ServingConfig", "RankRequest", "RankedPath",
 #: Execution-plane modes: ``"inline"`` runs every stage in the calling
 #: thread (the historical behaviour, and the default); ``"processes"``
 #: offloads cold candidate generation to a pool of worker processes
-#: over a shared-memory CSR segment (:mod:`repro.exec`).
+#: (:mod:`repro.exec`).
 EXECUTION_MODES = ("inline", "processes")
 
 #: Request outcome counters, as ``serving.<name>``.
@@ -131,8 +131,8 @@ class ServingConfig:
     shed_policy: str = "reject"
     #: Execution plane (see :data:`EXECUTION_MODES`).  The default
     #: ``"inline"`` keeps the plane fully dormant: no worker processes,
-    #: no shared-memory segments, and stage behaviour bit-identical to
-    #: a service built before the plane existed.
+    #: and stage behaviour bit-identical to a service built before the
+    #: plane existed.
     execution: str = "inline"
     #: Worker processes behind ``execution="processes"`` (ignored
     #: otherwise).
@@ -253,7 +253,7 @@ class RankingService:
         # Resilience plane: a circuit breaker over scoring-group outcomes.
         self.breaker = CircuitBreaker()
         # Execution plane: dormant unless asked for.  "processes" stands
-        # up a shared-memory CSR segment plus a warm worker pool.
+        # up a warm worker pool.
         self.plane = None
         if self.config.execution == "processes":
             from repro.exec.plane import ExecutionPlane
@@ -279,7 +279,7 @@ class RankingService:
         metrics.register_callback("kernel.scoring", self._scoring_kernel_view)
         metrics.register_callback("resilience", self._resilience_view)
         if self.plane is not None:
-            # exec.pool.* / exec.segment.* next to the exec.roundtrip_ms /
+            # exec.pool.* next to the exec.roundtrip_ms /
             # exec.overhead_ms / exec.occupancy histograms the pool
             # records directly into this registry.
             metrics.register_callback("exec", self.plane.stats)
@@ -729,10 +729,9 @@ class RankingService:
     def close(self) -> None:
         """Tear down the execution plane (idempotent; inline no-op).
 
-        Stops the worker processes and unlinks the shared-memory CSR
-        segment.  The service itself keeps answering afterwards —
-        candidate generation falls back to its inline path — so closing
-        is safe mid-traffic.
+        Stops the worker processes.  The service itself keeps answering
+        afterwards — candidate generation falls back to its inline path
+        — so closing is safe mid-traffic.
         """
         plane, self.plane = self.plane, None
         if plane is not None:

@@ -6,7 +6,6 @@ count must equal what a per-query loop over ``dijkstra`` /
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +29,6 @@ from repro.graph import (
     shortest_path_cost,
     travel_time_cost,
 )
-from repro.graph import csr as csr_module
 from repro.graph.csr import CSRGraph
 
 
@@ -131,8 +129,7 @@ class TestServiceAreaBlocks:
             edge.key for edge in analytics_grid.edges()
             if edge.length + to_source(edge.key[1]) <= budget}
 
-    @pytest.mark.parametrize("have_scipy", [True, False])
-    def test_sweep_limit_keeps_the_largest_budget(self, have_scipy):
+    def test_sweep_limit_keeps_the_largest_budget(self):
         """Integer weights make ``d == budget`` exact: vertex 2 sits at
         exactly the largest budget (7) and the traversal of edge 1 -> 2
         ends exactly at it, so both are members; the limited sweep rows
@@ -145,15 +142,14 @@ class TestServiceAreaBlocks:
             network.add_edge(u, v, length=float(w))
         kernel = CSRGraph(network)
         budgets = [5.0, 7.0]
-        with mock.patch.object(csr_module, "_HAVE_SCIPY", have_scipy):
-            for reverse in (False, True):
-                full = kernel.multi_source([0, 2], reverse=reverse)
-                [(start, rows)] = kernel.iter_multi_source(
-                    [0, 2], reverse=reverse, limit=7.0)
-                assert start == 0
-                assert np.array_equal(
-                    rows, np.where(full <= 7.0, full, math.inf))
-            small, large = service_area_blocks(kernel, [0], budgets)
+        for reverse in (False, True):
+            full = kernel.multi_source([0, 2], reverse=reverse)
+            [(start, rows)] = kernel.iter_multi_source(
+                [0, 2], reverse=reverse, limit=7.0)
+            assert start == 0
+            assert np.array_equal(
+                rows, np.where(full <= 7.0, full, math.inf))
+        small, large = service_area_blocks(kernel, [0], budgets)
         assert 2 in large.vertices and (1, 2) in large.edges
         assert 2 not in small.vertices
         dist = kernel.single_source(0)

@@ -1,5 +1,8 @@
 """Shared fixtures: small deterministic networks, candidate paths and
-request mixes used across the suite."""
+request mixes used across the suite, and a check that no worker process
+outlives it."""
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -14,6 +17,17 @@ from repro.graph import (
     shortest_path_cost,
 )
 from repro.serving import RankRequest
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _no_worker_outlives_the_suite():
+    """Worker processes are the one resource the execution plane owns:
+    whatever the suite spawned, no ``exec-worker-*`` child may still be
+    running once the last test has finished."""
+    yield
+    left = [child.name for child in multiprocessing.active_children()
+            if child.name.startswith("exec-worker-")]
+    assert left == [], f"worker processes outlived the suite: {left}"
 
 
 @pytest.fixture(scope="session")

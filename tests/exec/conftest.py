@@ -1,5 +1,5 @@
-"""Execution-plane fixtures: a small region network, a randomly
-initialised model, and a session-wide /dev/shm hygiene check.
+"""Execution-plane fixtures: a small region network and a randomly
+initialised model.
 
 Worker processes are spawned (not forked), so every plane construction
 costs a Python start-up; the fixtures here are scoped to amortise that
@@ -9,7 +9,6 @@ costs a Python start-up; the fixtures here are scoped to amortise that
 import pytest
 
 from repro.core import PathRankRanker, RankerConfig, build_pathrank
-from repro.exec.shm import list_repro_segments
 from repro.graph import north_jutland_like
 from repro.ranking import Strategy, TrainingDataConfig
 
@@ -39,13 +38,3 @@ def exec_ranker(exec_network) -> PathRankRanker:
         "PR-A2", num_vertices=exec_network.num_vertices, embedding_dim=16,
         hidden_size=16, fc_hidden=8, rng=5)
     return ranker
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _no_shared_memory_leaks():
-    """Whatever the exec suite spawned, every ``repro-exec-*`` segment
-    must be unlinked by the time the last test finishes."""
-    yield
-    leaked = list_repro_segments()
-    assert leaked == [], (
-        f"exec test suite leaked shared-memory segments: {leaked}")

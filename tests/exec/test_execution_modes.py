@@ -1,11 +1,12 @@
 """Service-level execution modes: parity, worker death, lifecycle, stats."""
 
+import os
+import signal
 import threading
 import time
 
 import pytest
 
-from repro.exec.shm import list_repro_segments
 from repro.ranking import Strategy, TrainingDataConfig
 from repro.serving import (
     ModelRegistry,
@@ -143,8 +144,7 @@ def test_stats_expose_execution_block_only_when_armed(
     assert stats["workers"] == 2
     assert stats["pool"]["workers"] == 2
     assert stats["pool"]["alive"] == 2
-    assert stats["segment"]["key"].startswith("csr:")
-    assert stats["segment"]["bytes"] > 0
+    assert set(stats) == {"mode", "workers", "pool"}
 
     inline = _service(exec_network, exec_ranker, tmp_path / "inline")
     try:
@@ -205,11 +205,9 @@ def test_exec_worker_fault_kills_for_real_and_service_degrades(
 def test_hot_swaps_publish_nothing_and_each_version_serves_its_own(
         exec_network, exec_ranker, tmp_path, workload):
     """Scoring runs in the parent on the snapshot's own model, so
-    hot-swaps publish no segment: after v1 -> v2 -> v3 and a straggler
-    group still holding v2, the service owns exactly its CSR segment,
-    every answer is model-served by its own version, and the breaker
-    saw no failure."""
-    before = set(list_repro_segments())
+    hot-swaps publish nothing to the workers: after v1 -> v2 -> v3 and a
+    straggler group still holding v2, every answer is model-served by
+    its own version, and the breaker saw no failure."""
     service = _service(exec_network, exec_ranker, tmp_path / "models",
                        execution="processes", workers=1)
     try:
@@ -225,8 +223,6 @@ def test_hot_swaps_publish_nothing_and_each_version_serves_its_own(
         response = service.assemble(held)
         assert (response.served_by, response.model_version) \
             == ("model", "v2")
-        assert set(list_repro_segments()) - before \
-            == {service.plane.segment.name}
         assert service.breaker.as_dict()["window_failures"] == 0
     finally:
         service.close()
@@ -235,9 +231,8 @@ def test_hot_swaps_publish_nothing_and_each_version_serves_its_own(
 def test_scoring_two_snapshots_at_once_fails_no_group(
         exec_network, exec_ranker, tmp_path, workload):
     """Groups on a superseded snapshot and on the live one score side by
-    side in the parent: the breaker sees no failure, every answer is
-    model-served by its version, and neither publishes a segment."""
-    before = set(list_repro_segments())
+    side in the parent: the breaker sees no failure, and every answer
+    is model-served by its version."""
     service = _service(exec_network, exec_ranker, tmp_path / "models",
                        execution="processes", workers=2,
                        score_cache_size=0)
@@ -269,23 +264,55 @@ def test_scoring_two_snapshots_at_once_fails_no_group(
             assert {(response.served_by, response.model_version)
                     for response in responses} == {("model", version)}
         assert service.breaker.as_dict()["window_failures"] == 0
-        assert set(list_repro_segments()) - before \
-            == {service.plane.segment.name}
     finally:
         service.close()
 
 
-def test_service_close_unlinks_every_segment(exec_network, exec_ranker,
-                                             tmp_path, workload):
-    before = set(list_repro_segments())
+def test_service_close_stops_every_worker(exec_network, exec_ranker,
+                                         tmp_path, workload):
     service = _service(exec_network, exec_ranker, tmp_path / "models",
                        execution="processes", workers=1)
     try:
         _rank_all(service, workload[:2])
-        created = set(list_repro_segments()) - before
-        assert created, "processes mode should have published segments"
+        processes = [slot.process for slot in service.plane.pool._slots]
+        assert all(process.is_alive() for process in processes)
     finally:
         service.close()
-    assert set(list_repro_segments()) & created == set()
+    assert not any(process.is_alive() for process in processes)
     # close() is idempotent and re-entrant with __exit__.
     service.close()
+
+
+# ----------------------------------------------------------------------
+# Deadlines: a request's budget never kills a worker
+# ----------------------------------------------------------------------
+def test_a_request_deadline_never_kills_a_healthy_worker(
+        exec_network, exec_ranker, tmp_path):
+    """A worker still enumerating when the request's budget runs out is
+    slow, not hung.  The plane waits on it under its hang bound, as
+    inline generation runs to completion, and the next stage boundary
+    answers the request ``deadline_exceeded``: the pool records no
+    timeout, kills nothing and respawns nothing.  A ``SIGSTOP`` lifted
+    after 0.3 s stands in for an enumeration that outlasts a 50 ms
+    budget."""
+    vertices = exec_network.vertex_ids()
+    request = RankRequest(source=min(vertices), target=max(vertices),
+                          deadline_ms=50.0)
+    service = _service(exec_network, exec_ranker, tmp_path / "models",
+                       execution="processes", workers=1)
+    pool = service.plane.pool
+    worker = pool._slots[0].process
+    resume = threading.Timer(0.3, os.kill, (worker.pid, signal.SIGCONT))
+    os.kill(worker.pid, signal.SIGSTOP)
+    resume.start()
+    try:
+        response = service.rank(request)
+        stats = pool.stats()
+        survived = pool._slots[0].process is worker and worker.is_alive()
+    finally:
+        resume.join(5.0)
+        service.close()
+    assert response.error_code == "deadline_exceeded"
+    assert (stats["timeouts"], stats["respawns"], stats["failed"],
+            stats["completed"]) == (0, 0, 0, 1)
+    assert survived

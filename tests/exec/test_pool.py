@@ -1,5 +1,7 @@
 """The worker pool: dispatch, candidate parity, and chaos recovery."""
 
+import gc
+import multiprocessing
 import os
 import signal
 import time
@@ -12,9 +14,8 @@ from repro.core.ranker import generate_candidates
 from repro.errors import ExecError
 from repro.exec.plane import ExecutionPlane
 from repro.exec.pool import WorkerPool
-from repro.exec.shm import create_segment, list_repro_segments
-from repro.graph import grid_network
-from repro.graph.csr import csr_for
+from repro.graph import csr_for, grid_network, north_jutland_like
+from repro.ranking import Strategy, TrainingDataConfig
 from repro.serving import RankRequest
 
 
@@ -71,7 +72,7 @@ def test_ping_roundtrip(plane):
 
 def test_candidates_parity_with_inline_generation(plane, exec_network,
                                                   exec_candidates):
-    """Workers run the identical kernel over the shared CSR arrays, so
+    """Workers build the identical kernel from the same network, so
     candidate sets must match the parent's element-wise."""
     for source, target in _od_pairs(exec_network):
         inline = generate_candidates(exec_network, source, target,
@@ -121,33 +122,52 @@ def test_score_parity_is_bitwise(plane, exec_network, exec_ranker,
             exec_ranker.model.score_paths(inline))
 
 
-# ----------------------------------------------------------------------
-# The plane's one shared segment
-# ----------------------------------------------------------------------
-def test_plane_segment_is_the_network_csr(plane, exec_network):
-    """The segment the workers attach is keyed by the network's CSR
-    kernel, and the plane reports that key and its size."""
-    assert plane.segment.key == csr_for(exec_network).shared_key()
-    assert plane.segment.name in list_repro_segments()
-    assert plane.stats()["segment"] == {"key": plane.segment.key,
-                                        "bytes": plane.segment.nbytes}
-    assert plane.segment.nbytes > 0
-
-
-def test_plane_publishes_one_segment_and_close_unlinks_it(exec_network):
-    before = set(list_repro_segments())
-    plane = ExecutionPlane(exec_network, workers=1)
+@pytest.mark.parametrize("strategy", [Strategy.TKDI, Strategy.D_TKDI])
+def test_candidates_parity_on_a_guided_size_network(strategy):
+    """processes == inline at k=8 on a network of at least 128 vertices,
+    where Yen's guidance once depended on the vertex count, with
+    landmark tables built in the parent only: guidance depends on the
+    network alone, so the workers, which build none, agree."""
+    network = north_jutland_like(num_towns=4, seed=11)
+    assert network.num_vertices >= 128
+    config = TrainingDataConfig(strategy=strategy, k=8)
+    csr_for(network).ensure_alt()
+    ids = sorted(network.vertex_ids())
+    pairs = [(ids[i], ids[-1 - 3 * i]) for i in range(0, 30, 3)]
+    plane = ExecutionPlane(network, workers=2)
     try:
-        assert set(list_repro_segments()) - before == {plane.segment.name}
+        tickets = [plane.pool.submit("candidates", (source, target, config))
+                   for source, target in pairs]
+        for (source, target), ticket in zip(pairs, tickets):
+            inline = generate_candidates(network, source, target, config)
+            assert [tuple(vertices) for vertices in ticket.wait(30.0)] \
+                == [path.vertices for path in inline]
     finally:
         plane.close()
-    assert plane.segment.name not in list_repro_segments()
+
+
+def test_closed_plane_leaves_no_worker_and_no_shm_entry(exec_network):
+    """Worker processes are all the plane owns: closing it stops every
+    one, and it never puts a block in ``/dev/shm``."""
+    shm = "/dev/shm"
+    before = set(os.listdir(shm)) if os.path.isdir(shm) else set()
+    plane = ExecutionPlane(exec_network, workers=2)
+    processes = [slot.process for slot in plane.pool._slots]
+    assert plane.pool.run("ping", None, timeout_s=30.0) == "pong"
+    plane.close()
+    assert not any(process.is_alive() for process in processes)
+    assert not set(processes) & set(multiprocessing.active_children())
+    assert plane.stats()["pool"]["alive"] == 0
     assert plane.pool.closed
     plane.close()  # idempotent
+    del plane, processes
+    gc.collect()
+    if os.path.isdir(shm):
+        assert set(os.listdir(shm)) <= before
 
 
 # ----------------------------------------------------------------------
-# Chaos: death, hangs, staleness
+# Chaos: death, hangs, failed warm-ups
 # ----------------------------------------------------------------------
 def test_worker_death_fails_inflight_and_respawns(exec_network):
     plane = ExecutionPlane(exec_network, workers=1)
@@ -300,43 +320,19 @@ def test_waiter_deadline_kills_hung_worker_and_recovers(exec_network):
         plane.close()
 
 
-def test_stale_csr_key_rejected_at_worker_warmup(exec_network):
-    """A worker handed a segment whose key does not match what it was
-    told to expect must refuse to install it — warmup fails loudly
-    instead of silently routing on stale hot-state."""
-    arrays, meta = csr_for(exec_network).shared_payload()
-    segment = create_segment("csr:stale-test", arrays, meta)
-    pool = None
-    try:
-        pool = WorkerPool(exec_network, workers=1, csr_name=segment.name,
-                          csr_key="csr:" + "0" * 32)
-        with pytest.raises(ExecError, match="StaleSegmentError"):
-            pool.wait_ready(3.0)
-    finally:
-        if pool is not None:
-            pool.close()
-        segment.close()
-
-
-def test_wait_ready_raises_once_a_slot_is_abandoned(exec_network):
+def test_wait_ready_raises_once_a_slot_is_abandoned():
     """A worker that dies at every warm-up gets its slot abandoned after
     three deaths; ``wait_ready`` raises then, not when its timeout runs
-    out."""
-    arrays, meta = csr_for(exec_network).shared_payload()
-    segment = create_segment("csr:abandon-test", arrays, meta)
-    pool = None
+    out.  With no network, the kernel build fails in the child."""
+    pool = WorkerPool(None, workers=1)
     try:
-        pool = WorkerPool(exec_network, workers=1, csr_name=segment.name,
-                          csr_key="csr:" + "0" * 32)
         began = time.monotonic()
-        with pytest.raises(ExecError, match="slot abandoned.*StaleSegment"):
+        with pytest.raises(ExecError, match="slot abandoned.*TypeError"):
             pool.wait_ready(30.0)
         assert time.monotonic() - began < 15.0
         assert pool._slots[0].process is None
     finally:
-        if pool is not None:
-            pool.close()
-        segment.close()
+        pool.close()
 
 
 def test_submit_after_close_raises(exec_network):

@@ -340,19 +340,6 @@ class TestBackendSeam:
     def test_csr_for_caches_per_network(self, random_grid):
         assert csr_for(random_grid) is csr_for(random_grid)
 
-    def test_install_refuses_a_kernel_of_another_network(self):
-        from repro.errors import GraphError
-        from repro.graph.csr import CSRGraph, install_csr
-        net = grid_network(4, 4, seed=1)
-        other = grid_network(4, 4, seed=2)
-        arrays, meta = csr_for(other).shared_payload()
-        with pytest.raises(GraphError, match="another network"):
-            install_csr(net, CSRGraph.from_shared(arrays, meta))
-        arrays, meta = CSRGraph(net).shared_payload()
-        replica = CSRGraph.from_shared(arrays, meta)
-        assert install_csr(net, replica) is replica
-        assert csr_for(net) is replica
-
     def test_unknown_backend_rejected(self):
         from repro.errors import ConfigError
         with pytest.raises(ConfigError):

@@ -20,7 +20,6 @@ trees (``sssp_parents`` against the dict ``dijkstra`` tree).
 from heapq import heappop, heappush
 from itertools import count, islice
 from math import inf
-from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -41,11 +40,10 @@ from repro.graph import (
     yen_k_shortest_paths,
     yen_path_generator,
 )
-from repro.graph.csr import ALT_MIN_VERTICES, CSRGraph
+from repro.graph.csr import CSRGraph
 
 
-def _plain_yen(kernel, source_id, target_id, cost=None, max_paths=None,
-               use_alt=None):
+def _plain_yen(kernel, source_id, target_id, cost=None, max_paths=None):
     """Plain Yen over the kernel's own searches.
 
     Returns ``(paths, searches, owed)``: ``paths`` as ``(vertex ids,
@@ -56,7 +54,7 @@ def _plain_yen(kernel, source_id, target_id, cost=None, max_paths=None,
     s, t = kernel.index_of(source_id), kernel.index_of(target_id)
     adj = kernel._forward(cost)
     weights = kernel.edge_weights(cost)
-    h = kernel._potential(cost, t, use_alt)
+    h = kernel._potential(cost, t)
     first = kernel._p2p(s, t, adj, h)
     if first is None:
         raise NoPathError(source_id, target_id)
@@ -105,15 +103,13 @@ def _capped(kernel):
     return kernel.profile_counters()["yen_spur_capped"]
 
 
-def _assert_exact(network, source, target, cost=None, max_paths=None,
-                  use_alt=None):
+def _assert_exact(network, source, target, cost=None, max_paths=None):
     """Kernel == plain, element-wise; returns (lean, plain) search counts."""
     kernel = csr_for(network)
     plain, searches, owed = _plain_yen(kernel, source, target, cost,
-                                       max_paths, use_alt)
+                                       max_paths)
     before = _spur_searches(kernel)
-    lean = list(kernel.yen_ids(source, target, cost, max_paths=max_paths,
-                               use_alt=use_alt))
+    lean = list(kernel.yen_ids(source, target, cost, max_paths=max_paths))
     ran = _spur_searches(kernel) - before
     assert lean == [(verts, total) for verts, total, _ in plain]
     assert ran == owed <= searches
@@ -138,15 +134,13 @@ def detour_cost(edge):
 
 
 class TestSequenceIdentity:
-    @pytest.mark.parametrize("use_alt", [False, True])
-    def test_unit_weight_grid_ties_included(self, small_grid, use_alt):
+    def test_unit_weight_grid_ties_included(self, small_grid):
         """Unit weights make most of the enumeration one big tie: order
         among equal costs is all the tie-breaking counter's doing."""
         lean = plain = 0
         for source, target in _pairs(small_grid, 6, seed=1):
             ran, searches = _assert_exact(small_grid, source, target,
-                                          unit_cost, max_paths=40,
-                                          use_alt=use_alt)
+                                          unit_cost, max_paths=40)
             lean += ran
             plain += searches
         assert lean < plain
@@ -407,7 +401,7 @@ def _weighted(weights):
 
 class TestExactPotential:
     """Yen's searches are A* under ``h = d(., t)`` from one reverse
-    search per query, wherever they used to be ALT-guided."""
+    search per query, on every network."""
 
     @given(digraph_queries())
     @settings(max_examples=150, deadline=None)
@@ -416,7 +410,7 @@ class TestExactPotential:
         cost = _weighted(weights)
         kernel = csr_for(network)
         t = kernel.index_of(target)
-        h = kernel._potential(cost, t, True)
+        h = kernel._potential(cost, t)
         assert h[t] == 0.0
         edge_weights = kernel.edge_weights(cost)
         indptr, indices = kernel._indptr_list, kernel._indices_list
@@ -430,31 +424,22 @@ class TestExactPotential:
             if d != inf:
                 assert d == kernel.single_source(kernel.ids[v], cost)[t]
 
-    def test_guidance_follows_the_old_alt_rule(self, tiny_network,
-                                               region_network):
-        """Guided where ALT guided Yen: forced, on big networks, and on
-        small ones once landmark tables exist for the cost."""
-        small = CSRGraph(tiny_network)
-        assert small.num_vertices < ALT_MIN_VERTICES
-        assert small._potential(None, 0, None) is None
-        assert small._potential(None, 0, True) is not None
-        small.ensure_alt()
-        assert small._potential(None, 0, None) is not None
-        assert small._potential(travel_time_cost, 0, None) is None
-        assert small._potential(None, 0, False) is None
-        big = CSRGraph(region_network)
-        assert big.num_vertices >= ALT_MIN_VERTICES
-        assert big._potential(None, 0, None) is not None
-        assert big._potential(None, 0, False) is None
-
-    def test_pure_python_fallback_agrees(self, region_network, monkeypatch):
-        kernel = csr_for(region_network)
-        target = kernel.index_of(_pairs(region_network, 1, seed=8)[0][1])
-        with_scipy = kernel._potential(travel_time_cost, target, None)
-        monkeypatch.setattr(csr_module, "_HAVE_SCIPY", False)
-        fallback = kernel._potential(travel_time_cost, target, None)
-        assert [d == inf for d in fallback] == [d == inf for d in with_scipy]
-        assert fallback == pytest.approx(with_scipy, rel=1e-12)
+    def test_guidance_ignores_landmark_tables(self, tiny_network):
+        """The potential depends on the network and the cost alone: a
+        kernel with landmark tables yields what one without them does,
+        so a worker process that never builds them yields the parent's
+        sequence."""
+        bare, landmarked = CSRGraph(tiny_network), CSRGraph(tiny_network)
+        landmarked.ensure_alt()
+        for target in range(bare.num_vertices):
+            assert bare._potential(None, target) \
+                == landmarked._potential(None, target)
+        for source in tiny_network.vertex_ids():
+            for target in tiny_network.vertex_ids():
+                if source != target:
+                    assert list(bare.yen_ids(source, target)) \
+                        == list(landmarked.yen_ids(source, target))
+        assert bare._alt_tables == {}
 
     def test_yen_builds_no_landmark_tables(self, region_network):
         kernel = CSRGraph(region_network)
@@ -499,29 +484,45 @@ class TestExactPotential:
 class TestSsspParentsOracle:
     """``sssp_parents`` against the dict ``dijkstra`` tree, ``==`` on
     distances and on parents, ties included: zero weights, integer ties,
-    one-way arcs and unreachable vertices, with scipy and without."""
+    one-way arcs and unreachable vertices; and the heap loop it falls
+    back to on plateaus, on its own."""
 
-    @pytest.mark.parametrize("have_scipy", [True, False])
-    @pytest.mark.parametrize("shift", [0.0, 1.0])
-    @given(case=digraph_queries())
-    @settings(max_examples=150, deadline=None)
-    def test_random_digraphs(self, have_scipy, shift, case):
-        """``shift`` 1 lifts the weights to 1..3: no zero weights, so
-        every scipy tree comes from the distances, integer ties and
-        all."""
-        network, weights, source, _ = case
-        cost = _weighted({arc: w + shift for arc, w in weights.items()})
-        kernel = csr_for(network)
+    @staticmethod
+    def _assert_reference_tree(network, kernel, source, cost, dist, parent):
         ref_dist, ref_prev = dijkstra(network, source, cost)
-        with mock.patch.object(csr_module, "_HAVE_SCIPY", have_scipy):
-            dist, parent = kernel.sssp_parents(source, cost)
         ids = kernel.ids
         assert {ids[v]: d for v, d in enumerate(dist.tolist())
                 if d != inf} == ref_dist
         assert {ids[v]: ids[p] for v, p in enumerate(parent.tolist())
                 if p >= 0} == ref_prev
-        if have_scipy and shift:
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    @given(case=digraph_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_random_digraphs(self, shift, case):
+        """``shift`` 1 lifts the weights to 1..3: no zero weights, so
+        every tree comes from the distances, integer ties and all."""
+        network, weights, source, _ = case
+        cost = _weighted({arc: w + shift for arc, w in weights.items()})
+        kernel = csr_for(network)
+        dist, parent = kernel.sssp_parents(source, cost)
+        self._assert_reference_tree(network, kernel, source, cost, dist,
+                                    parent)
+        if shift:
             assert kernel._tight_parents(dist, cost) is not None
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    @given(case=digraph_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_loop_matches_the_reference(self, shift, case):
+        """The heap loop alone, on every draw, plateau or not."""
+        network, weights, source, _ = case
+        cost = _weighted({arc: w + shift for arc, w in weights.items()})
+        kernel = csr_for(network)
+        dist, parent = kernel._sssp_parents_loop(kernel.index_of(source),
+                                                 cost)
+        self._assert_reference_tree(network, kernel, source, cost, dist,
+                                    parent)
 
     def test_absorbed_weight_runs_the_loop(self):
         """``2**53 + 1 == 2**53``, so the edge 2 -> 1 is tight between
@@ -545,7 +546,7 @@ class TestSsspParentsOracle:
         assert parent.tolist() == [-1, 2, 0, 2]
 
 
-def _precheck_decisions(kernel, source, target, cost, max_paths, guided):
+def _precheck_decisions(kernel, source, target, cost, max_paths):
     """Run Yen with a spy on the pre-check; returns the ``_p2p`` result
     of every spur search the pre-check decided, each run with the same
     root, bans, bound and potential.
@@ -556,11 +557,11 @@ def _precheck_decisions(kernel, source, target, cost, max_paths, guided):
     """
     t = kernel.index_of(target)
     adj = kernel._forward(cost)
-    h = kernel._potential(cost, t, guided)
+    h = kernel._potential(cost, t)
     decided = []
 
     def spy(adj_, potential, spur, banned_next, root, bound):
-        assert potential == (h if guided else [0.0] * kernel.num_vertices)
+        assert potential == h
         key = CSRGraph._spur_ruled_out(adj_, potential, spur, banned_next,
                                        root, bound)
         result = kernel._p2p(spur, t, adj, h,
@@ -577,18 +578,17 @@ def _precheck_decisions(kernel, source, target, cost, max_paths, guided):
 
     kernel._spur_ruled_out = spy
     try:
-        list(kernel.yen_ids(source, target, cost, use_alt=guided,
-                            max_paths=max_paths))
+        list(kernel.yen_ids(source, target, cost, max_paths=max_paths))
     finally:
         del kernel._spur_ruled_out
     return decided
 
 
 @given(digraph_queries(min_vertices=3, min_arc_share=0.4),
-       st.integers(1, 8), st.booleans(), st.booleans())
+       st.integers(1, 8), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_precheck_decides_only_searches_that_find_nothing(case, max_paths,
-                                                          capped, guided):
+                                                          capped):
     """Each spur search the pre-check decides is one ``_p2p`` would have
     ended with ``None``: same root, same bans, same bound, same
     potential."""
@@ -596,7 +596,7 @@ def test_precheck_decides_only_searches_that_find_nothing(case, max_paths,
     try:
         decided = _precheck_decisions(csr_for(network), source, target,
                                       _weighted(weights),
-                                      max_paths if capped else None, guided)
+                                      max_paths if capped else None)
     except NoPathError:
         return
     assert decided == [None] * len(decided)
@@ -610,7 +610,7 @@ def test_precheck_decides_spurs_on_the_region(region_network, cost):
     decided = []
     for source, target in _pairs(region_network, 2, seed=13):
         decided += _precheck_decisions(kernel, source, target, cost,
-                                       max_paths=40, guided=True)
+                                       max_paths=40)
     assert decided and decided == [None] * len(decided)
 
 
@@ -675,24 +675,3 @@ def test_deferred_search_runs_with_the_ban_set_of_its_spur_on_the_region(
     assert any(then for then, _ in ran)
     assert [then for then, now in ran] == [now for then, now in ran]
 
-
-class TestReplicaParity:
-    """A shared-memory replica is the owner's kernel: the same
-    attributes and the same Yen sequence under the exact potential."""
-
-    def test_replica_has_the_owner_attribute_set(self, region_network):
-        kernel = CSRGraph(region_network)
-        kernel.ensure_alt()
-        replica = CSRGraph.from_shared(*kernel.shared_payload())
-        assert set(vars(replica)) == set(vars(kernel))
-
-    @pytest.mark.parametrize("cost", [length_cost, travel_time_cost])
-    def test_replica_yields_the_owner_sequence(self, region_network, cost):
-        kernel = CSRGraph(region_network)
-        kernel.edge_weights(travel_time_cost)
-        replica = CSRGraph.from_shared(*kernel.shared_payload())
-        for source, target in _pairs(region_network, 4, seed=12):
-            assert list(replica.yen_ids(source, target, cost,
-                                        max_paths=40)) == \
-                list(kernel.yen_ids(source, target, cost, max_paths=40))
-        assert replica.profile_counters() == kernel.profile_counters()
