@@ -1,6 +1,7 @@
 """Pooled tile fan-out: pooled results must equal inline results
 exactly — the same ``run_tile_payload`` executes in both contexts
-against the identical shared-memory CSR arrays."""
+against identical CSR arrays, which each worker builds from its own
+copy of the network."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.analytics import (
 )
 from repro.errors import AnalyticsError
 from repro.exec import ExecutionPlane
+from repro.graph import travel_time_cost
 from repro.obs import MetricsRegistry
 
 
@@ -60,6 +62,48 @@ class TestPooledParity:
             assert np.array_equal(pooled.counts, inline.counts)
             assert pooled.num_pairs == inline.num_pairs
             assert pooled.unreachable_pairs == inline.unreachable_pairs
+
+
+class TestPooledParityOnARegion:
+    """The same parity on a 136-vertex region: every worker's kernel,
+    built from the pickled network, has the parent's CSR order, so
+    pooled distances, areas and edge positions equal inline's."""
+
+    @pytest.fixture(scope="class")
+    def region_plane(self, region_network):
+        plane = ExecutionPlane(region_network, workers=2)
+        yield plane
+        plane.close()
+
+    def test_od_matrix(self, region_network, region_plane):
+        origins, destinations = [0, 47, 135, 90, 12], [3, 70, 128, 101]
+        inline = od_cost_matrix(region_network, origins, destinations,
+                                method="sweep", cost=travel_time_cost)
+        pooled = od_cost_matrix(region_network, origins, destinations,
+                                method="sweep", cost=travel_time_cost,
+                                plane=region_plane)
+        assert np.array_equal(pooled.costs, inline.costs)
+
+    def test_service_area(self, region_network, region_plane):
+        sources, budgets = [0, 47, 135, 90], [1500.0, 6000.0]
+        inline = service_area(region_network, sources, budgets)
+        pooled = service_area(region_network, sources, budgets,
+                              plane=region_plane)
+        assert [(area.source, area.budget, area.vertices, area.edges)
+                for area in pooled] == \
+            [(area.source, area.budget, area.vertices, area.edges)
+             for area in inline]
+
+    def test_route_frequencies(self, region_network, region_plane):
+        pairs = [(0, 135), (47, 3), (90, 128), (12, 70), (135, 0),
+                 (101, 47)]
+        inline = route_frequencies(region_network, pairs)
+        pooled = route_frequencies(region_network, pairs,
+                                   plane=region_plane)
+        assert np.array_equal(pooled.counts, inline.counts)
+        assert pooled.counts.sum() > 0
+        assert pooled.num_pairs == inline.num_pairs
+        assert pooled.unreachable_pairs == inline.unreachable_pairs
 
 
 class TestPooledConstraints:

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.ranker import generate_candidates
 from repro.errors import ExecError
+from repro.exec import plane as plane_module
 from repro.exec.plane import ExecutionPlane
 from repro.exec.pool import WorkerPool
 from repro.graph import csr_for, grid_network, north_jutland_like
@@ -144,6 +145,38 @@ def test_candidates_parity_on_a_guided_size_network(strategy):
                 == [path.vertices for path in inline]
     finally:
         plane.close()
+
+
+def test_candidates_for_waits_the_hang_bound_whatever_the_budget(
+        plane, exec_network, exec_candidates, monkeypatch):
+    """A request whose budget is already spent still waits on its worker
+    under the hang bound, not the budget: the worker finishes, nothing
+    times out, and the candidates are inline's."""
+    waited = []
+    submit = plane.pool.submit
+
+    def recording_submit(kind, payload):
+        ticket = submit(kind, payload)
+
+        def wait(timeout_s=None):
+            waited.append(timeout_s)
+            return ticket.wait(timeout_s)
+
+        return SimpleNamespace(wait=wait)
+
+    monkeypatch.setattr(plane.pool, "submit", recording_submit)
+    source, target = _od_pairs(exec_network)[0]
+    state = SimpleNamespace(
+        request=RankRequest(source=source, target=target, deadline_ms=1e-3),
+        config=exec_candidates)
+    timeouts = plane.pool.stats()["timeouts"]
+    paths = plane.candidates_for(state)
+    assert waited == [plane_module.DEFAULT_TIMEOUT_S]
+    assert plane.pool.stats()["timeouts"] == timeouts
+    inline = generate_candidates(exec_network, source, target,
+                                 exec_candidates)
+    assert [path.vertices for path in paths] \
+        == [path.vertices for path in inline]
 
 
 def test_closed_plane_leaves_no_worker_and_no_shm_entry(exec_network):
@@ -333,6 +366,18 @@ def test_wait_ready_raises_once_a_slot_is_abandoned():
         assert pool._slots[0].process is None
     finally:
         pool.close()
+
+
+def test_plane_with_failing_warmups_raises_and_leaves_no_worker():
+    """The plane closes its pool when warm-up fails, so a constructor
+    that raises leaves no worker process behind."""
+    before = set(multiprocessing.active_children())
+    began = time.monotonic()
+    with pytest.raises(ExecError, match="slot abandoned.*TypeError"):
+        ExecutionPlane(None, workers=2)
+    assert time.monotonic() - began < 15.0
+    assert [child.name for child in multiprocessing.active_children()
+            if child not in before] == []
 
 
 def test_submit_after_close_raises(exec_network):

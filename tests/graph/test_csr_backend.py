@@ -9,6 +9,7 @@ Plus: ALT admissibility (the landmark heuristic never overestimates the
 true cost) and the backend seam (one kernel per sealed network).
 """
 
+import pickle
 import re
 import sys
 import threading
@@ -339,6 +340,24 @@ class TestErrorsAndEdgeCases:
 class TestBackendSeam:
     def test_csr_for_caches_per_network(self, random_grid):
         assert csr_for(random_grid) is csr_for(random_grid)
+
+    def test_a_pickled_copy_builds_its_own_equal_kernel(self, random_grid):
+        """What a pool worker does with the network it is sent: the
+        copy is sealed with the same fingerprint, gets a kernel of its
+        own, and that kernel has the owner's CSR order, so edge
+        positions mean the same in both processes."""
+        owner = csr_for(random_grid)
+        owner.ensure_alt()
+        copy = pickle.loads(pickle.dumps(random_grid))
+        kernel = csr_for(copy)
+        assert kernel is not owner
+        assert kernel is csr_for(copy)
+        assert kernel.fingerprint == copy.fingerprint == owner.fingerprint
+        assert np.array_equal(kernel.indptr, owner.indptr)
+        assert np.array_equal(kernel.indices, owner.indices)
+        assert np.array_equal(kernel.weight_array(travel_time_cost),
+                              owner.weight_array(travel_time_cost))
+        assert kernel._alt_tables == {}
 
     def test_unknown_backend_rejected(self):
         from repro.errors import ConfigError

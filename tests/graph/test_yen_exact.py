@@ -17,6 +17,7 @@ The same digraph strategy is the oracle for the kernel's shortest-path
 trees (``sssp_parents`` against the dict ``dijkstra`` tree).
 """
 
+import pickle
 from heapq import heappop, heappush
 from itertools import count, islice
 from math import inf
@@ -134,9 +135,13 @@ def detour_cost(edge):
 
 
 class TestSequenceIdentity:
-    def test_unit_weight_grid_ties_included(self, small_grid):
+    @pytest.mark.parametrize("landmarks", [False, True])
+    def test_unit_weight_grid_ties_included(self, small_grid, landmarks):
         """Unit weights make most of the enumeration one big tie: order
-        among equal costs is all the tie-breaking counter's doing."""
+        among equal costs is all the tie-breaking counter's doing, with
+        or without landmark tables on the kernel."""
+        if landmarks:
+            csr_for(small_grid).ensure_alt(unit_cost)
         lean = plain = 0
         for source, target in _pairs(small_grid, 6, seed=1):
             ran, searches = _assert_exact(small_grid, source, target,
@@ -424,22 +429,44 @@ class TestExactPotential:
             if d != inf:
                 assert d == kernel.single_source(kernel.ids[v], cost)[t]
 
-    def test_guidance_ignores_landmark_tables(self, tiny_network):
+    @pytest.mark.parametrize("cost", [length_cost, travel_time_cost])
+    def test_guidance_ignores_landmark_tables(self, tiny_network, cost):
         """The potential depends on the network and the cost alone: a
         kernel with landmark tables yields what one without them does,
         so a worker process that never builds them yields the parent's
         sequence."""
         bare, landmarked = CSRGraph(tiny_network), CSRGraph(tiny_network)
-        landmarked.ensure_alt()
+        landmarked.ensure_alt(cost)
         for target in range(bare.num_vertices):
-            assert bare._potential(None, target) \
-                == landmarked._potential(None, target)
+            assert bare._potential(cost, target) \
+                == landmarked._potential(cost, target)
         for source in tiny_network.vertex_ids():
             for target in tiny_network.vertex_ids():
                 if source != target:
-                    assert list(bare.yen_ids(source, target)) \
-                        == list(landmarked.yen_ids(source, target))
+                    assert list(bare.yen_ids(source, target, cost)) \
+                        == list(landmarked.yen_ids(source, target, cost))
         assert bare._alt_tables == {}
+
+    @pytest.mark.parametrize("cost", [length_cost, travel_time_cost])
+    def test_distance_to_target_on_the_region(self, region_network, cost):
+        """On a network of well over 128 vertices, where Yen was once
+        ALT-guided, the potential is the distance to the target (to
+        summation order), ``inf`` exactly where the target is out of
+        reach, and consistent on every edge as computed."""
+        kernel = CSRGraph(region_network)
+        edge_weights = kernel.edge_weights(cost)
+        indptr, indices = kernel._indptr_list, kernel._indices_list
+        for _, target in _pairs(region_network, 3, seed=8):
+            t = kernel.index_of(target)
+            h = kernel._potential(cost, t)
+            to_target = [float(kernel.single_source(vid, cost)[t])
+                         for vid in kernel.ids]
+            assert h[t] == 0.0
+            assert [d == inf for d in h] == [d == inf for d in to_target]
+            assert h == pytest.approx(to_target, rel=1e-12)
+            for u in range(kernel.num_vertices):
+                for j in range(indptr[u], indptr[u + 1]):
+                    assert h[u] <= edge_weights[j] + h[indices[j]]
 
     def test_yen_builds_no_landmark_tables(self, region_network):
         kernel = CSRGraph(region_network)
@@ -675,3 +702,35 @@ def test_deferred_search_runs_with_the_ban_set_of_its_spur_on_the_region(
     assert any(then for then, _ in ran)
     assert [then for then, now in ran] == [now for then, now in ran]
 
+
+class TestWorkerKernelParity:
+    """A pool worker is sent the network by pickle and builds its own
+    kernel: the copy's kernel is the owner's, array for array, and
+    yields the owner's sequence whatever the owner has cached."""
+
+    def test_worker_kernel_has_the_owner_arrays(self, region_network):
+        owner = CSRGraph(region_network)
+        owner.ensure_alt()
+        worker = CSRGraph(pickle.loads(pickle.dumps(region_network)))
+        assert set(vars(worker)) == set(vars(owner))
+        assert worker.fingerprint == owner.fingerprint
+        assert worker.ids == owner.ids
+        assert worker._indptr_list == owner._indptr_list
+        assert worker._indices_list == owner._indices_list
+        assert [edge.key for edge in worker._edges] \
+            == [edge.key for edge in owner._edges]
+        for cost in (length_cost, travel_time_cost):
+            assert worker.edge_weights(cost) == owner.edge_weights(cost)
+        assert worker._alt_tables == {}
+
+    @pytest.mark.parametrize("cost", [length_cost, travel_time_cost])
+    def test_worker_kernel_yields_the_owner_sequence(self, region_network,
+                                                     cost):
+        owner = CSRGraph(region_network)
+        owner.ensure_alt(cost)
+        worker = CSRGraph(pickle.loads(pickle.dumps(region_network)))
+        for source, target in _pairs(region_network, 4, seed=12):
+            assert list(worker.yen_ids(source, target, cost,
+                                       max_paths=40)) == \
+                list(owner.yen_ids(source, target, cost, max_paths=40))
+        assert worker.profile_counters() == owner.profile_counters()
